@@ -20,9 +20,10 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import expertise, ml, stats, study
+from . import __version__, expertise, ml, stats, study
 from .errors import FileExpertsError
 from .features import (
+    FEATURE_SCHEMA,
     FeatureTable,
     compute_all,
     feature_table_to_csv,
@@ -167,15 +168,25 @@ def _read_alias_map(path: str | None) -> list[tuple[str, str]] | None:
 
 
 def _options_key(args, tip: str) -> str:
+    """Cache key over every input that shapes the cached artifacts: the
+    branch tip, the options, the language table's contents, and the code
+    that computes the features."""
     alias_map = _read_alias_map(args.alias_map) or []
+    language_config = (
+        hashlib.sha256(Path(args.language_config).read_bytes()).hexdigest()
+        if args.language_config
+        else None
+    )
     blob = json.dumps(
         {
+            "version": __version__,
+            "feature_schema": FEATURE_SCHEMA,
             "tip": tip,
             "alias_threshold": args.alias_threshold,
             "mod_threshold": args.mod_threshold,
             "reference_time": args.reference_time,
             "alias_map": alias_map,
-            "language_config": args.language_config,
+            "language_config": language_config,
             "vendor_globs": args.vendor_globs or list(DEFAULT_VENDOR_GLOBS),
         },
         sort_keys=True,
@@ -222,23 +233,26 @@ def _pipeline(args) -> tuple[CommitHistory, FeatureTable]:
     return history, table
 
 
+def _warn(warning: str, **fields) -> None:
+    """Write one machine-readable warning line to stderr."""
+    sys.stderr.write(json.dumps({"warning": warning, **fields}, sort_keys=True) + "\n")
+
+
+def _warn_unresolved(unresolved) -> None:
+    for item in unresolved:
+        _warn(
+            "unresolved ground-truth pair",
+            repo=item.repo,
+            developer=item.developer,
+            file=item.file,
+            reason=item.reason,
+        )
+
+
 def _truth_inputs(args, table: FeatureTable):
     entries = study.read_ground_truth_csv(args.truth)
     processed = study.process_answers(entries, table)
-    for item in processed.unresolved:
-        sys.stderr.write(
-            json.dumps(
-                {
-                    "warning": "unresolved ground-truth pair",
-                    "repo": item.repo,
-                    "developer": item.developer,
-                    "file": item.file,
-                    "reason": item.reason,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
+    _warn_unresolved(processed.unresolved)
     return processed
 
 
@@ -361,15 +375,7 @@ def _cmd_correlate(args) -> int:
     _history, table = _pipeline(args)
     entries = study.read_ground_truth_csv(args.truth)
     knowledge, unresolved = study.knowledge_map(entries, table)
-    for item in unresolved:
-        sys.stderr.write(
-            json.dumps(
-                {"warning": "unresolved ground-truth pair", "developer": item.developer,
-                 "file": item.file, "reason": item.reason},
-                sort_keys=True,
-            )
-            + "\n"
-        )
+    _warn_unresolved(unresolved)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if args.matrix:
@@ -388,9 +394,7 @@ def _cmd_correlate(args) -> int:
         for result in results:
             writer.writerow([result.variable, result.rho, result.p_value, result.n])
         for variable in sorted(errors):
-            sys.stderr.write(
-                json.dumps({"warning": "undefined correlation", "variable": variable}) + "\n"
-            )
+            _warn("undefined correlation", variable=variable)
     _emit(args, buf.getvalue())
     return 0
 
@@ -432,20 +436,7 @@ def _cmd_ingest_truth(args) -> int:
     entries = study.read_ground_truth_csv(args.truth_csv, column_map=column_map)
     _history, table = _pipeline(args)
     processed = study.process_answers(entries, table)
-    for item in processed.unresolved:
-        sys.stderr.write(
-            json.dumps(
-                {
-                    "warning": "unresolved ground-truth pair",
-                    "repo": item.repo,
-                    "developer": item.developer,
-                    "file": item.file,
-                    "reason": item.reason,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
+    _warn_unresolved(processed.unresolved)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["developer", "file", "label"])

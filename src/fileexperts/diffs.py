@@ -12,6 +12,11 @@ checked against an independent implementation:
    the removal (``L[i+1][j] >= L[i][j+1]``).
 
 Any implementation following these three rules produces identical hunks.
+Here the suffix LCS lengths of step 3 are kept as bit-vector rows, one
+Python int per line of the before side (Allison & Dix 1986, "A bit-string
+LCS algorithm"; Hyyro 2004, "Bit-parallel LCS-length computation
+revisited"), so the table takes n*m bits, and the walk reads each length
+back with a popcount.
 
 A removed/added line pair within a hunk counts as a *modification* when the
 edit distance between the two lines is below 40% of the removed line's
@@ -102,25 +107,30 @@ def diff_lines(before: Sequence[str], after: Sequence[str]) -> list[DiffHunk]:
     if not mid_before and not mid_after:
         return []
 
-    # intern lines so the DP compares small ints
+    # intern lines so the walk compares small ints and ids index the masks
     ids: dict[str, int] = {}
     a = [ids.setdefault(line, len(ids)) for line in mid_before]
     b = [ids.setdefault(line, len(ids)) for line in mid_after]
     nb, na = len(a), len(b)
 
-    # L[i][j] = LCS length of a[i:], b[j:]
-    lcs = [[0] * (na + 1) for _ in range(nb + 1)]
+    # Bit p of a row stands for b[na-1-p]; rows[i] holds a[i:] against all
+    # of b, and L[i][j], the LCS length of a[i:] and b[j:], is the number
+    # of zero bits among its low na-j bits.
+    masks = [0] * len(ids)
+    for p, line_id in enumerate(reversed(b)):
+        masks[line_id] |= 1 << p
+    full = (1 << na) - 1
+    rows = [full] * (nb + 1)
+    v = full
     for i in range(nb - 1, -1, -1):
-        row = lcs[i]
-        below = lcs[i + 1]
-        ai = a[i]
-        for j in range(na - 1, -1, -1):
-            if ai == b[j]:
-                row[j] = below[j + 1] + 1
-            else:
-                bj = below[j]
-                rj = row[j + 1]
-                row[j] = bj if bj >= rj else rj
+        u = v & masks[a[i]]
+        if u:
+            v = ((v + u) | (v - u)) & full
+        rows[i] = v
+
+    def lcs(i: int, j: int) -> int:
+        width = na - j
+        return width - (rows[i] & ((1 << width) - 1)).bit_count()
 
     hunks: list[DiffHunk] = []
     removed: list[str] = []
@@ -149,7 +159,7 @@ def diff_lines(before: Sequence[str], after: Sequence[str]) -> list[DiffHunk]:
         else:
             if not removed and not added:
                 start_i, start_j = i, j
-            if j >= na or (i < nb and lcs[i + 1][j] >= lcs[i][j + 1]):
+            if j >= na or (i < nb and lcs(i + 1, j) >= lcs(i, j + 1)):
                 removed.append(mid_before[i])
                 i += 1
             else:

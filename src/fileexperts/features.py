@@ -39,6 +39,10 @@ FEATURE_NAMES = (
 
 CSV_HEADER = ("developer", "file") + FEATURE_NAMES
 
+# Raise whenever a change alters any feature value computed from the same
+# history; the CLI keys its feature cache on it.
+FEATURE_SCHEMA = 1
+
 _SECONDS_PER_DAY = 86400.0
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from importlib import resources
 
 import pytest
 
@@ -315,3 +316,43 @@ def test_cache_reused_across_runs(cli_repo, tmp_path, capsys):
     cached = sorted(p.name for p in cache.iterdir())
     assert any(name.startswith("history-") for name in cached)
     assert any(name.startswith("features-") for name in cached)
+
+
+def test_correlate_warning_carries_repo(cli_repo, tmp_path, capsys):
+    truth = _write_truth(tmp_path / "truth.csv", cli_repo, capsys)
+    with open(truth, "a", newline="") as handle:
+        handle.write("fixture,ghost@nowhere.com,src/f0.py,4\n")
+    main(["correlate", "--repo", str(cli_repo), "--branch", "main", "--truth", str(truth)])
+    warnings = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    unresolved = [w for w in warnings if w["warning"] == "unresolved ground-truth pair"]
+    assert unresolved == [
+        {
+            "warning": "unresolved ground-truth pair",
+            "repo": "fixture",
+            "developer": "ghost@nowhere.com",
+            "file": "src/f0.py",
+            "reason": "unknown developer",
+        }
+    ]
+
+
+def test_cache_key_follows_language_config_contents(cli_repo, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    config = tmp_path / "languages.json"
+    raw = json.loads(resources.files("fileexperts").joinpath("data/languages.json").read_text())
+    argv = [
+        "mine", "--repo", str(cli_repo), "--branch", "main",
+        "--cache-dir", str(cache), "--language-config", str(config),
+    ]
+
+    def conds() -> int:
+        main(argv)
+        rows = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        return sum(int(row["conds"]) for row in rows)
+
+    config.write_text(json.dumps(raw))
+    assert conds() > 0
+    raw["python"]["conditional_keywords"] = ["elif"]
+    config.write_text(json.dumps(raw))  # same path, new contents
+    assert conds() == 0
+    assert len(list(cache.glob("features-*.csv"))) == 2

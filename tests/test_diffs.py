@@ -1,6 +1,7 @@
 """Diff alignment, change classification, conditionals, and blame replay."""
 
 import subprocess
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from fileexperts.diffs import (
     apply_hunks,
     classify_changes,
     count_conditionals,
+    diff_lines,
     line_diff,
     replay_blame,
     split_lines,
@@ -24,6 +26,33 @@ from oracles import lev_matrix, naive_diff
 line_strategy = st.lists(
     st.sampled_from(["alpha", "beta", "gamma", "x", "y", ""]), max_size=20
 )
+
+
+@st.composite
+def long_line_pairs(draw):
+    """Two sequences of up to 300 lines over one shared 3-6 line alphabet,
+    so bit rows span many int digits and walks cross many hunks."""
+    alphabet = ["alpha", "beta", "gamma", "x", "y", ""][: draw(st.integers(3, 6))]
+
+    def lines():
+        size = draw(st.integers(0, 300))
+        return draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size))
+
+    return lines(), lines()
+
+
+def block_rewrite(n: int, block: int = 50) -> tuple[list[str], list[str]]:
+    """n unique lines, with every other block of lines rewritten."""
+    before = [f"value_{i} = compute({i})" for i in range(n)]
+    after = [
+        f"rewritten_{i} = other({i})" if (i // block) % 2 else line
+        for i, line in enumerate(before)
+    ]
+    return before, after
+
+
+def as_tuples(hunks):
+    return [(h.before_start, h.after_start, list(h.removed), list(h.added)) for h in hunks]
 
 
 class TestLineDiff:
@@ -58,6 +87,31 @@ class TestLineDiff:
         assert [
             (h.before_start, h.after_start, list(h.removed), list(h.added)) for h in ours
         ] == theirs
+
+    @settings(max_examples=100, deadline=None)
+    @given(long_line_pairs())
+    def test_long_sequences_match_naive_oracle(self, pair):
+        before, after = pair
+        ours = line_diff("\n".join(before), "\n".join(after))
+        theirs = naive_diff(split_lines("\n".join(before)), split_lines("\n".join(after)))
+        assert as_tuples(ours) == theirs
+
+    def test_big_rewrite_matches_naive_oracle(self):
+        before, after = block_rewrite(1000)
+        after = [line + "  # touched" if i % 10 == 0 else line for i, line in enumerate(after)]
+        assert as_tuples(diff_lines(before, after)) == naive_diff(before, after)
+
+    def test_large_rewrite_memory_is_bounded(self):
+        # a full table of list cells would need about 512 MB here
+        before, after = block_rewrite(8000)
+        tracemalloc.start()
+        try:
+            hunks = diff_lines(before, after)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(hunks) == 80
+        assert peak < 64 * 1024 * 1024
 
     def test_no_empty_hunks(self):
         for hunk in line_diff("a\nb\nc\nd", "a\nx\nc\ny"):
