@@ -20,14 +20,22 @@ back with a popcount.
 
 A removed/added line pair within a hunk counts as a *modification* when the
 edit distance between the two lines is below 40% of the removed line's
-length (strict inequality, whitespace significant). Blame replay transfers
-authorship of both added and modified lines to the committing author.
+length (strict inequality, whitespace significant). Only that answer is
+needed, so the distance is computed with a bounded, banded edit distance
+that stops once the budget is exceeded.
+
+Blame replay transfers authorship of both added and modified lines to the
+committing author. It reuses the hunks each event was classified with, and
+diffs again only when the replayed lines diverge from the event's recorded
+before-content.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import FileNotInHistory, InvalidThreshold, UnknownLanguage
@@ -190,8 +198,12 @@ def apply_hunks(before: Sequence[str], hunks: Iterable[DiffHunk]) -> list[str]:
 def is_modification_pair(removed: str, added: str, mod_threshold: float = MOD_THRESHOLD) -> bool:
     """True when editing `removed` into `added` stays below the threshold
     fraction of the removed line's length. An empty removed line can never
-    be modified (strict inequality against zero)."""
-    return levenshtein(removed, added) < mod_threshold * len(removed)
+    be modified (strict inequality against zero).
+
+    For an integer distance d, ``d < x`` exactly when ``d <= ceil(x) - 1``,
+    so the edit distance only has to be known up to that budget."""
+    budget = math.ceil(mod_threshold * len(removed)) - 1
+    return budget >= 0 and levenshtein(removed, added, budget) <= budget
 
 
 def classify_changes(
@@ -228,14 +240,17 @@ def classify_changes(
     return ChangeStats(adds=adds, dels=dels, mods=mods, conds=conds)
 
 
-_WORD_RE_CACHE: dict[tuple[str, ...], re.Pattern] = {}
-
-
+@lru_cache(maxsize=None)
 def _keyword_pattern(keywords: tuple[str, ...]) -> re.Pattern:
-    if keywords not in _WORD_RE_CACHE:
-        alternatives = "|".join(re.escape(k) for k in keywords)
-        _WORD_RE_CACHE[keywords] = re.compile(rf"\b(?:{alternatives})\b")
-    return _WORD_RE_CACHE[keywords]
+    alternatives = "|".join(re.escape(k) for k in keywords)
+    return re.compile(rf"\b(?:{alternatives})\b")
+
+
+@lru_cache(maxsize=None)
+def _lexical_pattern(markers: tuple[str, ...]) -> re.Pattern:
+    """Matches any string quote or comment marker; with none configured it
+    matches everywhere, which sends every line through the full scan."""
+    return re.compile("|".join(re.escape(m) for m in markers))
 
 
 def _strip_strings_and_comments(line: str, spec: LanguageSpec) -> str:
@@ -289,35 +304,43 @@ def count_conditionals(
     config = config or default_language_config()
     spec = config.spec(language)
     pattern = _keyword_pattern(spec.conditional_keywords)
+    lexical = _lexical_pattern(spec.string_quotes + spec.line_comments)
     total = 0
     for line in lines:
-        code = _strip_strings_and_comments(line, spec)
+        # a line with no quote and no comment marker is its own code
+        code = _strip_strings_and_comments(line, spec) if lexical.search(line) else line
         total += len(pattern.findall(code))
         if spec.count_ternary:
             total += code.count("?")
     return total
 
 
-def blame_from_events(events) -> list[tuple[str, str]]:
+def blame_from_events(events, hunks_per_event) -> list[tuple[str, str]]:
     """Replay (commit, event) pairs of one lineage into per-line authorship.
 
-    Lines added or modified by a commit are credited to its author;
-    untouched lines keep their previous author. The replayed content equals
-    the file at the last non-merge commit that touched it, which is the
-    file's reference version under this model.
+    ``hunks_per_event`` holds each event's canonical before->after hunks,
+    as ``line_diff`` returns them. Lines added or modified by a commit are
+    credited to its author; untouched lines keep their previous author. An
+    event's hunks are applied as they are when the replayed lines equal its
+    recorded before-content, which gives the same hunks ``diff_lines`` would;
+    only when they differ, as after a merge whose changes are not replayed,
+    are the replayed lines diffed against its after-content. An addition,
+    or any event while no lines are owned yet, resets authorship. The
+    replayed content equals the file at the last non-merge commit that
+    touched it, which is the file's reference version under this model.
     """
     lines: list[str] = []
     authors: list[str] = []
-    for commit, event in events:
+    for (commit, event), hunks in zip(events, hunks_per_event, strict=True):
         author = commit.author.key()
-        after = split_lines(event.after_content)
         if event.change_kind == ADDITION or not authors:
             # creation (or re-creation, or a lineage whose head was filtered
             # away): every current line belongs to this commit's author
-            lines = after
-            authors = [author] * len(after)
+            lines = split_lines(event.after_content)
+            authors = [author] * len(lines)
             continue
-        hunks = diff_lines(lines, after)
+        if lines != split_lines(event.before_content):
+            hunks = diff_lines(lines, split_lines(event.after_content))
         new_lines: list[str] = []
         new_authors: list[str] = []
         cursor = 0
@@ -341,4 +364,5 @@ def replay_blame(history: CommitHistory, file: str) -> BlameState:
         history.present_paths is not None and file not in history.present_paths
     ):
         raise FileNotInHistory(f"{file!r} does not exist at the reference version")
-    return BlameState(file=file, lines=tuple(blame_from_events(lineage.events)))
+    hunks = [line_diff(event.before_content, event.after_content) for _, event in lineage.events]
+    return BlameState(file=file, lines=tuple(blame_from_events(lineage.events, hunks)))

@@ -4,7 +4,7 @@ All variables are evaluated at the history's reference version. A pair
 exists exactly when the developer has at least one non-merge commit on the
 file's lineage. Change counters (adds, dels, mods, conds) classify each
 commit's recorded before/after contents; blame and size come from replaying
-the lineage.
+the lineage with the same per-event hunks.
 """
 
 from __future__ import annotations
@@ -125,10 +125,12 @@ def _file_features(
     order: list[str] = []  # event authors in replay order
     stats: dict[str, list[int]] = {}  # author -> [adds, dels, mods, conds]
     times: dict[str, list[datetime]] = {}
+    hunks_per_event = []
     for commit, event in lineage.events:
         author = commit.author.key()
         order.append(author)
         hunks = line_diff(event.before_content, event.after_content)
+        hunks_per_event.append(hunks)
         changed = classify_changes(hunks, mod_threshold, language=language, config=config)
         acc = stats.setdefault(author, [0, 0, 0, 0])
         acc[0] += changed.adds
@@ -137,7 +139,7 @@ def _file_features(
         acc[3] += changed.conds
         times.setdefault(author, []).append(commit.timestamp)
 
-    blame_lines = blame_from_events(lineage.events)
+    blame_lines = blame_from_events(lineage.events, hunks_per_event)
     blame_counts: dict[str, int] = {}
     for _text, author in blame_lines:
         blame_counts[author] = blame_counts.get(author, 0) + 1

@@ -9,6 +9,7 @@ union-find structure.
 
 from __future__ import annotations
 
+import math
 import unicodedata
 from dataclasses import dataclass, replace
 
@@ -31,27 +32,66 @@ class DeveloperId:
     names: frozenset[str]
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Minimum number of single-character edits turning a into b."""
+def levenshtein(a: str, b: str, limit: int | None = None) -> int:
+    """Minimum number of single-character edits turning a into b.
+
+    With a ``limit``, the result is ``min(distance, limit + 1)``: exact up
+    to the limit, and ``limit + 1`` for anything farther, so callers that
+    only ask "within k edits?" compare against ``limit``. The common prefix
+    and suffix are trimmed first (they never change the distance), and the
+    DP fills only the band ``|i - j| <= limit`` and stops at the first row
+    whose minimum exceeds the limit (Ukkonen 1985, "Algorithms for
+    approximate string matching"). Without a limit the band covers the
+    whole table and the result is exact.
+    """
     if a == b:
         return 0
+    shorter = min(len(a), len(b))
+    start = 0
+    while start < shorter and a[start] == b[start]:
+        start += 1
+    end = 0
+    while end < shorter - start and a[-1 - end] == b[-1 - end]:
+        end += 1
+    a = a[start : len(a) - end]
+    b = b[start : len(b) - end]
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,  # delete from a
-                    current[j - 1] + 1,  # insert into a
-                    previous[j - 1] + (ca != cb),  # substitute
-                )
-            )
+    n, m = len(a), len(b)
+    if limit is None or limit > n:
+        limit = n  # the distance never exceeds the longer length
+    if n - m > limit:
+        return limit + 1  # the distance is at least the length difference
+    if not m:
+        return n
+    over = limit + 1
+    # previous[j] is the distance of a[:i-1] and b[:j], capped at `over`;
+    # cells outside the band are at least |i - j| > limit, so they hold `over`
+    previous = [j if j <= limit else over for j in range(m + 1)]
+    for i in range(1, n + 1):
+        ca = a[i - 1]
+        lo = i - limit if i > limit else 1
+        hi = i + limit if i + limit < m else m
+        current = [over] * (m + 1)
+        if i <= limit:
+            current[0] = i
+        row_min = current[lo - 1]
+        left = row_min
+        for j in range(lo, hi + 1):
+            value = previous[j - 1] + (ca != b[j - 1])  # substitute
+            if previous[j] < value:
+                value = previous[j] + 1  # delete from a
+            if left < value:
+                value = left + 1  # insert into a
+            if value > over:
+                value = over
+            current[j] = left = value
+            if value < row_min:
+                row_min = value
+        if row_min > limit:
+            return over
         previous = current
-    return previous[-1]
+    return previous[m]
 
 
 def normalize_name(name: str) -> str:
@@ -88,7 +128,8 @@ def _names_similar(a: str, b: str, threshold: float) -> bool:
     longer = max(len(a), len(b))
     if abs(len(a) - len(b)) > threshold * longer:
         return False  # edit distance is at least the length difference
-    return levenshtein(a, b) <= threshold * longer
+    budget = math.floor(threshold * longer)  # integer d <= x exactly when d <= floor(x)
+    return levenshtein(a, b, budget) <= budget
 
 
 def resolve_identities(

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import t as t_distribution
 
 from .errors import ConstantInput, LengthMismatch, TooFewSamples
 from .features import FEATURE_NAMES, FeatureTable
@@ -75,6 +74,9 @@ def _validate(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 def spearman(x: Sequence[float], y: Sequence[float], name: str = "") -> CorrelationResult:
     """Spearman rank correlation with a two-sided t-approximation p-value."""
+    # scipy takes about a second to import; only this function needs it
+    from scipy.stats import t as t_distribution
+
     x, y = _validate(x, y)
     n = len(x)
     rho = _rank_correlation(average_ranks(x), average_ranks(y))

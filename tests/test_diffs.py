@@ -12,6 +12,7 @@ from fileexperts.diffs import (
     classify_changes,
     count_conditionals,
     diff_lines,
+    is_modification_pair,
     line_diff,
     replay_blame,
     split_lines,
@@ -20,7 +21,7 @@ from fileexperts.errors import FileNotInHistory, InvalidThreshold, UnknownLangua
 from fileexperts.fixtures import RepoBuilder
 from fileexperts.gitlog import extract_history
 from conftest import add, make_history, mod
-from oracles import lev_matrix, naive_diff
+from oracles import _oracle_count_conditionals, lev_matrix, naive_diff
 
 # small alphabets force collisions, which is where alignments get interesting
 line_strategy = st.lists(
@@ -148,6 +149,30 @@ class TestClassifyChanges:
         with pytest.raises(InvalidThreshold):
             classify_changes([], mod_threshold=1.5)
 
+    def test_budget_boundary_at_exact_product(self):
+        # 0.4 * 5 == 2.0: distance 1 is under the budget, distance 2 is not
+        assert is_modification_pair("abcde", "abcdX")
+        assert not is_modification_pair("abcde", "abcXY")
+
+    def test_budget_boundary_at_fractional_product(self):
+        # 0.4 * 6 == 2.4: distance 2 is under the budget, distance 3 is not
+        assert is_modification_pair("abcdef", "abcdXY")
+        assert not is_modification_pair("abcdef", "abcXYZ")
+
+    def test_zero_threshold_is_never_a_modification(self):
+        assert not is_modification_pair("abcdef", "abcdef", mod_threshold=0.0)
+        assert not is_modification_pair("abcdef", "abcdeX", mod_threshold=0.0)
+
+    def test_empty_removed_line_is_never_a_modification(self):
+        assert not is_modification_pair("", "")
+        assert not is_modification_pair("", "x", mod_threshold=1.0)
+
+    @given(st.text(alphabet="ab c", max_size=14), st.text(alphabet="ab c", max_size=14),
+           st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 1.0]))
+    def test_matches_unbounded_rule(self, removed, added, threshold):
+        expected = lev_matrix(removed, added) < threshold * len(removed)
+        assert is_modification_pair(removed, added, threshold) == expected
+
     @given(line_strategy, line_strategy)
     @settings(max_examples=60)
     def test_conservation(self, before, after):
@@ -180,6 +205,33 @@ class TestCountConditionals:
 
     def test_keyword_inside_identifier_ignored(self):
         assert count_conditionals(["verify(x)", "lowercase = 1"], "java") == 0
+
+    def test_comment_marker_mid_line_without_quote(self):
+        assert count_conditionals(["x = 1  # if y"], "python") == 0
+        assert count_conditionals(["if x:  # if y"], "python") == 1
+
+    def test_ternary_after_line_comment(self):
+        assert count_conditionals(["x = 1; // a ? b : c"], "javascript") == 0
+        assert count_conditionals(["x = a ? b : c; // d ? e"], "javascript") == 1
+
+    def test_quote_without_keyword(self):
+        assert count_conditionals(["name = 'value'"], "python") == 0
+        assert count_conditionals(['if name == "x":'], "python") == 1
+
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(["if ", "elif", "case", "when", "x", " ", "?", "'", '"', "`",
+                                 "#", "/", "\\"]),
+                max_size=12,
+            ).map("".join),
+            max_size=6,
+        ),
+        st.sampled_from([(".py", "python"), (".js", "javascript"), (".rb", "ruby")]),
+    )
+    def test_matches_oracle(self, lines, language):
+        ext, name = language
+        assert count_conditionals(lines, name) == _oracle_count_conditionals(lines, ext)
 
     def test_unknown_language(self):
         with pytest.raises(UnknownLanguage):

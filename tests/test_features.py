@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fileexperts.diffs
 from fileexperts.errors import FileNotInHistory, PairNotInHistory
 from fileexperts.features import (
     CSV_HEADER,
@@ -178,7 +179,8 @@ _commits = st.lists(
 def test_invariants_hold_for_arbitrary_event_streams(commit_spec):
     """Feature invariants are total: they hold even for incoherent event
     streams (before-contents that do not chain), since blame replays the
-    lineage against its own state."""
+    lineage against its own state, diffing it again where it diverges from
+    the recorded before-content; the values match the naive oracle."""
     commits = []
     seen = set()
     for day, (email, events) in enumerate(commit_spec):
@@ -208,6 +210,37 @@ def test_invariants_hold_for_arbitrary_event_streams(commit_spec):
     for file, vectors in by_file.items():
         assert sum(v.fa for v in vectors) == 1, file
         assert sum(v.blame for v in vectors) == vectors[0].size, file
+    actual = {
+        (row.developer.canonical_key, row.file): dict(zip(CSV_HEADER[2:], row.features.as_tuple()))
+        for row in table.rows
+    }
+    assert actual == naive_feature_table(history)
+
+
+def test_compute_all_diffs_each_event_once(monkeypatch):
+    base = "\n".join(f"value_{i} = {i}" for i in range(12)) + "\n"
+    versions = [base]
+    for step in range(1, 6):
+        versions.append(versions[-1].replace(f"value_{step} = {step}", f"value_{step} = {step}0"))
+    history = make_history(
+        [("d1@x.com", 0, [add("a.py", versions[0]), add("b.py", "x = 1\n")])]
+        + [
+            (f"d{step % 2 + 1}@x.com", step, [mod("a.py", versions[step - 1], versions[step])])
+            for step in range(1, 6)
+        ]
+    )
+    calls = []
+    original = fileexperts.diffs.diff_lines
+
+    def counting(before, after):
+        calls.append(1)
+        return original(before, after)
+
+    monkeypatch.setattr(fileexperts.diffs, "diff_lines", counting)
+    table = compute_all(history)
+    events = sum(len(commit.changes) for commit in history.commits)
+    assert len(calls) == events == 7
+    assert sum(row.features.blame for row in table.rows if row.file == "a.py") == 12
 
 
 def test_file_emptied_at_reference_has_zero_size():

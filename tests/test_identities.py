@@ -45,6 +45,11 @@ class TestLevenshtein:
     def test_triangle_inequality(self, a, b, c):
         assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
 
+    @given(short_text, short_text, st.integers(0, 14))
+    @settings(max_examples=300)
+    def test_limit_caps_at_one_past_the_limit(self, a, b, k):
+        assert levenshtein(a, b, k) == min(lev_matrix(a, b), k + 1)
+
 
 class TestResolveIdentities:
     def test_same_email_merges(self):
@@ -170,6 +175,20 @@ def test_resolve_requires_no_crash_on_single(demo_history):
     # the demo repo plants one alias pair by email case and one by name
     authors = {c.author.email for c in demo_history.commits}
     assert authors == {"alice@dev.example.com", "bob@example.com", "carol@example.com"}
+
+
+def test_alias_budget_is_inclusive_at_an_exact_product():
+    # 0.3 * 10 == 3.0: three edits still merge, four do not
+    assert lev_matrix("abcdefghij", "abcdefgxyz") == 3
+    merged = resolve_identities(
+        [RawIdentity("abcdefghij", "a@x.com"), RawIdentity("abcdefgxyz", "b@y.com")]
+    )
+    assert len(set(merged.values())) == 1
+    assert lev_matrix("abcdefghij", "abcdefwxyz") == 4
+    apart = resolve_identities(
+        [RawIdentity("abcdefghij", "a@x.com"), RawIdentity("abcdefwxyz", "b@y.com")]
+    )
+    assert len(set(apart.values())) == 2
 
 
 def test_alias_threshold_zero_disables_name_merging():

@@ -1,10 +1,16 @@
 """Spearman correlation: coefficients, p-values, ties, and the matrix."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fileexperts
 from fileexperts.errors import ConstantInput, LengthMismatch, TooFewSamples
 from fileexperts.features import FeatureRow, FeatureTable, FeatureVector
 from fileexperts.identities import DeveloperId
@@ -216,3 +222,13 @@ def test_knowledge_correlations_sorted_ascending():
     by_name = {r.variable: r.rho for r in results}
     assert by_name["adds"] > 0.8
     assert by_name["num_days"] < -0.8
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only spearman needs scipy, so mine, rank, calibrate and evaluate
+    never pay for importing it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fileexperts.__file__).parents[1]))
+    probe = "import sys, fileexperts.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
