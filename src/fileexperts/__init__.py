@@ -37,6 +37,7 @@ from .features import (
     FeatureVector,
     compute_all,
     compute_features,
+    developer_ids,
     feature_table_to_csv,
     read_feature_csv,
     write_feature_csv,

@@ -21,11 +21,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, expertise, ml, stats, study
-from .errors import FileExpertsError
+from .errors import CorruptHistory, FileExpertsError
 from .features import (
     FEATURE_SCHEMA,
     FeatureTable,
     compute_all,
+    developer_ids,
     feature_table_to_csv,
     read_feature_csv,
     write_feature_csv,
@@ -36,6 +37,7 @@ from .gitlog import (
     branch_tip,
     extract_history,
     filter_source_files,
+    history_from_ndjson,
     load_history,
     save_history,
 )
@@ -51,8 +53,6 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
         "--branch", default="master", help="branch to mine (default master, falling back to HEAD)"
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
-    parser.add_argument("--out", help="output file (stdout when omitted)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--cache-dir", default=".fileexperts-cache")
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--alias-threshold", type=float, default=DEFAULT_ALIAS_THRESHOLD)
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mine = sub.add_parser("mine", help="mine history and emit the feature CSV")
     p_mine.add_argument("--history-out", help="also write the history NDJSON here")
-    p_feat = sub.add_parser("features", help="emit the feature CSV")
+    sub.add_parser("features", help="emit the feature CSV")
 
     p_rank = sub.add_parser("rank", help="rank developers for one file")
     p_rank.add_argument("--technique", choices=expertise.TECHNIQUES, required=True)
@@ -125,18 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(logical: repo,developer_email,file,knowledge)",
     )
 
-    for sub_parser in (
-        p_mine,
-        p_feat,
-        p_rank,
-        p_cal,
-        p_eval,
-        p_corr,
-        p_sample,
-        p_filter,
-        p_truth,
-    ):
-        _add_pipeline_options(sub_parser)
+    for sub_parser in sub.choices.values():
+        sub_parser.add_argument("--out", help="output file (stdout when omitted)")
+        if sub_parser is not p_filter:
+            _add_pipeline_options(sub_parser)
+    for sub_parser in (p_rank, p_cal, p_eval):
+        sub_parser.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -145,6 +139,14 @@ def _emit(args, text: str) -> None:
         atomic_write_text(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_csv(args, header, rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _emit(args, buf.getvalue())
 
 
 def _parse_reference_time(value: str | None) -> datetime | None:
@@ -194,43 +196,62 @@ def _options_key(args, tip: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _pipeline(args) -> tuple[CommitHistory, FeatureTable]:
-    """Mine, filter, canonicalize, and featurize, with per-tip caching."""
-    config = (
-        load_language_config(args.language_config)
-        if args.language_config
-        else default_language_config()
-    )
-    vendor = tuple(args.vendor_globs) if args.vendor_globs else DEFAULT_VENDOR_GLOBS
+def _cache_paths(args) -> tuple[Path, Path]:
+    """The cached history NDJSON and feature CSV for these options."""
     _branch, tip = branch_tip(args.repo, args.branch)
     key = _options_key(args, tip)
     cache = Path(args.cache_dir)
-    history_path = cache / f"history-{key}.ndjson"
-    features_path = cache / f"features-{key}.csv"
+    return cache / f"history-{key}.ndjson", cache / f"features-{key}.csv"
 
+
+def _language_config(args):
+    if args.language_config:
+        return load_language_config(args.language_config)
+    return default_language_config()
+
+
+def _history(args, history_path: Path | None = None) -> CommitHistory:
+    """The mined, filtered and canonicalized history, read from the cache
+    when present."""
+    history_path = history_path or _cache_paths(args)[0]
     if not args.no_cache and history_path.exists():
-        history = load_history(history_path)
-    else:
-        history = extract_history(args.repo, args.branch)
-        history = filter_source_files(history, config=config, vendor_globs=vendor)
-        history = canonicalize_history(
-            history,
-            threshold=args.alias_threshold,
-            manual_aliases=_read_alias_map(args.alias_map),
-        )
-        override = _parse_reference_time(args.reference_time)
-        if override is not None:
-            history = replace(history, reference_time=override)
-        if not args.no_cache:
-            save_history(history, history_path)
+        return load_history(history_path)
+    vendor = tuple(args.vendor_globs) if args.vendor_globs else DEFAULT_VENDOR_GLOBS
+    history = extract_history(args.repo, args.branch)
+    history = filter_source_files(history, config=_language_config(args), vendor_globs=vendor)
+    history = canonicalize_history(
+        history,
+        threshold=args.alias_threshold,
+        manual_aliases=_read_alias_map(args.alias_map),
+    )
+    override = _parse_reference_time(args.reference_time)
+    if override is not None:
+        history = replace(history, reference_time=override)
+    if not args.no_cache:
+        save_history(history, history_path)
+    return history
 
-    if not args.no_cache and features_path.exists():
-        table = read_feature_csv(features_path, reference_time=history.reference_time)
-    else:
-        table = compute_all(history, config=config, mod_threshold=args.mod_threshold)
-        if not args.no_cache:
-            write_feature_csv(table, features_path)
-    return history, table
+
+def _table(
+    args, paths: tuple[Path, Path] | None = None, history: CommitHistory | None = None
+) -> FeatureTable:
+    """The feature table. A cache hit reads the feature CSV and only the
+    cached history's meta line, which holds the reference time and the
+    developers, so it equals the table a fresh run computes."""
+    history_path, features_path = paths or _cache_paths(args)
+    if not args.no_cache and history_path.exists() and features_path.exists():
+        with history_path.open(encoding="utf-8") as handle:
+            line = handle.readline()
+        head = history_from_ndjson(line)
+        if head.commits or not line.strip():
+            raise CorruptHistory(f"{history_path} does not start with its meta line")
+        return read_feature_csv(features_path, head.reference_time, developer_ids(head))
+    if history is None:
+        history = _history(args, history_path)
+    table = compute_all(history, config=_language_config(args), mod_threshold=args.mod_threshold)
+    if not args.no_cache:
+        write_feature_csv(table, features_path)
+    return table
 
 
 def _warn(warning: str, **fields) -> None:
@@ -259,15 +280,17 @@ def _truth_inputs(args, table: FeatureTable):
 # -- subcommand implementations ------------------------------------------------
 
 def _cmd_mine(args) -> int:
-    history, table = _pipeline(args)
-    if getattr(args, "history_out", None):
+    history = None
+    paths = _cache_paths(args)
+    if getattr(args, "history_out", None):  # `features` has no --history-out
+        history = _history(args, paths[0])
         save_history(history, args.history_out)
-    _emit(args, feature_table_to_csv(table))
+    _emit(args, feature_table_to_csv(_table(args, paths, history)))
     return 0
 
 
 def _cmd_rank(args) -> int:
-    history, table = _pipeline(args)
+    table = _table(args)
     scores = [
         s
         for s in expertise.technique_scores(table, args.technique)
@@ -284,45 +307,26 @@ def _cmd_rank(args) -> int:
         if args.k is not None
         else set()
     )
-    identities = history.metadata.get("identities", {})
-    ranked = sorted(scores, key=lambda s: (-s.normalized, s.developer))
-    if args.format == "json":
-        payload = [
-            {
-                "rank": i + 1,
-                "developer": s.developer,
-                "display_name": identities.get(s.developer, {}).get("display_name", s.developer),
-                "raw": s.raw,
-                "normalized": s.normalized,
-                **({"expert": (s.developer, s.file) in experts} if args.k is not None else {}),
-            }
-            for i, s in enumerate(ranked)
-        ]
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return 0
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    developers = table.developers()
     header = ["rank", "developer", "display_name", "raw", "normalized"]
     if args.k is not None:
         header.append("expert")
-    writer.writerow(header)
-    for i, s in enumerate(ranked):
-        row = [
-            i + 1,
-            s.developer,
-            identities.get(s.developer, {}).get("display_name", s.developer),
-            s.raw,
-            s.normalized,
-        ]
+    rows = []
+    for i, s in enumerate(sorted(scores, key=lambda s: (-s.normalized, s.developer))):
+        row = [i + 1, s.developer, developers[s.developer].display_name, s.raw, s.normalized]
         if args.k is not None:
             row.append((s.developer, s.file) in experts)
-        writer.writerow(row)
-    _emit(args, buf.getvalue())
+        rows.append(row)
+    if args.format == "json":
+        payload = [dict(zip(header, row)) for row in rows]
+        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    else:
+        _emit_csv(args, header, rows)
     return 0
 
 
 def _cmd_calibrate(args) -> int:
-    _history, table = _pipeline(args)
+    table = _table(args)
     processed = _truth_inputs(args, table)
     scores = expertise.technique_scores(table, args.technique)
     curve = expertise.calibrate(scores, processed.oracle, folds=args.folds, seed=args.seed)
@@ -343,7 +347,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    _history, table = _pipeline(args)
+    table = _table(args)
     processed = _truth_inputs(args, table)
     if args.grid == "default":
         spec, report = ml.grid_search(
@@ -355,52 +359,51 @@ def _cmd_evaluate(args) -> int:
     if args.format == "json":
         _emit(args, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
         return 0
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["classifier", "hyperparams", "mean_precision", "mean_recall", "mean_f"])
-    writer.writerow(
+    _emit_csv(
+        args,
+        ["classifier", "hyperparams", "mean_precision", "mean_recall", "mean_f"],
         [
-            spec.kind,
-            json.dumps(spec.merged(), sort_keys=True),
-            report.mean_precision,
-            report.mean_recall,
-            report.mean_f,
-        ]
+            [
+                spec.kind,
+                json.dumps(spec.merged(), sort_keys=True),
+                report.mean_precision,
+                report.mean_recall,
+                report.mean_f,
+            ]
+        ],
     )
-    _emit(args, buf.getvalue())
     return 0
 
 
 def _cmd_correlate(args) -> int:
-    _history, table = _pipeline(args)
+    table = _table(args)
     entries = study.read_ground_truth_csv(args.truth)
     knowledge, unresolved = study.knowledge_map(entries, table)
     _warn_unresolved(unresolved)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     if args.matrix:
         matrix = stats.correlation_matrix(table, knowledge)
-        writer.writerow(["variable_a", "variable_b", "rho", "p_value", "n"])
-        for a in matrix.variables:
-            for b in matrix.variables:
-                cell = matrix.cell(a, b)
-                if cell is not None:
-                    writer.writerow([a, b, cell.rho, cell.p_value, cell.n])
-    else:
-        results, errors = stats.knowledge_correlations(
-            table, knowledge, permutation_p=args.exact_p, seed=args.seed
+        cells = ((a, b, matrix.cell(a, b)) for a in matrix.variables for b in matrix.variables)
+        _emit_csv(
+            args,
+            ["variable_a", "variable_b", "rho", "p_value", "n"],
+            [[a, b, cell.rho, cell.p_value, cell.n] for a, b, cell in cells if cell is not None],
         )
-        writer.writerow(["variable", "rho", "p_value", "n"])
-        for result in results:
-            writer.writerow([result.variable, result.rho, result.p_value, result.n])
-        for variable in sorted(errors):
-            _warn("undefined correlation", variable=variable)
-    _emit(args, buf.getvalue())
+        return 0
+    results, errors = stats.knowledge_correlations(
+        table, knowledge, permutation_p=args.exact_p, seed=args.seed
+    )
+    for variable in sorted(errors):
+        _warn("undefined correlation", variable=variable)
+    _emit_csv(
+        args,
+        ["variable", "rho", "p_value", "n"],
+        [[r.variable, r.rho, r.p_value, r.n] for r in results],
+    )
     return 0
 
 
 def _cmd_sample(args) -> int:
-    history, _table = _pipeline(args)
+    history = _history(args)
     pairs = study.generate_sample(history, file_limit=args.limit, seed=args.seed)
     _emit(args, study.sample_to_csv(pairs))
     return 0
@@ -419,13 +422,7 @@ def _cmd_filter_corpus(args) -> int:
                 )
             )
     included = study.quartile_filter(metrics)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["repo"])
-    for metric in metrics:
-        if metric.repo in included:
-            writer.writerow([metric.repo])
-    _emit(args, buf.getvalue())
+    _emit_csv(args, ["repo"], [[m.repo] for m in metrics if m.repo in included])
     return 0
 
 
@@ -434,17 +431,15 @@ def _cmd_ingest_truth(args) -> int:
     if args.column_map:
         column_map = dict(item.split("=", 1) for item in args.column_map.split(","))
     entries = study.read_ground_truth_csv(args.truth_csv, column_map=column_map)
-    _history, table = _pipeline(args)
-    processed = study.process_answers(entries, table)
+    processed = study.process_answers(entries, _table(args))
     _warn_unresolved(processed.unresolved)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["developer", "file", "label"])
-    for dev, file in sorted(processed.oracle.declared_experts):
-        writer.writerow([dev, file, "expert"])
-    for dev, file in sorted(processed.oracle.declared_non_experts):
-        writer.writerow([dev, file, "non_expert"])
-    _emit(args, buf.getvalue())
+    oracle = processed.oracle
+    _emit_csv(
+        args,
+        ["developer", "file", "label"],
+        [[dev, file, "expert"] for dev, file in sorted(oracle.declared_experts)]
+        + [[dev, file, "non_expert"] for dev, file in sorted(oracle.declared_non_experts)],
+    )
     return 0
 
 

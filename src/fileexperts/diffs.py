@@ -67,14 +67,6 @@ class ChangeStats:
     mods: int = 0
     conds: int = 0
 
-    def __add__(self, other: "ChangeStats") -> "ChangeStats":
-        return ChangeStats(
-            self.adds + other.adds,
-            self.dels + other.dels,
-            self.mods + other.mods,
-            self.conds + other.conds,
-        )
-
 
 @dataclass(frozen=True)
 class BlameState:

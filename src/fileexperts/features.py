@@ -87,7 +87,7 @@ class FeatureTable:
         return {row.developer.canonical_key: row.developer for row in self.rows}
 
 
-def _developer_ids(history: CommitHistory) -> dict[str, DeveloperId]:
+def developer_ids(history: CommitHistory) -> dict[str, DeveloperId]:
     """Developer objects per canonical key, from metadata when the history
     was canonicalized, otherwise synthesized from the raw authors."""
     meta = history.metadata.get("identities") if history.metadata else None
@@ -211,7 +211,7 @@ def compute_all(
 ) -> FeatureTable:
     """One row per (developer, file) pair, ordered by file then developer."""
     config = config or default_language_config()
-    ids = _developer_ids(history)
+    ids = developer_ids(history)
     lineages = resolve_lineages(history)
     rows: list[FeatureRow] = []
     for path in sorted(lineages):
@@ -241,12 +241,18 @@ def write_feature_csv(table: FeatureTable, path: str | Path) -> None:
     atomic_write_text(path, feature_table_to_csv(table))
 
 
-def read_feature_csv(path: str | Path, reference_time: datetime | None = None) -> FeatureTable:
+def read_feature_csv(
+    path: str | Path,
+    reference_time: datetime | None = None,
+    developers: dict[str, DeveloperId] | None = None,
+) -> FeatureTable:
     """Load a feature CSV written by this library.
 
-    Developers reloaded from CSV carry only their canonical key; display
-    names and alias sets are not part of the interchange format.
+    The CSV holds only canonical keys; each row's developer is taken from
+    ``developers`` (as built by ``developer_ids`` from the history the table
+    was computed from), else it carries only its key.
     """
+    developers = developers or {}
     text = Path(path).read_text("utf-8")
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
@@ -256,22 +262,17 @@ def read_feature_csv(path: str | Path, reference_time: datetime | None = None) -
     for record in reader:
         if not record:
             continue
-        developer, file = record[0], record[1]
+        key, file = record[0], record[1]
         values = record[2:]
         ints = [int(v) for v in values[:-1]]
         vector = FeatureVector(*ints, avg_days_commits=float(values[-1]))
-        rows.append(
-            FeatureRow(
-                developer=DeveloperId(
-                    canonical_key=developer,
-                    display_name=developer,
-                    emails=frozenset([developer]),
-                    names=frozenset(),
-                ),
-                file=file,
-                features=vector,
-            )
+        developer = developers.get(key) or DeveloperId(
+            canonical_key=key,
+            display_name=key,
+            emails=frozenset([key]),
+            names=frozenset(),
         )
+        rows.append(FeatureRow(developer=developer, file=file, features=vector))
     return FeatureTable(
         rows=tuple(rows),
         reference_time=reference_time or datetime.fromtimestamp(0, tz=timezone.utc),

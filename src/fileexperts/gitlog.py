@@ -394,7 +394,10 @@ def resolve_lineages(history: CommitHistory) -> dict[str, Lineage]:
 # -- newline-delimited JSON interchange (schema v1) ---------------------------
 
 def history_to_ndjson(history: CommitHistory) -> str:
-    """Serialize a history as NDJSON: a meta line, then one commit per line."""
+    """Serialize a history as NDJSON: a meta line, then one commit per line.
+
+    The meta line must stay first: a warm CLI run reads only that line.
+    """
     lines = [
         json.dumps(
             {

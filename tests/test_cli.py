@@ -356,3 +356,154 @@ def test_cache_key_follows_language_config_contents(cli_repo, tmp_path, capsys):
     config.write_text(json.dumps(raw))  # same path, new contents
     assert conds() == 0
     assert len(list(cache.glob("features-*.csv"))) == 2
+
+
+@pytest.fixture(scope="module")
+def alias_repo(tmp_path_factory):
+    """Ana commits as ana@x.com and as ana.lima@work.com; "Ana Lima" and
+    "Ana Lim" are within the 30% name rule, so both e-mails are one
+    developer whose canonical key is ana.lima@work.com."""
+    repo = RepoBuilder(tmp_path_factory.mktemp("alias") / "repo")
+    authors = [
+        ("Ana Lima", "ana@x.com"),
+        ("Ana Lim", "ana.lima@work.com"),
+        ("Bo Chen", "bo@y.com"),
+    ]
+    when = 1_600_000_000
+    body = {}
+    for i in range(9):
+        name, email = authors[i % 3]
+        body[i] = "".join(f"x_{j} = {j}\nif x_{j}:\n    y = {i}\n" for j in range(i + 1))
+        repo.commit(name, email, when, writes={f"src/f{i}.py": body[i]})
+        when += 86_400
+    for i in range(0, 9, 2):  # Bo edits a line of five files and adds one
+        edited = body[i].replace("x_0 = 0", "x_0 = 10") + f"z = {i}\n"
+        repo.commit("Bo Chen", "bo@y.com", when, writes={f"src/f{i}.py": edited})
+        when += 86_400 * (i + 1)
+    return repo.finish()
+
+
+def _alias_truth(path, alias_repo, capsys):
+    """A label for every mined pair; Ana's rows name her non-canonical e-mail."""
+    main(["mine", "--repo", str(alias_repo), "--branch", "main", "--no-cache"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert {r["developer"] for r in rows} == {"ana.lima@work.com", "bo@y.com"}
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["repo", "developer_email", "file", "knowledge"])
+        for i, row in enumerate(rows):
+            email = "ana@x.com" if row["developer"] == "ana.lima@work.com" else row["developer"]
+            writer.writerow(["fixture", email, row["file"], 5 if i % 2 == 0 else 2])
+    return path
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("ingest-truth", "{truth}"),
+        ("calibrate", "--truth", "{truth}", "--folds", "2"),
+        ("evaluate", "--classifier", "knn", "--truth", "{truth}", "--folds", "2"),
+        ("correlate", "--truth", "{truth}"),
+        ("rank", "--technique", "doa", "--file", "src/f0.py", "--format", "json"),
+    ],
+    ids=lambda command: command[0],
+)
+def test_warm_run_equals_cold_run(alias_repo, tmp_path, capsys, command):
+    truth = _alias_truth(tmp_path / "truth.csv", alias_repo, capsys)
+    argv = [part.format(truth=truth) for part in command] + [
+        "--repo", str(alias_repo), "--branch", "main", "--cache-dir", str(tmp_path / "cache"),
+    ]
+    runs = []
+    for _ in range(2):  # the first run fills the cache, the second reads it
+        assert main(argv) == 0
+        runs.append(capsys.readouterr())
+    assert runs[1].out == runs[0].out
+    assert runs[1].err == runs[0].err
+    assert "unresolved" not in runs[1].err
+    if command[0] == "ingest-truth":
+        assert "ana.lima@work.com,src/f0.py,expert" in runs[1].out
+        assert runs[1].err == ""
+
+
+def test_warm_commands_read_no_cached_commits(cli_repo, tmp_path, capsys, monkeypatch):
+    truth = _write_truth(tmp_path / "truth.csv", cli_repo, capsys)
+    repo = ["--repo", str(cli_repo), "--branch", "main", "--cache-dir", str(tmp_path / "cache")]
+    rank = ["rank", "--technique", "doa", "--file", "src/f0.py", *repo]
+    calibrate = ["calibrate", "--truth", str(truth), "--folds", "3", *repo]
+    cold = [main(rank), main(calibrate), capsys.readouterr()]
+
+    def refuse(_path):
+        raise AssertionError("a warm command parsed the whole cached history")
+
+    monkeypatch.setattr("fileexperts.cli.load_history", refuse)
+    assert [main(rank), main(calibrate), capsys.readouterr()] == cold
+
+
+def test_corrupt_cached_meta_line_is_an_error(cli_repo, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ["rank", "--technique", "doa", "--file", "src/f0.py",
+            "--repo", str(cli_repo), "--branch", "main", "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    (history,) = cache.glob("history-*.ndjson")
+    history.write_text(history.read_text().split("\n", 1)[1])  # drop the meta line
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "errors.CorruptHistory"
+
+
+def test_sample_computes_no_features(cli_repo, capsys, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("sample computed the feature table")
+
+    monkeypatch.setattr("fileexperts.cli.compute_all", refuse)
+    main(["sample", "--repo", str(cli_repo), "--branch", "main", "--no-cache"])
+    assert capsys.readouterr().out.startswith("developer_email,file\n")
+
+
+def test_mine_history_out_mines_and_computes_once(cli_repo, tmp_path, capsys, monkeypatch):
+    import fileexperts.cli as cli
+
+    calls = {"extract_history": 0, "compute_all": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    out = tmp_path / "history.ndjson"
+    main(["mine", "--repo", str(cli_repo), "--branch", "main", "--no-cache",
+          "--history-out", str(out)])
+    assert calls == {"extract_history": 1, "compute_all": 1}
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 18
+    assert len(out.read_text().splitlines()) == 1 + 18  # the meta line, then 18 commits
+
+
+def test_rank_json_rows_equal_csv_rows(cli_repo, capsys):
+    argv = ["rank", "--technique", "num_commits", "--file", "src/f0.py", "--k", "0.7",
+            "--repo", str(cli_repo), "--branch", "main"]
+    main(argv)
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    main(argv + ["--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    header = rows[0]
+    assert [list(record) for record in payload] == [sorted(header)] * len(payload)
+    assert [[str(record[name]) for name in header] for record in payload] == rows[1:]
+    assert len(payload) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mine", "--format", "json"],
+        ["sample", "--format", "csv"],
+        ["filter-corpus", "metrics.csv", "--repo", "."],
+        ["filter-corpus", "metrics.csv", "--seed", "1"],
+    ],
+)
+def test_options_a_command_ignores_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

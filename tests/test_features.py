@@ -10,11 +10,17 @@ from fileexperts.features import (
     CSV_HEADER,
     compute_all,
     compute_features,
-    feature_table_to_csv,
+    developer_ids,
     read_feature_csv,
+    write_feature_csv,
 )
 from fileexperts.fixtures import random_repo
-from fileexperts.gitlog import extract_history, filter_source_files
+from fileexperts.gitlog import (
+    extract_history,
+    filter_source_files,
+    history_from_ndjson,
+    history_to_ndjson,
+)
 from fileexperts.identities import canonicalize_history
 from conftest import add, make_history, mod
 from oracles import naive_feature_table
@@ -115,8 +121,6 @@ def test_monotonicity_under_appended_commit():
 
 
 def test_features_identical_after_ndjson_roundtrip(demo_history):
-    from fileexperts.gitlog import history_from_ndjson, history_to_ndjson
-
     direct = compute_all(demo_history)
     reloaded = compute_all(history_from_ndjson(history_to_ndjson(demo_history)))
     assert direct == reloaded
@@ -139,23 +143,24 @@ def test_matches_naive_oracle_on_random_repos(tmp_path):
             assert actual[pair] == expected[pair], f"seed {seed}, pair {pair}"
 
 
-def test_feature_csv_roundtrip(demo_history):
-    table = compute_all(demo_history)
-    text = feature_table_to_csv(table)
-    assert text.splitlines()[0] == ",".join(CSV_HEADER)
-    path = None
-    import tempfile, os
-
-    with tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False) as handle:
-        handle.write(text)
-        path = handle.name
-    try:
-        loaded = read_feature_csv(path, reference_time=table.reference_time)
-        assert [
-            (r.developer.canonical_key, r.file, r.features) for r in loaded.rows
-        ] == [(r.developer.canonical_key, r.file, r.features) for r in table.rows]
-    finally:
-        os.unlink(path)
+def test_feature_csv_roundtrip(demo_history, tmp_path):
+    histories = [demo_history]
+    for seed in (3, 4):
+        repo = random_repo(tmp_path / f"repo{seed}", seed=seed)
+        histories.append(
+            canonicalize_history(filter_source_files(extract_history(repo, "main")))
+        )
+    for index, history in enumerate(histories):
+        table = compute_all(history)
+        path = tmp_path / f"features{index}.csv"
+        write_feature_csv(table, path)
+        assert path.read_text().splitlines()[0] == ",".join(CSV_HEADER)
+        ids = developer_ids(history)
+        assert read_feature_csv(path, history.reference_time, ids) == table
+        # the meta line alone carries every developer of a canonicalized history
+        head = history_from_ndjson(history_to_ndjson(history).split("\n", 1)[0])
+        assert developer_ids(head) == ids
+        assert head.reference_time == table.reference_time
 
 
 _paths = st.sampled_from(["a.py", "b.py", "c.js"])
