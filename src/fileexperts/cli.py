@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_corr.add_argument(
         "--exact-p",
         action="store_true",
-        help="permutation-test p-values instead of the t-approximation",
+        help="permutation-test p-values: exact up to 8 pairs, 20,000 seeded permutations beyond",
     )
 
     p_sample = sub.add_parser("sample", help="draw survey (developer, file) pairs")

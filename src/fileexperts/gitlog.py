@@ -442,42 +442,53 @@ def history_to_ndjson(history: CommitHistory) -> str:
 
 
 def history_from_ndjson(text: str) -> CommitHistory:
+    """Parse a history written by ``history_to_ndjson``.
+
+    Raises ``CorruptHistory`` naming the 1-based line of the first line
+    that is not a well-formed meta or commit record.
+    """
     commits = []
     branch = ""
     reference_time: datetime | None = None
     present: frozenset[str] | None = None
     metadata: dict = {}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        if obj.get("v") != 1:
-            raise CorruptHistory(f"unsupported history schema version {obj.get('v')!r}")
-        if "meta" in obj:
-            meta = obj["meta"]
-            branch = meta["branch"]
-            reference_time = datetime.fromisoformat(meta["reference_time"])
-            raw_present = meta.get("present_paths")
-            present = frozenset(raw_present) if raw_present is not None else None
-            metadata = meta.get("metadata", {})
-            continue
-        commits.append(
-            CommitRecord(
-                id=obj["id"],
-                author=RawIdentity(obj["author"]["name"], obj["author"]["email"]),
-                timestamp=datetime.fromisoformat(obj["timestamp"]),
-                changes=tuple(
-                    FileChangeEvent(
-                        path=ch["path"],
-                        change_kind=ch["change_kind"],
-                        old_path=ch.get("old_path"),
-                        before_content=ch.get("before_content"),
-                        after_content=ch.get("after_content"),
-                    )
-                    for ch in obj["changes"]
-                ),
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise TypeError(f"a JSON {type(obj).__name__}, not an object")
+            if obj.get("v") != 1:
+                raise ValueError(f"unsupported history schema version {obj.get('v')!r}")
+            if "meta" in obj:
+                meta = obj["meta"]
+                branch = meta["branch"]
+                reference_time = datetime.fromisoformat(meta["reference_time"])
+                raw_present = meta.get("present_paths")
+                present = frozenset(raw_present) if raw_present is not None else None
+                metadata = meta.get("metadata", {})
+                continue
+            commits.append(
+                CommitRecord(
+                    id=obj["id"],
+                    author=RawIdentity(obj["author"]["name"], obj["author"]["email"]),
+                    timestamp=datetime.fromisoformat(obj["timestamp"]),
+                    changes=tuple(
+                        FileChangeEvent(
+                            path=ch["path"],
+                            change_kind=ch["change_kind"],
+                            old_path=ch.get("old_path"),
+                            before_content=ch.get("before_content"),
+                            after_content=ch.get("after_content"),
+                        )
+                        for ch in obj["changes"]
+                    ),
+                )
             )
-        )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise CorruptHistory(f"history line {number} is malformed: {reason}") from exc
     if reference_time is None:
         reference_time = max(
             (c.timestamp for c in commits), default=datetime.fromtimestamp(0, tz=timezone.utc)

@@ -9,8 +9,11 @@ resolution) but share no code with the implementations they check.
 
 from __future__ import annotations
 
+import itertools
 from decimal import Decimal, getcontext
 from pathlib import Path
+
+import numpy as np
 
 getcontext().prec = 50
 
@@ -64,6 +67,37 @@ def brute_force_ranks(values) -> list[float]:
             ranks[indexed[pos]] = mean_rank
         i = j + 1
     return ranks
+
+
+def _loop_rank_correlation(rx, ry) -> float:
+    cx = rx - rx.mean()
+    cy = ry - ry.mean()
+    denom = np.sqrt((cx @ cx) * (cy @ cy))
+    return float(np.clip((cx @ cy) / denom, -1.0, 1.0))
+
+
+def permutation_p_loop(x, y, exact_limit: int = 8, samples: int = 20000, seed: int = 0) -> float:
+    """Spearman permutation p-value for one column, one permutation at a
+    time: all n! orderings of y's ranks up to ``exact_limit`` pairs,
+    otherwise ``samples`` draws of a fresh ``default_rng(seed)`` with the
+    add-one correction, recomputing the full rank correlation per draw."""
+    rx, ry = np.array(brute_force_ranks(list(x))), np.array(brute_force_ranks(list(y)))
+    observed = abs(_loop_rank_correlation(rx, ry))
+    n = len(rx)
+    if n <= exact_limit:
+        perms = np.array(list(itertools.permutations(ry)))
+        cx = rx - rx.mean()
+        cp = perms - perms.mean(axis=1, keepdims=True)
+        denom = np.sqrt((cx @ cx) * (cp * cp).sum(axis=1))
+        rhos = np.abs(cp @ cx / denom)
+        return int((rhos >= observed - 1e-12).sum()) / len(perms)
+    rng = np.random.default_rng(seed)
+    count = 0
+    for _ in range(samples):
+        permuted = rng.permutation(ry)
+        if abs(_loop_rank_correlation(rx, permuted)) >= observed - 1e-12:
+            count += 1
+    return (count + 1) / (samples + 1)
 
 
 # -- canonical diff, implemented naively ----------------------------------------

@@ -439,16 +439,39 @@ def test_warm_commands_read_no_cached_commits(cli_repo, tmp_path, capsys, monkey
     assert [main(rank), main(calibrate), capsys.readouterr()] == cold
 
 
-def test_corrupt_cached_meta_line_is_an_error(cli_repo, tmp_path, capsys):
+def _warm_rank_after(corrupt, cli_repo, tmp_path, capsys) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of a warm rank whose cached history text
+    was passed through ``corrupt``."""
     cache = tmp_path / "cache"
     argv = ["rank", "--technique", "doa", "--file", "src/f0.py",
             "--repo", str(cli_repo), "--branch", "main", "--cache-dir", str(cache)]
     assert main(argv) == 0
     (history,) = cache.glob("history-*.ndjson")
-    history.write_text(history.read_text().split("\n", 1)[1])  # drop the meta line
+    history.write_text(corrupt(history.read_text()))
     capsys.readouterr()
-    assert main(argv) == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "errors.CorruptHistory"
+    code = main(argv)
+    return code, capsys.readouterr().err.splitlines()
+
+
+def test_corrupt_cached_meta_line_is_an_error(cli_repo, tmp_path, capsys):
+    def drop_meta(text):
+        return text.split("\n", 1)[1]
+
+    code, (line,) = _warm_rank_after(drop_meta, cli_repo, tmp_path, capsys)
+    assert code == 1
+    assert json.loads(line)["error"] == "errors.CorruptHistory"
+
+
+def test_cut_short_cached_meta_line_is_an_error(cli_repo, tmp_path, capsys):
+    def cut_meta(text):
+        meta, rest = text.split("\n", 1)
+        return meta[: len(meta) // 2] + "\n" + rest
+
+    code, (line,) = _warm_rank_after(cut_meta, cli_repo, tmp_path, capsys)
+    assert code == 1
+    error = json.loads(line)
+    assert error["error"] == "errors.CorruptHistory"
+    assert "line 1" in error["message"]
 
 
 def test_sample_computes_no_features(cli_repo, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """History extraction against real repositories built with fast-import."""
 
+import json
 import subprocess
 
 import pytest
@@ -148,6 +149,36 @@ def test_ndjson_roundtrip(demo_history):
     for line in text.splitlines():
         assert json.loads(line)["v"] == 1
     assert history_from_ndjson(text) == demo_history
+
+
+_META = '{"v": 1, "meta": {"branch": "main", "reference_time": "2020-09-13T12:26:40+00:00"}}'
+_COMMIT = {"v": 1, "id": "c1", "author": {"name": "Ana", "email": "ana@x.com"},
+           "timestamp": "2020-09-13T12:26:40+00:00",
+           "changes": [{"path": "a.py", "change_kind": "add", "after_content": "x = 1\n"}]}
+
+
+_MALFORMED = {
+    "cut-short": '{"v": 1, "meta": {"branch": "main"',
+    "not-an-object": "[1, 2]",
+    "unknown-schema": '{"v": 2, "meta": {}}',
+    "meta-without-branch": '{"v": 1, "meta": {"reference_time": "2020-09-13T12:26:40+00:00"}}',
+    "meta-not-an-object": '{"v": 1, "meta": ["main"]}',
+    "bad-timestamp": json.dumps({**_COMMIT, "timestamp": "yesterday"}),
+    "numeric-timestamp": json.dumps({**_COMMIT, "timestamp": 1600000000}),
+    "no-changes": json.dumps({k: v for k, v in _COMMIT.items() if k != "changes"}),
+    "author-not-an-object": json.dumps({**_COMMIT, "author": ["Ana", "ana@x.com"]}),
+    "change-without-path": json.dumps({**_COMMIT, "changes": [{"change_kind": "add"}]}),
+    "change-not-an-object": json.dumps({**_COMMIT, "changes": ["a.py"]}),
+}
+
+
+@pytest.mark.parametrize("bad", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_ndjson_line_names_its_line(bad):
+    from fileexperts.errors import CorruptHistory
+
+    assert history_from_ndjson(f"{_META}\n{json.dumps(_COMMIT)}\n").commits[0].id == "c1"
+    with pytest.raises(CorruptHistory, match="history line 3 is malformed"):
+        history_from_ndjson(f"{_META}\n\n{bad}\n{json.dumps(_COMMIT)}\n")
 
 
 def test_merge_commit_at_tip(tmp_path):

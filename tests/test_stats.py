@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from fileexperts.stats import (
     spearman_permutation_p,
 )
 from conftest import BASE_TIME
-from oracles import brute_force_ranks, spearman_no_ties
+from oracles import brute_force_ranks, permutation_p_loop, spearman_no_ties
 
 
 class TestSpearman:
@@ -113,6 +114,68 @@ class TestPermutationP:
         b = spearman_permutation_p(x, y, exact_limit=8, samples=2000, seed=5)
         assert a == b
 
+    @staticmethod
+    def _tied(rng, n, low=1, high=6):
+        """Knowledge-like values on a small scale, never constant."""
+        values = rng.integers(low, high, n).astype(float)
+        values[0], values[1] = low, high - 1
+        return rng.permutation(values)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_exact_path_equals_loop_oracle(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            x, y = self._tied(rng, n, 0, 4), self._tied(rng, n)
+            assert spearman_permutation_p(x, y) == permutation_p_loop(x, y)
+        x = rng.permutation(n) + 1.0
+        assert spearman_permutation_p(x, x) == permutation_p_loop(x, x)
+
+    @pytest.mark.parametrize("n", [9, 40, 400])
+    @pytest.mark.parametrize("samples", [1, 2500])
+    def test_monte_carlo_path_equals_loop_oracle(self, n, samples):
+        rng = np.random.default_rng(n + samples)
+        y = self._tied(rng, n)
+        correlated = y * 3 + rng.integers(0, 4, n)
+        for seed in (0, 1, 29):
+            for x in (self._tied(rng, n, 0, 3), correlated, -correlated):
+                got = spearman_permutation_p(x, y, samples=samples, seed=seed)
+                assert got == permutation_p_loop(x, y, samples=samples, seed=seed)
+
+    @pytest.mark.parametrize("n", [6, 40])
+    def test_stack_equals_single_columns(self, n):
+        rng = np.random.default_rng(7)
+        y = self._tied(rng, n)
+        stack = np.array([self._tied(rng, n, 0, 2 + k) for k in range(5)])
+        got = spearman_permutation_p(stack, y, samples=2500, seed=3)
+        assert isinstance(got, list) and len(got) == 5
+        assert got == [spearman_permutation_p(x, y, samples=2500, seed=3) for x in stack]
+        assert got == [permutation_p_loop(x, y, samples=2500, seed=3) for x in stack]
+        assert isinstance(spearman_permutation_p(stack[0], y), float)
+
+    def test_constant_column_raises(self):
+        y = [1, 2, 3, 4, 5, 1, 2, 3, 4, 5]
+        with pytest.raises(ConstantInput):
+            spearman_permutation_p([2] * 10, y)
+        with pytest.raises(ConstantInput):
+            spearman_permutation_p([list(range(10)), [2] * 10], y)
+        with pytest.raises(ConstantInput):
+            spearman_permutation_p([list(range(10))], [3] * 10)
+
+    def test_memory_is_bounded_by_the_block(self):
+        """Twelve columns at n = 5,000 with 20,000 draws would need 800 MB
+        of permutations at once; blocks of 2**20 values keep it small."""
+        rng = np.random.default_rng(11)
+        n = 5000
+        y = self._tied(rng, n)
+        stack = rng.integers(0, 200, size=(12, n)).astype(float)
+        tracemalloc.start()
+        try:
+            spearman_permutation_p(stack, y, samples=20000)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
 
 def _table(rows_spec):
     """rows_spec: list of (dev, file, dict of feature overrides)."""
@@ -194,7 +257,7 @@ class TestCorrelationMatrix:
         assert "knowledge" in matrix.variables
 
 
-def test_knowledge_correlations_sorted_ascending():
+def _knowledge_table():
     rng = np.random.default_rng(12)
     spec = []
     knowledge = {}
@@ -215,13 +278,28 @@ def test_knowledge_correlations_sorted_ascending():
             )
         )
         knowledge[(f"d{i}", f"f{i}.py")] = k
-    table = _table(spec)
-    results, errors = knowledge_correlations(table, knowledge)
+    return _table(spec), knowledge
+
+
+def test_knowledge_correlations_sorted_ascending():
+    results, errors = knowledge_correlations(*_knowledge_table())
     rhos = [r.rho for r in results]
     assert rhos == sorted(rhos)
     by_name = {r.variable: r.rho for r in results}
     assert by_name["adds"] > 0.8
     assert by_name["num_days"] < -0.8
+
+
+def test_knowledge_correlations_permutation_p_equals_loop_oracle():
+    table, knowledge = _knowledge_table()
+    plain, plain_errors = knowledge_correlations(table, knowledge)
+    results, errors = knowledge_correlations(table, knowledge, permutation_p=True, seed=4)
+    assert errors == plain_errors and "amount" in errors
+    assert [(r.variable, r.rho, r.n) for r in results] == [(r.variable, r.rho, r.n) for r in plain]
+    know = [knowledge[(row.developer.canonical_key, row.file)] for row in table.rows]
+    for result in results:
+        values = [getattr(row.features, result.variable) for row in table.rows]
+        assert result.p_value == permutation_p_loop(values, know, seed=4)
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -232,3 +310,35 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_spearman_leaves_scipy_stats_unloaded():
+    """spearman's p-value needs scipy.special alone."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fileexperts.__file__).parents[1]))
+    probe = (
+        "import sys; from fileexperts.stats import spearman; "
+        "spearman([1, 2, 3, 4], [2, 1, 4, 3]); "
+        "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "True False"
+
+
+def test_p_value_equals_scipy_stats_t_sf():
+    from scipy.stats import t as t_distribution
+
+    rng = np.random.default_rng(5)
+    checked = 0
+    for n in (3, 4, 5, 7, 10, 31, 100, 999, 5000):
+        x = np.arange(n, dtype=float)
+        for slope in np.linspace(-1.0, 1.0, 21):
+            y = slope * x + rng.normal(scale=n / 4, size=n)
+            result = spearman(x, y)
+            rho = result.rho
+            if 1.0 - rho * rho < 1e-15:
+                continue
+            t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
+            assert result.p_value == min(float(2.0 * t_distribution.sf(abs(t), n - 2)), 1.0)
+            checked += 1
+    assert checked > 150
