@@ -7,15 +7,16 @@ a survey sample:
     files, or developers (any-metric rule);
   * detect_bulk_import flags repositories whose files mostly arrived in
     outlier commits (history developed elsewhere);
-  * generate_sample draws (developer, file) pairs so that no developer is
-    asked about more than file_limit files and every sampled file carries
-    all of its developers.
+  * generate_sample draws (developer, file) pairs from the feature table
+    so that no developer is asked about more than file_limit files and
+    every sampled file carries all of its developers.
 
 Run:  python demos/06_study_tooling.py
 """
 
 import tempfile
 
+from fileexperts.features import compute_all
 from fileexperts.fixtures import RepoBuilder, demo_repo
 from fileexperts.gitlog import extract_history, filter_source_files
 from fileexperts.identities import canonicalize_history
@@ -52,10 +53,10 @@ with tempfile.TemporaryDirectory() as scratch:
     flag, outliers = detect_bulk_import(extract_history(imported, "main"))
     print(f"40-files-in-one-commit repository flagged: {flag} ({len(outliers)} outlier commit)")
 
-    history = canonicalize_history(filter_source_files(extract_history(organic, "main")))
+    table = compute_all(canonicalize_history(filter_source_files(extract_history(organic, "main"))))
     print("\nsurvey sample (file_limit=2, two seeds):")
     for seed in (0, 1):
-        pairs = generate_sample(history, file_limit=2, seed=seed)
+        pairs = generate_sample(table, file_limit=2, seed=seed)
         print(f"  seed {seed}:")
         for developer, file in sorted(pairs):
             print(f"    {developer:26} {file}")

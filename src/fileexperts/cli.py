@@ -1,10 +1,12 @@
 """Command-line pipeline: mine, features, rank, calibrate, evaluate,
 correlate, sample, filter-corpus and ingest-truth.
 
-Intermediate artifacts (history NDJSON, feature CSV) are cached per
-repository tip and option set, so ranking twice does not re-mine. All
-randomness flows from --seed. Domain errors exit nonzero with one
-machine-readable JSON object on stderr.
+Every command but filter-corpus reads one artifact, the feature table,
+cached per repository tip and option set (the feature CSV plus the meta
+line of the cached history NDJSON), so ranking twice does not re-mine.
+``_table`` alone reads and writes the cache; no command reads the cached
+commits. All randomness flows from --seed. Domain errors exit nonzero with
+one machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .gitlog import (
     extract_history,
     filter_source_files,
     history_from_ndjson,
-    load_history,
     save_history,
 )
 from .identities import DEFAULT_ALIAS_THRESHOLD, canonicalize_history
@@ -210,12 +211,9 @@ def _language_config(args):
     return default_language_config()
 
 
-def _history(args, history_path: Path | None = None) -> CommitHistory:
-    """The mined, filtered and canonicalized history, read from the cache
-    when present."""
-    history_path = history_path or _cache_paths(args)[0]
-    if not args.no_cache and history_path.exists():
-        return load_history(history_path)
+def _history(args) -> CommitHistory:
+    """Mine the branch: extract, keep the source files, unify aliases, then
+    apply the reference-time override. Reads and writes no cache."""
     vendor = tuple(args.vendor_globs) if args.vendor_globs else DEFAULT_VENDOR_GLOBS
     history = extract_history(args.repo, args.branch)
     history = filter_source_files(history, config=_language_config(args), vendor_globs=vendor)
@@ -227,30 +225,29 @@ def _history(args, history_path: Path | None = None) -> CommitHistory:
     override = _parse_reference_time(args.reference_time)
     if override is not None:
         history = replace(history, reference_time=override)
-    if not args.no_cache:
-        save_history(history, history_path)
     return history
 
 
-def _table(
-    args, paths: tuple[Path, Path] | None = None, history: CommitHistory | None = None
-) -> FeatureTable:
-    """The feature table. A cache hit reads the feature CSV and only the
-    cached history's meta line, which holds the reference time and the
-    developers, so it equals the table a fresh run computes."""
-    history_path, features_path = paths or _cache_paths(args)
-    if not args.no_cache and history_path.exists() and features_path.exists():
+def _table(args, history: CommitHistory | None = None) -> FeatureTable:
+    """The feature table every analysis command reads; the one owner of the
+    cache. A hit reads the feature CSV and only the cached history's meta
+    line, which holds the reference time and the developers, so it equals
+    the table a fresh run computes. A miss mines, unless given the history,
+    and writes the history NDJSON and the feature CSV."""
+    if args.no_cache:
+        return compute_all(history or _history(args), _language_config(args), args.mod_threshold)
+    history_path, features_path = _cache_paths(args)
+    if history_path.exists() and features_path.exists():
         with history_path.open(encoding="utf-8") as handle:
             line = handle.readline()
         head = history_from_ndjson(line)
         if head.commits or not line.strip():
             raise CorruptHistory(f"{history_path} does not start with its meta line")
         return read_feature_csv(features_path, head.reference_time, developer_ids(head))
-    if history is None:
-        history = _history(args, history_path)
-    table = compute_all(history, config=_language_config(args), mod_threshold=args.mod_threshold)
-    if not args.no_cache:
-        write_feature_csv(table, features_path)
+    history = history or _history(args)
+    save_history(history, history_path)
+    table = compute_all(history, _language_config(args), args.mod_threshold)
+    write_feature_csv(table, features_path)
     return table
 
 
@@ -281,11 +278,10 @@ def _truth_inputs(args, table: FeatureTable):
 
 def _cmd_mine(args) -> int:
     history = None
-    paths = _cache_paths(args)
     if getattr(args, "history_out", None):  # `features` has no --history-out
-        history = _history(args, paths[0])
+        history = _history(args)
         save_history(history, args.history_out)
-    _emit(args, feature_table_to_csv(_table(args, paths, history)))
+    _emit(args, feature_table_to_csv(_table(args, history)))
     return 0
 
 
@@ -403,8 +399,7 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    history = _history(args)
-    pairs = study.generate_sample(history, file_limit=args.limit, seed=args.seed)
+    pairs = study.generate_sample(_table(args), file_limit=args.limit, seed=args.seed)
     _emit(args, study.sample_to_csv(pairs))
     return 0
 

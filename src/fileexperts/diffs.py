@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import FileNotInHistory, InvalidThreshold, UnknownLanguage
-from .gitlog import ADDITION, CommitHistory, resolve_lineages
+from .errors import InvalidThreshold, UnknownLanguage
+from .gitlog import ADDITION, CommitHistory, lineage_at_reference
 from .identities import levenshtein
 from .languages import LanguageConfig, LanguageSpec, default_language_config
 
@@ -350,11 +350,6 @@ def blame_from_events(events, hunks_per_event) -> list[tuple[str, str]]:
 
 def replay_blame(history: CommitHistory, file: str) -> BlameState:
     """Per-line authorship of a file at the reference version."""
-    lineages = resolve_lineages(history)
-    lineage = lineages.get(file)
-    if lineage is None or (
-        history.present_paths is not None and file not in history.present_paths
-    ):
-        raise FileNotInHistory(f"{file!r} does not exist at the reference version")
+    lineage = lineage_at_reference(history, file)
     hunks = [line_diff(event.before_content, event.after_content) for _, event in lineage.events]
     return BlameState(file=file, lines=tuple(blame_from_events(lineage.events, hunks)))

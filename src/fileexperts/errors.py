@@ -41,6 +41,14 @@ class PairNotInHistory(FileExpertsError):
     """The developer never touched the file in the mined history."""
 
 
+class CorruptFeatureTable(FileExpertsError):
+    """A feature CSV is not in the format this library writes."""
+
+
+class InvalidLanguageConfig(FileExpertsError):
+    """A language table is not JSON or lacks a required key."""
+
+
 # -- expertise scoring -------------------------------------------------------
 
 class NegativeInput(FileExpertsError):
@@ -85,3 +93,7 @@ class TooFewRepos(FileExpertsError):
 
 class InvalidKnowledgeValue(FileExpertsError):
     """A survey knowledge value is outside the 1..5 scale."""
+
+
+class InvalidGroundTruth(FileExpertsError):
+    """A ground-truth CSV lacks a required column or has a short row."""

@@ -16,9 +16,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .diffs import MOD_THRESHOLD, blame_from_events, classify_changes, line_diff
-from .errors import FileNotInHistory, PairNotInHistory
+from .errors import CorruptFeatureTable, PairNotInHistory
 from .fileio import atomic_write_text
-from .gitlog import CommitHistory, Lineage, resolve_lineages
+from .gitlog import CommitHistory, Lineage, lineage_at_reference, resolve_lineages
 from .identities import DeveloperId
 from .languages import LanguageConfig, default_language_config
 
@@ -192,13 +192,7 @@ def compute_features(
     """
     config = config or default_language_config()
     key = developer.canonical_key if isinstance(developer, DeveloperId) else developer
-    lineages = resolve_lineages(history)
-    lineage = lineages.get(file)
-    if lineage is None or (
-        history.present_paths is not None and file not in history.present_paths
-    ):
-        raise FileNotInHistory(f"{file!r} does not exist at the reference version")
-    vectors = _file_features(history, lineage, config, mod_threshold)
+    vectors = _file_features(history, lineage_at_reference(history, file), config, mod_threshold)
     if key not in vectors:
         raise PairNotInHistory(f"{key!r} has no commits on {file!r}")
     return vectors[key]
@@ -250,22 +244,31 @@ def read_feature_csv(
 
     The CSV holds only canonical keys; each row's developer is taken from
     ``developers`` (as built by ``developer_ids`` from the history the table
-    was computed from), else it carries only its key.
+    was computed from), else it carries only its key. Raises
+    CorruptFeatureTable, naming the 1-based line, when the header, a row's
+    field count or a value is not what ``write_feature_csv`` writes.
     """
     developers = developers or {}
     text = Path(path).read_text("utf-8")
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_HEADER:
-        raise ValueError(f"unexpected feature CSV header: {header!r}")
+    header = next(reader, None)
+    if header is None or tuple(header) != CSV_HEADER:
+        raise CorruptFeatureTable(f"{path} line 1: unexpected feature CSV header {header!r}")
     rows = []
     for record in reader:
         if not record:
             continue
-        key, file = record[0], record[1]
-        values = record[2:]
-        ints = [int(v) for v in values[:-1]]
-        vector = FeatureVector(*ints, avg_days_commits=float(values[-1]))
+        if len(record) != len(CSV_HEADER):
+            raise CorruptFeatureTable(
+                f"{path} line {reader.line_num}: {len(record)} fields, expected {len(CSV_HEADER)}"
+            )
+        key, file, *values = record
+        try:
+            vector = FeatureVector(
+                *(int(v) for v in values[:-1]), avg_days_commits=float(values[-1])
+            )
+        except ValueError as exc:
+            raise CorruptFeatureTable(f"{path} line {reader.line_num}: {exc}") from None
         developer = developers.get(key) or DeveloperId(
             canonical_key=key,
             display_name=key,

@@ -5,17 +5,20 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterable
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to path via a temp file and rename, so readers never see
-    a partially written file."""
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write text, or an iterable of strings piece by piece, to path via a
+    temp file and rename, so readers never see a partially written file."""
+    if isinstance(text, str):
+        text = (text,)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         try:

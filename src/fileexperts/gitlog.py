@@ -20,9 +20,9 @@ import subprocess
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .errors import BranchNotFound, CorruptHistory, RepositoryNotFound
+from .errors import BranchNotFound, CorruptHistory, FileNotInHistory, RepositoryNotFound
 from .fileio import atomic_write_text
 from .languages import DEFAULT_VENDOR_GLOBS, LanguageConfig, default_language_config
 
@@ -391,54 +391,64 @@ def resolve_lineages(history: CommitHistory) -> dict[str, Lineage]:
     return live
 
 
+def lineage_at_reference(history: CommitHistory, file: str) -> Lineage:
+    """The lineage of a file present at the reference version; raises
+    FileNotInHistory for any other path."""
+    lineage = resolve_lineages(history).get(file)
+    if lineage is None or (
+        history.present_paths is not None and file not in history.present_paths
+    ):
+        raise FileNotInHistory(f"{file!r} does not exist at the reference version")
+    return lineage
+
+
 # -- newline-delimited JSON interchange (schema v1) ---------------------------
 
-def history_to_ndjson(history: CommitHistory) -> str:
-    """Serialize a history as NDJSON: a meta line, then one commit per line.
+def history_ndjson_lines(history: CommitHistory) -> Iterator[str]:
+    """A history as NDJSON lines, each ending in a newline: a meta line,
+    then one commit per line.
 
     The meta line must stay first: a warm CLI run reads only that line.
     """
-    lines = [
-        json.dumps(
+    yield json.dumps(
+        {
+            "v": 1,
+            "meta": {
+                "branch": history.branch,
+                "reference_time": history.reference_time.isoformat(),
+                "present_paths": (
+                    sorted(history.present_paths) if history.present_paths is not None else None
+                ),
+                "metadata": dict(history.metadata),
+            },
+        },
+        sort_keys=True,
+    ) + "\n"
+    for commit in history.commits:
+        yield json.dumps(
             {
                 "v": 1,
-                "meta": {
-                    "branch": history.branch,
-                    "reference_time": history.reference_time.isoformat(),
-                    "present_paths": (
-                        sorted(history.present_paths)
-                        if history.present_paths is not None
-                        else None
-                    ),
-                    "metadata": dict(history.metadata),
-                },
+                "id": commit.id,
+                "author": {"name": commit.author.name, "email": commit.author.email},
+                "timestamp": commit.timestamp.isoformat(),
+                "changes": [
+                    {
+                        "path": ev.path,
+                        "change_kind": ev.change_kind,
+                        "old_path": ev.old_path,
+                        "before_content": ev.before_content,
+                        "after_content": ev.after_content,
+                    }
+                    for ev in commit.changes
+                ],
             },
             sort_keys=True,
-        )
-    ]
-    for commit in history.commits:
-        lines.append(
-            json.dumps(
-                {
-                    "v": 1,
-                    "id": commit.id,
-                    "author": {"name": commit.author.name, "email": commit.author.email},
-                    "timestamp": commit.timestamp.isoformat(),
-                    "changes": [
-                        {
-                            "path": ev.path,
-                            "change_kind": ev.change_kind,
-                            "old_path": ev.old_path,
-                            "before_content": ev.before_content,
-                            "after_content": ev.after_content,
-                        }
-                        for ev in commit.changes
-                    ],
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"
+        ) + "\n"
+
+
+def history_to_ndjson(history: CommitHistory) -> str:
+    """Serialize a history as NDJSON (see ``history_ndjson_lines``)."""
+    return "".join(history_ndjson_lines(history))
 
 
 def history_from_ndjson(text: str) -> CommitHistory:
@@ -503,7 +513,8 @@ def history_from_ndjson(text: str) -> CommitHistory:
 
 
 def save_history(history: CommitHistory, path: str | Path) -> None:
-    atomic_write_text(path, history_to_ndjson(history))
+    """Write a history's NDJSON line by line, never holding the whole text."""
+    atomic_write_text(path, history_ndjson_lines(history))
 
 
 def load_history(path: str | Path) -> CommitHistory:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import UnknownLanguage
+from .errors import InvalidLanguageConfig, UnknownLanguage
 
 # Paths matching any of these globs are treated as vendored third-party code
 # and dropped by the default source filter. '**' matches across separators.
@@ -62,24 +62,30 @@ def load_language_config(path: str | Path | None = None) -> LanguageConfig:
 
     The JSON maps language name to an object with keys ``extensions``,
     ``conditional_keywords``, ``count_ternary``, ``line_comments``, and
-    ``string_quotes``.
+    ``string_quotes``; the first two are required. Raises
+    InvalidLanguageConfig when the text is not JSON of that shape.
     """
     if path is None:
         raw = resources.files("fileexperts").joinpath("data/languages.json").read_text("utf-8")
     else:
         raw = Path(path).read_text("utf-8")
-    table = json.loads(raw)
-    languages = {
-        name: LanguageSpec(
-            name=name,
-            extensions=tuple(entry["extensions"]),
-            conditional_keywords=tuple(entry["conditional_keywords"]),
-            count_ternary=bool(entry.get("count_ternary", False)),
-            line_comments=tuple(entry.get("line_comments", ())),
-            string_quotes=tuple(entry.get("string_quotes", ('"', "'"))),
-        )
-        for name, entry in table.items()
-    }
+    try:
+        languages = {
+            name: LanguageSpec(
+                name=name,
+                extensions=tuple(entry["extensions"]),
+                conditional_keywords=tuple(entry["conditional_keywords"]),
+                count_ternary=bool(entry.get("count_ternary", False)),
+                line_comments=tuple(entry.get("line_comments", ())),
+                string_quotes=tuple(entry.get("string_quotes", ('"', "'"))),
+            )
+            for name, entry in json.loads(raw).items()
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise InvalidLanguageConfig(
+            f"language table {path or 'bundled'} is malformed: {reason}"
+        ) from exc
     return LanguageConfig(languages=languages)
 
 

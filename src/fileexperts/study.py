@@ -11,10 +11,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import InvalidKnowledgeValue, TooFewRepos
+from .errors import InvalidGroundTruth, InvalidKnowledgeValue, TooFewRepos
 from .expertise import OracleSets
 from .features import FeatureTable
-from .gitlog import ADDITION, CommitHistory, resolve_lineages
+from .gitlog import ADDITION, CommitHistory
 from .ml import MLDataset
 
 GROUND_TRUTH_COLUMNS = ("repo", "developer_email", "file", "knowledge")
@@ -101,30 +101,28 @@ def detect_bulk_import(history: CommitHistory) -> tuple[bool, frozenset[str]]:
 
 
 def generate_sample(
-    history: CommitHistory, file_limit: int = 5, seed: int = 0
+    table: FeatureTable, file_limit: int = 5, seed: int = 0
 ) -> list[tuple[str, str]]:
     """Draw (developer, file) survey pairs under a per-developer file cap.
 
     Files are visited in a seeded random order; a file is accepted only if
-    every developer who touched it is still below the cap, in which case it
-    is assigned to all of them. This keeps each sampled file answerable by
-    its full developer set.
+    every developer with a row for it in the table (everyone who touched it)
+    is still below the cap, in which case it is assigned to all of them.
+    This keeps each sampled file answerable by its full developer set.
     """
     if file_limit < 1:
         raise ValueError(f"file_limit must be >= 1, got {file_limit}")
-    lineages = resolve_lineages(history)
-    files = sorted(
-        path
-        for path in lineages
-        if history.present_paths is None or path in history.present_paths
-    )
+    developers_of: dict[str, set[str]] = {}
+    for row in table.rows:
+        developers_of.setdefault(row.file, set()).add(row.developer.canonical_key)
+    files = sorted(developers_of)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(files))
     assigned: dict[str, int] = {}
     pairs: list[tuple[str, str]] = []
     for index in order:
         file = files[index]
-        developers = sorted({commit.author.key() for commit, _ev in lineages[file].events})
+        developers = sorted(developers_of[file])
         if all(assigned.get(dev, 0) < file_limit for dev in developers):
             for dev in developers:
                 assigned[dev] = assigned.get(dev, 0) + 1
@@ -152,7 +150,8 @@ def read_ground_truth_csv(
     """Read a ground-truth CSV (repo,developer_email,file,knowledge).
 
     ``column_map`` adapts external headers, mapping each logical column
-    name to the header actually present in the file.
+    name to the header actually present in the file. Raises
+    InvalidGroundTruth when a column is missing or a row is short.
     """
     column_map = dict(column_map or {})
     names = {logical: column_map.get(logical, logical) for logical in GROUND_TRUTH_COLUMNS}
@@ -161,8 +160,12 @@ def read_ground_truth_csv(
         reader = csv.DictReader(handle)
         missing = [c for c in names.values() if reader.fieldnames and c not in reader.fieldnames]
         if missing:
-            raise ValueError(f"ground-truth CSV lacks columns {missing}")
+            raise InvalidGroundTruth(f"ground-truth CSV {path} lacks columns {missing}")
         for record in reader:
+            if None in record.values():
+                raise InvalidGroundTruth(
+                    f"ground-truth CSV {path} line {reader.line_num} has too few fields"
+                )
             raw = record[names["knowledge"]].strip()
             try:
                 knowledge = int(raw)

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from fileexperts.gitlog import resolve_lineages
+
 getcontext().prec = 50
 
 
@@ -318,3 +320,29 @@ def naive_feature_table(history) -> dict[tuple[str, str], dict]:
                 "avg_days_commits": sum(gaps) / len(gaps) if gaps else 0.0,
             }
     return table
+
+
+def lineage_sample(history, file_limit: int = 5, seed: int = 0) -> list[tuple[str, str]]:
+    """The survey draw computed from the history's lineages rather than a
+    feature table: every file present at the reference version, with the
+    authors of its lineage's events as its developers."""
+    if file_limit < 1:
+        raise ValueError(f"file_limit must be >= 1, got {file_limit}")
+    lineages = resolve_lineages(history)
+    files = sorted(
+        path
+        for path in lineages
+        if history.present_paths is None or path in history.present_paths
+    )
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(files))
+    assigned: dict[str, int] = {}
+    pairs: list[tuple[str, str]] = []
+    for index in order:
+        file = files[index]
+        developers = sorted({commit.author.key() for commit, _ev in lineages[file].events})
+        if all(assigned.get(dev, 0) < file_limit for dev in developers):
+            for dev in developers:
+                assigned[dev] = assigned.get(dev, 0) + 1
+                pairs.append((dev, file))
+    return pairs

@@ -249,13 +249,13 @@ def test_criterion_9_sample_invariants(fixture_pipelines):
     pipelines, _elapsed = fixture_pipelines
     with criterion(9, "100 seeded sampling runs: cap respected, files carry all developers"):
         runs = 0
-        for history, _table in pipelines[:5]:
+        for history, table in pipelines[:5]:
             devs_per_file = {
                 path: {c.author.key() for c, _e in lineage.events}
                 for path, lineage in resolve_lineages(history).items()
             }
             for seed in range(20):
-                pairs = generate_sample(history, file_limit=5, seed=seed)
+                pairs = generate_sample(table, file_limit=5, seed=seed)
                 per_dev: dict[str, int] = {}
                 per_file: dict[str, set] = {}
                 for dev, file in pairs:

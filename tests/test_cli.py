@@ -425,29 +425,34 @@ def test_warm_run_equals_cold_run(alias_repo, tmp_path, capsys, command):
         assert runs[1].err == ""
 
 
-def test_warm_commands_read_no_cached_commits(cli_repo, tmp_path, capsys, monkeypatch):
+def test_warm_commands_read_no_cached_commits(cli_repo, tmp_path, capsys):
     truth = _write_truth(tmp_path / "truth.csv", cli_repo, capsys)
-    repo = ["--repo", str(cli_repo), "--branch", "main", "--cache-dir", str(tmp_path / "cache")]
-    rank = ["rank", "--technique", "doa", "--file", "src/f0.py", *repo]
-    calibrate = ["calibrate", "--truth", str(truth), "--folds", "3", *repo]
-    cold = [main(rank), main(calibrate), capsys.readouterr()]
+    cache = tmp_path / "cache"
+    repo = ["--repo", str(cli_repo), "--branch", "main", "--cache-dir", str(cache)]
+    commands = [
+        ["rank", "--technique", "doa", "--file", "src/f0.py", *repo],
+        ["calibrate", "--truth", str(truth), "--folds", "3", *repo],
+        ["sample", "--limit", "2", *repo],
+    ]
+    cold = [[main(argv) for argv in commands], capsys.readouterr()]
+    (history,) = cache.glob("history-*.ndjson")
+    meta, *commits = history.read_text().splitlines(keepends=True)
+    assert len(commits) == 18
+    history.write_text(meta + "not a commit\n" * len(commits))  # the meta line survives
+    assert [[main(argv) for argv in commands], capsys.readouterr()] == cold
 
-    def refuse(_path):
-        raise AssertionError("a warm command parsed the whole cached history")
 
-    monkeypatch.setattr("fileexperts.cli.load_history", refuse)
-    assert [main(rank), main(calibrate), capsys.readouterr()] == cold
-
-
-def _warm_rank_after(corrupt, cli_repo, tmp_path, capsys) -> tuple[int, list[str]]:
-    """Exit code and stderr lines of a warm rank whose cached history text
-    was passed through ``corrupt``."""
+def _warm_rank_after(
+    corrupt, cli_repo, tmp_path, capsys, cached="history-*.ndjson"
+) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of a warm rank whose cached file matching
+    ``cached`` had its text passed through ``corrupt``."""
     cache = tmp_path / "cache"
     argv = ["rank", "--technique", "doa", "--file", "src/f0.py",
             "--repo", str(cli_repo), "--branch", "main", "--cache-dir", str(cache)]
     assert main(argv) == 0
-    (history,) = cache.glob("history-*.ndjson")
-    history.write_text(corrupt(history.read_text()))
+    (path,) = cache.glob(cached)
+    path.write_text(corrupt(path.read_text()))
     capsys.readouterr()
     code = main(argv)
     return code, capsys.readouterr().err.splitlines()
@@ -474,13 +479,67 @@ def test_cut_short_cached_meta_line_is_an_error(cli_repo, tmp_path, capsys):
     assert "line 1" in error["message"]
 
 
-def test_sample_computes_no_features(cli_repo, capsys, monkeypatch):
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("sample computed the feature table")
+def test_cut_short_cached_feature_csv_is_an_error(cli_repo, tmp_path, capsys):
+    code, (line,) = _warm_rank_after(
+        lambda text: text[:300], cli_repo, tmp_path, capsys, cached="features-*.csv"
+    )
+    assert code == 1
+    error = json.loads(line)
+    assert error["error"] == "errors.CorruptFeatureTable"
+    assert "features-" in error["message"]
+    assert " line " in error["message"]
 
-    monkeypatch.setattr("fileexperts.cli.compute_all", refuse)
-    main(["sample", "--repo", str(cli_repo), "--branch", "main", "--no-cache"])
-    assert capsys.readouterr().out.startswith("developer_email,file\n")
+
+def test_sample_fills_the_cache_that_warm_commands_read(cli_repo, tmp_path, capsys, monkeypatch):
+    import fileexperts.cli as cli
+
+    cache = tmp_path / "cache"
+    repo = ["--repo", str(cli_repo), "--branch", "main", "--cache-dir", str(cache)]
+    sample = ["sample", "--limit", "3", "--seed", "7", *repo]
+    assert main([*sample, "--no-cache"]) == 0
+    uncached = capsys.readouterr().out
+    assert not cache.exists()
+    assert main(sample) == 0  # the first sample computes and caches the feature table
+    assert capsys.readouterr().out == uncached
+    assert len(list(cache.glob("features-*.csv"))) == 1
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a warm command mined or computed the feature table")
+
+    monkeypatch.setattr(cli, "extract_history", refuse)
+    monkeypatch.setattr(cli, "compute_all", refuse)
+    assert main(sample) == 0
+    assert capsys.readouterr().out == uncached
+    assert main(["rank", "--technique", "doa", "--file", "src/f0.py", *repo]) == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"python": {}}', "not json"],
+    ids=["missing-key", "not-json"],
+)
+def test_malformed_language_config_is_an_error(cli_repo, tmp_path, capsys, text):
+    config = tmp_path / "languages.json"
+    config.write_text(text)
+    code = main(["mine", "--repo", str(cli_repo), "--branch", "main", "--no-cache",
+                 "--language-config", str(config)])
+    assert code == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "errors.InvalidLanguageConfig"
+    assert str(config) in error["message"]
+
+
+def test_truth_csv_without_a_column_is_an_error(cli_repo, tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("repo,file,knowledge\nfixture,src/f0.py,5\n")
+    code = main(["calibrate", "--truth", str(truth), "--repo", str(cli_repo),
+                 "--branch", "main", "--no-cache"])
+    assert code == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "errors.InvalidGroundTruth"
+    assert "developer_email" in error["message"]
 
 
 def test_mine_history_out_mines_and_computes_once(cli_repo, tmp_path, capsys, monkeypatch):
@@ -495,12 +554,23 @@ def test_mine_history_out_mines_and_computes_once(cli_repo, tmp_path, capsys, mo
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, counted)
+    repo = ["--repo", str(cli_repo), "--branch", "main"]
     out = tmp_path / "history.ndjson"
-    main(["mine", "--repo", str(cli_repo), "--branch", "main", "--no-cache",
-          "--history-out", str(out)])
+    main(["mine", *repo, "--no-cache", "--history-out", str(out)])
     assert calls == {"extract_history": 1, "compute_all": 1}
-    assert len(capsys.readouterr().out.splitlines()) == 1 + 18
+    mined = capsys.readouterr().out
+    assert len(mined.splitlines()) == 1 + 18
     assert len(out.read_text().splitlines()) == 1 + 18  # the meta line, then 18 commits
+
+    # on a warm cache the history written is still mined, the features are read
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    main(["mine", *repo, *cache])
+    calls.update(extract_history=0, compute_all=0)
+    warm = tmp_path / "warm.ndjson"
+    main(["mine", *repo, *cache, "--history-out", str(warm)])
+    assert calls == {"extract_history": 1, "compute_all": 0}
+    assert warm.read_bytes() == out.read_bytes()
+    assert capsys.readouterr().out == mined * 2
 
 
 def test_rank_json_rows_equal_csv_rows(cli_repo, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fileexperts.diffs
-from fileexperts.errors import FileNotInHistory, PairNotInHistory
+from fileexperts.errors import CorruptFeatureTable, FileNotInHistory, PairNotInHistory
 from fileexperts.features import (
     CSV_HEADER,
     compute_all,
@@ -161,6 +161,32 @@ def test_feature_csv_roundtrip(demo_history, tmp_path):
         head = history_from_ndjson(history_to_ndjson(history).split("\n", 1)[0])
         assert developer_ids(head) == ids
         assert head.reference_time == table.reference_time
+
+
+def _corrupt(lines, number, replacement):
+    return lines[: number - 1] + [replacement] + lines[number:]
+
+
+_CORRUPT_CSV = {
+    "wrong-header": (1, "developer,file,adds"),
+    "empty-file": (1, None),
+    "short-row": (3, "d@x.com,a.py,1,2"),
+    "long-row": (3, "d@x.com,a.py" + ",1" * 13),
+    "non-numeric-count": (2, "d@x.com,a.py,1,0,0,0,1,1,1,1,many,0,1,0.0"),
+    "non-numeric-average": (3, "d@x.com,a.py,1,0,0,0,1,1,1,1,0,0,1,soon"),
+}
+
+
+@pytest.mark.parametrize("number, replacement", _CORRUPT_CSV.values(), ids=_CORRUPT_CSV.keys())
+def test_corrupt_feature_csv_names_its_line(demo_history, tmp_path, number, replacement):
+    path = tmp_path / "features.csv"
+    write_feature_csv(compute_all(demo_history), path)
+    lines = path.read_text().splitlines()
+    assert len(lines) > 3
+    text = "" if replacement is None else "\n".join(_corrupt(lines, number, replacement)) + "\n"
+    path.write_text(text)
+    with pytest.raises(CorruptFeatureTable, match=f"features.csv line {number}: "):
+        read_feature_csv(path)
 
 
 _paths = st.sampled_from(["a.py", "b.py", "c.js"])

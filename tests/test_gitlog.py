@@ -8,11 +8,16 @@ import pytest
 from fileexperts.errors import BranchNotFound, RepositoryNotFound
 from fileexperts.fixtures import RepoBuilder
 from fileexperts.gitlog import (
+    CommitHistory,
+    CommitRecord,
+    FileChangeEvent,
+    RawIdentity,
     extract_history,
     filter_source_files,
     history_from_ndjson,
     history_to_ndjson,
     resolve_lineages,
+    save_history,
 )
 
 
@@ -149,6 +154,40 @@ def test_ndjson_roundtrip(demo_history):
     for line in text.splitlines():
         assert json.loads(line)["v"] == 1
     assert history_from_ndjson(text) == demo_history
+
+
+def test_save_history_streams_its_lines(tmp_path):
+    import tracemalloc
+    from datetime import datetime, timezone
+
+    body = "".join(f"value_{i} = {i}  # padding to make each commit a few KB\n" for i in range(60))
+    history = CommitHistory(
+        commits=tuple(
+            CommitRecord(
+                id=f"{i:040x}",
+                author=RawIdentity("Ana", "ana@x.com"),
+                timestamp=datetime.fromtimestamp(1_600_000_000 + i, tz=timezone.utc),
+                changes=(
+                    FileChangeEvent(f"f{i}.py", "modification", before_content=body,
+                                    after_content=body + f"tail = {i}\n"),
+                ),
+            )
+            for i in range(1000)
+        ),
+        branch="main",
+        reference_time=datetime.fromtimestamp(1_600_001_000, tz=timezone.utc),
+    )
+    path = tmp_path / "history.ndjson"
+    tracemalloc.start()
+    try:
+        save_history(history, path)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 4_000_000
+    assert peak < size / 4
+    assert path.read_text() == history_to_ndjson(history)
 
 
 _META = '{"v": 1, "meta": {"branch": "main", "reference_time": "2020-09-13T12:26:40+00:00"}}'

@@ -1,10 +1,15 @@
 """Corpus filtering, bulk-import detection, sampling, ground truth."""
 
+import re
+
 import numpy as np
 import pytest
 
-from fileexperts.errors import InvalidKnowledgeValue, TooFewRepos
+from fileexperts.errors import InvalidGroundTruth, InvalidKnowledgeValue, TooFewRepos
 from fileexperts.features import compute_all
+from fileexperts.fixtures import random_repo
+from fileexperts.gitlog import extract_history, filter_source_files
+from fileexperts.identities import canonicalize_history
 from fileexperts.study import (
     GroundTruthEntry,
     RepoMetrics,
@@ -16,7 +21,8 @@ from fileexperts.study import (
     read_ground_truth_csv,
     sample_to_csv,
 )
-from conftest import add, make_history, mod
+from conftest import add, make_history, mod, ren
+from oracles import lineage_sample
 
 
 def _metrics(commits):
@@ -123,13 +129,13 @@ class TestGenerateSample:
                 ("d2@y.com", 1, [mod("f.py", "x = 1\n", "x = 2\n")]),
             ]
         )
-        pairs = generate_sample(history, file_limit=5, seed=0)
+        pairs = generate_sample(compute_all(history), file_limit=5, seed=0)
         assert sorted(pairs) == [("d1@x.com", "f.py"), ("d2@y.com", "f.py")]
 
     def test_file_limit_enforced(self):
         history = _sample_history()
         for seed in range(20):
-            pairs = generate_sample(history, file_limit=5, seed=seed)
+            pairs = generate_sample(compute_all(history), file_limit=5, seed=seed)
             per_dev = {}
             for dev, _file in pairs:
                 per_dev[dev] = per_dev.get(dev, 0) + 1
@@ -144,7 +150,7 @@ class TestGenerateSample:
         commits.append(("d2@y.com", 51, [mod("shared.py", "s = 1\n", "s = 2\n")]))
         history = make_history(commits)
         for seed in range(30):
-            pairs = generate_sample(history, file_limit=5, seed=seed)
+            pairs = generate_sample(compute_all(history), file_limit=5, seed=seed)
             sampled_files = {f for _d, f in pairs}
             if "shared.py" in sampled_files:
                 assert ("d1@x.com", "shared.py") in pairs
@@ -155,13 +161,36 @@ class TestGenerateSample:
         lineage_devs = {
             "shared.py": {"a@x.com", "b@y.com"},
         }
-        pairs = generate_sample(history, file_limit=5, seed=3)
+        pairs = generate_sample(compute_all(history), file_limit=5, seed=3)
         by_file = {}
         for dev, file in pairs:
             by_file.setdefault(file, set()).add(dev)
         for file, devs in by_file.items():
             if file in lineage_devs:
                 assert devs == lineage_devs[file]
+
+    def test_equals_lineage_draw(self, demo_history, tmp_path):
+        histories = [demo_history, _sample_history()]
+        histories.append(  # a rename, and a file deleted before the reference version
+            make_history(
+                [
+                    ("d1@x.com", 0, [add("old.py", "x = 1\n"), add("gone.py", "g = 1\n")]),
+                    ("d2@y.com", 1, [ren("new.py", "old.py", "x = 1\n", "x = 2\n")]),
+                    ("d3@z.com", 2, [mod("gone.py", "g = 1\n", "g = 2\n")]),
+                ],
+                present={"new.py"},
+            )
+        )
+        for seed in range(6):
+            repo = random_repo(tmp_path / f"repo{seed}", seed=seed)
+            histories.append(canonicalize_history(filter_source_files(extract_history(repo))))
+        for history in histories:
+            table = compute_all(history)
+            for file_limit in (1, 2, 5):
+                for seed in (0, 7, 11):
+                    assert generate_sample(table, file_limit, seed) == lineage_sample(
+                        history, file_limit, seed
+                    )
 
     def test_csv_grouped_by_developer(self):
         pairs = [("b@y.com", "f1"), ("a@x.com", "f2"), ("a@x.com", "f3")]
@@ -196,6 +225,20 @@ class TestGroundTruth:
             },
         )
         assert [e.knowledge for e in entries] == [5, 2]
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("repo,file,knowledge\nr,a.py,5\n", "lacks columns ['developer_email']"),
+            ("repo,developer_email,file,knowledge\nr,d@x.com,a.py,5\nr,d@x.com\n", "line 3"),
+        ],
+        ids=["missing-column", "short-row"],
+    )
+    def test_malformed_csv_is_a_domain_error(self, tmp_path, text, problem):
+        path = tmp_path / "truth.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidGroundTruth, match=re.escape(problem)):
+            read_ground_truth_csv(path)
 
     def test_process_answers_join(self):
         history = make_history(
