@@ -23,7 +23,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, expertise, ml, stats, study
-from .errors import CorruptHistory, FileExpertsError
+from .errors import (
+    CorruptHistory,
+    FileExpertsError,
+    InvalidColumnMap,
+    InvalidReferenceTime,
+    UnreadableAliasMap,
+)
 from .features import (
     FEATURE_SCHEMA,
     FeatureTable,
@@ -153,7 +159,12 @@ def _emit_csv(args, header, rows) -> None:
 def _parse_reference_time(value: str | None) -> datetime | None:
     if value is None:
         return None
-    stamp = datetime.fromisoformat(value.replace("Z", "+00:00"))
+    try:
+        stamp = datetime.fromisoformat(value.replace("Z", "+00:00"))
+    except ValueError:
+        raise InvalidReferenceTime(
+            f"--reference-time {value!r} is not an ISO 8601 timestamp"
+        ) from None
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     return stamp
@@ -163,10 +174,13 @@ def _read_alias_map(path: str | None) -> list[tuple[str, str]] | None:
     if path is None:
         return None
     pairs = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for record in csv.reader(handle):
-            if len(record) >= 2 and record[0].strip():
-                pairs.append((record[0].strip(), record[1].strip()))
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            for record in csv.reader(handle):
+                if len(record) >= 2 and record[0].strip():
+                    pairs.append((record[0].strip(), record[1].strip()))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableAliasMap(f"cannot read --alias-map {path}: {exc}") from None
     return pairs
 
 
@@ -214,6 +228,7 @@ def _language_config(args):
 def _history(args) -> CommitHistory:
     """Mine the branch: extract, keep the source files, unify aliases, then
     apply the reference-time override. Reads and writes no cache."""
+    override = _parse_reference_time(args.reference_time)
     vendor = tuple(args.vendor_globs) if args.vendor_globs else DEFAULT_VENDOR_GLOBS
     history = extract_history(args.repo, args.branch)
     history = filter_source_files(history, config=_language_config(args), vendor_globs=vendor)
@@ -222,7 +237,6 @@ def _history(args) -> CommitHistory:
         threshold=args.alias_threshold,
         manual_aliases=_read_alias_map(args.alias_map),
     )
-    override = _parse_reference_time(args.reference_time)
     if override is not None:
         history = replace(history, reference_time=override)
     return history
@@ -421,10 +435,20 @@ def _cmd_filter_corpus(args) -> int:
     return 0
 
 
+def _parse_column_map(value: str | None) -> dict[str, str] | None:
+    if not value:
+        return None
+    column_map = {}
+    for item in value.split(","):
+        logical, sep, actual = item.partition("=")
+        if not sep:
+            raise InvalidColumnMap(f"--column-map item {item!r} is not logical=actual")
+        column_map[logical] = actual
+    return column_map
+
+
 def _cmd_ingest_truth(args) -> int:
-    column_map = None
-    if args.column_map:
-        column_map = dict(item.split("=", 1) for item in args.column_map.split(","))
+    column_map = _parse_column_map(args.column_map)
     entries = study.read_ground_truth_csv(args.truth_csv, column_map=column_map)
     processed = study.process_answers(entries, _table(args))
     _warn_unresolved(processed.unresolved)

@@ -97,3 +97,17 @@ class InvalidKnowledgeValue(FileExpertsError):
 
 class InvalidGroundTruth(FileExpertsError):
     """A ground-truth CSV lacks a required column or has a short row."""
+
+
+# -- command-line input ------------------------------------------------------
+
+class InvalidReferenceTime(FileExpertsError):
+    """A --reference-time value is not an ISO 8601 timestamp."""
+
+
+class UnreadableAliasMap(FileExpertsError):
+    """An --alias-map file cannot be opened or decoded as UTF-8."""
+
+
+class InvalidColumnMap(FileExpertsError):
+    """A --column-map item is not of the form logical=actual."""

@@ -1,11 +1,14 @@
 """Binary expert classification on development features.
 
-Classifiers are implemented directly on numpy: k-nearest neighbors,
-L2-regularized logistic regression fitted by gradient descent, and a random
-forest of Gini-split trees with bootstrap sampling and per-split feature
-subsampling. Evaluation runs seeded, stratified 10-fold cross-validation
-with the expert class as positive; standardization is fit on each training
-split only.
+Classifiers are implemented on numpy and plain Python: k-nearest
+neighbors, L2-regularized logistic regression fitted by gradient descent,
+and a random forest of Gini-split trees with bootstrap sampling and
+per-split feature subsampling. Each tree sorts every feature once and
+scores its nodes in plain float arithmetic, which is exact and, at the
+dozen rows of a typical node, cheaper than per-node numpy calls.
+Evaluation runs seeded, stratified 10-fold cross-validation with the
+expert class as positive; standardization is fit on each training split
+only.
 
 The feature layout follows the study design: [adds, fa, size, num_days],
 where fa is binary and left unscaled.
@@ -14,6 +17,7 @@ where fa is binary and left unscaled.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -184,12 +188,9 @@ class KNNModel:
             dists = np.sqrt((diff**2).sum(axis=2))
         else:
             dists = np.abs(diff).sum(axis=2)
-        scores = np.empty(len(X))
-        for i, row in enumerate(dists):
-            # stable order: ties in distance resolved by training index
-            nearest = np.lexsort((np.arange(len(row)), row))[: self.k]
-            scores[i] = self.y[nearest].mean()
-        return scores
+        # stable order: ties in distance resolved by training index
+        nearest = np.argsort(dists, axis=1, kind="stable")[:, : self.k]
+        return self.y[nearest].mean(axis=1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.predict_score(X) >= 0.5
@@ -270,37 +271,6 @@ class _TreeNode:
         self.probability = probability
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray) -> tuple[int, float] | None:
-    """Best (feature, threshold) by weighted Gini impurity, or None."""
-    n = len(y)
-    best_gini = np.inf
-    best: tuple[int, float] | None = None
-    for feature in features:
-        values = X[:, feature]
-        order = np.argsort(values, kind="stable")
-        sorted_vals = values[order]
-        sorted_y = y[order].astype(float)
-        pos_left = np.cumsum(sorted_y)[:-1]
-        counts_left = np.arange(1, n)
-        boundaries = sorted_vals[1:] != sorted_vals[:-1]
-        if not boundaries.any():
-            continue
-        pos_right = sorted_y.sum() - pos_left
-        counts_right = n - counts_left
-        p_left = pos_left / counts_left
-        p_right = pos_right / counts_right
-        gini = (
-            counts_left * 2.0 * p_left * (1.0 - p_left)
-            + counts_right * 2.0 * p_right * (1.0 - p_right)
-        ) / n
-        gini = np.where(boundaries, gini, np.inf)
-        idx = int(np.argmin(gini))
-        if gini[idx] < best_gini:
-            best_gini = float(gini[idx])
-            best = (int(feature), float((sorted_vals[idx] + sorted_vals[idx + 1]) / 2.0))
-    return best
-
-
 def _grow_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -308,31 +278,68 @@ def _grow_tree(
     max_features: int,
     rng: np.random.Generator,
 ) -> _TreeNode:
-    root = _TreeNode(probability=float(y.mean()))
-    stack: list[tuple[_TreeNode, np.ndarray, np.ndarray, int]] = [(root, X, y, 0)]
+    """Grow one Gini tree on a bootstrap sample, depth first, right child
+    first, drawing the candidate features of each node from ``rng``.
+
+    Each feature is sorted once (SLIQ; Mehta, Agrawal & Rissanen 1996). A
+    node carries, per feature, its rows in that order; a split partitions
+    every list by ``col[i] <= threshold``, which keeps each list a stable
+    argsort of the node's rows. Split scores are plain float arithmetic in
+    the order a vectorized scan uses, so the tree is exact, not approximate.
+    """
+    n, d = X.shape
+    columns = X.T.tolist()
+    labels = y.tolist()
+    size = min(max_features, d)
+
+    def splittable(rows: int, pos: int, depth: int) -> bool:
+        return 0 < pos < rows and (max_depth is None or depth < max_depth)
+
+    total = sum(labels)
+    root = _TreeNode(probability=total / n)
+    orders = [np.argsort(X[:, f], kind="stable").tolist() for f in range(d)]
+    stack = [(root, orders, total, 0)] if splittable(n, total, 0) else []
     while stack:
-        node, Xn, yn, depth = stack.pop()
-        if (
-            len(yn) < 2
-            or yn.all()
-            or not yn.any()
-            or (max_depth is not None and depth >= max_depth)
-        ):
+        node, orders, pos, depth = stack.pop()
+        m = len(orders[0])
+        # first minimum within a feature, strict improvement across features
+        best_gini = math.inf
+        best = None
+        for feature in rng.choice(d, size=size, replace=False).tolist():
+            col = columns[feature]
+            left = left_pos = 0
+            prev = None
+            for i in orders[feature]:
+                value = col[i]
+                if left and value != prev:
+                    right = m - left
+                    pl = left_pos / left
+                    pr = (pos - left_pos) / right
+                    gini = (left * 2.0 * pl * (1.0 - pl) + right * 2.0 * pr * (1.0 - pr)) / m
+                    if gini < best_gini:
+                        best_gini = gini
+                        best = (feature, left, left_pos, prev, value)
+                prev = value
+                left += 1
+                left_pos += labels[i]
+        if best is None:
             continue
-        candidates = rng.choice(
-            Xn.shape[1], size=min(max_features, Xn.shape[1]), replace=False
-        )
-        split = _best_split(Xn, yn, candidates)
-        if split is None:
-            continue
-        feature, threshold = split
-        mask = Xn[:, feature] <= threshold
+        feature, left, left_pos, lo, hi = best
+        threshold = (lo + hi) / 2.0
+        if not lo <= threshold < hi:  # adjacent floats, or lo + hi overflowed
+            threshold = lo
+        col = columns[feature]
         node.feature = feature
         node.threshold = threshold
-        node.left = _TreeNode(probability=float(yn[mask].mean()))
-        node.right = _TreeNode(probability=float(yn[~mask].mean()))
-        stack.append((node.left, Xn[mask], yn[mask], depth + 1))
-        stack.append((node.right, Xn[~mask], yn[~mask], depth + 1))
+        node.left = _TreeNode(probability=left_pos / left)
+        node.right = _TreeNode(probability=(pos - left_pos) / (m - left))
+        # a child that cannot split draws nothing, so it needs no row lists
+        if splittable(left, left_pos, depth + 1):
+            lists = [[i for i in order if col[i] <= threshold] for order in orders]
+            stack.append((node.left, lists, left_pos, depth + 1))
+        if splittable(m - left, pos - left_pos, depth + 1):
+            lists = [[i for i in order if col[i] > threshold] for order in orders]
+            stack.append((node.right, lists, pos - left_pos, depth + 1))
     return root
 
 

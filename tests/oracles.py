@@ -346,3 +346,79 @@ def lineage_sample(history, file_limit: int = 5, seed: int = 0) -> list[tuple[st
                 assigned[dev] = assigned.get(dev, 0) + 1
                 pairs.append((dev, file))
     return pairs
+
+
+# -- random forest tree, grown with per-node numpy calls --------------------------
+
+class _Node:
+    __slots__ = ("feature", "threshold", "left", "right", "probability")
+
+    def __init__(self, probability: float):
+        self.feature = None
+        self.threshold = 0.0
+        self.left = None
+        self.right = None
+        self.probability = probability
+
+
+def _numpy_best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray):
+    """Best (feature, threshold) by weighted Gini impurity, or None."""
+    n = len(y)
+    best_gini = np.inf
+    best = None
+    for feature in features:
+        values = X[:, feature]
+        order = np.argsort(values, kind="stable")
+        sorted_vals = values[order]
+        sorted_y = y[order].astype(float)
+        pos_left = np.cumsum(sorted_y)[:-1]
+        counts_left = np.arange(1, n)
+        boundaries = sorted_vals[1:] != sorted_vals[:-1]
+        if not boundaries.any():
+            continue
+        pos_right = sorted_y.sum() - pos_left
+        counts_right = n - counts_left
+        p_left = pos_left / counts_left
+        p_right = pos_right / counts_right
+        gini = (
+            counts_left * 2.0 * p_left * (1.0 - p_left)
+            + counts_right * 2.0 * p_right * (1.0 - p_right)
+        ) / n
+        gini = np.where(boundaries, gini, np.inf)
+        idx = int(np.argmin(gini))
+        if gini[idx] < best_gini:
+            best_gini = float(gini[idx])
+            best = (int(feature), float((sorted_vals[idx] + sorted_vals[idx + 1]) / 2.0))
+    return best
+
+
+def numpy_grow_tree(X, y, max_depth, max_features, rng):
+    """One forest tree, re-sorting every candidate feature at every node
+    with vectorized numpy scans. Splits at the plain midpoint, so it never
+    returns when two adjacent floats are the only boundary."""
+    root = _Node(probability=float(y.mean()))
+    stack = [(root, X, y, 0)]
+    while stack:
+        node, Xn, yn, depth = stack.pop()
+        if (
+            len(yn) < 2
+            or yn.all()
+            or not yn.any()
+            or (max_depth is not None and depth >= max_depth)
+        ):
+            continue
+        candidates = rng.choice(
+            Xn.shape[1], size=min(max_features, Xn.shape[1]), replace=False
+        )
+        split = _numpy_best_split(Xn, yn, candidates)
+        if split is None:
+            continue
+        feature, threshold = split
+        mask = Xn[:, feature] <= threshold
+        node.feature = feature
+        node.threshold = threshold
+        node.left = _Node(probability=float(yn[mask].mean()))
+        node.right = _Node(probability=float(yn[~mask].mean()))
+        stack.append((node.left, Xn[mask], yn[mask], depth + 1))
+        stack.append((node.right, Xn[~mask], yn[~mask], depth + 1))
+    return root

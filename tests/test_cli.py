@@ -542,6 +542,28 @@ def test_truth_csv_without_a_column_is_an_error(cli_repo, tmp_path, capsys):
     assert "developer_email" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "args, error, named",
+    [
+        (["mine", "--reference-time", "yesterday"], "errors.InvalidReferenceTime", "yesterday"),
+        (["mine", "--alias-map", "{tmp}/absent.csv"], "errors.UnreadableAliasMap", "absent.csv"),
+        (["ingest-truth", "{tmp}/truth.csv", "--column-map", "repo"],
+         "errors.InvalidColumnMap", "'repo'"),
+    ],
+    ids=["reference-time", "alias-map", "column-map"],
+)
+def test_malformed_option_is_an_error(cli_repo, tmp_path, capsys, args, error, named):
+    (tmp_path / "truth.csv").write_text("repo,developer_email,file,knowledge\n")
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
+    code = main([*args, "--repo", str(cli_repo), "--branch", "main",
+                 "--cache-dir", str(tmp_path / "cache")])
+    assert code == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    reported = json.loads(line)
+    assert reported["error"] == error
+    assert named in reported["message"]
+
+
 def test_mine_history_out_mines_and_computes_once(cli_repo, tmp_path, capsys, monkeypatch):
     import fileexperts.cli as cli
 

@@ -1,7 +1,12 @@
 """Classifier training, cross-validation and grid search."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import numpy_grow_tree
 
 from fileexperts.errors import SingleClassData, TooFewSamples, ZeroVarianceWarning
 from fileexperts.ml import (
@@ -10,6 +15,7 @@ from fileexperts.ml import (
     RANDOM_FOREST,
     ClassifierSpec,
     MLDataset,
+    _grow_tree,
     cross_validate,
     grid_search,
     logistic_gradient,
@@ -145,6 +151,105 @@ class TestModels:
             with pytest.raises(SingleClassData):
                 train(ClassifierSpec(kind), onesided)
         train(ClassifierSpec(KNN), onesided)  # knn tolerates one class
+
+
+def preorder(tree) -> list[tuple]:
+    """(feature, threshold, probability) of every node, parents first,
+    left before right; floats by repr, so -0.0 and NaN compare exactly."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        out.append((node.feature, repr(node.threshold), repr(node.probability)))
+        if node.feature is not None:
+            stack += [node.right, node.left]
+    return out
+
+
+def mixed_columns(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """Columns with many ties: integer-valued, rounded, constant, signed
+    zeros, and continuous. None holds two adjacent floats."""
+    kinds = [
+        lambda: rng.integers(0, 4, n).astype(float),
+        lambda: np.round(rng.normal(size=n), 1),
+        lambda: np.full(n, 2.5),
+        lambda: rng.choice([0.0, -0.0, 1.0], n),
+        lambda: rng.normal(size=n),
+    ]
+    return np.column_stack([kinds[rng.integers(len(kinds))]() for _ in range(d)])
+
+
+class TestForestTrees:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 120),
+        d=st.integers(1, 5),
+        max_depth=st.sampled_from([None, 0, 1, 3]),
+        max_features=st.sampled_from([1, 2, 4]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_presorted_grower_equals_numpy_oracle(self, seed, n, d, max_depth, max_features):
+        data_rng = np.random.default_rng(seed)
+        X = mixed_columns(data_rng, n, d)
+        y = data_rng.random(n) < data_rng.random()
+        sample = data_rng.integers(0, n, size=n)  # a bootstrap, duplicates included
+        grown, expected = np.random.default_rng(seed), np.random.default_rng(seed)
+        tree = _grow_tree(X[sample], y[sample], max_depth, max_features, grown)
+        oracle = numpy_grow_tree(X[sample], y[sample], max_depth, max_features, expected)
+        assert preorder(tree) == preorder(oracle)
+        assert grown.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(1 + 2**-52, 1 + 2**-51), (1.7e308, 1.75e308), (-1.75e308, -1.7e308)],
+        ids=["adjacent-floats", "sum-overflows", "sum-overflows-negative"],
+    )
+    def test_every_split_separates_its_rows(self, lo, hi):
+        # the midpoint of lo and hi rounds to hi, or to an infinity
+        data = MLDataset(
+            features=np.array([[lo], [lo], [lo], [hi], [hi], [hi]]),
+            labels=np.array([False, True, False, True, True, False]),
+            feature_names=("x",),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train(ClassifierSpec(RANDOM_FOREST, {"max_features": 1}), data, seed=0)
+        splits = 0
+        for tree in model.trees:
+            stack = [tree]
+            while stack:
+                node = stack.pop()
+                assert np.isfinite(node.probability)
+                if node.feature is not None:
+                    assert node.threshold == lo
+                    splits += 1
+                    stack += [node.left, node.right]
+        assert splits > 0
+
+
+def per_row_lexsort_scores(model, X: np.ndarray) -> np.ndarray:
+    """kNN scores with one lexsort per query row, ties by training index."""
+    scores = np.empty(len(X))
+    for i, row in enumerate(X):
+        if model.metric == "euclidean":
+            dists = np.sqrt(((row - model.X) ** 2).sum(axis=1))
+        else:
+            dists = np.abs(row - model.X).sum(axis=1)
+        nearest = np.lexsort((np.arange(len(dists)), dists))[: model.k]
+        scores[i] = model.y[nearest].mean()
+    return scores
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_knn_scores_equal_per_row_lexsort(metric):
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 3, size=(40, 3)).astype(float)  # many equal distances
+    y = rng.random(40) < 0.4
+    queries = rng.integers(0, 3, size=(25, 3)).astype(float)
+    for k in (1, 2, 5, 8, 40):
+        model = train(ClassifierSpec(KNN, {"k": k, "metric": metric}), MLDataset(X, y))
+        assert model.predict_score(queries).tolist() == per_row_lexsort_scores(
+            model, queries
+        ).tolist()
 
 
 class TestCrossValidate:
