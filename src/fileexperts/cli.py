@@ -22,12 +22,13 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, expertise, ml, stats, study
+from . import __version__, expertise, languages, ml, stats, study
 from .errors import (
     CorruptHistory,
     FileExpertsError,
     InvalidColumnMap,
     InvalidReferenceTime,
+    InvalidRepoMetrics,
     UnreadableAliasMap,
 )
 from .features import (
@@ -190,7 +191,7 @@ def _options_key(args, tip: str) -> str:
     that computes the features."""
     alias_map = _read_alias_map(args.alias_map) or []
     language_config = (
-        hashlib.sha256(Path(args.language_config).read_bytes()).hexdigest()
+        hashlib.sha256(languages.read_language_table(args.language_config)).hexdigest()
         if args.language_config
         else None
     )
@@ -312,11 +313,7 @@ def _cmd_rank(args) -> int:
             + "\n"
         )
         return 1
-    experts = (
-        {(s.developer, s.file) for s in scores} & expertise.classify(scores, args.k)
-        if args.k is not None
-        else set()
-    )
+    experts = expertise.classify(scores, args.k) if args.k is not None else set()
     developers = table.developers()
     header = ["rank", "developer", "display_name", "raw", "normalized"]
     if args.k is not None:
@@ -419,17 +416,26 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_filter_corpus(args) -> int:
+    path = args.metrics_csv
     metrics = []
-    with open(args.metrics_csv, newline="", encoding="utf-8") as handle:
-        for record in csv.DictReader(handle):
-            metrics.append(
-                study.RepoMetrics(
-                    repo=record["repo"],
-                    commits=int(record["commits"]),
-                    files=int(record["files"]),
-                    developers=int(record["developers"]),
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            for record in reader:
+                metrics.append(
+                    study.RepoMetrics(
+                        repo=record["repo"],
+                        commits=int(record["commits"]),
+                        files=int(record["files"]),
+                        developers=int(record["developers"]),
+                    )
                 )
-            )
+    except OSError as exc:
+        raise InvalidRepoMetrics(f"cannot read metrics CSV {path}: {exc.strerror}") from None
+    except KeyError as exc:
+        raise InvalidRepoMetrics(f"metrics CSV {path} lacks column {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidRepoMetrics(f"metrics CSV {path} line {reader.line_num}: {exc}") from None
     included = study.quartile_filter(metrics)
     _emit_csv(args, ["repo"], [[m.repo] for m in metrics if m.repo in included])
     return 0

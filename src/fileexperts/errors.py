@@ -46,7 +46,7 @@ class CorruptFeatureTable(FileExpertsError):
 
 
 class InvalidLanguageConfig(FileExpertsError):
-    """A language table is not JSON or lacks a required key."""
+    """A language table cannot be read, is not JSON or lacks a required key."""
 
 
 # -- expertise scoring -------------------------------------------------------
@@ -65,6 +65,10 @@ class EmptyOracle(FileExpertsError):
 
 class TooFewSamples(FileExpertsError):
     """Not enough samples for the requested folds or statistic."""
+
+
+class InvalidCount(FileExpertsError, ValueError):
+    """A fold count or a per-developer file cap is below its minimum."""
 
 
 # -- machine learning --------------------------------------------------------
@@ -96,7 +100,11 @@ class InvalidKnowledgeValue(FileExpertsError):
 
 
 class InvalidGroundTruth(FileExpertsError):
-    """A ground-truth CSV lacks a required column or has a short row."""
+    """A ground-truth CSV is unreadable, lacks a column or has a short row."""
+
+
+class InvalidRepoMetrics(FileExpertsError):
+    """A corpus metrics CSV is unreadable, lacks a column or has a bad count."""
 
 
 # -- command-line input ------------------------------------------------------

@@ -16,15 +16,11 @@ import io
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    EmptyOracle,
-    InvalidThreshold,
-    NegativeInput,
-    TooFewSamples,
-    UnscoredOraclePair,
-)
+import numpy as np
+
+from .errors import EmptyOracle, InvalidThreshold, NegativeInput, UnscoredOraclePair
 from .features import FeatureTable
-from .validation import binary_prf, stratified_folds
+from .validation import mean_prf, prf, stratified_folds
 
 DOA = "doa"
 BLAME = "blame"
@@ -129,6 +125,12 @@ def technique_scores(table: FeatureTable, technique: str) -> list[ExpertiseScore
     return scores
 
 
+def _is_expert(normalized, k: float):
+    """The threshold rule, on one normalized score or an array of them:
+    strictly positive at k = 0, at least k otherwise."""
+    return normalized > 0.0 if k == 0.0 else normalized >= k
+
+
 def classify(scores: list[ExpertiseScore], k: float) -> set[Pair]:
     """Pairs classified as experts at threshold k.
 
@@ -137,36 +139,35 @@ def classify(scores: list[ExpertiseScore], k: float) -> set[Pair]:
     """
     if not 0.0 <= k <= 1.0:
         raise InvalidThreshold(f"k={k} outside [0, 1]")
-    if k == 0.0:
-        return {(s.developer, s.file) for s in scores if s.normalized > 0.0}
-    return {(s.developer, s.file) for s in scores if s.normalized >= k}
+    return {(s.developer, s.file) for s in scores if _is_expert(s.normalized, k)}
+
+
+def _labeled(oracle: OracleSets, scored=None) -> tuple[list[Pair], np.ndarray]:
+    """The sorted labeled pairs and their expert labels, once the oracle
+    declares an expert and every labeled pair is among ``scored``, if given."""
+    if not oracle.declared_experts:
+        raise EmptyOracle("no declared experts; recall is undefined")
+    missing = oracle.labeled.difference(scored) if scored is not None else ()
+    if missing:
+        raise UnscoredOraclePair(
+            f"{len(missing)} labeled pairs have no score, e.g. {sorted(missing)[:3]}"
+        )
+    labeled = sorted(oracle.labeled)
+    return labeled, np.array([pair in oracle.declared_experts for pair in labeled])
 
 
 def evaluate(
-    predicted: set[Pair],
-    oracle: OracleSets,
-    k: float | None = None,
-    scored: set[Pair] | None = None,
+    predicted: set[Pair], oracle: OracleSets, scored: set[Pair] | None = None
 ) -> tuple[float, float, float]:
     """Precision, recall and F-measure of a predicted expert set.
 
-    Precision is computed over the predicted pairs that carry a label;
-    unlabeled predictions cannot be judged. When the set of scored pairs is
-    supplied, labeled pairs without a score raise UnscoredOraclePair.
+    Only labeled pairs are scored, so precision is over the predicted pairs
+    that carry a label; unlabeled predictions cannot be judged. When the set
+    of scored pairs is supplied, labeled pairs without a score raise
+    UnscoredOraclePair.
     """
-    if not oracle.declared_experts:
-        raise EmptyOracle("no declared experts; recall is undefined")
-    if scored is not None:
-        missing = oracle.labeled - scored
-        if missing:
-            raise UnscoredOraclePair(
-                f"{len(missing)} labeled pairs have no score, e.g. {sorted(missing)[:3]}"
-            )
-    labeled_predicted = predicted & oracle.labeled
-    tp = len(labeled_predicted & oracle.declared_experts)
-    fp = len(labeled_predicted) - tp
-    fn = len(oracle.declared_experts) - tp
-    return binary_prf(tp, fp, fn)
+    labeled, actual = _labeled(oracle, scored)
+    return prf(np.array([pair in predicted for pair in labeled]), actual)
 
 
 def calibrate(
@@ -177,47 +178,25 @@ def calibrate(
 ) -> ThresholdCurve:
     """Sweep the 11-step threshold grid with stratified cross-validation.
 
-    Labeled pairs are split into seeded folds stratified by the expert
-    label; each threshold's precision, recall and F-measure are averaged
-    over the held-out folds. best_k maximizes mean F-measure, with ties
-    broken toward the smallest k.
+    The sorted labeled pairs are split into seeded folds stratified by the
+    expert label, exactly as ``ml.cross_validate`` splits the same pairs;
+    each threshold's precision, recall and F-measure are ``validation.prf``
+    on each held-out fold, averaged by ``validation.mean_prf``. best_k
+    maximizes mean F-measure, with ties broken toward the smallest k.
     """
-    if not oracle.declared_experts:
-        raise EmptyOracle("no declared experts; calibration is undefined")
     score_map = {(s.developer, s.file): s.normalized for s in scores}
-    missing = oracle.labeled - set(score_map)
-    if missing:
-        raise UnscoredOraclePair(
-            f"{len(missing)} labeled pairs have no score, e.g. {sorted(missing)[:3]}"
-        )
-    labeled = sorted(oracle.labeled)
-    if len(labeled) < folds:
-        raise TooFewSamples(f"{len(labeled)} labeled pairs < {folds} folds")
-    fold_indices = stratified_folds(
-        [pair in oracle.declared_experts for pair in labeled], folds, seed
-    )
+    labeled, actual = _labeled(oracle, score_map)
+    normalized = np.array([score_map[pair] for pair in labeled])
+    fold_indices = stratified_folds(actual, folds, seed)
     technique = scores[0].technique if scores else ""
 
     points = []
     for k in THRESHOLD_GRID:
-        predicted = classify(scores, k)
-        fold_metrics = []
-        for idx in fold_indices:
-            fold_pairs = {labeled[i] for i in idx}
-            experts = fold_pairs & oracle.declared_experts
-            predicted_fold = predicted & fold_pairs
-            tp = len(predicted_fold & experts)
-            fold_metrics.append(
-                binary_prf(tp, len(predicted_fold) - tp, len(experts) - tp)
-            )
-        points.append(
-            ThresholdPoint(
-                k=k,
-                precision=sum(m[0] for m in fold_metrics) / folds,
-                recall=sum(m[1] for m in fold_metrics) / folds,
-                f_measure=sum(m[2] for m in fold_metrics) / folds,
-            )
+        predicted = _is_expert(normalized, k)
+        precision, recall, f_measure = mean_prf(
+            [prf(predicted[idx], actual[idx]) for idx in fold_indices]
         )
+        points.append(ThresholdPoint(k, precision, recall, f_measure))
     best = max(points, key=lambda p: (p.f_measure, -p.k))
     return ThresholdCurve(technique=technique, points=tuple(points), best_k=best.k)
 

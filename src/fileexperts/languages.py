@@ -57,18 +57,26 @@ class LanguageConfig:
             raise UnknownLanguage(f"no configuration for language {language!r}")
 
 
+def read_language_table(path: str | Path) -> bytes:
+    """A language table's bytes; InvalidLanguageConfig if it cannot be read."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise InvalidLanguageConfig(f"cannot read language table {path}: {exc.strerror}") from None
+
+
 def load_language_config(path: str | Path | None = None) -> LanguageConfig:
     """Load a language table from JSON, defaulting to the bundled one.
 
     The JSON maps language name to an object with keys ``extensions``,
     ``conditional_keywords``, ``count_ternary``, ``line_comments``, and
-    ``string_quotes``; the first two are required. Raises
-    InvalidLanguageConfig when the text is not JSON of that shape.
+    ``string_quotes``; the first two are required. Raises InvalidLanguageConfig
+    when the file is unreadable or not UTF-8 JSON of that shape.
     """
     if path is None:
-        raw = resources.files("fileexperts").joinpath("data/languages.json").read_text("utf-8")
+        raw = resources.files("fileexperts").joinpath("data/languages.json").read_bytes()
     else:
-        raw = Path(path).read_text("utf-8")
+        raw = read_language_table(path)
     try:
         languages = {
             name: LanguageSpec(
@@ -79,7 +87,7 @@ def load_language_config(path: str | Path | None = None) -> LanguageConfig:
                 line_comments=tuple(entry.get("line_comments", ())),
                 string_quotes=tuple(entry.get("string_quotes", ('"', "'"))),
             )
-            for name, entry in json.loads(raw).items()
+            for name, entry in json.loads(raw.decode("utf-8")).items()
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)

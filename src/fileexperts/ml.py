@@ -7,11 +7,11 @@ per-split feature subsampling. Each tree sorts every feature once and
 scores its nodes in plain float arithmetic, which is exact and, at the
 dozen rows of a typical node, cheaper than per-node numpy calls.
 Evaluation runs seeded, stratified 10-fold cross-validation with the
-expert class as positive; standardization is fit on each training split
-only.
+expert class as positive, scored by the shared ``validation.prf``;
+standardization is fit on each training split only.
 
-The feature layout follows the study design: [adds, fa, size, num_days],
-where fa is binary and left unscaled.
+The feature layout follows the study design, ML_FEATURE_NAMES:
+[adds, fa, size, num_days], where fa is binary and left unscaled.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import SingleClassData, TooFewSamples, ZeroVarianceWarning
-from .validation import binary_prf, stratified_folds
+from .validation import mean_prf, prf, stratified_folds
 
 KNN = "knn"
 LOGISTIC_REGRESSION = "logistic_regression"
@@ -33,7 +33,7 @@ RANDOM_FOREST = "random_forest"
 KINDS = (KNN, LOGISTIC_REGRESSION, RANDOM_FOREST)
 
 ML_FEATURE_NAMES = ("adds", "fa", "size", "num_days")
-_BINARY_COLUMNS = (1,)  # fa
+_BINARY_COLUMNS = (ML_FEATURE_NAMES.index("fa"),)
 
 DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
     KNN: {"k": 5, "metric": "euclidean"},
@@ -128,11 +128,11 @@ class Scaler:
         return (np.asarray(X, dtype=float) - self.mean) / self.scale
 
 
-def fit_scaler(dataset: MLDataset, binary_columns: Sequence[int] = _BINARY_COLUMNS) -> Scaler:
+def fit_scaler(dataset: MLDataset) -> Scaler:
     """Zero-mean unit-variance parameters for the continuous columns.
 
-    Binary columns pass through untouched. A constant continuous column is
-    passed through unscaled with a ZeroVarianceWarning.
+    The binary fa column passes through untouched. A constant continuous
+    column is passed through unscaled with a ZeroVarianceWarning.
     """
     if len(dataset) == 0:
         raise TooFewSamples("cannot standardize an empty dataset")
@@ -140,7 +140,7 @@ def fit_scaler(dataset: MLDataset, binary_columns: Sequence[int] = _BINARY_COLUM
     mean = X.mean(axis=0)
     scale = X.std(axis=0)  # population std
     for col in range(X.shape[1]):
-        if col in binary_columns:
+        if col in _BINARY_COLUMNS:
             mean[col], scale[col] = 0.0, 1.0
         elif scale[col] == 0.0:
             name = (
@@ -153,11 +153,9 @@ def fit_scaler(dataset: MLDataset, binary_columns: Sequence[int] = _BINARY_COLUM
     return Scaler(mean=mean, scale=scale)
 
 
-def standardize(
-    dataset: MLDataset, binary_columns: Sequence[int] = _BINARY_COLUMNS
-) -> tuple[MLDataset, Scaler]:
+def standardize(dataset: MLDataset) -> tuple[MLDataset, Scaler]:
     """Standardized copy of the dataset plus the fitted parameters."""
-    scaler = fit_scaler(dataset, binary_columns)
+    scaler = fit_scaler(dataset)
     return (
         MLDataset(
             features=scaler.transform(dataset.features),
@@ -417,13 +415,13 @@ def cross_validate(
     """Stratified seeded k-fold evaluation with expert as the positive class.
 
     Standardization is fitted on each training split and applied to the
-    held-out split, so no information leaks across the boundary.
+    held-out split, so no information leaks across the boundary. Each fold
+    is scored by ``validation.prf`` and the folds are averaged by
+    ``validation.mean_prf``, the scorer ``expertise.calibrate`` uses too.
     """
-    if len(dataset) < folds:
-        raise TooFewSamples(f"{len(dataset)} rows < {folds} folds")
+    fold_indices = stratified_folds(dataset.labels, folds, seed)
     if dataset.labels.all() or not dataset.labels.any():
         raise SingleClassData("cross-validation needs both classes")
-    fold_indices = stratified_folds(dataset.labels, folds, seed)
     all_indices = np.arange(len(dataset))
     per_fold = []
     for fold_number, test_idx in enumerate(fold_indices):
@@ -432,18 +430,8 @@ def cross_validate(
         scaled_train, scaler = standardize(train_set)
         model = train(spec, scaled_train, seed=[seed, fold_number])
         predictions = model.predict(scaler.transform(dataset.features[test_idx]))
-        actual = dataset.labels[test_idx]
-        tp = int((predictions & actual).sum())
-        fp = int((predictions & ~actual).sum())
-        fn = int((~predictions & actual).sum())
-        per_fold.append(binary_prf(tp, fp, fn))
-    return CVReport(
-        spec=spec,
-        per_fold=tuple(per_fold),
-        mean_precision=sum(m[0] for m in per_fold) / folds,
-        mean_recall=sum(m[1] for m in per_fold) / folds,
-        mean_f=sum(m[2] for m in per_fold) / folds,
-    )
+        per_fold.append(prf(predictions, dataset.labels[test_idx]))
+    return CVReport(spec, tuple(per_fold), *mean_prf(per_fold))
 
 
 def grid_search(

@@ -11,11 +11,11 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import InvalidGroundTruth, InvalidKnowledgeValue, TooFewRepos
+from .errors import InvalidCount, InvalidGroundTruth, InvalidKnowledgeValue, TooFewRepos
 from .expertise import OracleSets
 from .features import FeatureTable
 from .gitlog import ADDITION, CommitHistory
-from .ml import MLDataset
+from .ml import ML_FEATURE_NAMES, MLDataset
 
 GROUND_TRUTH_COLUMNS = ("repo", "developer_email", "file", "knowledge")
 EXPERT_KNOWLEDGE_FLOOR = 4  # declared expert means knowledge > 3
@@ -111,7 +111,7 @@ def generate_sample(
     This keeps each sampled file answerable by its full developer set.
     """
     if file_limit < 1:
-        raise ValueError(f"file_limit must be >= 1, got {file_limit}")
+        raise InvalidCount(f"file_limit must be >= 1, got {file_limit}")
     developers_of: dict[str, set[str]] = {}
     for row in table.rows:
         developers_of.setdefault(row.file, set()).add(row.developer.canonical_key)
@@ -151,34 +151,38 @@ def read_ground_truth_csv(
 
     ``column_map`` adapts external headers, mapping each logical column
     name to the header actually present in the file. Raises
-    InvalidGroundTruth when a column is missing or a row is short.
+    InvalidGroundTruth when the file cannot be read as UTF-8, a column is
+    missing or a row is short.
     """
     column_map = dict(column_map or {})
     names = {logical: column_map.get(logical, logical) for logical in GROUND_TRUTH_COLUMNS}
     entries = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        missing = [c for c in names.values() if reader.fieldnames and c not in reader.fieldnames]
-        if missing:
-            raise InvalidGroundTruth(f"ground-truth CSV {path} lacks columns {missing}")
-        for record in reader:
-            if None in record.values():
-                raise InvalidGroundTruth(
-                    f"ground-truth CSV {path} line {reader.line_num} has too few fields"
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            missing = [c for c in names.values() if reader.fieldnames and c not in reader.fieldnames]
+            if missing:
+                raise InvalidGroundTruth(f"ground-truth CSV {path} lacks columns {missing}")
+            for record in reader:
+                if None in record.values():
+                    raise InvalidGroundTruth(
+                        f"ground-truth CSV {path} line {reader.line_num} has too few fields"
+                    )
+                raw = record[names["knowledge"]].strip()
+                try:
+                    knowledge = int(raw)
+                except ValueError:
+                    raise InvalidKnowledgeValue(f"knowledge {raw!r} is not an integer")
+                entries.append(
+                    GroundTruthEntry(
+                        repo=record[names["repo"]].strip(),
+                        developer=record[names["developer_email"]].strip(),
+                        file=record[names["file"]].strip(),
+                        knowledge=knowledge,
+                    )
                 )
-            raw = record[names["knowledge"]].strip()
-            try:
-                knowledge = int(raw)
-            except ValueError:
-                raise InvalidKnowledgeValue(f"knowledge {raw!r} is not an integer")
-            entries.append(
-                GroundTruthEntry(
-                    repo=record[names["repo"]].strip(),
-                    developer=record[names["developer_email"]].strip(),
-                    file=record[names["file"]].strip(),
-                    knowledge=knowledge,
-                )
-            )
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidGroundTruth(f"cannot read ground-truth CSV {path}: {exc}") from None
     return entries
 
 
@@ -231,17 +235,9 @@ def process_answers(
     non_experts = frozenset(p for p, k in labeled.items() if k < EXPERT_KNOWLEDGE_FLOOR)
     ordered = sorted(labeled)
     features = np.array(
-        [
-            [
-                pair_map[pair].adds,
-                pair_map[pair].fa,
-                pair_map[pair].size,
-                pair_map[pair].num_days,
-            ]
-            for pair in ordered
-        ],
+        [[getattr(pair_map[pair], name) for name in ML_FEATURE_NAMES] for pair in ordered],
         dtype=float,
-    ).reshape(len(ordered), 4)
+    ).reshape(len(ordered), len(ML_FEATURE_NAMES))
     dataset = MLDataset(
         features=features,
         labels=np.array([pair in experts for pair in ordered], dtype=bool),

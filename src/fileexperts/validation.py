@@ -1,10 +1,10 @@
-"""Shared evaluation plumbing: stratified folds and binary metrics."""
+"""Shared evaluation: stratified folds and the one precision/recall/F scorer."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import TooFewSamples
+from .errors import InvalidCount, TooFewSamples
 
 
 def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
@@ -17,7 +17,7 @@ def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
     labels = np.asarray(labels)
     n = len(labels)
     if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
+        raise InvalidCount(f"folds must be >= 2, got {folds}")
     if n < folds:
         raise TooFewSamples(f"{n} samples cannot fill {folds} folds")
     rng = np.random.default_rng(seed)
@@ -30,11 +30,18 @@ def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
     return [np.array(sorted(fold), dtype=int) for fold in assignment]
 
 
-def binary_prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
-    """Precision, recall and F-measure with the 0-denominator convention:
-    a metric with an empty denominator is 0."""
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return precision, recall, 0.0
-    return precision, recall, 2.0 * precision * recall / (precision + recall)
+def prf(predicted: np.ndarray, actual: np.ndarray) -> tuple[float, float, float]:
+    """Precision, recall and F-measure of boolean predictions against
+    boolean labels, True being the expert class. Both families of
+    techniques are scored here. A metric with an empty denominator is 0."""
+    tp = int((predicted & actual).sum())
+    positives, experts = int(predicted.sum()), int(actual.sum())
+    precision = tp / positives if positives else 0.0
+    recall = tp / experts if experts else 0.0
+    f = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f
+
+
+def mean_prf(per_fold) -> tuple[float, float, float]:
+    """Mean precision, recall and F-measure over folds, each summed in fold order."""
+    return tuple(sum(metrics[i] for metrics in per_fold) / len(per_fold) for i in range(3))

@@ -4,7 +4,9 @@ Everything here is deliberately naive and written separately from the
 production code: full-matrix dynamic programming, dictionary bookkeeping,
 and high-precision arithmetic. These oracles follow the same documented
 rules (canonical diff alignment, 40% modification budget, lineage
-resolution) but share no code with the implementations they check.
+resolution, expert-set scoring) but share no code with the implementations
+they check, apart from the fold split that the scoring oracles take as
+given.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
+from fileexperts.errors import EmptyOracle, TooFewSamples, UnscoredOraclePair
+from fileexperts.expertise import THRESHOLD_GRID, ThresholdCurve, ThresholdPoint
 from fileexperts.gitlog import resolve_lineages
+from fileexperts.validation import stratified_folds
 
 getcontext().prec = 50
 
@@ -422,3 +427,83 @@ def numpy_grow_tree(X, y, max_depth, max_features, rng):
         stack.append((node.left, Xn[mask], yn[mask], depth + 1))
         stack.append((node.right, Xn[~mask], yn[~mask], depth + 1))
     return root
+
+
+# -- expert-set scoring, by set algebra over (developer, file) pairs -------------
+
+def counts_prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Precision, recall and F-measure from counts; a metric with an empty
+    denominator is 0."""
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    if precision + recall == 0.0:
+        return precision, recall, 0.0
+    return precision, recall, 2.0 * precision * recall / (precision + recall)
+
+
+def set_classify(scores, k: float) -> set:
+    """Expert pairs at threshold k: normalized > 0 at k = 0, >= k otherwise."""
+    if k == 0.0:
+        return {(s.developer, s.file) for s in scores if s.normalized > 0.0}
+    return {(s.developer, s.file) for s in scores if s.normalized >= k}
+
+
+def set_evaluate(predicted: set, oracle, scored: set | None = None):
+    """Precision over the labeled predictions, recall over the declared
+    experts."""
+    if not oracle.declared_experts:
+        raise EmptyOracle("no declared experts; recall is undefined")
+    if scored is not None:
+        missing = oracle.labeled - scored
+        if missing:
+            raise UnscoredOraclePair(
+                f"{len(missing)} labeled pairs have no score, e.g. {sorted(missing)[:3]}"
+            )
+    labeled_predicted = predicted & oracle.labeled
+    tp = len(labeled_predicted & oracle.declared_experts)
+    fp = len(labeled_predicted) - tp
+    fn = len(oracle.declared_experts) - tp
+    return counts_prf(tp, fp, fn)
+
+
+def set_calibrate(scores, oracle, folds: int = 10, seed: int = 0) -> ThresholdCurve:
+    """The threshold sweep with one set of pairs per fold. The folds come
+    from the library's stratified_folds, so only the scoring is checked."""
+    if not oracle.declared_experts:
+        raise EmptyOracle("no declared experts; calibration is undefined")
+    score_map = {(s.developer, s.file): s.normalized for s in scores}
+    missing = oracle.labeled - set(score_map)
+    if missing:
+        raise UnscoredOraclePair(
+            f"{len(missing)} labeled pairs have no score, e.g. {sorted(missing)[:3]}"
+        )
+    labeled = sorted(oracle.labeled)
+    if len(labeled) < folds:
+        raise TooFewSamples(f"{len(labeled)} labeled pairs < {folds} folds")
+    fold_indices = stratified_folds(
+        [pair in oracle.declared_experts for pair in labeled], folds, seed
+    )
+    technique = scores[0].technique if scores else ""
+
+    points = []
+    for k in THRESHOLD_GRID:
+        predicted = set_classify(scores, k)
+        fold_metrics = []
+        for idx in fold_indices:
+            fold_pairs = {labeled[i] for i in idx}
+            experts = fold_pairs & oracle.declared_experts
+            predicted_fold = predicted & fold_pairs
+            tp = len(predicted_fold & experts)
+            fold_metrics.append(
+                counts_prf(tp, len(predicted_fold) - tp, len(experts) - tp)
+            )
+        points.append(
+            ThresholdPoint(
+                k=k,
+                precision=sum(m[0] for m in fold_metrics) / folds,
+                recall=sum(m[1] for m in fold_metrics) / folds,
+                f_measure=sum(m[2] for m in fold_metrics) / folds,
+            )
+        )
+    best = max(points, key=lambda p: (p.f_measure, -p.k))
+    return ThresholdCurve(technique=technique, points=tuple(points), best_k=best.k)

@@ -549,14 +549,46 @@ def test_truth_csv_without_a_column_is_an_error(cli_repo, tmp_path, capsys):
         (["mine", "--alias-map", "{tmp}/absent.csv"], "errors.UnreadableAliasMap", "absent.csv"),
         (["ingest-truth", "{tmp}/truth.csv", "--column-map", "repo"],
          "errors.InvalidColumnMap", "'repo'"),
+        (["evaluate", "--classifier", "knn", "--truth", "{tmp}/truth.csv", "--folds", "0"],
+         "errors.InvalidCount", "folds must be >= 2, got 0"),
+        (["evaluate", "--classifier", "knn", "--truth", "{tmp}/truth.csv", "--folds", "1"],
+         "errors.InvalidCount", "folds must be >= 2, got 1"),
+        (["calibrate", "--truth", "{tmp}/truth.csv", "--folds", "0"],
+         "errors.InvalidCount", "folds must be >= 2, got 0"),
+        (["calibrate", "--truth", "{tmp}/truth.csv", "--folds", "1"],
+         "errors.InvalidCount", "folds must be >= 2, got 1"),
+        (["calibrate", "--truth", "{tmp}/absent.csv"], "errors.InvalidGroundTruth", "absent.csv"),
+        (["calibrate", "--truth", "{tmp}/latin-1.csv"], "errors.InvalidGroundTruth", "utf-8"),
+        (["mine", "--language-config", "{tmp}/absent.json"],
+         "errors.InvalidLanguageConfig", "absent.json"),
+        (["mine", "--no-cache", "--language-config", "{tmp}/absent.json"],
+         "errors.InvalidLanguageConfig", "absent.json"),
+        (["sample", "--limit", "0"], "errors.InvalidCount", "file_limit must be >= 1"),
+        (["filter-corpus", "{tmp}/absent.csv"], "errors.InvalidRepoMetrics", "absent.csv"),
+        (["filter-corpus", "{tmp}/no-developers.csv"],
+         "errors.InvalidRepoMetrics", "lacks column 'developers'"),
+        (["filter-corpus", "{tmp}/not-integer.csv"], "errors.InvalidRepoMetrics", "line 2"),
     ],
-    ids=["reference-time", "alias-map", "column-map"],
+    ids=["reference-time", "alias-map", "column-map", "evaluate-folds-0", "evaluate-folds-1",
+         "calibrate-folds-0", "calibrate-folds-1", "truth-missing", "truth-not-utf-8",
+         "language-config-missing", "language-config-missing-no-cache", "sample-limit-0",
+         "metrics-missing", "metrics-without-column", "metrics-not-integer"],
 )
 def test_malformed_option_is_an_error(cli_repo, tmp_path, capsys, args, error, named):
-    (tmp_path / "truth.csv").write_text("repo,developer_email,file,knowledge\n")
+    (tmp_path / "truth.csv").write_text(
+        "repo,developer_email,file,knowledge\n"
+        "fixture,ana@x.com,src/f0.py,5\nfixture,bo@y.com,src/f0.py,2\n"
+    )
+    (tmp_path / "latin-1.csv").write_bytes(
+        b"repo,developer_email,file,knowledge\nfixture,caf\xe9@x.com,src/f0.py,5\n"
+    )
+    (tmp_path / "no-developers.csv").write_text("repo,commits,files\nr,1,2\n")
+    (tmp_path / "not-integer.csv").write_text("repo,commits,files,developers\nr,1,2,many\n")
     args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
-    code = main([*args, "--repo", str(cli_repo), "--branch", "main",
-                 "--cache-dir", str(tmp_path / "cache")])
+    if args[0] != "filter-corpus":  # the one command that reads no repository
+        args += ["--repo", str(cli_repo), "--branch", "main",
+                 "--cache-dir", str(tmp_path / "cache")]
+    code = main(args)
     assert code == 1
     (line,) = capsys.readouterr().err.splitlines()
     reported = json.loads(line)

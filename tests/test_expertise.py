@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fileexperts.errors import (
     EmptyOracle,
@@ -26,7 +28,7 @@ from fileexperts.expertise import (
 )
 from fileexperts.features import compute_all
 from conftest import add, make_history, mod
-from oracles import precise_doa
+from oracles import precise_doa, set_calibrate, set_classify, set_evaluate
 
 
 def _blame_scores(values: dict[str, float], file: str = "f.py") -> list[ExpertiseScore]:
@@ -338,3 +340,53 @@ class TestCalibrate:
         lines = threshold_curve_to_csv(curve).splitlines()
         assert lines[0] == "k,precision,recall,f_measure"
         assert len(lines) == 12
+
+
+@st.composite
+def scored_oracles(draw):
+    """Per-file normalized scores from small raw counts, so ties, zeros,
+    all-zero files and scores exactly on a threshold all occur, with each
+    scored pair an expert, a non-expert or unlabeled."""
+    scores, experts, non_experts = [], set(), set()
+    for f in range(draw(st.integers(1, 8))):
+        raws = draw(st.lists(st.integers(0, 10), min_size=1, max_size=6))
+        values = {f"d{i}": float(raw) for i, raw in enumerate(raws)}
+        file_scores = _blame_scores(values, f"f{f}.py")
+        for score in file_scores:
+            label = draw(st.sampled_from(["expert", "non_expert", "unlabeled"]))
+            pair = (score.developer, score.file)
+            if label == "expert":
+                experts.add(pair)
+            elif label == "non_expert":
+                non_experts.add(pair)
+        scores += file_scores
+    oracle = OracleSets(
+        declared_experts=frozenset(experts), declared_non_experts=frozenset(non_experts)
+    )
+    return scores, oracle
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_oracles(), st.integers(2, 10), st.integers(0, 50), st.sampled_from(range(11)))
+def test_scoring_equals_set_algebra_oracle(scored, folds, seed, tenths):
+    scores, oracle = scored
+    k = tenths / 10
+    assert classify(scores, k) == set_classify(scores, k)
+    predicted = classify(scores, k) | {("unscored", "f0.py")}
+    scored_pairs = {(s.developer, s.file) for s in scores}
+    if not oracle.declared_experts:
+        with pytest.raises(EmptyOracle, match="recall is undefined"):
+            evaluate(predicted, oracle)
+        with pytest.raises(EmptyOracle, match="recall is undefined"):
+            calibrate(scores, oracle, folds=folds, seed=seed)
+        return
+    assert evaluate(predicted, oracle, scored=scored_pairs) == set_evaluate(
+        predicted, oracle, scored_pairs
+    )
+    if len(oracle.labeled) < folds:
+        with pytest.raises(TooFewSamples):
+            calibrate(scores, oracle, folds=folds, seed=seed)
+        return
+    assert calibrate(scores, oracle, folds=folds, seed=seed) == set_calibrate(
+        scores, oracle, folds=folds, seed=seed
+    )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import numpy_grow_tree
+from oracles import counts_prf, numpy_grow_tree
 
 from fileexperts.errors import SingleClassData, TooFewSamples, ZeroVarianceWarning
 from fileexperts.ml import (
@@ -23,7 +23,7 @@ from fileexperts.ml import (
     standardize,
     train,
 )
-from fileexperts.validation import stratified_folds
+from fileexperts.validation import prf, stratified_folds
 
 
 def separable_dataset(n: int = 200, seed: int = 42) -> MLDataset:
@@ -265,6 +265,18 @@ class TestCrossValidate:
         for fold in folds:
             experts = data.labels[fold].sum()
             assert abs(experts - global_fraction * len(fold)) <= 1
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.booleans(), st.booleans()), max_size=30), st.booleans())
+    def test_prf_equals_counting(self, pairs, none_predicted):
+        predicted = [p and not none_predicted for p, _a in pairs]
+        actual = [a for _p, a in pairs]
+        tp = sum(p and a for p, a in zip(predicted, actual))
+        fp = sum(p and not a for p, a in zip(predicted, actual))
+        fn = sum(a and not p for p, a in zip(predicted, actual))
+        assert prf(np.array(predicted, dtype=bool), np.array(actual, dtype=bool)) == counts_prf(
+            tp, fp, fn
+        )
 
     @pytest.mark.parametrize("kind", [KNN, LOGISTIC_REGRESSION, RANDOM_FOREST])
     def test_separable_scores_high(self, kind):

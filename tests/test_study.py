@@ -10,6 +10,7 @@ from fileexperts.features import compute_all
 from fileexperts.fixtures import random_repo
 from fileexperts.gitlog import extract_history, filter_source_files
 from fileexperts.identities import canonicalize_history
+from fileexperts.ml import ML_FEATURE_NAMES
 from fileexperts.study import (
     GroundTruthEntry,
     RepoMetrics,
@@ -262,6 +263,28 @@ class TestGroundTruth:
         assert len(processed.dataset) == 2
         # ML features are [adds, fa, size, num_days]
         assert processed.dataset.features.shape == (2, 4)
+
+    def test_process_answers_columns_follow_ml_feature_names(self):
+        history = make_history(
+            [
+                ("d1@x.com", 0, [add("a.py", "x = 1\ny = 2\n")]),
+                ("d2@y.com", 3, [mod("a.py", "x = 1\ny = 2\n", "x = 1\ny = 2\n"
+                                     + "".join(f"z{i} = {i}\n" for i in range(5)))]),
+            ]
+        )
+        table = compute_all(history)
+        entries = [
+            GroundTruthEntry("r", "d1@x.com", "a.py", 5),
+            GroundTruthEntry("r", "d2@y.com", "a.py", 2),
+        ]
+        dataset = process_answers(entries, table).dataset
+        assert dataset.feature_names == ML_FEATURE_NAMES == ("adds", "fa", "size", "num_days")
+        pair_map = table.pair_map()
+        assert dataset.features.tolist() == [
+            [getattr(pair_map[pair], name) for name in ML_FEATURE_NAMES]
+            for pair in zip(dataset.developers, dataset.files)
+        ]
+        assert dataset.features.tolist() == [[2, 1, 7, 3], [5, 0, 7, 0]]
 
     def test_disjoint_union_covers_valid_entries(self):
         history = make_history(
