@@ -6,7 +6,12 @@ cached per repository tip and option set (the feature CSV plus the meta
 line of the cached history NDJSON), so ranking twice does not re-mine.
 ``_table`` alone reads and writes the cache; no command reads the cached
 commits. All randomness flows from --seed. Domain errors exit nonzero with
-one machine-readable JSON object on stderr.
+one machine-readable JSON object on stderr, written by ``main`` alone.
+
+Each command imports only the modules it runs: ``ml``, ``stats`` and
+``study`` are imported inside the commands that use them, so ``mine``,
+``features`` and ``rank``, which compute nothing with numpy, never load
+numpy or scipy.
 """
 
 from __future__ import annotations
@@ -22,13 +27,14 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, expertise, languages, ml, stats, study
+from . import __version__, expertise, languages
 from .errors import (
     CorruptHistory,
     FileExpertsError,
     InvalidColumnMap,
     InvalidReferenceTime,
     InvalidRepoMetrics,
+    NoScores,
     UnreadableAliasMap,
 )
 from .features import (
@@ -50,6 +56,7 @@ from .gitlog import (
     save_history,
 )
 from .identities import DEFAULT_ALIAS_THRESHOLD, canonicalize_history
+from .kinds import KINDS
 from .languages import DEFAULT_VENDOR_GLOBS, default_language_config, load_language_config
 
 logger = logging.getLogger(__name__)
@@ -98,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--folds", type=int, default=10)
 
     p_eval = sub.add_parser("evaluate", help="cross-validate an ML classifier")
-    p_eval.add_argument("--classifier", choices=ml.KINDS, required=True)
+    p_eval.add_argument("--classifier", choices=KINDS, required=True)
     p_eval.add_argument("--truth", required=True)
     p_eval.add_argument("--folds", type=int, default=10)
     p_eval.add_argument(
@@ -283,6 +290,8 @@ def _warn_unresolved(unresolved) -> None:
 
 
 def _truth_inputs(args, table: FeatureTable):
+    from . import study
+
     entries = study.read_ground_truth_csv(args.truth)
     processed = study.process_answers(entries, table)
     _warn_unresolved(processed.unresolved)
@@ -308,11 +317,7 @@ def _cmd_rank(args) -> int:
         if s.file == args.file
     ]
     if not scores:
-        sys.stderr.write(
-            json.dumps({"error": "cli.NoScores", "message": f"no developers for {args.file!r}"})
-            + "\n"
-        )
-        return 1
+        raise NoScores(f"no developers for {args.file!r}")
     experts = expertise.classify(scores, args.k) if args.k is not None else set()
     developers = table.developers()
     header = ["rank", "developer", "display_name", "raw", "normalized"]
@@ -354,6 +359,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import ml
+
     table = _table(args)
     processed = _truth_inputs(args, table)
     if args.grid == "default":
@@ -383,6 +390,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
+    from . import stats, study
+
     table = _table(args)
     entries = study.read_ground_truth_csv(args.truth)
     knowledge, unresolved = study.knowledge_map(entries, table)
@@ -410,12 +419,16 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from . import study
+
     pairs = study.generate_sample(_table(args), file_limit=args.limit, seed=args.seed)
     _emit(args, study.sample_to_csv(pairs))
     return 0
 
 
 def _cmd_filter_corpus(args) -> int:
+    from . import study
+
     path = args.metrics_csv
     metrics = []
     try:
@@ -454,6 +467,8 @@ def _parse_column_map(value: str | None) -> dict[str, str] | None:
 
 
 def _cmd_ingest_truth(args) -> int:
+    from . import study
+
     column_map = _parse_column_map(args.column_map)
     entries = study.read_ground_truth_csv(args.truth_csv, column_map=column_map)
     processed = study.process_answers(entries, _table(args))

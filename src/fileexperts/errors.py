@@ -119,3 +119,7 @@ class UnreadableAliasMap(FileExpertsError):
 
 class InvalidColumnMap(FileExpertsError):
     """A --column-map item is not of the form logical=actual."""
+
+
+class NoScores(FileExpertsError):
+    """No developer has a score for the file asked about."""

@@ -7,6 +7,10 @@ commits), surviving blame lines, and commit counts. Raw scores are
 normalized per file by the maximum among that file's developers, and a
 developer is classified as an expert when the normalized score reaches a
 threshold k (strictly above zero when k = 0).
+
+Scoring and classification are plain Python. Only the scorers against
+ground truth, ``evaluate`` and ``calibrate``, import numpy and
+``validation``, so ranking a file never loads numpy.
 """
 
 from __future__ import annotations
@@ -15,12 +19,13 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import EmptyOracle, InvalidThreshold, NegativeInput, UnscoredOraclePair
 from .features import FeatureTable
-from .validation import mean_prf, prf, stratified_folds
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DOA = "doa"
 BLAME = "blame"
@@ -145,6 +150,8 @@ def classify(scores: list[ExpertiseScore], k: float) -> set[Pair]:
 def _labeled(oracle: OracleSets, scored=None) -> tuple[list[Pair], np.ndarray]:
     """The sorted labeled pairs and their expert labels, once the oracle
     declares an expert and every labeled pair is among ``scored``, if given."""
+    import numpy as np
+
     if not oracle.declared_experts:
         raise EmptyOracle("no declared experts; recall is undefined")
     missing = oracle.labeled.difference(scored) if scored is not None else ()
@@ -166,6 +173,10 @@ def evaluate(
     of scored pairs is supplied, labeled pairs without a score raise
     UnscoredOraclePair.
     """
+    import numpy as np
+
+    from .validation import prf
+
     labeled, actual = _labeled(oracle, scored)
     return prf(np.array([pair in predicted for pair in labeled]), actual)
 
@@ -184,6 +195,10 @@ def calibrate(
     on each held-out fold, averaged by ``validation.mean_prf``. best_k
     maximizes mean F-measure, with ties broken toward the smallest k.
     """
+    import numpy as np
+
+    from .validation import mean_prf, prf, stratified_folds
+
     score_map = {(s.developer, s.file): s.normalized for s in scores}
     labeled, actual = _labeled(oracle, score_map)
     normalized = np.array([score_map[pair] for pair in labeled])

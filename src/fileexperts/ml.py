@@ -25,12 +25,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import SingleClassData, TooFewSamples, ZeroVarianceWarning
+from .kinds import KINDS, KNN, LOGISTIC_REGRESSION, RANDOM_FOREST
 from .validation import mean_prf, prf, stratified_folds
-
-KNN = "knn"
-LOGISTIC_REGRESSION = "logistic_regression"
-RANDOM_FOREST = "random_forest"
-KINDS = (KNN, LOGISTIC_REGRESSION, RANDOM_FOREST)
 
 ML_FEATURE_NAMES = ("adds", "fa", "size", "num_days")
 _BINARY_COLUMNS = (ML_FEATURE_NAMES.index("fa"),)

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import fileexperts
 from fileexperts.cli import main
 from fileexperts.fixtures import RepoBuilder
 
@@ -568,11 +573,13 @@ def test_truth_csv_without_a_column_is_an_error(cli_repo, tmp_path, capsys):
         (["filter-corpus", "{tmp}/no-developers.csv"],
          "errors.InvalidRepoMetrics", "lacks column 'developers'"),
         (["filter-corpus", "{tmp}/not-integer.csv"], "errors.InvalidRepoMetrics", "line 2"),
+        (["rank", "--technique", "doa", "--file", "src/absent.py"],
+         "errors.NoScores", "'src/absent.py'"),
     ],
     ids=["reference-time", "alias-map", "column-map", "evaluate-folds-0", "evaluate-folds-1",
          "calibrate-folds-0", "calibrate-folds-1", "truth-missing", "truth-not-utf-8",
          "language-config-missing", "language-config-missing-no-cache", "sample-limit-0",
-         "metrics-missing", "metrics-without-column", "metrics-not-integer"],
+         "metrics-missing", "metrics-without-column", "metrics-not-integer", "rank-no-scores"],
 )
 def test_malformed_option_is_an_error(cli_repo, tmp_path, capsys, args, error, named):
     (tmp_path / "truth.csv").write_text(
@@ -654,3 +661,32 @@ def test_options_a_command_ignores_are_rejected(argv, capsys):
         main(argv)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_mine_features_and_rank_leave_numpy_and_scipy_unloaded(cli_repo, tmp_path):
+    """mine, features and rank compute nothing with numpy, so neither a cold
+    nor a warm run of them, in any output format, imports numpy or scipy."""
+    probe = """
+import sys
+from fileexperts.cli import main
+
+repo, tmp = sys.argv[1:]
+rank = ["rank", "--technique", "doa", "--file", "src/f0.py"]
+for args, cache in [
+    (["mine"], "mined"),
+    (["features"], "mined"),
+    (rank, "ranked"),
+    (rank + ["--k", "0.5"], "ranked"),
+    (rank + ["--format", "json"], "ranked"),
+]:
+    code = main(args + ["--repo", repo, "--branch", "main",
+                        "--cache-dir", f"{tmp}/{cache}", "--out", f"{tmp}/out"])
+    loaded = [name for name in ("numpy", "scipy") if name in sys.modules]
+    print(args[0], code, loaded)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(fileexperts.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe, str(cli_repo), str(tmp_path)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines() == [
+        "mine 0 []", "features 0 []", "rank 0 []", "rank 0 []", "rank 0 []"
+    ]

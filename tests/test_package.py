@@ -1,0 +1,78 @@
+"""The package namespace: every public name, loaded on first use."""
+
+import os
+import subprocess
+import sys
+import types
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import fileexperts
+
+PUBLIC = [
+    "BLAME", "BlameState", "CVReport", "ChangeStats", "ClassifierSpec", "CommitHistory",
+    "CommitRecord", "CorrelationResult", "DOA", "DeveloperId", "DiffHunk", "ExpertiseScore",
+    "FeatureTable", "FeatureVector", "FileChangeEvent", "FileExpertsError", "GroundTruthEntry",
+    "MLDataset", "NUM_COMMITS", "OracleSets", "RawIdentity", "RepoMetrics", "TECHNIQUES",
+    "ThresholdCurve", "apply_hunks", "calibrate", "canonicalize_history", "classify",
+    "classify_changes", "compute_all", "compute_features", "correlation_matrix",
+    "count_conditionals", "cross_validate", "detect_bulk_import", "developer_ids", "diffs",
+    "doa", "errors", "evaluate", "expertise", "extract_history", "feature_table_to_csv",
+    "features", "fileio", "filter_source_files", "generate_sample", "gitlog", "grid_search",
+    "identities", "knowledge_correlations", "languages", "levenshtein", "line_diff",
+    "load_history", "ml", "process_answers", "quartile_filter", "read_feature_csv",
+    "read_ground_truth_csv", "replay_blame", "resolve_identities", "resolve_lineages",
+    "save_history", "spearman", "spearman_permutation_p", "standardize", "stats", "study",
+    "technique_scores", "train", "validation", "write_feature_csv",
+]
+
+SUBMODULES = {"diffs", "errors", "expertise", "features", "fileio", "gitlog", "identities",
+              "languages", "ml", "stats", "study", "validation"}
+
+
+def _fresh_python(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(Path(fileexperts.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    return out.stdout.strip()
+
+
+def test_all_is_the_pinned_public_names():
+    assert len(PUBLIC) == 73
+    assert fileexperts.__all__ == PUBLIC
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_each_name_is_its_defining_module_attribute(name):
+    value = getattr(fileexperts, name)
+    if name in SUBMODULES:
+        assert value is import_module(f"fileexperts.{name}")
+        return
+    owner = import_module(f"fileexperts.{fileexperts._ORIGIN[name]}")
+    assert value is getattr(owner, name)
+    if isinstance(value, (type, types.FunctionType)):
+        assert value.__module__ == owner.__name__
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from fileexperts import *", namespace)
+    assert set(PUBLIC) <= namespace.keys()
+    assert namespace["compute_all"] is fileexperts.compute_all
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fileexperts.no_such_name
+    assert not hasattr(fileexperts, "no_such_name")
+    assert hasattr(fileexperts, "compute_all")
+
+
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC) <= set(dir(fileexperts))
+
+
+def test_bare_import_loads_no_numpy():
+    assert _fresh_python("import sys, fileexperts; print('numpy' in sys.modules)") == "False"

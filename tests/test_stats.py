@@ -304,12 +304,13 @@ def test_knowledge_correlations_permutation_p_equals_loop_oracle():
 
 def test_cli_import_leaves_scipy_unloaded():
     """Only spearman needs scipy, so mine, rank, calibrate and evaluate
-    never pay for importing it."""
+    never pay for importing it; and the commands that compute with numpy
+    import it themselves, so the CLI module loads neither."""
     env = dict(os.environ, PYTHONPATH=str(Path(fileexperts.__file__).parents[1]))
-    probe = "import sys, fileexperts.cli; print('scipy' in sys.modules)"
+    probe = "import sys, fileexperts.cli; print('scipy' in sys.modules, 'numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_spearman_leaves_scipy_stats_unloaded():
