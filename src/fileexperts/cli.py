@@ -6,7 +6,9 @@ cached per repository tip and option set (the feature CSV plus the meta
 line of the cached history NDJSON), so ranking twice does not re-mine.
 ``_table`` alone reads and writes the cache; no command reads the cached
 commits. All randomness flows from --seed. Domain errors exit nonzero with
-one machine-readable JSON object on stderr, written by ``main`` alone.
+one machine-readable JSON object on stderr, written by ``main`` alone, and
+each distinct library warning a command raises becomes one JSON line there,
+written by ``_warn``.
 
 Each command imports only the modules it runs: ``ml``, ``stats`` and
 ``study`` are imported inside the commands that use them, so ``mine``,
@@ -22,15 +24,19 @@ import hashlib
 import io
 import json
 import logging
+import os
 import sys
+import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, expertise, languages
 from .errors import (
+    CorruptFeatureTable,
     CorruptHistory,
     FileExpertsError,
+    FileExpertsWarning,
     InvalidColumnMap,
     InvalidReferenceTime,
     InvalidRepoMetrics,
@@ -60,6 +66,20 @@ from .kinds import KINDS
 from .languages import DEFAULT_VENDOR_GLOBS, default_language_config, load_language_config
 
 logger = logging.getLogger(__name__)
+
+# Bumped whenever the cached files change shape, so a cache written by older
+# code is re-mined rather than misread. 2: the meta line records the number
+# of feature rows.
+_CACHE_FORMAT = 2
+_FEATURE_ROWS = "feature_rows"
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which ``evaluate`` uses as its
+    worker count; a CPU quota set by a cgroup is not read."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
@@ -205,6 +225,7 @@ def _options_key(args, tip: str) -> str:
     blob = json.dumps(
         {
             "version": __version__,
+            "cache_format": _CACHE_FORMAT,
             "feature_schema": FEATURE_SCHEMA,
             "tip": tip,
             "alias_threshold": args.alias_threshold,
@@ -253,8 +274,9 @@ def _history(args) -> CommitHistory:
 def _table(args, history: CommitHistory | None = None) -> FeatureTable:
     """The feature table every analysis command reads; the one owner of the
     cache. A hit reads the feature CSV and only the cached history's meta
-    line, which holds the reference time and the developers, so it equals
-    the table a fresh run computes. A miss mines, unless given the history,
+    line, which holds the reference time, the developers and the number of
+    feature rows, so it equals the table a fresh run computes and a CSV cut
+    at a line boundary is caught. A miss mines, unless given the history,
     and writes the history NDJSON and the feature CSV."""
     if args.no_cache:
         return compute_all(history or _history(args), _language_config(args), args.mod_threshold)
@@ -265,10 +287,17 @@ def _table(args, history: CommitHistory | None = None) -> FeatureTable:
         head = history_from_ndjson(line)
         if head.commits or not line.strip():
             raise CorruptHistory(f"{history_path} does not start with its meta line")
-        return read_feature_csv(features_path, head.reference_time, developer_ids(head))
+        table = read_feature_csv(features_path, head.reference_time, developer_ids(head))
+        recorded = head.metadata.get(_FEATURE_ROWS)
+        if len(table.rows) != recorded:
+            raise CorruptFeatureTable(
+                f"{features_path} holds {len(table.rows)} rows; the cache recorded {recorded}"
+            )
+        return table
     history = history or _history(args)
-    save_history(history, history_path)
     table = compute_all(history, _language_config(args), args.mod_threshold)
+    metadata = {**history.metadata, _FEATURE_ROWS: len(table.rows)}
+    save_history(replace(history, metadata=metadata), history_path)
     write_feature_csv(table, features_path)
     return table
 
@@ -276,6 +305,19 @@ def _table(args, history: CommitHistory | None = None) -> FeatureTable:
 def _warn(warning: str, **fields) -> None:
     """Write one machine-readable warning line to stderr."""
     sys.stderr.write(json.dumps({"warning": warning, **fields}, sort_keys=True) + "\n")
+
+
+def _qualified(kind: type) -> str:
+    """A library exception or warning class as ``module.Name``."""
+    return f"{kind.__module__.rsplit('.', 1)[-1]}.{kind.__name__}"
+
+
+def _warn_caught(caught) -> None:
+    """Each distinct Python warning a command raised, once, in the order
+    first raised, so the report does not depend on how often a warning
+    repeats (once per fold, say) or in which process it was raised."""
+    for category, message in dict.fromkeys((w.category, str(w.message)) for w in caught):
+        _warn(message, category=_qualified(category))
 
 
 def _warn_unresolved(unresolved) -> None:
@@ -363,13 +405,16 @@ def _cmd_evaluate(args) -> int:
 
     table = _table(args)
     processed = _truth_inputs(args, table)
+    jobs = _usable_cpus()  # the report does not depend on it
     if args.grid == "default":
         spec, report = ml.grid_search(
-            args.classifier, processed.dataset, folds=args.folds, seed=args.seed
+            args.classifier, processed.dataset, folds=args.folds, seed=args.seed, jobs=jobs
         )
     else:
         spec = ml.ClassifierSpec(kind=args.classifier)
-        report = ml.cross_validate(spec, processed.dataset, folds=args.folds, seed=args.seed)
+        report = ml.cross_validate(
+            spec, processed.dataset, folds=args.folds, seed=args.seed, jobs=jobs
+        )
     if args.format == "json":
         _emit(args, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
         return 0
@@ -499,18 +544,20 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING)
     args = build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except FileExpertsError as exc:
-        module = exc.__class__.__module__.rsplit(".", 1)[-1]
-        sys.stderr.write(
-            json.dumps(
-                {"error": f"{module}.{exc.__class__.__name__}", "message": str(exc)},
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        return 1
+    with warnings.catch_warnings(record=True) as caught:
+        # every library warning reaches the report, whatever -W says
+        warnings.simplefilter("always", FileExpertsWarning)
+        try:
+            return _COMMANDS[args.command](args)
+        except FileExpertsError as exc:
+            error = exc
+        finally:
+            _warn_caught(caught)
+    sys.stderr.write(
+        json.dumps({"error": _qualified(type(error)), "message": str(error)}, sort_keys=True)
+        + "\n"
+    )
+    return 1
 
 
 if __name__ == "__main__":

@@ -1,12 +1,18 @@
-"""Exception types raised across the library.
+"""Exception and warning types raised across the library.
 
 Every domain error derives from FileExpertsError so callers (and the CLI)
-can catch one base class and map the concrete type to an error code.
+can catch one base class and map the concrete type to an error code; every
+warning derives from FileExpertsWarning, which the CLI reports as one JSON
+line per distinct message.
 """
 
 
 class FileExpertsError(Exception):
     """Base class for all errors raised by this library."""
+
+
+class FileExpertsWarning(UserWarning):
+    """Base class for all warnings issued by this library."""
 
 
 # -- repository mining ------------------------------------------------------
@@ -77,7 +83,7 @@ class SingleClassData(FileExpertsError):
     """Training data contains only one class."""
 
 
-class ZeroVarianceWarning(UserWarning):
+class ZeroVarianceWarning(FileExpertsWarning):
     """A feature column is constant and was passed through unscaled."""
 
 

@@ -112,35 +112,6 @@ def _run_git(repo: Path, *args: str, stdin: bytes | None = None) -> bytes:
     return proc.stdout
 
 
-def _resolve_branch(repo: Path, branch: str | None) -> tuple[str, str]:
-    """Return (branch name, tip sha). branch=None means the repo's HEAD."""
-    if branch is None:
-        proc = subprocess.run(
-            ["git", "-C", str(repo), "rev-parse", "--verify", "--quiet", "HEAD"],
-            capture_output=True,
-        )
-        if proc.returncode != 0:
-            raise BranchNotFound(f"repository at {repo} has no commits on HEAD")
-        tip = proc.stdout.decode().strip()
-        name = (
-            subprocess.run(
-                ["git", "-C", str(repo), "rev-parse", "--abbrev-ref", "HEAD"],
-                capture_output=True,
-            )
-            .stdout.decode()
-            .strip()
-            or "HEAD"
-        )
-        return name, tip
-    proc = subprocess.run(
-        ["git", "-C", str(repo), "rev-parse", "--verify", "--quiet", f"refs/heads/{branch}"],
-        capture_output=True,
-    )
-    if proc.returncode != 0:
-        raise BranchNotFound(f"branch {branch!r} not found in {repo}")
-    return branch, proc.stdout.decode().strip()
-
-
 def _parse_rev_list(out: bytes) -> list[tuple[str, str, str, int]]:
     """Parse `rev-list --format=%H%x01%an%x01%ae%x01%at` into commit tuples."""
     commits = []
@@ -211,24 +182,43 @@ def _fetch_blobs(repo: Path, shas: Iterable[str]) -> dict[str, str]:
     return contents
 
 
+def _rev_parse(repo: Path, *args: str) -> list[str] | None:
+    """The lines ``git rev-parse --git-dir *args`` prints after the git
+    directory, or None when an argument does not resolve. The git directory
+    comes first whether or not the rest resolves, so one call also tells a
+    repository from anything else."""
+    proc = subprocess.run(
+        ["git", "-C", str(repo), "rev-parse", "--git-dir", *args], capture_output=True
+    )
+    lines = proc.stdout.decode().splitlines()
+    if not lines:
+        raise RepositoryNotFound(f"{repo} is not a git repository")
+    return lines[1:] if proc.returncode == 0 else None
+
+
 def branch_tip(repo_path: str | Path, branch: str | None = "master") -> tuple[str, str]:
     """Resolve (branch name, tip commit sha).
 
     ``branch=None`` means the repository's HEAD; the default "master"
-    falls back to HEAD when no such branch exists.
+    falls back to HEAD when no such branch exists. A branch, or HEAD, takes
+    one ``git rev-parse`` call, which also checks the repository; only the
+    fallback takes a second.
     """
     repo = Path(repo_path)
-    probe = subprocess.run(
-        ["git", "-C", str(repo), "rev-parse", "--git-dir"], capture_output=True
-    )
-    if not repo.is_dir() or probe.returncode != 0:
+    if not repo.is_dir():
         raise RepositoryNotFound(f"{repo_path} is not a git repository")
-    if branch == "master":
-        try:
-            return _resolve_branch(repo, "master")
-        except BranchNotFound:
-            return _resolve_branch(repo, None)
-    return _resolve_branch(repo, branch)
+    if branch is not None:
+        found = _rev_parse(repo, "--verify", "--quiet", f"refs/heads/{branch}")
+        if found is not None:
+            return branch, found[0]
+        if branch != "master":
+            raise BranchNotFound(f"branch {branch!r} not found in {repo}")
+    # "--" makes HEAD a revision, never a file of that name
+    head = _rev_parse(repo, "HEAD", "--abbrev-ref", "HEAD", "--")
+    if head is None:
+        raise BranchNotFound(f"repository at {repo} has no commits on HEAD")
+    tip, name = head[:2]
+    return name or "HEAD", tip
 
 
 def extract_history(repo_path: str | Path, branch: str | None = "master") -> CommitHistory:

@@ -3,20 +3,21 @@
 Spearman's rho is the Pearson correlation of average ranks. P-values use
 the t-statistic approximation t = rho * sqrt((n-2) / (1-rho^2)) against a
 t-distribution with n-2 degrees of freedom, two-sided, through
-``scipy.special.stdtr`` alone. A permutation test serves as an independent
-check: exact enumeration for small samples, seeded Monte Carlo beyond. It
-permutes the centred ranks of y once for any number of x columns and scores
-each block of permutations with one matrix product. Average ranks are
-multiples of 0.5 with mean (n+1)/2, so every centred product and sum is exact
-in float64 (for n below about 10^5) and the result does not depend on the
-order of summation.
+``scipy.special.stdtr`` alone; scipy is imported only on that path, so
+permutation p-values load no scipy. A permutation test serves as an
+independent check: exact enumeration for small samples, seeded Monte Carlo
+beyond. It permutes the centred ranks of y once for any number of x columns
+and scores each block of permutations with one matrix product. Average
+ranks are multiples of 0.5 with mean (n+1)/2, so every centred product and
+sum is exact in float64 (for n below about 10^5) and the result does not
+depend on the order of summation.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -79,21 +80,28 @@ def _validate(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def spearman(x: Sequence[float], y: Sequence[float], name: str = "") -> CorrelationResult:
-    """Spearman rank correlation with a two-sided t-approximation p-value."""
+def _spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
+    x, y = _validate(x, y)
+    return _rank_correlation(average_ranks(x), average_ranks(y))
+
+
+def _t_approximation_p(rho: float, n: int) -> float:
+    """Two-sided p-value of rho over n pairs by the t approximation."""
     # scipy.special imports in a third of the time scipy.stats takes;
     # stdtr(df, -t) is what scipy.stats.t.sf(t, df) evaluates
     from scipy.special import stdtr
 
-    x, y = _validate(x, y)
-    n = len(x)
-    rho = _rank_correlation(average_ranks(x), average_ranks(y))
     if 1.0 - rho * rho < 1e-15:
-        p = 0.0
-    else:
-        t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-        p = float(2.0 * stdtr(n - 2, -abs(t)))
-    return CorrelationResult(variable=name, rho=rho, p_value=min(p, 1.0), n=n)
+        return 0.0
+    t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
+    return min(float(2.0 * stdtr(n - 2, -abs(t))), 1.0)
+
+
+def spearman(x: Sequence[float], y: Sequence[float], name: str = "") -> CorrelationResult:
+    """Spearman rank correlation with a two-sided t-approximation p-value."""
+    rho = _spearman_rho(x, y)
+    return CorrelationResult(variable=name, rho=rho, p_value=_t_approximation_p(rho, len(x)),
+                             n=len(x))
 
 
 def _centred_ranks(values: np.ndarray) -> np.ndarray:
@@ -160,9 +168,9 @@ def knowledge_correlations(
 
     Only pairs present in both the table and the knowledge map contribute.
     Returns results sorted by rho ascending plus a map of variables whose
-    correlation was undefined. ``permutation_p`` swaps the t-approximation
-    p-values for permutation-test ones (exact at small n, seeded Monte
-    Carlo beyond).
+    correlation was undefined. ``permutation_p`` takes permutation-test
+    p-values (exact at small n, seeded Monte Carlo beyond) instead of the
+    t-approximation ones, and then scipy is not loaded.
     """
     rows = [
         (row.features, knowledge[(row.developer.canonical_key, row.file)])
@@ -173,17 +181,22 @@ def knowledge_correlations(
         raise TooFewSamples(f"only {len(rows)} labeled pairs joined the feature table")
     know = [k for _f, k in rows]
     columns = {name: [getattr(f, name) for f, _k in rows] for name in FEATURE_NAMES}
-    results = []
+    rhos: dict[str, float] = {}
     errors: dict[str, str] = {}
     for name, values in columns.items():
         try:
-            results.append(spearman(values, know, name=name))
+            rhos[name] = _spearman_rho(values, know)
         except ConstantInput as exc:
             errors[name] = str(exc)
-    if permutation_p and results:
-        stack = [columns[r.variable] for r in results]
-        p_values = spearman_permutation_p(stack, know, seed=seed)
-        results = [replace(r, p_value=p) for r, p in zip(results, p_values)]
+    n = len(know)
+    if permutation_p and rhos:
+        p_values = spearman_permutation_p([columns[name] for name in rhos], know, seed=seed)
+    else:
+        p_values = [_t_approximation_p(rho, n) for rho in rhos.values()]
+    results = [
+        CorrelationResult(variable=name, rho=rho, p_value=p, n=n)
+        for (name, rho), p in zip(rhos.items(), p_values)
+    ]
     results.sort(key=lambda r: (r.rho, r.variable))
     return results, errors
 

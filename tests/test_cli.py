@@ -206,6 +206,108 @@ def test_correlate_exact_p(cli_repo, tmp_path, capsys):
     assert all(0.0 <= float(line.split(",")[2]) <= 1.0 for line in lines[1:])
 
 
+def _evaluate_outputs(cli_repo, truth, capsys, monkeypatch, *options) -> dict[int, tuple]:
+    """Exit code, stdout and stderr of one evaluate run per worker count."""
+    from fileexperts import cli
+
+    runs = {}
+    for jobs in (1, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: jobs)
+        code = main(["evaluate", "--repo", str(cli_repo), "--branch", "main",
+                     "--truth", str(truth), "--folds", "3", "--format", "json", *options])
+        captured = capsys.readouterr()
+        runs[jobs] = (code, captured.out, captured.err)
+    return runs
+
+
+def _write_labels(path, cli_repo, capsys, label):
+    """A truth CSV over the creator of each file, knowledge from ``label(i)``
+    for the i-th file: the creators all added three lines, so ``adds`` is
+    constant while ``size`` is not."""
+    main(["mine", "--repo", str(cli_repo), "--branch", "main"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    creators = sorted((int(r["file"][5:-3]), r["developer"], r["file"])
+                      for r in rows if r["fa"] == "1")
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["repo", "developer_email", "file", "knowledge"])
+        for i, developer, file in creators:
+            writer.writerow(["fixture", developer, file, label(i)])
+    return path
+
+
+@pytest.mark.parametrize("grid", ["none", "default"])
+@pytest.mark.parametrize("classifier", ["knn", "logistic_regression", "random_forest"])
+def test_evaluate_output_does_not_depend_on_the_workers(
+    cli_repo, tmp_path, capsys, monkeypatch, classifier, grid
+):
+    truth = _write_truth(tmp_path / "truth.csv", cli_repo, capsys)
+    runs = _evaluate_outputs(cli_repo, truth, capsys, monkeypatch, "--classifier", classifier,
+                             "--grid", grid)
+    assert runs[1] == runs[3]
+    code, out, err = runs[1]
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["folds"]) == 3
+
+
+@pytest.mark.parametrize("grid", ["none", "default"])
+def test_constant_feature_warns_once_whatever_the_workers(
+    cli_repo, tmp_path, capsys, monkeypatch, grid
+):
+    truth = _write_labels(tmp_path / "truth.csv", cli_repo, capsys,
+                          lambda i: 5 if i % 2 == 0 else 2)
+    runs = _evaluate_outputs(cli_repo, truth, capsys, monkeypatch, "--classifier", "logistic_regression",
+                             "--grid", grid)
+    assert runs[1] == runs[3]
+    code, _out, err = runs[1]
+    assert code == 0
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"category": "errors.ZeroVarianceWarning",
+         "warning": "feature 'adds' is constant; left unscaled"}
+    ]
+
+
+@pytest.mark.parametrize("grid", ["none", "default"])
+@pytest.mark.parametrize("classifier", ["logistic_regression", "random_forest"])
+def test_single_class_training_fold_fails_alike_whatever_the_workers(
+    cli_repo, tmp_path, capsys, monkeypatch, classifier, grid
+):
+    # one expert: the fold that holds it out trains on non-experts alone
+    truth = _write_labels(tmp_path / "truth.csv", cli_repo, capsys,
+                          lambda i: 5 if i == 4 else 2)
+    runs = _evaluate_outputs(cli_repo, truth, capsys, monkeypatch, "--classifier", classifier,
+                             "--grid", grid)
+    assert runs[1] == runs[3]
+    code, out, err = runs[1]
+    assert code == 1 and out == ""
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"category": "errors.ZeroVarianceWarning",
+         "warning": "feature 'adds' is constant; left unscaled"},
+        {"error": "errors.SingleClassData",
+         "message": f"{classifier} needs both classes in the training data"},
+    ]
+
+
+def test_correlate_exact_p_leaves_scipy_unloaded(cli_repo, tmp_path, capsys):
+    """Permutation p-values need no t distribution, so only the plain
+    correlate loads scipy."""
+    truth = _write_truth(tmp_path / "truth.csv", cli_repo, capsys)
+    probe = """
+import sys
+from fileexperts.cli import main
+
+repo, truth, tmp = sys.argv[1:]
+for flags in (["--exact-p"], []):
+    code = main(["correlate", *flags, "--truth", truth, "--repo", repo, "--branch", "main",
+                 "--cache-dir", f"{tmp}/cache", "--out", f"{tmp}/out"])
+    print(flags, code, "scipy" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(fileexperts.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe, str(cli_repo), str(truth), str(tmp_path)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines() == ["['--exact-p'] 0 False", "[] 0 True"]
+
+
 def test_correlate_matrix(cli_repo, tmp_path, capsys):
     truth = _write_truth(tmp_path / "truth.csv", cli_repo, capsys)
     main(
@@ -493,6 +595,31 @@ def test_cut_short_cached_feature_csv_is_an_error(cli_repo, tmp_path, capsys):
     assert error["error"] == "errors.CorruptFeatureTable"
     assert "features-" in error["message"]
     assert " line " in error["message"]
+
+
+def test_cached_feature_csv_cut_at_a_line_boundary_is_an_error(cli_repo, tmp_path, capsys):
+    def drop_rows(text):
+        return "".join(text.splitlines(keepends=True)[:3])
+
+    code, (line,) = _warm_rank_after(drop_rows, cli_repo, tmp_path, capsys,
+                                     cached="features-*.csv")
+    assert code == 1
+    error = json.loads(line)
+    assert error["error"] == "errors.CorruptFeatureTable"
+    assert "features-" in error["message"]
+    assert "holds 2 rows; the cache recorded 18" in error["message"]
+
+
+def test_only_the_cached_history_records_the_feature_rows(cli_repo, tmp_path, capsys):
+    out = tmp_path / "history.ndjson"
+    main(["mine", "--repo", str(cli_repo), "--branch", "main", "--history-out", str(out),
+          "--cache-dir", str(tmp_path / "cache")])
+    rows = len(capsys.readouterr().out.splitlines()) - 1
+    (cached,) = (tmp_path / "cache").glob("history-*.ndjson")
+    cached_meta, written_meta = (json.loads(path.read_text().split("\n", 1)[0])["meta"]
+                                 for path in (cached, out))
+    assert cached_meta["metadata"].pop("feature_rows") == rows
+    assert cached_meta == written_meta
 
 
 def test_sample_fills_the_cache_that_warm_commands_read(cli_repo, tmp_path, capsys, monkeypatch):

@@ -257,3 +257,59 @@ def test_rename_with_edit_still_one_lineage(tmp_path):
     assert second.old_path == "old.py"
     assert second.before_content == body
     assert second.after_content == edited
+
+
+def _rev_parse(repo, *args):
+    return subprocess.run(["git", "-C", str(repo), "rev-parse", *args], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_branch_tip_git_calls(tmp_path, monkeypatch):
+    """Each answer and error takes one git call, the master-to-HEAD
+    fallback two, and names what rev-parse names."""
+    import fileexperts.gitlog as gitlog
+
+    repo = RepoBuilder(tmp_path / "repo")
+    repo.commit("Ana", "ana@x.com", 1_600_000_000, writes={"a.py": "x = 1\n"})
+    repo.commit("Bo", "bo@y.com", 1_600_100_000, writes={"a.py": "x = 2\n"},
+                branch="side")
+    repo.commit("Ana", "ana@x.com", 1_600_200_000, writes={"a.py": "x = 3\n"})
+    repo = repo.finish()
+    empty = RepoBuilder(tmp_path / "empty").path
+    main_tip, side_tip = _rev_parse(repo, "main"), _rev_parse(repo, "side")
+    calls = []
+    run = subprocess.run
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(gitlog.subprocess, "run", counted)
+
+    def tip(path, *branch, git_calls=1):
+        calls.clear()
+        try:
+            return gitlog.branch_tip(path, *branch)
+        finally:
+            assert len(calls) == git_calls
+
+    assert tip(repo, git_calls=2) == ("main", main_tip)  # no master: HEAD's branch
+    assert tip(repo, None) == ("main", main_tip)
+    assert tip(repo, "side") == ("side", side_tip)
+    assert tip(repo, "main~1") == ("main~1", _rev_parse(repo, "main~1"))
+    with pytest.raises(BranchNotFound):
+        tip(repo, "nope")
+    (empty / "HEAD").write_text("a file, not a revision\n")
+    with pytest.raises(BranchNotFound, match="no commits on HEAD"):
+        tip(empty, git_calls=2)
+    with pytest.raises(BranchNotFound, match="no commits on HEAD"):
+        tip(empty, None)
+    with pytest.raises(RepositoryNotFound):
+        tip(tmp_path)
+    with pytest.raises(RepositoryNotFound):
+        tip(tmp_path / "missing", git_calls=0)
+    run(["git", "-C", str(repo), "checkout", "-q", "--detach", "side"], check=True)
+    assert tip(repo, git_calls=2) == ("HEAD", side_tip) == (_rev_parse(repo, "--abbrev-ref", "HEAD"),
+                                                side_tip)
+    run(["git", "-C", str(repo), "branch", "-q", "master", "main"], check=True)
+    assert tip(repo) == ("master", main_tip)

@@ -1,5 +1,7 @@
 """Classifier training, cross-validation and grid search."""
 
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import counts_prf, numpy_grow_tree
 
-from fileexperts.errors import SingleClassData, TooFewSamples, ZeroVarianceWarning
+from fileexperts.errors import InvalidCount, SingleClassData, TooFewSamples, ZeroVarianceWarning
 from fileexperts.ml import (
     KNN,
     LOGISTIC_REGRESSION,
@@ -16,6 +18,7 @@ from fileexperts.ml import (
     ClassifierSpec,
     MLDataset,
     _grow_tree,
+    _map,
     cross_validate,
     grid_search,
     logistic_gradient,
@@ -344,3 +347,68 @@ class TestGridSearch:
             grid_search(KNN, separable_dataset(40), grids={})
         with pytest.raises(ValueError):
             grid_search(KNN, separable_dataset(40), grids={"k": []})
+
+
+class TestWorkers:
+    """Folds and grid combinations on forked workers give what one process gives."""
+
+    @pytest.mark.parametrize("kind", [KNN, LOGISTIC_REGRESSION, RANDOM_FOREST])
+    def test_cross_validate_does_not_depend_on_jobs(self, kind):
+        data = separable_dataset(60, seed=3)
+        serial = cross_validate(ClassifierSpec(kind), data, folds=5, seed=4)
+        assert cross_validate(ClassifierSpec(kind), data, folds=5, seed=4, jobs=3) == serial
+
+    def test_grid_search_does_not_depend_on_jobs(self):
+        data = separable_dataset(60, seed=3)
+        grid = {"k": [1, 3, 5], "metric": ["euclidean", "manhattan"]}
+        serial = grid_search(KNN, data, grids=grid, folds=5, seed=1)
+        assert grid_search(KNN, data, grids=grid, folds=5, seed=1, jobs=4) == serial
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers fork on Linux only")
+    @pytest.mark.parametrize("jobs", [2, 5])
+    def test_units_run_in_workers_and_return_in_order(self, jobs):
+        results = _map(lambda unit: (unit * unit, os.getpid()), range(7), jobs)
+        assert [square for square, _pid in results] == [unit * unit for unit in range(7)]
+        assert os.getpid() not in {pid for _square, pid in results}
+
+    @pytest.mark.parametrize("jobs", [1, 2, 6])
+    def test_warnings_then_the_first_failure_in_unit_order(self, jobs):
+        def unit(number):
+            if number in (1, 3, 5):
+                warnings.warn(f"unit {number}", ZeroVarianceWarning)
+            if number >= 3:
+                raise SingleClassData(f"unit {number} failed")
+            return number
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SingleClassData, match="unit 3 failed"):
+                _map(unit, range(6), jobs)
+        assert [str(w.message) for w in caught] == ["unit 1", "unit 3"]
+        assert {w.category for w in caught} == {ZeroVarianceWarning}
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_filter_naming_the_warning_module_matches_whatever_the_jobs(self, jobs):
+        data = separable_dataset(30, seed=2)
+        data.features[:, 0] = 1.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.filterwarnings("error", module=r"fileexperts\.ml$")
+            with pytest.raises(ZeroVarianceWarning, match="'adds' is constant"):
+                cross_validate(ClassifierSpec(KNN), data, folds=3, jobs=jobs)
+        assert caught == []
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_default_action_warns_once_per_process_whatever_the_jobs(self, jobs):
+        data = separable_dataset(30, seed=2)
+        data.features[:, 0] = 1.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for _ in range(2):
+                cross_validate(ClassifierSpec(KNN), data, folds=3, jobs=jobs)
+        assert [str(w.message) for w in caught] == ["feature 'adds' is constant; left unscaled"]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_are_refused(self, jobs):
+        with pytest.raises(InvalidCount, match=f"jobs must be >= 1, got {jobs}"):
+            _map(abs, range(4), jobs)
