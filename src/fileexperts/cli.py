@@ -13,7 +13,9 @@ written by ``_warn``.
 Each command imports only the modules it runs: ``ml``, ``stats`` and
 ``study`` are imported inside the commands that use them, so ``mine``,
 ``features`` and ``rank``, which compute nothing with numpy, never load
-numpy or scipy.
+numpy or scipy. Computing the feature table and ``evaluate``'s
+cross-validation run on one forked worker per usable CPU (``workers.map``);
+a warm command, which only reads the cache, forks none.
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ _FEATURE_ROWS = "feature_rows"
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on, which ``evaluate`` uses as its
-    worker count; a CPU quota set by a cgroup is not read."""
+    """The CPUs this process may run on: the worker count ``workers.map``
+    gets from ``evaluate`` and from every command that computes the feature
+    table. A CPU quota set by a cgroup is not read."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -279,7 +282,9 @@ def _table(args, history: CommitHistory | None = None) -> FeatureTable:
     at a line boundary is caught. A miss mines, unless given the history,
     and writes the history NDJSON and the feature CSV."""
     if args.no_cache:
-        return compute_all(history or _history(args), _language_config(args), args.mod_threshold)
+        return compute_all(
+            history or _history(args), _language_config(args), args.mod_threshold, _usable_cpus()
+        )
     history_path, features_path = _cache_paths(args)
     if history_path.exists() and features_path.exists():
         with history_path.open(encoding="utf-8") as handle:
@@ -295,7 +300,7 @@ def _table(args, history: CommitHistory | None = None) -> FeatureTable:
             )
         return table
     history = history or _history(args)
-    table = compute_all(history, _language_config(args), args.mod_threshold)
+    table = compute_all(history, _language_config(args), args.mod_threshold, _usable_cpus())
     metadata = {**history.metadata, _FEATURE_ROWS: len(table.rows)}
     save_history(replace(history, metadata=metadata), history_path)
     write_feature_csv(table, features_path)
@@ -353,11 +358,10 @@ def _cmd_mine(args) -> int:
 
 def _cmd_rank(args) -> int:
     table = _table(args)
-    scores = [
-        s
-        for s in expertise.technique_scores(table, args.technique)
-        if s.file == args.file
-    ]
+    # normalization and doa's commit total are per file, so the file's own
+    # rows score exactly as they do within the whole table
+    rows = tuple(row for row in table.rows if row.file == args.file)
+    scores = expertise.technique_scores(replace(table, rows=rows), args.technique)
     if not scores:
         raise NoScores(f"no developers for {args.file!r}")
     experts = expertise.classify(scores, args.k) if args.k is not None else set()

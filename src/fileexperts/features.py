@@ -5,16 +5,22 @@ exists exactly when the developer has at least one non-merge commit on the
 file's lineage. Change counters (adds, dels, mods, conds) classify each
 commit's recorded before/after contents; blame and size come from replaying
 the lineage with the same per-event hunks.
+
+Each lineage is independent of the others, so ``compute_all`` can map
+chunks of lineages over forked workers with ``workers.map``; the rows are
+sorted afterwards, so the table does not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import workers
 from .diffs import MOD_THRESHOLD, blame_from_events, classify_changes, line_diff
 from .errors import CorruptFeatureTable, PairNotInHistory
 from .fileio import atomic_write_text
@@ -44,6 +50,10 @@ CSV_HEADER = ("developer", "file") + FEATURE_NAMES
 FEATURE_SCHEMA = 1
 
 _SECONDS_PER_DAY = 86400.0
+
+# lineage chunks per worker: more than one lets a worker that drew cheap
+# lineages take another chunk while the others finish
+_CHUNKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -202,20 +212,49 @@ def compute_all(
     history: CommitHistory,
     config: LanguageConfig | None = None,
     mod_threshold: float = MOD_THRESHOLD,
+    jobs: int = 1,
 ) -> FeatureTable:
-    """One row per (developer, file) pair, ordered by file then developer."""
+    """One row per (developer, file) pair, ordered by file then developer.
+
+    With ``jobs`` above 1 the present lineages are split into a few chunks
+    per worker, balanced by event count, and mapped over ``workers.map``.
+    """
     config = config or default_language_config()
     ids = developer_ids(history)
     lineages = resolve_lineages(history)
+    present = history.present_paths
+    paths = [path for path in lineages if present is None or path in present]
+
+    def chunk_features(chunk: list[str]) -> list[tuple[str, dict[str, FeatureVector]]]:
+        return [
+            (path, _file_features(history, lineages[path], config, mod_threshold))
+            for path in chunk
+        ]
+
+    chunks = _balanced_chunks(
+        {path: len(lineages[path].events) for path in paths},
+        jobs * _CHUNKS_PER_WORKER if jobs > 1 else 1,
+    )
     rows: list[FeatureRow] = []
-    for path in sorted(lineages):
-        if history.present_paths is not None and path not in history.present_paths:
-            continue
-        vectors = _file_features(history, lineages[path], config, mod_threshold)
-        for key in sorted(vectors):
-            rows.append(FeatureRow(developer=ids[key], file=path, features=vectors[key]))
+    for chunk in workers.map(chunk_features, chunks, jobs):
+        for path, vectors in chunk:
+            for key in vectors:
+                rows.append(FeatureRow(developer=ids[key], file=path, features=vectors[key]))
     rows.sort(key=lambda row: (row.file, row.developer.canonical_key))
     return FeatureTable(rows=tuple(rows), reference_time=history.reference_time)
+
+
+def _balanced_chunks(weights: dict[str, int], count: int) -> list[list[str]]:
+    """Up to ``count`` non-empty chunks of the keys, heaviest key first, each
+    to the lightest chunk so far (ties to the one holding fewer keys, then
+    to the lower index)."""
+    chunks: list[list[str]] = [[] for _ in range(min(count, len(weights)))]
+    loads = [(0, 0, index) for index in range(len(chunks))]
+    for key in sorted(weights, key=lambda key: (-weights[key], key)):
+        load, size, index = heapq.heappop(loads)
+        chunks[index].append(key)
+        heapq.heappush(loads, (load + weights[key], size + 1, index))
+    return chunks
 
 
 # -- CSV interchange ----------------------------------------------------------

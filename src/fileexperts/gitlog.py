@@ -14,6 +14,7 @@ per-commit process overhead.
 from __future__ import annotations
 
 import fnmatch
+import functools
 import json
 import logging
 import subprocess
@@ -333,6 +334,7 @@ def filter_source_files(
     config = config or default_language_config()
     patterns = [g.replace("**", "*") for g in vendor_globs]
 
+    @functools.cache  # per call: events far outnumber distinct paths
     def keep(path: str) -> bool:
         if config.language_of(path) is None:
             return False

@@ -11,10 +11,9 @@ expert class as positive, scored by the shared ``validation.prf``;
 standardization is fit on each training split only.
 
 Folds and grid combinations are independent, and each fold draws from its
-own seed ``[seed, fold]``, so ``cross_validate`` and ``grid_search`` can
-map them over ``jobs`` worker processes forked from the caller on Linux. Results
-and warnings come back in unit order, so a report does not depend on
-``jobs``.
+own seed ``[seed, fold]``, so ``cross_validate`` and ``grid_search`` map
+them over ``jobs`` forked workers with ``workers.map``. Results and warnings
+come back in unit order, so a report does not depend on ``jobs``.
 
 The feature layout follows the study design, ML_FEATURE_NAMES:
 [adds, fa, size, num_days], where fa is binary and left unscaled.
@@ -24,17 +23,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
-import re
-import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidCount, SingleClassData, TooFewSamples, ZeroVarianceWarning
+from . import workers
+from .errors import SingleClassData, TooFewSamples, ZeroVarianceWarning
 from .kinds import KINDS, KNN, LOGISTIC_REGRESSION, RANDOM_FOREST
 from .validation import mean_prf, prf, stratified_folds
 
@@ -415,100 +411,6 @@ def train(spec: ClassifierSpec, data: MLDataset, seed=0):
     )
 
 
-# what a forked worker runs, the unit function and the units: set by _map
-# before it forks, so each worker inherits it
-_work: tuple[Callable, Sequence] | None = None
-
-
-def _run_unit(position: int):
-    """Run one unit in a worker: its outcome, (result, None) or (None, the
-    exception it raised), and every warning it issued, as plain tuples."""
-    fn, units = _work
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")  # the parent applies its own filters
-        try:
-            outcome = fn(units[position]), None
-        except Exception as exc:  # raised again by the parent, in unit order
-            outcome = None, exc
-    return outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]
-
-
-def _warn_again(message, category, filename: str, lineno: int) -> None:
-    """Issue a worker's warning here as ``warnings.warn`` issued it there:
-    from the module that raised it, so filters naming that module match and
-    the module's registry shows a "default" warning once per process, as in
-    a serial run."""
-    module = next(
-        (m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename),
-        None,
-    )
-    if module is None:
-        warnings.warn_explicit(message, category, filename, lineno)
-        return
-    scope = vars(module)
-    warnings.warn_explicit(
-        message,
-        category,
-        filename,
-        lineno,
-        module=module.__name__,
-        registry=scope.setdefault("__warningregistry__", {}),
-        module_globals=scope,
-    )
-
-
-# Python 3.12 warns when a process with threads forks. The workers are forked
-# before the pool starts a thread of its own, and the only other threads are
-# numpy's BLAS pool, which shuts down across a fork, so the warning does not
-# apply. _map puts this filter into the list in place: ``filterwarnings``
-# would mark the filters changed, which resets every module's record of the
-# warnings it has shown, so a "default" warning would show once per call
-# instead of once per process.
-_FORK_WITH_THREADS = (
-    "ignore", re.compile(r"This process .* is multi-threaded"), DeprecationWarning, None, 0
-)
-
-
-def _map(fn: Callable, units: Sequence, jobs: int) -> list:
-    """``[fn(unit) for unit in units]``, on up to ``jobs`` forked workers.
-
-    Workers are forked once per call, so they inherit ``fn`` and the data it
-    closes over; only unit positions and results cross a pipe. Results come
-    back in unit order. Each unit's warnings are issued again here, in unit
-    order, and the first failing unit's exception is raised after them, as
-    a serial run would raise it. Workers are forked on Linux only: on macOS
-    ``fork`` is unsafe with the system frameworks (so ``spawn`` is its
-    default). There, as with one job or one unit, the units run in this
-    process.
-    """
-    global _work
-    if jobs < 1:
-        raise InvalidCount(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs, len(units))
-    if workers < 2 or not sys.platform.startswith("linux"):
-        return [fn(unit) for unit in units]
-    _work = (fn, units)
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    results = []
-    filters = warnings.filters
-    filters.insert(0, _FORK_WITH_THREADS)
-    try:
-        try:
-            outcomes = pool.map(_run_unit, range(len(units)))
-        finally:
-            filters.remove(_FORK_WITH_THREADS)
-        for (result, error), caught in outcomes:
-            for warning in caught:
-                _warn_again(*warning)
-            if error is not None:
-                raise error
-            results.append(result)
-    finally:
-        pool.shutdown(cancel_futures=True)
-        _work = None
-    return results
-
-
 def cross_validate(
     spec: ClassifierSpec, dataset: MLDataset, folds: int = 10, seed: int = 0, jobs: int = 1
 ) -> CVReport:
@@ -518,7 +420,7 @@ def cross_validate(
     held-out split, so no information leaks across the boundary. Each fold
     is scored by ``validation.prf`` and the folds are averaged by
     ``validation.mean_prf``, the scorer ``expertise.calibrate`` uses too.
-    The folds run on up to ``jobs`` forked workers (see ``_map``).
+    The folds run on up to ``jobs`` forked workers (see ``workers.map``).
     """
     fold_indices = stratified_folds(dataset.labels, folds, seed)
     if dataset.labels.all() or not dataset.labels.any():
@@ -534,7 +436,7 @@ def cross_validate(
         predictions = model.predict(scaler.transform(dataset.features[test_idx]))
         return prf(predictions, dataset.labels[test_idx])
 
-    per_fold = _map(score_fold, range(len(fold_indices)), jobs)
+    per_fold = workers.map(score_fold, range(len(fold_indices)), jobs)
     return CVReport(spec, tuple(per_fold), *mean_prf(per_fold))
 
 
@@ -550,7 +452,7 @@ def grid_search(
 
     Combinations are evaluated in deterministic grid order and ties keep
     the first maximum. Each combination is one serial ``cross_validate``,
-    run on up to ``jobs`` forked workers (see ``_map``).
+    run on up to ``jobs`` forked workers (see ``workers.map``).
     """
     grid = DEFAULT_GRIDS[kind] if grids is None else grids
     if not grid or not all(grid.values()):
@@ -560,7 +462,7 @@ def grid_search(
         ClassifierSpec(kind=kind, hyperparameters=dict(zip(names, combo)))
         for combo in itertools.product(*(grid[name] for name in names))
     ]
-    reports = _map(
+    reports = workers.map(
         lambda spec: cross_validate(spec, dataset, folds=folds, seed=seed), specs, jobs
     )
     best: tuple[ClassifierSpec, CVReport] | None = None

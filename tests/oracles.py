@@ -11,7 +11,9 @@ given.
 
 from __future__ import annotations
 
+import fnmatch
 import itertools
+from dataclasses import replace
 from decimal import Decimal, getcontext
 from pathlib import Path
 
@@ -216,6 +218,30 @@ def _oracle_count_conditionals(lines: list[str], ext: str) -> int:
 
 def _split(text) -> list[str]:
     return text.splitlines() if text else []
+
+
+def naive_filter_source_files(history, extensions, vendor_globs):
+    """The source filter, deciding every event and present path afresh:
+    kept when the lower-cased extension is configured and no vendor glob
+    (``**`` read as ``*``) matches the whole path."""
+
+    def keep(path: str) -> bool:
+        return Path(path).suffix.lower() in extensions and not any(
+            fnmatch.fnmatch(path, glob.replace("**", "*")) for glob in vendor_globs
+        )
+
+    commits = []
+    for commit in history.commits:
+        kept = tuple(event for event in commit.changes if keep(event.path))
+        if kept:
+            commits.append(replace(commit, changes=kept))
+    present = history.present_paths
+    return replace(
+        history,
+        commits=tuple(commits),
+        present_paths=None if present is None else frozenset(p for p in present if keep(p)),
+        metadata=dict(history.metadata),
+    )
 
 
 def naive_feature_table(history) -> dict[tuple[str, str], dict]:

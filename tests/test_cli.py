@@ -13,6 +13,7 @@ import pytest
 
 import fileexperts
 from fileexperts.cli import main
+from fileexperts.features import read_feature_csv
 from fileexperts.fixtures import RepoBuilder
 
 pytestmark = pytest.mark.usefixtures("monkeypatch_cwd")
@@ -792,28 +793,65 @@ def test_options_a_command_ignores_are_rejected(argv, capsys):
 
 def test_mine_features_and_rank_leave_numpy_and_scipy_unloaded(cli_repo, tmp_path):
     """mine, features and rank compute nothing with numpy, so neither a cold
-    nor a warm run of them, in any output format, imports numpy or scipy."""
+    nor a warm run of them, in any output format, imports numpy or scipy,
+    even when computing the table forks workers. A warm rank, which only
+    reads the cache, loads no pool modules either."""
     probe = """
 import sys
-from fileexperts.cli import main
+from fileexperts import cli
 
-repo, tmp = sys.argv[1:]
+repo, tmp, runs = sys.argv[1:]
+cli._usable_cpus = lambda: 2  # fork, whatever this machine's CPU count
 rank = ["rank", "--technique", "doa", "--file", "src/f0.py"]
-for args, cache in [
-    (["mine"], "mined"),
-    (["features"], "mined"),
-    (rank, "ranked"),
-    (rank + ["--k", "0.5"], "ranked"),
-    (rank + ["--format", "json"], "ranked"),
-]:
-    code = main(args + ["--repo", repo, "--branch", "main",
-                        "--cache-dir", f"{tmp}/{cache}", "--out", f"{tmp}/out"])
-    loaded = [name for name in ("numpy", "scipy") if name in sys.modules]
-    print(args[0], code, loaded)
+commands = {
+    "cold": [(["mine"], "mined"), (["features"], "mined"), (rank, "ranked")],
+    "warm": [(rank, "ranked"), (rank + ["--k", "0.5"], "ranked"),
+             (rank + ["--format", "json"], "ranked")],
+}
+for args, cache in commands[runs]:
+    code = cli.main(args + ["--repo", repo, "--branch", "main",
+                            "--cache-dir", f"{tmp}/{cache}", "--out", f"{tmp}/out"])
+    modules = ("numpy", "scipy", "concurrent.futures", "multiprocessing")
+    print(args[0], code, [name for name in modules if name in sys.modules])
 """
     env = dict(os.environ, PYTHONPATH=str(Path(fileexperts.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", probe, str(cli_repo), str(tmp_path)],
-                         capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.splitlines() == [
-        "mine 0 []", "features 0 []", "rank 0 []", "rank 0 []", "rank 0 []"
+    printed = []
+    for runs in ("cold", "warm"):  # each in a new process
+        out = subprocess.run([sys.executable, "-c", probe, str(cli_repo), str(tmp_path), runs],
+                             capture_output=True, text=True, env=env, check=True)
+        printed += out.stdout.splitlines()
+    pool = "['concurrent.futures', 'multiprocessing']"
+    if not sys.platform.startswith("linux"):
+        pool = "[]"  # units run in process
+    assert printed == [
+        f"mine 0 {pool}", f"features 0 {pool}", f"rank 0 {pool}",
+        "rank 0 []", "rank 0 []", "rank 0 []",
     ]
+
+
+@pytest.mark.parametrize("technique", ["doa", "num_commits", "blame"])
+def test_rank_scores_each_file_as_the_whole_table_does(cli_repo, tmp_path, capsys, technique):
+    """rank scores only the requested file's rows; normalization and doa's
+    commit total are per file, so each ranking equals the one taken from
+    the whole table's scores."""
+    from fileexperts import expertise
+
+    repo = ["--repo", str(cli_repo), "--branch", "main", "--cache-dir", str(tmp_path)]
+    assert main(["mine", *repo]) == 0
+    mined = tmp_path / "features.csv"
+    mined.write_text(capsys.readouterr().out)
+    table = read_feature_csv(mined)
+    scores = expertise.technique_scores(table, technique)
+    experts = expertise.classify(scores, 0.5)
+    assert len(table.files()) == 12
+    for file in table.files():
+        assert main(["rank", "--technique", technique, "--file", file, "--k", "0.5", *repo]) == 0
+        ranked = sorted((s for s in scores if s.file == file),
+                        key=lambda s: (-s.normalized, s.developer))
+        expected = [["rank", "developer", "raw", "normalized", "expert"]] + [
+            [str(i + 1), s.developer, str(s.raw), str(s.normalized),
+             str((s.developer, file) in experts)]
+            for i, s in enumerate(ranked)
+        ]
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [row[:2] + row[3:] for row in rows] == expected

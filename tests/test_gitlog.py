@@ -2,11 +2,16 @@
 
 import json
 import subprocess
+from dataclasses import replace
+from pathlib import PurePosixPath
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import naive_filter_source_files
 
 from fileexperts.errors import BranchNotFound, RepositoryNotFound
-from fileexperts.fixtures import RepoBuilder
+from fileexperts.fixtures import RepoBuilder, random_repo
 from fileexperts.gitlog import (
     CommitHistory,
     CommitRecord,
@@ -19,6 +24,7 @@ from fileexperts.gitlog import (
     resolve_lineages,
     save_history,
 )
+from fileexperts.languages import DEFAULT_VENDOR_GLOBS, default_language_config
 
 
 def _linear_repo(path):
@@ -136,6 +142,51 @@ def test_filter_source_files(tmp_path):
     # the docs-only commit disappears entirely
     assert len(filtered.commits) == 1
     assert filtered.present_paths == {"main.py"}
+
+
+# each distinct path of a mined history moves to one of these, so the filter
+# meets vendored, unknown-extension and look-alike paths as well as sources
+_PATH_REWRITES = (
+    lambda p: p,
+    lambda p: f"vendor/{p}",
+    lambda p: f"node_modules/pkg/{p}",
+    lambda p: f"third_party/{p}",
+    lambda p: f"lib/vendor/{p}",  # vendor not at the root: kept
+    lambda p: str(PurePosixPath(p).with_suffix(".txt")),
+    lambda p: str(PurePosixPath(p).with_suffix(PurePosixPath(p).suffix.upper())),
+    lambda p: f"{p}.orig",
+)
+
+
+@pytest.fixture(scope="module")
+def random_histories(tmp_path_factory):
+    root = tmp_path_factory.mktemp("filter")
+    return [extract_history(random_repo(root / f"repo{seed}", seed=seed), "main")
+            for seed in (1, 3, 8)]  # each with renames
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_filter_matches_the_per_event_predicate(random_histories, data):
+    history = data.draw(st.sampled_from(random_histories))
+    paths = sorted({e.path for c in history.commits for e in c.changes}
+                   | {e.old_path for c in history.commits for e in c.changes if e.old_path}
+                   | history.present_paths)
+    moved = {p: data.draw(st.sampled_from(_PATH_REWRITES))(p) for p in paths}
+    history = replace(
+        history,
+        commits=tuple(
+            replace(commit, changes=tuple(
+                replace(e, path=moved[e.path], old_path=e.old_path and moved[e.old_path])
+                for e in commit.changes
+            ))
+            for commit in history.commits
+        ),
+        present_paths=frozenset(moved[p] for p in history.present_paths),
+    )
+    extensions = set(default_language_config().by_extension)
+    expected = naive_filter_source_files(history, extensions, DEFAULT_VENDOR_GLOBS)
+    assert filter_source_files(history) == expected
 
 
 def test_filter_to_empty_history(tmp_path):

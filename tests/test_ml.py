@@ -1,7 +1,5 @@
 """Classifier training, cross-validation and grid search."""
 
-import os
-import sys
 import warnings
 
 import numpy as np
@@ -18,7 +16,6 @@ from fileexperts.ml import (
     ClassifierSpec,
     MLDataset,
     _grow_tree,
-    _map,
     cross_validate,
     grid_search,
     logistic_gradient,
@@ -350,7 +347,8 @@ class TestGridSearch:
 
 
 class TestWorkers:
-    """Folds and grid combinations on forked workers give what one process gives."""
+    """Folds and grid combinations on forked workers (``workers.map``, tested
+    in test_workers.py) give what one process gives."""
 
     @pytest.mark.parametrize("kind", [KNN, LOGISTIC_REGRESSION, RANDOM_FOREST])
     def test_cross_validate_does_not_depend_on_jobs(self, kind):
@@ -363,29 +361,6 @@ class TestWorkers:
         grid = {"k": [1, 3, 5], "metric": ["euclidean", "manhattan"]}
         serial = grid_search(KNN, data, grids=grid, folds=5, seed=1)
         assert grid_search(KNN, data, grids=grid, folds=5, seed=1, jobs=4) == serial
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers fork on Linux only")
-    @pytest.mark.parametrize("jobs", [2, 5])
-    def test_units_run_in_workers_and_return_in_order(self, jobs):
-        results = _map(lambda unit: (unit * unit, os.getpid()), range(7), jobs)
-        assert [square for square, _pid in results] == [unit * unit for unit in range(7)]
-        assert os.getpid() not in {pid for _square, pid in results}
-
-    @pytest.mark.parametrize("jobs", [1, 2, 6])
-    def test_warnings_then_the_first_failure_in_unit_order(self, jobs):
-        def unit(number):
-            if number in (1, 3, 5):
-                warnings.warn(f"unit {number}", ZeroVarianceWarning)
-            if number >= 3:
-                raise SingleClassData(f"unit {number} failed")
-            return number
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(SingleClassData, match="unit 3 failed"):
-                _map(unit, range(6), jobs)
-        assert [str(w.message) for w in caught] == ["unit 1", "unit 3"]
-        assert {w.category for w in caught} == {ZeroVarianceWarning}
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_filter_naming_the_warning_module_matches_whatever_the_jobs(self, jobs):
@@ -411,4 +386,4 @@ class TestWorkers:
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_are_refused(self, jobs):
         with pytest.raises(InvalidCount, match=f"jobs must be >= 1, got {jobs}"):
-            _map(abs, range(4), jobs)
+            cross_validate(ClassifierSpec(KNN), separable_dataset(30), folds=3, jobs=jobs)
