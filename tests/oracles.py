@@ -6,7 +6,8 @@ and high-precision arithmetic. These oracles follow the same documented
 rules (canonical diff alignment, 40% modification budget, lineage
 resolution, expert-set scoring) but share no code with the implementations
 they check, apart from the fold split that the scoring oracles take as
-given.
+given and the logistic objective and gradient that the optimizer oracle
+minimizes (the gradient is itself checked against finite differences).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from fileexperts.errors import EmptyOracle, TooFewSamples, UnscoredOraclePair
 from fileexperts.expertise import THRESHOLD_GRID, ThresholdCurve, ThresholdPoint
 from fileexperts.gitlog import resolve_lineages
+from fileexperts.ml import logistic_gradient, logistic_loss
 from fileexperts.validation import stratified_folds
 
 getcontext().prec = 50
@@ -453,6 +455,31 @@ def numpy_grow_tree(X, y, max_depth, max_features, rng):
         stack.append((node.left, Xn[mask], yn[mask], depth + 1))
         stack.append((node.right, Xn[~mask], yn[~mask], depth + 1))
     return root
+
+
+# -- logistic regression, fitted by gradient descent ------------------------------
+
+def gradient_descent_logistic(X, y, l2: float, tol: float, max_iter: int) -> np.ndarray:
+    """Weights then bias minimizing ``logistic_loss``, by gradient descent
+    with a backtracking line search whose step doubles after each accepted
+    step; stops once every gradient entry is within ``tol``."""
+    params = np.zeros(X.shape[1] + 1)
+    loss = logistic_loss(params, X, y, l2)
+    step = 1.0
+    for _ in range(max_iter):
+        grad = logistic_gradient(params, X, y, l2)
+        if np.abs(grad).max() <= tol:
+            break
+        g2 = float(grad @ grad)
+        while True:
+            candidate = params - step * grad
+            new_loss = logistic_loss(candidate, X, y, l2)
+            if new_loss <= loss - 0.5 * step * g2 or step < 1e-12:
+                break
+            step *= 0.5
+        params, loss = candidate, new_loss
+        step = min(step * 2.0, 1e6)
+    return params
 
 
 # -- expert-set scoring, by set algebra over (developer, file) pairs -------------

@@ -1,28 +1,40 @@
 """Classifier training, cross-validation and grid search."""
 
+import random
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import counts_prf, numpy_grow_tree
+from oracles import counts_prf, gradient_descent_logistic, numpy_grow_tree
 
+from fileexperts import ml
 from fileexperts.errors import InvalidCount, SingleClassData, TooFewSamples, ZeroVarianceWarning
+from fileexperts.features import compute_all
+from fileexperts.fixtures import perf_repo
+from fileexperts.gitlog import extract_history, filter_source_files
+from fileexperts.identities import canonicalize_history
 from fileexperts.ml import (
+    DEFAULT_GRIDS,
+    DEFAULT_HYPERPARAMETERS,
     KNN,
     LOGISTIC_REGRESSION,
+    ML_FEATURE_NAMES,
     RANDOM_FOREST,
     ClassifierSpec,
+    LogisticModel,
     MLDataset,
     _grow_tree,
     cross_validate,
     grid_search,
     logistic_gradient,
+    logistic_hessian,
     logistic_loss,
     standardize,
     train,
 )
+from fileexperts.study import EXPERT_KNOWLEDGE_FLOOR
 from fileexperts.validation import prf, stratified_folds
 
 
@@ -123,6 +135,31 @@ class TestModels:
             scale = np.maximum(np.abs(analytic), 1e-8)
             assert (np.abs(analytic - numeric) / scale).max() <= 1e-5
 
+    def test_logistic_hessian_matches_finite_differences(self):
+        rng = np.random.default_rng(4)
+        for trial in range(5):
+            X = rng.normal(size=(12, 4))
+            y = rng.random(12) > 0.5
+            params = rng.normal(size=5)
+            l2 = [0.0, 0.01, 0.5, 1.0, 3.0][trial]
+            analytic = logistic_hessian(params, X, y, l2)
+            numeric = np.empty_like(analytic)
+            h = 1e-6
+            for i in range(len(params)):  # column i, the bias column last
+                up, down = params.copy(), params.copy()
+                up[i] += h
+                down[i] -= h
+                numeric[:, i] = (
+                    logistic_gradient(up, X, y, l2) - logistic_gradient(down, X, y, l2)
+                ) / (2 * h)
+            assert np.abs(analytic - numeric).max() <= 1e-7
+            assert analytic == pytest.approx(analytic.T, rel=1e-12, abs=1e-15)
+            # l2 sits on the weight diagonal only; the bias is unpenalized
+            unpenalized = logistic_hessian(params, X, y, 0.0)
+            assert (analytic - unpenalized)[:4, :4] == pytest.approx(l2 * np.eye(4))
+            assert (analytic[-1] == unpenalized[-1]).all()
+            assert (analytic[:, -1] == unpenalized[:, -1]).all()
+
     def test_forest_stump_predicts_majority(self):
         data = separable_dataset(90)  # 45 experts, 45 non: make it uneven
         uneven = MLDataset(
@@ -198,6 +235,31 @@ class TestForestTrees:
         assert preorder(tree) == preorder(oracle)
         assert grown.bit_generator.state == expected.bit_generator.state
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 120),
+        d=st.integers(1, 5),
+        max_depth=st.sampled_from([None, 0, 1, 3]),
+        max_features=st.sampled_from([1, 2, 4]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_distinct_rows_with_counts_equal_the_bootstrap(
+        self, seed, n, d, max_depth, max_features
+    ):
+        data_rng = np.random.default_rng(seed)
+        X = mixed_columns(data_rng, n, d)
+        y = data_rng.random(n) < data_rng.random()
+        sample = data_rng.integers(0, n, size=n)
+        counts = np.bincount(sample, minlength=n)
+        rows = np.flatnonzero(counts)
+        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        weighted = _grow_tree(X[rows], y[rows], max_depth, max_features, rngs[0], counts[rows])
+        repeated = _grow_tree(X[sample], y[sample], max_depth, max_features, rngs[1])
+        oracle = numpy_grow_tree(X[sample], y[sample], max_depth, max_features, rngs[2])
+        assert preorder(weighted) == preorder(repeated) == preorder(oracle)
+        states = [rng.bit_generator.state for rng in rngs]
+        assert states[0] == states[1] == states[2]
+
     @pytest.mark.parametrize(
         "lo, hi",
         [(1 + 2**-52, 1 + 2**-51), (1.7e308, 1.75e308), (-1.75e308, -1.7e308)],
@@ -224,6 +286,106 @@ class TestForestTrees:
                     splits += 1
                     stack += [node.left, node.right]
         assert splits > 0
+
+
+def survey_dataset(path, seed: int = 0, count: int = 400) -> MLDataset:
+    """Labeled pairs of a seeded perf_repo, drawn like the benchmark's survey
+    labels: knowledge is a noisy function of the blame share, and answers
+    of 4 and above are experts."""
+    repo = perf_repo(path, commits=1000, files=200, devs=6, seed=seed)
+    history = canonicalize_history(filter_source_files(extract_history(repo, "main")))
+    rng = random.Random(seed)
+    labeled = {}
+    for row in rng.sample(compute_all(history).rows, count):
+        share = row.features.blame / max(1, row.features.size)
+        knowledge = min(5, max(1, round(1 + 4 * share + rng.gauss(0.0, 1.0))))
+        labeled[(row.developer.canonical_key, row.file)] = (
+            [getattr(row.features, name) for name in ML_FEATURE_NAMES],
+            knowledge >= EXPERT_KNOWLEDGE_FLOOR,
+        )
+    pairs = sorted(labeled)
+    return MLDataset(
+        features=np.array([labeled[pair][0] for pair in pairs], dtype=float),
+        labels=np.array([labeled[pair][1] for pair in pairs]),
+    )
+
+
+@pytest.fixture(scope="module")
+def survey(tmp_path_factory):
+    return survey_dataset(tmp_path_factory.mktemp("survey") / "repo")
+
+
+def fit_params(model: LogisticModel) -> np.ndarray:
+    return np.append(model.weights, model.bias)
+
+
+class TestNewtonFit:
+    """The damped Newton fit against gradient descent (the oracle)."""
+
+    TOL = DEFAULT_HYPERPARAMETERS[LOGISTIC_REGRESSION]["tol"]
+    MAX_ITER = DEFAULT_HYPERPARAMETERS[LOGISTIC_REGRESSION]["max_iter"]
+
+    @pytest.mark.parametrize("l2", DEFAULT_GRIDS[LOGISTIC_REGRESSION]["l2"])
+    def test_equals_gradient_descent_on_every_fold(self, survey, l2):
+        assert 0 < survey.labels.sum() < len(survey)
+        for test_idx in stratified_folds(survey.labels, 10, seed=0):
+            train_idx = np.setdiff1d(np.arange(len(survey)), test_idx)
+            scaled, scaler = standardize(survey.subset(train_idx))
+            X, y = scaled.features, scaled.labels
+            held_out = scaler.transform(survey.features[test_idx])
+            model = LogisticModel(X, y, l2, self.TOL, self.MAX_ITER)
+            oracle = gradient_descent_logistic(X, y, l2, self.TOL, self.MAX_ITER)
+            params = fit_params(model)
+            expected = ml._sigmoid(held_out @ oracle[:-1] + oracle[-1]) >= 0.5
+            assert (model.predict(held_out) == expected).all()
+            assert np.abs(logistic_gradient(params, X, y, l2)).max() <= self.TOL
+            assert logistic_loss(params, X, y, l2) <= logistic_loss(oracle, X, y, l2)
+
+    def fit_recording_losses(self, monkeypatch, X, y, l2=0.0) -> tuple[LogisticModel, list]:
+        """The fit, and the loss at the start of each Newton step."""
+        losses = []
+
+        def recording(params, X, y, l2):
+            losses.append(logistic_loss(params, X, y, l2))
+            return logistic_hessian(params, X, y, l2)
+
+        monkeypatch.setattr(ml, "logistic_hessian", recording)
+        return LogisticModel(X, y, l2, self.TOL, self.MAX_ITER), losses
+
+    def test_loss_falls_at_every_step_on_heavy_tailed_data(self, monkeypatch):
+        # heavy-tailed rows: from the seventh iterate on a full Newton step
+        # raises the loss, and undamped steps end in a two-cycle
+        X = np.array([[-41.0, -1.33], [0.456, -0.00232], [-0.926, 0.314], [-2.34, -3.0]])
+        y = np.array([True, False, True, False])
+        model, losses = self.fit_recording_losses(monkeypatch, X, y, l2=0.001)
+        assert len(losses) > 6
+        assert all(later < earlier for earlier, later in zip(losses, losses[1:]))
+        assert np.abs(logistic_gradient(fit_params(model), X, y, 0.001)).max() <= self.TOL
+
+    def test_unpenalized_separable_data_stops_by_tolerance(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        x0 = np.concatenate([rng.uniform(1.0, 3.0, 100), rng.uniform(-3.0, -1.0, 100)])
+        X = np.column_stack([x0, rng.normal(0, 1, 200)])
+        y = np.array([True] * 100 + [False] * 100)
+        model, losses = self.fit_recording_losses(monkeypatch, X, y)
+        assert len(losses) < self.MAX_ITER
+        assert np.isfinite(fit_params(model)).all()
+        assert np.abs(logistic_gradient(fit_params(model), X, y, 0.0)).max() <= self.TOL
+        assert (model.predict(X) == y).all()
+
+    @pytest.mark.parametrize("value", [5.0, 1.0], ids=["zero-variance", "constant-one"])
+    def test_unpenalized_collinear_column_stops_by_tolerance(self, monkeypatch, value):
+        # with l2 = 0 a constant column duplicates the bias, so the Hessian
+        # is singular, and a plain np.linalg.solve may refuse it
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=200)
+        X = np.column_stack([x, np.full(200, value)])
+        y = rng.random(200) < 1.0 / (1.0 + np.exp(-x))
+        assert np.linalg.matrix_rank(logistic_hessian(np.zeros(3), X, y, 0.0)) == 2
+        model, losses = self.fit_recording_losses(monkeypatch, X, y)
+        assert len(losses) < self.MAX_ITER
+        assert np.isfinite(fit_params(model)).all()
+        assert np.abs(logistic_gradient(fit_params(model), X, y, 0.0)).max() <= self.TOL
 
 
 def per_row_lexsort_scores(model, X: np.ndarray) -> np.ndarray:
