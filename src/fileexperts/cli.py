@@ -2,13 +2,13 @@
 correlate, sample, filter-corpus and ingest-truth.
 
 Every command but filter-corpus reads one artifact, the feature table,
-cached per repository tip and option set (the feature CSV plus the meta
-line of the cached history NDJSON), so ranking twice does not re-mine.
-``_table`` alone reads and writes the cache; no command reads the cached
-commits. All randomness flows from --seed. Domain errors exit nonzero with
-one machine-readable JSON object on stderr, written by ``main`` alone, and
-each distinct library warning a command raises becomes one JSON line there,
-written by ``_warn``.
+cached per repository tip and inputs (the feature CSV plus the meta line of
+the cached history NDJSON), so ranking twice does not re-mine. ``_table``
+alone reads and writes the cache, and ``_Inputs`` alone reads the inputs
+that shape the table; no command reads the cached commits. All randomness
+flows from --seed. Domain errors exit nonzero with one machine-readable
+JSON object on stderr, written by ``main`` alone, and each distinct library
+warning a command raises becomes one JSON line there, written by ``_warn``.
 
 Each command imports only the modules it runs: ``ml``, ``stats`` and
 ``study`` are imported inside the commands that use them, so ``mine``,
@@ -29,11 +29,11 @@ import logging
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, expertise, languages
+from . import __version__, expertise
 from .errors import (
     CorruptFeatureTable,
     CorruptHistory,
@@ -65,9 +65,7 @@ from .gitlog import (
 )
 from .identities import DEFAULT_ALIAS_THRESHOLD, canonicalize_history
 from .kinds import KINDS
-from .languages import DEFAULT_VENDOR_GLOBS, default_language_config, load_language_config
-
-logger = logging.getLogger(__name__)
+from .languages import DEFAULT_VENDOR_GLOBS, LanguageConfig, load_language_config
 
 # Bumped whenever the cached files change shape, so a cache written by older
 # code is re-mined rather than misread. 2: the meta line records the number
@@ -90,7 +88,6 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--branch", default="master", help="branch to mine (default master, falling back to HEAD)"
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
     parser.add_argument("--cache-dir", default=".fileexperts-cache")
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--alias-threshold", type=float, default=DEFAULT_ALIAS_THRESHOLD)
@@ -169,6 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
             _add_pipeline_options(sub_parser)
     for sub_parser in (p_rank, p_cal, p_eval):
         sub_parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    for sub_parser in (p_cal, p_eval, p_corr, p_sample):
+        sub_parser.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
     return parser
 
 
@@ -215,95 +214,96 @@ def _read_alias_map(path: str | None) -> list[tuple[str, str]] | None:
     return pairs
 
 
-def _options_key(args, tip: str) -> str:
-    """Cache key over every input that shapes the cached artifacts: the
-    branch tip, the options, the language table's contents, and the code
-    that computes the features."""
-    alias_map = _read_alias_map(args.alias_map) or []
-    language_config = (
-        hashlib.sha256(languages.read_language_table(args.language_config)).hexdigest()
-        if args.language_config
-        else None
-    )
-    blob = json.dumps(
-        {
-            "version": __version__,
-            "cache_format": _CACHE_FORMAT,
-            "feature_schema": FEATURE_SCHEMA,
-            "tip": tip,
-            "alias_threshold": args.alias_threshold,
-            "mod_threshold": args.mod_threshold,
-            "reference_time": args.reference_time,
-            "alias_map": alias_map,
-            "language_config": language_config,
-            "vendor_globs": args.vendor_globs or list(DEFAULT_VENDOR_GLOBS),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+@dataclass(frozen=True)
+class _Inputs:
+    """Every input that shapes the feature table, each read, parsed and
+    defaulted once: the pipeline runs on these values and the cache key
+    hashes them, so the two cannot disagree."""
+
+    alias_threshold: float
+    mod_threshold: float
+    reference_time: datetime | None
+    alias_map: list[tuple[str, str]] | None
+    language_config: LanguageConfig  # the bundled table unless --language-config
+    vendor_globs: tuple[str, ...]
+
+    @classmethod
+    def read(cls, args) -> _Inputs:
+        return cls(
+            alias_threshold=args.alias_threshold,
+            mod_threshold=args.mod_threshold,
+            reference_time=_parse_reference_time(args.reference_time),
+            alias_map=_read_alias_map(args.alias_map),
+            language_config=load_language_config(args.language_config),
+            vendor_globs=tuple(args.vendor_globs or DEFAULT_VENDOR_GLOBS),
+        )
+
+    def cache_files(self, cache_dir: str, tip: str) -> tuple[Path, Path]:
+        """The cached history NDJSON and feature CSV for these inputs mined at
+        ``tip`` by this code. The key material holds no set and takes no
+        ``hash()``, so every process derives the same key."""
+        blob = json.dumps(
+            {
+                "version": __version__,
+                "cache_format": _CACHE_FORMAT,
+                "feature_schema": FEATURE_SCHEMA,
+                "tip": tip,
+                **asdict(self),
+            },
+            sort_keys=True,
+            default=datetime.isoformat,  # any other type is a TypeError
+        )
+        key = hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return Path(cache_dir, f"history-{key}.ndjson"), Path(cache_dir, f"features-{key}.csv")
 
 
-def _cache_paths(args) -> tuple[Path, Path]:
-    """The cached history NDJSON and feature CSV for these options."""
-    _branch, tip = branch_tip(args.repo, args.branch)
-    key = _options_key(args, tip)
-    cache = Path(args.cache_dir)
-    return cache / f"history-{key}.ndjson", cache / f"features-{key}.csv"
-
-
-def _language_config(args):
-    if args.language_config:
-        return load_language_config(args.language_config)
-    return default_language_config()
-
-
-def _history(args) -> CommitHistory:
+def _history(args, inputs: _Inputs) -> CommitHistory:
     """Mine the branch: extract, keep the source files, unify aliases, then
     apply the reference-time override. Reads and writes no cache."""
-    override = _parse_reference_time(args.reference_time)
-    vendor = tuple(args.vendor_globs) if args.vendor_globs else DEFAULT_VENDOR_GLOBS
     history = extract_history(args.repo, args.branch)
-    history = filter_source_files(history, config=_language_config(args), vendor_globs=vendor)
-    history = canonicalize_history(
-        history,
-        threshold=args.alias_threshold,
-        manual_aliases=_read_alias_map(args.alias_map),
-    )
-    if override is not None:
-        history = replace(history, reference_time=override)
+    history = filter_source_files(history, inputs.language_config, inputs.vendor_globs)
+    history = canonicalize_history(history, inputs.alias_threshold, inputs.alias_map)
+    if inputs.reference_time is not None:
+        history = replace(history, reference_time=inputs.reference_time)
     return history
 
 
-def _table(args, history: CommitHistory | None = None) -> FeatureTable:
+def _table(args) -> FeatureTable:
     """The feature table every analysis command reads; the one owner of the
-    cache. A hit reads the feature CSV and only the cached history's meta
-    line, which holds the reference time, the developers and the number of
-    feature rows, so it equals the table a fresh run computes and a CSV cut
-    at a line boundary is caught. A miss mines, unless given the history,
-    and writes the history NDJSON and the feature CSV."""
-    if args.no_cache:
-        return compute_all(
-            history or _history(args), _language_config(args), args.mod_threshold, _usable_cpus()
-        )
-    history_path, features_path = _cache_paths(args)
-    if history_path.exists() and features_path.exists():
-        with history_path.open(encoding="utf-8") as handle:
-            line = handle.readline()
-        head = history_from_ndjson(line)
-        if head.commits or not line.strip():
-            raise CorruptHistory(f"{history_path} does not start with its meta line")
-        table = read_feature_csv(features_path, head.reference_time, developer_ids(head))
-        recorded = head.metadata.get(_FEATURE_ROWS)
-        if len(table.rows) != recorded:
-            raise CorruptFeatureTable(
-                f"{features_path} holds {len(table.rows)} rows; the cache recorded {recorded}"
-            )
-        return table
-    history = history or _history(args)
-    table = compute_all(history, _language_config(args), args.mod_threshold, _usable_cpus())
-    metadata = {**history.metadata, _FEATURE_ROWS: len(table.rows)}
-    save_history(replace(history, metadata=metadata), history_path)
-    write_feature_csv(table, features_path)
+    cache. ``mine --history-out`` mines first and writes what it mined. A
+    hit reads the feature CSV and only the cached history's meta line, which
+    holds the reference time, the developers and the number of feature rows,
+    so it equals the table a fresh run computes and a CSV cut at a line
+    boundary is caught. A miss mines, unless it has already, and writes the
+    cache, unless --no-cache, under the key of the tip it mined."""
+    inputs = _Inputs.read(args)
+    history = None
+    if getattr(args, "history_out", None):  # only `mine` has --history-out
+        history = _history(args, inputs)
+        save_history(history, args.history_out)
+    if not args.no_cache:
+        tip = history.metadata["tip"] if history else branch_tip(args.repo, args.branch)[1]
+        history_path, features_path = inputs.cache_files(args.cache_dir, tip)
+        if history_path.exists() and features_path.exists():
+            with history_path.open(encoding="utf-8") as handle:
+                line = handle.readline()
+            head = history_from_ndjson(line)
+            if head.commits or not line.strip():
+                raise CorruptHistory(f"{history_path} does not start with its meta line")
+            table = read_feature_csv(features_path, head.reference_time, developer_ids(head))
+            recorded = head.metadata.get(_FEATURE_ROWS)
+            if len(table.rows) != recorded:
+                raise CorruptFeatureTable(
+                    f"{features_path} holds {len(table.rows)} rows; the cache recorded {recorded}"
+                )
+            return table
+    history = history or _history(args, inputs)
+    table = compute_all(history, inputs.language_config, inputs.mod_threshold, _usable_cpus())
+    if not args.no_cache:
+        history_path, features_path = inputs.cache_files(args.cache_dir, history.metadata["tip"])
+        metadata = {**history.metadata, _FEATURE_ROWS: len(table.rows)}
+        save_history(replace(history, metadata=metadata), history_path)
+        write_feature_csv(table, features_path)
     return table
 
 
@@ -348,11 +348,7 @@ def _truth_inputs(args, table: FeatureTable):
 # -- subcommand implementations ------------------------------------------------
 
 def _cmd_mine(args) -> int:
-    history = None
-    if getattr(args, "history_out", None):  # `features` has no --history-out
-        history = _history(args)
-        save_history(history, args.history_out)
-    _emit(args, feature_table_to_csv(_table(args, history)))
+    _emit(args, feature_table_to_csv(_table(args)))
     return 0
 
 

@@ -234,6 +234,10 @@ def classify_changes(
 
 @lru_cache(maxsize=None)
 def _keyword_pattern(keywords: tuple[str, ...]) -> re.Pattern:
+    """Matches any keyword as a whole word; with none it matches nothing,
+    where an empty alternation would match at every word boundary."""
+    if not keywords:
+        return re.compile(r"(?!)")
     alternatives = "|".join(re.escape(k) for k in keywords)
     return re.compile(rf"\b(?:{alternatives})\b")
 

@@ -46,8 +46,9 @@ FEATURE_NAMES = (
 CSV_HEADER = ("developer", "file") + FEATURE_NAMES
 
 # Raise whenever a change alters any feature value computed from the same
-# history; the CLI keys its feature cache on it.
-FEATURE_SCHEMA = 1
+# history; the CLI keys its feature cache on it. 2: a language with no
+# conditional keywords counts no keyword matches.
+FEATURE_SCHEMA = 2
 
 _SECONDS_PER_DAY = 86400.0
 

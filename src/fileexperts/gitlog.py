@@ -130,7 +130,7 @@ def _parse_diff_tree(out: bytes) -> dict[str, list[tuple[str, str, str, str | No
     Returns sha -> list of (status, old_blob, new_blob, old_path, path).
     The stream is a sequence of NUL-separated chunks: a bare commit sha, or
     an entry header ':oldmode newmode oldsha newsha status' followed by one
-    path chunk (two for renames/copies). Commits with no changes emit
+    path chunk (two for renames). Commits with no changes emit
     nothing and are simply absent from the result.
     """
     text = out.decode("utf-8", "replace")
@@ -148,7 +148,7 @@ def _parse_diff_tree(out: bytes) -> dict[str, list[tuple[str, str, str, str | No
             i += 1
             continue
         old_mode, new_mode, old_sha, new_sha, status = chunk[1:].split(" ")
-        if status.startswith(("R", "C")):
+        if status.startswith("R"):
             old_path, path = chunks[i + 1], chunks[i + 2]
             i += 3
         else:
@@ -275,6 +275,8 @@ def extract_history(repo_path: str | Path, branch: str | None = "master") -> Com
         for status, old_sha, new_sha, old_path, path in raw_changes.get(sha, []):
             before = blobs.get(old_sha)
             after = blobs.get(new_sha)
+            # diff-tree -M reports no copies, even under diff.renames=copies:
+            # a copied file is an addition
             if status == "A":
                 changes.append(FileChangeEvent(path, ADDITION, after_content=after))
             elif status.startswith("R"):
@@ -283,10 +285,6 @@ def extract_history(repo_path: str | Path, branch: str | None = "master") -> Com
                         path, RENAME, old_path=old_path, before_content=before, after_content=after
                     )
                 )
-            elif status.startswith("C"):
-                # copies only appear if a caller re-runs with -C; the new
-                # path starts a fresh lineage
-                changes.append(FileChangeEvent(path, ADDITION, after_content=after))
             elif status in ("M", "T"):
                 changes.append(
                     FileChangeEvent(path, MODIFICATION, before_content=before, after_content=after)
@@ -348,13 +346,7 @@ def filter_source_files(
     present = history.present_paths
     if present is not None:
         present = frozenset(p for p in present if keep(p))
-    return CommitHistory(
-        commits=tuple(commits),
-        branch=history.branch,
-        reference_time=history.reference_time,
-        present_paths=present,
-        metadata=dict(history.metadata),
-    )
+    return replace(history, commits=tuple(commits), present_paths=present)
 
 
 def resolve_lineages(history: CommitHistory) -> dict[str, Lineage]:

@@ -230,12 +230,6 @@ def canonicalize_history(
         }
         for dev in mapping.values()
     }
-    metadata = dict(history.metadata)
-    metadata["identities"] = identity_meta
-    return CommitHistory(
-        commits=commits,
-        branch=history.branch,
-        reference_time=history.reference_time,
-        present_paths=history.present_paths,
-        metadata=metadata,
+    return replace(
+        history, commits=commits, metadata={**history.metadata, "identities": identity_meta}
     )

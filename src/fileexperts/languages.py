@@ -37,13 +37,12 @@ class LanguageConfig:
     """A set of languages plus the derived extension lookup table."""
 
     languages: dict[str, LanguageSpec]
-    by_extension: dict[str, str] = field(default_factory=dict)
+    by_extension: dict[str, str] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        if not self.by_extension:
-            for lang in self.languages.values():
-                for ext in lang.extensions:
-                    self.by_extension[ext.lower()] = lang.name
+        for lang in self.languages.values():
+            for ext in lang.extensions:
+                self.by_extension[ext.lower()] = lang.name
 
     def language_of(self, path: str) -> str | None:
         """Language name for a repository path, or None if unconfigured."""
@@ -57,14 +56,6 @@ class LanguageConfig:
             raise UnknownLanguage(f"no configuration for language {language!r}")
 
 
-def read_language_table(path: str | Path) -> bytes:
-    """A language table's bytes; InvalidLanguageConfig if it cannot be read."""
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise InvalidLanguageConfig(f"cannot read language table {path}: {exc.strerror}") from None
-
-
 def load_language_config(path: str | Path | None = None) -> LanguageConfig:
     """Load a language table from JSON, defaulting to the bundled one.
 
@@ -76,7 +67,11 @@ def load_language_config(path: str | Path | None = None) -> LanguageConfig:
     if path is None:
         raw = resources.files("fileexperts").joinpath("data/languages.json").read_bytes()
     else:
-        raw = read_language_table(path)
+        try:
+            raw = Path(path).read_bytes()
+        except OSError as exc:
+            message = f"cannot read language table {path}: {exc.strerror}"
+            raise InvalidLanguageConfig(message) from None
     try:
         languages = {
             name: LanguageSpec(

@@ -466,6 +466,81 @@ def test_cache_key_follows_language_config_contents(cli_repo, tmp_path, capsys):
     assert len(list(cache.glob("features-*.csv"))) == 2
 
 
+def test_language_table_rewritten_while_mining_is_cached_as_read(
+    cli_repo, tmp_path, capsys, monkeypatch
+):
+    import fileexperts.cli as cli
+
+    config = tmp_path / "languages.json"
+    raw = json.loads(resources.files("fileexperts").joinpath("data/languages.json").read_text())
+    original = json.dumps(raw)
+    raw["python"]["conditional_keywords"] = ["elif"]
+    config.write_text(original)
+    argv = ["mine", "--repo", str(cli_repo), "--branch", "main", "--language-config", str(config)]
+    assert main([*argv, "--no-cache"]) == 0
+    uncached = capsys.readouterr().out
+    extract = cli.extract_history
+
+    def rewrite_then_extract(*args, **kwargs):
+        config.write_text(json.dumps(raw))
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "extract_history", rewrite_then_extract)
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    assert main([*argv, *cache]) == 0  # mines with the table it read first
+    assert capsys.readouterr().out == uncached
+    monkeypatch.setattr(cli, "extract_history", extract)
+    config.write_text(original)
+    assert main([*argv, *cache]) == 0
+    assert capsys.readouterr().out == uncached
+
+
+class _Mined(Exception):
+    """Raised where a run that should read the cache mines instead."""
+
+
+def test_commit_landing_while_mining_is_cached_under_the_tip_mined(
+    tmp_path, capsys, monkeypatch
+):
+    import fileexperts.cli as cli
+
+    builder = RepoBuilder(tmp_path / "repo")
+    builder.commit("Ana", "ana@x.com", 1_600_000_000, writes={"a.py": "if x:\n    y = 1\n"})
+    builder.commit("Bo", "bo@y.com", 1_600_100_000, writes={"b.py": "z = 2\n"}, branch="next")
+    repo = builder.finish()
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), *args], check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    first, landed = git("rev-parse", "main"), git("rev-parse", "next")
+    extract = cli.extract_history
+
+    def land_then_extract(*args, **kwargs):
+        git("update-ref", "refs/heads/main", landed)
+        return extract(*args, **kwargs)
+
+    def refuse(*_args, **_kwargs):
+        raise _Mined
+
+    cache = tmp_path / "cache"
+    argv = ["mine", "--repo", str(repo), "--branch", "main", "--cache-dir", str(cache)]
+    monkeypatch.setattr(cli, "extract_history", land_then_extract)
+    assert main(argv) == 0  # looked up at the first commit, mined at the one that landed
+    mined = capsys.readouterr().out
+    assert "b.py" in mined
+    (history,) = cache.glob("history-*.ndjson")
+    meta = json.loads(history.read_text().split("\n", 1)[0])["meta"]
+    assert meta["metadata"]["tip"] == landed
+
+    monkeypatch.setattr(cli, "extract_history", refuse)
+    assert main(argv) == 0  # the entry is named for the tip it holds
+    assert capsys.readouterr().out == mined
+    git("update-ref", "refs/heads/main", first)
+    with pytest.raises(_Mined):  # and for no other
+        main(argv)
+
+
 @pytest.fixture(scope="module")
 def alias_repo(tmp_path_factory):
     """Ana commits as ana@x.com and as ana.lima@work.com; "Ana Lima" and
@@ -782,6 +857,10 @@ def test_rank_json_rows_equal_csv_rows(cli_repo, capsys):
         ["sample", "--format", "csv"],
         ["filter-corpus", "metrics.csv", "--repo", "."],
         ["filter-corpus", "metrics.csv", "--seed", "1"],
+        ["mine", "--seed", "3"],
+        ["features", "--seed", "3"],
+        ["rank", "--technique", "doa", "--file", "a.py", "--seed", "3"],
+        ["ingest-truth", "truth.csv", "--seed", "3"],
     ],
 )
 def test_options_a_command_ignores_are_rejected(argv, capsys):

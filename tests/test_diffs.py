@@ -2,6 +2,7 @@
 
 import subprocess
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from fileexperts.diffs import (
 from fileexperts.errors import FileNotInHistory, InvalidThreshold, UnknownLanguage
 from fileexperts.fixtures import RepoBuilder
 from fileexperts.gitlog import extract_history
+from fileexperts.languages import LanguageConfig, LanguageSpec
 from conftest import add, make_history, mod
 from oracles import _oracle_count_conditionals, lev_matrix, naive_diff
 
@@ -217,6 +219,15 @@ class TestCountConditionals:
     def test_quote_without_keyword(self):
         assert count_conditionals(["name = 'value'"], "python") == 0
         assert count_conditionals(['if name == "x":'], "python") == 1
+
+    def test_no_keywords_count_only_ternaries(self):
+        plain = LanguageSpec(name="plain", extensions=(".pl",), conditional_keywords=(),
+                             count_ternary=False, line_comments=("#",), string_quotes=('"',))
+        ternary = replace(plain, name="ternary", extensions=(".tn",), count_ternary=True)
+        config = LanguageConfig({"plain": plain, "ternary": ternary})
+        lines = ["total = price * qty", "x = 1", 'if y: z = "?"']
+        assert count_conditionals(lines, "plain", config) == 0
+        assert count_conditionals(lines + ["w = a ? b : c  # ?"], "ternary", config) == 1
 
     @given(
         st.lists(

@@ -103,6 +103,28 @@ def test_rename_chain_preserves_lineage(tmp_path):
     assert len(lineage.events) == 4
 
 
+def test_copied_file_is_an_addition_even_when_git_reports_copies(tmp_path):
+    repo = RepoBuilder(tmp_path / "repo")
+    content = "alpha = 1\nbeta = 2\ngamma = 3\n"
+    repo.commit("Ana", "ana@x.com", 1_600_000_000, writes={"a.py": content})
+    repo.commit("Bo", "bo@y.com", 1_600_100_000, writes={"a.py": content + "delta = 4\n",
+                                                          "b.py": content})
+    path = repo.finish()
+    subprocess.run(["git", "-C", str(path), "config", "diff.renames", "copies"], check=True)
+    log = subprocess.run(["git", "-C", str(path), "log", "--raw", "--format="],
+                         capture_output=True, text=True, check=True).stdout
+    assert " C100\ta.py\tb.py\n" in log  # git log does report the copy
+
+    history = extract_history(path, "main")
+    events = [(e.change_kind, e.path, e.old_path) for c in history.commits for e in c.changes]
+    assert events == [
+        ("addition", "a.py", None),
+        ("modification", "a.py", None),
+        ("addition", "b.py", None),
+    ]
+    assert history.commits[1].changes[1].after_content == content
+
+
 def test_extraction_is_deterministic(tmp_path):
     repo = _linear_repo(tmp_path / "repo")
     assert extract_history(repo, "main") == extract_history(repo, "main")
