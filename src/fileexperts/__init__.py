@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "diffs": (
         "BlameState", "ChangeStats", "DiffHunk", "apply_hunks", "classify_changes",
-        "count_conditionals", "line_diff", "replay_blame",
+        "count_conditionals", "line_diff",
     ),
     "errors": ("FileExpertsError",),
     "expertise": (
@@ -28,7 +28,7 @@ _EXPORTS = {
     ),
     "features": (
         "FeatureTable", "FeatureVector", "compute_all", "compute_features", "developer_ids",
-        "feature_table_to_csv", "read_feature_csv", "write_feature_csv",
+        "feature_table_to_csv", "read_feature_csv", "replay_blame", "write_feature_csv",
     ),
     "gitlog": (
         "CommitHistory", "CommitRecord", "FileChangeEvent", "RawIdentity", "extract_history",

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import logging
 import os
@@ -54,7 +53,7 @@ from .features import (
     read_feature_csv,
     write_feature_csv,
 )
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, csv_text
 from .gitlog import (
     CommitHistory,
     branch_tip,
@@ -179,11 +178,7 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_csv(args, header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(args, buf.getvalue())
+    _emit(args, csv_text(header, rows))
 
 
 def _parse_reference_time(value: str | None) -> datetime | None:
@@ -201,6 +196,8 @@ def _parse_reference_time(value: str | None) -> datetime | None:
 
 
 def _read_alias_map(path: str | None) -> list[tuple[str, str]] | None:
+    """The manual alias pairs; None without the flag or when the file names
+    none, so an empty map shares the cache entry of no map."""
     if path is None:
         return None
     pairs = []
@@ -211,7 +208,7 @@ def _read_alias_map(path: str | None) -> list[tuple[str, str]] | None:
                     pairs.append((record[0].strip(), record[1].strip()))
     except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableAliasMap(f"cannot read --alias-map {path}: {exc}") from None
-    return pairs
+    return pairs or None
 
 
 @dataclass(frozen=True)

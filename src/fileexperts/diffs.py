@@ -24,10 +24,10 @@ length (strict inequality, whitespace significant). Only that answer is
 needed, so the distance is computed with a bounded, banded edit distance
 that stops once the budget is exceeded.
 
-Blame replay transfers authorship of both added and modified lines to the
-committing author. It reuses the hunks each event was classified with, and
-diffs again only when the replayed lines diverge from the event's recorded
-before-content.
+Blame replay (``blame_from_events``) transfers authorship of both added and
+modified lines to the committing author. It reuses the hunks each event was
+classified with, and diffs again only when the replayed lines diverge from
+the event's recorded before-content. ``features`` feeds it each lineage.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InvalidThreshold, UnknownLanguage
-from .gitlog import ADDITION, CommitHistory, lineage_at_reference
+from .gitlog import ADDITION
 from .identities import levenshtein
 from .languages import LanguageConfig, LanguageSpec, default_language_config
 
@@ -351,9 +351,3 @@ def blame_from_events(events, hunks_per_event) -> list[tuple[str, str]]:
         lines, authors = new_lines, new_authors
     return list(zip(lines, authors))
 
-
-def replay_blame(history: CommitHistory, file: str) -> BlameState:
-    """Per-line authorship of a file at the reference version."""
-    lineage = lineage_at_reference(history, file)
-    hunks = [line_diff(event.before_content, event.after_content) for _, event in lineage.events]
-    return BlameState(file=file, lines=tuple(blame_from_events(lineage.events, hunks)))

@@ -15,14 +15,13 @@ ground truth, ``evaluate`` and ``calibrate``, import numpy and
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import EmptyOracle, InvalidThreshold, NegativeInput, UnscoredOraclePair
 from .features import FeatureTable
+from .fileio import csv_text
 
 if TYPE_CHECKING:
     import numpy as np
@@ -217,9 +216,7 @@ def calibrate(
 
 
 def threshold_curve_to_csv(curve: ThresholdCurve) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "precision", "recall", "f_measure"])
-    for point in curve.points:
-        writer.writerow([point.k, point.precision, point.recall, point.f_measure])
-    return buf.getvalue()
+    return csv_text(
+        ["k", "precision", "recall", "f_measure"],
+        ([p.k, p.precision, p.recall, p.f_measure] for p in curve.points),
+    )

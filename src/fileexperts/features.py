@@ -2,9 +2,10 @@
 
 All variables are evaluated at the history's reference version. A pair
 exists exactly when the developer has at least one non-merge commit on the
-file's lineage. Change counters (adds, dels, mods, conds) classify each
-commit's recorded before/after contents; blame and size come from replaying
-the lineage with the same per-event hunks.
+file's lineage: ``gitlog.resolve_lineages`` decides which lineages exist,
+and this module alone replays them. Each event is diffed once; change
+counters (adds, dels, mods, conds) classify its hunks, and blame and size
+replay the lineage with the same hunks.
 
 Each lineage is independent of the others, so ``compute_all`` can map
 chunks of lineages over forked workers with ``workers.map``; the rows are
@@ -21,10 +22,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import workers
-from .diffs import MOD_THRESHOLD, blame_from_events, classify_changes, line_diff
-from .errors import CorruptFeatureTable, PairNotInHistory
-from .fileio import atomic_write_text
-from .gitlog import CommitHistory, Lineage, lineage_at_reference, resolve_lineages
+from .diffs import MOD_THRESHOLD, BlameState, blame_from_events, classify_changes, line_diff
+from .errors import CorruptFeatureTable, FileNotInHistory, PairNotInHistory
+from .fileio import atomic_write_text, csv_text
+from .gitlog import CommitHistory, Lineage, resolve_lineages
 from .identities import DeveloperId
 from .languages import LanguageConfig, default_language_config
 
@@ -123,6 +124,27 @@ def developer_ids(history: CommitHistory) -> dict[str, DeveloperId]:
     return ids
 
 
+def _lineage(history: CommitHistory, file: str) -> Lineage:
+    """The lineage of a file present at the reference version; raises
+    FileNotInHistory for any other path."""
+    lineage = resolve_lineages(history).get(file)
+    if lineage is None:
+        raise FileNotInHistory(f"{file!r} does not exist at the reference version")
+    return lineage
+
+
+def _replay(lineage: Lineage) -> tuple[list, BlameState]:
+    """Each event's canonical hunks, and the blame they replay into."""
+    hunks = [line_diff(event.before_content, event.after_content) for _, event in lineage.events]
+    lines = tuple(blame_from_events(lineage.events, hunks))
+    return hunks, BlameState(file=lineage.path, lines=lines)
+
+
+def replay_blame(history: CommitHistory, file: str) -> BlameState:
+    """Per-line authorship of a file at the reference version."""
+    return _replay(_lineage(history, file))[1]
+
+
 def _file_features(
     history: CommitHistory,
     lineage: Lineage,
@@ -136,12 +158,10 @@ def _file_features(
     order: list[str] = []  # event authors in replay order
     stats: dict[str, list[int]] = {}  # author -> [adds, dels, mods, conds]
     times: dict[str, list[datetime]] = {}
-    hunks_per_event = []
-    for commit, event in lineage.events:
+    hunks_per_event, blame = _replay(lineage)
+    for (commit, _event), hunks in zip(lineage.events, hunks_per_event):
         author = commit.author.key()
         order.append(author)
-        hunks = line_diff(event.before_content, event.after_content)
-        hunks_per_event.append(hunks)
         changed = classify_changes(hunks, mod_threshold, language=language, config=config)
         acc = stats.setdefault(author, [0, 0, 0, 0])
         acc[0] += changed.adds
@@ -150,11 +170,8 @@ def _file_features(
         acc[3] += changed.conds
         times.setdefault(author, []).append(commit.timestamp)
 
-    blame_lines = blame_from_events(lineage.events, hunks_per_event)
-    blame_counts: dict[str, int] = {}
-    for _text, author in blame_lines:
-        blame_counts[author] = blame_counts.get(author, 0) + 1
-    size = len(blame_lines)
+    blame_counts = blame.counts()
+    size = len(blame.lines)
     creator = order[0]
 
     vectors: dict[str, FeatureVector] = {}
@@ -203,7 +220,7 @@ def compute_features(
     """
     config = config or default_language_config()
     key = developer.canonical_key if isinstance(developer, DeveloperId) else developer
-    vectors = _file_features(history, lineage_at_reference(history, file), config, mod_threshold)
+    vectors = _file_features(history, _lineage(history, file), config, mod_threshold)
     if key not in vectors:
         raise PairNotInHistory(f"{key!r} has no commits on {file!r}")
     return vectors[key]
@@ -217,14 +234,12 @@ def compute_all(
 ) -> FeatureTable:
     """One row per (developer, file) pair, ordered by file then developer.
 
-    With ``jobs`` above 1 the present lineages are split into a few chunks
+    With ``jobs`` above 1 the lineages are split into a few chunks
     per worker, balanced by event count, and mapped over ``workers.map``.
     """
     config = config or default_language_config()
     ids = developer_ids(history)
     lineages = resolve_lineages(history)
-    present = history.present_paths
-    paths = [path for path in lineages if present is None or path in present]
 
     def chunk_features(chunk: list[str]) -> list[tuple[str, dict[str, FeatureVector]]]:
         return [
@@ -233,7 +248,7 @@ def compute_all(
         ]
 
     chunks = _balanced_chunks(
-        {path: len(lineages[path].events) for path in paths},
+        {path: len(lineage.events) for path, lineage in lineages.items()},
         jobs * _CHUNKS_PER_WORKER if jobs > 1 else 1,
     )
     rows: list[FeatureRow] = []
@@ -261,14 +276,10 @@ def _balanced_chunks(weights: dict[str, int], count: int) -> list[list[str]]:
 # -- CSV interchange ----------------------------------------------------------
 
 def feature_table_to_csv(table: FeatureTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in table.rows:
-        writer.writerow(
-            [row.developer.canonical_key, row.file, *row.features.as_tuple()]
-        )
-    return buf.getvalue()
+    return csv_text(
+        CSV_HEADER,
+        ([row.developer.canonical_key, row.file, *row.features.as_tuple()] for row in table.rows),
+    )
 
 
 def write_feature_csv(table: FeatureTable, path: str | Path) -> None:

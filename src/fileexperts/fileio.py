@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
+
+
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """A header and rows as CSV text, in the one dialect the package writes."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:

@@ -6,6 +6,10 @@ change (addition, modification, rename) together with the file content
 before and after the change. Merge commits are excluded entirely, so the
 replayed view of a file is the no-merge approximation of its history.
 
+``resolve_lineages`` alone decides which lineages exist: one immutable
+lineage per file at the reference version, followed across renames.
+``features`` replays them.
+
 Only git plumbing commands are used (rev-list, diff-tree, cat-file,
 ls-tree), each invoked once per extraction, so large histories do not pay
 per-commit process overhead.
@@ -23,7 +27,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .errors import BranchNotFound, CorruptHistory, FileNotInHistory, RepositoryNotFound
+from .errors import BranchNotFound, CorruptHistory, RepositoryNotFound
 from .fileio import atomic_write_text
 from .languages import DEFAULT_VENDOR_GLOBS, LanguageConfig, default_language_config
 
@@ -91,13 +95,13 @@ class CommitHistory:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lineage:
-    """One file identity across renames: ordered events plus the path chain."""
+    """One file identity across renames: its path at the reference version
+    and its (commit, event) pairs in replay order."""
 
-    path: str  # current path (final path at the reference version)
-    events: list[tuple[CommitRecord, FileChangeEvent]] = field(default_factory=list)
-    path_chain: list[str] = field(default_factory=list)
+    path: str
+    events: tuple[tuple[CommitRecord, FileChangeEvent], ...]
 
 
 def _run_git(repo: Path, *args: str, stdin: bytes | None = None) -> bytes:
@@ -350,40 +354,28 @@ def filter_source_files(
 
 
 def resolve_lineages(history: CommitHistory) -> dict[str, Lineage]:
-    """Group change events into file lineages keyed by their current path.
+    """The lineages of the files in ``present_paths`` (of all files when it
+    is None), keyed by their path at the reference version.
 
     Replaying the commit stream, a rename moves the lineage to its new path
     and an addition on a path with no live lineage starts one. A file
     re-added after deletion therefore continues the lineage of its path.
     """
-    live: dict[str, Lineage] = {}
+    live: dict[str, list[tuple[CommitRecord, FileChangeEvent]]] = {}
     for commit in history.commits:
         for event in commit.changes:
             if event.change_kind == RENAME and event.old_path is not None:
-                lineage = live.pop(event.old_path, None)
-                if lineage is None:
-                    lineage = Lineage(path=event.old_path, path_chain=[event.old_path])
+                events = live.pop(event.old_path, [])
             else:
-                lineage = live.get(event.path)
-                if lineage is None:
-                    lineage = Lineage(path=event.path, path_chain=[event.path])
-            lineage.events.append((commit, event))
-            if event.path != lineage.path:
-                lineage.path_chain.append(event.path)
-            lineage.path = event.path
-            live[event.path] = lineage
-    return live
-
-
-def lineage_at_reference(history: CommitHistory, file: str) -> Lineage:
-    """The lineage of a file present at the reference version; raises
-    FileNotInHistory for any other path."""
-    lineage = resolve_lineages(history).get(file)
-    if lineage is None or (
-        history.present_paths is not None and file not in history.present_paths
-    ):
-        raise FileNotInHistory(f"{file!r} does not exist at the reference version")
-    return lineage
+                events = live.get(event.path, [])
+            events.append((commit, event))
+            live[event.path] = events
+    present = history.present_paths
+    return {
+        path: Lineage(path, tuple(events))
+        for path, events in live.items()
+        if present is None or path in present
+    }
 
 
 # -- newline-delimited JSON interchange (schema v1) ---------------------------

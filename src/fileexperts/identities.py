@@ -13,6 +13,7 @@ import math
 import unicodedata
 from dataclasses import dataclass, replace
 
+from .errors import InvalidThreshold
 from .gitlog import CommitHistory, RawIdentity
 
 DEFAULT_ALIAS_THRESHOLD = 0.30
@@ -143,8 +144,10 @@ def resolve_identities(
     pairs). Stage 2 merges groups whose normalized names are within
     ``threshold`` of the longer name's length, transitively. Every input
     identity maps to exactly one DeveloperId; the partition is independent
-    of input order.
+    of input order. A ``threshold`` outside [0, 1] raises InvalidThreshold.
     """
+    if not 0.0 <= threshold <= 1.0:  # also false for NaN
+        raise InvalidThreshold(f"alias threshold {threshold} outside [0, 1]")
     unique = sorted(set(identities), key=lambda ident: (ident.key(), ident.name))
     if not unique:
         return {}

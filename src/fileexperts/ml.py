@@ -61,12 +61,10 @@ DEFAULT_GRIDS: dict[str, dict[str, list]] = {
 
 @dataclass(frozen=True, eq=False)
 class MLDataset:
-    """Feature matrix plus expert labels, with optional pair provenance."""
+    """Feature matrix plus expert labels, with the names of its columns."""
 
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) bool, True = expert
-    developers: tuple[str, ...] = ()
-    files: tuple[str, ...] = ()
     feature_names: tuple[str, ...] = ML_FEATURE_NAMES
 
     def __post_init__(self):
@@ -84,8 +82,6 @@ class MLDataset:
         return MLDataset(
             features=self.features[indices],
             labels=self.labels[indices],
-            developers=tuple(self.developers[i] for i in indices) if self.developers else (),
-            files=tuple(self.files[i] for i in indices) if self.files else (),
             feature_names=self.feature_names,
         )
 
@@ -167,8 +163,6 @@ def standardize(dataset: MLDataset) -> tuple[MLDataset, Scaler]:
         MLDataset(
             features=scaler.transform(dataset.features),
             labels=dataset.labels,
-            developers=dataset.developers,
-            files=dataset.files,
             feature_names=dataset.feature_names,
         ),
         scaler,

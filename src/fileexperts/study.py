@@ -4,7 +4,6 @@ and ground-truth processing."""
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -14,6 +13,7 @@ import numpy as np
 from .errors import InvalidCount, InvalidGroundTruth, InvalidKnowledgeValue, TooFewRepos
 from .expertise import OracleSets
 from .features import FeatureTable
+from .fileio import csv_text
 from .gitlog import ADDITION, CommitHistory
 from .ml import ML_FEATURE_NAMES, MLDataset
 
@@ -131,17 +131,8 @@ def generate_sample(
 
 
 def sample_to_csv(pairs: list[tuple[str, str]]) -> str:
-    """Survey sample CSV grouped by developer."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["developer_email", "file"])
-    by_dev: dict[str, list[str]] = {}
-    for dev, file in pairs:
-        by_dev.setdefault(dev, []).append(file)
-    for dev in sorted(by_dev):
-        for file in by_dev[dev]:
-            writer.writerow([dev, file])
-    return buf.getvalue()
+    """Survey sample CSV grouped by developer, each one's files in draw order."""
+    return csv_text(["developer_email", "file"], sorted(pairs, key=lambda pair: pair[0]))
 
 
 def read_ground_truth_csv(
@@ -241,8 +232,6 @@ def process_answers(
     dataset = MLDataset(
         features=features,
         labels=np.array([pair in experts for pair in ordered], dtype=bool),
-        developers=tuple(pair[0] for pair in ordered),
-        files=tuple(pair[1] for pair in ordered),
     )
     return ProcessedAnswers(
         oracle=OracleSets(declared_experts=experts, declared_non_experts=non_experts),

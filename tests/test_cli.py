@@ -410,6 +410,19 @@ def test_alias_map_flag(tmp_path, capsys):
     assert rows[0]["num_commits"] == "2"
 
 
+def test_empty_alias_map_shares_the_cache_entry_of_no_map(cli_repo, tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    cache = tmp_path / "cache"
+    mine = ["mine", "--repo", str(cli_repo), "--branch", "main", "--cache-dir", str(cache)]
+    main(mine)
+    plain = capsys.readouterr().out
+    main([*mine, "--alias-map", str(empty)])
+    assert capsys.readouterr().out == plain
+    assert len(list(cache.glob("features-*.csv"))) == 1
+    assert len(list(cache.glob("history-*.ndjson"))) == 1
+
+
 def test_cache_reused_across_runs(cli_repo, tmp_path, capsys):
     cache = tmp_path / "cache"
     for _ in range(2):
@@ -755,6 +768,8 @@ def test_truth_csv_without_a_column_is_an_error(cli_repo, tmp_path, capsys):
     [
         (["mine", "--reference-time", "yesterday"], "errors.InvalidReferenceTime", "yesterday"),
         (["mine", "--alias-map", "{tmp}/absent.csv"], "errors.UnreadableAliasMap", "absent.csv"),
+        (["mine", "--no-cache", "--alias-threshold", "nan"], "errors.InvalidThreshold", "nan"),
+        (["mine", "--no-cache", "--alias-threshold", "1.5"], "errors.InvalidThreshold", "1.5"),
         (["ingest-truth", "{tmp}/truth.csv", "--column-map", "repo"],
          "errors.InvalidColumnMap", "'repo'"),
         (["evaluate", "--classifier", "knn", "--truth", "{tmp}/truth.csv", "--folds", "0"],
@@ -779,7 +794,8 @@ def test_truth_csv_without_a_column_is_an_error(cli_repo, tmp_path, capsys):
         (["rank", "--technique", "doa", "--file", "src/absent.py"],
          "errors.NoScores", "'src/absent.py'"),
     ],
-    ids=["reference-time", "alias-map", "column-map", "evaluate-folds-0", "evaluate-folds-1",
+    ids=["reference-time", "alias-map", "alias-threshold-nan", "alias-threshold-1.5",
+         "column-map", "evaluate-folds-0", "evaluate-folds-1",
          "calibrate-folds-0", "calibrate-folds-1", "truth-missing", "truth-not-utf-8",
          "language-config-missing", "language-config-missing-no-cache", "sample-limit-0",
          "metrics-missing", "metrics-without-column", "metrics-not-integer", "rank-no-scores"],

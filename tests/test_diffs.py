@@ -15,10 +15,10 @@ from fileexperts.diffs import (
     diff_lines,
     is_modification_pair,
     line_diff,
-    replay_blame,
     split_lines,
 )
 from fileexperts.errors import FileNotInHistory, InvalidThreshold, UnknownLanguage
+from fileexperts.features import replay_blame
 from fileexperts.fixtures import RepoBuilder
 from fileexperts.gitlog import extract_history
 from fileexperts.languages import LanguageConfig, LanguageSpec

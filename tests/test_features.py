@@ -12,6 +12,7 @@ from fileexperts.features import (
     compute_features,
     developer_ids,
     read_feature_csv,
+    replay_blame,
     write_feature_csv,
 )
 from fileexperts.fixtures import random_repo
@@ -141,6 +142,22 @@ def test_matches_naive_oracle_on_random_repos(tmp_path):
         assert set(actual) == set(expected), f"pair universe differs for seed {seed}"
         for pair in sorted(expected):
             assert actual[pair] == expected[pair], f"seed {seed}, pair {pair}"
+
+
+def test_single_file_lookups_agree_with_compute_all_on_random_repos(tmp_path):
+    for seed in (11, 12, 13):
+        repo = random_repo(tmp_path / f"repo{seed}", seed=seed)
+        history = canonicalize_history(filter_source_files(extract_history(repo, "main")))
+        table = compute_all(history)
+        assert table.rows, f"seed {seed} mined no rows"
+        for file in table.files():
+            rows = [row for row in table.rows if row.file == file]
+            blame = {row.developer.canonical_key: row.features.blame for row in rows}
+            counts = replay_blame(history, file).counts()
+            assert counts == {dev: n for dev, n in blame.items() if n}, f"seed {seed}, {file}"
+            for row in rows:
+                vector = compute_features(history, row.developer, file)
+                assert vector == row.features, f"seed {seed}, {row.developer.canonical_key}, {file}"
 
 
 def test_feature_csv_roundtrip(demo_history, tmp_path):

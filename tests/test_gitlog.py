@@ -2,7 +2,8 @@
 
 import json
 import subprocess
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+from datetime import datetime, timezone
 from pathlib import PurePosixPath
 
 import pytest
@@ -95,12 +96,52 @@ def test_rename_chain_preserves_lineage(tmp_path):
     lineages = resolve_lineages(history)
     assert set(lineages) == {"c.py"}
     lineage = lineages["c.py"]
-    assert lineage.path_chain == ["a.py", "b.py", "c.py"]
     # chain is connected: each rename's old path is the previous path
     renames = [e for _c, e in lineage.events if e.change_kind == "rename"]
     assert [r.old_path for r in renames] == ["a.py", "b.py"]
     # total events equal the per-segment sums
     assert len(lineage.events) == 4
+
+
+def test_lineages_are_the_files_at_the_reference_version():
+    def commit(index, *changes):
+        return CommitRecord(
+            id=f"c{index}",
+            author=RawIdentity("Ana", "ana@x.com"),
+            timestamp=datetime(2021, 1, 1 + index, tzinfo=timezone.utc),
+            changes=changes,
+        )
+
+    commits = (
+        commit(0, FileChangeEvent("a.py", "addition", after_content="x\n"),
+               FileChangeEvent("gone.py", "addition", after_content="g\n"),
+               FileChangeEvent("c.py", "addition", after_content="c\n")),
+        commit(1, FileChangeEvent("b.py", "rename", "a.py", "x\n", "x\n")),
+        # c.py deleted in between, then added again
+        commit(2, FileChangeEvent("c.py", "addition", after_content="c2\n")),
+    )
+    history = CommitHistory(
+        commits=commits,
+        branch="main",
+        reference_time=commits[-1].timestamp,
+        present_paths=frozenset({"b.py", "c.py"}),
+    )
+    lineages = resolve_lineages(history)
+    # gone.py was deleted before the reference version, so it has no lineage
+    assert set(lineages) == {"b.py", "c.py"}
+    assert lineages["b.py"].path == "b.py"
+    assert [c.id for c, _e in lineages["b.py"].events] == ["c0", "c1"]
+    assert [c.id for c, _e in lineages["c.py"].events] == ["c0", "c2"]
+    assert set(resolve_lineages(replace(history, present_paths=None))) == {
+        "b.py", "c.py", "gone.py"
+    }
+
+    lineage = lineages["b.py"]
+    with pytest.raises(FrozenInstanceError):
+        lineage.path = "other.py"
+    with pytest.raises(FrozenInstanceError):
+        lineage.events = ()
+    assert isinstance(lineage.events, tuple)
 
 
 def test_copied_file_is_an_addition_even_when_git_reports_copies(tmp_path):

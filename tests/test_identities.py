@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fileexperts.errors import InvalidThreshold
 from fileexperts.gitlog import RawIdentity
 from fileexperts.identities import (
     canonicalize_history,
@@ -189,6 +190,15 @@ def test_alias_budget_is_inclusive_at_an_exact_product():
         [RawIdentity("abcdefghij", "a@x.com"), RawIdentity("abcdefwxyz", "b@y.com")]
     )
     assert len(set(apart.values())) == 2
+
+
+@pytest.mark.parametrize("threshold", [-0.2, 1.5, float("nan")])
+def test_alias_threshold_outside_unit_interval_is_an_error(threshold):
+    ids = [RawIdentity("jsmith", "a@x.com"), RawIdentity("j smith", "b@y.com")]
+    with pytest.raises(InvalidThreshold, match="outside"):
+        resolve_identities(ids, threshold=threshold)
+    with pytest.raises(InvalidThreshold):
+        resolve_identities([], threshold=threshold)
 
 
 def test_alias_threshold_zero_disables_name_merging():

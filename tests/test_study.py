@@ -277,12 +277,14 @@ class TestGroundTruth:
             GroundTruthEntry("r", "d1@x.com", "a.py", 5),
             GroundTruthEntry("r", "d2@y.com", "a.py", 2),
         ]
-        dataset = process_answers(entries, table).dataset
+        processed = process_answers(entries, table)
+        dataset, oracle = processed.dataset, processed.oracle
         assert dataset.feature_names == ML_FEATURE_NAMES == ("adds", "fa", "size", "num_days")
         pair_map = table.pair_map()
+        # rows follow the labeled pairs in sorted order
         assert dataset.features.tolist() == [
             [getattr(pair_map[pair], name) for name in ML_FEATURE_NAMES]
-            for pair in zip(dataset.developers, dataset.files)
+            for pair in sorted(oracle.declared_experts | oracle.declared_non_experts)
         ]
         assert dataset.features.tolist() == [[2, 1, 7, 3], [5, 0, 7, 0]]
 
