@@ -58,9 +58,9 @@ from .gitlog import (
     CommitHistory,
     branch_tip,
     extract_history,
-    filter_source_files,
     history_from_ndjson,
     save_history,
+    source_predicate,
 )
 from .identities import DEFAULT_ALIAS_THRESHOLD, canonicalize_history
 from .kinds import KINDS
@@ -255,10 +255,10 @@ class _Inputs:
 
 
 def _history(args, inputs: _Inputs) -> CommitHistory:
-    """Mine the branch: extract, keep the source files, unify aliases, then
+    """Mine the branch: extract the source files alone, unify aliases, then
     apply the reference-time override. Reads and writes no cache."""
-    history = extract_history(args.repo, args.branch)
-    history = filter_source_files(history, inputs.language_config, inputs.vendor_globs)
+    keep = source_predicate(inputs.language_config, inputs.vendor_globs)
+    history = extract_history(args.repo, args.branch, keep)
     history = canonicalize_history(history, inputs.alias_threshold, inputs.alias_map)
     if inputs.reference_time is not None:
         history = replace(history, reference_time=inputs.reference_time)

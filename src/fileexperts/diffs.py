@@ -198,6 +198,13 @@ def is_modification_pair(removed: str, added: str, mod_threshold: float = MOD_TH
     return budget >= 0 and levenshtein(removed, added, budget) <= budget
 
 
+def check_mod_threshold(mod_threshold: float) -> None:
+    """Raise InvalidThreshold unless the modification threshold lies in
+    [0, 1]; NaN lies nowhere."""
+    if not 0.0 <= mod_threshold <= 1.0:
+        raise InvalidThreshold(f"mod_threshold {mod_threshold} outside [0, 1]")
+
+
 def classify_changes(
     hunks: Iterable[DiffHunk],
     mod_threshold: float = MOD_THRESHOLD,
@@ -212,8 +219,7 @@ def classify_changes(
     pure adds or dels. Conditionals are counted over the lines classified
     as adds, when a language is given.
     """
-    if not 0.0 <= mod_threshold <= 1.0:
-        raise InvalidThreshold(f"mod_threshold {mod_threshold} outside [0, 1]")
+    check_mod_threshold(mod_threshold)
     adds = dels = mods = 0
     added_lines: list[str] = []
     for hunk in hunks:

@@ -22,7 +22,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import workers
-from .diffs import MOD_THRESHOLD, BlameState, blame_from_events, classify_changes, line_diff
+from .diffs import (
+    MOD_THRESHOLD,
+    BlameState,
+    blame_from_events,
+    check_mod_threshold,
+    classify_changes,
+    line_diff,
+)
 from .errors import CorruptFeatureTable, FileNotInHistory, PairNotInHistory
 from .fileio import atomic_write_text, csv_text
 from .gitlog import CommitHistory, Lineage, resolve_lineages
@@ -215,9 +222,12 @@ def compute_features(
 ) -> FeatureVector:
     """Feature vector for one (developer, file) pair.
 
-    Raises FileNotInHistory when the file is absent at the reference
-    version and PairNotInHistory when the developer never touched it.
+    Raises InvalidThreshold, before any replay, when ``mod_threshold`` is
+    outside [0, 1], FileNotInHistory when the file is absent at the
+    reference version and PairNotInHistory when the developer never
+    touched it.
     """
+    check_mod_threshold(mod_threshold)
     config = config or default_language_config()
     key = developer.canonical_key if isinstance(developer, DeveloperId) else developer
     vectors = _file_features(history, _lineage(history, file), config, mod_threshold)
@@ -236,7 +246,10 @@ def compute_all(
 
     With ``jobs`` above 1 the lineages are split into a few chunks
     per worker, balanced by event count, and mapped over ``workers.map``.
+    Raises InvalidThreshold, before any replay, when ``mod_threshold`` is
+    outside [0, 1].
     """
+    check_mod_threshold(mod_threshold)
     config = config or default_language_config()
     ids = developer_ids(history)
     lineages = resolve_lineages(history)

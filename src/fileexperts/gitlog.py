@@ -12,7 +12,9 @@ lineage per file at the reference version, followed across renames.
 
 Only git plumbing commands are used (rev-list, diff-tree, cat-file,
 ls-tree), each invoked once per extraction, so large histories do not pay
-per-commit process overhead.
+per-commit process overhead. ``cat-file`` is read one blob at a time, and
+``extract_history(..., keep=source_predicate(...))`` requests no blob of a
+path the source filter drops, so binary and vendored files cost no memory.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ import functools
 import json
 import logging
 import subprocess
+import tempfile
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 from .errors import BranchNotFound, CorruptHistory, RepositoryNotFound
 from .fileio import atomic_write_text
@@ -128,14 +131,17 @@ def _parse_rev_list(out: bytes) -> list[tuple[str, str, str, int]]:
     return commits
 
 
-def _parse_diff_tree(out: bytes) -> dict[str, list[tuple[str, str, str, str | None, str]]]:
+def _parse_diff_tree(
+    out: bytes, keep: Callable[[str], bool] | None = None
+) -> dict[str, list[tuple[str, str, str, str | None, str]]]:
     """Parse `diff-tree --stdin -r -M --raw -z --format=%H` output.
 
-    Returns sha -> list of (status, old_blob, new_blob, old_path, path).
-    The stream is a sequence of NUL-separated chunks: a bare commit sha, or
-    an entry header ':oldmode newmode oldsha newsha status' followed by one
-    path chunk (two for renames). Commits with no changes emit
-    nothing and are simply absent from the result.
+    Returns sha -> list of (status, old_blob, new_blob, old_path, path),
+    leaving out the entries whose path ``keep`` rejects. The stream is a
+    sequence of NUL-separated chunks: a bare commit sha, or an entry header
+    ':oldmode newmode oldsha newsha status' followed by one path chunk (two
+    for renames). Commits with no changes emit nothing and are simply absent
+    from the result.
     """
     text = out.decode("utf-8", "replace")
     chunks = text.split("\0")
@@ -160,31 +166,62 @@ def _parse_diff_tree(out: bytes) -> dict[str, list[tuple[str, str, str, str | No
             i += 2
         if _GITLINK_MODE in (old_mode, new_mode):
             continue  # submodule pointers are not files
+        if keep is not None and not keep(path):
+            continue
         if current is None:
             raise CorruptHistory("diff entry before any commit header")
         current.append((status, old_sha, new_sha, old_path, path))
     return per_commit
 
 
+def _read_blob(out: IO[bytes], sha: str) -> str:
+    """The next object of a ``cat-file --batch`` stream: a header line
+    ``<sha> <type> <size>``, the body, then a newline. Decoded as UTF-8
+    with invalid bytes replaced, so binary blobs stay harmless."""
+    header = out.readline().decode("utf-8", "replace").split()
+    if len(header) != 3 or header[0] != sha:
+        reason = " ".join(header[1:]) if header else "no output"
+        raise CorruptHistory(f"object {sha} is unreadable ({reason})")
+    size = int(header[2])
+    body = out.read(size)
+    if len(body) != size or out.read(1) != b"\n":
+        raise CorruptHistory(f"object {sha} is truncated")
+    return body.decode("utf-8", "replace")
+
+
 def _fetch_blobs(repo: Path, shas: Iterable[str]) -> dict[str, str]:
-    """Read blob contents in one `cat-file --batch` call, decoded as UTF-8
-    (invalid bytes replaced, so binary blobs stay harmless)."""
+    """Read blob contents from one ``cat-file --batch`` process, one blob at
+    a time, so no more than one blob's bytes are held at once.
+
+    The requests come from a temporary file rather than a pipe, and git's
+    stderr goes to another, so neither side waits on a full pipe and no
+    feeder thread is needed. The process is waited for on every path.
+    """
     wanted = sorted({s for s in shas if s and s != _NULL_SHA})
     if not wanted:
         return {}
-    out = _run_git(repo, "cat-file", "--batch", stdin=("\n".join(wanted) + "\n").encode())
-    contents: dict[str, str] = {}
-    pos = 0
-    for sha in wanted:
-        nl = out.index(b"\n", pos)
-        header = out[pos:nl].decode("utf-8", "replace").split(" ")
-        if len(header) < 3:
-            raise CorruptHistory(f"object {header[0]} is unreadable ({header[-1]})")
-        size = int(header[2])
-        body = out[nl + 1 : nl + 1 + size]
-        contents[sha] = body.decode("utf-8", "replace")
-        pos = nl + 1 + size + 1  # skip trailing newline
-    return contents
+    with tempfile.TemporaryFile() as requests, tempfile.TemporaryFile() as stderr:
+        requests.write(("\n".join(wanted) + "\n").encode())
+        requests.seek(0)
+        failure = None
+        # leaving the block closes stdout, which stops git, and waits for it
+        with subprocess.Popen(
+            ["git", "-C", str(repo), "cat-file", "--batch"],
+            stdin=requests,
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+        ) as proc:
+            try:
+                contents = {sha: _read_blob(proc.stdout, sha) for sha in wanted}
+            except CorruptHistory as exc:
+                failure = exc
+        if failure is None and proc.returncode == 0:
+            return contents
+        stderr.seek(0)
+        message = stderr.read().decode("utf-8", "replace").strip()
+    if failure is not None and not message:
+        raise failure
+    raise CorruptHistory(f"git cat-file failed: {message or f'exit status {proc.returncode}'}")
 
 
 def _rev_parse(repo: Path, *args: str) -> list[str] | None:
@@ -226,13 +263,24 @@ def branch_tip(repo_path: str | Path, branch: str | None = "master") -> tuple[st
     return name or "HEAD", tip
 
 
-def extract_history(repo_path: str | Path, branch: str | None = "master") -> CommitHistory:
+def extract_history(
+    repo_path: str | Path,
+    branch: str | None = "master",
+    keep: Callable[[str], bool] | None = None,
+) -> CommitHistory:
     """Extract the non-merge history reachable from a branch tip.
 
     Commits come back in parent-before-child (topological) order with
     renames detected at git's default 50% similarity. ``branch=None`` uses
     the repository's current HEAD; the default "master" falls back to HEAD
     when no such branch exists.
+
+    ``keep``, a path predicate such as ``source_predicate(...)``, drops
+    every change whose path it rejects before any blob is requested, and
+    the commits left with no change; ``present_paths`` holds only the paths
+    it accepts. The reference time is still taken over every non-merge
+    commit, so the result equals ``filter_source_files`` applied to the
+    unfiltered history with the same predicate.
     """
     repo = Path(repo_path)
     branch_name, tip = branch_tip(repo, branch)
@@ -261,7 +309,7 @@ def extract_history(repo_path: str | Path, branch: str | None = "master") -> Com
         "--format=%H",
         stdin=("\n".join(sha for sha, *_ in meta) + "\n").encode(),
     )
-    raw_changes = _parse_diff_tree(diff_out)
+    raw_changes = _parse_diff_tree(diff_out, keep)
 
     needed: set[str] = set()
     for entries in raw_changes.values():
@@ -294,6 +342,8 @@ def extract_history(repo_path: str | Path, branch: str | None = "master") -> Com
                     FileChangeEvent(path, MODIFICATION, before_content=before, after_content=after)
                 )
             # deletions terminate a file's life and carry no expertise signal
+        if keep is not None and not changes:
+            continue
         commits.append(
             CommitRecord(
                 id=sha,
@@ -305,20 +355,41 @@ def extract_history(repo_path: str | Path, branch: str | None = "master") -> Com
 
     ls_out = _run_git(repo, "ls-tree", "-r", "-z", "--name-only", tip)
     present = frozenset(p for p in ls_out.decode("utf-8", "replace").split("\0") if p)
+    if keep is not None:
+        present = frozenset(filter(keep, present))
 
-    # the tip itself may be a merge commit and hence absent from the list
-    tip_time = next((c.timestamp for c in reversed(commits) if c.id == tip), None)
-    if tip_time is None:
-        tip_time = datetime.fromtimestamp(0, tz=timezone.utc)
-    reference_time = max([tip_time] + [c.timestamp for c in commits])
+    # over every non-merge commit, kept or not; the tip itself may be a
+    # merge commit, absent from the list, and then counts as the epoch
+    stamps = {sha: at for sha, _name, _email, at in meta}
+    newest = max([stamps.get(tip, 0), *stamps.values()])
 
     return CommitHistory(
         commits=tuple(commits),
         branch=branch_name,
-        reference_time=reference_time,
+        reference_time=datetime.fromtimestamp(newest, tz=timezone.utc),
         present_paths=present,
         metadata={"tip": tip, "rename_threshold": RENAME_THRESHOLD},
     )
+
+
+def source_predicate(
+    config: LanguageConfig | None = None,
+    vendor_globs: Iterable[str] = DEFAULT_VENDOR_GLOBS,
+) -> Callable[[str], bool]:
+    """The source filter's path predicate: true when the path's extension
+    maps to a configured language and the path matches none of the vendor
+    globs (``**`` read as ``*``). Each predicate caches its answers, since
+    events far outnumber distinct paths."""
+    config = config or default_language_config()
+    patterns = [g.replace("**", "*") for g in vendor_globs]
+
+    @functools.cache
+    def keep(path: str) -> bool:
+        if config.language_of(path) is None:
+            return False
+        return not any(fnmatch.fnmatch(path, pat) for pat in patterns)
+
+    return keep
 
 
 def filter_source_files(
@@ -328,20 +399,11 @@ def filter_source_files(
 ) -> CommitHistory:
     """Keep only change events on recognized source files.
 
-    An event survives when its path extension maps to a configured language
-    and the path matches none of the vendor globs; commits left with zero
-    changes are dropped. The reference-version file set is filtered with the
-    same predicate so downstream stages stay consistent.
+    An event survives when ``source_predicate`` accepts its path; commits
+    left with zero changes are dropped. The reference-version file set is
+    filtered with the same predicate so downstream stages stay consistent.
     """
-    config = config or default_language_config()
-    patterns = [g.replace("**", "*") for g in vendor_globs]
-
-    @functools.cache  # per call: events far outnumber distinct paths
-    def keep(path: str) -> bool:
-        if config.language_of(path) is None:
-            return False
-        return not any(fnmatch.fnmatch(path, pat) for pat in patterns)
-
+    keep = source_predicate(config, vendor_globs)
     commits = []
     for commit in history.commits:
         kept = tuple(ev for ev in commit.changes if keep(ev.path))

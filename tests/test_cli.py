@@ -47,6 +47,14 @@ def cli_repo(tmp_path_factory):
     return repo.finish()
 
 
+@pytest.fixture(scope="module")
+def notes_repo(tmp_path_factory):
+    """One commit holding only notes.txt, which the source filter drops."""
+    repo = RepoBuilder(tmp_path_factory.mktemp("notes") / "repo")
+    repo.commit("Ana Lima", "ana@x.com", 1_600_000_000, writes={"notes.txt": "hello\n"})
+    return repo.finish()
+
+
 def run_cli(*args: str, expect: int = 0, capsys=None) -> str:
     code = main(list(args))
     assert code == expect, f"exit {code} for {args}"
@@ -793,14 +801,23 @@ def test_truth_csv_without_a_column_is_an_error(cli_repo, tmp_path, capsys):
         (["filter-corpus", "{tmp}/not-integer.csv"], "errors.InvalidRepoMetrics", "line 2"),
         (["rank", "--technique", "doa", "--file", "src/absent.py"],
          "errors.NoScores", "'src/absent.py'"),
+        # a repository with no source file replays no lineage, so only an
+        # up-front check can reject these, before anything is cached
+        (["mine", "--repo", "{notes}", "--mod-threshold", "2"], "errors.InvalidThreshold", "2.0"),
+        (["mine", "--repo", "{notes}", "--mod-threshold", "nan"],
+         "errors.InvalidThreshold", "nan"),
+        (["mine", "--repo", "{notes}", "--mod-threshold", "-0.5"],
+         "errors.InvalidThreshold", "-0.5"),
     ],
     ids=["reference-time", "alias-map", "alias-threshold-nan", "alias-threshold-1.5",
          "column-map", "evaluate-folds-0", "evaluate-folds-1",
          "calibrate-folds-0", "calibrate-folds-1", "truth-missing", "truth-not-utf-8",
          "language-config-missing", "language-config-missing-no-cache", "sample-limit-0",
-         "metrics-missing", "metrics-without-column", "metrics-not-integer", "rank-no-scores"],
+         "metrics-missing", "metrics-without-column", "metrics-not-integer", "rank-no-scores",
+         "mod-threshold-2", "mod-threshold-nan", "mod-threshold-negative"],
 )
-def test_malformed_option_is_an_error(cli_repo, tmp_path, capsys, args, error, named):
+def test_malformed_option_is_an_error(cli_repo, notes_repo, tmp_path, capsys, args, error,
+                                      named):
     (tmp_path / "truth.csv").write_text(
         "repo,developer_email,file,knowledge\n"
         "fixture,ana@x.com,src/f0.py,5\nfixture,bo@y.com,src/f0.py,2\n"
@@ -810,16 +827,21 @@ def test_malformed_option_is_an_error(cli_repo, tmp_path, capsys, args, error, n
     )
     (tmp_path / "no-developers.csv").write_text("repo,commits,files\nr,1,2\n")
     (tmp_path / "not-integer.csv").write_text("repo,commits,files,developers\nr,1,2,many\n")
-    args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
+    on_notes = "{notes}" in args
+    args = [arg.replace("{tmp}", str(tmp_path)).replace("{notes}", str(notes_repo))
+            for arg in args]
     if args[0] != "filter-corpus":  # the one command that reads no repository
-        args += ["--repo", str(cli_repo), "--branch", "main",
-                 "--cache-dir", str(tmp_path / "cache")]
+        if not on_notes:
+            args += ["--repo", str(cli_repo)]
+        args += ["--branch", "main", "--cache-dir", str(tmp_path / "cache")]
     code = main(args)
     assert code == 1
     (line,) = capsys.readouterr().err.splitlines()
     reported = json.loads(line)
     assert reported["error"] == error
     assert named in reported["message"]
+    if on_notes:
+        assert not any((tmp_path / "cache").glob("*"))
 
 
 def test_mine_history_out_mines_and_computes_once(cli_repo, tmp_path, capsys, monkeypatch):

@@ -1,17 +1,22 @@
 """History extraction against real repositories built with fast-import."""
 
+import contextlib
+import hashlib
 import json
+import random
 import subprocess
 from dataclasses import FrozenInstanceError, replace
 from datetime import datetime, timezone
 from pathlib import PurePosixPath
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import naive_filter_source_files
 
-from fileexperts.errors import BranchNotFound, RepositoryNotFound
+from fileexperts import gitlog
+from fileexperts.errors import BranchNotFound, CorruptHistory, RepositoryNotFound
 from fileexperts.fixtures import RepoBuilder, random_repo
 from fileexperts.gitlog import (
     CommitHistory,
@@ -24,6 +29,7 @@ from fileexperts.gitlog import (
     history_to_ndjson,
     resolve_lineages,
     save_history,
+    source_predicate,
 )
 from fileexperts.languages import DEFAULT_VENDOR_GLOBS, default_language_config
 
@@ -261,6 +267,151 @@ def test_filter_to_empty_history(tmp_path):
     assert filtered.present_paths == frozenset()
 
 
+# the source filter meets each kind of path here; the upper-case
+# extensions are sources, since extensions are compared lower-cased
+_MIXED_PATHS = (
+    "src/app.py", "src/util.js", "Main.PY", "lib/Tool.JAVA", "lib/vendor/keep.py",
+    "notes.txt", "src/app.py.orig", "docs/guide.md", "vendor/dep.py",
+    "node_modules/pkg/index.js",
+)
+
+
+def _text(rng, tag):
+    return "".join(f"{tag}_{i} = {rng.randrange(1000)}\n" for i in range(12))
+
+
+def _mixed_repo(path, seed):
+    """Source paths beside .txt, .orig, .md, vendor/ and node_modules/ ones,
+    renames both ways across the source boundary, deletions, and a tip
+    commit that touches only README.md."""
+    rng = random.Random(seed)
+    authors = [("Ana", "ana@x.com"), ("Bo", "bo@y.com"), ("Cy", "cy@z.com")]
+    repo = RepoBuilder(path)
+    when = 1_600_000_000
+    files = {"a.txt": _text(rng, "a"), "b.py": _text(rng, "b")}
+    repo.commit(*authors[0], when, writes=dict(files))
+    when += 3_600
+    files["a.py"], files["b.txt"] = files.pop("a.txt"), files.pop("b.py")
+    repo.commit(*authors[1], when, deletes=("a.txt", "b.py"),
+                writes={"a.py": files["a.py"], "b.txt": files["b.txt"]})
+    for _ in range(rng.randint(3, 10)):
+        when += rng.randint(1, 86_400)
+        op = rng.random()
+        if files and op < 0.2:
+            gone = rng.choice(sorted(files))
+            del files[gone]
+            repo.commit(*rng.choice(authors), when, deletes=(gone,))
+        elif files and op < 0.4:  # a rename with one line edited, to any free path
+            old = rng.choice(sorted(files))
+            new = rng.choice([p for p in _MIXED_PATHS + ("a.txt", "b.py") if p not in files])
+            lines = files.pop(old).splitlines(keepends=True)
+            lines[rng.randrange(len(lines))] = f"edited = {rng.randrange(1000)}\n"
+            files[new] = "".join(lines)
+            repo.commit(*rng.choice(authors), when, deletes=(old,), writes={new: files[new]})
+        else:
+            writes = {path: _text(rng, f"w{when}") for path in
+                      rng.sample(_MIXED_PATHS, rng.randint(1, 3))}
+            files.update(writes)
+            repo.commit(*rng.choice(authors), when, writes=writes)
+    repo.commit(*authors[2], when + 86_400, writes={"README.md": f"docs {seed}\n"})
+    return repo.finish()
+
+
+def _blob_sha(text):
+    data = text.encode()
+    return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
+
+
+def _content_blobs(history):
+    return {_blob_sha(content) for commit in history.commits for event in commit.changes
+            for content in (event.before_content, event.after_content) if content is not None}
+
+
+@contextlib.contextmanager
+def _cat_file_calls():
+    """Each ``cat-file`` process started inside the block, with the shas
+    requested of it."""
+    calls = []
+    popen = subprocess.Popen
+
+    def spy(args, **kwargs):
+        if "cat-file" not in args:
+            return popen(args, **kwargs)
+        requested = kwargs["stdin"].read().decode().split()
+        kwargs["stdin"].seek(0)
+        calls.append((popen(args, **kwargs), requested))
+        return calls[-1][0]
+
+    with mock.patch.object(gitlog.subprocess, "Popen", spy):
+        yield calls
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    globs=st.sampled_from([DEFAULT_VENDOR_GLOBS, (), ("vendor/**",), ("src/**", "lib/**")]),
+)
+def test_filtering_during_extraction_changes_nothing(tmp_path_factory, seed, globs):
+    repo = _mixed_repo(tmp_path_factory.mktemp("mixed") / "repo", seed)
+    config = default_language_config()
+    everything = extract_history(repo, "main")
+    with _cat_file_calls() as calls:
+        kept = extract_history(repo, "main", keep=source_predicate(config, globs))
+    requested = {sha for _proc, shas in calls for sha in shas}
+    assert kept == filter_source_files(everything, config, globs)
+    assert kept == naive_filter_source_files(everything, set(config.by_extension), globs)
+    # the README-only tip is dropped, yet still sets the reference time
+    tip = everything.commits[-1]
+    assert tip.id == kept.metadata["tip"] and tip.id not in {c.id for c in kept.commits}
+    assert kept.reference_time == tip.timestamp
+    # cat-file is asked for the kept changes' blobs, and for no other
+    dropped = _content_blobs(everything) - _content_blobs(kept)
+    assert requested == _content_blobs(kept)
+    assert dropped and not dropped & requested
+
+
+def _hash_objects(repo, blobs):
+    return [
+        subprocess.run(["git", "-C", str(repo), "hash-object", "-w", "--stdin"], input=data,
+                       capture_output=True, check=True).stdout.decode().strip()
+        for data in blobs
+    ]
+
+
+_BLOBS = {
+    "empty": b"",
+    "no-trailing-newline": b"x = 1\ny = 2",
+    "header-shaped-line": b"x = 1\n0123456789abcdef0123456789abcdef01234567 blob 12\ny = 2\n",
+    "invalid-utf-8": b"caf\xe9 = 1\n\xff\xfe\x00\n",
+}
+
+
+@pytest.mark.parametrize("name", _BLOBS)
+def test_streamed_blob_equals_cat_file(tmp_path, name):
+    repo = RepoBuilder(tmp_path / "repo").path
+    shas = dict(zip(_BLOBS, _hash_objects(repo, _BLOBS.values())))
+    fetched = gitlog._fetch_blobs(repo, shas.values())  # one stream holds them all
+    shown = subprocess.run(["git", "-C", str(repo), "cat-file", "-p", shas[name]],
+                           capture_output=True, check=True).stdout
+    assert fetched[shas[name]] == shown.decode("utf-8", "replace")
+
+
+@pytest.mark.parametrize("case", ["missing-sha", "not-a-repository"])
+def test_unreadable_blob_raises_and_waits_for_cat_file(tmp_path, case):
+    repo = RepoBuilder(tmp_path / "repo").path
+    # more than a pipe holds, so git is still writing when the read stops
+    (big,) = _hash_objects(repo, [b"x = 1\n" * 200_000])
+    missing = "0" * 39 + "1"  # requested before the big blob
+    if case == "not-a-repository":
+        repo = tmp_path / "plain"
+        repo.mkdir()
+    named = missing if case == "missing-sha" else "not a git repository"
+    with _cat_file_calls() as calls, pytest.raises(CorruptHistory, match=named):
+        gitlog._fetch_blobs(repo, [missing, big])
+    ((proc, _shas),) = calls
+    assert proc.returncode is not None
+
+
 def test_ndjson_roundtrip(demo_history):
     import json
 
@@ -327,8 +478,6 @@ _MALFORMED = {
 
 @pytest.mark.parametrize("bad", _MALFORMED.values(), ids=_MALFORMED.keys())
 def test_malformed_ndjson_line_names_its_line(bad):
-    from fileexperts.errors import CorruptHistory
-
     assert history_from_ndjson(f"{_META}\n{json.dumps(_COMMIT)}\n").commits[0].id == "c1"
     with pytest.raises(CorruptHistory, match="history line 3 is malformed"):
         history_from_ndjson(f"{_META}\n\n{bad}\n{json.dumps(_COMMIT)}\n")
@@ -348,8 +497,6 @@ def test_merge_commit_at_tip(tmp_path):
 
 
 def test_corrupt_object_raises(tmp_path):
-    from fileexperts.errors import CorruptHistory
-
     repo = _linear_repo(tmp_path / "repo")
     objects = sorted((repo / ".git" / "objects").glob("??/*"))
     for obj in objects:
