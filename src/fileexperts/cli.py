@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter.add_argument("metrics_csv", help="CSV with header repo,commits,files,developers")
 
     p_truth = sub.add_parser("ingest-truth", help="validate and join a ground-truth CSV")
-    p_truth.add_argument("truth_csv")
+    p_truth.add_argument("truth", metavar="truth_csv")
     p_truth.add_argument(
         "--column-map",
         help="logical=actual header pairs, comma separated "
@@ -333,13 +333,18 @@ def _warn_unresolved(unresolved) -> None:
         )
 
 
-def _truth_inputs(args, table: FeatureTable):
+def _truth(args):
+    """The feature table, the ground-truth answers and their join, for every
+    command that reads ground truth. The CSV is read and checked before
+    anything is mined; each answer that does not join is reported."""
     from . import study
 
-    entries = study.read_ground_truth_csv(args.truth)
+    column_map = _parse_column_map(getattr(args, "column_map", None))
+    entries = study.read_ground_truth_csv(args.truth, column_map=column_map)
+    table = _table(args)
     processed = study.process_answers(entries, table)
     _warn_unresolved(processed.unresolved)
-    return processed
+    return table, entries, processed
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -377,8 +382,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    table = _table(args)
-    processed = _truth_inputs(args, table)
+    table, _entries, processed = _truth(args)
     scores = expertise.technique_scores(table, args.technique)
     curve = expertise.calibrate(scores, processed.oracle, folds=args.folds, seed=args.seed)
     if args.format == "json":
@@ -400,8 +404,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_evaluate(args) -> int:
     from . import ml
 
-    table = _table(args)
-    processed = _truth_inputs(args, table)
+    _, _, processed = _truth(args)
     jobs = _usable_cpus()  # the report does not depend on it
     if args.grid == "default":
         spec, report = ml.grid_search(
@@ -434,10 +437,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_correlate(args) -> int:
     from . import stats, study
 
-    table = _table(args)
-    entries = study.read_ground_truth_csv(args.truth)
-    knowledge, unresolved = study.knowledge_map(entries, table)
-    _warn_unresolved(unresolved)
+    table, entries, _processed = _truth(args)
+    knowledge, _unresolved = study.knowledge_map(entries, table)
     if args.matrix:
         matrix = stats.correlation_matrix(table, knowledge)
         cells = ((a, b, matrix.cell(a, b)) for a in matrix.variables for b in matrix.variables)
@@ -509,18 +510,13 @@ def _parse_column_map(value: str | None) -> dict[str, str] | None:
 
 
 def _cmd_ingest_truth(args) -> int:
-    from . import study
-
-    column_map = _parse_column_map(args.column_map)
-    entries = study.read_ground_truth_csv(args.truth_csv, column_map=column_map)
-    processed = study.process_answers(entries, _table(args))
-    _warn_unresolved(processed.unresolved)
-    oracle = processed.oracle
+    _, _, processed = _truth(args)
+    labeled = list(zip(processed.oracle.pairs, processed.oracle.labels))
     _emit_csv(
         args,
         ["developer", "file", "label"],
-        [[dev, file, "expert"] for dev, file in sorted(oracle.declared_experts)]
-        + [[dev, file, "non_expert"] for dev, file in sorted(oracle.declared_non_experts)],
+        [[dev, file, "expert"] for (dev, file), expert in labeled if expert]
+        + [[dev, file, "non_expert"] for (dev, file), expert in labeled if not expert],
     )
     return 0
 

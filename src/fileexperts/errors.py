@@ -124,7 +124,8 @@ class UnreadableAliasMap(FileExpertsError):
 
 
 class InvalidColumnMap(FileExpertsError):
-    """A --column-map item is not of the form logical=actual."""
+    """A --column-map item is not of the form logical=actual, or names a
+    logical column the ground-truth CSV does not have."""
 
 
 class NoScores(FileExpertsError):

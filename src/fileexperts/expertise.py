@@ -16,7 +16,7 @@ ground truth, ``evaluate`` and ``calibrate``, import numpy and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import EmptyOracle, InvalidThreshold, NegativeInput, UnscoredOraclePair
@@ -47,15 +47,22 @@ class ExpertiseScore:
 
 @dataclass(frozen=True)
 class OracleSets:
-    """Labeled ground truth: declared experts and declared non-experts."""
+    """Labeled ground truth: declared experts and declared non-experts. The
+    one place the labeled pairs are ordered: ``pairs`` holds them sorted and
+    ``labels`` their expert flags in that order, outside equality and repr."""
 
     declared_experts: frozenset[Pair]
     declared_non_experts: frozenset[Pair]
+    pairs: tuple[Pair, ...] = field(init=False, compare=False, repr=False)
+    labels: tuple[bool, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         overlap = self.declared_experts & self.declared_non_experts
         if overlap:
             raise ValueError(f"oracle sets overlap on {sorted(overlap)[:3]}")
+        pairs = tuple(sorted(self.labeled))
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "labels", tuple(p in self.declared_experts for p in pairs))
 
     @property
     def labeled(self) -> frozenset[Pair]:
@@ -146,8 +153,8 @@ def classify(scores: list[ExpertiseScore], k: float) -> set[Pair]:
     return {(s.developer, s.file) for s in scores if _is_expert(s.normalized, k)}
 
 
-def _labeled(oracle: OracleSets, scored=None) -> tuple[list[Pair], np.ndarray]:
-    """The sorted labeled pairs and their expert labels, once the oracle
+def _labeled(oracle: OracleSets, scored=None) -> np.ndarray:
+    """The oracle's labels, in the order of ``oracle.pairs``, once the oracle
     declares an expert and every labeled pair is among ``scored``, if given."""
     import numpy as np
 
@@ -158,8 +165,7 @@ def _labeled(oracle: OracleSets, scored=None) -> tuple[list[Pair], np.ndarray]:
         raise UnscoredOraclePair(
             f"{len(missing)} labeled pairs have no score, e.g. {sorted(missing)[:3]}"
         )
-    labeled = sorted(oracle.labeled)
-    return labeled, np.array([pair in oracle.declared_experts for pair in labeled])
+    return np.array(oracle.labels)
 
 
 def evaluate(
@@ -176,8 +182,8 @@ def evaluate(
 
     from .validation import prf
 
-    labeled, actual = _labeled(oracle, scored)
-    return prf(np.array([pair in predicted for pair in labeled]), actual)
+    actual = _labeled(oracle, scored)
+    return prf(np.array([pair in predicted for pair in oracle.pairs]), actual)
 
 
 def calibrate(
@@ -188,19 +194,19 @@ def calibrate(
 ) -> ThresholdCurve:
     """Sweep the 11-step threshold grid with stratified cross-validation.
 
-    The sorted labeled pairs are split into seeded folds stratified by the
-    expert label, exactly as ``ml.cross_validate`` splits the same pairs;
-    each threshold's precision, recall and F-measure are ``validation.prf``
-    on each held-out fold, averaged by ``validation.mean_prf``. best_k
-    maximizes mean F-measure, with ties broken toward the smallest k.
+    The folds stratify ``oracle.labels``, the labels of the dataset
+    ``study.process_answers`` builds, so ``ml.cross_validate`` holds out the
+    same pairs; each threshold's precision, recall and F-measure are
+    ``validation.prf`` on each held-out fold, averaged by ``mean_prf``.
+    best_k maximizes mean F-measure, with ties broken toward the smallest k.
     """
     import numpy as np
 
     from .validation import mean_prf, prf, stratified_folds
 
     score_map = {(s.developer, s.file): s.normalized for s in scores}
-    labeled, actual = _labeled(oracle, score_map)
-    normalized = np.array([score_map[pair] for pair in labeled])
+    actual = _labeled(oracle, score_map)
+    normalized = np.array([score_map[pair] for pair in oracle.pairs])
     fold_indices = stratified_folds(actual, folds, seed)
     technique = scores[0].technique if scores else ""
 

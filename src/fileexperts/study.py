@@ -10,7 +10,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import InvalidCount, InvalidGroundTruth, InvalidKnowledgeValue, TooFewRepos
+from .errors import (
+    InvalidColumnMap,
+    InvalidCount,
+    InvalidGroundTruth,
+    InvalidKnowledgeValue,
+    TooFewRepos,
+)
 from .expertise import OracleSets
 from .features import FeatureTable
 from .fileio import csv_text
@@ -141,17 +147,25 @@ def read_ground_truth_csv(
     """Read a ground-truth CSV (repo,developer_email,file,knowledge).
 
     ``column_map`` adapts external headers, mapping each logical column
-    name to the header actually present in the file. Raises
-    InvalidGroundTruth when the file cannot be read as UTF-8, a column is
-    missing or a row is short.
+    name to the header actually present in the file; a name outside
+    GROUND_TRUTH_COLUMNS raises InvalidColumnMap. Raises InvalidGroundTruth
+    when the file cannot be read as UTF-8, a column is missing (an empty
+    file lacks them all) or a row is short, and InvalidKnowledgeValue, with
+    the file and line, when a knowledge answer is not an integer.
     """
     column_map = dict(column_map or {})
+    unknown = sorted(set(column_map) - set(GROUND_TRUTH_COLUMNS))
+    if unknown:
+        raise InvalidColumnMap(
+            f"column map names unknown logical columns {unknown}; "
+            f"the logical columns are {','.join(GROUND_TRUTH_COLUMNS)}"
+        )
     names = {logical: column_map.get(logical, logical) for logical in GROUND_TRUTH_COLUMNS}
     entries = []
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
-            missing = [c for c in names.values() if reader.fieldnames and c not in reader.fieldnames]
+            missing = [c for c in names.values() if c not in (reader.fieldnames or ())]
             if missing:
                 raise InvalidGroundTruth(f"ground-truth CSV {path} lacks columns {missing}")
             for record in reader:
@@ -163,7 +177,10 @@ def read_ground_truth_csv(
                 try:
                     knowledge = int(raw)
                 except ValueError:
-                    raise InvalidKnowledgeValue(f"knowledge {raw!r} is not an integer")
+                    raise InvalidKnowledgeValue(
+                        f"ground-truth CSV {path} line {reader.line_num}: "
+                        f"knowledge {raw!r} is not an integer"
+                    ) from None
                 entries.append(
                     GroundTruthEntry(
                         repo=record[names["repo"]].strip(),
@@ -218,23 +235,19 @@ def process_answers(
     Knowledge above 3 lands in the declared-expert set, the rest in the
     declared-non-expert set. Answers whose developer or file cannot be
     matched against the table are reported, never silently dropped. A pair
-    answered twice keeps its last answer.
+    answered twice keeps its last answer. Dataset row i is ``oracle.pairs[i]``.
     """
     pair_map = table.pair_map()
     labeled, unresolved = knowledge_map(entries, table)
     experts = frozenset(p for p, k in labeled.items() if k >= EXPERT_KNOWLEDGE_FLOOR)
     non_experts = frozenset(p for p, k in labeled.items() if k < EXPERT_KNOWLEDGE_FLOOR)
-    ordered = sorted(labeled)
+    oracle = OracleSets(declared_experts=experts, declared_non_experts=non_experts)
     features = np.array(
-        [[getattr(pair_map[pair], name) for name in ML_FEATURE_NAMES] for pair in ordered],
+        [[getattr(pair_map[pair], name) for name in ML_FEATURE_NAMES] for pair in oracle.pairs],
         dtype=float,
-    ).reshape(len(ordered), len(ML_FEATURE_NAMES))
-    dataset = MLDataset(
-        features=features,
-        labels=np.array([pair in experts for pair in ordered], dtype=bool),
-    )
+    ).reshape(len(oracle.pairs), len(ML_FEATURE_NAMES))
     return ProcessedAnswers(
-        oracle=OracleSets(declared_experts=experts, declared_non_experts=non_experts),
-        dataset=dataset,
+        oracle=oracle,
+        dataset=MLDataset(features=features, labels=np.array(oracle.labels, dtype=bool)),
         unresolved=unresolved,
     )

@@ -772,6 +772,40 @@ def test_truth_csv_without_a_column_is_an_error(cli_repo, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [
+        ("ingest-truth", "{truth}"),
+        ("calibrate", "--truth", "{truth}"),
+        ("evaluate", "--classifier", "knn", "--truth", "{truth}"),
+        ("correlate", "--truth", "{truth}"),
+    ],
+    ids=lambda command: command[0],
+)
+def test_ground_truth_is_read_before_mining(cli_repo, tmp_path, capsys, monkeypatch, command):
+    import fileexperts.cli as cli
+
+    def mine(*args, **kwargs):
+        raise AssertionError("the repository was read before the ground truth")
+
+    monkeypatch.setattr(cli, "branch_tip", mine)
+    monkeypatch.setattr(cli, "extract_history", mine)
+    truth = tmp_path / "empty.csv"
+    truth.write_text("")
+    cache = tmp_path / "cache"
+    argv = [part.format(truth=truth) for part in command] + [
+        "--repo", str(cli_repo), "--branch", "main", "--cache-dir", str(cache),
+    ]
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "errors.InvalidGroundTruth",
+        "message": f"ground-truth CSV {truth} lacks columns "
+        "['repo', 'developer_email', 'file', 'knowledge']",
+    }
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize(
     "args, error, named",
     [
         (["mine", "--reference-time", "yesterday"], "errors.InvalidReferenceTime", "yesterday"),
@@ -780,6 +814,9 @@ def test_truth_csv_without_a_column_is_an_error(cli_repo, tmp_path, capsys):
         (["mine", "--no-cache", "--alias-threshold", "1.5"], "errors.InvalidThreshold", "1.5"),
         (["ingest-truth", "{tmp}/truth.csv", "--column-map", "repo"],
          "errors.InvalidColumnMap", "'repo'"),
+        (["ingest-truth", "{tmp}/truth.csv", "--column-map", "developer_email=Email,knowledg=k"],
+         "errors.InvalidColumnMap",
+         "['knowledg']; the logical columns are repo,developer_email,file,knowledge"),
         (["evaluate", "--classifier", "knn", "--truth", "{tmp}/truth.csv", "--folds", "0"],
          "errors.InvalidCount", "folds must be >= 2, got 0"),
         (["evaluate", "--classifier", "knn", "--truth", "{tmp}/truth.csv", "--folds", "1"],
@@ -810,7 +847,7 @@ def test_truth_csv_without_a_column_is_an_error(cli_repo, tmp_path, capsys):
          "errors.InvalidThreshold", "-0.5"),
     ],
     ids=["reference-time", "alias-map", "alias-threshold-nan", "alias-threshold-1.5",
-         "column-map", "evaluate-folds-0", "evaluate-folds-1",
+         "column-map", "column-map-unknown-name", "evaluate-folds-0", "evaluate-folds-1",
          "calibrate-folds-0", "calibrate-folds-1", "truth-missing", "truth-not-utf-8",
          "language-config-missing", "language-config-missing-no-cache", "sample-limit-0",
          "metrics-missing", "metrics-without-column", "metrics-not-integer", "rank-no-scores",

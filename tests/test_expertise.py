@@ -177,6 +177,20 @@ class TestClassify:
             classify([], 1.5)
 
 
+def test_oracle_orders_and_labels_its_pairs_outside_equality():
+    experts, non_experts = frozenset({("b", "f"), ("a", "g")}), frozenset({("a", "f")})
+    oracle = OracleSets(declared_experts=experts, declared_non_experts=non_experts)
+    assert oracle.pairs == (("a", "f"), ("a", "g"), ("b", "f"))
+    assert oracle.labels == (False, True, True)
+    twin = OracleSets(declared_experts=set(experts), declared_non_experts=set(non_experts))
+    assert oracle == twin and hash(oracle) == hash(OracleSets(experts, non_experts))
+    assert repr(oracle) == (
+        f"OracleSets(declared_experts={experts!r}, declared_non_experts={non_experts!r})"
+    )
+    with pytest.raises(TypeError):
+        OracleSets(experts, non_experts, pairs=())
+
+
 class TestEvaluate:
     def test_perfect_prediction(self):
         oracle = OracleSets(

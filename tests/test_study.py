@@ -1,11 +1,16 @@
 """Corpus filtering, bulk-import detection, sampling, ground truth."""
 
 import re
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fileexperts import ml, validation
 from fileexperts.errors import InvalidGroundTruth, InvalidKnowledgeValue, TooFewRepos
+from fileexperts.expertise import DOA, calibrate, technique_scores
 from fileexperts.features import compute_all
 from fileexperts.fixtures import random_repo
 from fileexperts.gitlog import extract_history, filter_source_files
@@ -232,14 +237,27 @@ class TestGroundTruth:
         [
             ("repo,file,knowledge\nr,a.py,5\n", "lacks columns ['developer_email']"),
             ("repo,developer_email,file,knowledge\nr,d@x.com,a.py,5\nr,d@x.com\n", "line 3"),
+            ("", "lacks columns ['repo', 'developer_email', 'file', 'knowledge']"),
         ],
-        ids=["missing-column", "short-row"],
+        ids=["missing-column", "short-row", "empty-file"],
     )
     def test_malformed_csv_is_a_domain_error(self, tmp_path, text, problem):
         path = tmp_path / "truth.csv"
         path.write_text(text)
         with pytest.raises(InvalidGroundTruth, match=re.escape(problem)):
             read_ground_truth_csv(path)
+
+    def test_non_integer_knowledge_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text(
+            "repo,developer_email,file,knowledge\nr,d@x.com,a.py,5\nr,d@x.com,b.py,high\n"
+        )
+        with pytest.raises(InvalidKnowledgeValue) as raised:
+            read_ground_truth_csv(path)
+        assert str(raised.value) == (
+            f"ground-truth CSV {path} line 3: knowledge 'high' is not an integer"
+        )
+        assert raised.value.__suppress_context__
 
     def test_process_answers_join(self):
         history = make_history(
@@ -320,3 +338,92 @@ class TestGroundTruth:
         knowledge, unresolved = knowledge_map(entries, table)
         assert knowledge == {("ana@x.com", "a.py"): 5}
         assert unresolved == ()
+
+
+_DEVELOPERS = ("d1@x.com", "d2@y.com", "d3@z.com")
+
+
+@cache
+def _shared_table():
+    """Three developers on four files: d1 creates a, b and c; d2 edits a and
+    b and creates d; d3 edits a, c and d. Nine (developer, file) pairs."""
+    d1, d2, d3 = _DEVELOPERS
+    return compute_all(make_history([
+        (d1, 0, [add("a.py", "a = 1\n"), add("b.py", "b = 1\n"), add("c.py", "c = 1\n")]),
+        (d2, 1, [mod("a.py", "a = 1\n", "a = 2\n"), mod("b.py", "b = 1\n", "b = 2\n"),
+                 add("d.py", "d = 1\nd2 = 2\n")]),
+        (d3, 2, [mod("a.py", "a = 2\n", "a = 3\n"), mod("c.py", "c = 1\n", "c = 3\n"),
+                 mod("d.py", "d = 1\nd2 = 2\n", "d = 3\nd2 = 2\n")]),
+    ]))
+
+
+def test_both_technique_families_get_the_same_folds(monkeypatch):
+    """calibrate and cross_validate, given one process_answers result, hand
+    stratified_folds the same label sequence and so hold out the same
+    positions. The expert set is chosen so that rows ordered any other way,
+    by (file, developer) say, give a different label sequence."""
+    table = _shared_table()
+    experts = {("d1@x.com", "a.py"), ("d1@x.com", "b.py"), ("d2@y.com", "d.py"),
+               ("d3@z.com", "c.py")}
+    pairs = sorted(table.pair_map())
+    entries = [GroundTruthEntry("r", dev, file, 5 if (dev, file) in experts else 2)
+               for dev, file in pairs]
+    by_file = sorted(pairs, key=lambda pair: (pair[1], pair[0]))
+    assert [p in experts for p in by_file] != [p in experts for p in pairs]
+
+    calls = []
+    real = validation.stratified_folds
+
+    def spy(labels, folds, seed=0):
+        fold_indices = real(labels, folds, seed)
+        calls.append((np.asarray(labels).tolist(), [f.tolist() for f in fold_indices]))
+        return fold_indices
+
+    monkeypatch.setattr(validation, "stratified_folds", spy)
+    monkeypatch.setattr(ml, "stratified_folds", spy)
+    processed = process_answers(entries, table)
+    calibrate(technique_scores(table, DOA), processed.oracle, folds=3, seed=5)
+    ml.cross_validate(ml.ClassifierSpec(kind=ml.KNN, hyperparameters={"k": 1}),
+                      processed.dataset, folds=3, seed=5)
+    (calibrate_labels, calibrate_folds), (cv_labels, cv_folds) = calls
+    assert calibrate_labels == cv_labels == [p in experts for p in pairs]
+    assert calibrate_folds == cv_folds
+
+
+_answers = st.builds(
+    lambda email, shout, file, knowledge: GroundTruthEntry(
+        "r", email.upper() if shout else email, file, knowledge
+    ),
+    st.sampled_from((*_DEVELOPERS, "ghost@nowhere.com")),
+    st.booleans(),
+    st.sampled_from(("a.py", "b.py", "c.py", "d.py", "missing.py")),
+    st.integers(1, 5),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_answers, max_size=30))
+def test_dataset_rows_follow_the_oracle_order(entries):
+    """Whatever the answers (repeated, in another case, by unknown
+    developers or on pairs not in history), the oracle sorts the labeled
+    pairs and the dataset's rows and labels follow that order."""
+    table = _shared_table()
+    pair_map = table.pair_map()
+    last_answer = {}
+    for entry in entries:
+        pair = (entry.developer.lower(), entry.file)
+        if pair in pair_map:
+            last_answer[pair] = entry.knowledge
+    processed = process_answers(entries, table)
+    oracle, dataset = processed.oracle, processed.dataset
+    assert oracle.declared_experts == {p for p, k in last_answer.items() if k >= 4}
+    assert oracle.declared_non_experts == {p for p, k in last_answer.items() if k < 4}
+    assert len(processed.unresolved) == sum(
+        (e.developer.lower(), e.file) not in pair_map for e in entries
+    )
+    assert oracle.pairs == tuple(sorted(oracle.labeled))
+    assert oracle.labels == tuple(pair in oracle.declared_experts for pair in oracle.pairs)
+    assert dataset.labels.tolist() == list(oracle.labels)
+    assert dataset.features.tolist() == [
+        [getattr(pair_map[pair], name) for name in ML_FEATURE_NAMES] for pair in oracle.pairs
+    ]
