@@ -21,7 +21,6 @@ a warm command, which only reads the cache, forks none.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -53,7 +52,7 @@ from .features import (
     read_feature_csv,
     write_feature_csv,
 )
-from .fileio import atomic_write_text, csv_text
+from .fileio import atomic_write_text, csv_text, decode_utf8, read_csv
 from .gitlog import (
     CommitHistory,
     branch_tip,
@@ -200,14 +199,8 @@ def _read_alias_map(path: str | None) -> list[tuple[str, str]] | None:
     none, so an empty map shares the cache entry of no map."""
     if path is None:
         return None
-    pairs = []
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            for record in csv.reader(handle):
-                if len(record) >= 2 and record[0].strip():
-                    pairs.append((record[0].strip(), record[1].strip()))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UnreadableAliasMap(f"cannot read --alias-map {path}: {exc}") from None
+    rows = read_csv(path, "--alias-map", UnreadableAliasMap, None, lambda *row: row)
+    pairs = [(row[0].strip(), row[1].strip()) for row in rows if len(row) >= 2 and row[0].strip()]
     return pairs or None
 
 
@@ -282,8 +275,8 @@ def _table(args) -> FeatureTable:
         tip = history.metadata["tip"] if history else branch_tip(args.repo, args.branch)[1]
         history_path, features_path = inputs.cache_files(args.cache_dir, tip)
         if history_path.exists() and features_path.exists():
-            with history_path.open(encoding="utf-8") as handle:
-                line = handle.readline()
+            with history_path.open("rb") as handle:
+                line = decode_utf8(handle.readline(), "history", history_path, CorruptHistory)
             head = history_from_ndjson(line)
             if head.commits or not line.strip():
                 raise CorruptHistory(f"{history_path} does not start with its meta line")
@@ -334,7 +327,7 @@ def _warn_unresolved(unresolved) -> None:
 
 
 def _truth(args):
-    """The feature table, the ground-truth answers and their join, for every
+    """The feature table and its join with the ground-truth answers, for every
     command that reads ground truth. The CSV is read and checked before
     anything is mined; each answer that does not join is reported."""
     from . import study
@@ -344,7 +337,7 @@ def _truth(args):
     table = _table(args)
     processed = study.process_answers(entries, table)
     _warn_unresolved(processed.unresolved)
-    return table, entries, processed
+    return table, processed
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -382,7 +375,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    table, _entries, processed = _truth(args)
+    table, processed = _truth(args)
     scores = expertise.technique_scores(table, args.technique)
     curve = expertise.calibrate(scores, processed.oracle, folds=args.folds, seed=args.seed)
     if args.format == "json":
@@ -404,7 +397,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_evaluate(args) -> int:
     from . import ml
 
-    _, _, processed = _truth(args)
+    _, processed = _truth(args)
     jobs = _usable_cpus()  # the report does not depend on it
     if args.grid == "default":
         spec, report = ml.grid_search(
@@ -435,12 +428,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    from . import stats, study
+    from . import stats
 
-    table, entries, _processed = _truth(args)
-    knowledge, _unresolved = study.knowledge_map(entries, table)
+    table, processed = _truth(args)
     if args.matrix:
-        matrix = stats.correlation_matrix(table, knowledge)
+        matrix = stats.correlation_matrix(table, processed.knowledge)
         cells = ((a, b, matrix.cell(a, b)) for a in matrix.variables for b in matrix.variables)
         _emit_csv(
             args,
@@ -449,7 +441,7 @@ def _cmd_correlate(args) -> int:
         )
         return 0
     results, errors = stats.knowledge_correlations(
-        table, knowledge, permutation_p=args.exact_p, seed=args.seed
+        table, processed.knowledge, permutation_p=args.exact_p, seed=args.seed
     )
     for variable in sorted(errors):
         _warn("undefined correlation", variable=variable)
@@ -472,26 +464,13 @@ def _cmd_sample(args) -> int:
 def _cmd_filter_corpus(args) -> int:
     from . import study
 
-    path = args.metrics_csv
-    metrics = []
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            for record in reader:
-                metrics.append(
-                    study.RepoMetrics(
-                        repo=record["repo"],
-                        commits=int(record["commits"]),
-                        files=int(record["files"]),
-                        developers=int(record["developers"]),
-                    )
-                )
-    except OSError as exc:
-        raise InvalidRepoMetrics(f"cannot read metrics CSV {path}: {exc.strerror}") from None
-    except KeyError as exc:
-        raise InvalidRepoMetrics(f"metrics CSV {path} lacks column {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise InvalidRepoMetrics(f"metrics CSV {path} line {reader.line_num}: {exc}") from None
+    metrics = read_csv(
+        args.metrics_csv,
+        "metrics CSV",
+        InvalidRepoMetrics,
+        ("repo", "commits", "files", "developers"),
+        lambda repo, *counts: study.RepoMetrics(repo, *map(int, counts)),
+    )
     included = study.quartile_filter(metrics)
     _emit_csv(args, ["repo"], [[m.repo] for m in metrics if m.repo in included])
     return 0
@@ -510,7 +489,7 @@ def _parse_column_map(value: str | None) -> dict[str, str] | None:
 
 
 def _cmd_ingest_truth(args) -> int:
-    _, _, processed = _truth(args)
+    _, processed = _truth(args)
     labeled = list(zip(processed.oracle.pairs, processed.oracle.labels))
     _emit_csv(
         args,

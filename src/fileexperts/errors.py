@@ -106,11 +106,11 @@ class InvalidKnowledgeValue(FileExpertsError):
 
 
 class InvalidGroundTruth(FileExpertsError):
-    """A ground-truth CSV is unreadable, lacks a column or has a short row."""
+    """A ground-truth CSV is unreadable, lacks a column or has a row of the wrong width."""
 
 
 class InvalidRepoMetrics(FileExpertsError):
-    """A corpus metrics CSV is unreadable, lacks a column or has a bad count."""
+    """A corpus metrics CSV is unreadable, lacks a column or has a bad row or count."""
 
 
 # -- command-line input ------------------------------------------------------
@@ -120,12 +120,12 @@ class InvalidReferenceTime(FileExpertsError):
 
 
 class UnreadableAliasMap(FileExpertsError):
-    """An --alias-map file cannot be opened or decoded as UTF-8."""
+    """An --alias-map file cannot be opened or read as UTF-8 CSV."""
 
 
 class InvalidColumnMap(FileExpertsError):
-    """A --column-map item is not of the form logical=actual, or names a
-    logical column the ground-truth CSV does not have."""
+    """A --column-map item is not of the form logical=actual, names no
+    ground-truth column, or maps two logical columns to one header."""
 
 
 class NoScores(FileExpertsError):

@@ -14,9 +14,7 @@ sorted afterwards, so the table does not depend on the worker count.
 
 from __future__ import annotations
 
-import csv
 import heapq
-import io
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,7 +29,7 @@ from .diffs import (
     line_diff,
 )
 from .errors import CorruptFeatureTable, FileNotInHistory, PairNotInHistory
-from .fileio import atomic_write_text, csv_text
+from .fileio import atomic_write_text, csv_text, read_csv
 from .gitlog import CommitHistory, Lineage, resolve_lineages
 from .identities import DeveloperId
 from .languages import LanguageConfig, default_language_config
@@ -309,37 +307,22 @@ def read_feature_csv(
     The CSV holds only canonical keys; each row's developer is taken from
     ``developers`` (as built by ``developer_ids`` from the history the table
     was computed from), else it carries only its key. Raises
-    CorruptFeatureTable, naming the 1-based line, when the header, a row's
-    field count or a value is not what ``write_feature_csv`` writes.
+    CorruptFeatureTable, naming the file and, for a row, its 1-based line,
+    when the file is not what ``write_feature_csv`` writes.
     """
     developers = developers or {}
-    text = Path(path).read_text("utf-8")
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != CSV_HEADER:
-        raise CorruptFeatureTable(f"{path} line 1: unexpected feature CSV header {header!r}")
-    rows = []
-    for record in reader:
-        if not record:
-            continue
-        if len(record) != len(CSV_HEADER):
-            raise CorruptFeatureTable(
-                f"{path} line {reader.line_num}: {len(record)} fields, expected {len(CSV_HEADER)}"
-            )
-        key, file, *values = record
-        try:
-            vector = FeatureVector(
-                *(int(v) for v in values[:-1]), avg_days_commits=float(values[-1])
-            )
-        except ValueError as exc:
-            raise CorruptFeatureTable(f"{path} line {reader.line_num}: {exc}") from None
+
+    def row(key: str, file: str, *counts: str) -> FeatureRow:
+        vector = FeatureVector(*map(int, counts[:-1]), avg_days_commits=float(counts[-1]))
         developer = developers.get(key) or DeveloperId(
             canonical_key=key,
             display_name=key,
             emails=frozenset([key]),
             names=frozenset(),
         )
-        rows.append(FeatureRow(developer=developer, file=file, features=vector))
+        return FeatureRow(developer=developer, file=file, features=vector)
+
+    rows = read_csv(path, "feature CSV", CorruptFeatureTable, CSV_HEADER, row)
     return FeatureTable(
         rows=tuple(rows),
         reference_time=reference_time or datetime.fromtimestamp(0, tz=timezone.utc),

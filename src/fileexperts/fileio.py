@@ -1,4 +1,4 @@
-"""Small file-output helpers shared by the library and the CLI."""
+"""Small file helpers shared by the library and the CLI."""
 
 from __future__ import annotations
 
@@ -7,7 +7,9 @@ import io
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+from .errors import FileExpertsError
 
 
 def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
@@ -17,6 +19,64 @@ def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def decode_utf8(data: bytes, what: str, path: str | Path, error: type) -> str:
+    """``data``, read from ``path``, as UTF-8 text; bytes that are not UTF-8
+    raise ``error`` naming ``what``, the path and the 1-based line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{what} {path} line {line}: {exc}") from None
+
+
+def read_csv(
+    path: str | Path, what: str, error: type, columns: Sequence[str] | None, build: Callable
+) -> list:
+    """``build(*values)`` for each row of a UTF-8 CSV file: the reading twin
+    of ``csv_text``. With ``columns``, a header names each once, in any order,
+    every non-blank row has its width, and the values come in ``columns``
+    order; without, the file has no header and each row comes as it is. Any
+    fault, or a ValueError or TypeError from ``build``, raises ``error``
+    naming ``what``, the path and, for a row, its line; a FileExpertsError
+    from ``build`` keeps its type and gains that prefix."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+    reader = csv.reader(io.StringIO(decode_utf8(data, what, path, error), newline=""))
+
+    def at_line(problem: object) -> str:
+        return f"{what} {path} line {reader.line_num}: {problem}"
+
+    rows = []
+    try:
+        if columns is not None:
+            header = next(reader, [])
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise error(f"{what} {path} lacks columns {missing}")
+            repeated = [c for c in columns if header.count(c) > 1]
+            if repeated:
+                raise error(f"{what} {path} names columns {repeated} more than once")
+            positions = [header.index(c) for c in columns]
+        for record in reader:
+            if columns is not None:
+                if not record:
+                    continue
+                if len(record) != len(header):
+                    raise error(at_line(f"{len(record)} fields, expected {len(header)}"))
+                record = [record[i] for i in positions]
+            try:
+                rows.append(build(*record))
+            except FileExpertsError as exc:
+                raise type(exc)(at_line(exc)) from None
+            except (TypeError, ValueError) as exc:
+                raise error(at_line(exc)) from None
+    except csv.Error as exc:
+        raise error(at_line(exc)) from None
+    return rows
 
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping
 
 from .errors import BranchNotFound, CorruptHistory, RepositoryNotFound
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, decode_utf8
 from .languages import DEFAULT_VENDOR_GLOBS, LanguageConfig, default_language_config
 
 logger = logging.getLogger(__name__)
@@ -556,4 +556,5 @@ def save_history(history: CommitHistory, path: str | Path) -> None:
 
 
 def load_history(path: str | Path) -> CommitHistory:
-    return history_from_ndjson(Path(path).read_text("utf-8"))
+    data = Path(path).read_bytes()
+    return history_from_ndjson(decode_utf8(data, "history", path, CorruptHistory))

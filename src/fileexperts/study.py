@@ -3,7 +3,6 @@ and ground-truth processing."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -19,7 +18,7 @@ from .errors import (
 )
 from .expertise import OracleSets
 from .features import FeatureTable
-from .fileio import csv_text
+from .fileio import csv_text, read_csv
 from .gitlog import ADDITION, CommitHistory
 from .ml import ML_FEATURE_NAMES, MLDataset
 
@@ -67,6 +66,7 @@ class ProcessedAnswers:
     oracle: OracleSets
     dataset: MLDataset
     unresolved: tuple[UnresolvedPair, ...]
+    knowledge: dict[tuple[str, str], int]  # each labeled pair's 1..5 answer
 
 
 def quartile_filter(metrics: Iterable[RepoMetrics]) -> set[str]:
@@ -148,10 +148,10 @@ def read_ground_truth_csv(
 
     ``column_map`` adapts external headers, mapping each logical column
     name to the header actually present in the file; a name outside
-    GROUND_TRUTH_COLUMNS raises InvalidColumnMap. Raises InvalidGroundTruth
-    when the file cannot be read as UTF-8, a column is missing (an empty
-    file lacks them all) or a row is short, and InvalidKnowledgeValue, with
-    the file and line, when a knowledge answer is not an integer.
+    GROUND_TRUTH_COLUMNS, or two mapped to one header, raises InvalidColumnMap.
+    Raises InvalidGroundTruth as ``fileio.read_csv`` does (an empty file
+    lacks every column), and InvalidKnowledgeValue, with the file and line,
+    when a knowledge answer is not an integer in 1..5.
     """
     column_map = dict(column_map or {})
     unknown = sorted(set(column_map) - set(GROUND_TRUTH_COLUMNS))
@@ -160,38 +160,20 @@ def read_ground_truth_csv(
             f"column map names unknown logical columns {unknown}; "
             f"the logical columns are {','.join(GROUND_TRUTH_COLUMNS)}"
         )
-    names = {logical: column_map.get(logical, logical) for logical in GROUND_TRUTH_COLUMNS}
-    entries = []
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            missing = [c for c in names.values() if c not in (reader.fieldnames or ())]
-            if missing:
-                raise InvalidGroundTruth(f"ground-truth CSV {path} lacks columns {missing}")
-            for record in reader:
-                if None in record.values():
-                    raise InvalidGroundTruth(
-                        f"ground-truth CSV {path} line {reader.line_num} has too few fields"
-                    )
-                raw = record[names["knowledge"]].strip()
-                try:
-                    knowledge = int(raw)
-                except ValueError:
-                    raise InvalidKnowledgeValue(
-                        f"ground-truth CSV {path} line {reader.line_num}: "
-                        f"knowledge {raw!r} is not an integer"
-                    ) from None
-                entries.append(
-                    GroundTruthEntry(
-                        repo=record[names["repo"]].strip(),
-                        developer=record[names["developer_email"]].strip(),
-                        file=record[names["file"]].strip(),
-                        knowledge=knowledge,
-                    )
-                )
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidGroundTruth(f"cannot read ground-truth CSV {path}: {exc}") from None
-    return entries
+    columns = [column_map.get(logical, logical) for logical in GROUND_TRUTH_COLUMNS]
+    shared = [n for n, actual in zip(GROUND_TRUTH_COLUMNS, columns) if columns.count(actual) > 1]
+    if shared:
+        raise InvalidColumnMap(f"column map points logical columns {shared} at one header")
+
+    def entry(*values: str) -> GroundTruthEntry:
+        repo, developer, file, knowledge = (value.strip() for value in values)
+        try:
+            number = int(knowledge)
+        except ValueError:
+            raise InvalidKnowledgeValue(f"knowledge {knowledge!r} is not an integer") from None
+        return GroundTruthEntry(repo, developer, file, number)
+
+    return read_csv(path, "ground-truth CSV", InvalidGroundTruth, columns, entry)
 
 
 def _email_resolver(table: FeatureTable) -> dict[str, str]:
@@ -250,4 +232,5 @@ def process_answers(
         oracle=oracle,
         dataset=MLDataset(features=features, labels=np.array(oracle.labels, dtype=bool)),
         unresolved=unresolved,
+        knowledge=labeled,
     )

@@ -1,5 +1,6 @@
 """End-to-end CLI runs on bundled fixtures, without network access."""
 
+import contextlib
 import csv
 import io
 import json
@@ -10,6 +11,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fileexperts
 from fileexperts.cli import main
@@ -650,13 +653,14 @@ def _warm_rank_after(
     corrupt, cli_repo, tmp_path, capsys, cached="history-*.ndjson"
 ) -> tuple[int, list[str]]:
     """Exit code and stderr lines of a warm rank whose cached file matching
-    ``cached`` had its text passed through ``corrupt``."""
+    ``cached`` had its text passed through ``corrupt``; a surrogate such as
+    ``\\udcff`` in the corrupted text is written as that one raw byte."""
     cache = tmp_path / "cache"
     argv = ["rank", "--technique", "doa", "--file", "src/f0.py",
             "--repo", str(cli_repo), "--branch", "main", "--cache-dir", str(cache)]
     assert main(argv) == 0
     (path,) = cache.glob(cached)
-    path.write_text(corrupt(path.read_text()))
+    path.write_bytes(corrupt(path.read_text()).encode("utf-8", "surrogateescape"))
     capsys.readouterr()
     code = main(argv)
     return code, capsys.readouterr().err.splitlines()
@@ -681,6 +685,27 @@ def test_cut_short_cached_meta_line_is_an_error(cli_repo, tmp_path, capsys):
     error = json.loads(line)
     assert error["error"] == "errors.CorruptHistory"
     assert "line 1" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "cached, error, line",
+    [("history-*.ndjson", "errors.CorruptHistory", 1),
+     ("features-*.csv", "errors.CorruptFeatureTable", 3)],
+    ids=["meta-line", "feature-csv"],
+)
+def test_cached_file_that_is_not_utf_8_is_an_error(cli_repo, tmp_path, capsys, cached, error,
+                                                   line):
+    def break_line(text):
+        lines = text.splitlines(keepends=True)
+        lines[line - 1] = "\udcff" + lines[line - 1]
+        return "".join(lines)
+
+    code, (reported,) = _warm_rank_after(break_line, cli_repo, tmp_path, capsys, cached=cached)
+    assert code == 1
+    reported = json.loads(reported)
+    assert reported["error"] == error
+    (path,) = (tmp_path / "cache").glob(cached)
+    assert f"{path} line {line}: 'utf-8' codec can't decode byte 0xff" in reported["message"]
 
 
 def test_cut_short_cached_feature_csv_is_an_error(cli_repo, tmp_path, capsys):
@@ -834,8 +859,18 @@ def test_ground_truth_is_read_before_mining(cli_repo, tmp_path, capsys, monkeypa
         (["sample", "--limit", "0"], "errors.InvalidCount", "file_limit must be >= 1"),
         (["filter-corpus", "{tmp}/absent.csv"], "errors.InvalidRepoMetrics", "absent.csv"),
         (["filter-corpus", "{tmp}/no-developers.csv"],
-         "errors.InvalidRepoMetrics", "lacks column 'developers'"),
+         "errors.InvalidRepoMetrics", "no-developers.csv lacks columns ['developers']"),
         (["filter-corpus", "{tmp}/not-integer.csv"], "errors.InvalidRepoMetrics", "line 2"),
+        (["filter-corpus", "{tmp}/metrics-latin-1.csv"],
+         "errors.InvalidRepoMetrics", "metrics-latin-1.csv line 2: 'utf-8' codec"),
+        (["filter-corpus", "{tmp}/metrics-long-row.csv"],
+         "errors.InvalidRepoMetrics", "metrics-long-row.csv line 3: 5 fields, expected 4"),
+        (["calibrate", "--truth", "{tmp}/huge-field.csv"],
+         "errors.InvalidGroundTruth", "huge-field.csv line 2: field larger than field limit"),
+        (["ingest-truth", "{tmp}/absent.csv", "--column-map", "developer_email=file"],
+         "errors.InvalidColumnMap", "['developer_email', 'file'] at one header"),
+        (["mine", "--alias-map", "{tmp}/latin-1.csv"],
+         "errors.UnreadableAliasMap", "latin-1.csv line 2: 'utf-8' codec"),
         (["rank", "--technique", "doa", "--file", "src/absent.py"],
          "errors.NoScores", "'src/absent.py'"),
         # a repository with no source file replays no lineage, so only an
@@ -850,8 +885,10 @@ def test_ground_truth_is_read_before_mining(cli_repo, tmp_path, capsys, monkeypa
          "column-map", "column-map-unknown-name", "evaluate-folds-0", "evaluate-folds-1",
          "calibrate-folds-0", "calibrate-folds-1", "truth-missing", "truth-not-utf-8",
          "language-config-missing", "language-config-missing-no-cache", "sample-limit-0",
-         "metrics-missing", "metrics-without-column", "metrics-not-integer", "rank-no-scores",
-         "mod-threshold-2", "mod-threshold-nan", "mod-threshold-negative"],
+         "metrics-missing", "metrics-without-column", "metrics-not-integer", "metrics-not-utf-8",
+         "metrics-long-row", "truth-oversized-field", "column-map-shared-header",
+         "alias-map-not-utf-8", "rank-no-scores", "mod-threshold-2", "mod-threshold-nan",
+         "mod-threshold-negative"],
 )
 def test_malformed_option_is_an_error(cli_repo, notes_repo, tmp_path, capsys, args, error,
                                       named):
@@ -864,6 +901,15 @@ def test_malformed_option_is_an_error(cli_repo, notes_repo, tmp_path, capsys, ar
     )
     (tmp_path / "no-developers.csv").write_text("repo,commits,files\nr,1,2\n")
     (tmp_path / "not-integer.csv").write_text("repo,commits,files,developers\nr,1,2,many\n")
+    (tmp_path / "metrics-latin-1.csv").write_bytes(
+        b"repo,commits,files,developers\ncaf\xe9,1,2,3\n"
+    )
+    (tmp_path / "metrics-long-row.csv").write_text(
+        "repo,commits,files,developers\nr,1,2,3\ns,1,2,3,4\n"
+    )
+    (tmp_path / "huge-field.csv").write_text(
+        "repo,developer_email,file,knowledge\nfixture," + "a" * 140_000 + ",src/f0.py,5\n"
+    )
     on_notes = "{notes}" in args
     args = [arg.replace("{tmp}", str(tmp_path)).replace("{notes}", str(notes_repo))
             for arg in args]
@@ -879,6 +925,61 @@ def test_malformed_option_is_an_error(cli_repo, notes_repo, tmp_path, capsys, ar
     assert named in reported["message"]
     if on_notes:
         assert not any((tmp_path / "cache").glob("*"))
+
+
+@pytest.fixture(scope="module")
+def warm_demo(demo_repo_path, tmp_path_factory):
+    """Pipeline options on ``demo_repo`` whose feature table is cached."""
+    options = ["--repo", str(demo_repo_path), "--branch", "main",
+               "--cache-dir", str(tmp_path_factory.mktemp("warm-demo"))]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["mine", *options]) == 0
+    return options
+
+
+# Prefixes that make some examples well-formed, so both exits are reached,
+# and suffixes that are hostile to a CSV reader: a byte that is not UTF-8,
+# a knowledge answer outside 1..5 and a field over the csv module's limit.
+_CSV_SUFFIXES = [b"", b"\xff\n", b"r,d@x.com,f.py,6\n", b'"' + b"a" * 131_073 + b'"\n']
+_CSV_PREFIXES = [
+    b"",
+    b"repo,developer_email,file,knowledge\ndemo,bob@example.com,src/utils.py,4\n",
+    b"repo,commits,files,developers\na,1,1,1\nb,2,2,2\nc,3,3,3\nd,4,4,4\n",
+    b"alice@example.com,alice@dev.example.com\n",
+]
+_ANY_BYTES = st.one_of(
+    st.binary(max_size=80),
+    st.tuples(
+        st.sampled_from(_CSV_PREFIXES),
+        st.text(alphabet='ab@.py5,"\r\n \x00\xe9', max_size=60).map(str.encode),
+        st.sampled_from(_CSV_SUFFIXES),
+    ).map(b"".join),
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.sampled_from(["truth", "metrics", "alias-map"]), data=_ANY_BYTES)
+def test_any_input_csv_exits_0_or_with_one_json_error(warm_demo, tmp_path, which, data):
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    argv = {
+        "truth": ["ingest-truth", str(path), *warm_demo],
+        "metrics": ["filter-corpus", str(path)],
+        "alias-map": ["mine", "--alias-map", str(path), *warm_demo],
+    }[which]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    reported = [json.loads(line) for line in err.getvalue().splitlines()]
+    if code == 1:
+        (error,) = reported
+        assert set(error) == {"error", "message"}
+        # a readable metrics file of too few rows is the one fault not in the file
+        assert str(path) in error["message"] or error["error"] == "errors.TooFewRepos"
+    else:
+        assert code == 0
+        assert all("warning" in line for line in reported)
 
 
 def test_mine_history_out_mines_and_computes_once(cli_repo, tmp_path, capsys, monkeypatch):

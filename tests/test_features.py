@@ -1,5 +1,7 @@
 """Development variables against worked examples and the naive replay oracle."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,24 +187,31 @@ def _corrupt(lines, number, replacement):
 
 
 _CORRUPT_CSV = {
-    "wrong-header": (1, "developer,file,adds"),
-    "empty-file": (1, None),
-    "short-row": (3, "d@x.com,a.py,1,2"),
-    "long-row": (3, "d@x.com,a.py" + ",1" * 13),
-    "non-numeric-count": (2, "d@x.com,a.py,1,0,0,0,1,1,1,1,many,0,1,0.0"),
-    "non-numeric-average": (3, "d@x.com,a.py,1,0,0,0,1,1,1,1,0,0,1,soon"),
+    "wrong-header": (1, "developer,file,adds", f"lacks columns {list(CSV_HEADER[3:])}"),
+    "empty-file": (1, None, f"lacks columns {list(CSV_HEADER)}"),
+    "repeated-column": (
+        1, ",".join(CSV_HEADER + ("adds",)), "names columns ['adds'] more than once"
+    ),
+    "short-row": (3, "d@x.com,a.py,1,2", "line 3: "),
+    "long-row": (3, "d@x.com,a.py" + ",1" * 13, "line 3: "),
+    "non-numeric-count": (2, "d@x.com,a.py,1,0,0,0,1,1,1,1,many,0,1,0.0", "line 2: "),
+    "non-numeric-average": (3, "d@x.com,a.py,1,0,0,0,1,1,1,1,0,0,1,soon", "line 3: "),
+    "not-utf-8": (3, "d\udcff@x.com,a.py,1,0,0,0,1,1,1,1,0,0,1,0.0", "line 3: 'utf-8' codec"),
 }
 
 
-@pytest.mark.parametrize("number, replacement", _CORRUPT_CSV.values(), ids=_CORRUPT_CSV.keys())
-def test_corrupt_feature_csv_names_its_line(demo_history, tmp_path, number, replacement):
+@pytest.mark.parametrize(
+    "number, replacement, problem", _CORRUPT_CSV.values(), ids=_CORRUPT_CSV.keys()
+)
+def test_corrupt_feature_csv_names_its_line(demo_history, tmp_path, number, replacement,
+                                            problem):
     path = tmp_path / "features.csv"
     write_feature_csv(compute_all(demo_history), path)
     lines = path.read_text().splitlines()
     assert len(lines) > 3
     text = "" if replacement is None else "\n".join(_corrupt(lines, number, replacement)) + "\n"
-    path.write_text(text)
-    with pytest.raises(CorruptFeatureTable, match=f"features.csv line {number}: "):
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))  # \udcff is the byte 0xff
+    with pytest.raises(CorruptFeatureTable, match=re.escape(f"CSV {path} {problem}")):
         read_feature_csv(path)
 
 

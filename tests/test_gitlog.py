@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import json
 import random
+import re
 import subprocess
 from dataclasses import FrozenInstanceError, replace
 from datetime import datetime, timezone
@@ -27,6 +28,7 @@ from fileexperts.gitlog import (
     filter_source_files,
     history_from_ndjson,
     history_to_ndjson,
+    load_history,
     resolve_lineages,
     save_history,
     source_predicate,
@@ -481,6 +483,14 @@ def test_malformed_ndjson_line_names_its_line(bad):
     assert history_from_ndjson(f"{_META}\n{json.dumps(_COMMIT)}\n").commits[0].id == "c1"
     with pytest.raises(CorruptHistory, match="history line 3 is malformed"):
         history_from_ndjson(f"{_META}\n\n{bad}\n{json.dumps(_COMMIT)}\n")
+
+
+def test_history_that_is_not_utf_8_names_its_file_and_line(tmp_path):
+    path = tmp_path / "history.ndjson"
+    text = f"{_META}\n{json.dumps(_COMMIT)}\n".replace("Ana", "An\xe9")
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(CorruptHistory, match=re.escape(f"history {path} line 2: 'utf-8' codec")):
+        load_history(path)
 
 
 def test_merge_commit_at_tip(tmp_path):

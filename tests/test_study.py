@@ -238,8 +238,11 @@ class TestGroundTruth:
             ("repo,file,knowledge\nr,a.py,5\n", "lacks columns ['developer_email']"),
             ("repo,developer_email,file,knowledge\nr,d@x.com,a.py,5\nr,d@x.com\n", "line 3"),
             ("", "lacks columns ['repo', 'developer_email', 'file', 'knowledge']"),
+            ("repo,developer_email,file,knowledge\nr,d@x.com,a.py,5,extra\n",
+             "line 2: 5 fields, expected 4"),
+            ("repo,developer_email,file,knowledge,file\n", "names columns ['file'] more than once"),
         ],
-        ids=["missing-column", "short-row", "empty-file"],
+        ids=["missing-column", "short-row", "empty-file", "long-row", "repeated-column"],
     )
     def test_malformed_csv_is_a_domain_error(self, tmp_path, text, problem):
         path = tmp_path / "truth.csv"
@@ -258,6 +261,17 @@ class TestGroundTruth:
             f"ground-truth CSV {path} line 3: knowledge 'high' is not an integer"
         )
         assert raised.value.__suppress_context__
+
+    def test_out_of_range_knowledge_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text(
+            "repo,developer_email,file,knowledge\nr,d@x.com,a.py,5\nr,d@x.com,b.py,6\n"
+        )
+        with pytest.raises(InvalidKnowledgeValue) as raised:
+            read_ground_truth_csv(path)
+        assert str(raised.value) == (
+            f"ground-truth CSV {path} line 3: knowledge 6 for (d@x.com, b.py) is outside 1..5"
+        )
 
     def test_process_answers_join(self):
         history = make_history(
@@ -278,6 +292,8 @@ class TestGroundTruth:
         assert processed.oracle.declared_non_experts == {("d2@y.com", "a.py")}
         reasons = sorted(u.reason for u in processed.unresolved)
         assert reasons == ["pair not in history", "unknown developer"]
+        assert processed.knowledge == {("d1@x.com", "a.py"): 5, ("d2@y.com", "a.py"): 3}
+        assert (processed.knowledge, processed.unresolved) == knowledge_map(entries, table)
         assert len(processed.dataset) == 2
         # ML features are [adds, fa, size, num_days]
         assert processed.dataset.features.shape == (2, 4)
