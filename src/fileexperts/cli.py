@@ -32,6 +32,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, expertise
+from .diffs import check_mod_threshold
 from .errors import (
     CorruptFeatureTable,
     CorruptHistory,
@@ -41,6 +42,7 @@ from .errors import (
     InvalidReferenceTime,
     InvalidRepoMetrics,
     NoScores,
+    TooFewRepos,
     UnreadableAliasMap,
 )
 from .features import (
@@ -61,7 +63,7 @@ from .gitlog import (
     save_history,
     source_predicate,
 )
-from .identities import DEFAULT_ALIAS_THRESHOLD, canonicalize_history
+from .identities import DEFAULT_ALIAS_THRESHOLD, canonicalize_history, check_alias_threshold
 from .kinds import KINDS
 from .languages import DEFAULT_VENDOR_GLOBS, LanguageConfig, load_language_config
 
@@ -135,10 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_corr = sub.add_parser("correlate", help="rank-correlate variables with knowledge")
     p_corr.add_argument("--truth", required=True)
-    p_corr.add_argument(
+    p_corr_mode = p_corr.add_mutually_exclusive_group()  # the matrix has t-approximation p alone
+    p_corr_mode.add_argument(
         "--matrix", action="store_true", help="emit the pairwise variable matrix instead"
     )
-    p_corr.add_argument(
+    p_corr_mode.add_argument(
         "--exact-p",
         action="store_true",
         help="permutation-test p-values: exact up to 8 pairs, 20,000 seeded permutations beyond",
@@ -219,6 +222,8 @@ class _Inputs:
 
     @classmethod
     def read(cls, args) -> _Inputs:
+        check_alias_threshold(args.alias_threshold)
+        check_mod_threshold(args.mod_threshold)
         return cls(
             alias_threshold=args.alias_threshold,
             mod_threshold=args.mod_threshold,
@@ -348,6 +353,8 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    if args.k is not None:
+        expertise.check_k(args.k)
     table = _table(args)
     # normalization and doa's commit total are per file, so the file's own
     # rows score exactly as they do within the whole table
@@ -375,6 +382,9 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from .validation import check_folds
+
+    check_folds(args.folds)
     table, processed = _truth(args)
     scores = expertise.technique_scores(table, args.technique)
     curve = expertise.calibrate(scores, processed.oracle, folds=args.folds, seed=args.seed)
@@ -396,7 +406,9 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     from . import ml
+    from .validation import check_folds
 
+    check_folds(args.folds)
     _, processed = _truth(args)
     jobs = _usable_cpus()  # the report does not depend on it
     if args.grid == "default":
@@ -428,34 +440,34 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
+    """Each variable's correlation with knowledge or, with --matrix, every
+    pair's; either way one warning per variable that is constant over the
+    labeled pairs, which has no coefficient."""
     from . import stats
 
     table, processed = _truth(args)
     if args.matrix:
         matrix = stats.correlation_matrix(table, processed.knowledge)
+        undefined = [a for a in matrix.variables if (a, a) in matrix.errors]
+        header = ["variable_a", "variable_b", "rho", "p_value", "n"]
         cells = ((a, b, matrix.cell(a, b)) for a in matrix.variables for b in matrix.variables)
-        _emit_csv(
-            args,
-            ["variable_a", "variable_b", "rho", "p_value", "n"],
-            [[a, b, cell.rho, cell.p_value, cell.n] for a, b, cell in cells if cell is not None],
+        rows = [[a, b, c.rho, c.p_value, c.n] for a, b, c in cells if c is not None]
+    else:
+        results, undefined = stats.knowledge_correlations(
+            table, processed.knowledge, permutation_p=args.exact_p, seed=args.seed
         )
-        return 0
-    results, errors = stats.knowledge_correlations(
-        table, processed.knowledge, permutation_p=args.exact_p, seed=args.seed
-    )
-    for variable in sorted(errors):
+        header = ["variable", "rho", "p_value", "n"]
+        rows = [[r.variable, r.rho, r.p_value, r.n] for r in results]
+    for variable in sorted(undefined):
         _warn("undefined correlation", variable=variable)
-    _emit_csv(
-        args,
-        ["variable", "rho", "p_value", "n"],
-        [[r.variable, r.rho, r.p_value, r.n] for r in results],
-    )
+    _emit_csv(args, header, rows)
     return 0
 
 
 def _cmd_sample(args) -> int:
     from . import study
 
+    study.check_file_limit(args.limit)
     pairs = study.generate_sample(_table(args), file_limit=args.limit, seed=args.seed)
     _emit(args, study.sample_to_csv(pairs))
     return 0
@@ -464,14 +476,25 @@ def _cmd_sample(args) -> int:
 def _cmd_filter_corpus(args) -> int:
     from . import study
 
+    named = set()
+
+    def repo_metrics(repo, *counts):
+        if repo in named:
+            raise InvalidRepoMetrics(f"repo {repo!r} is named twice")
+        named.add(repo)
+        return study.RepoMetrics(repo, *map(int, counts))
+
     metrics = read_csv(
         args.metrics_csv,
         "metrics CSV",
         InvalidRepoMetrics,
         ("repo", "commits", "files", "developers"),
-        lambda repo, *counts: study.RepoMetrics(repo, *map(int, counts)),
+        repo_metrics,
     )
-    included = study.quartile_filter(metrics)
+    try:
+        included = study.quartile_filter(metrics)
+    except TooFewRepos as exc:
+        raise TooFewRepos(f"metrics CSV {args.metrics_csv}: {exc}") from None
     _emit_csv(args, ["repo"], [[m.repo] for m in metrics if m.repo in included])
     return 0
 

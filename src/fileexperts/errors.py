@@ -110,7 +110,8 @@ class InvalidGroundTruth(FileExpertsError):
 
 
 class InvalidRepoMetrics(FileExpertsError):
-    """A corpus metrics CSV is unreadable, lacks a column or has a bad row or count."""
+    """A corpus metrics CSV is unreadable, lacks a column, has a bad row or
+    count, or names a repository twice."""
 
 
 # -- command-line input ------------------------------------------------------

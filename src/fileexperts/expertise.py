@@ -142,14 +142,20 @@ def _is_expert(normalized, k: float):
     return normalized > 0.0 if k == 0.0 else normalized >= k
 
 
+def check_k(k: float) -> None:
+    """Raise InvalidThreshold unless the threshold k lies in [0, 1]; NaN lies
+    nowhere."""
+    if not 0.0 <= k <= 1.0:
+        raise InvalidThreshold(f"k={k} outside [0, 1]")
+
+
 def classify(scores: list[ExpertiseScore], k: float) -> set[Pair]:
     """Pairs classified as experts at threshold k.
 
     At k = 0 a strictly positive normalized score is required; for any
     other k the comparison is >=.
     """
-    if not 0.0 <= k <= 1.0:
-        raise InvalidThreshold(f"k={k} outside [0, 1]")
+    check_k(k)
     return {(s.developer, s.file) for s in scores if _is_expert(s.normalized, k)}
 
 

@@ -133,6 +133,13 @@ def _names_similar(a: str, b: str, threshold: float) -> bool:
     return levenshtein(a, b, budget) <= budget
 
 
+def check_alias_threshold(threshold: float) -> None:
+    """Raise InvalidThreshold unless the alias threshold lies in [0, 1]; NaN
+    lies nowhere."""
+    if not 0.0 <= threshold <= 1.0:
+        raise InvalidThreshold(f"alias threshold {threshold} outside [0, 1]")
+
+
 def resolve_identities(
     identities: list[RawIdentity],
     threshold: float = DEFAULT_ALIAS_THRESHOLD,
@@ -146,8 +153,7 @@ def resolve_identities(
     identity maps to exactly one DeveloperId; the partition is independent
     of input order. A ``threshold`` outside [0, 1] raises InvalidThreshold.
     """
-    if not 0.0 <= threshold <= 1.0:  # also false for NaN
-        raise InvalidThreshold(f"alias threshold {threshold} outside [0, 1]")
+    check_alias_threshold(threshold)
     unique = sorted(set(identities), key=lambda ident: (ident.key(), ident.name))
     if not unique:
         return {}

@@ -36,7 +36,7 @@ from .kinds import KINDS, KNN, LOGISTIC_REGRESSION, RANDOM_FOREST
 from .validation import mean_prf, prf, stratified_folds
 
 ML_FEATURE_NAMES = ("adds", "fa", "size", "num_days")
-_BINARY_COLUMNS = (ML_FEATURE_NAMES.index("fa"),)
+_BINARY_FEATURES = ("fa",)
 
 # A logistic fit stops once every entry of the loss gradient is within
 # ``tol``, or after ``max_iter`` Newton steps. Newton steps converge
@@ -134,8 +134,9 @@ class Scaler:
 def fit_scaler(dataset: MLDataset) -> Scaler:
     """Zero-mean unit-variance parameters for the continuous columns.
 
-    The binary fa column passes through untouched. A constant continuous
-    column is passed through unscaled with a ZeroVarianceWarning.
+    The binary column, the one named fa, passes through untouched, wherever
+    it stands. A constant continuous column is passed through unscaled with
+    a ZeroVarianceWarning.
     """
     if len(dataset) == 0:
         raise TooFewSamples("cannot standardize an empty dataset")
@@ -143,14 +144,10 @@ def fit_scaler(dataset: MLDataset) -> Scaler:
     mean = X.mean(axis=0)
     scale = X.std(axis=0)  # population std
     for col in range(X.shape[1]):
-        if col in _BINARY_COLUMNS:
+        name = dataset.feature_names[col] if col < len(dataset.feature_names) else f"column {col}"
+        if name in _BINARY_FEATURES:
             mean[col], scale[col] = 0.0, 1.0
         elif scale[col] == 0.0:
-            name = (
-                dataset.feature_names[col]
-                if col < len(dataset.feature_names)
-                else f"column {col}"
-            )
             warnings.warn(f"feature {name!r} is constant; left unscaled", ZeroVarianceWarning)
             mean[col], scale[col] = 0.0, 1.0
     return Scaler(mean=mean, scale=scale)

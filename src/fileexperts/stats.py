@@ -10,7 +10,9 @@ beyond. It permutes the centred ranks of y once for any number of x columns
 and scores each block of permutations with one matrix product. Average
 ranks are multiples of 0.5 with mean (n+1)/2, so every centred product and
 sum is exact in float64 (for n below about 10^5) and the result does not
-depend on the order of summation.
+depend on the order of summation. Every statistic ranks each column once,
+through ``_ranked``, which also checks the columns' lengths and marks the
+constant ones, for which rho is undefined.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import ConstantInput, LengthMismatch, TooFewSamples
 from .features import FEATURE_NAMES, FeatureTable
 
 KNOWLEDGE = "knowledge"
+_UNDEFINED = "rho is undefined for a constant input"
 
 
 @dataclass(frozen=True)
@@ -48,17 +51,24 @@ class CorrelationMatrix:
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
     """1-based ranks with ties assigned the mean of their positions."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    start = 0
-    while start < len(values):
-        end = start
-        while end + 1 < len(values) and values[order[end + 1]] == values[order[start]]:
-            end += 1
-        ranks[order[start : end + 1]] = (start + end) / 2.0 + 1.0
-        start = end + 1
-    return ranks
+    _, group, counts = np.unique(
+        np.asarray(values, dtype=float), return_inverse=True, return_counts=True
+    )
+    last = np.cumsum(counts)  # the 1-based position of each tie group's last value
+    return ((last - counts + 1 + last) / 2.0)[group]
+
+
+def _ranked(columns: Sequence[Sequence[float]]) -> list[np.ndarray | None]:
+    """Each column's average ranks, or None for a constant column, once the
+    columns are checked to share one length of at least 3."""
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    n = len(columns[-1])
+    for column in columns:
+        if len(column) != n:
+            raise LengthMismatch(f"|x|={len(column)} but |y|={n}")
+    if n < 3:
+        raise TooFewSamples(f"need at least 3 samples, got {n}")
+    return [None if np.all(column == column[0]) else average_ranks(column) for column in columns]
 
 
 def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
@@ -66,23 +76,6 @@ def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
     cy = ry - ry.mean()
     denom = np.sqrt((cx @ cx) * (cy @ cy))
     return float(np.clip((cx @ cy) / denom, -1.0, 1.0))
-
-
-def _validate(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) != len(y):
-        raise LengthMismatch(f"|x|={len(x)} but |y|={len(y)}")
-    if len(x) < 3:
-        raise TooFewSamples(f"need at least 3 samples, got {len(x)}")
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        raise ConstantInput("rho is undefined for a constant input")
-    return x, y
-
-
-def _spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
-    x, y = _validate(x, y)
-    return _rank_correlation(average_ranks(x), average_ranks(y))
 
 
 def _t_approximation_p(rho: float, n: int) -> float:
@@ -99,14 +92,12 @@ def _t_approximation_p(rho: float, n: int) -> float:
 
 def spearman(x: Sequence[float], y: Sequence[float], name: str = "") -> CorrelationResult:
     """Spearman rank correlation with a two-sided t-approximation p-value."""
-    rho = _spearman_rho(x, y)
-    return CorrelationResult(variable=name, rho=rho, p_value=_t_approximation_p(rho, len(x)),
-                             n=len(x))
-
-
-def _centred_ranks(values: np.ndarray) -> np.ndarray:
-    ranks = average_ranks(values)
-    return ranks - ranks.mean()
+    rx, ry = _ranked([x, y])
+    if rx is None or ry is None:
+        raise ConstantInput(_UNDEFINED)
+    rho = _rank_correlation(rx, ry)
+    return CorrelationResult(variable=name, rho=rho, p_value=_t_approximation_p(rho, len(rx)),
+                             n=len(rx))
 
 
 def _count_extreme(rows, cxs: np.ndarray, cy: np.ndarray, observed: np.ndarray):
@@ -142,10 +133,11 @@ def spearman_permutation_p(
     """
     columns = np.asarray(x, dtype=float)
     stack = columns if columns.ndim == 2 else columns[np.newaxis]
-    for column in stack:
-        _validate(column, y)
-    cy = _centred_ranks(np.asarray(y, dtype=float))
-    cxs = np.array([_centred_ranks(column) for column in stack])
+    ranks = _ranked([*stack, y])
+    if any(r is None for r in ranks):
+        raise ConstantInput(_UNDEFINED)
+    cxs = np.array([r - r.mean() for r in ranks[:-1]])
+    cy = ranks[-1] - ranks[-1].mean()
     observed = np.array([abs(_rank_correlation(cx, cy)) for cx in cxs])
     n = len(cy)
     if n <= exact_limit:
@@ -156,6 +148,22 @@ def spearman_permutation_p(
         rows = (rng.permutation(cy) for _ in range(samples))
         p_values = (_count_extreme(rows, cxs, cy, observed) + 1) / (samples + 1)
     return p_values.tolist() if columns.ndim == 2 else float(p_values[0])
+
+
+def _columns(
+    table: FeatureTable, knowledge: Mapping[tuple[str, str], float] | None
+) -> dict[str, list[float]]:
+    """Each development variable's values in table order, over the rows
+    ``knowledge`` labels (every row without it), then the answers as the
+    last column, ``knowledge``."""
+    rows = [
+        row for row in table.rows
+        if knowledge is None or (row.developer.canonical_key, row.file) in knowledge
+    ]
+    columns = {name: [getattr(row.features, name) for row in rows] for name in FEATURE_NAMES}
+    if knowledge is not None:
+        columns[KNOWLEDGE] = [knowledge[(row.developer.canonical_key, row.file)] for row in rows]
+    return columns
 
 
 def knowledge_correlations(
@@ -172,23 +180,18 @@ def knowledge_correlations(
     p-values (exact at small n, seeded Monte Carlo beyond) instead of the
     t-approximation ones, and then scipy is not loaded.
     """
-    rows = [
-        (row.features, knowledge[(row.developer.canonical_key, row.file)])
-        for row in table.rows
-        if (row.developer.canonical_key, row.file) in knowledge
-    ]
-    if len(rows) < 3:
-        raise TooFewSamples(f"only {len(rows)} labeled pairs joined the feature table")
-    know = [k for _f, k in rows]
-    columns = {name: [getattr(f, name) for f, _k in rows] for name in FEATURE_NAMES}
-    rhos: dict[str, float] = {}
-    errors: dict[str, str] = {}
-    for name, values in columns.items():
-        try:
-            rhos[name] = _spearman_rho(values, know)
-        except ConstantInput as exc:
-            errors[name] = str(exc)
+    columns = _columns(table, knowledge)
+    know = columns.pop(KNOWLEDGE)
     n = len(know)
+    if n < 3:
+        raise TooFewSamples(f"only {n} labeled pairs joined the feature table")
+    *ranks, known = _ranked([*columns.values(), know])
+    rhos = {
+        name: _rank_correlation(r, known)
+        for name, r in zip(columns, ranks)
+        if r is not None and known is not None
+    }
+    errors = {name: _UNDEFINED for name in columns if name not in rhos}
     if permutation_p and rhos:
         p_values = spearman_permutation_p([columns[name] for name in rhos], know, seed=seed)
     else:
@@ -207,35 +210,25 @@ def correlation_matrix(
     """Pairwise Spearman matrix over the development variables.
 
     When a knowledge map is given, it joins as an extra variable and only
-    labeled pairs contribute rows. Cells with a constant input are recorded
-    in ``errors`` instead of fabricating a coefficient.
+    labeled pairs contribute rows. Each variable is ranked once. A cell with
+    a constant input, the constant variable's diagonal among them, is
+    recorded in ``errors`` instead of fabricating a coefficient.
     """
-    if knowledge is None:
-        rows = [(row.features, None) for row in table.rows]
-    else:
-        rows = [
-            (row.features, knowledge[(row.developer.canonical_key, row.file)])
-            for row in table.rows
-            if (row.developer.canonical_key, row.file) in knowledge
-        ]
-    if len(rows) < 3:
-        raise TooFewSamples(f"need at least 3 rows, got {len(rows)}")
-    columns: dict[str, list[float]] = {
-        name: [getattr(f, name) for f, _k in rows] for name in FEATURE_NAMES
-    }
-    if knowledge is not None:
-        columns[KNOWLEDGE] = [k for _f, k in rows]
+    columns = _columns(table, knowledge)
     variables = tuple(columns)
+    n = len(columns[variables[0]])
+    if n < 3:
+        raise TooFewSamples(f"need at least 3 rows, got {n}")
+    ranks = dict(zip(variables, _ranked(list(columns.values()))))
     cells: dict[tuple[str, str], CorrelationResult] = {}
     errors: dict[tuple[str, str], str] = {}
     for i, a in enumerate(variables):
         for b in variables[i:]:
-            try:
-                result = spearman(columns[a], columns[b])
-            except ConstantInput as exc:
-                errors[(a, b)] = str(exc)
-                errors[(b, a)] = str(exc)
+            if ranks[a] is None or ranks[b] is None:
+                errors[(a, b)] = errors[(b, a)] = _UNDEFINED
                 continue
-            cells[(a, b)] = CorrelationResult(f"{a}|{b}", result.rho, result.p_value, result.n)
-            cells[(b, a)] = CorrelationResult(f"{b}|{a}", result.rho, result.p_value, result.n)
+            rho = _rank_correlation(ranks[a], ranks[b])
+            p_value = _t_approximation_p(rho, n)
+            cells[(a, b)] = CorrelationResult(f"{a}|{b}", rho, p_value, n)
+            cells[(b, a)] = CorrelationResult(f"{b}|{a}", rho, p_value, n)
     return CorrelationMatrix(variables=variables, cells=cells, errors=errors)

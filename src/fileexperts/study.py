@@ -106,6 +106,12 @@ def detect_bulk_import(history: CommitHistory) -> tuple[bool, frozenset[str]]:
     return bool(total > 0 and outlier_total > 0.5 * total), outliers
 
 
+def check_file_limit(file_limit: int) -> None:
+    """Raise InvalidCount unless the per-developer file cap is at least 1."""
+    if file_limit < 1:
+        raise InvalidCount(f"file_limit must be >= 1, got {file_limit}")
+
+
 def generate_sample(
     table: FeatureTable, file_limit: int = 5, seed: int = 0
 ) -> list[tuple[str, str]]:
@@ -116,8 +122,7 @@ def generate_sample(
     is still below the cap, in which case it is assigned to all of them.
     This keeps each sampled file answerable by its full developer set.
     """
-    if file_limit < 1:
-        raise InvalidCount(f"file_limit must be >= 1, got {file_limit}")
+    check_file_limit(file_limit)
     developers_of: dict[str, set[str]] = {}
     for row in table.rows:
         developers_of.setdefault(row.file, set()).add(row.developer.canonical_key)

@@ -7,6 +7,12 @@ import numpy as np
 from .errors import InvalidCount, TooFewSamples
 
 
+def check_folds(folds: int) -> None:
+    """Raise InvalidCount unless there are at least two folds."""
+    if folds < 2:
+        raise InvalidCount(f"folds must be >= 2, got {folds}")
+
+
 def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
     """Split sample indices into seeded, label-stratified folds.
 
@@ -16,8 +22,7 @@ def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
     """
     labels = np.asarray(labels)
     n = len(labels)
-    if folds < 2:
-        raise InvalidCount(f"folds must be >= 2, got {folds}")
+    check_folds(folds)
     if n < folds:
         raise TooFewSamples(f"{n} samples cannot fill {folds} folds")
     rng = np.random.default_rng(seed)

@@ -333,6 +333,74 @@ def test_correlate_matrix(cli_repo, tmp_path, capsys):
     assert out.splitlines()[0] == "variable_a,variable_b,rho,p_value,n"
 
 
+def test_matrix_knowledge_cells_equal_correlate_rows(cli_repo, tmp_path, capsys):
+    truth = _write_truth(tmp_path / "truth.csv", cli_repo, capsys)
+    argv = ["correlate", "--repo", str(cli_repo), "--branch", "main", "--truth", str(truth)]
+    main(argv)
+    correlate = capsys.readouterr()
+    main(argv + ["--matrix"])
+    matrix = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(correlate.out)))[1:]
+    cells = {
+        a: [rho, p_value, n]
+        for a, b, rho, p_value, n in list(csv.reader(io.StringIO(matrix.out)))[1:]
+        if b == "knowledge" and a != "knowledge"
+    }
+    assert rows and {variable: rest for variable, *rest in rows} == cells
+    assert matrix.err == correlate.err
+
+
+@pytest.fixture(scope="module")
+def first_author_repo(tmp_path_factory):
+    """Six files, each with its first author's row varying in every
+    variable but fa; two files gain a line from a second developer."""
+    repo = RepoBuilder(tmp_path_factory.mktemp("first-author") / "repo")
+    devs = [("Ana Lima", "ana@x.com"), ("Bo Chen", "bo@y.com"), ("Cy Dee", "cy@z.com")]
+    day, start = 86_400, 1_600_000_000
+    for i in range(6):
+        name, email = devs[i % 3]
+        lines = [f"if v_{i}_{j} > {j}:" if j < i % 3 else f"v_{i}_{j} = {j}" for j in range(i + 2)]
+        repo.commit(name, email, start + i * day, writes={f"f{i}.py": "\n".join(lines) + "\n"})
+        if i % 2:  # the first author rewrites the first line and removes the last
+            lines = [f"v_{i}_0 = 100", *lines[1:-1]]
+            repo.commit(name, email, start + (7 + 3 * i) * day,
+                        writes={f"f{i}.py": "\n".join(lines) + "\n"})
+        if i in (0, 3):
+            other, other_email = devs[(i + 1) % 3]
+            lines.append(f"w_{i} = 0")
+            repo.commit(other, other_email, start + (30 + i) * day,
+                        writes={f"f{i}.py": "\n".join(lines) + "\n"})
+    return repo.finish()
+
+
+@pytest.mark.parametrize("mode", [[], ["--matrix"], ["--exact-p"]])
+def test_constant_variable_warns_once_in_every_mode(first_author_repo, tmp_path, capsys, mode):
+    """Every labeled pair is its file's first authorship, so fa is constant
+    and has no coefficient; every other variable varies."""
+    repo = ["--repo", str(first_author_repo), "--branch", "main"]
+    main(["mine", *repo])
+    rows = [row for row in csv.DictReader(io.StringIO(capsys.readouterr().out)) if row["fa"] == "1"]
+    truth = tmp_path / "truth.csv"
+    truth.write_text("repo,developer_email,file,knowledge\n" + "".join(
+        f"fixture,{row['developer']},{row['file']},{i % 5 + 1}\n" for i, row in enumerate(rows)
+    ))
+    assert main(["correlate", *mode, *repo, "--truth", str(truth)]) == 0
+    captured = capsys.readouterr()
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"variable": "fa", "warning": "undefined correlation"}
+    ]
+    variables = {row[0] for row in csv.reader(io.StringIO(captured.out))}
+    assert "fa" not in variables and "adds" in variables
+
+
+def test_matrix_and_exact_p_are_exclusive(capsys):
+    """The matrix has t-approximation p-values alone, so --exact-p would be ignored."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["correlate", "--truth", "truth.csv", "--matrix", "--exact-p"])
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_sample(cli_repo, capsys):
     main(["sample", "--repo", str(cli_repo), "--branch", "main", "--limit", "5", "--seed", "0"])
     out = capsys.readouterr().out
@@ -354,6 +422,20 @@ def test_filter_corpus(tmp_path, capsys):
     main(["filter-corpus", str(metrics)])
     out = capsys.readouterr().out
     assert out.splitlines() == ["repo", "mid", "big", "huge"]
+
+
+def test_filter_corpus_rejects_a_repeated_repo(tmp_path, capsys):
+    """The first r is below the first quartile on all three metrics, the
+    second is not: one name cannot carry both."""
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("repo,commits,files,developers\nr,1,1,1\nr,9,9,9\nq,5,5,5\nz,6,6,6\n")
+    assert main(["filter-corpus", str(metrics)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "errors.InvalidRepoMetrics",
+        "message": f"metrics CSV {metrics} line 3: repo 'r' is named twice",
+    }
 
 
 def test_ingest_truth_reports_unresolved(cli_repo, tmp_path, capsys):
@@ -865,6 +947,8 @@ def test_ground_truth_is_read_before_mining(cli_repo, tmp_path, capsys, monkeypa
          "errors.InvalidRepoMetrics", "metrics-latin-1.csv line 2: 'utf-8' codec"),
         (["filter-corpus", "{tmp}/metrics-long-row.csv"],
          "errors.InvalidRepoMetrics", "metrics-long-row.csv line 3: 5 fields, expected 4"),
+        (["filter-corpus", "{tmp}/one-repo.csv"],
+         "errors.TooFewRepos", "one-repo.csv: need at least 4 repositories, got 1"),
         (["calibrate", "--truth", "{tmp}/huge-field.csv"],
          "errors.InvalidGroundTruth", "huge-field.csv line 2: field larger than field limit"),
         (["ingest-truth", "{tmp}/absent.csv", "--column-map", "developer_email=file"],
@@ -886,7 +970,7 @@ def test_ground_truth_is_read_before_mining(cli_repo, tmp_path, capsys, monkeypa
          "calibrate-folds-0", "calibrate-folds-1", "truth-missing", "truth-not-utf-8",
          "language-config-missing", "language-config-missing-no-cache", "sample-limit-0",
          "metrics-missing", "metrics-without-column", "metrics-not-integer", "metrics-not-utf-8",
-         "metrics-long-row", "truth-oversized-field", "column-map-shared-header",
+         "metrics-long-row", "metrics-too-few", "truth-oversized-field", "column-map-shared-header",
          "alias-map-not-utf-8", "rank-no-scores", "mod-threshold-2", "mod-threshold-nan",
          "mod-threshold-negative"],
 )
@@ -907,6 +991,7 @@ def test_malformed_option_is_an_error(cli_repo, notes_repo, tmp_path, capsys, ar
     (tmp_path / "metrics-long-row.csv").write_text(
         "repo,commits,files,developers\nr,1,2,3\ns,1,2,3,4\n"
     )
+    (tmp_path / "one-repo.csv").write_text("repo,commits,files,developers\nr,1,2,3\n")
     (tmp_path / "huge-field.csv").write_text(
         "repo,developer_email,file,knowledge\nfixture," + "a" * 140_000 + ",src/f0.py,5\n"
     )
@@ -925,6 +1010,51 @@ def test_malformed_option_is_an_error(cli_repo, notes_repo, tmp_path, capsys, ar
     assert named in reported["message"]
     if on_notes:
         assert not any((tmp_path / "cache").glob("*"))
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        (["sample", "--limit", "0"], "errors.InvalidCount", "file_limit must be >= 1, got 0"),
+        (["mine", "--alias-threshold", "5"],
+         "errors.InvalidThreshold", "alias threshold 5.0 outside [0, 1]"),
+        (["sample", "--mod-threshold", "2"],
+         "errors.InvalidThreshold", "mod_threshold 2.0 outside [0, 1]"),
+        (["rank", "--technique", "doa", "--file", "src/f0.py", "--k", "3"],
+         "errors.InvalidThreshold", "k=3.0 outside [0, 1]"),
+        (["calibrate", "--truth", "{tmp}/truth.csv", "--folds", "1"],
+         "errors.InvalidCount", "folds must be >= 2, got 1"),
+        (["evaluate", "--classifier", "knn", "--truth", "{tmp}/truth.csv", "--folds", "1"],
+         "errors.InvalidCount", "folds must be >= 2, got 1"),
+        (["correlate", "--truth", "{tmp}/truth.csv", "--alias-threshold", "-1"],
+         "errors.InvalidThreshold", "alias threshold -1.0 outside [0, 1]"),
+    ],
+    ids=["sample-limit", "mine-alias-threshold", "sample-mod-threshold", "rank-k",
+         "calibrate-folds", "evaluate-folds", "correlate-alias-threshold"],
+)
+def test_out_of_range_option_is_rejected_before_git_runs(
+    cli_repo, tmp_path, capsys, monkeypatch, args, error, message
+):
+    """Each option value is checked before the repository is read: no git
+    process starts and nothing is cached."""
+    fake_bin = tmp_path / "bin"
+    fake_bin.mkdir()
+    git_calls = tmp_path / "git-calls"
+    fake_git = fake_bin / "git"
+    fake_git.write_text(f'#!/bin/sh\necho "$@" >> {git_calls}\nexit 1\n')
+    fake_git.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{fake_bin}{os.pathsep}{os.environ['PATH']}")
+    (tmp_path / "truth.csv").write_text(
+        "repo,developer_email,file,knowledge\nfixture,ana@x.com,src/f0.py,5\n"
+    )
+    cache = tmp_path / "cache"
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
+    assert main([*argv, "--repo", str(cli_repo), "--branch", "main",
+                 "--cache-dir", str(cache)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": error, "message": message}
+    assert not git_calls.exists()
+    assert not cache.exists()
 
 
 @pytest.fixture(scope="module")
@@ -975,8 +1105,7 @@ def test_any_input_csv_exits_0_or_with_one_json_error(warm_demo, tmp_path, which
     if code == 1:
         (error,) = reported
         assert set(error) == {"error", "message"}
-        # a readable metrics file of too few rows is the one fault not in the file
-        assert str(path) in error["message"] or error["error"] == "errors.TooFewRepos"
+        assert str(path) in error["message"]
     else:
         assert code == 0
         assert all("warning" in line for line in reported)

@@ -27,6 +27,7 @@ from fileexperts.ml import (
     MLDataset,
     _grow_tree,
     cross_validate,
+    fit_scaler,
     grid_search,
     logistic_gradient,
     logistic_hessian,
@@ -77,6 +78,18 @@ class TestStandardize:
         for col in (0, 2, 3):
             assert abs(scaled.features[:, col].mean()) < 1e-9
             assert scaled.features[:, col].std() == pytest.approx(1.0, abs=1e-9)
+
+    def test_the_binary_column_is_found_by_name(self):
+        """Only the column named fa passes through; a dataset whose second
+        column has another name has it scaled like the rest."""
+        features = np.array([[0.0, 2.0, 1.0], [2.0, 4.0, 0.0], [4.0, 6.0, 1.0]])
+        labels = np.array([True, False, True])
+        scaler = fit_scaler(MLDataset(features, labels, feature_names=("a", "b", "c")))
+        assert scaler.mean.tolist() == [2.0, 4.0, 2 / 3]
+        assert scaler.scale.tolist() == features.std(axis=0).tolist()
+        scaler = fit_scaler(MLDataset(features, labels, feature_names=("a", "b", "fa")))
+        assert scaler.mean.tolist() == [2.0, 4.0, 0.0]
+        assert scaler.scale.tolist() == [*features.std(axis=0)[:2].tolist(), 1.0]
 
     def test_empty_dataset(self):
         empty = MLDataset(features=np.empty((0, 4)), labels=np.array([], dtype=bool))

@@ -61,9 +61,12 @@ class TestSpearman:
             spearman([1, 2, 3], [5, 5, 5])
 
     @given(
-        st.lists(st.integers(min_value=0, max_value=5), min_size=3, max_size=10),
+        st.one_of(
+            st.lists(st.integers(min_value=0, max_value=5), min_size=3, max_size=10),
+            st.lists(st.sampled_from([0.0, -0.0, 0.5, -2.25, 1e300]), min_size=0, max_size=10),
+        )
     )
-    @settings(max_examples=100)
+    @settings(max_examples=200)
     def test_tie_ranks_match_brute_force(self, values):
         assert average_ranks(values).tolist() == brute_force_ranks(values)
 
@@ -288,6 +291,23 @@ def test_knowledge_correlations_sorted_ascending():
     by_name = {r.variable: r.rho for r in results}
     assert by_name["adds"] > 0.8
     assert by_name["num_days"] < -0.8
+
+
+def test_matrix_knowledge_cells_equal_knowledge_correlations():
+    """Both modes rank one join of the same columns: each variable's cell
+    against knowledge is its knowledge correlation, and the variables whose
+    diagonal is undefined are the ones knowledge_correlations reports."""
+    table, knowledge = _knowledge_table()
+    results, errors = knowledge_correlations(table, knowledge)
+    matrix = correlation_matrix(table, knowledge)
+    assert matrix.variables[-1] == "knowledge"
+    for result in results:
+        cell = matrix.cell(result.variable, "knowledge")
+        assert (cell.rho, cell.p_value, cell.n) == (result.rho, result.p_value, result.n)
+    undefined = {a: message for (a, b), message in matrix.errors.items() if a == b}
+    assert undefined == errors
+    assert errors["amount"] == "rho is undefined for a constant input"
+    assert len(results) + len(errors) == len(matrix.variables) - 1
 
 
 def test_knowledge_correlations_permutation_p_equals_loop_oracle():
