@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 # Each public name, by the submodule that defines it.
 _EXPORTS = {
     "diffs": (
-        "BlameState", "ChangeStats", "DiffHunk", "apply_hunks", "classify_changes",
-        "count_conditionals", "line_diff",
+        "ChangeStats", "DiffHunk", "apply_hunks", "classify_changes", "count_conditionals",
+        "levenshtein", "line_diff",
     ),
     "errors": ("FileExpertsError",),
     "expertise": (
@@ -27,14 +27,15 @@ _EXPORTS = {
         "ThresholdCurve", "calibrate", "classify", "doa", "evaluate", "technique_scores",
     ),
     "features": (
-        "FeatureTable", "FeatureVector", "compute_all", "compute_features", "developer_ids",
-        "feature_table_to_csv", "read_feature_csv", "replay_blame", "write_feature_csv",
+        "BlameState", "FeatureTable", "FeatureVector", "compute_all", "compute_features",
+        "developer_ids", "feature_table_to_csv", "read_feature_csv", "replay_blame",
+        "write_feature_csv",
     ),
     "gitlog": (
         "CommitHistory", "CommitRecord", "FileChangeEvent", "RawIdentity", "extract_history",
         "filter_source_files", "load_history", "resolve_lineages", "save_history",
     ),
-    "identities": ("DeveloperId", "canonicalize_history", "levenshtein", "resolve_identities"),
+    "identities": ("DeveloperId", "canonicalize_history", "resolve_identities"),
     "ml": (
         "CVReport", "ClassifierSpec", "MLDataset", "cross_validate", "grid_search",
         "standardize", "train",

@@ -69,8 +69,9 @@ from .languages import DEFAULT_VENDOR_GLOBS, LanguageConfig, load_language_confi
 
 # Bumped whenever the cached files change shape, so a cache written by older
 # code is re-mined rather than misread. 2: the meta line records the number
-# of feature rows.
-_CACHE_FORMAT = 2
+# of feature rows. 3: a --reference-time before the mined history is
+# refused, so no entry holds a negative num_days.
+_CACHE_FORMAT = 3
 _FEATURE_ROWS = "feature_rows"
 
 
@@ -169,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument("--format", choices=("csv", "json"), default="csv")
     for sub_parser in (p_cal, p_eval, p_corr, p_sample):
         sub_parser.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
+    p_corr.set_defaults(seed=None)  # correlate draws only under --exact-p; main checks
     return parser
 
 
@@ -254,11 +256,17 @@ class _Inputs:
 
 def _history(args, inputs: _Inputs) -> CommitHistory:
     """Mine the branch: extract the source files alone, unify aliases, then
-    apply the reference-time override. Reads and writes no cache."""
+    apply the reference-time override, which may not precede the history's
+    own reference time. Reads and writes no cache."""
     keep = source_predicate(inputs.language_config, inputs.vendor_globs)
     history = extract_history(args.repo, args.branch, keep)
     history = canonicalize_history(history, inputs.alias_threshold, inputs.alias_map)
     if inputs.reference_time is not None:
+        if inputs.reference_time < history.reference_time:
+            raise InvalidReferenceTime(
+                f"--reference-time {inputs.reference_time.isoformat()} precedes the mined "
+                f"history's reference time {history.reference_time.isoformat()}"
+            )
         history = replace(history, reference_time=inputs.reference_time)
     return history
 
@@ -454,7 +462,7 @@ def _cmd_correlate(args) -> int:
         rows = [[a, b, c.rho, c.p_value, c.n] for a, b, c in cells if c is not None]
     else:
         results, undefined = stats.knowledge_correlations(
-            table, processed.knowledge, permutation_p=args.exact_p, seed=args.seed
+            table, processed.knowledge, permutation_p=args.exact_p, seed=args.seed or 0
         )
         header = ["variable", "rho", "p_value", "n"]
         rows = [[r.variable, r.rho, r.p_value, r.n] for r in results]
@@ -538,7 +546,10 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "correlate" and args.seed is not None and not args.exact_p:
+        parser.error("correlate takes --seed only with --exact-p, its one randomized step")
     with warnings.catch_warnings(record=True) as caught:
         # every library warning reaches the report, whatever -W says
         warnings.simplefilter("always", FileExpertsWarning)

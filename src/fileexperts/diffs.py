@@ -1,4 +1,4 @@
-"""Line diffing, change classification, conditional counting, and blame.
+"""Line diffing, edit distance, change classification and conditional counting.
 
 The line diff uses a longest-common-subsequence alignment with a fixed,
 documented tie-breaking rule so that results are reproducible and can be
@@ -22,12 +22,11 @@ A removed/added line pair within a hunk counts as a *modification* when the
 edit distance between the two lines is below 40% of the removed line's
 length (strict inequality, whitespace significant). Only that answer is
 needed, so the distance is computed with a bounded, banded edit distance
-that stops once the budget is exceeded.
+(``levenshtein``) that stops once the budget is exceeded; ``identities``
+imports the same function for its 30% alias rule.
 
-Blame replay (``blame_from_events``) transfers authorship of both added and
-modified lines to the committing author. It reuses the hunks each event was
-classified with, and diffs again only when the replayed lines diverge from
-the event's recorded before-content. ``features`` feeds it each lineage.
+This is a text layer: it works on strings and line lists alone and imports
+no pipeline module. ``features`` replays each lineage with these diffs.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InvalidThreshold, UnknownLanguage
-from .gitlog import ADDITION
-from .identities import levenshtein
 from .languages import LanguageConfig, LanguageSpec, default_language_config
 
 MOD_THRESHOLD = 0.40
@@ -66,24 +63,6 @@ class ChangeStats:
     dels: int = 0
     mods: int = 0
     conds: int = 0
-
-
-@dataclass(frozen=True)
-class BlameState:
-    """Per-line authorship of a file at the replayed reference version.
-
-    Authors are canonical developer keys (emails) taken from the commit
-    records of the replayed history.
-    """
-
-    file: str
-    lines: tuple[tuple[str, str], ...]  # (line text, author key)
-
-    def counts(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for _text, author in self.lines:
-            totals[author] = totals.get(author, 0) + 1
-        return totals
 
 
 def split_lines(text: str | None) -> list[str]:
@@ -185,6 +164,68 @@ def apply_hunks(before: Sequence[str], hunks: Iterable[DiffHunk]) -> list[str]:
         cursor = hunk.before_start + len(hunk.removed)
     out.extend(before[cursor:])
     return out
+
+
+def levenshtein(a: str, b: str, limit: int | None = None) -> int:
+    """Minimum number of single-character edits turning a into b.
+
+    With a ``limit``, the result is ``min(distance, limit + 1)``: exact up
+    to the limit, and ``limit + 1`` for anything farther, so callers that
+    only ask "within k edits?" compare against ``limit``. The common prefix
+    and suffix are trimmed first (they never change the distance), and the
+    DP fills only the band ``|i - j| <= limit`` and stops at the first row
+    whose minimum exceeds the limit (Ukkonen 1985, "Algorithms for
+    approximate string matching"). Without a limit the band covers the
+    whole table and the result is exact.
+    """
+    if a == b:
+        return 0
+    shorter = min(len(a), len(b))
+    start = 0
+    while start < shorter and a[start] == b[start]:
+        start += 1
+    end = 0
+    while end < shorter - start and a[-1 - end] == b[-1 - end]:
+        end += 1
+    a = a[start : len(a) - end]
+    b = b[start : len(b) - end]
+    if len(a) < len(b):
+        a, b = b, a
+    n, m = len(a), len(b)
+    if limit is None or limit > n:
+        limit = n  # the distance never exceeds the longer length
+    if n - m > limit:
+        return limit + 1  # the distance is at least the length difference
+    if not m:
+        return n
+    over = limit + 1
+    # previous[j] is the distance of a[:i-1] and b[:j], capped at `over`;
+    # cells outside the band are at least |i - j| > limit, so they hold `over`
+    previous = [j if j <= limit else over for j in range(m + 1)]
+    for i in range(1, n + 1):
+        ca = a[i - 1]
+        lo = i - limit if i > limit else 1
+        hi = i + limit if i + limit < m else m
+        current = [over] * (m + 1)
+        if i <= limit:
+            current[0] = i
+        row_min = current[lo - 1]
+        left = row_min
+        for j in range(lo, hi + 1):
+            value = previous[j - 1] + (ca != b[j - 1])  # substitute
+            if previous[j] < value:
+                value = previous[j] + 1  # delete from a
+            if left < value:
+                value = left + 1  # insert into a
+            if value > over:
+                value = over
+            current[j] = left = value
+            if value < row_min:
+                row_min = value
+        if row_min > limit:
+            return over
+        previous = current
+    return previous[m]
 
 
 def is_modification_pair(removed: str, added: str, mod_threshold: float = MOD_THRESHOLD) -> bool:
@@ -315,45 +356,3 @@ def count_conditionals(
         if spec.count_ternary:
             total += code.count("?")
     return total
-
-
-def blame_from_events(events, hunks_per_event) -> list[tuple[str, str]]:
-    """Replay (commit, event) pairs of one lineage into per-line authorship.
-
-    ``hunks_per_event`` holds each event's canonical before->after hunks,
-    as ``line_diff`` returns them. Lines added or modified by a commit are
-    credited to its author; untouched lines keep their previous author. An
-    event's hunks are applied as they are when the replayed lines equal its
-    recorded before-content, which gives the same hunks ``diff_lines`` would;
-    only when they differ, as after a merge whose changes are not replayed,
-    are the replayed lines diffed against its after-content. An addition,
-    or any event while no lines are owned yet, resets authorship. The
-    replayed content equals the file at the last non-merge commit that
-    touched it, which is the file's reference version under this model.
-    """
-    lines: list[str] = []
-    authors: list[str] = []
-    for (commit, event), hunks in zip(events, hunks_per_event, strict=True):
-        author = commit.author.key()
-        if event.change_kind == ADDITION or not authors:
-            # creation (or re-creation, or a lineage whose head was filtered
-            # away): every current line belongs to this commit's author
-            lines = split_lines(event.after_content)
-            authors = [author] * len(lines)
-            continue
-        if lines != split_lines(event.before_content):
-            hunks = diff_lines(lines, split_lines(event.after_content))
-        new_lines: list[str] = []
-        new_authors: list[str] = []
-        cursor = 0
-        for hunk in hunks:
-            new_lines.extend(lines[cursor : hunk.before_start])
-            new_authors.extend(authors[cursor : hunk.before_start])
-            new_lines.extend(hunk.added)
-            new_authors.extend([author] * len(hunk.added))
-            cursor = hunk.before_start + len(hunk.removed)
-        new_lines.extend(lines[cursor:])
-        new_authors.extend(authors[cursor:])
-        lines, authors = new_lines, new_authors
-    return list(zip(lines, authors))
-

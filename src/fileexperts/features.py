@@ -3,9 +3,10 @@
 All variables are evaluated at the history's reference version. A pair
 exists exactly when the developer has at least one non-merge commit on the
 file's lineage: ``gitlog.resolve_lineages`` decides which lineages exist,
-and this module alone replays them. Each event is diffed once; change
-counters (adds, dels, mods, conds) classify its hunks, and blame and size
-replay the lineage with the same hunks.
+and this module alone replays them. Each event's contents are split into
+lines once and diffed once with ``diffs.diff_lines``; change counters
+(adds, dels, mods, conds) classify its hunks, and blame and size replay the
+lineage's authorship with the same hunks.
 
 Each lineage is independent of the others, so ``compute_all`` can map
 chunks of lineages over forked workers with ``workers.map``; the rows are
@@ -19,18 +20,11 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import workers
-from .diffs import (
-    MOD_THRESHOLD,
-    BlameState,
-    blame_from_events,
-    check_mod_threshold,
-    classify_changes,
-    line_diff,
-)
+from . import diffs, workers
+from .diffs import MOD_THRESHOLD, check_mod_threshold, classify_changes, split_lines
 from .errors import CorruptFeatureTable, FileNotInHistory, PairNotInHistory
 from .fileio import atomic_write_text, csv_text, read_csv
-from .gitlog import CommitHistory, Lineage, resolve_lineages
+from .gitlog import ADDITION, CommitHistory, Lineage, resolve_lineages
 from .identities import DeveloperId
 from .languages import LanguageConfig, default_language_config
 
@@ -80,6 +74,24 @@ class FeatureVector:
 
     def as_tuple(self) -> tuple:
         return tuple(getattr(self, name) for name in FEATURE_NAMES)
+
+
+@dataclass(frozen=True)
+class BlameState:
+    """Per-line authorship of a file at the replayed reference version.
+
+    Authors are canonical developer keys (emails) taken from the commit
+    records of the replayed history.
+    """
+
+    file: str
+    lines: tuple[tuple[str, str], ...]  # (line text, author key)
+
+    def counts(self) -> dict[str, int]:
+        totals: dict[str, int] = {}
+        for _text, author in self.lines:
+            totals[author] = totals.get(author, 0) + 1
+        return totals
 
 
 @dataclass(frozen=True)
@@ -138,11 +150,52 @@ def _lineage(history: CommitHistory, file: str) -> Lineage:
     return lineage
 
 
+def blame_from_events(events, lines_per_event, hunks_per_event) -> list[str]:
+    """The author of each line after replaying one lineage's (commit, event)
+    pairs, given each event's (before, after) lines and canonical hunks.
+
+    Added and modified lines go to the commit's author; the others keep
+    theirs. An event's hunks turn its before-lines into its after-lines, so
+    only authors are spliced, and the previous after-lines are diffed again
+    only when they differ from an event's before-lines (after a merge, which
+    is not replayed). An addition, or an event while no line is owned yet,
+    resets authorship.
+    """
+    authors: list[str] = []
+    previous: list[str] = []
+    for (commit, event), (before, after), hunks in zip(
+        events, lines_per_event, hunks_per_event, strict=True
+    ):
+        author = commit.author.key()
+        if event.change_kind == ADDITION or not authors:
+            # creation (or re-creation, or a lineage whose head was filtered
+            # away): every current line belongs to this commit's author
+            authors = [author] * len(after)
+        else:
+            if before != previous:
+                hunks = diffs.diff_lines(previous, after)
+            spliced: list[str] = []
+            cursor = 0
+            for hunk in hunks:
+                spliced.extend(authors[cursor : hunk.before_start])
+                spliced.extend([author] * len(hunk.added))
+                cursor = hunk.before_start + len(hunk.removed)
+            spliced.extend(authors[cursor:])
+            authors = spliced
+        previous = after
+    return authors
+
+
 def _replay(lineage: Lineage) -> tuple[list, BlameState]:
-    """Each event's canonical hunks, and the blame they replay into."""
-    hunks = [line_diff(event.before_content, event.after_content) for _, event in lineage.events]
-    lines = tuple(blame_from_events(lineage.events, hunks))
-    return hunks, BlameState(file=lineage.path, lines=lines)
+    """Each event's canonical hunks, and the blame they replay into: the
+    last event's after-lines, which are the file at the reference version."""
+    lines = [
+        (split_lines(event.before_content), split_lines(event.after_content))
+        for _, event in lineage.events
+    ]
+    hunks = [diffs.diff_lines(before, after) for before, after in lines]
+    authors = blame_from_events(lineage.events, lines, hunks)
+    return hunks, BlameState(lineage.path, tuple(zip(lines[-1][1], authors, strict=True)))
 
 
 def replay_blame(history: CommitHistory, file: str) -> BlameState:

@@ -35,17 +35,19 @@ def read_csv(
     path: str | Path, what: str, error: type, columns: Sequence[str] | None, build: Callable
 ) -> list:
     """``build(*values)`` for each row of a UTF-8 CSV file: the reading twin
-    of ``csv_text``. With ``columns``, a header names each once, in any order,
-    every non-blank row has its width, and the values come in ``columns``
-    order; without, the file has no header and each row comes as it is. Any
-    fault, or a ValueError or TypeError from ``build``, raises ``error``
-    naming ``what``, the path and, for a row, its line; a FileExpertsError
-    from ``build`` keeps its type and gains that prefix."""
+    of ``csv_text``. One leading byte-order mark, which spreadsheet "CSV
+    UTF-8" exports write, is dropped. With ``columns``, a header names each
+    once, in any order, every non-blank row has its width, and the values
+    come in ``columns`` order; without, the file has no header and each row
+    comes as it is. Any fault, or a ValueError or TypeError from ``build``,
+    raises ``error`` naming ``what``, the path and, for a row, its line; a
+    FileExpertsError from ``build`` keeps its type and gains that prefix."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from None
-    reader = csv.reader(io.StringIO(decode_utf8(data, what, path, error), newline=""))
+    text = decode_utf8(data, what, path, error).removeprefix("\ufeff")
+    reader = csv.reader(io.StringIO(text, newline=""))
 
     def at_line(problem: object) -> str:
         return f"{what} {path} line {reader.line_num}: {problem}"

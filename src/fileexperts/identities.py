@@ -4,7 +4,8 @@ A developer often commits under several (name, email) pairs. Unification
 runs in two stages: identities sharing an email (case-insensitive) are
 merged first, then groups whose normalized names are within an edit-distance
 budget of 30% of the longer name are merged transitively through a
-union-find structure.
+union-find structure. The edit distance is ``diffs.levenshtein``, the one
+the modification rule uses.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import unicodedata
 from dataclasses import dataclass, replace
 
+from .diffs import levenshtein
 from .errors import InvalidThreshold
 from .gitlog import CommitHistory, RawIdentity
 
@@ -31,68 +33,6 @@ class DeveloperId:
     display_name: str
     emails: frozenset[str]
     names: frozenset[str]
-
-
-def levenshtein(a: str, b: str, limit: int | None = None) -> int:
-    """Minimum number of single-character edits turning a into b.
-
-    With a ``limit``, the result is ``min(distance, limit + 1)``: exact up
-    to the limit, and ``limit + 1`` for anything farther, so callers that
-    only ask "within k edits?" compare against ``limit``. The common prefix
-    and suffix are trimmed first (they never change the distance), and the
-    DP fills only the band ``|i - j| <= limit`` and stops at the first row
-    whose minimum exceeds the limit (Ukkonen 1985, "Algorithms for
-    approximate string matching"). Without a limit the band covers the
-    whole table and the result is exact.
-    """
-    if a == b:
-        return 0
-    shorter = min(len(a), len(b))
-    start = 0
-    while start < shorter and a[start] == b[start]:
-        start += 1
-    end = 0
-    while end < shorter - start and a[-1 - end] == b[-1 - end]:
-        end += 1
-    a = a[start : len(a) - end]
-    b = b[start : len(b) - end]
-    if len(a) < len(b):
-        a, b = b, a
-    n, m = len(a), len(b)
-    if limit is None or limit > n:
-        limit = n  # the distance never exceeds the longer length
-    if n - m > limit:
-        return limit + 1  # the distance is at least the length difference
-    if not m:
-        return n
-    over = limit + 1
-    # previous[j] is the distance of a[:i-1] and b[:j], capped at `over`;
-    # cells outside the band are at least |i - j| > limit, so they hold `over`
-    previous = [j if j <= limit else over for j in range(m + 1)]
-    for i in range(1, n + 1):
-        ca = a[i - 1]
-        lo = i - limit if i > limit else 1
-        hi = i + limit if i + limit < m else m
-        current = [over] * (m + 1)
-        if i <= limit:
-            current[0] = i
-        row_min = current[lo - 1]
-        left = row_min
-        for j in range(lo, hi + 1):
-            value = previous[j - 1] + (ca != b[j - 1])  # substitute
-            if previous[j] < value:
-                value = previous[j] + 1  # delete from a
-            if left < value:
-                value = left + 1  # insert into a
-            if value > over:
-                value = over
-            current[j] = left = value
-            if value < row_min:
-                row_min = value
-        if row_min > limit:
-            return over
-        previous = current
-    return previous[m]
 
 
 def normalize_name(name: str) -> str:

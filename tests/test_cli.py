@@ -401,6 +401,16 @@ def test_matrix_and_exact_p_are_exclusive(capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [[], ["--matrix"]])
+def test_correlate_seed_without_exact_p_is_rejected(mode, capsys):
+    """Only the permutation test of --exact-p draws random numbers, so any
+    other correlate would ignore --seed."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["correlate", "--truth", "truth.csv", "--seed", "7", *mode])
+    assert exit_info.value.code == 2
+    assert "--seed only with --exact-p" in capsys.readouterr().err
+
+
 def test_sample(cli_repo, capsys):
     main(["sample", "--repo", str(cli_repo), "--branch", "main", "--limit", "5", "--seed", "0"])
     out = capsys.readouterr().out
@@ -436,6 +446,30 @@ def test_filter_corpus_rejects_a_repeated_repo(tmp_path, capsys):
         "error": "errors.InvalidRepoMetrics",
         "message": f"metrics CSV {metrics} line 3: repo 'r' is named twice",
     }
+
+
+def test_filter_corpus_reads_past_a_byte_order_mark(tmp_path, capsys):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(
+        "\ufeffrepo,commits,files,developers\n"
+        "tiny,10,100,50\nmid,20,100,50\nbig,30,100,50\nhuge,40,100,50\n",
+        encoding="utf-8",
+    )
+    assert main(["filter-corpus", str(metrics)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["repo", "mid", "big", "huge"]
+
+
+def test_ingest_truth_reads_past_a_byte_order_mark(cli_repo, tmp_path, capsys):
+    rows = "repo,developer_email,file,knowledge\nfixture,ana@x.com,src/f0.py,5\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(rows, encoding="utf-8")
+    marked.write_text("\ufeff" + rows, encoding="utf-8")
+    outputs = []
+    for truth in (plain, marked):
+        assert main(["ingest-truth", str(truth), "--repo", str(cli_repo), "--branch", "main"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert "ana@x.com,src/f0.py,expert" in outputs[1].out
 
 
 def test_ingest_truth_reports_unresolved(cli_repo, tmp_path, capsys):
@@ -475,6 +509,22 @@ def test_reference_time_override_changes_num_days(cli_repo, capsys):
     )
 
 
+def test_reference_time_before_the_history_is_an_error(cli_repo, tmp_path, capsys):
+    """A reference time before the last commit would make num_days negative;
+    it is refused before any feature is computed or cached."""
+    cache = tmp_path / "cache"
+    code = main(["mine", "--repo", str(cli_repo), "--branch", "main", "--cache-dir", str(cache),
+                 "--reference-time", "2000-01-01"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "errors.InvalidReferenceTime"
+    assert "2000-01-01T00:00:00+00:00" in error["message"]
+    assert "2020-" in error["message"]  # the last commit is in 2020
+    assert not list(cache.glob("*"))
+
+
 def test_vendor_glob_flag(tmp_path, capsys):
     repo = RepoBuilder(tmp_path / "vendored")
     repo.commit(
@@ -501,6 +551,19 @@ def test_alias_map_flag(tmp_path, capsys):
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert [r["developer"] for r in rows] == ["one@x.com"]
     assert rows[0]["num_commits"] == "2"
+
+
+def test_alias_map_reads_past_a_byte_order_mark(tmp_path, capsys):
+    repo = RepoBuilder(tmp_path / "aliased")
+    repo.commit("X One", "one@x.com", 1_600_000_000, writes={"a.py": "x = 1\n"})
+    repo.commit("Y Two", "two@y.com", 1_600_100_000, writes={"a.py": "x = 1\ny = 2\n"})
+    path = repo.finish()
+    alias_csv = tmp_path / "aliases.csv"
+    alias_csv.write_text("\ufeffone@x.com,two@y.com\n", encoding="utf-8")
+    main(["features", "--repo", str(path), "--branch", "main", "--alias-map", str(alias_csv),
+          "--no-cache"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["developer"] for r in rows] == ["one@x.com"]
 
 
 def test_empty_alias_map_shares_the_cache_entry_of_no_map(cli_repo, tmp_path, capsys):

@@ -76,3 +76,21 @@ def test_dir_lists_every_public_name():
 
 def test_bare_import_loads_no_numpy():
     assert _fresh_python("import sys, fileexperts; print('numpy' in sys.modules)") == "False"
+
+
+def test_diffs_is_a_text_layer():
+    """diffs imports no pipeline module; features owns the lineage replay and
+    identities takes its edit distance from diffs. The benchmark tracer wraps
+    these functions through each owner's ``__dict__``."""
+    loaded = _fresh_python(
+        "import sys, fileexperts.diffs; "
+        "print(sorted(m for m in sys.modules if m.startswith('fileexperts.')))"
+    )
+    assert "fileexperts.gitlog" not in loaded
+    assert "fileexperts.identities" not in loaded
+    from fileexperts import diffs, features, identities
+
+    assert "blame_from_events" in features.__dict__
+    assert "blame_from_events" not in diffs.__dict__
+    assert "BlameState" not in diffs.__dict__
+    assert identities.__dict__["levenshtein"] is diffs.__dict__["levenshtein"]
