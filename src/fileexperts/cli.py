@@ -4,11 +4,12 @@ correlate, sample, filter-corpus and ingest-truth.
 Every command but filter-corpus reads one artifact, the feature table,
 cached per repository tip and inputs (the feature CSV plus the meta line of
 the cached history NDJSON), so ranking twice does not re-mine. ``_table``
-alone reads and writes the cache, and ``_Inputs`` alone reads the inputs
-that shape the table; no command reads the cached commits. All randomness
-flows from --seed. Domain errors exit nonzero with one machine-readable
-JSON object on stderr, written by ``main`` alone, and each distinct library
-warning a command raises becomes one JSON line there, written by ``_warn``.
+alone reads and writes the cache, asking ``gitlog`` for the history's meta
+record on a hit, and ``_Inputs`` alone reads the inputs that shape the
+table; no command reads the cached commits. All randomness flows from
+--seed. Domain errors exit nonzero with one machine-readable JSON object on
+stderr, written by ``main`` alone, and each distinct library warning a
+command raises becomes one JSON line there, written by ``_warn``.
 
 Each command imports only the modules it runs: ``ml``, ``stats`` and
 ``study`` are imported inside the commands that use them, so ``mine``,
@@ -35,7 +36,6 @@ from . import __version__, expertise
 from .diffs import check_mod_threshold
 from .errors import (
     CorruptFeatureTable,
-    CorruptHistory,
     FileExpertsError,
     FileExpertsWarning,
     InvalidColumnMap,
@@ -54,12 +54,12 @@ from .features import (
     read_feature_csv,
     write_feature_csv,
 )
-from .fileio import atomic_write_text, csv_text, decode_utf8, read_csv
+from .fileio import atomic_write_text, csv_text, read_csv
 from .gitlog import (
     CommitHistory,
     branch_tip,
     extract_history,
-    history_from_ndjson,
+    load_history_meta,
     save_history,
     source_predicate,
 )
@@ -274,11 +274,12 @@ def _history(args, inputs: _Inputs) -> CommitHistory:
 def _table(args) -> FeatureTable:
     """The feature table every analysis command reads; the one owner of the
     cache. ``mine --history-out`` mines first and writes what it mined. A
-    hit reads the feature CSV and only the cached history's meta line, which
-    holds the reference time, the developers and the number of feature rows,
-    so it equals the table a fresh run computes and a CSV cut at a line
-    boundary is caught. A miss mines, unless it has already, and writes the
-    cache, unless --no-cache, under the key of the tip it mined."""
+    hit reads the feature CSV and asks ``gitlog.load_history_meta`` for the
+    cached history's meta record, which holds the reference time, the
+    developers and the number of feature rows, so it equals the table a
+    fresh run computes and a CSV cut at a line boundary is caught. A miss
+    mines, unless it has already, and writes the cache, unless --no-cache,
+    under the key of the tip it mined."""
     inputs = _Inputs.read(args)
     history = None
     if getattr(args, "history_out", None):  # only `mine` has --history-out
@@ -288,11 +289,7 @@ def _table(args) -> FeatureTable:
         tip = history.metadata["tip"] if history else branch_tip(args.repo, args.branch)[1]
         history_path, features_path = inputs.cache_files(args.cache_dir, tip)
         if history_path.exists() and features_path.exists():
-            with history_path.open("rb") as handle:
-                line = decode_utf8(handle.readline(), "history", history_path, CorruptHistory)
-            head = history_from_ndjson(line)
-            if head.commits or not line.strip():
-                raise CorruptHistory(f"{history_path} does not start with its meta line")
+            head = load_history_meta(history_path)
             table = read_feature_csv(features_path, head.reference_time, developer_ids(head))
             recorded = head.metadata.get(_FEATURE_ROWS)
             if len(table.rows) != recorded:
@@ -330,13 +327,7 @@ def _warn_caught(caught) -> None:
 
 def _warn_unresolved(unresolved) -> None:
     for item in unresolved:
-        _warn(
-            "unresolved ground-truth pair",
-            repo=item.repo,
-            developer=item.developer,
-            file=item.file,
-            reason=item.reason,
-        )
+        _warn("unresolved ground-truth pair", **asdict(item))
 
 
 def _truth(args):
@@ -397,15 +388,7 @@ def _cmd_calibrate(args) -> int:
     scores = expertise.technique_scores(table, args.technique)
     curve = expertise.calibrate(scores, processed.oracle, folds=args.folds, seed=args.seed)
     if args.format == "json":
-        payload = {
-            "technique": curve.technique,
-            "best_k": curve.best_k,
-            "points": [
-                {"k": p.k, "precision": p.precision, "recall": p.recall, "f_measure": p.f_measure}
-                for p in curve.points
-            ],
-        }
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _emit(args, json.dumps(asdict(curve), indent=2, sort_keys=True) + "\n")
     else:
         _emit(args, expertise.threshold_curve_to_csv(curve))
         sys.stderr.write(f"best_k={curve.best_k}\n")

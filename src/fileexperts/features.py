@@ -3,8 +3,8 @@
 All variables are evaluated at the history's reference version. A pair
 exists exactly when the developer has at least one non-merge commit on the
 file's lineage: ``gitlog.resolve_lineages`` decides which lineages exist,
-and this module alone replays them. Each event's contents are split into
-lines once and diffed once with ``diffs.diff_lines``; change counters
+and this module alone replays them. Each file version is split into lines
+once and each event diffed once with ``diffs.diff_lines``; change counters
 (adds, dels, mods, conds) classify its hunks, and blame and size replay the
 lineage's authorship with the same hunks.
 
@@ -188,11 +188,16 @@ def blame_from_events(events, lines_per_event, hunks_per_event) -> list[str]:
 
 def _replay(lineage: Lineage) -> tuple[list, BlameState]:
     """Each event's canonical hunks, and the blame they replay into: the
-    last event's after-lines, which are the file at the reference version."""
-    lines = [
-        (split_lines(event.before_content), split_lines(event.after_content))
-        for _, event in lineage.events
-    ]
+    last event's after-lines, which are the file at the reference version.
+
+    Each file version is split once: an event whose before-content is the
+    previous event's after-content shares that event's after-lines."""
+    lines = []
+    text, after = None, []
+    for _, event in lineage.events:
+        before = after if event.before_content == text else split_lines(event.before_content)
+        text, after = event.after_content, split_lines(event.after_content)
+        lines.append((before, after))
     hunks = [diffs.diff_lines(before, after) for before, after in lines]
     authors = blame_from_events(lineage.events, lines, hunks)
     return hunks, BlameState(lineage.path, tuple(zip(lines[-1][1], authors, strict=True)))

@@ -15,6 +15,11 @@ ls-tree), each invoked once per extraction, so large histories do not pay
 per-commit process overhead. ``cat-file`` is read one blob at a time, and
 ``extract_history(..., keep=source_predicate(...))`` requests no blob of a
 path the source filter drops, so binary and vendored files cost no memory.
+
+This module alone reads and writes the history NDJSON, in which each record
+is its own fields: ``save_history`` writes it line by line, ``load_history``
+reads it back, and ``load_history_meta`` reads only its first line, the
+meta record a warm CLI run needs.
 """
 
 from __future__ import annotations
@@ -442,46 +447,33 @@ def resolve_lineages(history: CommitHistory) -> dict[str, Lineage]:
 
 # -- newline-delimited JSON interchange (schema v1) ---------------------------
 
-def history_ndjson_lines(history: CommitHistory) -> Iterator[str]:
-    """A history as NDJSON lines, each ending in a newline: a meta line,
-    then one commit per line.
+def _fields(value: object) -> object:
+    """The ``json.dumps`` hook of the history records: a nested record as
+    its fields, a time in ISO 8601, the file set as a sorted list."""
+    if isinstance(value, (RawIdentity, FileChangeEvent)):
+        return vars(value)
+    if isinstance(value, datetime):
+        return value.isoformat()
+    if isinstance(value, frozenset):
+        return sorted(value)
+    raise TypeError(f"a {type(value).__name__} has no history JSON")
 
-    The meta line must stay first: a warm CLI run reads only that line.
+
+_encode = json.JSONEncoder(sort_keys=True, default=_fields).encode
+
+
+def history_ndjson_lines(history: CommitHistory) -> Iterator[str]:
+    """A history as NDJSON lines, each ending in a newline: a meta line
+    holding the ``CommitHistory`` fields but its commits, then one commit
+    per line. Every record is its own fields under their own names.
+
+    The meta line must stay first: ``load_history_meta`` reads only that
+    line.
     """
-    yield json.dumps(
-        {
-            "v": 1,
-            "meta": {
-                "branch": history.branch,
-                "reference_time": history.reference_time.isoformat(),
-                "present_paths": (
-                    sorted(history.present_paths) if history.present_paths is not None else None
-                ),
-                "metadata": dict(history.metadata),
-            },
-        },
-        sort_keys=True,
-    ) + "\n"
+    meta = {name: value for name, value in vars(history).items() if name != "commits"}
+    yield _encode({"v": 1, "meta": meta}) + "\n"
     for commit in history.commits:
-        yield json.dumps(
-            {
-                "v": 1,
-                "id": commit.id,
-                "author": {"name": commit.author.name, "email": commit.author.email},
-                "timestamp": commit.timestamp.isoformat(),
-                "changes": [
-                    {
-                        "path": ev.path,
-                        "change_kind": ev.change_kind,
-                        "old_path": ev.old_path,
-                        "before_content": ev.before_content,
-                        "after_content": ev.after_content,
-                    }
-                    for ev in commit.changes
-                ],
-            },
-            sort_keys=True,
-        ) + "\n"
+        yield _encode({"v": 1, **vars(commit)}) + "\n"
 
 
 def history_to_ndjson(history: CommitHistory) -> str:
@@ -493,13 +485,11 @@ def history_from_ndjson(text: str) -> CommitHistory:
     """Parse a history written by ``history_to_ndjson``.
 
     Raises ``CorruptHistory`` naming the 1-based line of the first line
-    that is not a well-formed meta or commit record.
+    that is not a well-formed meta or commit record; a record that lacks a
+    field its type requires, or holds one its type does not have, is not.
     """
     commits = []
-    branch = ""
-    reference_time: datetime | None = None
-    present: frozenset[str] | None = None
-    metadata: dict = {}
+    head: CommitHistory | None = None
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -507,47 +497,32 @@ def history_from_ndjson(text: str) -> CommitHistory:
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise TypeError(f"a JSON {type(obj).__name__}, not an object")
-            if obj.get("v") != 1:
-                raise ValueError(f"unsupported history schema version {obj.get('v')!r}")
+            version = obj.pop("v", None)
+            if version != 1:
+                raise ValueError(f"unsupported history schema version {version!r}")
             if "meta" in obj:
                 meta = obj["meta"]
-                branch = meta["branch"]
-                reference_time = datetime.fromisoformat(meta["reference_time"])
-                raw_present = meta.get("present_paths")
-                present = frozenset(raw_present) if raw_present is not None else None
-                metadata = meta.get("metadata", {})
+                meta["reference_time"] = datetime.fromisoformat(meta["reference_time"])
+                if meta.get("present_paths") is not None:
+                    meta["present_paths"] = frozenset(meta["present_paths"])
+                head = CommitHistory(commits=(), **meta)
                 continue
-            commits.append(
-                CommitRecord(
-                    id=obj["id"],
-                    author=RawIdentity(obj["author"]["name"], obj["author"]["email"]),
-                    timestamp=datetime.fromisoformat(obj["timestamp"]),
-                    changes=tuple(
-                        FileChangeEvent(
-                            path=ch["path"],
-                            change_kind=ch["change_kind"],
-                            old_path=ch.get("old_path"),
-                            before_content=ch.get("before_content"),
-                            after_content=ch.get("after_content"),
-                        )
-                        for ch in obj["changes"]
-                    ),
-                )
-            )
+            obj["author"] = RawIdentity(**obj["author"])
+            obj["timestamp"] = datetime.fromisoformat(obj["timestamp"])
+            obj["changes"] = tuple(FileChangeEvent(**change) for change in obj["changes"])
+            commits.append(CommitRecord(**obj))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
             raise CorruptHistory(f"history line {number} is malformed: {reason}") from exc
-    if reference_time is None:
-        reference_time = max(
-            (c.timestamp for c in commits), default=datetime.fromtimestamp(0, tz=timezone.utc)
+    if head is None:
+        head = CommitHistory(
+            commits=(),
+            branch="",
+            reference_time=max(
+                (c.timestamp for c in commits), default=datetime.fromtimestamp(0, tz=timezone.utc)
+            ),
         )
-    return CommitHistory(
-        commits=tuple(commits),
-        branch=branch,
-        reference_time=reference_time,
-        present_paths=present,
-        metadata=metadata,
-    )
+    return replace(head, commits=tuple(commits))
 
 
 def save_history(history: CommitHistory, path: str | Path) -> None:
@@ -558,3 +533,14 @@ def save_history(history: CommitHistory, path: str | Path) -> None:
 def load_history(path: str | Path) -> CommitHistory:
     data = Path(path).read_bytes()
     return history_from_ndjson(decode_utf8(data, "history", path, CorruptHistory))
+
+
+def load_history_meta(path: str | Path) -> CommitHistory:
+    """The history saved at ``path`` without its commits, read from its
+    first line alone, which must be the meta line."""
+    with Path(path).open("rb") as handle:
+        line = decode_utf8(handle.readline(), "history", path, CorruptHistory)
+    head = history_from_ndjson(line)
+    if head.commits or not line.strip():
+        raise CorruptHistory(f"{path} does not start with its meta line")
+    return head

@@ -61,7 +61,7 @@ DEFAULT_GRIDS: dict[str, dict[str, list]] = {
 
 @dataclass(frozen=True, eq=False)
 class MLDataset:
-    """Feature matrix plus expert labels, with the names of its columns."""
+    """Feature matrix plus expert labels, with one name per column."""
 
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) bool, True = expert
@@ -74,6 +74,10 @@ class MLDataset:
             raise ValueError("features must be (n, d) aligned with n labels")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features must be finite")
+        if len(self.feature_names) != self.features.shape[1]:
+            raise ValueError(
+                f"{len(self.feature_names)} feature names for {self.features.shape[1]} columns"
+            )
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -144,7 +148,7 @@ def fit_scaler(dataset: MLDataset) -> Scaler:
     mean = X.mean(axis=0)
     scale = X.std(axis=0)  # population std
     for col in range(X.shape[1]):
-        name = dataset.feature_names[col] if col < len(dataset.feature_names) else f"column {col}"
+        name = dataset.feature_names[col]
         if name in _BINARY_FEATURES:
             mean[col], scale[col] = 0.0, 1.0
         elif scale[col] == 0.0:

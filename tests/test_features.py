@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fileexperts.diffs
+import fileexperts.features
 from fileexperts.errors import CorruptFeatureTable, FileNotInHistory, PairNotInHistory
 from fileexperts.features import (
     CSV_HEADER,
@@ -298,6 +299,30 @@ def test_compute_all_diffs_each_event_once(monkeypatch):
     events = sum(len(commit.changes) for commit in history.commits)
     assert len(calls) == events == 7
     assert sum(row.features.blame for row in table.rows if row.file == "a.py") == 12
+
+
+def test_replay_splits_each_file_version_once(monkeypatch):
+    """On a linear lineage each event's before-content is the previous
+    event's after-content, whose lines are reused: n events, n splits."""
+    versions = ["".join(f"line_{j} = {i}\n" for j in range(i + 1)) for i in range(6)]
+    history = make_history(
+        [("d1@x.com", 0, [add("a.py", versions[0])])]
+        + [
+            (f"d{step % 2 + 1}@x.com", step, [mod("a.py", versions[step - 1], versions[step])])
+            for step in range(1, 6)
+        ]
+    )
+    calls = []
+    original = fileexperts.features.split_lines
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(fileexperts.features, "split_lines", counting)
+    table = compute_all(history)
+    assert calls == versions
+    assert sum(row.features.blame for row in table.rows) == 6
 
 
 def test_file_emptied_at_reference_has_zero_size():

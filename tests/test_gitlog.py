@@ -33,6 +33,7 @@ from fileexperts.gitlog import (
     save_history,
     source_predicate,
 )
+from fileexperts.identities import canonicalize_history
 from fileexperts.languages import DEFAULT_VENDOR_GLOBS, default_language_config
 
 
@@ -423,6 +424,17 @@ def test_ndjson_roundtrip(demo_history):
     assert history_from_ndjson(text) == demo_history
 
 
+def test_history_ndjson_bytes_are_pinned(demo_repo_path):
+    """The demo repository's history NDJSON, unfiltered and as the CLI
+    mines it, down to the byte."""
+    raw = extract_history(demo_repo_path, "main")
+    mined = canonicalize_history(extract_history(demo_repo_path, "main", source_predicate()))
+    assert [hashlib.sha256(history_to_ndjson(h).encode()).hexdigest() for h in (raw, mined)] == [
+        "ba2e30e6c706dad002a3fd08179b3dc0cc952b22cf5136857315fcbe1b658bd6",
+        "ed6a5f9e8e7bd413248eb47c78fea9743fb42e15b7f8b672e0a435a263195f8e",
+    ]
+
+
 def test_save_history_streams_its_lines(tmp_path):
     import tracemalloc
     from datetime import datetime, timezone
@@ -475,6 +487,12 @@ _MALFORMED = {
     "author-not-an-object": json.dumps({**_COMMIT, "author": ["Ana", "ana@x.com"]}),
     "change-without-path": json.dumps({**_COMMIT, "changes": [{"change_kind": "add"}]}),
     "change-not-an-object": json.dumps({**_COMMIT, "changes": ["a.py"]}),
+    "change-with-unknown-field": json.dumps(
+        {**_COMMIT, "changes": [{**_COMMIT["changes"][0], "mode": "100644"}]}
+    ),
+    "author-with-extra-key": json.dumps(
+        {**_COMMIT, "author": {**_COMMIT["author"], "login": "ana"}}
+    ),
 }
 
 

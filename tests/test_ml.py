@@ -91,6 +91,15 @@ class TestStandardize:
         assert scaler.mean.tolist() == [2.0, 4.0, 0.0]
         assert scaler.scale.tolist() == [*features.std(axis=0)[:2].tolist(), 1.0]
 
+    def test_a_dataset_names_each_of_its_columns(self):
+        """The default names are the four study columns, so a two-column
+        dataset must name its own; its second column is then scaled, not
+        taken for the binary fa."""
+        with pytest.raises(ValueError, match="4 feature names for 2 columns"):
+            MLDataset([[1, 10], [2, 20], [3, 40]], [True, False, True])
+        data = MLDataset([[1, 10], [2, 20], [3, 40]], [True, False, True], ("a", "b"))
+        assert fit_scaler(data).scale.tolist() == data.features.std(axis=0).tolist()
+
     def test_empty_dataset(self):
         empty = MLDataset(features=np.empty((0, 4)), labels=np.array([], dtype=bool))
         with pytest.raises(TooFewSamples):
@@ -420,8 +429,9 @@ def test_knn_scores_equal_per_row_lexsort(metric):
     X = rng.integers(0, 3, size=(40, 3)).astype(float)  # many equal distances
     y = rng.random(40) < 0.4
     queries = rng.integers(0, 3, size=(25, 3)).astype(float)
+    data = MLDataset(X, y, feature_names=("a", "b", "c"))
     for k in (1, 2, 5, 8, 40):
-        model = train(ClassifierSpec(KNN, {"k": k, "metric": metric}), MLDataset(X, y))
+        model = train(ClassifierSpec(KNN, {"k": k, "metric": metric}), data)
         assert model.predict_score(queries).tolist() == per_row_lexsort_scores(
             model, queries
         ).tolist()
