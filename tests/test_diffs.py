@@ -1,5 +1,6 @@
 """Diff alignment, change classification, conditionals, and blame replay."""
 
+import random
 import subprocess
 import tracemalloc
 from dataclasses import replace
@@ -160,6 +161,23 @@ class TestClassifyChanges:
         # 0.4 * 6 == 2.4: distance 2 is under the budget, distance 3 is not
         assert is_modification_pair("abcdef", "abcdXY")
         assert not is_modification_pair("abcdef", "abcXYZ")
+
+    def test_budget_boundary_on_a_long_line(self):
+        # 0.4 * 1000 == 400: 399 edits are under the budget, 400 are not.
+        # Each edit writes a character the line lacks, so k edits are
+        # exactly distance k.
+        rng = random.Random(0)
+        line = "".join(rng.choice("abcdefghij") for _ in range(1000))
+        positions = rng.sample(range(1000), 400)
+
+        def edited(count):
+            chars = list(line)
+            for position in positions[:count]:
+                chars[position] = "#"
+            return "".join(chars)
+
+        assert is_modification_pair(line, edited(399))
+        assert not is_modification_pair(line, edited(400))
 
     def test_zero_threshold_is_never_a_modification(self):
         assert not is_modification_pair("abcdef", "abcdef", mod_threshold=0.0)

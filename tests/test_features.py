@@ -1,5 +1,6 @@
 """Development variables against worked examples and the naive replay oracle."""
 
+import random
 import re
 
 import pytest
@@ -18,7 +19,7 @@ from fileexperts.features import (
     replay_blame,
     write_feature_csv,
 )
-from fileexperts.fixtures import random_repo
+from fileexperts.fixtures import RepoBuilder, random_repo
 from fileexperts.gitlog import (
     extract_history,
     filter_source_files,
@@ -365,6 +366,31 @@ def test_cross_extension_rename_starts_lineage_at_rename(tmp_path):
     for row in table.rows:
         pair = (row.developer.canonical_key, row.file)
         assert dict(zip(CSV_HEADER[2:], row.features.as_tuple())) == expected[pair]
+
+
+def test_long_line_edit_and_rewrite(tmp_path):
+    """A 4,000-character line: a light edit is one modification, a full
+    rewrite one delete plus one add."""
+    rng = random.Random(0)
+
+    def line():
+        return "".join(rng.choice("abcdefghij") for _ in range(4000))
+
+    created = line()
+    edited = created[:1000] + "#" * 10 + created[1010:]
+    repo = RepoBuilder(tmp_path / "repo")
+    for day, (name, text) in enumerate((("ana", created), ("bo", edited), ("cy", line()))):
+        repo.commit(name, f"{name}@x.com", 1_600_000_000 + day * 86400, writes={"data.py": text})
+    table = compute_all(extract_history(repo.finish(), "main"))
+
+    rows = {r.developer.canonical_key: r.features.as_tuple() for r in table.rows}
+    # adds, dels, mods, conds, amount, fa, blame, num_commits, num_days,
+    # num_mod_devs, size, avg_days_commits
+    assert rows == {
+        "ana@x.com": (1, 0, 0, 0, 1, 1, 0, 1, 2, 2, 1, 0.0),
+        "bo@x.com": (0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0.0),
+        "cy@x.com": (1, 1, 0, 0, 2, 0, 1, 1, 0, 0, 1, 0.0),
+    }
 
 
 def test_same_instant_commits():

@@ -472,7 +472,8 @@ def test_save_history_streams_its_lines(tmp_path):
 _META = '{"v": 1, "meta": {"branch": "main", "reference_time": "2020-09-13T12:26:40+00:00"}}'
 _COMMIT = {"v": 1, "id": "c1", "author": {"name": "Ana", "email": "ana@x.com"},
            "timestamp": "2020-09-13T12:26:40+00:00",
-           "changes": [{"path": "a.py", "change_kind": "add", "after_content": "x = 1\n"}]}
+           "changes": [{"path": "a.py", "change_kind": "addition", "old_path": None,
+                        "before_content": None, "after_content": "x = 1\n"}]}
 
 
 _MALFORMED = {
@@ -485,8 +486,15 @@ _MALFORMED = {
     "numeric-timestamp": json.dumps({**_COMMIT, "timestamp": 1600000000}),
     "no-changes": json.dumps({k: v for k, v in _COMMIT.items() if k != "changes"}),
     "author-not-an-object": json.dumps({**_COMMIT, "author": ["Ana", "ana@x.com"]}),
-    "change-without-path": json.dumps({**_COMMIT, "changes": [{"change_kind": "add"}]}),
+    "change-without-path": json.dumps({**_COMMIT, "changes": [{"change_kind": "addition"}]}),
     "change-not-an-object": json.dumps({**_COMMIT, "changes": ["a.py"]}),
+    # the writer writes every change field, null or not, so none may be missing
+    **{
+        f"change-without-{name}": json.dumps(
+            {**_COMMIT, "changes": [{k: v for k, v in _COMMIT["changes"][0].items() if k != name}]}
+        )
+        for name in ("old_path", "before_content", "after_content")
+    },
     "change-with-unknown-field": json.dumps(
         {**_COMMIT, "changes": [{**_COMMIT["changes"][0], "mode": "100644"}]}
     ),

@@ -20,6 +20,27 @@ from oracles import lev_matrix
 short_text = st.text(alphabet="abcdef ", max_size=12)
 
 
+@st.composite
+def long_pairs(draw):
+    """Two strings of about 60-200 characters over a 1- to 3-letter alphabet
+    that may hold non-BMP characters, so the bit masks span several machine
+    words. The second string is either drawn on its own or the first with up
+    to 40 substitutions, insertions and deletions, so small distances occur."""
+    letters = draw(
+        st.lists(st.sampled_from("ab\u00e9\U0001F600\U00010348"), min_size=1, max_size=3, unique=True)
+    )
+    text = st.text(alphabet=st.sampled_from(letters), min_size=60, max_size=200)
+    a = draw(text)
+    if draw(st.booleans()):
+        return a, draw(text)
+    b = a
+    edits = st.tuples(st.integers(0, 200), st.sampled_from(["", *letters]), st.integers(0, 1))
+    for position, letter, width in draw(st.lists(edits, max_size=40)):
+        position %= len(b) + 1
+        b = b[:position] + letter + b[position + width :]
+    return a, b
+
+
 class TestLevenshtein:
     def test_identity(self):
         assert levenshtein("abc", "abc") == 0
@@ -50,6 +71,13 @@ class TestLevenshtein:
     @settings(max_examples=300)
     def test_limit_caps_at_one_past_the_limit(self, a, b, k):
         assert levenshtein(a, b, k) == min(lev_matrix(a, b), k + 1)
+
+    @given(long_pairs(), st.none() | st.integers(0, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_long_strings_match_full_matrix_oracle(self, pair, k):
+        a, b = pair
+        expected = lev_matrix(a, b)
+        assert levenshtein(a, b, k) == (expected if k is None else min(expected, k + 1))
 
 
 class TestResolveIdentities:

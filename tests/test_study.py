@@ -107,6 +107,29 @@ class TestBulkImport:
         assert flag is True
         assert outliers == {"c0099"}
 
+    @staticmethod
+    def _adds_per_commit(*counts):
+        return make_history(
+            [
+                ("d@x.com", i, [add(f"c{i}_{j}.py", "x = 1\n") for j in range(n)])
+                for i, n in enumerate(counts)
+            ]
+        )
+
+    def test_tukey_fence_boundary(self):
+        # Q1 1, Q3 3, so the fence is 3 + 1.5 * 2 == 6: 6 additions are not
+        # an outlier, 7 are; neither reaches half of all additions
+        base = (1, 1, 1, 1, 3, 3, 3, 3)
+        assert detect_bulk_import(self._adds_per_commit(*base, 6)) == (False, frozenset())
+        assert detect_bulk_import(self._adds_per_commit(*base, 7)) == (False, {"c0008"})
+
+    def test_outlier_share_boundary(self):
+        # the fence is 1, so the last commit is the outlier: 10 of 20
+        # additions is exactly half and not flagged, 11 of 21 is
+        base = (1,) * 10
+        assert detect_bulk_import(self._adds_per_commit(*base, 10)) == (False, {"c0010"})
+        assert detect_bulk_import(self._adds_per_commit(*base, 11)) == (True, {"c0010"})
+
     def test_single_commit_history_not_flagged(self):
         history = make_history([("d@x.com", 0, [add("a.py", "x\n"), add("b.py", "y\n")])])
         flag, outliers = detect_bulk_import(history)
