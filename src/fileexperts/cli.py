@@ -2,14 +2,14 @@
 correlate, sample, filter-corpus and ingest-truth.
 
 Every command but filter-corpus reads one artifact, the feature table,
-cached per repository tip and inputs (the feature CSV plus the meta line of
-the cached history NDJSON), so ranking twice does not re-mine. ``_table``
-alone reads and writes the cache, asking ``gitlog`` for the history's meta
-record on a hit, and ``_Inputs`` alone reads the inputs that shape the
-table; no command reads the cached commits. All randomness flows from
---seed. Domain errors exit nonzero with one machine-readable JSON object on
-stderr, written by ``main`` alone, and each distinct library warning a
-command raises becomes one JSON line there, written by ``_warn``.
+cached per repository tip, inputs and package code (the feature CSV plus
+the meta line of the cached history NDJSON), so ranking twice does not
+re-mine. ``_table`` alone reads and writes the cache, asking ``gitlog`` for
+the history's meta record on a hit, and ``_Inputs`` alone reads the inputs
+that shape the table; no command reads the cached commits. All randomness
+flows from --seed. Domain errors exit nonzero with one machine-readable JSON
+object on stderr, written by ``main`` alone, and each distinct library
+warning a command raises becomes one JSON line there, written by ``_warn``.
 
 Each command imports only the modules it runs: ``ml``, ``stats`` and
 ``study`` are imported inside the commands that use them, so ``mine``,
@@ -22,17 +22,18 @@ a warm command, which only reads the cache, forks none.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import functools
 import json
 import logging
 import os
 import sys
 import warnings
+import zlib
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, expertise
+from . import expertise
 from .diffs import check_mod_threshold
 from .errors import (
     CorruptFeatureTable,
@@ -46,7 +47,6 @@ from .errors import (
     UnreadableAliasMap,
 )
 from .features import (
-    FEATURE_SCHEMA,
     FeatureTable,
     compute_all,
     developer_ids,
@@ -67,12 +67,8 @@ from .identities import DEFAULT_ALIAS_THRESHOLD, canonicalize_history, check_ali
 from .kinds import KINDS
 from .languages import DEFAULT_VENDOR_GLOBS, LanguageConfig, load_language_config
 
-# Bumped whenever the cached files change shape, so a cache written by older
-# code is re-mined rather than misread. 2: the meta line records the number
-# of feature rows. 3: a --reference-time before the mined history is
-# refused, so no entry holds a negative num_days.
-_CACHE_FORMAT = 3
 _FEATURE_ROWS = "feature_rows"
+_PACKAGE = Path(__file__).parent
 
 
 def _usable_cpus() -> int:
@@ -240,18 +236,33 @@ class _Inputs:
         ``tip`` by this code. The key material holds no set and takes no
         ``hash()``, so every process derives the same key."""
         blob = json.dumps(
-            {
-                "version": __version__,
-                "cache_format": _CACHE_FORMAT,
-                "feature_schema": FEATURE_SCHEMA,
-                "tip": tip,
-                **asdict(self),
-            },
+            {"code": _package_crcs(), "tip": tip, **asdict(self)},
             sort_keys=True,
             default=datetime.isoformat,  # any other type is a TypeError
         )
-        key = hashlib.sha256(blob.encode()).hexdigest()[:16]
+        key = _digest(blob.encode())
         return Path(cache_dir, f"history-{key}.ndjson"), Path(cache_dir, f"features-{key}.csv")
+
+
+def _digest(data: bytes) -> str:
+    """A 64-bit digest, 16 hex digits: zlib's crc32 and adler32 of the same
+    bytes side by side. It names cache entries, which needs no defence
+    against forgery, and ``hashlib`` would map OpenSSL into every run."""
+    return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
+
+
+@functools.cache
+def _package_crcs() -> dict[str, int]:
+    """The crc32 of each file of this package, the bundled language table
+    included, by relative path; ``__pycache__`` is left out. Any edit to the
+    code therefore changes every cache key, and an installed copy of the
+    same files gives the same key. Read once per process, so a run writes
+    its entry under the key it looked up, whatever is edited meanwhile."""
+    return {
+        path.relative_to(_PACKAGE).as_posix(): zlib.crc32(path.read_bytes())
+        for path in _PACKAGE.rglob("*")
+        if path.is_file() and "__pycache__" not in path.relative_to(_PACKAGE).parts
+    }
 
 
 def _history(args, inputs: _Inputs) -> CommitHistory:

@@ -29,6 +29,12 @@ class CorruptHistory(FileExpertsError):
     """An object referenced by the history could not be read."""
 
 
+class GitWarning(FileExpertsWarning):
+    """A git call exited 0 but wrote to stderr, which may mean a setting
+    changed its answer (``diff.renameLimit`` turning renames into additions,
+    say); the message is git's text."""
+
+
 # -- diffing and features ----------------------------------------------------
 
 class InvalidThreshold(FileExpertsError):

@@ -45,11 +45,6 @@ FEATURE_NAMES = (
 
 CSV_HEADER = ("developer", "file") + FEATURE_NAMES
 
-# Raise whenever a change alters any feature value computed from the same
-# history; the CLI keys its feature cache on it. 2: a language with no
-# conditional keywords counts no keyword matches.
-FEATURE_SCHEMA = 2
-
 _SECONDS_PER_DAY = 86400.0
 
 # lineage chunks per worker: more than one lets a worker that drew cheap

@@ -11,10 +11,15 @@ lineage per file at the reference version, followed across renames.
 ``features`` replays them.
 
 Only git plumbing commands are used (rev-list, diff-tree, cat-file,
-ls-tree), each invoked once per extraction, so large histories do not pay
-per-commit process overhead. ``cat-file`` is read one blob at a time, and
-``extract_history(..., keep=source_predicate(...))`` requests no blob of a
-path the source filter drops, so binary and vendored files cost no memory.
+ls-tree). There is still one process per command per extraction, so large
+histories do not pay per-commit process overhead, and each runs through
+one runner, ``_git``, which parses its output as it streams: rev-list line
+by line, diff-tree and ls-tree in blocks, cat-file one blob at a time. No
+command's whole output is held at once, only the entries kept from it.
+``extract_history(..., keep=source_predicate(...))`` keeps no diff-tree
+entry, and so requests no blob, of a path the source filter drops, so
+binary and vendored files cost no memory. What git writes to stderr while
+exiting 0 becomes a ``GitWarning``.
 
 This module alone reads and writes the history NDJSON, in which each record
 is its own fields: ``save_history`` writes it line by line, ``load_history``
@@ -29,13 +34,15 @@ import functools
 import json
 import logging
 import subprocess
+import sys
 import tempfile
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .errors import BranchNotFound, CorruptHistory, RepositoryNotFound
+from .errors import BranchNotFound, CorruptHistory, GitWarning, RepositoryNotFound
 from .fileio import atomic_write_text, decode_utf8
 from .languages import DEFAULT_VENDOR_GLOBS, LanguageConfig, default_language_config
 
@@ -50,6 +57,9 @@ RENAME_THRESHOLD = 0.5
 
 _NULL_SHA = "0" * 40
 _GITLINK_MODE = "160000"
+_BLOCK = 1 << 16  # the most bytes of git's stdout parsed at a time
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -112,78 +122,139 @@ class Lineage:
     events: tuple[tuple[CommitRecord, FileChangeEvent], ...]
 
 
-def _run_git(repo: Path, *args: str, stdin: bytes | None = None) -> bytes:
-    proc = subprocess.run(
-        ["git", "-C", str(repo), *args],
-        input=stdin,
-        capture_output=True,
-    )
-    if proc.returncode != 0:
-        raise CorruptHistory(
-            f"git {args[0]} failed: {proc.stderr.decode('utf-8', 'replace').strip()}"
-        )
-    return proc.stdout
+def _text(data: bytes) -> str:
+    """Bytes from git as text, invalid UTF-8 replaced, so a non-UTF-8 path or
+    a binary blob stays harmless."""
+    return data.decode("utf-8", "replace")
 
 
-def _parse_rev_list(out: bytes) -> list[tuple[str, str, str, int]]:
-    """Parse `rev-list --format=%H%x01%an%x01%ae%x01%at` into commit tuples."""
+def _warn_stderr(command: str, message: str) -> None:
+    """What a git call wrote to stderr while exiting 0, as one warning, so a
+    setting that changed git's answer (a rename limit, say) is reported."""
+    if message:
+        warnings.warn(f"git {command}: {message}", GitWarning, stacklevel=3)
+
+
+def _git(
+    repo: Path,
+    args: Sequence[str],
+    read: Callable[[IO[bytes]], T],
+    requests: Iterable[str] = (),
+) -> T:
+    """``read(stdout)`` of one git plumbing command run in ``repo``.
+
+    ``requests`` are written one a line to a temporary file that is git's
+    stdin, and git's stderr goes to another, so neither side waits on a full
+    pipe and no feeder thread is needed; ``read`` parses stdout as it
+    streams. The process is waited for on every path. A nonzero exit, or a
+    ``CorruptHistory`` from ``read``, raises ``CorruptHistory`` carrying
+    git's stderr; what git writes there while exiting 0 becomes a
+    ``GitWarning``.
+    """
+    with tempfile.TemporaryFile() as stdin, tempfile.TemporaryFile() as stderr:
+        stdin.writelines(f"{line}\n".encode() for line in requests)
+        stdin.seek(0)
+        failure = None
+        # leaving the block closes stdout, which stops a git still writing,
+        # and waits for it
+        with subprocess.Popen(
+            ["git", "-C", str(repo), *args], stdin=stdin, stdout=subprocess.PIPE, stderr=stderr
+        ) as proc:
+            try:
+                result = read(proc.stdout)
+            except CorruptHistory as exc:
+                failure = exc
+        stderr.seek(0)
+        message = _text(stderr.read()).strip()
+    if failure is None and proc.returncode == 0:
+        _warn_stderr(args[0], message)
+        return result
+    error = f"git {args[0]} failed: {failure or f'exit status {proc.returncode}'}"
+    raise CorruptHistory(f"{error}; {message}" if message else error)
+
+
+def _blocks(out: IO[bytes]) -> Iterator[bytes]:
+    """A stream's bytes as they arrive, at most ``_BLOCK`` at a time."""
+    return iter(functools.partial(out.read1, _BLOCK), b"")
+
+
+def _nul_fields(blocks: Iterable[bytes]) -> Iterator[bytes]:
+    """The NUL-terminated fields of a ``-z`` stream that arrives in blocks of
+    any size. Only newlines may follow the last NUL; anything else means
+    the stream was cut inside a record."""
+    tail = b""
+    for block in blocks:
+        *whole, tail = (tail + block).split(b"\0")
+        yield from whole
+    if tail.strip(b"\n"):
+        raise CorruptHistory("the output ends inside a record")
+
+
+def _read_rev_list(out: IO[bytes]) -> list[tuple[str, RawIdentity, int]]:
+    """Parse ``rev-list --format=%H%x01%an%x01%ae%x01%at`` line by line into
+    (sha, author, time) tuples. Commits with an empty e-mail get a per-name
+    sentinel, so each stays distinguishable; names and e-mails are interned,
+    one string per distinct value."""
     commits = []
-    for line in out.decode("utf-8", "replace").splitlines():
-        if line.startswith("commit ") or not line:
+    for line in out:
+        if line.startswith(b"commit ") or not line.strip():
             continue
-        sha, name, email, at = line.split("\x01")
-        commits.append((sha, name, email, int(at)))
+        try:
+            sha, name, email, at = _text(line).rstrip("\n").split("\x01")
+            name = name.strip()
+            email = email.strip() or f"no-email:{name.lower()}"
+            commits.append((sha, RawIdentity(sys.intern(name), sys.intern(email)), int(at)))
+        except ValueError:
+            raise CorruptHistory(f"malformed rev-list line {line!r}") from None
     return commits
 
 
 def _parse_diff_tree(
-    out: bytes, keep: Callable[[str], bool] | None = None
+    blocks: Iterable[bytes], keep: Callable[[str], bool] | None = None
 ) -> dict[str, list[tuple[str, str, str, str | None, str]]]:
-    """Parse `diff-tree --stdin -r -M --raw -z --format=%H` output.
+    """Parse ``diff-tree --stdin -r -M --raw -z --format=%H`` output as its
+    blocks arrive.
 
     Returns sha -> list of (status, old_blob, new_blob, old_path, path),
-    leaving out the entries whose path ``keep`` rejects. The stream is a
-    sequence of NUL-separated chunks: a bare commit sha, or an entry header
-    ':oldmode newmode oldsha newsha status' followed by one path chunk (two
-    for renames). Commits with no changes emit nothing and are simply absent
-    from the result.
+    holding only the entries whose path ``keep`` accepts; a commit left with
+    none, like one with no changes, is absent. The stream is a sequence of
+    NUL-terminated fields: a bare commit sha, or an entry header
+    '\\n:oldmode newmode oldsha newsha status' followed by one path field
+    (two for renames). Paths are interned, one string per distinct path.
     """
-    text = out.decode("utf-8", "replace")
-    chunks = text.split("\0")
     per_commit: dict[str, list] = {}
-    current: list | None = None
-    i = 0
-    while i < len(chunks):
-        chunk = chunks[i].lstrip("\n")
-        if not chunk:
-            i += 1
+    tokens = _nul_fields(blocks)
+    sha = None
+    for token in tokens:
+        token = token.lstrip(b"\n")
+        if not token:
             continue
-        if not chunk.startswith(":"):
-            current = per_commit.setdefault(chunk, [])
-            i += 1
+        if not token.startswith(b":"):
+            sha = _text(token)
             continue
-        old_mode, new_mode, old_sha, new_sha, status = chunk[1:].split(" ")
-        if status.startswith("R"):
-            old_path, path = chunks[i + 1], chunks[i + 2]
-            i += 3
-        else:
-            old_path, path = None, chunks[i + 1]
-            i += 2
+        try:
+            old_mode, new_mode, old_sha, new_sha, status = _text(token[1:]).split(" ")
+        except ValueError:
+            raise CorruptHistory(f"malformed diff-tree entry {token!r}") from None
+        paths = [next(tokens, None) for _ in range(2 if status.startswith("R") else 1)]
+        if None in paths:
+            raise CorruptHistory("the output ends inside a record")
         if _GITLINK_MODE in (old_mode, new_mode):
             continue  # submodule pointers are not files
+        path = sys.intern(_text(paths[-1]))
         if keep is not None and not keep(path):
             continue
-        if current is None:
+        if sha is None:
             raise CorruptHistory("diff entry before any commit header")
-        current.append((status, old_sha, new_sha, old_path, path))
+        old_path = sys.intern(_text(paths[0])) if len(paths) == 2 else None
+        per_commit.setdefault(sha, []).append((status, old_sha, new_sha, old_path, path))
     return per_commit
 
 
 def _read_blob(out: IO[bytes], sha: str) -> str:
     """The next object of a ``cat-file --batch`` stream: a header line
-    ``<sha> <type> <size>``, the body, then a newline. Decoded as UTF-8
-    with invalid bytes replaced, so binary blobs stay harmless."""
-    header = out.readline().decode("utf-8", "replace").split()
+    ``<sha> <type> <size>``, the body, then a newline."""
+    header = _text(out.readline()).split()
     if len(header) != 3 or header[0] != sha:
         reason = " ".join(header[1:]) if header else "no output"
         raise CorruptHistory(f"object {sha} is unreadable ({reason})")
@@ -191,42 +262,21 @@ def _read_blob(out: IO[bytes], sha: str) -> str:
     body = out.read(size)
     if len(body) != size or out.read(1) != b"\n":
         raise CorruptHistory(f"object {sha} is truncated")
-    return body.decode("utf-8", "replace")
+    return _text(body)
 
 
 def _fetch_blobs(repo: Path, shas: Iterable[str]) -> dict[str, str]:
-    """Read blob contents from one ``cat-file --batch`` process, one blob at
-    a time, so no more than one blob's bytes are held at once.
-
-    The requests come from a temporary file rather than a pipe, and git's
-    stderr goes to another, so neither side waits on a full pipe and no
-    feeder thread is needed. The process is waited for on every path.
-    """
+    """Blob contents from one ``cat-file --batch`` process, read one blob at
+    a time, so no more than one blob's bytes are held at once."""
     wanted = sorted({s for s in shas if s and s != _NULL_SHA})
     if not wanted:
         return {}
-    with tempfile.TemporaryFile() as requests, tempfile.TemporaryFile() as stderr:
-        requests.write(("\n".join(wanted) + "\n").encode())
-        requests.seek(0)
-        failure = None
-        # leaving the block closes stdout, which stops git, and waits for it
-        with subprocess.Popen(
-            ["git", "-C", str(repo), "cat-file", "--batch"],
-            stdin=requests,
-            stdout=subprocess.PIPE,
-            stderr=stderr,
-        ) as proc:
-            try:
-                contents = {sha: _read_blob(proc.stdout, sha) for sha in wanted}
-            except CorruptHistory as exc:
-                failure = exc
-        if failure is None and proc.returncode == 0:
-            return contents
-        stderr.seek(0)
-        message = stderr.read().decode("utf-8", "replace").strip()
-    if failure is not None and not message:
-        raise failure
-    raise CorruptHistory(f"git cat-file failed: {message or f'exit status {proc.returncode}'}")
+    return _git(
+        repo,
+        ["cat-file", "--batch"],
+        lambda out: {sha: _read_blob(out, sha) for sha in wanted},
+        requests=wanted,
+    )
 
 
 def _rev_parse(repo: Path, *args: str) -> list[str] | None:
@@ -240,7 +290,10 @@ def _rev_parse(repo: Path, *args: str) -> list[str] | None:
     lines = proc.stdout.decode().splitlines()
     if not lines:
         raise RepositoryNotFound(f"{repo} is not a git repository")
-    return lines[1:] if proc.returncode == 0 else None
+    if proc.returncode != 0:
+        return None
+    _warn_stderr("rev-parse", _text(proc.stderr).strip())
+    return lines[1:]
 
 
 def branch_tip(repo_path: str | Path, branch: str | None = "master") -> tuple[str, str]:
@@ -290,31 +343,20 @@ def extract_history(
     repo = Path(repo_path)
     branch_name, tip = branch_tip(repo, branch)
 
-    rev_out = _run_git(
+    meta = _git(
         repo,
-        "rev-list",
-        "--topo-order",
-        "--reverse",
-        "--no-merges",
-        "--format=%H%x01%an%x01%ae%x01%at",
-        tip,
+        ["rev-list", "--topo-order", "--reverse", "--no-merges",
+         "--format=%H%x01%an%x01%ae%x01%at", tip],
+        _read_rev_list,
     )
-    meta = _parse_rev_list(rev_out)
     logger.info("extracted %d non-merge commits from %s@%s", len(meta), repo, branch_name)
 
-    diff_out = _run_git(
+    raw_changes = _git(
         repo,
-        "diff-tree",
-        "--stdin",
-        "--root",
-        "-r",
-        "-M",
-        "--raw",
-        "-z",
-        "--format=%H",
-        stdin=("\n".join(sha for sha, *_ in meta) + "\n").encode(),
+        ["diff-tree", "--stdin", "--root", "-r", "-M", "--raw", "-z", "--format=%H"],
+        lambda out: _parse_diff_tree(_blocks(out), keep),
+        requests=(sha for sha, _author, _at in meta),
     )
-    raw_changes = _parse_diff_tree(diff_out, keep)
 
     needed: set[str] = set()
     for entries in raw_changes.values():
@@ -325,11 +367,9 @@ def extract_history(
     blobs = _fetch_blobs(repo, needed)
 
     commits = []
-    for sha, name, email, at in meta:
-        author_email = email.strip() or f"no-email:{name.strip().lower()}"
-        author = RawIdentity(name=name.strip(), email=author_email)
+    for sha, author, at in meta:
         changes = []
-        for status, old_sha, new_sha, old_path, path in raw_changes.get(sha, []):
+        for status, old_sha, new_sha, old_path, path in raw_changes.pop(sha, ()):
             before = blobs.get(old_sha)
             after = blobs.get(new_sha)
             # diff-tree -M reports no copies, even under diff.renames=copies:
@@ -358,14 +398,16 @@ def extract_history(
             )
         )
 
-    ls_out = _run_git(repo, "ls-tree", "-r", "-z", "--name-only", tip)
-    present = frozenset(p for p in ls_out.decode("utf-8", "replace").split("\0") if p)
-    if keep is not None:
-        present = frozenset(filter(keep, present))
+    paths = _git(
+        repo,
+        ["ls-tree", "-r", "-z", "--name-only", tip],
+        lambda out: [sys.intern(_text(path)) for path in _nul_fields(_blocks(out))],
+    )
+    present = frozenset(filter(keep, paths) if keep is not None else paths)
 
     # over every non-merge commit, kept or not; the tip itself may be a
     # merge commit, absent from the list, and then counts as the epoch
-    stamps = {sha: at for sha, _name, _email, at in meta}
+    stamps = {sha: at for sha, _author, at in meta}
     newest = max([stamps.get(tip, 0), *stamps.values()])
 
     return CommitHistory(

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from importlib import resources
@@ -593,6 +594,63 @@ def test_cache_reused_across_runs(cli_repo, tmp_path, capsys):
     cached = sorted(p.name for p in cache.iterdir())
     assert any(name.startswith("history-") for name in cached)
     assert any(name.startswith("features-") for name in cached)
+
+
+@pytest.mark.parametrize("changed", ["data/languages.json", "diffs.py"])
+def test_cache_key_covers_every_package_file(cli_repo, tmp_path, changed):
+    """One byte changed in a copy of the package, the bundled language table
+    included, changes the cache key, so the entry the unchanged copy wrote
+    is not served: here that entry is cut short, and serving it is an
+    error."""
+    copy = tmp_path / "copy"
+    shutil.copytree(Path(fileexperts.__file__).parent, copy / "fileexperts",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cache = tmp_path / "cache"
+
+    def mine():
+        argv = [sys.executable, "-m", "fileexperts.cli", "mine", "--repo", str(cli_repo),
+                "--branch", "main", "--cache-dir", str(cache)]
+        return subprocess.run(argv, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(copy)})
+
+    cold = mine()
+    assert cold.returncode == 0
+    (entry,) = cache.glob("features-*.csv")
+    entry.write_text(cold.stdout.splitlines(keepends=True)[0])  # the header alone
+    assert "errors.CorruptFeatureTable" in mine().stderr  # the same code reads it
+    edited = copy / "fileexperts" / changed
+    data = edited.read_bytes()
+    assert data.endswith(b"\n")
+    edited.write_bytes(data[:-1] + b" ")
+    rerun = mine()
+    assert (rerun.returncode, rerun.stdout) == (0, cold.stdout)
+    assert len(list(cache.glob("features-*.csv"))) == 2
+
+
+def test_git_stderr_on_success_is_one_warning(tmp_path, capsys, monkeypatch):
+    """Under a rename limit of 1, git reports four renamed and edited files
+    as deletions plus additions and says so on stderr while exiting 0; the
+    run reports that text as one warning line."""
+    repo = RepoBuilder(tmp_path / "repo")
+    bodies = {f"f{i}.py": "".join(f"line_{i}_{n} = {n}\n" for n in range(20)) for i in range(4)}
+    repo.commit("Ana Lima", "ana@x.com", 1_600_000_000, writes=bodies)
+    repo.commit("Bo Chen", "bo@y.com", 1_600_100_000, deletes=tuple(bodies),
+                writes={f"g{path}": body + "edited = 1\n" for path, body in bodies.items()})
+    repo = repo.finish()
+    mine = ["mine", "--repo", str(repo), "--branch", "main", "--no-cache"]
+    assert main(mine) == 0
+    renamed = capsys.readouterr()
+    assert renamed.err == ""
+    for name, value in [("COUNT", "1"), ("KEY_0", "diff.renameLimit"), ("VALUE_0", "1")]:
+        monkeypatch.setenv(f"GIT_CONFIG_{name}", value)
+    assert main(mine) == 0
+    limited = capsys.readouterr()
+    assert limited.out != renamed.out  # Bo's files are additions now
+    (line,) = limited.err.splitlines()
+    warning = json.loads(line)
+    assert warning["category"] == "errors.GitWarning"
+    assert warning["warning"].startswith("git diff-tree: ")
+    assert "exhaustive rename detection was skipped due to too many files" in warning["warning"]
 
 
 def test_correlate_warning_carries_repo(cli_repo, tmp_path, capsys):

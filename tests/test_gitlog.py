@@ -3,9 +3,12 @@
 import contextlib
 import hashlib
 import json
+import os
 import random
 import re
+import shutil
 import subprocess
+import sys
 from dataclasses import FrozenInstanceError, replace
 from datetime import datetime, timezone
 from pathlib import PurePosixPath
@@ -413,6 +416,103 @@ def test_unreadable_blob_raises_and_waits_for_cat_file(tmp_path, case):
         gitlog._fetch_blobs(repo, [missing, big])
     ((proc, _shas),) = calls
     assert proc.returncode is not None
+
+
+_NULL = "0" * 40
+_COMMITS = [digit * 40 for digit in "1234"]
+# `diff-tree --stdin --root -r -M --raw -z --format=%H` output for four
+# commits: the first adds a file, a gitlink and a non-UTF-8 path; the second
+# renames the file and edits README.md, which keep drops; the third touches
+# README.md alone; the fourth adds a file whose path starts with a newline.
+_DIFF_TREE = "".join([
+    f"{_COMMITS[0]}\0",
+    f"\n:000000 100644 {_NULL} {'a' * 40} A\0src/a.py\0",
+    f"\n:000000 160000 {_NULL} {'b' * 40} A\0src/sub.py\0",
+    f"\n:000000 100644 {_NULL} {'c' * 40} A\0caf\xe9.py\0",
+    f"{_COMMITS[1]}\0",
+    f"\n:100644 100644 {'a' * 40} {'b' * 40} R087\0src/a.py\0src/b.py\0",
+    f"\n:100644 100644 {'c' * 40} {'a' * 40} M\0README.md\0",
+    f"{_COMMITS[2]}\0",
+    f"\n:100644 100644 {'a' * 40} {'c' * 40} M\0README.md\0",
+    f"{_COMMITS[3]}\0",
+    f"\n:000000 100644 {_NULL} {'a' * 40} A\0\nlib.py\0",
+]).encode("latin-1")  # so caf\xe9.py is the one path that is not UTF-8
+_DIFF_TREE_ENTRIES = {
+    _COMMITS[0]: [("A", _NULL, "a" * 40, None, "src/a.py"),
+                  ("A", _NULL, "c" * 40, None, "caf\ufffd.py")],
+    _COMMITS[1]: [("R087", "a" * 40, "b" * 40, "src/a.py", "src/b.py")],
+    _COMMITS[3]: [("A", _NULL, "a" * 40, None, "\nlib.py")],
+}
+
+
+def _is_python(path):
+    return path.endswith(".py")
+
+
+def test_streamed_diff_tree_parses_alike_in_blocks_of_every_size():
+    """Every split of the stream into blocks parses to the same entries:
+    the gitlink, the README.md edits and the commit left with none are
+    dropped, and each distinct path is one string."""
+    for size in range(1, len(_DIFF_TREE) + 1):
+        blocks = [_DIFF_TREE[i:i + size] for i in range(0, len(_DIFF_TREE), size)]
+        assert gitlog._parse_diff_tree(blocks, _is_python) == _DIFF_TREE_ENTRIES, size
+    parsed = gitlog._parse_diff_tree([_DIFF_TREE], _is_python)
+    assert parsed[_COMMITS[0]][0][4] is parsed[_COMMITS[1]][0][3]  # both "src/a.py"
+    unfiltered = gitlog._parse_diff_tree([_DIFF_TREE])
+    assert [entry[4] for entry in unfiltered[_COMMITS[2]]] == ["README.md"]
+
+
+@contextlib.contextmanager
+def _fake_diff_tree(tmp_path, monkeypatch, stdout, code):
+    """Put a ``git`` on PATH that answers ``diff-tree`` with ``stdout``,
+    writes "fatal: simulated" to stderr and exits with ``code``, and runs
+    the real git for every other command. Yields each process started."""
+    real_git = shutil.which("git")
+    fake = tmp_path / "bin" / "git"
+    fake.parent.mkdir()
+    fake.write_text(
+        f"#!{sys.executable}\n"
+        "import os, sys\n"
+        "if 'diff-tree' not in sys.argv:\n"
+        f"    os.execv({real_git!r}, sys.argv)\n"
+        "sys.stdin.buffer.read()\n"
+        f"sys.stdout.buffer.write({stdout!r})\n"
+        "sys.stderr.write('fatal: simulated\\n')\n"
+        f"sys.exit({code})\n"
+    )
+    fake.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{fake.parent}{os.pathsep}{os.environ['PATH']}")
+    started = []
+    popen = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    with mock.patch.object(gitlog.subprocess, "Popen", spy):
+        yield started
+
+
+@pytest.mark.parametrize(
+    "stdout, code",
+    [
+        (_DIFF_TREE[:10], 0),  # inside a commit sha
+        (_DIFF_TREE[:60], 0),  # inside an entry header
+        (_DIFF_TREE[:_DIFF_TREE.index(b"src/a.py")], 0),  # before the entry's path
+        (_DIFF_TREE[:_DIFF_TREE.index(b"src/b.py")], 0),  # between a rename's two paths
+        (_DIFF_TREE[:-3], 0),  # inside the last path
+        (_DIFF_TREE, 128),
+    ],
+    ids=["in-commit-sha", "in-entry-header", "before-path", "between-rename-paths",
+         "in-last-path", "exit-128"],
+)
+def test_cut_or_failed_diff_tree_raises_with_git_stderr(tmp_path, monkeypatch, stdout, code):
+    repo = _linear_repo(tmp_path / "repo")
+    with _fake_diff_tree(tmp_path, monkeypatch, stdout, code) as started, pytest.raises(
+        CorruptHistory, match="git diff-tree failed: .*fatal: simulated"
+    ):
+        extract_history(repo, "main")
+    assert started and all(proc.returncode is not None for proc in started)
 
 
 def test_ndjson_roundtrip(demo_history):

@@ -78,6 +78,20 @@ def test_bare_import_loads_no_numpy():
     assert _fresh_python("import sys, fileexperts; print('numpy' in sys.modules)") == "False"
 
 
+def test_mining_loads_no_openssl(demo_repo_path, tmp_path):
+    """A cold and then a warm mine name their cache entry without hashlib,
+    which would map OpenSSL's libcrypto into the process."""
+    argv = ["mine", "--repo", str(demo_repo_path), "--branch", "main",
+            "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "out.csv")]
+    loaded = _fresh_python(
+        "import sys; from fileexperts.cli import main; "
+        f"assert main({argv!r}) == main({argv!r}) == 0; "
+        "print(sorted({'hashlib', '_hashlib', 'ssl', '_ssl'} & sys.modules.keys()))"
+    )
+    assert loaded == "[]"
+    assert len(list((tmp_path / "cache").glob("features-*.csv"))) == 1
+
+
 def test_diffs_is_a_text_layer():
     """diffs imports no pipeline module; features owns the lineage replay and
     identities takes its edit distance from diffs. The benchmark tracer wraps
