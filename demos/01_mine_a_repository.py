@@ -6,6 +6,9 @@ edits), then walks the full pipeline:
 
     extract -> filter to source files -> unify aliases -> compute features
 
+``features.mine_history`` runs the first three stages in one call, as the
+CLI does, and reads no blob of a file the source filter drops.
+
 Run:  python demos/01_mine_a_repository.py
 """
 

@@ -11,10 +11,8 @@ Run:  python demos/02_rank_file_experts.py
 import tempfile
 
 from fileexperts.expertise import TECHNIQUES, classify, doa, technique_scores
-from fileexperts.features import compute_all
+from fileexperts.features import compute_all, mine_history
 from fileexperts.fixtures import demo_repo
-from fileexperts.gitlog import extract_history, filter_source_files
-from fileexperts.identities import canonicalize_history
 
 TARGET = "src/helpers.py"
 K = 0.7
@@ -26,10 +24,7 @@ print(f"  bystander baseline         : {doa(0, 0, 0):.3f}")
 print(f"  creator, 10 own, 5 foreign : {doa(1, 10, 5):.6f}\n")
 
 with tempfile.TemporaryDirectory() as scratch:
-    history = canonicalize_history(
-        filter_source_files(extract_history(demo_repo(f"{scratch}/repo"), "main"))
-    )
-    table = compute_all(history)
+    table = compute_all(mine_history(demo_repo(f"{scratch}/repo"), "main"))
 
     for technique in TECHNIQUES:
         scores = [s for s in technique_scores(table, technique) if s.file == TARGET]

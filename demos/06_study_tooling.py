@@ -16,10 +16,9 @@ Run:  python demos/06_study_tooling.py
 
 import tempfile
 
-from fileexperts.features import compute_all
+from fileexperts.features import compute_all, mine_history
 from fileexperts.fixtures import RepoBuilder, demo_repo
-from fileexperts.gitlog import extract_history, filter_source_files
-from fileexperts.identities import canonicalize_history
+from fileexperts.gitlog import extract_history
 from fileexperts.study import RepoMetrics, detect_bulk_import, generate_sample, quartile_filter
 
 corpus = [
@@ -53,7 +52,7 @@ with tempfile.TemporaryDirectory() as scratch:
     flag, outliers = detect_bulk_import(extract_history(imported, "main"))
     print(f"40-files-in-one-commit repository flagged: {flag} ({len(outliers)} outlier commit)")
 
-    table = compute_all(canonicalize_history(filter_source_files(extract_history(organic, "main"))))
+    table = compute_all(mine_history(organic, "main"))
     print("\nsurvey sample (file_limit=2, two seeds):")
     for seed in (0, 1):
         pairs = generate_sample(table, file_limit=2, seed=seed)

@@ -27,9 +27,9 @@ _EXPORTS = {
         "ThresholdCurve", "calibrate", "classify", "doa", "evaluate", "technique_scores",
     ),
     "features": (
-        "BlameState", "FeatureTable", "FeatureVector", "compute_all", "compute_features",
-        "developer_ids", "feature_table_to_csv", "read_feature_csv", "replay_blame",
-        "write_feature_csv",
+        "BlameState", "FeatureTable", "FeatureVector", "MiningInputs", "compute_all",
+        "compute_features", "developer_ids", "feature_table_to_csv", "mine_history",
+        "read_feature_csv", "replay_blame", "write_feature_csv",
     ),
     "gitlog": (
         "CommitHistory", "CommitRecord", "FileChangeEvent", "RawIdentity", "extract_history",

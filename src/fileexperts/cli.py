@@ -5,11 +5,13 @@ Every command but filter-corpus reads one artifact, the feature table,
 cached per repository tip, inputs and package code (the feature CSV plus
 the meta line of the cached history NDJSON), so ranking twice does not
 re-mine. ``_table`` alone reads and writes the cache, asking ``gitlog`` for
-the history's meta record on a hit, and ``_Inputs`` alone reads the inputs
-that shape the table; no command reads the cached commits. All randomness
-flows from --seed. Domain errors exit nonzero with one machine-readable JSON
-object on stderr, written by ``main`` alone, and each distinct library
-warning a command raises becomes one JSON line there, written by ``_warn``.
+the history's meta record on a hit and mining a miss with the library's one
+pipeline, ``features.mine_history``, on the ``MiningInputs`` that
+``_read_inputs`` alone reads; no command reads the cached commits. All
+randomness flows from --seed. Domain errors exit nonzero with one
+machine-readable JSON object on stderr, written by ``main`` alone, and each
+distinct library warning a command raises becomes one JSON line there,
+written by ``_warn``.
 
 Each command imports only the modules it runs: ``ml``, ``stats`` and
 ``study`` are imported inside the commands that use them, so ``mine``,
@@ -29,12 +31,11 @@ import os
 import sys
 import warnings
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import expertise
-from .diffs import check_mod_threshold
 from .errors import (
     CorruptFeatureTable,
     FileExpertsError,
@@ -48,24 +49,19 @@ from .errors import (
 )
 from .features import (
     FeatureTable,
+    MiningInputs,
     compute_all,
     developer_ids,
     feature_table_to_csv,
+    mine_history,
     read_feature_csv,
     write_feature_csv,
 )
 from .fileio import atomic_write_text, csv_text, read_csv
-from .gitlog import (
-    CommitHistory,
-    branch_tip,
-    extract_history,
-    load_history_meta,
-    save_history,
-    source_predicate,
-)
-from .identities import DEFAULT_ALIAS_THRESHOLD, canonicalize_history, check_alias_threshold
+from .gitlog import branch_tip, load_history_meta, save_history
+from .identities import DEFAULT_ALIAS_THRESHOLD
 from .kinds import KINDS
-from .languages import DEFAULT_VENDOR_GLOBS, LanguageConfig, load_language_config
+from .languages import DEFAULT_VENDOR_GLOBS, load_language_config
 
 _FEATURE_ROWS = "feature_rows"
 _PACKAGE = Path(__file__).parent
@@ -205,43 +201,30 @@ def _read_alias_map(path: str | None) -> list[tuple[str, str]] | None:
     return pairs or None
 
 
-@dataclass(frozen=True)
-class _Inputs:
-    """Every input that shapes the feature table, each read, parsed and
-    defaulted once: the pipeline runs on these values and the cache key
-    hashes them, so the two cannot disagree."""
+def _read_inputs(args) -> MiningInputs:
+    """The options that shape the feature table, each read, parsed and
+    defaulted once; a threshold outside [0, 1] raises InvalidThreshold."""
+    return MiningInputs(
+        alias_threshold=args.alias_threshold,
+        mod_threshold=args.mod_threshold,
+        reference_time=_parse_reference_time(args.reference_time),
+        alias_map=_read_alias_map(args.alias_map),
+        language_config=load_language_config(args.language_config),
+        vendor_globs=tuple(args.vendor_globs or DEFAULT_VENDOR_GLOBS),
+    )
 
-    alias_threshold: float
-    mod_threshold: float
-    reference_time: datetime | None
-    alias_map: list[tuple[str, str]] | None
-    language_config: LanguageConfig  # the bundled table unless --language-config
-    vendor_globs: tuple[str, ...]
 
-    @classmethod
-    def read(cls, args) -> _Inputs:
-        check_alias_threshold(args.alias_threshold)
-        check_mod_threshold(args.mod_threshold)
-        return cls(
-            alias_threshold=args.alias_threshold,
-            mod_threshold=args.mod_threshold,
-            reference_time=_parse_reference_time(args.reference_time),
-            alias_map=_read_alias_map(args.alias_map),
-            language_config=load_language_config(args.language_config),
-            vendor_globs=tuple(args.vendor_globs or DEFAULT_VENDOR_GLOBS),
-        )
-
-    def cache_files(self, cache_dir: str, tip: str) -> tuple[Path, Path]:
-        """The cached history NDJSON and feature CSV for these inputs mined at
-        ``tip`` by this code. The key material holds no set and takes no
-        ``hash()``, so every process derives the same key."""
-        blob = json.dumps(
-            {"code": _package_crcs(), "tip": tip, **asdict(self)},
-            sort_keys=True,
-            default=datetime.isoformat,  # any other type is a TypeError
-        )
-        key = _digest(blob.encode())
-        return Path(cache_dir, f"history-{key}.ndjson"), Path(cache_dir, f"features-{key}.csv")
+def _cache_files(inputs: MiningInputs, cache_dir: str, tip: str) -> tuple[Path, Path]:
+    """The cached history NDJSON and feature CSV for ``inputs`` mined at
+    ``tip`` by this code. The key material holds no set and takes no
+    ``hash()``, so every process derives the same key."""
+    blob = json.dumps(
+        {"code": _package_crcs(), "tip": tip, **asdict(inputs)},
+        sort_keys=True,
+        default=datetime.isoformat,  # any other type is a TypeError
+    )
+    key = _digest(blob.encode())
+    return Path(cache_dir, f"history-{key}.ndjson"), Path(cache_dir, f"features-{key}.csv")
 
 
 def _digest(data: bytes) -> str:
@@ -265,23 +248,6 @@ def _package_crcs() -> dict[str, int]:
     }
 
 
-def _history(args, inputs: _Inputs) -> CommitHistory:
-    """Mine the branch: extract the source files alone, unify aliases, then
-    apply the reference-time override, which may not precede the history's
-    own reference time. Reads and writes no cache."""
-    keep = source_predicate(inputs.language_config, inputs.vendor_globs)
-    history = extract_history(args.repo, args.branch, keep)
-    history = canonicalize_history(history, inputs.alias_threshold, inputs.alias_map)
-    if inputs.reference_time is not None:
-        if inputs.reference_time < history.reference_time:
-            raise InvalidReferenceTime(
-                f"--reference-time {inputs.reference_time.isoformat()} precedes the mined "
-                f"history's reference time {history.reference_time.isoformat()}"
-            )
-        history = replace(history, reference_time=inputs.reference_time)
-    return history
-
-
 def _table(args) -> FeatureTable:
     """The feature table every analysis command reads; the one owner of the
     cache. ``mine --history-out`` mines first and writes what it mined. A
@@ -291,14 +257,14 @@ def _table(args) -> FeatureTable:
     fresh run computes and a CSV cut at a line boundary is caught. A miss
     mines, unless it has already, and writes the cache, unless --no-cache,
     under the key of the tip it mined."""
-    inputs = _Inputs.read(args)
+    inputs = _read_inputs(args)
     history = None
     if getattr(args, "history_out", None):  # only `mine` has --history-out
-        history = _history(args, inputs)
+        history = mine_history(args.repo, args.branch, inputs)
         save_history(history, args.history_out)
     if not args.no_cache:
         tip = history.metadata["tip"] if history else branch_tip(args.repo, args.branch)[1]
-        history_path, features_path = inputs.cache_files(args.cache_dir, tip)
+        history_path, features_path = _cache_files(inputs, args.cache_dir, tip)
         if history_path.exists() and features_path.exists():
             head = load_history_meta(history_path)
             table = read_feature_csv(features_path, head.reference_time, developer_ids(head))
@@ -308,10 +274,10 @@ def _table(args) -> FeatureTable:
                     f"{features_path} holds {len(table.rows)} rows; the cache recorded {recorded}"
                 )
             return table
-    history = history or _history(args, inputs)
+    history = history or mine_history(args.repo, args.branch, inputs)
     table = compute_all(history, inputs.language_config, inputs.mod_threshold, _usable_cpus())
     if not args.no_cache:
-        history_path, features_path = inputs.cache_files(args.cache_dir, history.metadata["tip"])
+        history_path, features_path = _cache_files(inputs, args.cache_dir, history.metadata["tip"])
         metadata = {**history.metadata, _FEATURE_ROWS: len(table.rows)}
         save_history(replace(history, metadata=metadata), history_path)
         write_feature_csv(table, features_path)

@@ -1,4 +1,8 @@
-"""Compute the twelve development variables per (developer, file) pair.
+"""Mine a history and compute the twelve development variables per pair.
+
+``mine_history`` is the one mining pipeline, which every command that mines
+runs on the inputs a ``MiningInputs`` holds; ``compute_all`` turns the
+history into the (developer, file) feature table.
 
 All variables are evaluated at the history's reference version. A pair
 exists exactly when the developer has at least one non-merge commit on the
@@ -16,17 +20,21 @@ sorted afterwards, so the table does not depend on the worker count.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import diffs, workers
 from .diffs import MOD_THRESHOLD, check_mod_threshold, classify_changes, split_lines
-from .errors import CorruptFeatureTable, FileNotInHistory, PairNotInHistory
+from .errors import CorruptFeatureTable, FileNotInHistory, InvalidReferenceTime, PairNotInHistory
 from .fileio import atomic_write_text, csv_text, read_csv
-from .gitlog import ADDITION, CommitHistory, Lineage, resolve_lineages
-from .identities import DeveloperId
-from .languages import LanguageConfig, default_language_config
+from .gitlog import (
+    ADDITION, CommitHistory, Lineage, extract_history, resolve_lineages, source_predicate,
+)
+from .identities import (
+    DEFAULT_ALIAS_THRESHOLD, DeveloperId, canonicalize_history, check_alias_threshold,
+)
+from .languages import DEFAULT_VENDOR_GLOBS, LanguageConfig, default_language_config
 
 FEATURE_NAMES = (
     "adds",
@@ -335,6 +343,48 @@ def _balanced_chunks(weights: dict[str, int], count: int) -> list[list[str]]:
         chunks[index].append(key)
         heapq.heappush(loads, (load + weights[key], size + 1, index))
     return chunks
+
+
+# -- mining -------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MiningInputs:
+    """Every input beside the repository and branch that shapes the feature
+    table, with the CLI's defaults. ``mine_history`` runs on these values and
+    the CLI's cache key hashes them, so the two cannot disagree. Raises
+    InvalidThreshold when either threshold is outside [0, 1]."""
+
+    alias_threshold: float = DEFAULT_ALIAS_THRESHOLD
+    mod_threshold: float = MOD_THRESHOLD
+    reference_time: datetime | None = None  # None: the history's own
+    alias_map: list[tuple[str, str]] | None = None
+    language_config: LanguageConfig = field(default_factory=default_language_config)
+    vendor_globs: tuple[str, ...] = DEFAULT_VENDOR_GLOBS
+
+    def __post_init__(self):
+        check_alias_threshold(self.alias_threshold)
+        check_mod_threshold(self.mod_threshold)
+
+
+def mine_history(
+    repo: str | Path, branch: str | None = "master", inputs: MiningInputs | None = None
+) -> CommitHistory:
+    """The branch's source files, extracted without reading any other blob,
+    their aliases unified, then the reference-time override, which may not
+    precede the history's own reference time (InvalidReferenceTime).
+    ``inputs`` defaults to ``MiningInputs()``."""
+    inputs = inputs or MiningInputs()
+    keep = source_predicate(inputs.language_config, inputs.vendor_globs)
+    history = extract_history(repo, branch, keep)
+    history = canonicalize_history(history, inputs.alias_threshold, inputs.alias_map)
+    if inputs.reference_time is not None:
+        if inputs.reference_time < history.reference_time:
+            raise InvalidReferenceTime(
+                f"--reference-time {inputs.reference_time.isoformat()} precedes the mined "
+                f"history's reference time {history.reference_time.isoformat()}"
+            )
+        history = replace(history, reference_time=inputs.reference_time)
+    return history
 
 
 # -- CSV interchange ----------------------------------------------------------

@@ -540,9 +540,10 @@ def history_from_ndjson(text: str) -> CommitHistory:
     """Parse a history written by ``history_to_ndjson``.
 
     Raises ``CorruptHistory`` naming the 1-based line of the first line
-    that is not a well-formed meta or commit record; a record that lacks a
-    field its type requires, a change record that lacks any of its five
-    fields, and a record that holds a field its type does not have are not.
+    that is not a well-formed meta or commit record, the meta line coming
+    first and once; a record that lacks a field its type requires, a change
+    record that lacks any of its five fields, and a record that holds a
+    field its type does not have are not. A text with no record raises too.
     """
     commits = []
     head: CommitHistory | None = None
@@ -556,7 +557,9 @@ def history_from_ndjson(text: str) -> CommitHistory:
             version = obj.pop("v", None)
             if version != 1:
                 raise ValueError(f"unsupported history schema version {version!r}")
-            if "meta" in obj:
+            if ("meta" in obj) == (head is not None):
+                raise ValueError("a second meta line" if head else "a commit before the meta line")
+            if head is None:
                 meta = obj["meta"]
                 meta["reference_time"] = datetime.fromisoformat(meta["reference_time"])
                 if meta.get("present_paths") is not None:
@@ -571,13 +574,7 @@ def history_from_ndjson(text: str) -> CommitHistory:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
             raise CorruptHistory(f"history line {number} is malformed: {reason}") from exc
     if head is None:
-        head = CommitHistory(
-            commits=(),
-            branch="",
-            reference_time=max(
-                (c.timestamp for c in commits), default=datetime.fromtimestamp(0, tz=timezone.utc)
-            ),
-        )
+        raise CorruptHistory("history has no meta line")
     return replace(head, commits=tuple(commits))
 
 
@@ -596,7 +593,4 @@ def load_history_meta(path: str | Path) -> CommitHistory:
     first line alone, which must be the meta line."""
     with Path(path).open("rb") as handle:
         line = decode_utf8(handle.readline(), "history", path, CorruptHistory)
-    head = history_from_ndjson(line)
-    if head.commits or not line.strip():
-        raise CorruptHistory(f"{path} does not start with its meta line")
-    return head
+    return history_from_ndjson(line)

@@ -6,16 +6,9 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from fileexperts.features import mine_history
 from fileexperts.fixtures import demo_repo
-from fileexperts.gitlog import (
-    CommitHistory,
-    CommitRecord,
-    FileChangeEvent,
-    RawIdentity,
-    extract_history,
-    filter_source_files,
-)
-from fileexperts.identities import canonicalize_history
+from fileexperts.gitlog import CommitHistory, CommitRecord, FileChangeEvent, RawIdentity
 
 BASE_TIME = datetime(2021, 1, 1, tzinfo=timezone.utc)
 
@@ -83,5 +76,4 @@ def demo_repo_path(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def demo_history(demo_repo_path):
-    history = extract_history(demo_repo_path, "main")
-    return canonicalize_history(filter_source_files(history))
+    return mine_history(demo_repo_path, "main")

@@ -23,10 +23,9 @@ from fileexperts.expertise import (
     doa,
     technique_scores,
 )
-from fileexperts.features import CSV_HEADER, compute_all
+from fileexperts.features import CSV_HEADER, compute_all, mine_history
 from fileexperts.fixtures import perf_repo, random_repo
-from fileexperts.gitlog import extract_history, filter_source_files, resolve_lineages
-from fileexperts.identities import canonicalize_history
+from fileexperts.gitlog import resolve_lineages
 from fileexperts.ml import (
     KNN,
     LOGISTIC_REGRESSION,
@@ -62,8 +61,7 @@ def fixture_pipelines(tmp_path_factory):
     started = time.monotonic()
     pipelines = []
     for seed in range(100, 125):
-        repo = random_repo(base / f"repo{seed}", seed=seed)
-        history = canonicalize_history(filter_source_files(extract_history(repo, "main")))
+        history = mine_history(random_repo(base / f"repo{seed}", seed=seed), "main")
         pipelines.append((history, compute_all(history)))
     elapsed = time.monotonic() - started
     return pipelines, elapsed
@@ -286,9 +284,7 @@ def reference_reproduction(root: str, folds: int = 10):
     all_rows = []
     reference_time = None
     for name in sorted({e.repo for e in entries}):
-        history = canonicalize_history(
-            filter_source_files(extract_history(os.path.join(root, "repos", name), None))
-        )
+        history = mine_history(os.path.join(root, "repos", name), None)
         table = compute_all(history)
         all_rows.extend(dc_replace(row, file=f"{name}:{row.file}") for row in table.rows)
         if reference_time is None or history.reference_time > reference_time:
@@ -372,7 +368,7 @@ def test_criterion_11_performance(tmp_path):
     with criterion(11, "mining + features on a 1000-commit, 200-file fixture in < 60s"):
         repo = perf_repo(tmp_path / "perf", commits=1000, files=200, seed=0)
         started = time.monotonic()
-        history = canonicalize_history(filter_source_files(extract_history(repo, "main")))
+        history = mine_history(repo, "main")
         table = compute_all(history)
         elapsed = time.monotonic() - started
         assert len(history.commits) == 1000

@@ -2,12 +2,15 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
+from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
@@ -17,7 +20,14 @@ from hypothesis import strategies as st
 
 import fileexperts
 from fileexperts.cli import main
-from fileexperts.features import read_feature_csv
+from fileexperts.errors import InvalidReferenceTime
+from fileexperts.features import (
+    MiningInputs,
+    compute_all,
+    feature_table_to_csv,
+    mine_history,
+    read_feature_csv,
+)
 from fileexperts.fixtures import RepoBuilder
 
 pytestmark = pytest.mark.usefixtures("monkeypatch_cwd")
@@ -217,6 +227,27 @@ def test_correlate_exact_p(cli_repo, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "variable,rho,p_value,n"
     assert all(0.0 <= float(line.split(",")[2]) <= 1.0 for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        (("calibrate", "--technique", "doa"),
+         "1aeb3dbfe52268461c0e7e89eb3aa3d77acdd5be9194d4942caad98f8bc9ac31"),
+        (("evaluate", "--classifier", "knn"),
+         "f2496e3d0048fc06ad5c66458f8a917fa0b774a352f919642544ec3ad641988f"),
+        (("evaluate", "--classifier", "random_forest"),
+         "6916dfc1edebc43f9a501f6b7c2e0d9cd3c6b9b252992fa7dcf9737112e74025"),
+    ],
+    ids=["calibrate-doa", "evaluate-knn", "evaluate-random-forest"],
+)
+def test_seed_0_analysis_bytes_are_pinned(cli_repo, tmp_path, capsys, command, digest):
+    """Seed-0 threshold curve and CV report, down to the byte: a different
+    stratified fold assignment changes them."""
+    truth = _write_truth(tmp_path / "truth.csv", cli_repo, capsys)
+    assert main([*command, "--truth", str(truth), "--seed", "0",
+                 "--repo", str(cli_repo), "--branch", "main"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def _evaluate_outputs(cli_repo, truth, capsys, monkeypatch, *options) -> dict[int, tuple]:
@@ -526,6 +557,28 @@ def test_reference_time_before_the_history_is_an_error(cli_repo, tmp_path, capsy
     assert not list(cache.glob("*"))
 
 
+def test_mine_prints_the_table_the_library_mines(demo_repo_path, tmp_path, capsys):
+    aliases = tmp_path / "aliases.csv"
+    aliases.write_text("bob@example.com,alice@dev.example.com\n")
+    inputs = MiningInputs(
+        mod_threshold=0.3,
+        reference_time=datetime(2021, 6, 1, tzinfo=timezone.utc),
+        alias_map=[("bob@example.com", "alice@dev.example.com")],
+        vendor_globs=("web/**",),
+    )
+    assert main(["mine", "--repo", str(demo_repo_path), "--branch", "main", "--no-cache",
+                 "--alias-map", str(aliases), "--vendor-glob", "web/**",
+                 "--mod-threshold", "0.3", "--reference-time", "2021-06-01"]) == 0
+    mined = capsys.readouterr().out
+    history = mine_history(demo_repo_path, "main", inputs)
+    table = compute_all(history, inputs.language_config, inputs.mod_threshold)
+    assert mined == feature_table_to_csv(table)
+    assert mined != feature_table_to_csv(compute_all(mine_history(demo_repo_path, "main")))
+    early = replace(inputs, reference_time=datetime(2020, 1, 1, tzinfo=timezone.utc))
+    with pytest.raises(InvalidReferenceTime, match="precedes the mined history's"):
+        mine_history(demo_repo_path, "main", early)
+
+
 def test_vendor_glob_flag(tmp_path, capsys):
     repo = RepoBuilder(tmp_path / "vendored")
     repo.commit(
@@ -706,17 +759,17 @@ def test_language_table_rewritten_while_mining_is_cached_as_read(
     argv = ["mine", "--repo", str(cli_repo), "--branch", "main", "--language-config", str(config)]
     assert main([*argv, "--no-cache"]) == 0
     uncached = capsys.readouterr().out
-    extract = cli.extract_history
+    mine = cli.mine_history
 
-    def rewrite_then_extract(*args, **kwargs):
+    def rewrite_then_mine(*args, **kwargs):
         config.write_text(json.dumps(raw))
-        return extract(*args, **kwargs)
+        return mine(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "extract_history", rewrite_then_extract)
+    monkeypatch.setattr(cli, "mine_history", rewrite_then_mine)
     cache = ["--cache-dir", str(tmp_path / "cache")]
     assert main([*argv, *cache]) == 0  # mines with the table it read first
     assert capsys.readouterr().out == uncached
-    monkeypatch.setattr(cli, "extract_history", extract)
+    monkeypatch.setattr(cli, "mine_history", mine)
     config.write_text(original)
     assert main([*argv, *cache]) == 0
     assert capsys.readouterr().out == uncached
@@ -741,18 +794,18 @@ def test_commit_landing_while_mining_is_cached_under_the_tip_mined(
                               capture_output=True, text=True).stdout.strip()
 
     first, landed = git("rev-parse", "main"), git("rev-parse", "next")
-    extract = cli.extract_history
+    mine = cli.mine_history
 
-    def land_then_extract(*args, **kwargs):
+    def land_then_mine(*args, **kwargs):
         git("update-ref", "refs/heads/main", landed)
-        return extract(*args, **kwargs)
+        return mine(*args, **kwargs)
 
     def refuse(*_args, **_kwargs):
         raise _Mined
 
     cache = tmp_path / "cache"
     argv = ["mine", "--repo", str(repo), "--branch", "main", "--cache-dir", str(cache)]
-    monkeypatch.setattr(cli, "extract_history", land_then_extract)
+    monkeypatch.setattr(cli, "mine_history", land_then_mine)
     assert main(argv) == 0  # looked up at the first commit, mined at the one that landed
     mined = capsys.readouterr().out
     assert "b.py" in mined
@@ -760,7 +813,7 @@ def test_commit_landing_while_mining_is_cached_under_the_tip_mined(
     meta = json.loads(history.read_text().split("\n", 1)[0])["meta"]
     assert meta["metadata"]["tip"] == landed
 
-    monkeypatch.setattr(cli, "extract_history", refuse)
+    monkeypatch.setattr(cli, "mine_history", refuse)
     assert main(argv) == 0  # the entry is named for the tip it holds
     assert capsys.readouterr().out == mined
     git("update-ref", "refs/heads/main", first)
@@ -963,7 +1016,7 @@ def test_sample_fills_the_cache_that_warm_commands_read(cli_repo, tmp_path, caps
     def refuse(*_args, **_kwargs):
         raise AssertionError("a warm command mined or computed the feature table")
 
-    monkeypatch.setattr(cli, "extract_history", refuse)
+    monkeypatch.setattr(cli, "mine_history", refuse)
     monkeypatch.setattr(cli, "compute_all", refuse)
     assert main(sample) == 0
     assert capsys.readouterr().out == uncached
@@ -1016,7 +1069,7 @@ def test_ground_truth_is_read_before_mining(cli_repo, tmp_path, capsys, monkeypa
         raise AssertionError("the repository was read before the ground truth")
 
     monkeypatch.setattr(cli, "branch_tip", mine)
-    monkeypatch.setattr(cli, "extract_history", mine)
+    monkeypatch.setattr(cli, "mine_history", mine)
     truth = tmp_path / "empty.csv"
     truth.write_text("")
     cache = tmp_path / "cache"
@@ -1235,7 +1288,7 @@ def test_any_input_csv_exits_0_or_with_one_json_error(warm_demo, tmp_path, which
 def test_mine_history_out_mines_and_computes_once(cli_repo, tmp_path, capsys, monkeypatch):
     import fileexperts.cli as cli
 
-    calls = {"extract_history": 0, "compute_all": 0}
+    calls = {"mine_history": 0, "compute_all": 0}
     for name in calls:
         original = getattr(cli, name)
 
@@ -1247,7 +1300,7 @@ def test_mine_history_out_mines_and_computes_once(cli_repo, tmp_path, capsys, mo
     repo = ["--repo", str(cli_repo), "--branch", "main"]
     out = tmp_path / "history.ndjson"
     main(["mine", *repo, "--no-cache", "--history-out", str(out)])
-    assert calls == {"extract_history": 1, "compute_all": 1}
+    assert calls == {"mine_history": 1, "compute_all": 1}
     mined = capsys.readouterr().out
     assert len(mined.splitlines()) == 1 + 18
     assert len(out.read_text().splitlines()) == 1 + 18  # the meta line, then 18 commits
@@ -1255,10 +1308,10 @@ def test_mine_history_out_mines_and_computes_once(cli_repo, tmp_path, capsys, mo
     # on a warm cache the history written is still mined, the features are read
     cache = ["--cache-dir", str(tmp_path / "cache")]
     main(["mine", *repo, *cache])
-    calls.update(extract_history=0, compute_all=0)
+    calls.update(mine_history=0, compute_all=0)
     warm = tmp_path / "warm.ndjson"
     main(["mine", *repo, *cache, "--history-out", str(warm)])
-    assert calls == {"extract_history": 1, "compute_all": 0}
+    assert calls == {"mine_history": 1, "compute_all": 0}
     assert warm.read_bytes() == out.read_bytes()
     assert capsys.readouterr().out == mined * 2
 

@@ -15,18 +15,13 @@ from fileexperts.features import (
     compute_all,
     compute_features,
     developer_ids,
+    mine_history,
     read_feature_csv,
     replay_blame,
     write_feature_csv,
 )
 from fileexperts.fixtures import RepoBuilder, random_repo
-from fileexperts.gitlog import (
-    extract_history,
-    filter_source_files,
-    history_from_ndjson,
-    history_to_ndjson,
-)
-from fileexperts.identities import canonicalize_history
+from fileexperts.gitlog import extract_history, history_from_ndjson, history_to_ndjson
 from conftest import add, make_history, mod
 from oracles import naive_feature_table
 
@@ -133,8 +128,7 @@ def test_features_identical_after_ndjson_roundtrip(demo_history):
 
 def test_matches_naive_oracle_on_random_repos(tmp_path):
     for seed in (7, 8, 9):
-        repo = random_repo(tmp_path / f"repo{seed}", seed=seed)
-        history = canonicalize_history(filter_source_files(extract_history(repo, "main")))
+        history = mine_history(random_repo(tmp_path / f"repo{seed}", seed=seed), "main")
         table = compute_all(history)
         expected = naive_feature_table(history)
         actual = {
@@ -150,8 +144,7 @@ def test_matches_naive_oracle_on_random_repos(tmp_path):
 
 def test_single_file_lookups_agree_with_compute_all_on_random_repos(tmp_path):
     for seed in (11, 12, 13):
-        repo = random_repo(tmp_path / f"repo{seed}", seed=seed)
-        history = canonicalize_history(filter_source_files(extract_history(repo, "main")))
+        history = mine_history(random_repo(tmp_path / f"repo{seed}", seed=seed), "main")
         table = compute_all(history)
         assert table.rows, f"seed {seed} mined no rows"
         for file in table.files():
@@ -167,10 +160,7 @@ def test_single_file_lookups_agree_with_compute_all_on_random_repos(tmp_path):
 def test_feature_csv_roundtrip(demo_history, tmp_path):
     histories = [demo_history]
     for seed in (3, 4):
-        repo = random_repo(tmp_path / f"repo{seed}", seed=seed)
-        histories.append(
-            canonicalize_history(filter_source_files(extract_history(repo, "main")))
-        )
+        histories.append(mine_history(random_repo(tmp_path / f"repo{seed}", seed=seed), "main"))
     for index, history in enumerate(histories):
         table = compute_all(history)
         path = tmp_path / f"features{index}.csv"

@@ -21,6 +21,7 @@ from oracles import naive_filter_source_files
 
 from fileexperts import gitlog
 from fileexperts.errors import BranchNotFound, CorruptHistory, RepositoryNotFound
+from fileexperts.features import mine_history
 from fileexperts.fixtures import RepoBuilder, random_repo
 from fileexperts.gitlog import (
     CommitHistory,
@@ -36,7 +37,6 @@ from fileexperts.gitlog import (
     save_history,
     source_predicate,
 )
-from fileexperts.identities import canonicalize_history
 from fileexperts.languages import DEFAULT_VENDOR_GLOBS, default_language_config
 
 
@@ -528,7 +528,7 @@ def test_history_ndjson_bytes_are_pinned(demo_repo_path):
     """The demo repository's history NDJSON, unfiltered and as the CLI
     mines it, down to the byte."""
     raw = extract_history(demo_repo_path, "main")
-    mined = canonicalize_history(extract_history(demo_repo_path, "main", source_predicate()))
+    mined = mine_history(demo_repo_path, "main")
     assert [hashlib.sha256(history_to_ndjson(h).encode()).hexdigest() for h in (raw, mined)] == [
         "ba2e30e6c706dad002a3fd08179b3dc0cc952b22cf5136857315fcbe1b658bd6",
         "ed6a5f9e8e7bd413248eb47c78fea9743fb42e15b7f8b672e0a435a263195f8e",
@@ -609,6 +609,29 @@ def test_malformed_ndjson_line_names_its_line(bad):
     assert history_from_ndjson(f"{_META}\n{json.dumps(_COMMIT)}\n").commits[0].id == "c1"
     with pytest.raises(CorruptHistory, match="history line 3 is malformed"):
         history_from_ndjson(f"{_META}\n\n{bad}\n{json.dumps(_COMMIT)}\n")
+
+
+def _meta(present_paths, reference_time):
+    return json.dumps({"v": 1, "meta": {"branch": "main", "present_paths": present_paths,
+                                        "reference_time": reference_time}})
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        # without a meta line the branch, the file set and the metadata are unknown
+        (f"\n{json.dumps(_COMMIT)}\n", "line 2 is malformed: a commit before the meta line"),
+        # a later meta line would replace the file set and the reference time
+        ("\n".join([_meta([], "2020-09-13T12:26:40+00:00"), json.dumps(_COMMIT),
+                    _meta(None, "2030-01-01T00:00:00+00:00")]),
+         "line 3 is malformed: a second meta line"),
+        ("\n", "history has no meta line"),
+    ],
+    ids=["no-meta-line", "second-meta-line", "no-record"],
+)
+def test_history_starts_with_its_only_meta_line(text, named):
+    with pytest.raises(CorruptHistory, match=named):
+        history_from_ndjson(text)
 
 
 def test_history_that_is_not_utf_8_names_its_file_and_line(tmp_path):

@@ -11,10 +11,8 @@ from oracles import counts_prf, gradient_descent_logistic, numpy_grow_tree
 
 from fileexperts import ml
 from fileexperts.errors import InvalidCount, SingleClassData, TooFewSamples, ZeroVarianceWarning
-from fileexperts.features import compute_all
+from fileexperts.features import compute_all, mine_history
 from fileexperts.fixtures import perf_repo
-from fileexperts.gitlog import extract_history, filter_source_files
-from fileexperts.identities import canonicalize_history
 from fileexperts.ml import (
     DEFAULT_GRIDS,
     DEFAULT_HYPERPARAMETERS,
@@ -315,7 +313,7 @@ def survey_dataset(path, seed: int = 0, count: int = 400) -> MLDataset:
     labels: knowledge is a noisy function of the blame share, and answers
     of 4 and above are experts."""
     repo = perf_repo(path, commits=1000, files=200, devs=6, seed=seed)
-    history = canonicalize_history(filter_source_files(extract_history(repo, "main")))
+    history = mine_history(repo, "main")
     rng = random.Random(seed)
     labeled = {}
     for row in rng.sample(compute_all(history).rows, count):

@@ -15,14 +15,14 @@ PUBLIC = [
     "BLAME", "BlameState", "CVReport", "ChangeStats", "ClassifierSpec", "CommitHistory",
     "CommitRecord", "CorrelationResult", "DOA", "DeveloperId", "DiffHunk", "ExpertiseScore",
     "FeatureTable", "FeatureVector", "FileChangeEvent", "FileExpertsError", "GroundTruthEntry",
-    "MLDataset", "NUM_COMMITS", "OracleSets", "RawIdentity", "RepoMetrics", "TECHNIQUES",
-    "ThresholdCurve", "apply_hunks", "calibrate", "canonicalize_history", "classify",
+    "MLDataset", "MiningInputs", "NUM_COMMITS", "OracleSets", "RawIdentity", "RepoMetrics",
+    "TECHNIQUES", "ThresholdCurve", "apply_hunks", "calibrate", "canonicalize_history", "classify",
     "classify_changes", "compute_all", "compute_features", "correlation_matrix",
-    "count_conditionals", "cross_validate", "detect_bulk_import", "developer_ids", "diffs",
-    "doa", "errors", "evaluate", "expertise", "extract_history", "feature_table_to_csv",
-    "features", "fileio", "filter_source_files", "generate_sample", "gitlog", "grid_search",
-    "identities", "knowledge_correlations", "languages", "levenshtein", "line_diff",
-    "load_history", "ml", "process_answers", "quartile_filter", "read_feature_csv",
+    "count_conditionals", "cross_validate", "detect_bulk_import", "developer_ids", "diffs", "doa",
+    "errors", "evaluate", "expertise", "extract_history", "feature_table_to_csv", "features",
+    "fileio", "filter_source_files", "generate_sample", "gitlog", "grid_search", "identities",
+    "knowledge_correlations", "languages", "levenshtein", "line_diff", "load_history",
+    "mine_history", "ml", "process_answers", "quartile_filter", "read_feature_csv",
     "read_ground_truth_csv", "replay_blame", "resolve_identities", "resolve_lineages",
     "save_history", "spearman", "spearman_permutation_p", "standardize", "stats", "study",
     "technique_scores", "train", "validation", "write_feature_csv",
@@ -40,7 +40,7 @@ def _fresh_python(code: str) -> str:
 
 
 def test_all_is_the_pinned_public_names():
-    assert len(PUBLIC) == 73
+    assert len(PUBLIC) == 75
     assert fileexperts.__all__ == PUBLIC
 
 

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from fileexperts import ml, validation
 from fileexperts.errors import InvalidGroundTruth, InvalidKnowledgeValue, TooFewRepos
 from fileexperts.expertise import DOA, calibrate, technique_scores
-from fileexperts.features import compute_all
+from fileexperts.features import compute_all, mine_history
 from fileexperts.fixtures import random_repo
-from fileexperts.gitlog import extract_history, filter_source_files
-from fileexperts.identities import canonicalize_history
 from fileexperts.ml import ML_FEATURE_NAMES
 from fileexperts.study import (
     GroundTruthEntry,
@@ -211,8 +209,7 @@ class TestGenerateSample:
             )
         )
         for seed in range(6):
-            repo = random_repo(tmp_path / f"repo{seed}", seed=seed)
-            histories.append(canonicalize_history(filter_source_files(extract_history(repo))))
+            histories.append(mine_history(random_repo(tmp_path / f"repo{seed}", seed=seed)))
         for history in histories:
             table = compute_all(history)
             for file_limit in (1, 2, 5):

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from fileexperts import workers
 from fileexperts.errors import InvalidCount, SingleClassData, ZeroVarianceWarning
-from fileexperts.features import _balanced_chunks, compute_all, feature_table_to_csv
+from fileexperts.features import _balanced_chunks, compute_all, feature_table_to_csv, mine_history
 from fileexperts.fixtures import random_repo
-from fileexperts.gitlog import extract_history, filter_source_files
-from fileexperts.identities import canonicalize_history
 
 linux_only = pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="workers fork on Linux only"
@@ -77,7 +75,7 @@ def repo_root(tmp_path_factory):
 def test_feature_table_does_not_depend_on_jobs(repo_root, seed, jobs):
     path = repo_root / f"repo{seed}"
     repo = path if path.exists() else random_repo(path, seed=seed, max_commits=40, max_files=12)
-    history = canonicalize_history(filter_source_files(extract_history(repo, "main")))
+    history = mine_history(repo, "main")
     serial = compute_all(history, jobs=1)
     pooled = compute_all(history, jobs=jobs)
     assert pooled.rows == serial.rows
