@@ -29,6 +29,11 @@ approximate string matching based on dynamic programming"; Hyyro 2001,
 algorithm of Myers"). ``identities`` imports the same function for its 30%
 alias rule.
 
+Lines are counted as git counts them (``split_lines``): only ``\\n`` ends a
+line, taking one ``\\r`` just before it along. Conditionals are counted on
+each line after one regex per language table has blanked its line comment
+and its string literals.
+
 This is a text layer: it works on strings and line lists alone and imports
 no pipeline module. ``features`` replays each lineage with these diffs.
 """
@@ -70,21 +75,34 @@ class ChangeStats:
 
 
 def split_lines(text: str | None) -> list[str]:
-    return [] if not text else text.splitlines()
+    """A file's lines as git counts them: each ends at a ``\\n``, which it
+    loses together with one ``\\r`` just before it, and a last line may lack
+    its ``\\n``. No other character ends a line."""
+    if not text:
+        return []
+    lines = text.replace("\r\n", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _common_ends(a: Sequence, b: Sequence) -> tuple[int, int]:
+    """The lengths of the longest common prefix of ``a`` and ``b``, and of
+    the longest common suffix of what the prefix leaves."""
+    limit = min(len(a), len(b))
+    prefix = 0
+    while prefix < limit and a[prefix] == b[prefix]:
+        prefix += 1
+    suffix = 0
+    while suffix < limit - prefix and a[-1 - suffix] == b[-1 - suffix]:
+        suffix += 1
+    return prefix, suffix
 
 
 def diff_lines(before: Sequence[str], after: Sequence[str]) -> list[DiffHunk]:
     """Canonical LCS diff over already-split line sequences."""
     n, m = len(before), len(after)
-
-    prefix = 0
-    limit = min(n, m)
-    while prefix < limit and before[prefix] == after[prefix]:
-        prefix += 1
-    suffix = 0
-    while suffix < limit - prefix and before[n - 1 - suffix] == after[m - 1 - suffix]:
-        suffix += 1
-
+    prefix, suffix = _common_ends(before, after)
     mid_before = before[prefix : n - suffix]
     mid_after = after[prefix : m - suffix]
     if not mid_before and not mid_after:
@@ -191,13 +209,7 @@ def levenshtein(a: str, b: str, limit: int | None = None) -> int:
     """
     if a == b:
         return 0
-    shorter = min(len(a), len(b))
-    start = 0
-    while start < shorter and a[start] == b[start]:
-        start += 1
-    end = 0
-    while end < shorter - start and a[-1 - end] == b[-1 - end]:
-        end += 1
+    start, end = _common_ends(a, b)
     a = a[start : len(a) - end]
     b = b[start : len(b) - end]
     if len(a) < len(b):
@@ -295,55 +307,26 @@ def classify_changes(
 
 
 @lru_cache(maxsize=None)
-def _keyword_pattern(keywords: tuple[str, ...]) -> re.Pattern:
-    """Matches any keyword as a whole word; with none it matches nothing,
-    where an empty alternation would match at every word boundary."""
-    if not keywords:
-        return re.compile(r"(?!)")
-    alternatives = "|".join(re.escape(k) for k in keywords)
-    return re.compile(rf"\b(?:{alternatives})\b")
+def _patterns(spec: LanguageSpec) -> tuple[re.Pattern, re.Pattern]:
+    """A language's keyword and lexeme patterns.
 
-
-@lru_cache(maxsize=None)
-def _lexical_pattern(markers: tuple[str, ...]) -> re.Pattern:
-    """Matches any string quote or comment marker; with none configured it
-    matches everywhere, which sends every line through the full scan."""
-    return re.compile("|".join(re.escape(m) for m in markers))
-
-
-def _strip_strings_and_comments(line: str, spec: LanguageSpec) -> str:
-    """Blank out string literals and cut the line at a comment marker.
-
-    This is a line-local lexical scan: block comments and multi-line
-    strings are not tracked, which keeps the counter cheap and language
-    agnostic.
+    The keyword pattern matches any keyword as a whole word; with none it
+    matches nothing, where an empty alternation would match at every word
+    boundary. The lexeme pattern matches a comment marker and the rest of
+    the line, or a string literal: a one-character quote, then backslash
+    escapes and other characters up to the closing quote, if the line has
+    one. A comment marker wins over a quote at the same position, and a
+    quote entry longer than one character is ignored.
     """
-    out: list[str] = []
-    i = 0
-    quote: str | None = None
-    while i < len(line):
-        ch = line[i]
-        if quote is not None:
-            if ch == "\\":
-                i += 2
-                out.append("  ")
-                continue
-            if ch == quote:
-                quote = None
-            out.append(" ")
-            i += 1
-            continue
-        marker = next((m for m in spec.line_comments if line.startswith(m, i)), None)
-        if marker is not None:
-            break
-        if ch in spec.string_quotes:
-            quote = ch
-            out.append(" ")
-            i += 1
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    keywords = "|".join(map(re.escape, spec.conditional_keywords))
+    comments = "|".join(map(re.escape, spec.line_comments))
+    lexemes = [f"(?:{comments}).*"] if spec.line_comments else []
+    for quote in (re.escape(q) for q in spec.string_quotes if len(q) == 1):
+        lexemes.append(rf"{quote}(?:\\.|[^{quote}\\])*{quote}?")
+    return (
+        re.compile(rf"\b(?:{keywords})\b" if spec.conditional_keywords else "(?!)"),
+        re.compile("|".join(lexemes) or "(?!)", re.DOTALL),
+    )
 
 
 def count_conditionals(
@@ -354,20 +337,19 @@ def count_conditionals(
     """Count conditional-statement occurrences across lines.
 
     Keywords come from the per-language table; occurrences inside line
-    comments and string literals are excluded. Languages with a ternary
+    comments and string literals are excluded, each line being blanked by
+    one lexeme pattern per language table first. Languages with a ternary
     operator also count ``?`` occurrences.
     """
     if language is None:
         raise UnknownLanguage("count_conditionals requires a language tag")
     config = config or default_language_config()
     spec = config.spec(language)
-    pattern = _keyword_pattern(spec.conditional_keywords)
-    lexical = _lexical_pattern(spec.string_quotes + spec.line_comments)
+    keywords, lexemes = _patterns(spec)
     total = 0
     for line in lines:
-        # a line with no quote and no comment marker is its own code
-        code = _strip_strings_and_comments(line, spec) if lexical.search(line) else line
-        total += len(pattern.findall(code))
+        code = lexemes.sub(" ", line)
+        total += len(keywords.findall(code))
         if spec.count_ternary:
             total += code.count("?")
     return total

@@ -545,6 +545,11 @@ def history_from_ndjson(text: str) -> CommitHistory:
     record that lacks any of its five fields, and a record that holds a
     field its type does not have are not. A text with no record raises too.
     """
+    return _parse_history(text, "history")
+
+
+def _parse_history(text: str, source: str) -> CommitHistory:
+    """``history_from_ndjson``, its errors naming the history ``source``."""
     commits = []
     head: CommitHistory | None = None
     for number, line in enumerate(text.splitlines(), start=1):
@@ -572,9 +577,9 @@ def history_from_ndjson(text: str) -> CommitHistory:
             commits.append(CommitRecord(**obj))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise CorruptHistory(f"history line {number} is malformed: {reason}") from exc
+            raise CorruptHistory(f"{source} line {number} is malformed: {reason}") from exc
     if head is None:
-        raise CorruptHistory("history has no meta line")
+        raise CorruptHistory(f"{source} has no meta line")
     return replace(head, commits=tuple(commits))
 
 
@@ -585,7 +590,7 @@ def save_history(history: CommitHistory, path: str | Path) -> None:
 
 def load_history(path: str | Path) -> CommitHistory:
     data = Path(path).read_bytes()
-    return history_from_ndjson(decode_utf8(data, "history", path, CorruptHistory))
+    return _parse_history(decode_utf8(data, "history", path, CorruptHistory), f"history {path}")
 
 
 def load_history_meta(path: str | Path) -> CommitHistory:
@@ -593,4 +598,4 @@ def load_history_meta(path: str | Path) -> CommitHistory:
     first line alone, which must be the meta line."""
     with Path(path).open("rb") as handle:
         line = decode_utf8(handle.readline(), "history", path, CorruptHistory)
-    return history_from_ndjson(line)
+    return _parse_history(line, f"history {path}")

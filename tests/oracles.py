@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import fnmatch
 import itertools
+import re
 from dataclasses import replace
 from decimal import Decimal, getcontext
 from pathlib import Path
@@ -171,19 +172,20 @@ def naive_diff(before: list[str], after: list[str]):
 # -- naive feature replay ---------------------------------------------------------
 
 _ORACLE_LANGUAGES = {
-    ".py": ("python", ["if", "elif"], False, ["#"]),
-    ".js": ("javascript", ["if", "case"], True, ["//"]),
-    ".rb": ("ruby", ["if", "elsif", "unless", "when"], True, ["#"]),
+    ".py": ("python", ["if", "elif"], False, ["#"], ['"', "'"]),
+    ".js": ("javascript", ["if", "case"], True, ["//"], ['"', "'", "`"]),
+    ".rb": ("ruby", ["if", "elsif", "unless", "when"], True, ["#"], ['"', "'"]),
 }
 
 
-def _oracle_count_conditionals(lines: list[str], ext: str) -> int:
-    import re
-
-    info = _ORACLE_LANGUAGES.get(ext)
-    if info is None:
-        return 0
-    _name, keywords, ternary, comment_markers = info
+def _oracle_count_conditionals(
+    lines: list[str], keywords, ternary: bool, comment_markers, quotes
+) -> int:
+    """Keyword (and, with ``ternary``, ``?``) occurrences outside comments
+    and string literals, scanning each line one character at a time. Only
+    one-character entries of ``quotes`` open a string; inside one, a
+    backslash hides the character after it."""
+    openers = {quote for quote in quotes if len(quote) == 1}
     total = 0
     for line in lines:
         code_chars = []
@@ -203,7 +205,7 @@ def _oracle_count_conditionals(lines: list[str], ext: str) -> int:
                 continue
             if any(line.startswith(marker, k) for marker in comment_markers):
                 break
-            if c in "\"'`" and not (c == "`" and ext != ".js"):
+            if c in openers:
                 in_quote = c
                 code_chars.append(" ")
                 k += 1
@@ -211,15 +213,27 @@ def _oracle_count_conditionals(lines: list[str], ext: str) -> int:
             code_chars.append(c)
             k += 1
         code = "".join(code_chars)
-        for kw in keywords:
-            total += len(re.findall(rf"\b{kw}\b", code))
+        for kw in set(keywords):
+            total += len(re.findall(rf"\b{re.escape(kw)}\b", code))
         if ternary:
             total += code.count("?")
     return total
 
 
+def _oracle_file_conditionals(lines: list[str], ext: str) -> int:
+    """Conditionals in lines of a file with extension ``ext``, by the
+    oracle's own language table; other extensions count none."""
+    info = _ORACLE_LANGUAGES.get(ext)
+    return 0 if info is None else _oracle_count_conditionals(lines, *info[1:])
+
+
 def _split(text) -> list[str]:
-    return text.splitlines() if text else []
+    """git's lines: the text before each newline, less one carriage return
+    just before it, then any unterminated rest. No other character ends a
+    line."""
+    if not text:
+        return []
+    return ["".join(pair) for pair in re.findall(r"([^\n]*?)\r?\n|([^\n]+)\Z", text)]
 
 
 def naive_filter_source_files(history, extensions, vendor_globs):
@@ -307,7 +321,7 @@ def naive_feature_table(history) -> dict[tuple[str, str], dict]:
                 acc["dels"] += len(removed) - paired
                 acc["adds"] += len(added) - paired
                 added_as_add.extend(added[paired:])
-            acc["conds"] += _oracle_count_conditionals(added_as_add, ext)
+            acc["conds"] += _oracle_file_conditionals(added_as_add, ext)
 
             # blame replay
             if event.change_kind == "addition" or not blame_authors:

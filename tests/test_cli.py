@@ -928,7 +928,12 @@ def test_corrupt_cached_meta_line_is_an_error(cli_repo, tmp_path, capsys):
 
     code, (line,) = _warm_rank_after(drop_meta, cli_repo, tmp_path, capsys)
     assert code == 1
-    assert json.loads(line)["error"] == "errors.CorruptHistory"
+    error = json.loads(line)
+    assert error["error"] == "errors.CorruptHistory"
+    (path,) = (tmp_path / "cache").glob("history-*.ndjson")
+    assert error["message"] == (
+        f"history {path} line 1 is malformed: a commit before the meta line"
+    )
 
 
 def test_cut_short_cached_meta_line_is_an_error(cli_repo, tmp_path, capsys):
@@ -940,7 +945,8 @@ def test_cut_short_cached_meta_line_is_an_error(cli_repo, tmp_path, capsys):
     assert code == 1
     error = json.loads(line)
     assert error["error"] == "errors.CorruptHistory"
-    assert "line 1" in error["message"]
+    (path,) = (tmp_path / "cache").glob("history-*.ndjson")
+    assert error["message"].startswith(f"history {path} line 1 is malformed: ")
 
 
 @pytest.mark.parametrize(

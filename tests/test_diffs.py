@@ -2,6 +2,7 @@
 
 import random
 import subprocess
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -24,7 +25,12 @@ from fileexperts.fixtures import RepoBuilder
 from fileexperts.gitlog import extract_history
 from fileexperts.languages import LanguageConfig, LanguageSpec
 from conftest import add, make_history, mod
-from oracles import _oracle_count_conditionals, lev_matrix, naive_diff
+from oracles import (
+    _oracle_count_conditionals,
+    _oracle_file_conditionals,
+    lev_matrix,
+    naive_diff,
+)
 
 # small alphabets force collisions, which is where alignments get interesting
 line_strategy = st.lists(
@@ -202,6 +208,28 @@ class TestClassifyChanges:
         assert stats.adds + stats.dels + 2 * stats.mods == total_hunk_lines
 
 
+# entries a language table may hold that a lexer could mistake: markers
+# longer than one character, an empty entry, a backslash, and characters
+# that are special inside a regex character class
+_ODD_ENTRIES = ["#", "//", "--", "'", '"', "`", "''", "", "\\", "]", "^", "-"]
+
+
+@st.composite
+def language_tables(draw):
+    """A language table with any mix of keywords, comment markers and
+    quotes, a quote possibly also being a comment marker."""
+    return LanguageSpec(
+        name="odd",
+        extensions=(".odd",),
+        conditional_keywords=tuple(
+            draw(st.lists(st.sampled_from(["if", "elif", "case", "when", "x"]), max_size=3))
+        ),
+        count_ternary=draw(st.booleans()),
+        line_comments=tuple(draw(st.lists(st.sampled_from(_ODD_ENTRIES), max_size=3))),
+        string_quotes=tuple(draw(st.lists(st.sampled_from(_ODD_ENTRIES), max_size=4))),
+    )
+
+
 class TestCountConditionals:
     def test_c_family_if(self):
         assert count_conditionals(["if (x > 0) {"], "java") == 1
@@ -260,7 +288,30 @@ class TestCountConditionals:
     )
     def test_matches_oracle(self, lines, language):
         ext, name = language
-        assert count_conditionals(lines, name) == _oracle_count_conditionals(lines, ext)
+        assert count_conditionals(lines, name) == _oracle_file_conditionals(lines, ext)
+
+    @given(language_tables(), st.data())
+    def test_matches_oracle_on_any_table(self, spec, data):
+        pieces = ["if ", "x", " ", "?", "\\", *spec.conditional_keywords, *spec.line_comments,
+                  *spec.string_quotes]
+        lines = data.draw(
+            st.lists(st.lists(st.sampled_from(pieces), max_size=12).map("".join), max_size=6)
+        )
+        expected = _oracle_count_conditionals(
+            lines, spec.conditional_keywords, spec.count_ternary, spec.line_comments,
+            spec.string_quotes,
+        )
+        assert count_conditionals(lines, "odd", LanguageConfig({"odd": spec})) == expected
+
+    @pytest.mark.parametrize("language, ext", [("python", ".py"), ("javascript", ".js")])
+    def test_long_line_of_quotes_and_backslashes_costs_linear_time(self, language, ext):
+        # a lexeme pattern that backtracked would take minutes on this line
+        line = "'\\\"`\\" * 6_000
+        assert len(line) == 30_000
+        started = time.perf_counter()
+        counted = count_conditionals([line], language)
+        assert time.perf_counter() - started < 1.0
+        assert counted == _oracle_file_conditionals([line], ext)
 
     def test_unknown_language(self):
         with pytest.raises(UnknownLanguage):

@@ -2,6 +2,7 @@
 
 import random
 import re
+import subprocess
 
 import pytest
 from hypothesis import given, settings
@@ -381,6 +382,35 @@ def test_long_line_edit_and_rewrite(tmp_path):
         "bo@x.com": (0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0.0),
         "cy@x.com": (1, 1, 0, 0, 2, 0, 1, 1, 0, 0, 1, 0.0),
     }
+
+
+def test_line_counts_are_git_line_counts(tmp_path):
+    """size, the creator's adds and the blame sum count a file's lines as
+    git does: one per newline, plus an unterminated last line. Form feeds,
+    vertical tabs, \\x1c-\\x1e, U+0085, U+2028, U+2029 and a lone carriage
+    return end no line, and CRLF ends one."""
+    texts = {
+        "a.py": "x = 1\n\x0c\ny = 2\x0bz\nif x:\n",
+        "b.js": 'let s = "a\u2028b";\nlet t = 1;\n',
+        "c.rb": "a = 1\r\nb = 2\r\n",
+        "d.py": "a = 1\rb = 2\x1c\x1d\x1e\x85c = 3",
+        "e.php": "\u2029\n\n",
+        "f.py": "x = 1\r\r\ny = 2\r",
+    }
+    repo = RepoBuilder(tmp_path / "repo")
+    for day, (path, text) in enumerate(texts.items()):
+        repo.commit(f"dev{day}", f"dev{day}@x.com", 1_600_000_000 + day * 86400,
+                    writes={path: text})
+    path = repo.finish()
+    table = compute_all(mine_history(path, "main"))
+
+    for file in texts:
+        blob = subprocess.run(["git", "-C", str(path), "cat-file", "-p", f"main:{file}"],
+                              capture_output=True, check=True).stdout
+        lines = blob.count(b"\n") + (not blob.endswith(b"\n"))
+        (creator,) = [r.features for r in table.rows if r.file == file and r.features.fa]
+        assert creator.size == creator.adds == lines, file
+        assert sum(r.features.blame for r in table.rows if r.file == file) == lines, file
 
 
 def test_same_instant_commits():

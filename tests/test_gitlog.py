@@ -33,6 +33,7 @@ from fileexperts.gitlog import (
     history_from_ndjson,
     history_to_ndjson,
     load_history,
+    load_history_meta,
     resolve_lineages,
     save_history,
     source_predicate,
@@ -640,6 +641,16 @@ def test_history_that_is_not_utf_8_names_its_file_and_line(tmp_path):
     path.write_bytes(text.encode("latin-1"))
     with pytest.raises(CorruptHistory, match=re.escape(f"history {path} line 2: 'utf-8' codec")):
         load_history(path)
+
+
+def test_malformed_saved_history_names_its_file_and_line(tmp_path):
+    path = tmp_path / "history.ndjson"
+    path.write_text(f"{_META}\nnot a commit\n")
+    with pytest.raises(CorruptHistory, match=re.escape(f"history {path} line 2 is malformed")):
+        load_history(path)
+    path.write_text(f"{json.dumps(_COMMIT)}\n")
+    with pytest.raises(CorruptHistory, match=re.escape(f"history {path} line 1 is malformed")):
+        load_history_meta(path)
 
 
 def test_merge_commit_at_tip(tmp_path):
