@@ -17,8 +17,9 @@ Each command imports only the modules it runs: ``ml``, ``stats`` and
 ``study`` are imported inside the commands that use them, so ``mine``,
 ``features`` and ``rank``, which compute nothing with numpy, never load
 numpy or scipy. Computing the feature table and ``evaluate``'s
-cross-validation run on one forked worker per usable CPU (``workers.map``);
-a warm command, which only reads the cache, forks none.
+cross-validation run on one forked worker per usable CPU (``workers.map``,
+which forks with ``os.fork`` and loads no pool module); a warm command,
+which only reads the cache, forks none.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .features import (
     write_feature_csv,
 )
 from .fileio import atomic_write_text, csv_text, read_csv
-from .gitlog import branch_tip, load_history_meta, save_history
+from .gitlog import CommitHistory, branch_tip, load_history_meta, save_history
 from .identities import DEFAULT_ALIAS_THRESHOLD
 from .kinds import KINDS
 from .languages import DEFAULT_VENDOR_GLOBS, load_language_config
@@ -248,6 +249,18 @@ def _package_crcs() -> dict[str, int]:
     }
 
 
+def _mine(args, inputs: MiningInputs) -> CommitHistory:
+    """``features.mine_history`` on the command's repository and branch. Its
+    InvalidReferenceTime names the library's ``reference_time``; the CLI's
+    names the flag the value came from."""
+    try:
+        return mine_history(args.repo, args.branch, inputs)
+    except InvalidReferenceTime as exc:
+        raise InvalidReferenceTime(
+            str(exc).replace("reference_time", "--reference-time", 1)
+        ) from None
+
+
 def _table(args) -> FeatureTable:
     """The feature table every analysis command reads; the one owner of the
     cache. ``mine --history-out`` mines first and writes what it mined. A
@@ -260,7 +273,7 @@ def _table(args) -> FeatureTable:
     inputs = _read_inputs(args)
     history = None
     if getattr(args, "history_out", None):  # only `mine` has --history-out
-        history = mine_history(args.repo, args.branch, inputs)
+        history = _mine(args, inputs)
         save_history(history, args.history_out)
     if not args.no_cache:
         tip = history.metadata["tip"] if history else branch_tip(args.repo, args.branch)[1]
@@ -274,7 +287,7 @@ def _table(args) -> FeatureTable:
                     f"{features_path} holds {len(table.rows)} rows; the cache recorded {recorded}"
                 )
             return table
-    history = history or mine_history(args.repo, args.branch, inputs)
+    history = history or _mine(args, inputs)
     table = compute_all(history, inputs.language_config, inputs.mod_threshold, _usable_cpus())
     if not args.no_cache:
         history_path, features_path = _cache_files(inputs, args.cache_dir, history.metadata["tip"])

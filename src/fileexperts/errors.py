@@ -83,6 +83,14 @@ class InvalidCount(FileExpertsError, ValueError):
     """A fold count or a per-developer file cap is below its minimum."""
 
 
+# -- worker processes --------------------------------------------------------
+
+class WorkerDied(FileExpertsError):
+    """A forked worker exited without returning a unit it took; the message
+    names the unit and the workers' exit codes (a negative code is the
+    signal that killed the worker)."""
+
+
 # -- machine learning --------------------------------------------------------
 
 class SingleClassData(FileExpertsError):
@@ -123,7 +131,8 @@ class InvalidRepoMetrics(FileExpertsError):
 # -- command-line input ------------------------------------------------------
 
 class InvalidReferenceTime(FileExpertsError):
-    """A --reference-time value is not an ISO 8601 timestamp."""
+    """A --reference-time value is not an ISO 8601 timestamp, or a reference
+    time precedes the mined history's own."""
 
 
 class UnreadableAliasMap(FileExpertsError):

@@ -380,7 +380,7 @@ def mine_history(
     if inputs.reference_time is not None:
         if inputs.reference_time < history.reference_time:
             raise InvalidReferenceTime(
-                f"--reference-time {inputs.reference_time.isoformat()} precedes the mined "
+                f"reference_time {inputs.reference_time.isoformat()} precedes the mined "
                 f"history's reference time {history.reference_time.isoformat()}"
             )
         history = replace(history, reference_time=inputs.reference_time)

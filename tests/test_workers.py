@@ -1,15 +1,18 @@
 """The forked worker pool, and the feature table computed on it."""
 
 import os
+import signal
 import sys
+import threading
 import warnings
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fileexperts import workers
-from fileexperts.errors import InvalidCount, SingleClassData, ZeroVarianceWarning
+from fileexperts.errors import InvalidCount, SingleClassData, WorkerDied, ZeroVarianceWarning
 from fileexperts.features import _balanced_chunks, compute_all, feature_table_to_csv, mine_history
 from fileexperts.fixtures import random_repo
 
@@ -41,6 +44,61 @@ def test_warnings_then_the_first_failure_in_unit_order(jobs):
             workers.map(unit, range(6), jobs)
     assert [str(w.message) for w in caught] == ["unit 1", "unit 3"]
     assert {w.category for w in caught} == {ZeroVarianceWarning}
+
+
+@contextmanager
+def _bounded_and_clean(seconds=60):
+    """Fail the test if the block runs over ``seconds``, or if it leaves a
+    child process or an open file descriptor behind."""
+    descriptors = len(os.listdir("/proc/self/fd"))
+
+    def overran(signum, frame):
+        raise TimeoutError(f"workers.map ran over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
+@linux_only
+def test_results_larger_than_a_pipe_come_back_whole():
+    with _bounded_and_clean():
+        results = workers.map(lambda unit: bytes([unit]) * 1_000_000, range(3), 2)
+    assert results == [bytes([unit]) * 1_000_000 for unit in range(3)]
+
+
+@linux_only
+def test_more_positions_than_the_task_pipe_holds():
+    # 20,000 four-byte positions overfill a 64 KiB pipe, so they go out in
+    # several blocks as the workers drain it
+    with _bounded_and_clean():
+        assert workers.map(lambda unit: -unit, range(20_000), 2) == [-u for u in range(20_000)]
+
+
+@linux_only
+def test_a_worker_that_dies_fails_its_unit_without_hanging():
+    def unit(number):
+        if number == 2:
+            os._exit(3)
+        return number
+
+    with _bounded_and_clean():
+        with pytest.raises(WorkerDied, match=r"unit 2; the workers exited with codes \[0, 3\]"):
+            workers.map(unit, range(5), 2)
+
+
+@linux_only
+def test_an_unpicklable_result_raises_here():
+    with _bounded_and_clean():
+        with pytest.raises(TypeError, match="cannot pickle"):
+            workers.map(lambda unit: threading.Lock() if unit == 1 else unit, range(4), 2)
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
