@@ -7,7 +7,9 @@ the meta line of the cached history NDJSON), so ranking twice does not
 re-mine. ``_table`` alone reads and writes the cache, asking ``gitlog`` for
 the history's meta record on a hit and mining a miss with the library's one
 pipeline, ``features.mine_history``, on the ``MiningInputs`` that
-``_read_inputs`` alone reads; no command reads the cached commits. All
+``_read_inputs`` alone reads; no command reads the cached commits, so they
+are written without file contents, and ``gitlog.load_history`` refuses
+them. ``mine --history-out`` writes the full history. All
 randomness flows from --seed. Domain errors exit nonzero with one
 machine-readable JSON object on stderr, written by ``main`` alone, and each
 distinct library warning a command raises becomes one JSON line there,
@@ -269,7 +271,8 @@ def _table(args) -> FeatureTable:
     developers and the number of feature rows, so it equals the table a
     fresh run computes and a CSV cut at a line boundary is caught. A miss
     mines, unless it has already, and writes the cache, unless --no-cache,
-    under the key of the tip it mined."""
+    under the key of the tip it mined: the meta line, one line per commit
+    with no file contents, and the feature CSV."""
     inputs = _read_inputs(args)
     history = None
     if getattr(args, "history_out", None):  # only `mine` has --history-out
@@ -292,7 +295,7 @@ def _table(args) -> FeatureTable:
     if not args.no_cache:
         history_path, features_path = _cache_files(inputs, args.cache_dir, history.metadata["tip"])
         metadata = {**history.metadata, _FEATURE_ROWS: len(table.rows)}
-        save_history(replace(history, metadata=metadata), history_path)
+        save_history(replace(history, metadata=metadata), history_path, contents=False)
         write_feature_csv(table, features_path)
     return table
 

@@ -24,7 +24,9 @@ exiting 0 becomes a ``GitWarning``.
 This module alone reads and writes the history NDJSON, in which each record
 is its own fields: ``save_history`` writes it line by line, ``load_history``
 reads it back, and ``load_history_meta`` reads only its first line, the
-meta record a warm CLI run needs.
+meta record a warm CLI run needs. ``save_history(..., contents=False)``
+writes the change records without their file contents, as the CLI's cache
+does; ``load_history`` refuses such a file, naming the first missing field.
 """
 
 from __future__ import annotations
@@ -501,21 +503,40 @@ def _fields(value: object) -> object:
     raise TypeError(f"a {type(value).__name__} has no history JSON")
 
 
+_CONTENT_FIELDS = ("before_content", "after_content")
+
+
+def _fields_without_contents(value: object) -> object:
+    """``_fields``, a change record left without its file contents."""
+    if isinstance(value, FileChangeEvent):
+        return {name: v for name, v in vars(value).items() if name not in _CONTENT_FIELDS}
+    return _fields(value)
+
+
 _encode = json.JSONEncoder(sort_keys=True, default=_fields).encode
+_encode_without_contents = json.JSONEncoder(
+    sort_keys=True, default=_fields_without_contents
+).encode
 
 
-def history_ndjson_lines(history: CommitHistory) -> Iterator[str]:
+def history_ndjson_lines(history: CommitHistory, contents: bool = True) -> Iterator[str]:
     """A history as NDJSON lines, each ending in a newline: a meta line
     holding the ``CommitHistory`` fields but its commits, then one commit
     per line. Every record is its own fields under their own names.
 
+    ``contents=False`` writes each change record without its
+    ``before_content`` and ``after_content``, which ``load_history``
+    refuses to read back, so such a file can never replay as empty files;
+    every other record and field is written as before.
+
     The meta line must stay first: ``load_history_meta`` reads only that
     line.
     """
+    encode = _encode if contents else _encode_without_contents
     meta = {name: value for name, value in vars(history).items() if name != "commits"}
-    yield _encode({"v": 1, "meta": meta}) + "\n"
+    yield encode({"v": 1, "meta": meta}) + "\n"
     for commit in history.commits:
-        yield _encode({"v": 1, **vars(commit)}) + "\n"
+        yield encode({"v": 1, **vars(commit)}) + "\n"
 
 
 def history_to_ndjson(history: CommitHistory) -> str:
@@ -583,9 +604,11 @@ def _parse_history(text: str, source: str) -> CommitHistory:
     return replace(head, commits=tuple(commits))
 
 
-def save_history(history: CommitHistory, path: str | Path) -> None:
-    """Write a history's NDJSON line by line, never holding the whole text."""
-    atomic_write_text(path, history_ndjson_lines(history))
+def save_history(history: CommitHistory, path: str | Path, contents: bool = True) -> None:
+    """Write a history's NDJSON line by line, never holding the whole text;
+    ``contents=False`` leaves the file contents out (see
+    ``history_ndjson_lines``)."""
+    atomic_write_text(path, history_ndjson_lines(history, contents))
 
 
 def load_history(path: str | Path) -> CommitHistory:

@@ -18,7 +18,9 @@ def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
 
     Indices of each class are shuffled and dealt round-robin, so per-fold
     class counts differ from a proportional split by at most one sample.
-    Returns one sorted index array per fold.
+    Returns one sorted index array per fold. The classes are taken in
+    sorted order without ``np.unique``, which imports ``numpy.ma`` in
+    numpy 2.4.
     """
     labels = np.asarray(labels)
     n = len(labels)
@@ -27,7 +29,7 @@ def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
         raise TooFewSamples(f"{n} samples cannot fill {folds} folds")
     rng = np.random.default_rng(seed)
     assignment: list[list[int]] = [[] for _ in range(folds)]
-    for value in np.unique(labels):
+    for value in sorted(set(labels.tolist())):
         idx = np.flatnonzero(labels == value)
         rng.shuffle(idx)
         for position, sample in enumerate(idx):

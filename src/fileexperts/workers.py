@@ -111,7 +111,9 @@ def _warn_again(message, category, filename: str, lineno: int) -> None:
     """Issue a worker's warning here as ``warnings.warn`` issued it there:
     from the module that raised it, so filters naming that module match and
     the module's registry shows a "default" warning once per process, as in
-    a serial run."""
+    a serial run. The module's globals go along only when it has a spec:
+    a script run as ``__main__`` has none, and Python 3.12 would add a
+    DeprecationWarning to each warning given its globals."""
     module = next(
         (m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename),
         None,
@@ -127,7 +129,7 @@ def _warn_again(message, category, filename: str, lineno: int) -> None:
         lineno,
         module=module.__name__,
         registry=scope.setdefault("__warningregistry__", {}),
-        module_globals=scope,
+        module_globals=scope if getattr(module, "__spec__", None) is not None else None,
     )
 
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import fileexperts
 from fileexperts.cli import main
-from fileexperts.errors import InvalidReferenceTime
+from fileexperts.errors import CorruptHistory, InvalidReferenceTime
 from fileexperts.features import (
     MiningInputs,
     compute_all,
@@ -29,6 +30,8 @@ from fileexperts.features import (
     read_feature_csv,
 )
 from fileexperts.fixtures import RepoBuilder
+from fileexperts.gitlog import history_to_ndjson, load_history
+from fileexperts.kinds import KINDS
 
 pytestmark = pytest.mark.usefixtures("monkeypatch_cwd")
 
@@ -350,6 +353,31 @@ for flags in (["--exact-p"], []):
     out = subprocess.run([sys.executable, "-c", probe, str(cli_repo), str(truth), str(tmp_path)],
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.splitlines() == ["['--exact-p'] 0 False", "[] 0 True"]
+
+
+def test_calibrate_and_evaluate_leave_numpy_ma_unloaded(cli_repo, tmp_path, capsys):
+    """The folds take their classes in sorted order without np.unique, which
+    imports numpy.ma in numpy 2.4; nothing else calibrate or evaluate runs
+    loads it. Every fold runs in process, so a worker cannot hide an
+    import."""
+    truth = _write_truth(tmp_path / "truth.csv", cli_repo, capsys)
+    probe = """
+import sys
+from fileexperts import cli
+
+repo, truth, tmp = sys.argv[1:]
+cli._usable_cpus = lambda: 1
+for command in (["calibrate"], *(["evaluate", "--classifier", kind] for kind in cli.KINDS)):
+    code = cli.main([*command, "--truth", truth, "--folds", "3", "--repo", repo, "--branch",
+                     "main", "--cache-dir", f"{tmp}/cache", "--out", f"{tmp}/out"])
+    print(command[-1], code, "numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(fileexperts.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe, str(cli_repo), str(truth), str(tmp_path)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines() == [
+        "calibrate 0 False", *(f"{kind} 0 False" for kind in KINDS)
+    ]
 
 
 def test_correlate_matrix(cli_repo, tmp_path, capsys):
@@ -1010,6 +1038,37 @@ def test_only_the_cached_history_records_the_feature_rows(cli_repo, tmp_path, ca
                                  for path in (cached, out))
     assert cached_meta["metadata"].pop("feature_rows") == rows
     assert cached_meta == written_meta
+
+
+def test_cached_history_holds_one_line_per_commit_and_no_contents(cli_repo, tmp_path, capsys):
+    main(["mine", "--repo", str(cli_repo), "--branch", "main",
+          "--cache-dir", str(tmp_path / "cache")])
+    capsys.readouterr()
+    (cached,) = (tmp_path / "cache").glob("history-*.ndjson")
+    commits = subprocess.run(["git", "-C", str(cli_repo), "rev-list", "--no-merges", "--count",
+                              "main"], capture_output=True, text=True, check=True).stdout
+    lines = cached.read_text().splitlines()
+    assert len(lines) == 1 + int(commits) == 19
+    changes = [change for line in lines[1:] for change in json.loads(line)["changes"]]
+    assert len(changes) == 18
+    assert all(set(change) == {"path", "change_kind", "old_path"} for change in changes)
+    with pytest.raises(CorruptHistory, match=re.escape(
+        f"history {cached} line 2 is malformed: missing key 'before_content'"
+    )):
+        load_history(cached)
+
+
+def test_history_out_does_not_depend_on_the_cache(cli_repo, tmp_path, capsys):
+    """The full history, contents included, whether the run mines without a
+    cache, fills one or finds it filled."""
+    out = tmp_path / "history.ndjson"
+    written = []
+    for cache in (["--no-cache"], ["--cache-dir", str(tmp_path / "cache")]) * 2:
+        assert main(["mine", "--repo", str(cli_repo), "--branch", "main",
+                     "--history-out", str(out), *cache]) == 0
+        written.append(out.read_bytes())
+    capsys.readouterr()
+    assert written == [history_to_ndjson(mine_history(cli_repo, "main")).encode()] * 4
 
 
 def test_sample_fills_the_cache_that_warm_commands_read(cli_repo, tmp_path, capsys, monkeypatch):

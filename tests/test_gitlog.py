@@ -31,6 +31,7 @@ from fileexperts.gitlog import (
     extract_history,
     filter_source_files,
     history_from_ndjson,
+    history_ndjson_lines,
     history_to_ndjson,
     load_history,
     load_history_meta,
@@ -568,6 +569,25 @@ def test_save_history_streams_its_lines(tmp_path):
     assert size > 4_000_000
     assert peak < size / 4
     assert path.read_text() == history_to_ndjson(history)
+
+
+def test_lines_without_contents_are_the_full_lines_less_two_keys(random_histories, tmp_path):
+    for history in random_histories:
+        assert any(e.change_kind == "rename" for c in history.commits for e in c.changes)
+        records = [json.loads(line) for line in history_ndjson_lines(history)]
+        for record in records[1:]:
+            for change in record["changes"]:
+                del change["before_content"], change["after_content"]
+        bare = list(history_ndjson_lines(history, contents=False))
+        assert bare == [json.dumps(record, sort_keys=True) + "\n" for record in records]
+        path = tmp_path / "bare.ndjson"
+        save_history(history, path, contents=False)
+        assert path.read_text() == "".join(bare)
+        # never read back as files with no contents
+        missing = "line 2 is malformed: missing key 'before_content'"
+        with pytest.raises(CorruptHistory, match=missing):
+            load_history(path)
+        assert load_history_meta(path) == replace(history, commits=())
 
 
 _META = '{"v": 1, "meta": {"branch": "main", "reference_time": "2020-09-13T12:26:40+00:00"}}'

@@ -2,15 +2,18 @@
 
 import os
 import signal
+import subprocess
 import sys
 import threading
 import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fileexperts
 from fileexperts import workers
 from fileexperts.errors import InvalidCount, SingleClassData, WorkerDied, ZeroVarianceWarning
 from fileexperts.features import _balanced_chunks, compute_all, feature_table_to_csv, mine_history
@@ -44,6 +47,33 @@ def test_warnings_then_the_first_failure_in_unit_order(jobs):
             workers.map(unit, range(6), jobs)
     assert [str(w.message) for w in caught] == ["unit 1", "unit 3"]
     assert {w.category for w in caught} == {ZeroVarianceWarning}
+
+
+@linux_only
+def test_warnings_from_a_script_come_back_alone(tmp_path):
+    """A unit defined in a script run as ``__main__``, whose module has no
+    spec, re-issues its own warnings and nothing else; Python 3.12 would
+    add a DeprecationWarning to each if handed the script's globals."""
+    script = tmp_path / "script.py"
+    script.write_text("""
+import warnings
+from fileexperts import workers
+
+def unit(number):
+    warnings.warn(f"unit {number}", UserWarning)
+    return number
+
+if __name__ == "__main__":
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        workers.map(unit, range(2), 2)
+    for warning in caught:
+        print(warning.category.__name__, warning.message)
+""")
+    env = dict(os.environ, PYTHONPATH=str(Path(fileexperts.__file__).parents[1]))
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.splitlines() == ["UserWarning unit 0", "UserWarning unit 1"]
 
 
 @contextmanager
