@@ -17,19 +17,15 @@ __version__ = "0.1.0"
 
 # Each public name, by the submodule that defines it.
 _EXPORTS = {
-    "diffs": (
-        "ChangeStats", "DiffHunk", "apply_hunks", "classify_changes", "count_conditionals",
-        "levenshtein", "line_diff",
-    ),
+    "diffs": ("ChangeStats", "DiffHunk", "classify_changes", "count_conditionals", "levenshtein"),
     "errors": ("FileExpertsError",),
     "expertise": (
         "BLAME", "DOA", "NUM_COMMITS", "TECHNIQUES", "ExpertiseScore", "OracleSets",
         "ThresholdCurve", "calibrate", "classify", "doa", "evaluate", "technique_scores",
     ),
     "features": (
-        "BlameState", "FeatureTable", "FeatureVector", "MiningInputs", "compute_all",
-        "compute_features", "developer_ids", "feature_table_to_csv", "mine_history",
-        "read_feature_csv", "replay_blame", "write_feature_csv",
+        "FeatureTable", "FeatureVector", "MiningInputs", "compute_all", "developer_ids",
+        "feature_table_to_csv", "mine_history", "read_feature_csv", "write_feature_csv",
     ),
     "gitlog": (
         "CommitHistory", "CommitRecord", "FileChangeEvent", "RawIdentity", "extract_history",

@@ -170,24 +170,6 @@ def diff_lines(before: Sequence[str], after: Sequence[str]) -> list[DiffHunk]:
     return hunks
 
 
-def line_diff(before: str | None, after: str | None) -> list[DiffHunk]:
-    """Diff two file contents into hunks (see module docstring for the
-    alignment rule). Empty or missing content diffs as zero lines."""
-    return diff_lines(split_lines(before), split_lines(after))
-
-
-def apply_hunks(before: Sequence[str], hunks: Iterable[DiffHunk]) -> list[str]:
-    """Reconstruct the after-version lines from the before-version lines."""
-    out: list[str] = []
-    cursor = 0
-    for hunk in hunks:
-        out.extend(before[cursor : hunk.before_start])
-        out.extend(hunk.added)
-        cursor = hunk.before_start + len(hunk.removed)
-    out.extend(before[cursor:])
-    return out
-
-
 def levenshtein(a: str, b: str, limit: int | None = None) -> int:
     """Minimum number of single-character edits turning a into b.
 

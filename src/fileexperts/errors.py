@@ -45,14 +45,6 @@ class UnknownLanguage(FileExpertsError):
     """No conditional-keyword table is configured for the language."""
 
 
-class FileNotInHistory(FileExpertsError):
-    """The file does not exist at the reference version of the history."""
-
-
-class PairNotInHistory(FileExpertsError):
-    """The developer never touched the file in the mined history."""
-
-
 class CorruptFeatureTable(FileExpertsError):
     """A feature CSV is not in the format this library writes."""
 

@@ -1,16 +1,17 @@
 """Mine a history and compute the twelve development variables per pair.
 
 ``mine_history`` is the one mining pipeline, which every command that mines
-runs on the inputs a ``MiningInputs`` holds; ``compute_all`` turns the
-history into the (developer, file) feature table.
+runs on the inputs a ``MiningInputs`` holds; ``compute_all`` is the one way
+to turn the history into the (developer, file) feature table, blame
+included. A file or pair absent at the reference version has no row.
 
 All variables are evaluated at the history's reference version. A pair
 exists exactly when the developer has at least one non-merge commit on the
 file's lineage: ``gitlog.resolve_lineages`` decides which lineages exist,
 and this module alone replays them. Each file version is split into lines
 once and each event diffed once with ``diffs.diff_lines``; change counters
-(adds, dels, mods, conds) classify its hunks, and blame and size replay the
-lineage's authorship with the same hunks.
+(adds, dels, mods, conds) classify its hunks, and blame and size count the
+line authors that ``blame_from_events`` replays from the same hunks.
 
 Each lineage is independent of the others, so ``compute_all`` can map
 chunks of lineages over forked workers with ``workers.map``; the rows are
@@ -20,13 +21,14 @@ sorted afterwards, so the table does not depend on the worker count.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import diffs, workers
 from .diffs import MOD_THRESHOLD, check_mod_threshold, classify_changes, split_lines
-from .errors import CorruptFeatureTable, FileNotInHistory, InvalidReferenceTime, PairNotInHistory
+from .errors import CorruptFeatureTable, InvalidReferenceTime
 from .fileio import atomic_write_text, csv_text, read_csv
 from .gitlog import (
     ADDITION, CommitHistory, Lineage, extract_history, resolve_lineages, source_predicate,
@@ -80,24 +82,6 @@ class FeatureVector:
 
 
 @dataclass(frozen=True)
-class BlameState:
-    """Per-line authorship of a file at the replayed reference version.
-
-    Authors are canonical developer keys (emails) taken from the commit
-    records of the replayed history.
-    """
-
-    file: str
-    lines: tuple[tuple[str, str], ...]  # (line text, author key)
-
-    def counts(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for _text, author in self.lines:
-            totals[author] = totals.get(author, 0) + 1
-        return totals
-
-
-@dataclass(frozen=True)
 class FeatureRow:
     developer: DeveloperId
     file: str
@@ -144,15 +128,6 @@ def developer_ids(history: CommitHistory) -> dict[str, DeveloperId]:
     return ids
 
 
-def _lineage(history: CommitHistory, file: str) -> Lineage:
-    """The lineage of a file present at the reference version; raises
-    FileNotInHistory for any other path."""
-    lineage = resolve_lineages(history).get(file)
-    if lineage is None:
-        raise FileNotInHistory(f"{file!r} does not exist at the reference version")
-    return lineage
-
-
 def blame_from_events(events, lines_per_event, hunks_per_event) -> list[str]:
     """The author of each line after replaying one lineage's (commit, event)
     pairs, given each event's (before, after) lines and canonical hunks.
@@ -189,9 +164,10 @@ def blame_from_events(events, lines_per_event, hunks_per_event) -> list[str]:
     return authors
 
 
-def _replay(lineage: Lineage) -> tuple[list, BlameState]:
-    """Each event's canonical hunks, and the blame they replay into: the
-    last event's after-lines, which are the file at the reference version.
+def _replay(lineage: Lineage) -> tuple[list, list[str]]:
+    """Each event's canonical hunks, and the author of each line they replay
+    into: the lines of the last event's after-content, which is the file at
+    the reference version.
 
     Each file version is split once: an event whose before-content is the
     previous event's after-content shares that event's after-lines."""
@@ -202,32 +178,24 @@ def _replay(lineage: Lineage) -> tuple[list, BlameState]:
         text, after = event.after_content, split_lines(event.after_content)
         lines.append((before, after))
     hunks = [diffs.diff_lines(before, after) for before, after in lines]
-    authors = blame_from_events(lineage.events, lines, hunks)
-    return hunks, BlameState(lineage.path, tuple(zip(lines[-1][1], authors, strict=True)))
-
-
-def replay_blame(history: CommitHistory, file: str) -> BlameState:
-    """Per-line authorship of a file at the reference version."""
-    return _replay(_lineage(history, file))[1]
+    return hunks, blame_from_events(lineage.events, lines, hunks)
 
 
 def _file_features(
-    history: CommitHistory,
+    reference_time: datetime,
     lineage: Lineage,
     config: LanguageConfig,
     mod_threshold: float,
 ) -> dict[str, FeatureVector]:
     """All developers' feature vectors for one file lineage."""
     language = config.language_of(lineage.path)
-    reference = history.reference_time
 
-    order: list[str] = []  # event authors in replay order
     stats: dict[str, list[int]] = {}  # author -> [adds, dels, mods, conds]
     times: dict[str, list[datetime]] = {}
-    hunks_per_event, blame = _replay(lineage)
-    for (commit, _event), hunks in zip(lineage.events, hunks_per_event):
+    last: dict[str, int] = {}  # author -> index of their last event
+    hunks_per_event, authors = _replay(lineage)
+    for index, ((commit, _event), hunks) in enumerate(zip(lineage.events, hunks_per_event)):
         author = commit.author.key()
-        order.append(author)
         changed = classify_changes(hunks, mod_threshold, language=language, config=config)
         acc = stats.setdefault(author, [0, 0, 0, 0])
         acc[0] += changed.adds
@@ -235,16 +203,21 @@ def _file_features(
         acc[2] += changed.mods
         acc[3] += changed.conds
         times.setdefault(author, []).append(commit.timestamp)
+        last[author] = index
 
-    blame_counts = blame.counts()
-    size = len(blame.lines)
-    creator = order[0]
+    blame = Counter(authors)
+    size = len(authors)
+    creator = lineage.events[0][0].author.key()
+    # Another developer commits after an author's last event exactly when
+    # their own last event comes later, so an author's count of later
+    # developers is the number of last events after theirs.
+    later = {author: rank for rank, author in enumerate(sorted(last, key=last.get, reverse=True))}
 
     vectors: dict[str, FeatureVector] = {}
     for author, (adds, dels, mods, conds) in stats.items():
         stamps = sorted(times[author])
         num_commits = len(stamps)
-        num_days = int((reference - stamps[-1]).total_seconds() // _SECONDS_PER_DAY)
+        num_days = int((reference_time - stamps[-1]).total_seconds() // _SECONDS_PER_DAY)
         if num_commits > 1:
             gaps = [
                 (b - a).total_seconds() / _SECONDS_PER_DAY
@@ -253,8 +226,6 @@ def _file_features(
             avg_days = sum(gaps) / len(gaps)
         else:
             avg_days = 0.0
-        last_index = max(i for i, a in enumerate(order) if a == author)
-        others_after = {a for a in order[last_index + 1 :] if a != author}
         vectors[author] = FeatureVector(
             adds=adds,
             dels=dels,
@@ -262,37 +233,14 @@ def _file_features(
             conds=conds,
             amount=adds + dels,
             fa=int(author == creator),
-            blame=blame_counts.get(author, 0),
+            blame=blame[author],
             num_commits=num_commits,
             num_days=num_days,
-            num_mod_devs=len(others_after),
+            num_mod_devs=later[author],
             size=size,
             avg_days_commits=avg_days,
         )
     return vectors
-
-
-def compute_features(
-    history: CommitHistory,
-    developer: DeveloperId | str,
-    file: str,
-    config: LanguageConfig | None = None,
-    mod_threshold: float = MOD_THRESHOLD,
-) -> FeatureVector:
-    """Feature vector for one (developer, file) pair.
-
-    Raises InvalidThreshold, before any replay, when ``mod_threshold`` is
-    outside [0, 1], FileNotInHistory when the file is absent at the
-    reference version and PairNotInHistory when the developer never
-    touched it.
-    """
-    check_mod_threshold(mod_threshold)
-    config = config or default_language_config()
-    key = developer.canonical_key if isinstance(developer, DeveloperId) else developer
-    vectors = _file_features(history, _lineage(history, file), config, mod_threshold)
-    if key not in vectors:
-        raise PairNotInHistory(f"{key!r} has no commits on {file!r}")
-    return vectors[key]
 
 
 def compute_all(
@@ -315,7 +263,7 @@ def compute_all(
 
     def chunk_features(chunk: list[str]) -> list[tuple[str, dict[str, FeatureVector]]]:
         return [
-            (path, _file_features(history, lineages[path], config, mod_threshold))
+            (path, _file_features(history.reference_time, lineages[path], config, mod_threshold))
             for path in chunk
         ]
 

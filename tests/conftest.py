@@ -6,9 +6,11 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from fileexperts.features import mine_history
+from fileexperts.features import _replay, mine_history
 from fileexperts.fixtures import demo_repo
-from fileexperts.gitlog import CommitHistory, CommitRecord, FileChangeEvent, RawIdentity
+from fileexperts.gitlog import (
+    CommitHistory, CommitRecord, FileChangeEvent, RawIdentity, resolve_lineages,
+)
 
 BASE_TIME = datetime(2021, 1, 1, tzinfo=timezone.utc)
 
@@ -55,6 +57,13 @@ def make_history(
         reference_time=reference,
         present_paths=frozenset(present if present is not None else seen_paths),
     )
+
+
+def blame_authors(history: CommitHistory, path: str) -> list[str]:
+    """The author of each line of ``path`` at the reference version, as the
+    feature replay attributes them. Raises KeyError when the path has no
+    lineage there."""
+    return _replay(resolve_lineages(history)[path])[1]
 
 
 def add(path: str, content: str) -> tuple:

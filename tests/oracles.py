@@ -169,6 +169,19 @@ def naive_diff(before: list[str], after: list[str]):
     return hunks
 
 
+def apply_hunks(before: list[str], hunks) -> list[str]:
+    """The after-version lines that ``hunks`` (anything with before_start,
+    removed and added) make of the before-version lines."""
+    out: list[str] = []
+    cursor = 0
+    for hunk in hunks:
+        out.extend(before[cursor : hunk.before_start])
+        out.extend(hunk.added)
+        cursor = hunk.before_start + len(hunk.removed)
+    out.extend(before[cursor:])
+    return out
+
+
 # -- naive feature replay ---------------------------------------------------------
 
 _ORACLE_LANGUAGES = {

@@ -4,6 +4,7 @@ import random
 import subprocess
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -11,23 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fileexperts.diffs import (
-    apply_hunks,
     classify_changes,
     count_conditionals,
     diff_lines,
     is_modification_pair,
-    line_diff,
     split_lines,
 )
-from fileexperts.errors import FileNotInHistory, InvalidThreshold, UnknownLanguage
-from fileexperts.features import replay_blame
+from fileexperts.errors import InvalidThreshold, UnknownLanguage
+from fileexperts.features import compute_all
 from fileexperts.fixtures import RepoBuilder
 from fileexperts.gitlog import extract_history
 from fileexperts.languages import LanguageConfig, LanguageSpec
-from conftest import add, make_history, mod
+from conftest import add, blame_authors, make_history, mod
 from oracles import (
     _oracle_count_conditionals,
     _oracle_file_conditionals,
+    apply_hunks,
     lev_matrix,
     naive_diff,
 )
@@ -61,16 +61,21 @@ def block_rewrite(n: int, block: int = 50) -> tuple[list[str], list[str]]:
     return before, after
 
 
+def diff_texts(before, after):
+    """The hunks between two file contents; empty content is zero lines."""
+    return diff_lines(split_lines(before), split_lines(after))
+
+
 def as_tuples(hunks):
     return [(h.before_start, h.after_start, list(h.removed), list(h.added)) for h in hunks]
 
 
 class TestLineDiff:
     def test_identical_texts(self):
-        assert line_diff("a\nb\nc", "a\nb\nc") == []
+        assert diff_texts("a\nb\nc", "a\nb\nc") == []
 
     def test_pure_addition(self):
-        hunks = line_diff("", "one\ntwo\nthree\n")
+        hunks = diff_texts("", "one\ntwo\nthree\n")
         assert len(hunks) == 1
         assert hunks[0].removed == ()
         assert hunks[0].added == ("one", "two", "three")
@@ -78,7 +83,7 @@ class TestLineDiff:
     def test_single_line_replacement(self):
         before = "l1\nl2\nl3\nl4\nl5\n"
         after = "l1\nl2\nCHANGED\nl4\nl5\n"
-        hunks = line_diff(before, after)
+        hunks = diff_texts(before, after)
         assert len(hunks) == 1
         assert hunks[0].removed == ("l3",)
         assert hunks[0].added == ("CHANGED",)
@@ -86,13 +91,13 @@ class TestLineDiff:
 
     @given(line_strategy, line_strategy)
     def test_reconstruction(self, before, after):
-        hunks = line_diff("\n".join(before), "\n".join(after))
+        hunks = diff_texts("\n".join(before), "\n".join(after))
         rebuilt = apply_hunks(split_lines("\n".join(before)), hunks)
         assert rebuilt == split_lines("\n".join(after))
 
     @given(line_strategy, line_strategy)
     def test_matches_naive_oracle(self, before, after):
-        ours = line_diff("\n".join(before), "\n".join(after))
+        ours = diff_texts("\n".join(before), "\n".join(after))
         theirs = naive_diff(split_lines("\n".join(before)), split_lines("\n".join(after)))
         assert [
             (h.before_start, h.after_start, list(h.removed), list(h.added)) for h in ours
@@ -102,7 +107,7 @@ class TestLineDiff:
     @given(long_line_pairs())
     def test_long_sequences_match_naive_oracle(self, pair):
         before, after = pair
-        ours = line_diff("\n".join(before), "\n".join(after))
+        ours = diff_texts("\n".join(before), "\n".join(after))
         theirs = naive_diff(split_lines("\n".join(before)), split_lines("\n".join(after)))
         assert as_tuples(ours) == theirs
 
@@ -124,32 +129,32 @@ class TestLineDiff:
         assert peak < 64 * 1024 * 1024
 
     def test_no_empty_hunks(self):
-        for hunk in line_diff("a\nb\nc\nd", "a\nx\nc\ny"):
+        for hunk in diff_texts("a\nb\nc\nd", "a\nx\nc\ny"):
             assert hunk.removed or hunk.added
 
 
 class TestClassifyChanges:
     def test_small_edit_is_modification(self):
-        hunks = line_diff("int x = 0;", "int x = 1;")
+        hunks = diff_texts("int x = 0;", "int x = 1;")
         stats = classify_changes(hunks)
         # distance 1 < 0.4 * 10
         assert lev_matrix("int x = 0;", "int x = 1;") == 1
         assert (stats.adds, stats.dels, stats.mods) == (0, 0, 1)
 
     def test_rewrite_is_delete_plus_add(self):
-        hunks = line_diff("alpha", "zzzzz")
+        hunks = diff_texts("alpha", "zzzzz")
         stats = classify_changes(hunks)
         # distance 5 >= 0.4 * 5
         assert lev_matrix("alpha", "zzzzz") == 5
         assert (stats.adds, stats.dels, stats.mods) == (1, 1, 0)
 
     def test_unpaired_lines_are_pure_adds(self):
-        hunks = line_diff("", "a\nb")
+        hunks = diff_texts("", "a\nb")
         stats = classify_changes(hunks)
         assert (stats.adds, stats.dels, stats.mods) == (2, 0, 0)
 
     def test_empty_removed_line_never_modified(self):
-        hunks = line_diff("keep\n\nkeep2", "keep\nfilled\nkeep2")
+        hunks = diff_texts("keep\n\nkeep2", "keep\nfilled\nkeep2")
         stats = classify_changes(hunks)
         assert stats.mods == 0
         assert stats.adds == 1 and stats.dels == 1
@@ -202,7 +207,7 @@ class TestClassifyChanges:
     @given(line_strategy, line_strategy)
     @settings(max_examples=60)
     def test_conservation(self, before, after):
-        hunks = line_diff("\n".join(before), "\n".join(after))
+        hunks = diff_texts("\n".join(before), "\n".join(after))
         stats = classify_changes(hunks)
         total_hunk_lines = sum(len(h.removed) + len(h.added) for h in hunks)
         assert stats.adds + stats.dels + 2 * stats.mods == total_hunk_lines
@@ -323,8 +328,7 @@ class TestCountConditionals:
 class TestReplayBlame:
     def test_single_author_owns_everything(self):
         history = make_history([("d1@x.com", 0, [add("a.py", "l1\nl2\nl3\n")])])
-        blame = replay_blame(history, "a.py")
-        assert blame.counts() == {"d1@x.com": 3}
+        assert Counter(blame_authors(history, "a.py")) == {"d1@x.com": 3}
 
     def test_modification_transfers_authorship(self):
         before = "\n".join(f"line_{i} = {i}" for i in range(10)) + "\n"
@@ -335,18 +339,19 @@ class TestReplayBlame:
                 ("d2@x.com", 1, [mod("a.py", before, after)]),
             ]
         )
-        blame = replay_blame(history, "a.py")
-        assert blame.counts() == {"d1@x.com": 9, "d2@x.com": 1}
-        assert dict(blame.lines)["line_3 = 30"] == "d2@x.com"
+        authors = blame_authors(history, "a.py")
+        assert Counter(authors) == {"d1@x.com": 9, "d2@x.com": 1}
+        assert dict(zip(split_lines(after), authors, strict=True))["line_3 = 30"] == "d2@x.com"
 
     def test_deleted_file_raises(self):
         history = make_history(
             [("d1@x.com", 0, [add("a.py", "x\n")])], present=set()
         )
-        with pytest.raises(FileNotInHistory):
-            replay_blame(history, "a.py")
-        with pytest.raises(FileNotInHistory):
-            replay_blame(history, "never_existed.py")
+        assert compute_all(history).rows == ()
+        with pytest.raises(KeyError):
+            blame_authors(history, "a.py")
+        with pytest.raises(KeyError):
+            blame_authors(history, "never_existed.py")
 
     def test_totals_equal_size(self):
         v1 = "a = 1\nb = 2\n"
@@ -359,8 +364,10 @@ class TestReplayBlame:
                 ("d3@x.com", 2, [mod("a.py", v2, v3)]),
             ]
         )
-        blame = replay_blame(history, "a.py")
-        assert sum(blame.counts().values()) == len(blame.lines) == 4
+        assert len(blame_authors(history, "a.py")) == len(split_lines(v3)) == 4
+        vectors = compute_all(history).pair_map().values()
+        assert sum(v.blame for v in vectors) == 4
+        assert {v.size for v in vectors} == {4}
 
     def test_agrees_with_git_blame_without_modifications(self, tmp_path):
         # pure insertions with unique lines: any LCS-equivalent tool must
@@ -375,7 +382,7 @@ class TestReplayBlame:
         path = repo.finish()
 
         history = extract_history(path, "main")
-        ours = [author for _line, author in replay_blame(history, "a.py").lines]
+        ours = blame_authors(history, "a.py")
 
         out = subprocess.run(
             ["git", "-C", str(path), "blame", "--line-porcelain", "main", "--", "a.py"],
@@ -398,5 +405,4 @@ def test_rename_only_event_keeps_blame():
             ("d2@x.com", 1, [("rename", "b.py", "a.py", content, content)]),
         ]
     )
-    blame = replay_blame(history, "b.py")
-    assert blame.counts() == {"d1@x.com": 2}
+    assert Counter(blame_authors(history, "b.py")) == {"d1@x.com": 2}

@@ -3,6 +3,7 @@
 import random
 import re
 import subprocess
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,27 +11,25 @@ from hypothesis import strategies as st
 
 import fileexperts.diffs
 import fileexperts.features
-from fileexperts.errors import CorruptFeatureTable, FileNotInHistory, PairNotInHistory
+from fileexperts.errors import CorruptFeatureTable
 from fileexperts.features import (
     CSV_HEADER,
     compute_all,
-    compute_features,
     developer_ids,
     mine_history,
     read_feature_csv,
-    replay_blame,
     write_feature_csv,
 )
 from fileexperts.fixtures import RepoBuilder, random_repo
 from fileexperts.gitlog import extract_history, history_from_ndjson, history_to_ndjson
-from conftest import add, make_history, mod
+from conftest import add, blame_authors, make_history, mod
 from oracles import naive_feature_table
 
 
 def test_creation_only_pair():
     content = "\n".join(f"row_{i} = {i}" for i in range(10)) + "\n"
     history = make_history([("d1@x.com", 0, [add("a.py", content)])])
-    vector = compute_features(history, "d1@x.com", "a.py")
+    vector = compute_all(history).pair_map()[("d1@x.com", "a.py")]
     assert vector.adds == 10
     assert vector.dels == 0
     assert vector.mods == 0
@@ -55,8 +54,9 @@ def test_num_mod_devs_counts_developers_not_commits():
             ("d2@x.com", 2, [mod("a.py", v2, v3)]),
         ]
     )
-    assert compute_features(history, "d1@x.com", "a.py").num_mod_devs == 1
-    assert compute_features(history, "d2@x.com", "a.py").num_mod_devs == 0
+    pairs = compute_all(history).pair_map()
+    assert pairs[("d1@x.com", "a.py")].num_mod_devs == 1
+    assert pairs[("d2@x.com", "a.py")].num_mod_devs == 0
 
 
 def test_avg_days_between_commits():
@@ -68,7 +68,7 @@ def test_avg_days_between_commits():
             ("d@x.com", 6, [mod("a.py", versions[1], versions[2])]),
         ]
     )
-    vector = compute_features(history, "d@x.com", "a.py")
+    vector = compute_all(history).pair_map()[("d@x.com", "a.py")]
     assert vector.avg_days_commits == pytest.approx(3.0)
     assert vector.num_days == 0
     assert vector.num_commits == 3
@@ -102,20 +102,21 @@ def test_fa_unique_and_blame_conserved(demo_history):
 
 
 def test_errors():
+    """An unknown file and a pair whose developer never touched the file
+    have no row."""
     history = make_history([("d1@x.com", 0, [add("a.py", "x = 1\n")])])
-    with pytest.raises(FileNotInHistory):
-        compute_features(history, "d1@x.com", "nope.py")
-    with pytest.raises(PairNotInHistory):
-        compute_features(history, "d2@x.com", "a.py")
+    table = compute_all(history)
+    assert table.files() == ["a.py"]
+    assert set(table.pair_map()) == {("d1@x.com", "a.py")}
 
 
 def test_monotonicity_under_appended_commit():
     v1 = "a = 1\nb = 2\n"
     v2 = "a = 1\nb = 2\nc = 3\n"
     base = [("d@x.com", 0, [add("a.py", v1)])]
-    before = compute_features(make_history(base), "d@x.com", "a.py")
+    before = compute_all(make_history(base)).pair_map()[("d@x.com", "a.py")]
     extended = base + [("d@x.com", 1, [mod("a.py", v1, v2)])]
-    after = compute_features(make_history(extended), "d@x.com", "a.py")
+    after = compute_all(make_history(extended)).pair_map()[("d@x.com", "a.py")]
     assert after.num_commits >= before.num_commits
     assert after.adds >= before.adds
     assert after.amount >= before.amount
@@ -128,7 +129,7 @@ def test_features_identical_after_ndjson_roundtrip(demo_history):
 
 
 def test_matches_naive_oracle_on_random_repos(tmp_path):
-    for seed in (7, 8, 9):
+    for seed in (7, 8, 9, 11, 12, 13):
         history = mine_history(random_repo(tmp_path / f"repo{seed}", seed=seed), "main")
         table = compute_all(history)
         expected = naive_feature_table(history)
@@ -151,11 +152,8 @@ def test_single_file_lookups_agree_with_compute_all_on_random_repos(tmp_path):
         for file in table.files():
             rows = [row for row in table.rows if row.file == file]
             blame = {row.developer.canonical_key: row.features.blame for row in rows}
-            counts = replay_blame(history, file).counts()
+            counts = Counter(blame_authors(history, file))
             assert counts == {dev: n for dev, n in blame.items() if n}, f"seed {seed}, {file}"
-            for row in rows:
-                vector = compute_features(history, row.developer, file)
-                assert vector == row.features, f"seed {seed}, {row.developer.canonical_key}, {file}"
 
 
 def test_feature_csv_roundtrip(demo_history, tmp_path):
@@ -324,8 +322,9 @@ def test_file_emptied_at_reference_has_zero_size():
             ("d2@x.com", 1, [mod("a.py", "x = 1\ny = 2\n", "")]),
         ]
     )
+    pairs = compute_all(history).pair_map()
     for dev in ("d1@x.com", "d2@x.com"):
-        vector = compute_features(history, dev, "a.py")
+        vector = pairs[(dev, "a.py")]
         assert vector.size == 0
         assert vector.blame == 0
 
@@ -421,7 +420,7 @@ def test_same_instant_commits():
             ("d@x.com", 0.0, [mod("a.py", v1, v2)]),
         ]
     )
-    vector = compute_features(history, "d@x.com", "a.py")
+    vector = compute_all(history).pair_map()[("d@x.com", "a.py")]
     assert vector.num_commits == 2
     assert vector.avg_days_commits == 0.0
     assert vector.num_days == 0

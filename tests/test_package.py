@@ -1,6 +1,7 @@
 """The package namespace: every public name, loaded on first use."""
 
 import os
+import re
 import subprocess
 import sys
 import types
@@ -12,20 +13,19 @@ import pytest
 import fileexperts
 
 PUBLIC = [
-    "BLAME", "BlameState", "CVReport", "ChangeStats", "ClassifierSpec", "CommitHistory",
-    "CommitRecord", "CorrelationResult", "DOA", "DeveloperId", "DiffHunk", "ExpertiseScore",
-    "FeatureTable", "FeatureVector", "FileChangeEvent", "FileExpertsError", "GroundTruthEntry",
-    "MLDataset", "MiningInputs", "NUM_COMMITS", "OracleSets", "RawIdentity", "RepoMetrics",
-    "TECHNIQUES", "ThresholdCurve", "apply_hunks", "calibrate", "canonicalize_history", "classify",
-    "classify_changes", "compute_all", "compute_features", "correlation_matrix",
-    "count_conditionals", "cross_validate", "detect_bulk_import", "developer_ids", "diffs", "doa",
-    "errors", "evaluate", "expertise", "extract_history", "feature_table_to_csv", "features",
-    "fileio", "filter_source_files", "generate_sample", "gitlog", "grid_search", "identities",
-    "knowledge_correlations", "languages", "levenshtein", "line_diff", "load_history",
-    "mine_history", "ml", "process_answers", "quartile_filter", "read_feature_csv",
-    "read_ground_truth_csv", "replay_blame", "resolve_identities", "resolve_lineages",
-    "save_history", "spearman", "spearman_permutation_p", "standardize", "stats", "study",
-    "technique_scores", "train", "validation", "write_feature_csv",
+    "BLAME", "CVReport", "ChangeStats", "ClassifierSpec", "CommitHistory", "CommitRecord",
+    "CorrelationResult", "DOA", "DeveloperId", "DiffHunk", "ExpertiseScore", "FeatureTable",
+    "FeatureVector", "FileChangeEvent", "FileExpertsError", "GroundTruthEntry", "MLDataset",
+    "MiningInputs", "NUM_COMMITS", "OracleSets", "RawIdentity", "RepoMetrics", "TECHNIQUES",
+    "ThresholdCurve", "calibrate", "canonicalize_history", "classify", "classify_changes",
+    "compute_all", "correlation_matrix", "count_conditionals", "cross_validate",
+    "detect_bulk_import", "developer_ids", "diffs", "doa", "errors", "evaluate", "expertise",
+    "extract_history", "feature_table_to_csv", "features", "fileio", "filter_source_files",
+    "generate_sample", "gitlog", "grid_search", "identities", "knowledge_correlations",
+    "languages", "levenshtein", "load_history", "mine_history", "ml", "process_answers",
+    "quartile_filter", "read_feature_csv", "read_ground_truth_csv", "resolve_identities",
+    "resolve_lineages", "save_history", "spearman", "spearman_permutation_p", "standardize",
+    "stats", "study", "technique_scores", "train", "validation", "write_feature_csv",
 ]
 
 SUBMODULES = {"diffs", "errors", "expertise", "features", "fileio", "gitlog", "identities",
@@ -40,8 +40,31 @@ def _fresh_python(code: str) -> str:
 
 
 def test_all_is_the_pinned_public_names():
-    assert len(PUBLIC) == 75
+    assert len(PUBLIC) == 70
     assert fileexperts.__all__ == PUBLIC
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """A public name that only the tests use is test-only API. Each name
+    must appear in the library (outside ``__init__.py``, on a line other
+    than its own ``def`` or ``class``), the benchmark, the demos or the
+    README."""
+    root = Path(__file__).resolve().parents[1]
+    sources = [
+        path.read_text(encoding="utf-8")
+        for pattern in ("src/fileexperts/*.py", "bench/*.py", "demos/*.py", "README.md")
+        for path in sorted(root.glob(pattern))
+        if path.name != "__init__.py"
+    ]
+    assert len(sources) > 20
+    uncalled = [
+        name for name in PUBLIC
+        if not any(
+            re.search(rf"^(?!\s*(?:def|class) {name}\b).*\b{name}\b", text, re.MULTILINE)
+            for text in sources
+        )
+    ]
+    assert uncalled == []
 
 
 @pytest.mark.parametrize("name", PUBLIC)
@@ -106,5 +129,5 @@ def test_diffs_is_a_text_layer():
 
     assert "blame_from_events" in features.__dict__
     assert "blame_from_events" not in diffs.__dict__
-    assert "BlameState" not in diffs.__dict__
+    assert "BlameState" not in features.__dict__
     assert identities.__dict__["levenshtein"] is diffs.__dict__["levenshtein"]
