@@ -21,7 +21,7 @@ _EXPORTS = {
     "errors": ("FileExpertsError",),
     "expertise": (
         "BLAME", "DOA", "NUM_COMMITS", "TECHNIQUES", "ExpertiseScore", "OracleSets",
-        "ThresholdCurve", "calibrate", "classify", "doa", "evaluate", "technique_scores",
+        "ThresholdCurve", "calibrate", "classify", "doa", "technique_scores",
     ),
     "features": (
         "FeatureTable", "FeatureVector", "MiningInputs", "compute_all", "developer_ids",

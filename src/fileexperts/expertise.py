@@ -8,23 +8,19 @@ normalized per file by the maximum among that file's developers, and a
 developer is classified as an expert when the normalized score reaches a
 threshold k (strictly above zero when k = 0).
 
-Scoring and classification are plain Python. Only the scorers against
-ground truth, ``evaluate`` and ``calibrate``, import numpy and
-``validation``, so ranking a file never loads numpy.
+Scoring and classification are plain Python. Only the scorer against
+ground truth, ``calibrate``, imports numpy and ``validation``, so ranking a
+file never loads numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .errors import EmptyOracle, InvalidThreshold, NegativeInput, UnscoredOraclePair
 from .features import FeatureTable
 from .fileio import csv_text
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DOA = "doa"
 BLAME = "blame"
@@ -159,39 +155,6 @@ def classify(scores: list[ExpertiseScore], k: float) -> set[Pair]:
     return {(s.developer, s.file) for s in scores if _is_expert(s.normalized, k)}
 
 
-def _labeled(oracle: OracleSets, scored=None) -> np.ndarray:
-    """The oracle's labels, in the order of ``oracle.pairs``, once the oracle
-    declares an expert and every labeled pair is among ``scored``, if given."""
-    import numpy as np
-
-    if not oracle.declared_experts:
-        raise EmptyOracle("no declared experts; recall is undefined")
-    missing = oracle.labeled.difference(scored) if scored is not None else ()
-    if missing:
-        raise UnscoredOraclePair(
-            f"{len(missing)} labeled pairs have no score, e.g. {sorted(missing)[:3]}"
-        )
-    return np.array(oracle.labels)
-
-
-def evaluate(
-    predicted: set[Pair], oracle: OracleSets, scored: set[Pair] | None = None
-) -> tuple[float, float, float]:
-    """Precision, recall and F-measure of a predicted expert set.
-
-    Only labeled pairs are scored, so precision is over the predicted pairs
-    that carry a label; unlabeled predictions cannot be judged. When the set
-    of scored pairs is supplied, labeled pairs without a score raise
-    UnscoredOraclePair.
-    """
-    import numpy as np
-
-    from .validation import prf
-
-    actual = _labeled(oracle, scored)
-    return prf(np.array([pair in predicted for pair in oracle.pairs]), actual)
-
-
 def calibrate(
     scores: list[ExpertiseScore],
     oracle: OracleSets,
@@ -210,8 +173,15 @@ def calibrate(
 
     from .validation import mean_prf, prf, stratified_folds
 
+    if not oracle.declared_experts:
+        raise EmptyOracle("no declared experts; recall is undefined")
     score_map = {(s.developer, s.file): s.normalized for s in scores}
-    actual = _labeled(oracle, score_map)
+    missing = oracle.labeled.difference(score_map)
+    if missing:
+        raise UnscoredOraclePair(
+            f"{len(missing)} labeled pairs have no score, e.g. {sorted(missing)[:3]}"
+        )
+    actual = np.array(oracle.labels)
     normalized = np.array([score_map[pair] for pair in oracle.pairs])
     fold_indices = stratified_folds(actual, folds, seed)
     technique = scores[0].technique if scores else ""

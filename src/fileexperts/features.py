@@ -13,14 +13,14 @@ once and each event diffed once with ``diffs.diff_lines``; change counters
 (adds, dels, mods, conds) classify its hunks, and blame and size count the
 line authors that ``blame_from_events`` replays from the same hunks.
 
-Each lineage is independent of the others, so ``compute_all`` can map
-chunks of lineages over forked workers with ``workers.map``; the rows are
-sorted afterwards, so the table does not depend on the worker count.
+Each lineage is independent of the others, so ``compute_all`` maps one
+unit per lineage, heaviest first, over forked workers with ``workers.map``;
+the rows are sorted afterwards, so the table does not depend on the worker
+count.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -56,10 +56,6 @@ FEATURE_NAMES = (
 CSV_HEADER = ("developer", "file") + FEATURE_NAMES
 
 _SECONDS_PER_DAY = 86400.0
-
-# lineage chunks per worker: more than one lets a worker that drew cheap
-# lineages take another chunk while the others finish
-_CHUNKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -251,46 +247,27 @@ def compute_all(
 ) -> FeatureTable:
     """One row per (developer, file) pair, ordered by file then developer.
 
-    With ``jobs`` above 1 the lineages are split into a few chunks
-    per worker, balanced by event count, and mapped over ``workers.map``.
-    Raises InvalidThreshold, before any replay, when ``mod_threshold`` is
-    outside [0, 1].
+    One unit per lineage is mapped over ``workers.map`` on ``jobs``
+    workers, heaviest first (most events, then by path), so a free worker
+    ends on the cheap lineages. Raises InvalidThreshold, before any replay,
+    when ``mod_threshold`` is outside [0, 1].
     """
     check_mod_threshold(mod_threshold)
     config = config or default_language_config()
     ids = developer_ids(history)
     lineages = resolve_lineages(history)
+    paths = sorted(lineages, key=lambda path: (-len(lineages[path].events), path))
 
-    def chunk_features(chunk: list[str]) -> list[tuple[str, dict[str, FeatureVector]]]:
-        return [
-            (path, _file_features(history.reference_time, lineages[path], config, mod_threshold))
-            for path in chunk
-        ]
+    def lineage_features(path: str) -> dict[str, FeatureVector]:
+        return _file_features(history.reference_time, lineages[path], config, mod_threshold)
 
-    chunks = _balanced_chunks(
-        {path: len(lineage.events) for path, lineage in lineages.items()},
-        jobs * _CHUNKS_PER_WORKER if jobs > 1 else 1,
-    )
-    rows: list[FeatureRow] = []
-    for chunk in workers.map(chunk_features, chunks, jobs):
-        for path, vectors in chunk:
-            for key in vectors:
-                rows.append(FeatureRow(developer=ids[key], file=path, features=vectors[key]))
+    rows = [
+        FeatureRow(developer=ids[key], file=path, features=vector)
+        for path, vectors in zip(paths, workers.map(lineage_features, paths, jobs))
+        for key, vector in vectors.items()
+    ]
     rows.sort(key=lambda row: (row.file, row.developer.canonical_key))
     return FeatureTable(rows=tuple(rows), reference_time=history.reference_time)
-
-
-def _balanced_chunks(weights: dict[str, int], count: int) -> list[list[str]]:
-    """Up to ``count`` non-empty chunks of the keys, heaviest key first, each
-    to the lightest chunk so far (ties to the one holding fewer keys, then
-    to the lower index)."""
-    chunks: list[list[str]] = [[] for _ in range(min(count, len(weights)))]
-    loads = [(0, 0, index) for index in range(len(chunks))]
-    for key in sorted(weights, key=lambda key: (-weights[key], key)):
-        load, size, index = heapq.heappop(loads)
-        chunks[index].append(key)
-        heapq.heappush(loads, (load + weights[key], size + 1, index))
-    return chunks
 
 
 # -- mining -------------------------------------------------------------------

@@ -218,11 +218,12 @@ def _parse_diff_tree(
     blocks arrive.
 
     Returns sha -> list of (status, old_blob, new_blob, old_path, path),
-    holding only the entries whose path ``keep`` accepts; a commit left with
-    none, like one with no changes, is absent. The stream is a sequence of
-    NUL-terminated fields: a bare commit sha, or an entry header
-    '\\n:oldmode newmode oldsha newsha status' followed by one path field
-    (two for renames). Paths are interned, one string per distinct path.
+    holding only the entries whose path ``keep`` accepts and no deletion,
+    since a deletion ends a file's life and carries no expertise signal; a
+    commit left with none, like one with no changes, is absent. The stream
+    is a sequence of NUL-terminated fields: a bare commit sha, or an entry
+    header '\\n:oldmode newmode oldsha newsha status' followed by one path
+    field (two for renames). Paths are interned, one string per distinct path.
     """
     per_commit: dict[str, list] = {}
     tokens = _nul_fields(blocks)
@@ -241,8 +242,8 @@ def _parse_diff_tree(
         paths = [next(tokens, None) for _ in range(2 if status.startswith("R") else 1)]
         if None in paths:
             raise CorruptHistory("the output ends inside a record")
-        if _GITLINK_MODE in (old_mode, new_mode):
-            continue  # submodule pointers are not files
+        if _GITLINK_MODE in (old_mode, new_mode) or status == "D":
+            continue  # submodule pointers are not files; deletions make no event
         path = sys.intern(_text(paths[-1]))
         if keep is not None and not keep(path):
             continue
@@ -362,10 +363,9 @@ def extract_history(
 
     needed: set[str] = set()
     for entries in raw_changes.values():
-        for status, old_sha, new_sha, _old_path, _path in entries:
-            if status != "D":
-                needed.add(old_sha)
-                needed.add(new_sha)
+        for _status, old_sha, new_sha, _old_path, _path in entries:
+            needed.add(old_sha)
+            needed.add(new_sha)
     blobs = _fetch_blobs(repo, needed)
 
     commits = []
@@ -388,7 +388,6 @@ def extract_history(
                 changes.append(
                     FileChangeEvent(path, MODIFICATION, before_content=before, after_content=after)
                 )
-            # deletions terminate a file's life and carry no expertise signal
         if keep is not None and not changes:
             continue
         commits.append(

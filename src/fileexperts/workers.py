@@ -4,8 +4,8 @@
 ``jobs`` workers forked from the caller on Linux. Results and warnings come
 back in unit order and the first failing unit's exception is raised, so the
 caller's output does not depend on ``jobs``. ``ml`` maps cross-validation
-folds and grid combinations over it, and ``features`` maps chunks of file
-lineages.
+folds and grid combinations over it, and ``features`` maps one unit per
+file lineage, heaviest first.
 
 The pool is ``os.fork`` and pipes. Each worker inherits ``fn`` and
 ``units``, takes the next unit position from one task pipe that all the

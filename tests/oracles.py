@@ -528,24 +528,6 @@ def set_classify(scores, k: float) -> set:
     return {(s.developer, s.file) for s in scores if s.normalized >= k}
 
 
-def set_evaluate(predicted: set, oracle, scored: set | None = None):
-    """Precision over the labeled predictions, recall over the declared
-    experts."""
-    if not oracle.declared_experts:
-        raise EmptyOracle("no declared experts; recall is undefined")
-    if scored is not None:
-        missing = oracle.labeled - scored
-        if missing:
-            raise UnscoredOraclePair(
-                f"{len(missing)} labeled pairs have no score, e.g. {sorted(missing)[:3]}"
-            )
-    labeled_predicted = predicted & oracle.labeled
-    tp = len(labeled_predicted & oracle.declared_experts)
-    fp = len(labeled_predicted) - tp
-    fn = len(oracle.declared_experts) - tp
-    return counts_prf(tp, fp, fn)
-
-
 def set_calibrate(scores, oracle, folds: int = 10, seed: int = 0) -> ThresholdCurve:
     """The threshold sweep with one set of pairs per fold. The folds come
     from the library's stratified_folds, so only the scoring is checked."""

@@ -22,13 +22,12 @@ from fileexperts.expertise import (
     calibrate,
     classify,
     doa,
-    evaluate,
     technique_scores,
     threshold_curve_to_csv,
 )
 from fileexperts.features import compute_all
 from conftest import add, make_history, mod
-from oracles import precise_doa, set_calibrate, set_classify, set_evaluate
+from oracles import precise_doa, set_calibrate, set_classify
 
 
 def _blame_scores(values: dict[str, float], file: str = "f.py") -> list[ExpertiseScore]:
@@ -191,98 +190,12 @@ def test_oracle_orders_and_labels_its_pairs_outside_equality():
         OracleSets(experts, non_experts, pairs=())
 
 
-class TestEvaluate:
-    def test_perfect_prediction(self):
-        oracle = OracleSets(
-            declared_experts=frozenset({("a", "f"), ("b", "f")}),
-            declared_non_experts=frozenset({("c", "f")}),
-        )
-        assert evaluate({("a", "f"), ("b", "f")}, oracle) == (1.0, 1.0, 1.0)
-
-    def test_harmonic_mean(self):
-        oracle = OracleSets(
+def test_oracle_sets_must_be_disjoint():
+    with pytest.raises(ValueError):
+        OracleSets(
             declared_experts=frozenset({("a", "f")}),
-            declared_non_experts=frozenset({("b", "f")}),
+            declared_non_experts=frozenset({("a", "f")}),
         )
-        precision, recall, f = evaluate({("a", "f"), ("b", "f")}, oracle)
-        assert (precision, recall) == (0.5, 1.0)
-        assert f == pytest.approx(2 / 3)
-
-    def test_hand_enumerated(self):
-        oracle = OracleSets(
-            declared_experts=frozenset({("a", "f"), ("b", "f")}),
-            declared_non_experts=frozenset({("c", "f")}),
-        )
-        precision, recall, f = evaluate({("a", "f"), ("c", "f")}, oracle)
-        assert (precision, recall, f) == (0.5, 0.5, 0.5)
-
-    def test_unlabeled_predictions_ignored(self):
-        oracle = OracleSets(
-            declared_experts=frozenset({("a", "f")}),
-            declared_non_experts=frozenset(),
-        )
-        precision, recall, _ = evaluate({("a", "f"), ("zz", "f")}, oracle)
-        assert precision == 1.0 and recall == 1.0
-
-    def test_empty_oracle(self):
-        oracle = OracleSets(declared_experts=frozenset(), declared_non_experts=frozenset({("c", "f")}))
-        with pytest.raises(EmptyOracle):
-            evaluate(set(), oracle)
-
-    def test_unscored_pair(self):
-        oracle = OracleSets(
-            declared_experts=frozenset({("a", "f")}),
-            declared_non_experts=frozenset({("b", "f")}),
-        )
-        with pytest.raises(UnscoredOraclePair):
-            evaluate({("a", "f")}, oracle, scored={("a", "f")})
-
-    def test_no_labeled_predictions_gives_zero_precision(self):
-        oracle = OracleSets(
-            declared_experts=frozenset({("a", "f")}),
-            declared_non_experts=frozenset(),
-        )
-        precision, recall, f = evaluate(set(), oracle)
-        assert (precision, recall, f) == (0.0, 0.0, 0.0)
-
-    def test_oracle_sets_must_be_disjoint(self):
-        with pytest.raises(ValueError):
-            OracleSets(
-                declared_experts=frozenset({("a", "f")}),
-                declared_non_experts=frozenset({("a", "f")}),
-            )
-
-
-def test_evaluate_matches_brute_force_enumeration():
-    import random
-
-    for seed in range(10):
-        rng = random.Random(seed)
-        pairs = [(f"d{i}", f"f{i % 7}.py") for i in range(rng.randint(5, 50))]
-        experts = {p for p in pairs if rng.random() < 0.5}
-        non_experts = set(pairs) - experts
-        if not experts:
-            continue
-        predicted = {p for p in pairs if rng.random() < 0.5}
-        oracle = OracleSets(
-            declared_experts=frozenset(experts),
-            declared_non_experts=frozenset(non_experts),
-        )
-        precision, recall, f = evaluate(predicted, oracle)
-
-        tp = sum(1 for p in pairs if p in predicted and p in experts)
-        labeled_predicted = sum(1 for p in pairs if p in predicted)
-        expected_precision = tp / labeled_predicted if labeled_predicted else 0.0
-        expected_recall = tp / len(experts)
-        assert precision == expected_precision
-        assert recall == expected_recall
-        if expected_precision + expected_recall:
-            assert f == pytest.approx(
-                2 * expected_precision * expected_recall
-                / (expected_precision + expected_recall)
-            )
-        else:
-            assert f == 0.0
 
 
 def _synthetic_calibration_setup(n_per_level: int = 4):
@@ -386,17 +299,10 @@ def test_scoring_equals_set_algebra_oracle(scored, folds, seed, tenths):
     scores, oracle = scored
     k = tenths / 10
     assert classify(scores, k) == set_classify(scores, k)
-    predicted = classify(scores, k) | {("unscored", "f0.py")}
-    scored_pairs = {(s.developer, s.file) for s in scores}
     if not oracle.declared_experts:
-        with pytest.raises(EmptyOracle, match="recall is undefined"):
-            evaluate(predicted, oracle)
         with pytest.raises(EmptyOracle, match="recall is undefined"):
             calibrate(scores, oracle, folds=folds, seed=seed)
         return
-    assert evaluate(predicted, oracle, scored=scored_pairs) == set_evaluate(
-        predicted, oracle, scored_pairs
-    )
     if len(oracle.labeled) < folds:
         with pytest.raises(TooFewSamples):
             calibrate(scores, oracle, folds=folds, seed=seed)

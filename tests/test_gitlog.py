@@ -425,7 +425,8 @@ _COMMITS = [digit * 40 for digit in "1234"]
 # `diff-tree --stdin --root -r -M --raw -z --format=%H` output for four
 # commits: the first adds a file, a gitlink and a non-UTF-8 path; the second
 # renames the file and edits README.md, which keep drops; the third touches
-# README.md alone; the fourth adds a file whose path starts with a newline.
+# README.md and deletes the non-UTF-8 path; the fourth deletes the renamed
+# file and adds one whose path starts with a newline. Deletions make no entry.
 _DIFF_TREE = "".join([
     f"{_COMMITS[0]}\0",
     f"\n:000000 100644 {_NULL} {'a' * 40} A\0src/a.py\0",
@@ -436,7 +437,9 @@ _DIFF_TREE = "".join([
     f"\n:100644 100644 {'c' * 40} {'a' * 40} M\0README.md\0",
     f"{_COMMITS[2]}\0",
     f"\n:100644 100644 {'a' * 40} {'c' * 40} M\0README.md\0",
+    f"\n:100644 000000 {'c' * 40} {_NULL} D\0caf\xe9.py\0",
     f"{_COMMITS[3]}\0",
+    f"\n:100644 000000 {'b' * 40} {_NULL} D\0src/b.py\0",
     f"\n:000000 100644 {_NULL} {'a' * 40} A\0\nlib.py\0",
 ]).encode("latin-1")  # so caf\xe9.py is the one path that is not UTF-8
 _DIFF_TREE_ENTRIES = {
@@ -453,8 +456,8 @@ def _is_python(path):
 
 def test_streamed_diff_tree_parses_alike_in_blocks_of_every_size():
     """Every split of the stream into blocks parses to the same entries:
-    the gitlink, the README.md edits and the commit left with none are
-    dropped, and each distinct path is one string."""
+    the gitlink, the deletions, the README.md edits and the commit left
+    with none are dropped, and each distinct path is one string."""
     for size in range(1, len(_DIFF_TREE) + 1):
         blocks = [_DIFF_TREE[i:i + size] for i in range(0, len(_DIFF_TREE), size)]
         assert gitlog._parse_diff_tree(blocks, _is_python) == _DIFF_TREE_ENTRIES, size

@@ -19,7 +19,7 @@ PUBLIC = [
     "MiningInputs", "NUM_COMMITS", "OracleSets", "RawIdentity", "RepoMetrics", "TECHNIQUES",
     "ThresholdCurve", "calibrate", "canonicalize_history", "classify", "classify_changes",
     "compute_all", "correlation_matrix", "count_conditionals", "cross_validate",
-    "detect_bulk_import", "developer_ids", "diffs", "doa", "errors", "evaluate", "expertise",
+    "detect_bulk_import", "developer_ids", "diffs", "doa", "errors", "expertise",
     "extract_history", "feature_table_to_csv", "features", "fileio", "filter_source_files",
     "generate_sample", "gitlog", "grid_search", "identities", "knowledge_correlations",
     "languages", "levenshtein", "load_history", "mine_history", "ml", "process_answers",
@@ -40,7 +40,7 @@ def _fresh_python(code: str) -> str:
 
 
 def test_all_is_the_pinned_public_names():
-    assert len(PUBLIC) == 70
+    assert len(PUBLIC) == 69
     assert fileexperts.__all__ == PUBLIC
 
 

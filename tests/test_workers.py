@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import fileexperts
 from fileexperts import workers
 from fileexperts.errors import InvalidCount, SingleClassData, WorkerDied, ZeroVarianceWarning
-from fileexperts.features import _balanced_chunks, compute_all, feature_table_to_csv, mine_history
-from fileexperts.fixtures import random_repo
+from fileexperts.features import compute_all, feature_table_to_csv, mine_history
+from fileexperts.fixtures import RepoBuilder, random_repo
 
 linux_only = pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="workers fork on Linux only"
@@ -139,31 +139,44 @@ def test_map_refuses_jobs_below_one(jobs):
         workers.map(abs, [], jobs)
 
 
-@given(st.dictionaries(st.text("abc", max_size=3), st.integers(0, 50)), st.integers(1, 9))
-def test_balanced_chunks_split_every_key_once_and_evenly(weights, count):
-    chunks = _balanced_chunks(weights, count)
-    assert sorted(key for chunk in chunks for key in chunk) == sorted(weights)
-    assert len(chunks) == min(count, len(weights))
-    assert all(chunks)
-    if chunks:
-        # each key went to the lightest chunk, so no chunk ends heavier than
-        # the lightest one by more than the heaviest key
-        loads = [sum(weights[key] for key in chunk) for chunk in chunks]
-        assert max(loads) - min(loads) <= max(weights.values())
-
-
 @pytest.fixture(scope="module")
 def repo_root(tmp_path_factory):
     return tmp_path_factory.mktemp("random-repos")
 
 
+@pytest.fixture(scope="module")
+def skewed_history(tmp_path_factory):
+    """z.py edited in 30 commits, m.py in 2, and four files of one commit
+    each, created in reverse path order."""
+    repo = RepoBuilder(tmp_path_factory.mktemp("skewed") / "repo")
+    when = 1_600_000_000
+    for name in ("d.py", "c.py", "b.py", "a.py"):
+        when += 3_600
+        repo.commit("Ana", "ana@x.com", when, writes={name: f"{name[0]} = 1\n"})
+    for step in range(30):
+        when += 3_600
+        author = ("Ana", "ana@x.com") if step % 3 else ("Bo", "bo@y.com")
+        writes = {"z.py": "".join(f"z{line} = {step}\n" for line in range(step % 7 + 1))}
+        if step in (4, 9):
+            writes["m.py"] = f"if m:\n    m = {step}\n"
+        repo.commit(*author, when, writes=writes)
+    return mine_history(repo.finish(), "main")
+
+
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 10_000), jobs=st.integers(2, 5))
-@example(seed=3, jobs=2)  # three renames, and twelve lineages in eight chunks
-def test_feature_table_does_not_depend_on_jobs(repo_root, seed, jobs):
-    path = repo_root / f"repo{seed}"
-    repo = path if path.exists() else random_repo(path, seed=seed, max_commits=40, max_files=12)
-    history = mine_history(repo, "main")
+@example(seed=3, jobs=2)  # three renames, and twelve lineages on two workers
+@example(seed=None, jobs=2)  # None: the skewed history, one heavy lineage
+@example(seed=None, jobs=3)
+@example(seed=None, jobs=4)
+def test_feature_table_does_not_depend_on_jobs(repo_root, skewed_history, seed, jobs):
+    if seed is None:
+        history = skewed_history
+    else:
+        path = repo_root / f"repo{seed}"
+        repo = path if path.exists() else random_repo(path, seed=seed, max_commits=40,
+                                                      max_files=12)
+        history = mine_history(repo, "main")
     serial = compute_all(history, jobs=1)
     pooled = compute_all(history, jobs=jobs)
     assert pooled.rows == serial.rows
@@ -171,14 +184,16 @@ def test_feature_table_does_not_depend_on_jobs(repo_root, seed, jobs):
     assert feature_table_to_csv(pooled).encode() == feature_table_to_csv(serial).encode()
 
 
-def test_compute_all_maps_lineage_chunks_over_the_pool(demo_history, monkeypatch):
+def test_compute_all_maps_one_unit_per_lineage_heaviest_first(skewed_history, monkeypatch):
     calls = []
 
     def recording_map(fn, units, jobs):
-        calls.append((len(units), jobs))
+        calls.append((list(units), jobs))
         return [fn(unit) for unit in units]
 
     monkeypatch.setattr(workers, "map", recording_map)
-    serial = compute_all(demo_history)
-    assert compute_all(demo_history, jobs=3) == serial
-    assert calls == [(1, 1), (3, 3)]  # one chunk in process; the demo's three lineages
+    serial = compute_all(skewed_history)
+    assert compute_all(skewed_history, jobs=3) == serial
+    # most events first, ties by path
+    order = ["z.py", "m.py", "a.py", "b.py", "c.py", "d.py"]
+    assert calls == [(order, 1), (order, 3)]
