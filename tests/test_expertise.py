@@ -190,12 +190,28 @@ def test_oracle_orders_and_labels_its_pairs_outside_equality():
         OracleSets(experts, non_experts, pairs=())
 
 
-def test_oracle_sets_must_be_disjoint():
-    with pytest.raises(ValueError):
-        OracleSets(
-            declared_experts=frozenset({("a", "f")}),
-            declared_non_experts=frozenset({("a", "f")}),
+class TestEvaluate:
+    """The oracle checks that evaluation against the declared sets makes."""
+
+    def test_empty_oracle(self):
+        oracle = OracleSets(declared_experts=frozenset(), declared_non_experts=frozenset({("c", "f")}))
+        with pytest.raises(EmptyOracle, match="recall is undefined"):
+            calibrate(_blame_scores({"c": 1.0}), oracle)
+
+    def test_unscored_pair(self):
+        oracle = OracleSets(
+            declared_experts=frozenset({("a", "f.py")}),
+            declared_non_experts=frozenset({("b", "f.py")}),
         )
+        with pytest.raises(UnscoredOraclePair, match=r"1 labeled pairs.*\('b', 'f.py'\)"):
+            calibrate(_blame_scores({"a": 1.0}), oracle, folds=2)
+
+    def test_oracle_sets_must_be_disjoint(self):
+        with pytest.raises(ValueError):
+            OracleSets(
+                declared_experts=frozenset({("a", "f")}),
+                declared_non_experts=frozenset({("a", "f")}),
+            )
 
 
 def _synthetic_calibration_setup(n_per_level: int = 4):
