@@ -28,8 +28,9 @@ _EXPORTS = {
         "feature_table_to_csv", "mine_history", "read_feature_csv", "write_feature_csv",
     ),
     "gitlog": (
-        "CommitHistory", "CommitRecord", "FileChangeEvent", "RawIdentity", "extract_history",
-        "filter_source_files", "load_history", "resolve_lineages", "save_history",
+        "BlobReader", "CommitHistory", "CommitRecord", "FileChangeEvent", "RawIdentity",
+        "extract_history", "filter_source_files", "load_history", "resolve_lineages",
+        "save_history",
     ),
     "identities": ("DeveloperId", "canonicalize_history", "resolve_identities"),
     "ml": (

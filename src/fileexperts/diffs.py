@@ -13,10 +13,13 @@ checked against an independent implementation:
 
 Any implementation following these three rules produces identical hunks.
 Here the suffix LCS lengths of step 3 are kept as bit-vector rows, one
-Python int per line of the before side (Allison & Dix 1986, "A bit-string
-LCS algorithm"; Hyyro 2004, "Bit-parallel LCS-length computation
-revisited"), so the table takes n*m bits, and the walk reads each length
-back with a popcount.
+Python int per line of the before side, built from one match mask per
+distinct line of the after side, keyed by the line's text (Allison & Dix
+1986, "A bit-string LCS algorithm"; Hyyro 2004, "Bit-parallel LCS-length
+computation revisited"), so the table takes n*m bits. The walk compares
+lines directly, skips each run of equal lines in one tight loop, reads each
+LCS length back with a popcount, and emits a hunk as two slices when its
+run of unmatched steps ends.
 
 A removed/added line pair within a hunk counts as a *modification* when the
 edit distance between the two lines is below 40% of the removed line's
@@ -103,28 +106,23 @@ def diff_lines(before: Sequence[str], after: Sequence[str]) -> list[DiffHunk]:
     """Canonical LCS diff over already-split line sequences."""
     n, m = len(before), len(after)
     prefix, suffix = _common_ends(before, after)
-    mid_before = before[prefix : n - suffix]
-    mid_after = after[prefix : m - suffix]
-    if not mid_before and not mid_after:
+    a = before[prefix : n - suffix]
+    b = after[prefix : m - suffix]
+    if not a and not b:
         return []
-
-    # intern lines so the walk compares small ints and ids index the masks
-    ids: dict[str, int] = {}
-    a = [ids.setdefault(line, len(ids)) for line in mid_before]
-    b = [ids.setdefault(line, len(ids)) for line in mid_after]
     nb, na = len(a), len(b)
 
     # Bit p of a row stands for b[na-1-p]; rows[i] holds a[i:] against all
     # of b, and L[i][j], the LCS length of a[i:] and b[j:], is the number
     # of zero bits among its low na-j bits.
-    masks = [0] * len(ids)
-    for p, line_id in enumerate(reversed(b)):
-        masks[line_id] |= 1 << p
+    masks: dict[str, int] = {}
+    for p, line in enumerate(reversed(b)):
+        masks[line] = masks.get(line, 0) | 1 << p
     full = (1 << na) - 1
     rows = [full] * (nb + 1)
     v = full
     for i in range(nb - 1, -1, -1):
-        u = v & masks[a[i]]
+        u = v & masks.get(a[i], 0)
         if u:
             v = ((v + u) | (v - u)) & full
         rows[i] = v
@@ -134,39 +132,26 @@ def diff_lines(before: Sequence[str], after: Sequence[str]) -> list[DiffHunk]:
         return width - (rows[i] & ((1 << width) - 1)).bit_count()
 
     hunks: list[DiffHunk] = []
-    removed: list[str] = []
-    added: list[str] = []
-    start_i = start_j = 0
     i = j = 0
-
-    def close_hunk() -> None:
-        nonlocal removed, added
-        if removed or added:
-            hunks.append(
-                DiffHunk(
-                    before_start=prefix + start_i,
-                    after_start=prefix + start_j,
-                    removed=tuple(removed),
-                    added=tuple(added),
-                )
-            )
-            removed, added = [], []
-
     while i < nb or j < na:
-        if i < nb and j < na and a[i] == b[j]:
-            close_hunk()
+        while i < nb and j < na and a[i] == b[j]:  # a run of equal lines
             i += 1
             j += 1
-        else:
-            if not removed and not added:
-                start_i, start_j = i, j
-            if j >= na or (i < nb and lcs(i + 1, j) >= lcs(i, j + 1)):
-                removed.append(mid_before[i])
+        start_i, start_j = i, j
+        while i < nb or j < na:  # a hunk: the unmatched steps up to the next equal pair
+            if i < nb and j < na and a[i] == b[j]:
+                break
+            if j == na or (i < nb and lcs(i + 1, j) >= lcs(i, j + 1)):
                 i += 1
             else:
-                added.append(mid_after[j])
                 j += 1
-    close_hunk()
+        if i > start_i or j > start_j:
+            hunks.append(DiffHunk(
+                before_start=prefix + start_i,
+                after_start=prefix + start_j,
+                removed=tuple(a[start_i:i]),
+                added=tuple(b[start_j:j]),
+            ))
     return hunks
 
 

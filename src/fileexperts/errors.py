@@ -25,6 +25,11 @@ class BranchNotFound(FileExpertsError):
     """The requested branch does not exist in the repository."""
 
 
+class ShallowRepository(FileExpertsError):
+    """The repository is a shallow clone, whose history ends at its
+    boundary, so every lineage reaching past it would be mined cut short."""
+
+
 class CorruptHistory(FileExpertsError):
     """An object referenced by the history could not be read."""
 

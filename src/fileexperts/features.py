@@ -8,15 +8,19 @@ included. A file or pair absent at the reference version has no row.
 All variables are evaluated at the history's reference version. A pair
 exists exactly when the developer has at least one non-merge commit on the
 file's lineage: ``gitlog.resolve_lineages`` decides which lineages exist,
-and this module alone replays them. Each file version is split into lines
-once and each event diffed once with ``diffs.diff_lines``; change counters
-(adds, dels, mods, conds) classify its hunks, and blame and size count the
-line authors that ``blame_from_events`` replays from the same hunks.
+and this module alone replays them. A lineage's file versions are read
+through a ``gitlog.BlobReader`` when its replay starts, each once, and
+dropped when it ends, so no more than one lineage's versions are held at a
+time. Each version is split into lines once and each event diffed once
+with ``diffs.diff_lines``; change counters (adds, dels, mods, conds)
+classify its hunks, and blame and size count the line authors that
+``blame_from_events`` replays from the same hunks.
 
 Each lineage is independent of the others, so ``compute_all`` maps one
 unit per lineage, heaviest first, over forked workers with ``workers.map``;
-the rows are sorted afterwards, so the table does not depend on the worker
-count.
+each worker, or this process when there is one, reads blobs through its own
+``cat-file`` and closes it when its units are done. The rows are sorted
+afterwards, so the table does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from .diffs import MOD_THRESHOLD, check_mod_threshold, classify_changes, split_l
 from .errors import CorruptFeatureTable, InvalidReferenceTime
 from .fileio import atomic_write_text, csv_text, read_csv
 from .gitlog import (
-    ADDITION, CommitHistory, Lineage, extract_history, resolve_lineages, source_predicate,
+    ADDITION, BlobReader, CommitHistory, Lineage, extract_history, resolve_lineages,
+    source_predicate,
 )
 from .identities import (
     DEFAULT_ALIAS_THRESHOLD, DeveloperId, canonicalize_history, check_alias_threshold,
@@ -160,18 +165,20 @@ def blame_from_events(events, lines_per_event, hunks_per_event) -> list[str]:
     return authors
 
 
-def _replay(lineage: Lineage) -> tuple[list, list[str]]:
+def _replay(lineage: Lineage, blobs: BlobReader) -> tuple[list, list[str]]:
     """Each event's canonical hunks, and the author of each line they replay
     into: the lines of the last event's after-content, which is the file at
     the reference version.
 
-    Each file version is split once: an event whose before-content is the
-    previous event's after-content shares that event's after-lines."""
+    The versions are read through ``blobs`` together, each once, and each
+    is split once: an event whose before-content is the previous event's
+    after-content shares that event's after-lines. A blob read once is one
+    string, so for blob versions the comparison is of identities."""
     lines = []
     text, after = None, []
-    for _, event in lineage.events:
-        before = after if event.before_content == text else split_lines(event.before_content)
-        text, after = event.after_content, split_lines(event.after_content)
+    for before_text, after_text in blobs.versions(event for _, event in lineage.events):
+        before = after if before_text == text else split_lines(before_text)
+        text, after = after_text, split_lines(after_text)
         lines.append((before, after))
     hunks = [diffs.diff_lines(before, after) for before, after in lines]
     return hunks, blame_from_events(lineage.events, lines, hunks)
@@ -182,14 +189,16 @@ def _file_features(
     lineage: Lineage,
     config: LanguageConfig,
     mod_threshold: float,
+    blobs: BlobReader,
 ) -> dict[str, FeatureVector]:
-    """All developers' feature vectors for one file lineage."""
+    """All developers' feature vectors for one file lineage, its versions
+    read through ``blobs``."""
     language = config.language_of(lineage.path)
 
     stats: dict[str, list[int]] = {}  # author -> [adds, dels, mods, conds]
     times: dict[str, list[datetime]] = {}
     last: dict[str, int] = {}  # author -> index of their last event
-    hunks_per_event, authors = _replay(lineage)
+    hunks_per_event, authors = _replay(lineage, blobs)
     for index, ((commit, _event), hunks) in enumerate(zip(lineage.events, hunks_per_event)):
         author = commit.author.key()
         changed = classify_changes(hunks, mod_threshold, language=language, config=config)
@@ -249,21 +258,28 @@ def compute_all(
 
     One unit per lineage is mapped over ``workers.map`` on ``jobs``
     workers, heaviest first (most events, then by path), so a free worker
-    ends on the cheap lineages. Raises InvalidThreshold, before any replay,
-    when ``mod_threshold`` is outside [0, 1].
+    ends on the cheap lineages. Each process that replays reads the blobs
+    of the history's repository through its own ``BlobReader``, which
+    ``workers.map`` closes when its units are done. Raises
+    InvalidThreshold, before any replay, when ``mod_threshold`` is outside
+    [0, 1], and CorruptHistory when a blob cannot be read.
     """
     check_mod_threshold(mod_threshold)
     config = config or default_language_config()
     ids = developer_ids(history)
     lineages = resolve_lineages(history)
     paths = sorted(lineages, key=lambda path: (-len(lineages[path].events), path))
+    # started by the first read in each process, so a forked worker reads
+    # through its own cat-file
+    blobs = BlobReader(history.repository)
 
     def lineage_features(path: str) -> dict[str, FeatureVector]:
-        return _file_features(history.reference_time, lineages[path], config, mod_threshold)
+        return _file_features(history.reference_time, lineages[path], config, mod_threshold,
+                              blobs)
 
     rows = [
         FeatureRow(developer=ids[key], file=path, features=vector)
-        for path, vectors in zip(paths, workers.map(lineage_features, paths, jobs))
+        for path, vectors in zip(paths, workers.map(lineage_features, paths, jobs, blobs))
         for key, vector in vectors.items()
     ]
     rows.sort(key=lambda row: (row.file, row.developer.canonical_key))

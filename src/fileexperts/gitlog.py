@@ -2,31 +2,41 @@
 
 Extraction walks the non-merge commits reachable from a branch tip in
 parent-before-child order and records, for every touched file, the kind of
-change (addition, modification, rename) together with the file content
-before and after the change. Merge commits are excluded entirely, so the
-replayed view of a file is the no-merge approximation of its history.
+change (addition, modification, rename) together with the ids of the blobs
+before and after the change; it reads no file content. Merge commits are
+excluded entirely, so the replayed view of a file is the no-merge
+approximation of its history.
 
 ``resolve_lineages`` alone decides which lineages exist: one immutable
 lineage per file at the reference version, followed across renames.
 ``features`` replays them.
 
-Only git plumbing commands are used (rev-list, diff-tree, cat-file,
-ls-tree). There is still one process per command per extraction, so large
-histories do not pay per-commit process overhead, and each runs through
-one runner, ``_git``, which parses its output as it streams: rev-list line
-by line, diff-tree and ls-tree in blocks, cat-file one blob at a time. No
-command's whole output is held at once, only the entries kept from it.
-``extract_history(..., keep=source_predicate(...))`` keeps no diff-tree
-entry, and so requests no blob, of a path the source filter drops, so
-binary and vendored files cost no memory. What git writes to stderr while
-exiting 0 becomes a ``GitWarning``.
+Only git plumbing commands are used (rev-parse, rev-list, diff-tree,
+ls-tree, cat-file). Extraction runs one process per command, so large
+histories do not pay per-commit process overhead, each through one runner,
+``_git``, which parses its output as it streams: rev-list line by line,
+diff-tree and ls-tree in blocks. No command's whole output is held at
+once, only the entries kept from it. ``extract_history(...,
+keep=source_predicate(...))`` keeps no diff-tree entry of a path the
+source filter drops, so no blob of it is ever read. What git writes to
+stderr while exiting 0 becomes a ``GitWarning``. A shallow repository,
+whose lineages are cut at its boundary, is refused (``ShallowRepository``).
+
+File contents are read only where they are used, through a
+``BlobReader``: an event's version is its inline text, or else its blob,
+read from the reader's one ``git cat-file --batch`` process, which it
+starts on first use. The history carries the repository its blobs come
+from. ``features`` holds one reader per process that replays lineages,
+and each lineage's versions only while it replays them.
 
 This module alone reads and writes the history NDJSON, in which each record
-is its own fields: ``save_history`` writes it line by line, ``load_history``
-reads it back, and ``load_history_meta`` reads only its first line, the
-meta record a warm CLI run needs. ``save_history(..., contents=False)``
-writes the change records without their file contents, as the CLI's cache
-does; ``load_history`` refuses such a file, naming the first missing field.
+is its own fields: ``save_history`` writes it line by line, each commit
+with its file contents read as it is written, ``load_history`` reads it
+back with the contents inline, and ``load_history_meta`` reads only its
+first line, the meta record a warm CLI run needs. ``save_history(...,
+contents=False)`` writes the change records without their file contents,
+as the CLI's cache does, and reads no blob; ``load_history`` refuses such a
+file, naming the first missing field.
 """
 
 from __future__ import annotations
@@ -35,16 +45,20 @@ import fnmatch
 import functools
 import json
 import logging
+import os
+import select
 import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .errors import BranchNotFound, CorruptHistory, GitWarning, RepositoryNotFound
+from .errors import (
+    BranchNotFound, CorruptHistory, GitWarning, RepositoryNotFound, ShallowRepository,
+)
 from .fileio import atomic_write_text, decode_utf8
 from .languages import DEFAULT_VENDOR_GLOBS, LanguageConfig, default_language_config
 
@@ -57,9 +71,13 @@ RENAME = "rename"
 # git's default similarity threshold for --find-renames
 RENAME_THRESHOLD = 0.5
 
-_NULL_SHA = "0" * 40
 _GITLINK_MODE = "160000"
 _BLOCK = 1 << 16  # the most bytes of git's stdout parsed at a time
+# cat-file requests written before their answers are read: as many as fit a
+# pipe's minimum capacity whatever the object format (64 hex digits and a
+# newline for SHA-256), so the write never waits on a cat-file that is
+# itself waiting for its answers to be read
+_REQUESTS = select.PIPE_BUF // 65
 
 T = TypeVar("T")
 
@@ -81,11 +99,17 @@ class RawIdentity:
 
 @dataclass(frozen=True)
 class FileChangeEvent:
+    """One file's change in one commit. Each side's version is its inline
+    content or, when that is None, the blob it names (see ``BlobReader``):
+    extraction names blobs, and a loaded or hand-built history holds text."""
+
     path: str
     change_kind: str  # addition | modification | rename
     old_path: str | None = None  # set iff change_kind == rename
     before_content: str | None = None  # absent for additions
     after_content: str | None = None
+    before_blob: str | None = None
+    after_blob: str | None = None
 
 
 @dataclass(frozen=True)
@@ -105,6 +129,9 @@ class CommitHistory:
     recency features are reproducible across runs. ``present_paths`` holds
     the files in the tip tree; None means the tree was not captured (a
     synthetic history), in which case every lineage counts as present.
+    ``repository`` is where the blobs its events name are read; it is None
+    for a synthetic or loaded history, whose events hold their text, and
+    takes no part in equality, since a blob id names its content.
     Immutable and safe to share across threads.
     """
 
@@ -113,6 +140,7 @@ class CommitHistory:
     reference_time: datetime
     present_paths: frozenset[str] | None = None
     metadata: Mapping[str, object] = field(default_factory=dict)
+    repository: Path | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -135,6 +163,13 @@ def _warn_stderr(command: str, message: str) -> None:
     setting that changed git's answer (a rename limit, say) is reported."""
     if message:
         warnings.warn(f"git {command}: {message}", GitWarning, stacklevel=3)
+
+
+def _git_failure(command: str, failure: object, message: str) -> CorruptHistory:
+    """The error of a git command that failed, by a ``failure`` met reading
+    its output or by its exit status, with what it wrote to stderr."""
+    error = f"git {command} failed: {failure}"
+    return CorruptHistory(f"{error}; {message}" if message else error)
 
 
 def _git(
@@ -171,8 +206,7 @@ def _git(
     if failure is None and proc.returncode == 0:
         _warn_stderr(args[0], message)
         return result
-    error = f"git {args[0]} failed: {failure or f'exit status {proc.returncode}'}"
-    raise CorruptHistory(f"{error}; {message}" if message else error)
+    raise _git_failure(args[0], failure or f"exit status {proc.returncode}", message)
 
 
 def _blocks(out: IO[bytes]) -> Iterator[bytes]:
@@ -223,7 +257,9 @@ def _parse_diff_tree(
     commit left with none, like one with no changes, is absent. The stream
     is a sequence of NUL-terminated fields: a bare commit sha, or an entry
     header '\\n:oldmode newmode oldsha newsha status' followed by one path
-    field (two for renames). Paths are interned, one string per distinct path.
+    field (two for renames). Paths and blob ids are interned, one string per
+    distinct value, so a blob that is one change's after-version and the
+    next one's before-version is one string.
     """
     per_commit: dict[str, list] = {}
     tokens = _nul_fields(blocks)
@@ -250,7 +286,9 @@ def _parse_diff_tree(
         if sha is None:
             raise CorruptHistory("diff entry before any commit header")
         old_path = sys.intern(_text(paths[0])) if len(paths) == 2 else None
-        per_commit.setdefault(sha, []).append((status, old_sha, new_sha, old_path, path))
+        per_commit.setdefault(sha, []).append(
+            (status, sys.intern(old_sha), sys.intern(new_sha), old_path, path)
+        )
     return per_commit
 
 
@@ -268,35 +306,158 @@ def _read_blob(out: IO[bytes], sha: str) -> str:
     return _text(body)
 
 
-def _fetch_blobs(repo: Path, shas: Iterable[str]) -> dict[str, str]:
-    """Blob contents from one ``cat-file --batch`` process, read one blob at
-    a time, so no more than one blob's bytes are held at once."""
-    wanted = sorted({s for s in shas if s and s != _NULL_SHA})
-    if not wanted:
-        return {}
-    return _git(
-        repo,
-        ["cat-file", "--batch"],
-        lambda out: {sha: _read_blob(out, sha) for sha in wanted},
-        requests=wanted,
-    )
+class BlobReader:
+    """The file versions of change events: an event's inline content, or
+    else its blob, read from one ``git cat-file --batch`` of ``repository``.
+
+    The process starts on first use and belongs to the process that started
+    it: a forked child that inherits a started reader starts its own, and
+    never writes to or reads from its parent's pipes. ``close``, or leaving
+    a ``with`` block, ends it and waits for it. What git writes to stderr
+    becomes a ``GitWarning``, or part of the ``CorruptHistory`` that a
+    failed read raises after closing the process.
+    """
+
+    def __init__(self, repository: Path | None):
+        self.repository = repository
+        self._proc: subprocess.Popen | None = None
+        self._inherited: subprocess.Popen | None = None  # a parent's, after a fork
+        self._stderr: IO[bytes] | None = None
+        self._pid = 0  # the process that started ``_proc``
+        self._reported = 0  # bytes of git's stderr already reported
+
+    def __enter__(self) -> "BlobReader":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def versions(self, events: Iterable[FileChangeEvent]) -> list[tuple[str | None, str | None]]:
+        """Each event's (before, after) text. The blobs the events name are
+        requested together, each once, and a blob named twice is one
+        string."""
+        events = list(events)
+        sides = [((e.before_content, e.before_blob), (e.after_content, e.after_blob))
+                 for e in events]
+        texts = self._read(
+            {blob for pair in sides for content, blob in pair if content is None and blob}
+        )
+        return [
+            tuple(content if content is not None or blob is None else texts[blob]
+                  for content, blob in pair)
+            for pair in sides
+        ]
+
+    def _read(self, blobs: set[str]) -> dict[str, str]:
+        """The text of each blob, requested in batches that fit a pipe and
+        read back one blob at a time."""
+        if not blobs:
+            return {}
+        if self.repository is None:
+            raise CorruptHistory("the history names blobs but no repository to read them from")
+        proc = self._start()
+        texts = {}
+        wanted = sorted(blobs)
+        try:
+            for start in range(0, len(wanted), _REQUESTS):
+                batch = wanted[start : start + _REQUESTS]
+                proc.stdin.write("".join(f"{sha}\n" for sha in batch).encode())
+                proc.stdin.flush()
+                for sha in batch:
+                    texts[sha] = _read_blob(proc.stdout, sha)
+        except (CorruptHistory, BrokenPipeError) as exc:
+            # a broken pipe means cat-file has exited, and its status says why
+            returncode, message = self._stop()
+            failure = exc if isinstance(exc, CorruptHistory) else f"exit status {returncode}"
+            raise _git_failure("cat-file", failure, message) from None
+        except BaseException:
+            self._stop()
+            raise
+        _warn_stderr("cat-file", self._new_stderr())
+        return texts
+
+    def _start(self) -> subprocess.Popen:
+        if self._proc is not None and self._pid != os.getpid():
+            # inherited across a fork: close this process's copies of the
+            # parent's pipes and files. Only the parent can wait for its
+            # child, so the object is kept, never collected as unwaited here.
+            self._proc.stdin.close()
+            self._proc.stdout.close()
+            self._stderr.close()
+            self._inherited, self._proc = self._proc, None
+        if self._proc is None:
+            self._stderr = tempfile.TemporaryFile()
+            self._reported = 0
+            try:
+                self._proc = subprocess.Popen(
+                    ["git", "-C", str(self.repository), "cat-file", "--batch"],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=self._stderr,
+                )
+            except BaseException:
+                self._stderr.close()
+                raise
+            self._pid = os.getpid()
+        return self._proc
+
+    def _new_stderr(self) -> str:
+        """What git wrote to stderr since last asked, read without moving
+        the file offset it writes at."""
+        fd = self._stderr.fileno()
+        data = os.pread(fd, os.fstat(fd).st_size - self._reported, self._reported)
+        self._reported += len(data)
+        return _text(data).strip()
+
+    def _stop(self) -> tuple[int, str]:
+        """End the process and wait for it: closing stdout stops a cat-file
+        still writing, closing stdin ends one waiting for requests. Returns
+        its exit status and what it wrote to stderr that was not yet
+        reported. Interrupted, it leaves the process to the next call."""
+        proc = self._proc
+        try:
+            proc.stdout.close()
+            proc.stdin.close()  # flushes what a broken pipe left unwritten
+        except BrokenPipeError:
+            pass
+        finally:
+            proc.wait()
+        self._proc = None
+        message = self._new_stderr()
+        self._stderr.close()
+        return proc.returncode, message
+
+    def close(self) -> None:
+        """End this process's cat-file, if it started one, and wait for it;
+        a nonzero exit raises ``CorruptHistory``."""
+        if self._proc is None or self._pid != os.getpid():
+            return
+        returncode, message = self._stop()
+        if returncode != 0:
+            raise _git_failure("cat-file", f"exit status {returncode}", message)
+        _warn_stderr("cat-file", message)
 
 
 def _rev_parse(repo: Path, *args: str) -> list[str] | None:
-    """The lines ``git rev-parse --git-dir *args`` prints after the git
-    directory, or None when an argument does not resolve. The git directory
-    comes first whether or not the rest resolves, so one call also tells a
-    repository from anything else."""
+    """The lines ``git rev-parse --git-dir --is-shallow-repository *args``
+    prints for ``args``, or None when an argument does not resolve. The git
+    directory and the shallow flag come first whether or not the rest
+    resolves, so one call also tells a repository from anything else, and
+    refuses a shallow one."""
     proc = subprocess.run(
-        ["git", "-C", str(repo), "rev-parse", "--git-dir", *args], capture_output=True
+        ["git", "-C", str(repo), "rev-parse", "--git-dir", "--is-shallow-repository", *args],
+        capture_output=True,
     )
     lines = proc.stdout.decode().splitlines()
     if not lines:
         raise RepositoryNotFound(f"{repo} is not a git repository")
+    if lines[1:2] == ["true"]:
+        raise ShallowRepository(
+            f"{repo} is a shallow clone, so every lineage is cut at its boundary; "
+            "fetch its full history (git fetch --unshallow) to mine it"
+        )
     if proc.returncode != 0:
         return None
     _warn_stderr("rev-parse", _text(proc.stderr).strip())
-    return lines[1:]
+    return lines[2:]
 
 
 def branch_tip(repo_path: str | Path, branch: str | None = "master") -> tuple[str, str]:
@@ -336,10 +497,14 @@ def extract_history(
     the repository's current HEAD; the default "master" falls back to HEAD
     when no such branch exists.
 
+    Each change names its blobs and holds no content; the history's
+    ``repository`` is where a ``BlobReader`` reads them. A shallow
+    repository raises ``ShallowRepository``.
+
     ``keep``, a path predicate such as ``source_predicate(...)``, drops
-    every change whose path it rejects before any blob is requested, and
-    the commits left with no change; ``present_paths`` holds only the paths
-    it accepts. The reference time is still taken over every non-merge
+    every change whose path it rejects, so none of its blobs is ever read,
+    and the commits left with no change; ``present_paths`` holds only the
+    paths it accepts. The reference time is still taken over every non-merge
     commit, so the result equals ``filter_source_files`` applied to the
     unfiltered history with the same predicate.
     """
@@ -361,32 +526,21 @@ def extract_history(
         requests=(sha for sha, _author, _at in meta),
     )
 
-    needed: set[str] = set()
-    for entries in raw_changes.values():
-        for _status, old_sha, new_sha, _old_path, _path in entries:
-            needed.add(old_sha)
-            needed.add(new_sha)
-    blobs = _fetch_blobs(repo, needed)
-
     commits = []
     for sha, author, at in meta:
         changes = []
         for status, old_sha, new_sha, old_path, path in raw_changes.pop(sha, ()):
-            before = blobs.get(old_sha)
-            after = blobs.get(new_sha)
             # diff-tree -M reports no copies, even under diff.renames=copies:
             # a copied file is an addition
             if status == "A":
-                changes.append(FileChangeEvent(path, ADDITION, after_content=after))
+                changes.append(FileChangeEvent(path, ADDITION, after_blob=new_sha))
             elif status.startswith("R"):
-                changes.append(
-                    FileChangeEvent(
-                        path, RENAME, old_path=old_path, before_content=before, after_content=after
-                    )
-                )
+                changes.append(FileChangeEvent(
+                    path, RENAME, old_path=old_path, before_blob=old_sha, after_blob=new_sha
+                ))
             elif status in ("M", "T"):
                 changes.append(
-                    FileChangeEvent(path, MODIFICATION, before_content=before, after_content=after)
+                    FileChangeEvent(path, MODIFICATION, before_blob=old_sha, after_blob=new_sha)
                 )
         if keep is not None and not changes:
             continue
@@ -417,6 +571,7 @@ def extract_history(
         reference_time=datetime.fromtimestamp(newest, tz=timezone.utc),
         present_paths=present,
         metadata={"tip": tip, "rename_threshold": RENAME_THRESHOLD},
+        repository=repo,
     )
 
 
@@ -493,7 +648,7 @@ def resolve_lineages(history: CommitHistory) -> dict[str, Lineage]:
 def _fields(value: object) -> object:
     """The ``json.dumps`` hook of the history records: a nested record as
     its fields, a time in ISO 8601, the file set as a sorted list."""
-    if isinstance(value, (RawIdentity, FileChangeEvent)):
+    if isinstance(value, RawIdentity):
         return vars(value)
     if isinstance(value, datetime):
         return value.isoformat()
@@ -502,48 +657,48 @@ def _fields(value: object) -> object:
     raise TypeError(f"a {type(value).__name__} has no history JSON")
 
 
-_CONTENT_FIELDS = ("before_content", "after_content")
-
-
-def _fields_without_contents(value: object) -> object:
-    """``_fields``, a change record left without its file contents."""
-    if isinstance(value, FileChangeEvent):
-        return {name: v for name, v in vars(value).items() if name not in _CONTENT_FIELDS}
-    return _fields(value)
-
-
 _encode = json.JSONEncoder(sort_keys=True, default=_fields).encode
-_encode_without_contents = json.JSONEncoder(
-    sort_keys=True, default=_fields_without_contents
-).encode
+
+# a change record's fields; blob ids are where contents are read, never written
+_CHANGE_FIELDS = ("path", "change_kind", "old_path", "before_content", "after_content")
 
 
 def history_ndjson_lines(history: CommitHistory, contents: bool = True) -> Iterator[str]:
     """A history as NDJSON lines, each ending in a newline: a meta line
-    holding the ``CommitHistory`` fields but its commits, then one commit
-    per line. Every record is its own fields under their own names.
+    holding the ``CommitHistory`` fields but its commits and repository,
+    then one commit per line. Every record is its own fields under their
+    own names, a change record its path, kind, old path and the texts
+    before and after: each commit's versions are read through one
+    ``BlobReader`` as its line is made, so no more than one commit's
+    contents are held at a time.
 
     ``contents=False`` writes each change record without its
-    ``before_content`` and ``after_content``, which ``load_history``
-    refuses to read back, so such a file can never replay as empty files;
-    every other record and field is written as before.
+    ``before_content`` and ``after_content``, and reads no blob;
+    ``load_history`` refuses such a file, so it can never replay as empty
+    files. Every other record and field is written as before.
 
     The meta line must stay first: ``load_history_meta`` reads only that
     line.
     """
-    encode = _encode if contents else _encode_without_contents
-    meta = {name: value for name, value in vars(history).items() if name != "commits"}
-    yield encode({"v": 1, "meta": meta}) + "\n"
-    for commit in history.commits:
-        yield encode({"v": 1, **vars(commit)}) + "\n"
+    meta = {
+        name: value for name, value in vars(history).items()
+        if name not in ("commits", "repository")
+    }
+    yield _encode({"v": 1, "meta": meta}) + "\n"
+    with BlobReader(history.repository) as blobs:
+        for commit in history.commits:
+            texts = blobs.versions(commit.changes) if contents else [()] * len(commit.changes)
+            # without texts, zip stops at the first three fields
+            changes = [
+                dict(zip(_CHANGE_FIELDS, (event.path, event.change_kind, event.old_path, *pair)))
+                for event, pair in zip(commit.changes, texts)
+            ]
+            yield _encode({"v": 1, **vars(commit), "changes": changes}) + "\n"
 
 
 def history_to_ndjson(history: CommitHistory) -> str:
     """Serialize a history as NDJSON (see ``history_ndjson_lines``)."""
     return "".join(history_ndjson_lines(history))
-
-
-_CHANGE_FIELDS = tuple(f.name for f in fields(FileChangeEvent))
 
 
 def _change_event(record: dict) -> FileChangeEvent:
@@ -553,6 +708,9 @@ def _change_event(record: dict) -> FileChangeEvent:
     for name in _CHANGE_FIELDS:
         if name not in record:
             raise KeyError(name)
+    for name in record:
+        if name not in _CHANGE_FIELDS:
+            raise TypeError(f"a change record has no field {name!r}")
     return FileChangeEvent(**record)
 
 

@@ -10,7 +10,10 @@ file lineage, heaviest first.
 The pool is ``os.fork`` and pipes. Each worker inherits ``fn`` and
 ``units``, takes the next unit position from one task pipe that all the
 workers share, and writes each unit's outcome, pickled, to a result pipe of
-its own; the caller reads the result pipes through ``selectors``. The module
+its own; the caller reads the result pipes through ``selectors``. A
+``context`` is entered once around the units of each process that runs
+some, so a resource a unit opens, such as ``features``' blob reader, is
+closed by the process that opened it. The module
 needs only the standard library and never loads ``multiprocessing`` or
 ``concurrent.futures``, whose imports and executor start-up cost a fresh
 process about 40 ms before the first unit ran.
@@ -18,12 +21,12 @@ process about 40 ms before the first unit ran.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import re
 import select
 import selectors
-import signal
 import struct
 import sys
 import warnings
@@ -69,17 +72,24 @@ def _serve(fn: Callable, units: Sequence, tasks: int, results: int) -> None:
 
 
 def _work(
-    fn: Callable, units: Sequence, tasks: int, results: int, inherited: set[int]
+    fn: Callable,
+    units: Sequence,
+    tasks: int,
+    results: int,
+    inherited: set[int],
+    context: contextlib.AbstractContextManager,
 ) -> NoReturn:
     """Everything a worker runs after the fork: close the ``inherited`` pipe
-    ends it does not use, then serve. It always ends in ``os._exit``, so it
-    never unwinds into the caller's code: status 0 once the task pipe is
-    drained, 1 on anything else, ``KeyboardInterrupt`` included."""
+    ends it does not use, then serve inside ``context``. It always ends in
+    ``os._exit``, so it never unwinds into the caller's code: status 0 once
+    the task pipe is drained, 1 on anything else, ``KeyboardInterrupt`` and
+    a result pipe the caller has closed included."""
     status = 1
     try:
         for fd in inherited:
             os.close(fd)
-        _serve(fn, units, tasks, results)
+        with context:
+            _serve(fn, units, tasks, results)
         _flush_std_streams()
         status = 0
     finally:
@@ -145,7 +155,12 @@ _FORK_WITH_THREADS = (
 )
 
 
-def map(fn: Callable, units: Sequence, jobs: int) -> list:
+def map(
+    fn: Callable,
+    units: Sequence,
+    jobs: int,
+    context: contextlib.AbstractContextManager | None = None,
+) -> list:
     """``[fn(unit) for unit in units]``, on up to ``jobs`` forked workers.
 
     Workers are forked once per call, so they inherit ``fn`` and the data it
@@ -155,17 +170,25 @@ def map(fn: Callable, units: Sequence, jobs: int) -> list:
     here, in unit order, and the first failing unit's exception is raised
     after them, as a serial run would raise it; a unit that cannot come
     back, because its worker died or its result will not pickle, fails
-    with WorkerDied or the pickling error. However the call ends, every
-    worker still running is killed and every worker is reaped. Workers are
-    forked on Linux only: on macOS ``fork`` is unsafe with the system
-    frameworks. There, as with one job or one unit, the units run in this
-    process.
+    with WorkerDied or the pickling error. A call that raises hands out no
+    further unit, and each worker still running ends the unit it has,
+    fails to write its result and exits. However the call ends, every
+    worker has left its context and been reaped when it returns.
+    Workers are forked on Linux only: on macOS ``fork`` is unsafe with the
+    system frameworks. There, as with one job or one unit, the units run in
+    this process.
+
+    ``context``, when given, is entered once around the units of each
+    process that runs them: each worker's copy, or the one here when the
+    units run in this process.
     """
     if jobs < 1:
         raise InvalidCount(f"jobs must be >= 1, got {jobs}")
+    context = contextlib.nullcontext() if context is None else context
     count = min(jobs, len(units))
     if count < 2 or not sys.platform.startswith("linux"):
-        return [fn(unit) for unit in units]
+        with context:
+            return [fn(unit) for unit in units]
     fds: set[int] = set()  # every pipe end this call holds open
     pids: dict[int, int] = {}  # each running worker's pid, by its result pipe
     codes: list[int] = []  # the exit code of each worker reaped
@@ -181,7 +204,7 @@ def map(fn: Callable, units: Sequence, jobs: int) -> list:
                 fds |= {reader, writer}
                 pid = os.fork()
                 if pid == 0:
-                    _work(fn, units, tasks, writer, fds - {tasks, writer})
+                    _work(fn, units, tasks, writer, fds - {tasks, writer}, context)
                 pids[reader] = pid
                 os.close(writer)
                 fds.remove(writer)
@@ -197,7 +220,9 @@ def map(fn: Callable, units: Sequence, jobs: int) -> list:
         frames = {reader: bytearray() for reader in pids}
         outcomes = {}  # position: (outcome, warnings), until its turn
         results = []
-        while len(results) < len(units):
+        # once every result is in, the task pipe is drained and closed, so
+        # each worker leaves its context and exits; it is reaped here
+        while len(results) < len(units) or pids:
             if not pids:
                 raise WorkerDied(
                     f"no worker returned unit {len(results)}; "
@@ -235,9 +260,13 @@ def map(fn: Callable, units: Sequence, jobs: int) -> list:
     finally:
         if selector is not None:
             selector.close()
-        for pid in pids.values():
-            os.kill(pid, signal.SIGKILL)
-        for pid in pids.values():
-            os.waitpid(pid, 0)
+        if pids:  # the call failed: take back the positions not yet taken
+            os.set_blocking(tasks, False)
+            with contextlib.suppress(BlockingIOError):
+                while os.read(tasks, _READ_SIZE):
+                    pass
+        # with its result pipe closed, a worker's next write fails
         for fd in fds:
             os.close(fd)
+        for pid in pids.values():
+            os.waitpid(pid, 0)

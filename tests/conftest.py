@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from fileexperts.features import _replay, mine_history
 from fileexperts.fixtures import demo_repo
 from fileexperts.gitlog import (
-    CommitHistory, CommitRecord, FileChangeEvent, RawIdentity, resolve_lineages,
+    BlobReader, CommitHistory, CommitRecord, FileChangeEvent, RawIdentity, resolve_lineages,
 )
 
 BASE_TIME = datetime(2021, 1, 1, tzinfo=timezone.utc)
@@ -63,7 +64,23 @@ def blame_authors(history: CommitHistory, path: str) -> list[str]:
     """The author of each line of ``path`` at the reference version, as the
     feature replay attributes them. Raises KeyError when the path has no
     lineage there."""
-    return _replay(resolve_lineages(history)[path])[1]
+    with BlobReader(history.repository) as blobs:
+        return _replay(resolve_lineages(history)[path], blobs)[1]
+
+
+def inline_contents(history: CommitHistory) -> CommitHistory:
+    """The history with each event's versions inline, read through the blob
+    source, and no blob ids or repository: what loading it back gives."""
+    with BlobReader(history.repository) as blobs:
+        commits = tuple(
+            replace(commit, changes=tuple(
+                replace(event, before_content=before, after_content=after,
+                        before_blob=None, after_blob=None)
+                for event, (before, after) in zip(commit.changes, blobs.versions(commit.changes))
+            ))
+            for commit in history.commits
+        )
+    return replace(history, commits=commits, repository=None)
 
 
 def add(path: str, content: str) -> tuple:

@@ -13,8 +13,10 @@ minimizes (the gradient is itself checked against finite differences).
 from __future__ import annotations
 
 import fnmatch
+import functools
 import itertools
 import re
+import subprocess
 from dataclasses import replace
 from decimal import Decimal, getcontext
 from pathlib import Path
@@ -273,11 +275,25 @@ def naive_filter_source_files(history, extensions, vendor_globs):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _blob_text(repository, sha: str) -> str:
+    """A blob's text, read with its own ``git cat-file blob``."""
+    data = subprocess.run(["git", "-C", str(repository), "cat-file", "blob", sha],
+                          capture_output=True, check=True).stdout
+    return data.decode("utf-8", "replace")
+
+
+def _version(history, content, blob):
+    """An event side's text: inline, or else its blob in the history's repository."""
+    return content if content is not None or blob is None else _blob_text(history.repository, blob)
+
+
 def naive_feature_table(history) -> dict[tuple[str, str], dict]:
     """Recompute all twelve variables per (developer, file) from scratch.
 
     Consumes the same extracted CommitHistory but re-derives lineages,
-    diffs, blame, and every counter with independent code.
+    diffs, blame, and every counter with independent code, reading each
+    blob with its own ``git cat-file``.
     """
     # lineage resolution: renames move, additions attach or start
     live: dict[str, list] = {}
@@ -319,8 +335,8 @@ def naive_feature_table(history) -> dict[tuple[str, str], dict]:
             )
             acc["stamps"].append(commit.timestamp)
 
-            before = _split(event.before_content)
-            after = _split(event.after_content)
+            before = _split(_version(history, event.before_content, event.before_blob))
+            after = _split(_version(history, event.after_content, event.after_blob))
             added_as_add = []
             for _bs, _as, removed, added in naive_diff(before, after):
                 paired = min(len(removed), len(added))

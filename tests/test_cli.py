@@ -553,6 +553,24 @@ def test_error_is_machine_readable(tmp_path, capsys):
     assert err["error"] == "errors.RepositoryNotFound"
 
 
+def test_shallow_clone_is_refused_and_nothing_is_cached(cli_repo, tmp_path, capsys):
+    """A shallow clone cuts every lineage at its boundary, so mining it would
+    give another table with exit 0: it is one JSON error, and no entry is cached."""
+    clone = tmp_path / "shallow"
+    subprocess.run(["git", "clone", "-q", "--depth", "1", "--branch", "main",
+                    f"file://{cli_repo}", str(clone)], check=True, capture_output=True)
+    cache = tmp_path / "cache"
+    assert main(["mine", "--repo", str(clone), "--branch", "main",
+                 "--cache-dir", str(cache)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "errors.ShallowRepository"
+    assert str(clone) in err["message"]
+    assert not cache.exists() or not any(cache.iterdir())
+
+
 def test_reference_time_override_changes_num_days(cli_repo, capsys):
     main(["features", "--repo", str(cli_repo), "--branch", "main"])
     base = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))

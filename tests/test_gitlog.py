@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from datetime import datetime, timezone
 from pathlib import PurePosixPath
@@ -24,6 +25,7 @@ from fileexperts.errors import BranchNotFound, CorruptHistory, RepositoryNotFoun
 from fileexperts.features import mine_history
 from fileexperts.fixtures import RepoBuilder, random_repo
 from fileexperts.gitlog import (
+    BlobReader,
     CommitHistory,
     CommitRecord,
     FileChangeEvent,
@@ -40,6 +42,15 @@ from fileexperts.gitlog import (
     source_predicate,
 )
 from fileexperts.languages import DEFAULT_VENDOR_GLOBS, default_language_config
+
+from conftest import inline_contents
+
+
+def _versions(history, event):
+    """An extracted event's (before, after) texts, read through the blob source."""
+    with BlobReader(history.repository) as blobs:
+        (pair,) = blobs.versions([event])
+    return pair
 
 
 def _linear_repo(path):
@@ -177,7 +188,47 @@ def test_copied_file_is_an_addition_even_when_git_reports_copies(tmp_path):
         ("modification", "a.py", None),
         ("addition", "b.py", None),
     ]
-    assert history.commits[1].changes[1].after_content == content
+    assert _versions(history, history.commits[1].changes[1])[1] == content
+
+
+def _retained_by_extraction(repo):
+    """The bytes ``extract_history`` allocates and its history keeps."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        history = extract_history(repo, "main")
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert history.commits
+    return retained
+
+
+def test_extraction_holds_no_file_contents(tmp_path):
+    """Two repositories with the same commits, one with lines 100 times
+    longer, over 1 MB more content: extraction keeps blob ids alone, so the
+    histories it returns take the same memory."""
+    written = {}
+
+    def build(path, scale):
+        repo = RepoBuilder(path)
+        written[scale] = 0
+        for step in range(12):
+            writes = {
+                f"src/mod_{index}.py": "".join(
+                    f"{'value' * scale}_{index}_{line} = {step}\n" for line in range(60)
+                )
+                for index in range(3)
+            }
+            written[scale] += sum(map(len, writes.values()))
+            repo.commit("Ana", "ana@x.com", 1_600_000_000 + step * 3_600, writes=writes)
+        return repo.finish()
+
+    short, long = build(tmp_path / "short", 1), build(tmp_path / "long", 100)
+    assert written[100] - written[1] > 1_000_000
+    _retained_by_extraction(short)  # imports and first-call caches, outside the measure
+    retained = [_retained_by_extraction(repo) for repo in (short, long)]
+    assert abs(retained[1] - retained[0]) < 64 * 1024, retained
 
 
 def test_extraction_is_deterministic(tmp_path):
@@ -331,8 +382,26 @@ def _blob_sha(text):
 
 
 def _content_blobs(history):
-    return {_blob_sha(content) for commit in history.commits for event in commit.changes
-            for content in (event.before_content, event.after_content) if content is not None}
+    """The blob id of every version the history's events hold, each read
+    through the blob source."""
+    with BlobReader(history.repository) as blobs:
+        return {_blob_sha(content) for commit in history.commits
+                for pair in blobs.versions(commit.changes) for content in pair
+                if content is not None}
+
+
+class _RecordedStdin:
+    """A cat-file's stdin that records each sha written to it."""
+
+    def __init__(self, stdin, shas):
+        self._stdin, self._shas = stdin, shas
+
+    def write(self, data):
+        self._shas.extend(data.decode().split())
+        return self._stdin.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._stdin, name)
 
 
 @contextlib.contextmanager
@@ -343,12 +412,11 @@ def _cat_file_calls():
     popen = subprocess.Popen
 
     def spy(args, **kwargs):
-        if "cat-file" not in args:
-            return popen(args, **kwargs)
-        requested = kwargs["stdin"].read().decode().split()
-        kwargs["stdin"].seek(0)
-        calls.append((popen(args, **kwargs), requested))
-        return calls[-1][0]
+        proc = popen(args, **kwargs)
+        if "cat-file" in args:
+            calls.append((proc, []))
+            proc.stdin = _RecordedStdin(proc.stdin, calls[-1][1])
+        return proc
 
     with mock.patch.object(gitlog.subprocess, "Popen", spy):
         yield calls
@@ -365,6 +433,8 @@ def test_filtering_during_extraction_changes_nothing(tmp_path_factory, seed, glo
     everything = extract_history(repo, "main")
     with _cat_file_calls() as calls:
         kept = extract_history(repo, "main", keep=source_predicate(config, globs))
+        assert not calls  # extraction reads no blob
+        kept_blobs = _content_blobs(kept)
     requested = {sha for _proc, shas in calls for sha in shas}
     assert kept == filter_source_files(everything, config, globs)
     assert kept == naive_filter_source_files(everything, set(config.by_extension), globs)
@@ -373,8 +443,8 @@ def test_filtering_during_extraction_changes_nothing(tmp_path_factory, seed, glo
     assert tip.id == kept.metadata["tip"] and tip.id not in {c.id for c in kept.commits}
     assert kept.reference_time == tip.timestamp
     # cat-file is asked for the kept changes' blobs, and for no other
-    dropped = _content_blobs(everything) - _content_blobs(kept)
-    assert requested == _content_blobs(kept)
+    dropped = _content_blobs(everything) - kept_blobs
+    assert requested == kept_blobs
     assert dropped and not dropped & requested
 
 
@@ -398,10 +468,13 @@ _BLOBS = {
 def test_streamed_blob_equals_cat_file(tmp_path, name):
     repo = RepoBuilder(tmp_path / "repo").path
     shas = dict(zip(_BLOBS, _hash_objects(repo, _BLOBS.values())))
-    fetched = gitlog._fetch_blobs(repo, shas.values())  # one stream holds them all
+    with BlobReader(repo) as blobs:  # one stream holds them all
+        fetched = blobs.versions(
+            FileChangeEvent(key, "addition", after_blob=sha) for key, sha in shas.items()
+        )
     shown = subprocess.run(["git", "-C", str(repo), "cat-file", "-p", shas[name]],
                            capture_output=True, check=True).stdout
-    assert fetched[shas[name]] == shown.decode("utf-8", "replace")
+    assert fetched[list(shas).index(name)] == (None, shown.decode("utf-8", "replace"))
 
 
 @pytest.mark.parametrize("case", ["missing-sha", "not-a-repository"])
@@ -414,8 +487,10 @@ def test_unreadable_blob_raises_and_waits_for_cat_file(tmp_path, case):
         repo = tmp_path / "plain"
         repo.mkdir()
     named = missing if case == "missing-sha" else "not a git repository"
+    event = FileChangeEvent("a.py", "modification", before_blob=missing, after_blob=big)
     with _cat_file_calls() as calls, pytest.raises(CorruptHistory, match=named):
-        gitlog._fetch_blobs(repo, [missing, big])
+        with BlobReader(repo) as blobs:
+            blobs.versions([event])
     ((proc, _shas),) = calls
     assert proc.returncode is not None
 
@@ -526,7 +601,7 @@ def test_ndjson_roundtrip(demo_history):
     text = history_to_ndjson(demo_history)
     for line in text.splitlines():
         assert json.loads(line)["v"] == 1
-    assert history_from_ndjson(text) == demo_history
+    assert history_from_ndjson(text) == inline_contents(demo_history)
 
 
 def test_history_ndjson_bytes_are_pinned(demo_repo_path):
@@ -709,8 +784,7 @@ def test_rename_with_edit_still_one_lineage(tmp_path):
     second = history.commits[1].changes[0]
     assert second.change_kind == "rename"
     assert second.old_path == "old.py"
-    assert second.before_content == body
-    assert second.after_content == edited
+    assert _versions(history, second) == (body, edited)
 
 
 def _rev_parse(repo, *args):

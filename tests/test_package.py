@@ -13,7 +13,7 @@ import pytest
 import fileexperts
 
 PUBLIC = [
-    "BLAME", "CVReport", "ChangeStats", "ClassifierSpec", "CommitHistory", "CommitRecord",
+    "BLAME", "BlobReader", "CVReport", "ChangeStats", "ClassifierSpec", "CommitHistory", "CommitRecord",
     "CorrelationResult", "DOA", "DeveloperId", "DiffHunk", "ExpertiseScore", "FeatureTable",
     "FeatureVector", "FileChangeEvent", "FileExpertsError", "GroundTruthEntry", "MLDataset",
     "MiningInputs", "NUM_COMMITS", "OracleSets", "RawIdentity", "RepoMetrics", "TECHNIQUES",
@@ -40,7 +40,7 @@ def _fresh_python(code: str) -> str:
 
 
 def test_all_is_the_pinned_public_names():
-    assert len(PUBLIC) == 69
+    assert len(PUBLIC) == 70
     assert fileexperts.__all__ == PUBLIC
 
 

@@ -7,6 +7,7 @@ import sys
 import threading
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,9 +16,12 @@ from hypothesis import strategies as st
 
 import fileexperts
 from fileexperts import workers
-from fileexperts.errors import InvalidCount, SingleClassData, WorkerDied, ZeroVarianceWarning
+from fileexperts.errors import (
+    CorruptHistory, InvalidCount, SingleClassData, WorkerDied, ZeroVarianceWarning,
+)
 from fileexperts.features import compute_all, feature_table_to_csv, mine_history
 from fileexperts.fixtures import RepoBuilder, random_repo
+from fileexperts.gitlog import BlobReader
 
 linux_only = pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="workers fork on Linux only"
@@ -187,9 +191,10 @@ def test_feature_table_does_not_depend_on_jobs(repo_root, skewed_history, seed, 
 def test_compute_all_maps_one_unit_per_lineage_heaviest_first(skewed_history, monkeypatch):
     calls = []
 
-    def recording_map(fn, units, jobs):
+    def recording_map(fn, units, jobs, context):
         calls.append((list(units), jobs))
-        return [fn(unit) for unit in units]
+        with context:
+            return [fn(unit) for unit in units]
 
     monkeypatch.setattr(workers, "map", recording_map)
     serial = compute_all(skewed_history)
@@ -197,3 +202,123 @@ def test_compute_all_maps_one_unit_per_lineage_heaviest_first(skewed_history, mo
     # most events first, ties by path
     order = ["z.py", "m.py", "a.py", "b.py", "c.py", "d.py"]
     assert calls == [(order, 1), (order, 3)]
+
+
+class _Logged:
+    """A context that appends the process id and each entry and exit to a file."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def _log(self, what):
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {what}\n")
+
+    def __enter__(self):
+        self._log("enter")
+
+    def __exit__(self, *exc_info):
+        self._log("exit")
+
+
+def _entries_by_process(path):
+    entries = {}
+    for line in path.read_text().splitlines():
+        pid, what = line.split()
+        entries.setdefault(int(pid), []).append(what)
+    return entries
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(3, marks=linux_only)])
+def test_each_process_enters_the_context_once_around_its_units(tmp_path, jobs):
+    log = tmp_path / "log"
+    with _bounded_and_clean():
+        results = workers.map(lambda unit: (unit, os.getpid()), range(12), jobs, _Logged(log))
+    assert [unit for unit, _pid in results] == list(range(12))
+    entries = _entries_by_process(log)
+    assert all(logged == ["enter", "exit"] for logged in entries.values())
+    if jobs == 1:
+        assert set(entries) == {os.getpid()}
+    else:
+        assert len(entries) == jobs and os.getpid() not in entries
+        assert {pid for _unit, pid in results} <= set(entries)
+
+
+@linux_only
+def test_a_failed_call_runs_no_further_unit_and_each_worker_exits_its_context(tmp_path):
+    """Unit 0 fails while another worker may still be in unit 1: the units
+    not yet taken never run, and both workers leave their contexts before
+    the call raises."""
+    import time
+
+    ran = tmp_path / "ran"
+
+    def unit(number):
+        if number == 0:
+            raise SingleClassData("unit 0 failed")
+        time.sleep(0.5 if number == 1 else 0.01)
+        with open(ran, "a", encoding="utf-8") as handle:
+            handle.write(f"{number}\n")
+        return number
+
+    log = tmp_path / "log"
+    with _bounded_and_clean(), pytest.raises(SingleClassData, match="unit 0 failed"):
+        workers.map(unit, range(200), 2, _Logged(log))
+    entries = _entries_by_process(log)
+    assert len(entries) == 2
+    assert all(logged == ["enter", "exit"] for logged in entries.values())
+    # the running units end, and those not yet taken never start
+    assert len(ran.read_text().split() if ran.exists() else []) < 100
+
+
+def _cat_files_of(repo):
+    """The running processes whose command line names ``cat-file`` and ``repo``."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        try:
+            parts = (entry / "cmdline").read_bytes().split(b"\0")
+        except OSError:  # not a process, or one that has exited
+            continue
+        if b"cat-file" in parts and str(repo).encode() in parts:
+            found.append(parts)
+    return found
+
+
+@pytest.fixture(scope="module")
+def mined(tmp_path_factory):
+    return mine_history(random_repo(tmp_path_factory.mktemp("lifecycle") / "repo", seed=3,
+                                    max_commits=40, max_files=12), "main")
+
+
+@linux_only
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_no_cat_file_outlives_compute_all(mined, jobs):
+    serial = compute_all(mined, jobs=jobs)
+    assert serial.rows
+    assert not _cat_files_of(mined.repository)
+    # the newest event of a file at the reference version names a blob that
+    # is in no repository
+    missing = "f" * 40
+    index, commit = next((index, commit) for index, commit in reversed(
+        list(enumerate(mined.commits))) if commit.changes[0].path in mined.present_paths)
+    broken = replace(commit, changes=(replace(commit.changes[0], after_blob=missing),
+                                      *commit.changes[1:]))
+    history = replace(mined, commits=(*mined.commits[:index], broken, *mined.commits[index + 1:]))
+    with pytest.raises(CorruptHistory, match=f"git cat-file failed: object {missing}"):
+        compute_all(history, jobs=jobs)
+    assert not _cat_files_of(mined.repository)
+
+
+@linux_only
+def test_a_forked_worker_reads_through_its_own_cat_file(mined):
+    """A reader started here and inherited by the workers: each starts its
+    own cat-file, and this process's reader still answers afterwards."""
+    events = [event for commit in mined.commits for event in commit.changes]
+    with BlobReader(mined.repository) as blobs:
+        expected = blobs.versions(events)
+        (ours,) = _cat_files_of(mined.repository)
+        pooled = workers.map(lambda event: blobs.versions([event])[0], events, 2, blobs)
+        assert pooled == expected
+        assert _cat_files_of(mined.repository) == [ours]
+        assert blobs.versions(events) == expected
+    assert not _cat_files_of(mined.repository)
