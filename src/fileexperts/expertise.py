@@ -165,13 +165,13 @@ def calibrate(
 
     The folds stratify ``oracle.labels``, the labels of the dataset
     ``study.process_answers`` builds, so ``ml.cross_validate`` holds out the
-    same pairs; each threshold's precision, recall and F-measure are
-    ``validation.prf`` on each held-out fold, averaged by ``mean_prf``.
+    same pairs; each threshold's predictions are scored by one
+    ``validation.fold_prf`` call, the scorer ``ml.cross_validate`` uses too.
     best_k maximizes mean F-measure, with ties broken toward the smallest k.
     """
     import numpy as np
 
-    from .validation import mean_prf, prf, stratified_folds
+    from .validation import fold_prf, stratified_folds
 
     if not oracle.declared_experts:
         raise EmptyOracle("no declared experts; recall is undefined")
@@ -188,11 +188,8 @@ def calibrate(
 
     points = []
     for k in THRESHOLD_GRID:
-        predicted = _is_expert(normalized, k)
-        precision, recall, f_measure = mean_prf(
-            [prf(predicted[idx], actual[idx]) for idx in fold_indices]
-        )
-        points.append(ThresholdPoint(k, precision, recall, f_measure))
+        _per_fold, means = fold_prf(_is_expert(normalized, k), actual, fold_indices)
+        points.append(ThresholdPoint(k, *means))
     best = max(points, key=lambda p: (p.f_measure, -p.k))
     return ThresholdCurve(technique=technique, points=tuple(points), best_k=best.k)
 

@@ -8,8 +8,10 @@ its bootstrap sample, weighted by their counts, sorts every feature once
 and scores its nodes in plain float arithmetic, which is exact and, at the
 dozen rows of a typical node, cheaper than per-node numpy calls.
 Evaluation runs seeded, stratified 10-fold cross-validation with the
-expert class as positive, scored by the shared ``validation.prf``;
-standardization is fit on each training split only.
+expert class as positive; standardization is fit on each training split
+only. Models only score; ``cross_validate`` gathers the held-out scores of
+all folds, calls a score of at least 0.5 an expert, in that one place, and
+scores the folds by ``validation.fold_prf``, as ``expertise.calibrate`` does.
 
 Folds and grid combinations are independent, and each fold draws from its
 own seed ``[seed, fold]``, so ``cross_validate`` and ``grid_search`` map
@@ -35,7 +37,7 @@ import numpy as np
 from . import workers
 from .errors import SingleClassData, TooFewSamples, ZeroVarianceWarning
 from .kinds import KINDS, KNN, LOGISTIC_REGRESSION, RANDOM_FOREST
-from .validation import mean_prf, prf, stratified_folds
+from .validation import fold_prf, stratified_folds
 
 ML_FEATURE_NAMES = ("adds", "fa", "size", "num_days")
 _BINARY_FEATURES = ("fa",)
@@ -110,6 +112,7 @@ class CVReport:
     mean_precision: float
     mean_recall: float
     mean_f: float
+    scores: tuple[float, ...] = field(repr=False)  # held-out, in dataset order
 
     def to_dict(self) -> dict:
         return {
@@ -194,9 +197,6 @@ class KNNModel:
         nearest = np.argsort(dists, axis=1, kind="stable")[:, : self.k]
         return self.y[nearest].mean(axis=1)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_score(X) >= 0.5
-
 
 # -- logistic regression -------------------------------------------------------
 
@@ -272,9 +272,6 @@ class LogisticModel:
     def predict_score(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return _sigmoid(X @ self.weights + self.bias)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_score(X) >= 0.5
 
 
 # -- random forest --------------------------------------------------------------
@@ -405,9 +402,6 @@ class RandomForestModel:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.mean([_tree_scores(tree, X) for tree in self.trees], axis=0)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_score(X) >= 0.5
-
 
 # -- training and evaluation -----------------------------------------------------
 
@@ -446,27 +440,31 @@ def cross_validate(
     """Stratified seeded k-fold evaluation with expert as the positive class.
 
     Standardization is fitted on each training split and applied to the
-    held-out split, so no information leaks across the boundary. Each fold
-    is scored by ``validation.prf`` and the folds are averaged by
-    ``validation.mean_prf``, the scorer ``expertise.calibrate`` uses too.
-    The folds run on up to ``jobs`` forked workers (see ``workers.map``).
+    held-out split, so no information leaks across the boundary. The folds'
+    held-out ``predict_score`` values form ``scores``, one vector in dataset
+    order (``oracle.pairs`` order from ``study.process_answers``); a score of
+    at least 0.5 is an expert, and ``validation.fold_prf`` scores the folds
+    as it scores ``expertise.calibrate``'s thresholds. The folds run on up
+    to ``jobs`` forked workers (see ``workers.map``).
     """
     fold_indices = stratified_folds(dataset.labels, folds, seed)
     if dataset.labels.all() or not dataset.labels.any():
         raise SingleClassData("cross-validation needs both classes")
     all_indices = np.arange(len(dataset))
 
-    def score_fold(fold_number: int) -> tuple[float, float, float]:
+    def score_fold(fold_number: int) -> np.ndarray:
         test_idx = fold_indices[fold_number]
         train_mask = ~np.isin(all_indices, test_idx)
         train_set = dataset.subset(all_indices[train_mask])
         scaled_train, scaler = standardize(train_set)
         model = train(spec, scaled_train, seed=[seed, fold_number])
-        predictions = model.predict(scaler.transform(dataset.features[test_idx]))
-        return prf(predictions, dataset.labels[test_idx])
+        return model.predict_score(scaler.transform(dataset.features[test_idx]))
 
-    per_fold = workers.map(score_fold, range(len(fold_indices)), jobs)
-    return CVReport(spec, tuple(per_fold), *mean_prf(per_fold))
+    held_out = workers.map(score_fold, range(len(fold_indices)), jobs)
+    scores = np.empty(len(dataset))
+    scores[np.concatenate(fold_indices)] = np.concatenate(held_out)
+    per_fold, means = fold_prf(scores >= 0.5, dataset.labels, fold_indices)
+    return CVReport(spec, per_fold, *means, scores=tuple(scores.tolist()))
 
 
 def grid_search(

@@ -1,4 +1,4 @@
-"""Shared evaluation: stratified folds and the one precision/recall/F scorer."""
+"""Shared evaluation: stratified folds and the one held-out precision/recall/F scorer."""
 
 from __future__ import annotations
 
@@ -49,6 +49,9 @@ def prf(predicted: np.ndarray, actual: np.ndarray) -> tuple[float, float, float]
     return precision, recall, f
 
 
-def mean_prf(per_fold) -> tuple[float, float, float]:
-    """Mean precision, recall and F-measure over folds, each summed in fold order."""
-    return tuple(sum(metrics[i] for metrics in per_fold) / len(per_fold) for i in range(3))
+def fold_prf(predicted: np.ndarray, actual: np.ndarray, fold_indices):
+    """``(per_fold, means)``: ``prf`` on each fold's positions of the aligned
+    predictions and labels, and the mean of each metric, summed in fold order."""
+    per_fold = tuple(prf(predicted[idx], actual[idx]) for idx in fold_indices)
+    means = tuple(sum(metrics[i] for metrics in per_fold) / len(per_fold) for i in range(3))
+    return per_fold, means

@@ -241,8 +241,11 @@ def test_correlate_exact_p(cli_repo, tmp_path, capsys):
          "f2496e3d0048fc06ad5c66458f8a917fa0b774a352f919642544ec3ad641988f"),
         (("evaluate", "--classifier", "random_forest"),
          "6916dfc1edebc43f9a501f6b7c2e0d9cd3c6b9b252992fa7dcf9737112e74025"),
+        (("evaluate", "--classifier", "logistic_regression", "--format", "json"),
+         "e260f66bc649bf271a4ec9a40921c310b295ddbf0ae8f5783edcae88e401904b"),
     ],
-    ids=["calibrate-doa", "evaluate-knn", "evaluate-random-forest"],
+    ids=["calibrate-doa", "evaluate-knn", "evaluate-random-forest",
+         "evaluate-logistic-regression-json"],
 )
 def test_seed_0_analysis_bytes_are_pinned(cli_repo, tmp_path, capsys, command, digest):
     """Seed-0 threshold curve and CV report, down to the byte: a different

@@ -34,7 +34,7 @@ from fileexperts.ml import (
     train,
 )
 from fileexperts.study import EXPERT_KNOWLEDGE_FLOOR
-from fileexperts.validation import prf, stratified_folds
+from fileexperts.validation import fold_prf, prf, stratified_folds
 
 
 def separable_dataset(n: int = 200, seed: int = 42) -> MLDataset:
@@ -108,14 +108,13 @@ class TestModels:
     def test_knn_k1_predicts_own_label(self):
         data = separable_dataset(60)
         model = train(ClassifierSpec(KNN, {"k": 1}), data)
-        assert (model.predict(data.features) == data.labels).all()
+        assert ((model.predict_score(data.features) >= 0.5) == data.labels).all()
 
     def test_knn_scores_bounded(self):
         data = separable_dataset(60)
         model = train(ClassifierSpec(KNN, {"k": 5}), data)
         scores = model.predict_score(data.features)
         assert ((scores >= 0) & (scores <= 1)).all()
-        assert ((scores >= 0.5) == model.predict(data.features)).all()
 
     def test_logistic_separable_training_accuracy(self):
         rng = np.random.default_rng(7)
@@ -130,7 +129,7 @@ class TestModels:
             feature_names=("f0", "f1"),
         )
         model = train(ClassifierSpec(LOGISTIC_REGRESSION, {"l2": 0.01}), data)
-        accuracy = (model.predict(data.features) == labels).mean()
+        accuracy = ((model.predict_score(data.features) >= 0.5) == labels).mean()
         assert accuracy >= 0.99
 
     def test_logistic_gradient_matches_finite_differences(self):
@@ -191,7 +190,7 @@ class TestModels:
         )
         scores = model.predict_score(uneven.features)
         assert np.unique(scores).size == 1
-        assert model.predict(uneven.features).all()
+        assert (scores >= 0.5).all()
 
     @pytest.mark.parametrize("kind", [KNN, LOGISTIC_REGRESSION, RANDOM_FOREST])
     def test_score_predict_coherence(self, kind):
@@ -199,7 +198,6 @@ class TestModels:
         model = train(ClassifierSpec(kind), data, seed=1)
         scores = model.predict_score(data.features)
         assert ((scores >= 0) & (scores <= 1)).all()
-        assert ((scores >= 0.5) == model.predict(data.features)).all()
 
     def test_single_class_rejected(self):
         data = separable_dataset(40)
@@ -357,7 +355,7 @@ class TestNewtonFit:
             oracle = gradient_descent_logistic(X, y, l2, self.TOL, self.MAX_ITER)
             params = fit_params(model)
             expected = ml._sigmoid(held_out @ oracle[:-1] + oracle[-1]) >= 0.5
-            assert (model.predict(held_out) == expected).all()
+            assert ((model.predict_score(held_out) >= 0.5) == expected).all()
             assert np.abs(logistic_gradient(params, X, y, l2)).max() <= self.TOL
             assert logistic_loss(params, X, y, l2) <= logistic_loss(oracle, X, y, l2)
 
@@ -391,7 +389,7 @@ class TestNewtonFit:
         assert len(losses) < self.MAX_ITER
         assert np.isfinite(fit_params(model)).all()
         assert np.abs(logistic_gradient(fit_params(model), X, y, 0.0)).max() <= self.TOL
-        assert (model.predict(X) == y).all()
+        assert ((model.predict_score(X) >= 0.5) == y).all()
 
     @pytest.mark.parametrize("value", [5.0, 1.0], ids=["zero-variance", "constant-one"])
     def test_unpenalized_collinear_column_stops_by_tolerance(self, monkeypatch, value):
@@ -459,6 +457,61 @@ class TestCrossValidate:
         fn = sum(a and not p for p, a in zip(predicted, actual))
         assert prf(np.array(predicted, dtype=bool), np.array(actual, dtype=bool)) == counts_prf(
             tp, fp, fn
+        )
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_fold_prf_equals_counting_per_fold(self, data):
+        folds = data.draw(st.integers(1, 5))
+        rows = data.draw(
+            st.lists(st.tuples(st.booleans(), st.booleans(), st.integers(0, folds - 1)),
+                     max_size=30)
+        )
+        predicted = np.array([p for p, _a, _f in rows], dtype=bool)
+        actual = np.array([a for _p, a, _f in rows], dtype=bool)
+        fold_indices = [
+            np.array([i for i, row in enumerate(rows) if row[2] == fold], dtype=int)
+            for fold in range(folds)
+        ]
+        expected = []
+        for fold in range(folds):
+            members = [(p, a) for p, a, f in rows if f == fold]
+            expected.append(counts_prf(
+                sum(p and a for p, a in members),
+                sum(p and not a for p, a in members),
+                sum(a and not p for p, a in members),
+            ))
+        per_fold, means = fold_prf(predicted, actual, fold_indices)
+        assert per_fold == tuple(expected)
+        assert means == tuple(sum(metrics[i] for metrics in expected) / folds for i in range(3))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ClassifierSpec(KNN), ClassifierSpec(KNN, {"k": 4}), ClassifierSpec(LOGISTIC_REGRESSION),
+         ClassifierSpec(RANDOM_FOREST)],
+        ids=["knn", "knn-even-k", "logistic-regression", "random-forest"],
+    )
+    @pytest.mark.parametrize("labels", ["separable", "permuted"])
+    def test_report_holds_the_held_out_scores_of_each_fold(self, spec, labels):
+        """Each fold's scores are those of a model fitted by hand on the
+        other folds, in dataset order, and each fold is scored by prf of
+        its scores at 0.5 and above. Permuted labels spread the scores, and
+        an even k gives scores of exactly 0.5."""
+        data, seed = separable_dataset(), 3
+        if labels == "permuted":
+            data = MLDataset(data.features, np.random.default_rng(9).permutation(data.labels))
+        report = cross_validate(spec, data, folds=5, seed=seed)
+        scores = np.array(report.scores)
+        assert len(scores) == len(data)
+        fold_indices = stratified_folds(data.labels, 5, seed)
+        for fold, test_idx in enumerate(fold_indices):
+            train_idx = np.setdiff1d(np.arange(len(data)), test_idx)
+            scaled, scaler = standardize(data.subset(train_idx))
+            model = train(spec, scaled, seed=[seed, fold])
+            held_out = model.predict_score(scaler.transform(data.features[test_idx]))
+            assert scores[test_idx].tolist() == held_out.tolist()
+        assert report.per_fold == tuple(
+            prf(scores[idx] >= 0.5, data.labels[idx]) for idx in fold_indices
         )
 
     @pytest.mark.parametrize("kind", [KNN, LOGISTIC_REGRESSION, RANDOM_FOREST])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fileexperts import ml, validation
 from fileexperts.errors import InvalidGroundTruth, InvalidKnowledgeValue, TooFewRepos
-from fileexperts.expertise import DOA, calibrate, technique_scores
+from fileexperts.expertise import DOA, THRESHOLD_GRID, calibrate, technique_scores
 from fileexperts.features import compute_all, mine_history
 from fileexperts.fixtures import random_repo
 from fileexperts.ml import ML_FEATURE_NAMES
@@ -396,7 +396,8 @@ def _shared_table():
 def test_both_technique_families_get_the_same_folds(monkeypatch):
     """calibrate and cross_validate, given one process_answers result, hand
     stratified_folds the same label sequence and so hold out the same
-    positions. The expert set is chosen so that rows ordered any other way,
+    positions, and both score them through validation.fold_prf with those
+    folds. The expert set is chosen so that rows ordered any other way,
     by (file, developer) say, give a different label sequence."""
     table = _shared_table()
     experts = {("d1@x.com", "a.py"), ("d1@x.com", "b.py"), ("d2@y.com", "d.py"),
@@ -417,6 +418,15 @@ def test_both_technique_families_get_the_same_folds(monkeypatch):
 
     monkeypatch.setattr(validation, "stratified_folds", spy)
     monkeypatch.setattr(ml, "stratified_folds", spy)
+    scored = []
+    real_fold_prf = validation.fold_prf
+
+    def fold_prf_spy(predicted, actual, fold_indices):
+        scored.append([f.tolist() for f in fold_indices])
+        return real_fold_prf(predicted, actual, fold_indices)
+
+    monkeypatch.setattr(validation, "fold_prf", fold_prf_spy)
+    monkeypatch.setattr(ml, "fold_prf", fold_prf_spy)
     processed = process_answers(entries, table)
     calibrate(technique_scores(table, DOA), processed.oracle, folds=3, seed=5)
     ml.cross_validate(ml.ClassifierSpec(kind=ml.KNN, hyperparameters={"k": 1}),
@@ -424,6 +434,8 @@ def test_both_technique_families_get_the_same_folds(monkeypatch):
     (calibrate_labels, calibrate_folds), (cv_labels, cv_folds) = calls
     assert calibrate_labels == cv_labels == [p in experts for p in pairs]
     assert calibrate_folds == cv_folds
+    # one call per threshold of the grid, then one for the classifier
+    assert scored == [calibrate_folds] * (len(THRESHOLD_GRID) + 1)
 
 
 _answers = st.builds(
