@@ -25,7 +25,8 @@ _EXPORTS = {
     ),
     "features": (
         "FeatureTable", "FeatureVector", "MiningInputs", "compute_all", "developer_ids",
-        "feature_table_to_csv", "mine_history", "read_feature_csv", "write_feature_csv",
+        "feature_table", "feature_table_to_csv", "mine_history", "read_feature_csv",
+        "write_feature_csv",
     ),
     "gitlog": (
         "BlobReader", "CommitHistory", "CommitRecord", "FileChangeEvent", "RawIdentity",

@@ -2,18 +2,15 @@
 correlate, sample, filter-corpus and ingest-truth.
 
 Every command but filter-corpus reads one artifact, the feature table,
-cached per repository tip, inputs and package code (the feature CSV plus
-the meta line of the cached history NDJSON), so ranking twice does not
-re-mine. ``_table`` alone reads and writes the cache, asking ``gitlog`` for
-the history's meta record on a hit and mining a miss with the library's one
-pipeline, ``features.mine_history``, on the ``MiningInputs`` that
-``_read_inputs`` alone reads; no command reads the cached commits, so they
-are written without file contents, and ``gitlog.load_history`` refuses
-them. ``mine --history-out`` writes the full history. All
-randomness flows from --seed. Domain errors exit nonzero with one
-machine-readable JSON object on stderr, written by ``main`` alone, and each
-distinct library warning a command raises becomes one JSON line there,
-written by ``_warn``.
+from one ``features.feature_table`` call in ``_table`` on the
+``MiningInputs`` that ``_read_inputs`` alone reads. That call owns the
+cache under --cache-dir (none under --no-cache), keyed by repository tip,
+inputs and package code, so ranking twice does not re-mine, and a library
+caller passing the same ``cache_dir`` shares its entries. ``mine
+--history-out`` writes the full history. All randomness flows from --seed.
+Domain errors exit nonzero with one machine-readable JSON object on stderr,
+written by ``main`` alone, and each distinct library warning a command
+raises becomes one JSON line there, written by ``_warn``.
 
 Each command imports only the modules it runs: ``ml``, ``stats`` and
 ``study`` are imported inside the commands that use them, so ``mine``,
@@ -27,20 +24,16 @@ which only reads the cache, forks none.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import os
 import sys
 import warnings
-import zlib
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
-from pathlib import Path
 
 from . import expertise
 from .errors import (
-    CorruptFeatureTable,
     FileExpertsError,
     FileExpertsWarning,
     InvalidColumnMap,
@@ -53,21 +46,15 @@ from .errors import (
 from .features import (
     FeatureTable,
     MiningInputs,
-    compute_all,
-    developer_ids,
+    feature_table,
     feature_table_to_csv,
     mine_history,
-    read_feature_csv,
-    write_feature_csv,
 )
 from .fileio import atomic_write_text, csv_text, read_csv
-from .gitlog import CommitHistory, branch_tip, load_history_meta, save_history
+from .gitlog import save_history
 from .identities import DEFAULT_ALIAS_THRESHOLD
 from .kinds import KINDS
 from .languages import DEFAULT_VENDOR_GLOBS, load_language_config
-
-_FEATURE_ROWS = "feature_rows"
-_PACKAGE = Path(__file__).parent
 
 
 def _usable_cpus() -> int:
@@ -217,87 +204,24 @@ def _read_inputs(args) -> MiningInputs:
     )
 
 
-def _cache_files(inputs: MiningInputs, cache_dir: str, tip: str) -> tuple[Path, Path]:
-    """The cached history NDJSON and feature CSV for ``inputs`` mined at
-    ``tip`` by this code. The key material holds no set and takes no
-    ``hash()``, so every process derives the same key."""
-    blob = json.dumps(
-        {"code": _package_crcs(), "tip": tip, **asdict(inputs)},
-        sort_keys=True,
-        default=datetime.isoformat,  # any other type is a TypeError
-    )
-    key = _digest(blob.encode())
-    return Path(cache_dir, f"history-{key}.ndjson"), Path(cache_dir, f"features-{key}.csv")
-
-
-def _digest(data: bytes) -> str:
-    """A 64-bit digest, 16 hex digits: zlib's crc32 and adler32 of the same
-    bytes side by side. It names cache entries, which needs no defence
-    against forgery, and ``hashlib`` would map OpenSSL into every run."""
-    return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
-
-
-@functools.cache
-def _package_crcs() -> dict[str, int]:
-    """The crc32 of each file of this package, the bundled language table
-    included, by relative path; ``__pycache__`` is left out. Any edit to the
-    code therefore changes every cache key, and an installed copy of the
-    same files gives the same key. Read once per process, so a run writes
-    its entry under the key it looked up, whatever is edited meanwhile."""
-    return {
-        path.relative_to(_PACKAGE).as_posix(): zlib.crc32(path.read_bytes())
-        for path in _PACKAGE.rglob("*")
-        if path.is_file() and "__pycache__" not in path.relative_to(_PACKAGE).parts
-    }
-
-
-def _mine(args, inputs: MiningInputs) -> CommitHistory:
-    """``features.mine_history`` on the command's repository and branch. Its
-    InvalidReferenceTime names the library's ``reference_time``; the CLI's
-    names the flag the value came from."""
+def _table(args) -> FeatureTable:
+    """The feature table every analysis command reads: one
+    ``features.feature_table`` call on the command's inputs and cache, after
+    ``mine --history-out`` mines and writes what it mined, so that call does
+    not mine again. The library's InvalidReferenceTime names its
+    ``reference_time``; the CLI's names the flag the value came from."""
+    inputs = _read_inputs(args)
     try:
-        return mine_history(args.repo, args.branch, inputs)
+        history = None
+        if getattr(args, "history_out", None):  # only `mine` has --history-out
+            history = mine_history(args.repo, args.branch, inputs)
+            save_history(history, args.history_out)
+        cache_dir = None if args.no_cache else args.cache_dir
+        return feature_table(args.repo, args.branch, inputs, cache_dir, _usable_cpus(), history)
     except InvalidReferenceTime as exc:
         raise InvalidReferenceTime(
             str(exc).replace("reference_time", "--reference-time", 1)
         ) from None
-
-
-def _table(args) -> FeatureTable:
-    """The feature table every analysis command reads; the one owner of the
-    cache. ``mine --history-out`` mines first and writes what it mined. A
-    hit reads the feature CSV and asks ``gitlog.load_history_meta`` for the
-    cached history's meta record, which holds the reference time, the
-    developers and the number of feature rows, so it equals the table a
-    fresh run computes and a CSV cut at a line boundary is caught. A miss
-    mines, unless it has already, and writes the cache, unless --no-cache,
-    under the key of the tip it mined: the meta line, one line per commit
-    with no file contents, and the feature CSV."""
-    inputs = _read_inputs(args)
-    history = None
-    if getattr(args, "history_out", None):  # only `mine` has --history-out
-        history = _mine(args, inputs)
-        save_history(history, args.history_out)
-    if not args.no_cache:
-        tip = history.metadata["tip"] if history else branch_tip(args.repo, args.branch)[1]
-        history_path, features_path = _cache_files(inputs, args.cache_dir, tip)
-        if history_path.exists() and features_path.exists():
-            head = load_history_meta(history_path)
-            table = read_feature_csv(features_path, head.reference_time, developer_ids(head))
-            recorded = head.metadata.get(_FEATURE_ROWS)
-            if len(table.rows) != recorded:
-                raise CorruptFeatureTable(
-                    f"{features_path} holds {len(table.rows)} rows; the cache recorded {recorded}"
-                )
-            return table
-    history = history or _mine(args, inputs)
-    table = compute_all(history, inputs.language_config, inputs.mod_threshold, _usable_cpus())
-    if not args.no_cache:
-        history_path, features_path = _cache_files(inputs, args.cache_dir, history.metadata["tip"])
-        metadata = {**history.metadata, _FEATURE_ROWS: len(table.rows)}
-        save_history(replace(history, metadata=metadata), history_path, contents=False)
-        write_feature_csv(table, features_path)
-    return table
 
 
 def _warn(warning: str, **fields) -> None:

@@ -55,7 +55,8 @@ class CorruptFeatureTable(FileExpertsError):
 
 
 class InvalidLanguageConfig(FileExpertsError):
-    """A language table cannot be read, is not JSON or lacks a required key."""
+    """A language table cannot be read, is not JSON, lacks a required key or
+    holds a value of the wrong type."""
 
 
 # -- expertise scoring -------------------------------------------------------

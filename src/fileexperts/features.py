@@ -21,12 +21,20 @@ unit per lineage, heaviest first, over forked workers with ``workers.map``;
 each worker, or this process when there is one, reads blobs through its own
 ``cat-file`` and closes it when its units are done. The rows are sorted
 afterwards, so the table does not depend on the worker count.
+
+``feature_table`` alone reads and writes the cache, for the CLI and library
+callers alike: per branch tip, inputs and package code, the feature CSV and
+a history NDJSON whose commits carry no file contents, which
+``gitlog.load_history`` refuses.
 """
 
 from __future__ import annotations
 
+import functools
+import json
+import zlib
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,8 +43,8 @@ from .diffs import MOD_THRESHOLD, check_mod_threshold, classify_changes, split_l
 from .errors import CorruptFeatureTable, InvalidReferenceTime
 from .fileio import atomic_write_text, csv_text, read_csv
 from .gitlog import (
-    ADDITION, BlobReader, CommitHistory, Lineage, extract_history, resolve_lineages,
-    source_predicate,
+    ADDITION, BlobReader, CommitHistory, Lineage, branch_tip, extract_history,
+    load_history_meta, resolve_lineages, save_history, source_predicate,
 )
 from .identities import (
     DEFAULT_ALIAS_THRESHOLD, DeveloperId, canonicalize_history, check_alias_threshold,
@@ -61,6 +69,8 @@ FEATURE_NAMES = (
 CSV_HEADER = ("developer", "file") + FEATURE_NAMES
 
 _SECONDS_PER_DAY = 86400.0
+_FEATURE_ROWS = "feature_rows"
+_PACKAGE = Path(__file__).parent
 
 
 @dataclass(frozen=True)
@@ -96,9 +106,6 @@ class FeatureTable:
 
     def pair_map(self) -> dict[tuple[str, str], FeatureVector]:
         return {(row.developer.canonical_key, row.file): row.features for row in self.rows}
-
-    def files(self) -> list[str]:
-        return sorted({row.file for row in self.rows})
 
     def developers(self) -> dict[str, DeveloperId]:
         return {row.developer.canonical_key: row.developer for row in self.rows}
@@ -292,7 +299,7 @@ def compute_all(
 class MiningInputs:
     """Every input beside the repository and branch that shapes the feature
     table, with the CLI's defaults. ``mine_history`` runs on these values and
-    the CLI's cache key hashes them, so the two cannot disagree. Raises
+    ``feature_table``'s cache key hashes them, so the two cannot disagree. Raises
     InvalidThreshold when either threshold is outside [0, 1]."""
 
     alias_threshold: float = DEFAULT_ALIAS_THRESHOLD
@@ -371,3 +378,76 @@ def read_feature_csv(
         rows=tuple(rows),
         reference_time=reference_time or datetime.fromtimestamp(0, tz=timezone.utc),
     )
+
+
+# -- the cached table ---------------------------------------------------------
+
+def feature_table(
+    repo: str | Path, branch: str | None = "master", inputs: MiningInputs | None = None,
+    cache_dir: str | Path | None = None, jobs: int = 1, history: CommitHistory | None = None,
+) -> FeatureTable:
+    """``compute_all(mine_history(repo, branch, inputs))`` on ``jobs``
+    workers, cached under ``cache_dir`` (None: no cache) by branch tip,
+    inputs and package code. ``history`` is the branch already mined with
+    ``inputs``, which a miss computes from instead of mining again.
+
+    A hit reads the feature CSV and the cached history's meta line, whose
+    reference time, developers and row count make it equal a fresh run's
+    table (a CSV cut at a line boundary is CorruptFeatureTable). A miss
+    files the meta line, the commits without contents and the CSV under the
+    tip it mined."""
+    inputs = inputs or MiningInputs()
+    if cache_dir is not None:
+        tip = history.metadata["tip"] if history else branch_tip(repo, branch)[1]
+        history_path, features_path = _cache_files(inputs, cache_dir, tip)
+        if history_path.exists() and features_path.exists():
+            head = load_history_meta(history_path)
+            table = read_feature_csv(features_path, head.reference_time, developer_ids(head))
+            recorded = head.metadata.get(_FEATURE_ROWS)
+            if len(table.rows) != recorded:
+                raise CorruptFeatureTable(
+                    f"{features_path} holds {len(table.rows)} rows; the cache recorded {recorded}"
+                )
+            return table
+    history = history or mine_history(repo, branch, inputs)
+    table = compute_all(history, inputs.language_config, inputs.mod_threshold, jobs)
+    if cache_dir is not None:
+        history_path, features_path = _cache_files(inputs, cache_dir, history.metadata["tip"])
+        metadata = {**history.metadata, _FEATURE_ROWS: len(table.rows)}
+        save_history(replace(history, metadata=metadata), history_path, contents=False)
+        write_feature_csv(table, features_path)
+    return table
+
+
+def _cache_files(inputs: MiningInputs, cache_dir: str | Path, tip: str) -> tuple[Path, Path]:
+    """The cached history NDJSON and feature CSV for ``inputs`` mined at
+    ``tip`` by this code. The key material holds no set and takes no
+    ``hash()``, so every process derives the same key."""
+    blob = json.dumps(
+        {"code": _package_crcs(), "tip": tip, **asdict(inputs)},
+        sort_keys=True,
+        default=datetime.isoformat,  # any other type is a TypeError
+    )
+    key = _digest(blob.encode())
+    return Path(cache_dir, f"history-{key}.ndjson"), Path(cache_dir, f"features-{key}.csv")
+
+
+def _digest(data: bytes) -> str:
+    """A 64-bit digest, 16 hex digits: zlib's crc32 and adler32 of the same
+    bytes side by side. It names cache entries, which needs no defence
+    against forgery, and ``hashlib`` would map OpenSSL into every run."""
+    return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
+
+
+@functools.cache
+def _package_crcs() -> dict[str, int]:
+    """The crc32 of each file of this package, the bundled language table
+    included, by relative path; ``__pycache__`` is left out. Any edit to the
+    code therefore changes every cache key, and an installed copy of the
+    same files gives the same key. Read once per process, so a run writes
+    its entry under the key it looked up, whatever is edited meanwhile."""
+    return {
+        path.relative_to(_PACKAGE).as_posix(): zlib.crc32(path.read_bytes())
+        for path in _PACKAGE.rglob("*")
+        if path.is_file() and "__pycache__" not in path.relative_to(_PACKAGE).parts
+    }

@@ -62,7 +62,9 @@ def load_language_config(path: str | Path | None = None) -> LanguageConfig:
     The JSON maps language name to an object with keys ``extensions``,
     ``conditional_keywords``, ``count_ternary``, ``line_comments``, and
     ``string_quotes``; the first two are required. Raises InvalidLanguageConfig
-    when the file is unreadable or not UTF-8 JSON of that shape.
+    when the file is unreadable or not UTF-8 JSON of that shape: the four
+    lists must hold non-empty strings, each extension starting with ".", and
+    ``count_ternary`` must be a JSON boolean.
     """
     if path is None:
         raw = resources.files("fileexperts").joinpath("data/languages.json").read_bytes()
@@ -74,14 +76,7 @@ def load_language_config(path: str | Path | None = None) -> LanguageConfig:
             raise InvalidLanguageConfig(message) from None
     try:
         languages = {
-            name: LanguageSpec(
-                name=name,
-                extensions=tuple(entry["extensions"]),
-                conditional_keywords=tuple(entry["conditional_keywords"]),
-                count_ternary=bool(entry.get("count_ternary", False)),
-                line_comments=tuple(entry.get("line_comments", ())),
-                string_quotes=tuple(entry.get("string_quotes", ('"', "'"))),
-            )
+            name: _language_spec(name, entry)
             for name, entry in json.loads(raw.decode("utf-8")).items()
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -90,6 +85,35 @@ def load_language_config(path: str | Path | None = None) -> LanguageConfig:
             f"language table {path or 'bundled'} is malformed: {reason}"
         ) from exc
     return LanguageConfig(languages=languages)
+
+
+def _language_spec(name: str, entry: dict) -> LanguageSpec:
+    """One language's entry; a value of the wrong JSON type is a ValueError
+    naming the language and the key, never coerced."""
+
+    def strings(key: str, value: object) -> tuple[str, ...]:
+        if not isinstance(value, list) or not all(isinstance(v, str) and v for v in value):
+            raise ValueError(f"language {name!r} key {key!r} is not a list of non-empty strings")
+        return tuple(value)
+
+    extensions = strings("extensions", entry["extensions"])
+    for extension in extensions:
+        if not extension.startswith("."):
+            raise ValueError(
+                f"language {name!r} key 'extensions' holds {extension!r}, which does not "
+                "start with '.'"
+            )
+    count_ternary = entry.get("count_ternary", False)
+    if not isinstance(count_ternary, bool):
+        raise ValueError(f"language {name!r} key 'count_ternary' is not true or false")
+    return LanguageSpec(
+        name=name,
+        extensions=extensions,
+        conditional_keywords=strings("conditional_keywords", entry["conditional_keywords"]),
+        count_ternary=count_ternary,
+        line_comments=strings("line_comments", entry.get("line_comments", [])),
+        string_quotes=strings("string_quotes", entry.get("string_quotes", ['"', "'"])),
+    )
 
 
 _DEFAULT: LanguageConfig | None = None

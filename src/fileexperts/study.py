@@ -48,10 +48,6 @@ class GroundTruthEntry:
                 "is outside 1..5"
             )
 
-    @property
-    def label(self) -> str:
-        return "expert" if self.knowledge >= EXPERT_KNOWLEDGE_FLOOR else "non_expert"
-
 
 @dataclass(frozen=True)
 class UnresolvedPair:

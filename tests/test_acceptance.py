@@ -23,7 +23,7 @@ from fileexperts.expertise import (
     doa,
     technique_scores,
 )
-from fileexperts.features import CSV_HEADER, compute_all, mine_history
+from fileexperts.features import CSV_HEADER, compute_all, feature_table, mine_history
 from fileexperts.fixtures import perf_repo, random_repo
 from fileexperts.gitlog import resolve_lineages
 from fileexperts.ml import (
@@ -266,10 +266,11 @@ def test_criterion_9_sample_invariants(fixture_pipelines):
         assert runs == 100
 
 
-def reference_reproduction(root: str, folds: int = 10):
+def reference_reproduction(root: str, folds: int = 10, cache_dir: str | None = None):
     """Mine a reference dataset (truth.csv + repos/<name>/) and recompute
     the headline numbers: each technique's best calibrated F-measure and
-    the variables ordered by their correlation with knowledge.
+    the variables ordered by their correlation with knowledge. Each
+    repository's feature table is cached under ``cache_dir``, if given.
 
     Per-repo tables are pooled with repo-qualified file paths so that
     (developer, file) pairs stay unique across the corpus.
@@ -284,11 +285,10 @@ def reference_reproduction(root: str, folds: int = 10):
     all_rows = []
     reference_time = None
     for name in sorted({e.repo for e in entries}):
-        history = mine_history(os.path.join(root, "repos", name), None)
-        table = compute_all(history)
+        table = feature_table(os.path.join(root, "repos", name), None, cache_dir=cache_dir)
         all_rows.extend(dc_replace(row, file=f"{name}:{row.file}") for row in table.rows)
-        if reference_time is None or history.reference_time > reference_time:
-            reference_time = history.reference_time
+        if reference_time is None or table.reference_time > reference_time:
+            reference_time = table.reference_time
     pooled = FeatureTable(rows=tuple(all_rows), reference_time=reference_time)
     qualified = [dc_replace(e, file=f"{e.repo}:{e.file}") for e in entries]
 
@@ -318,11 +318,13 @@ def test_criterion_10_reference_dataset_reproduction(tmp_path):
         assert variables_ascending[0] == "num_days"  # most negative
 
 
-def test_reference_reproduction_plumbing(tmp_path):
+def test_reference_reproduction_plumbing(tmp_path, monkeypatch):
     """Exercise the criterion-10 pipeline on a synthetic mini-dataset so the
-    code path stays verified even while the real data is unavailable."""
+    code path stays verified even while the real data is unavailable; a
+    second run on the same cache reads every table without mining."""
     import csv
 
+    import fileexperts.features as features
     from fileexperts.fixtures import RepoBuilder
 
     (tmp_path / "repos").mkdir()
@@ -357,11 +359,20 @@ def test_reference_reproduction_plumbing(tmp_path):
         for i, (repo_name, dev, path) in enumerate(pairs):
             writer.writerow([repo_name, dev, path, 5 if i % 2 == 0 else 2])
 
-    best_f, variables_ascending = reference_reproduction(str(tmp_path), folds=3)
+    cache = str(tmp_path / "cache")
+    reproduced = reference_reproduction(str(tmp_path), folds=3, cache_dir=cache)
+    best_f, variables_ascending = reproduced
     assert set(best_f) == {DOA, NUM_COMMITS, BLAME}
     assert all(0.0 <= value <= 1.0 for value in best_f.values())
     assert set(variables_ascending) <= set(CSV_HEADER[2:])
     assert len(variables_ascending) >= 6
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a cached repository was mined again")
+
+    monkeypatch.setattr(features, "mine_history", refuse)
+    monkeypatch.setattr(features, "compute_all", refuse)
+    assert reference_reproduction(str(tmp_path), folds=3, cache_dir=cache) == reproduced
 
 
 def test_criterion_11_performance(tmp_path):
@@ -372,5 +383,5 @@ def test_criterion_11_performance(tmp_path):
         table = compute_all(history)
         elapsed = time.monotonic() - started
         assert len(history.commits) == 1000
-        assert len(table.files()) == 200
+        assert len(sorted({row.file for row in table.rows})) == 200
         assert elapsed < 60.0, f"mining + features took {elapsed:.1f}s"

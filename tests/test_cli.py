@@ -804,7 +804,7 @@ def test_cache_key_follows_language_config_contents(cli_repo, tmp_path, capsys):
 def test_language_table_rewritten_while_mining_is_cached_as_read(
     cli_repo, tmp_path, capsys, monkeypatch
 ):
-    import fileexperts.cli as cli
+    import fileexperts.features as features
 
     config = tmp_path / "languages.json"
     raw = json.loads(resources.files("fileexperts").joinpath("data/languages.json").read_text())
@@ -814,17 +814,20 @@ def test_language_table_rewritten_while_mining_is_cached_as_read(
     argv = ["mine", "--repo", str(cli_repo), "--branch", "main", "--language-config", str(config)]
     assert main([*argv, "--no-cache"]) == 0
     uncached = capsys.readouterr().out
-    mine = cli.mine_history
+    mine = features.mine_history
+    rewrites = []
 
     def rewrite_then_mine(*args, **kwargs):
         config.write_text(json.dumps(raw))
+        rewrites.append(config)
         return mine(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "mine_history", rewrite_then_mine)
+    monkeypatch.setattr(features, "mine_history", rewrite_then_mine)
     cache = ["--cache-dir", str(tmp_path / "cache")]
     assert main([*argv, *cache]) == 0  # mines with the table it read first
+    assert rewrites == [config]
     assert capsys.readouterr().out == uncached
-    monkeypatch.setattr(cli, "mine_history", mine)
+    monkeypatch.setattr(features, "mine_history", mine)
     config.write_text(original)
     assert main([*argv, *cache]) == 0
     assert capsys.readouterr().out == uncached
@@ -837,7 +840,7 @@ class _Mined(Exception):
 def test_commit_landing_while_mining_is_cached_under_the_tip_mined(
     tmp_path, capsys, monkeypatch
 ):
-    import fileexperts.cli as cli
+    import fileexperts.features as features
 
     builder = RepoBuilder(tmp_path / "repo")
     builder.commit("Ana", "ana@x.com", 1_600_000_000, writes={"a.py": "if x:\n    y = 1\n"})
@@ -849,7 +852,7 @@ def test_commit_landing_while_mining_is_cached_under_the_tip_mined(
                               capture_output=True, text=True).stdout.strip()
 
     first, landed = git("rev-parse", "main"), git("rev-parse", "next")
-    mine = cli.mine_history
+    mine = features.mine_history
 
     def land_then_mine(*args, **kwargs):
         git("update-ref", "refs/heads/main", landed)
@@ -860,7 +863,7 @@ def test_commit_landing_while_mining_is_cached_under_the_tip_mined(
 
     cache = tmp_path / "cache"
     argv = ["mine", "--repo", str(repo), "--branch", "main", "--cache-dir", str(cache)]
-    monkeypatch.setattr(cli, "mine_history", land_then_mine)
+    monkeypatch.setattr(features, "mine_history", land_then_mine)
     assert main(argv) == 0  # looked up at the first commit, mined at the one that landed
     mined = capsys.readouterr().out
     assert "b.py" in mined
@@ -868,7 +871,7 @@ def test_commit_landing_while_mining_is_cached_under_the_tip_mined(
     meta = json.loads(history.read_text().split("\n", 1)[0])["meta"]
     assert meta["metadata"]["tip"] == landed
 
-    monkeypatch.setattr(cli, "mine_history", refuse)
+    monkeypatch.setattr(features, "mine_history", refuse)
     assert main(argv) == 0  # the entry is named for the tip it holds
     assert capsys.readouterr().out == mined
     git("update-ref", "refs/heads/main", first)
@@ -1092,9 +1095,17 @@ def test_history_out_does_not_depend_on_the_cache(cli_repo, tmp_path, capsys):
     assert written == [history_to_ndjson(mine_history(cli_repo, "main")).encode()] * 4
 
 
-def test_sample_fills_the_cache_that_warm_commands_read(cli_repo, tmp_path, capsys, monkeypatch):
-    import fileexperts.cli as cli
+def _refuse_mining(monkeypatch):
+    import fileexperts.features as features
 
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a warm run mined or computed the feature table")
+
+    monkeypatch.setattr(features, "mine_history", refuse)
+    monkeypatch.setattr(features, "compute_all", refuse)
+
+
+def test_sample_fills_the_cache_that_warm_commands_read(cli_repo, tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache"
     repo = ["--repo", str(cli_repo), "--branch", "main", "--cache-dir", str(cache)]
     sample = ["sample", "--limit", "3", "--seed", "7", *repo]
@@ -1104,15 +1115,46 @@ def test_sample_fills_the_cache_that_warm_commands_read(cli_repo, tmp_path, caps
     assert main(sample) == 0  # the first sample computes and caches the feature table
     assert capsys.readouterr().out == uncached
     assert len(list(cache.glob("features-*.csv"))) == 1
-
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("a warm command mined or computed the feature table")
-
-    monkeypatch.setattr(cli, "mine_history", refuse)
-    monkeypatch.setattr(cli, "compute_all", refuse)
+    _refuse_mining(monkeypatch)
     assert main(sample) == 0
     assert capsys.readouterr().out == uncached
     assert main(["rank", "--technique", "doa", "--file", "src/f0.py", *repo]) == 0
+
+
+def test_feature_table_without_a_cache_is_the_pipeline_and_writes_nothing(cli_repo, tmp_path):
+    expected = compute_all(mine_history(cli_repo, "main"))
+    assert fileexperts.feature_table(cli_repo, "main") == expected  # cold
+    assert fileexperts.feature_table(cli_repo, "main", cache_dir=None) == expected  # warm
+    assert list(tmp_path.iterdir()) == []  # the working directory
+
+
+def test_an_entry_the_library_fills_is_a_hit_for_the_cli(cli_repo, tmp_path, capsys,
+                                                          monkeypatch):
+    rank = ["rank", "--technique", "doa", "--file", "src/f0.py", "--repo", str(cli_repo),
+            "--branch", "main"]
+    assert main([*rank, "--no-cache"]) == 0
+    uncached = capsys.readouterr().out
+    cache = tmp_path / "cache"
+    fileexperts.feature_table(cli_repo, "main", cache_dir=cache)
+    assert len(list(cache.glob("features-*.csv"))) == 1
+    _refuse_mining(monkeypatch)
+    assert main([*rank, "--cache-dir", str(cache)]) == 0
+    assert capsys.readouterr().out == uncached
+    assert len(list(cache.glob("features-*.csv"))) == 1
+
+
+def test_an_entry_the_cli_fills_is_a_hit_for_the_library(cli_repo, tmp_path, capsys,
+                                                          monkeypatch):
+    expected = compute_all(mine_history(cli_repo, "main"))
+    cache = tmp_path / "cache"
+    assert main(["mine", "--repo", str(cli_repo), "--branch", "main",
+                 "--cache-dir", str(cache)]) == 0
+    mined = capsys.readouterr().out
+    _refuse_mining(monkeypatch)
+    table = fileexperts.feature_table(cli_repo, "main", cache_dir=cache)
+    assert table == expected
+    assert feature_table_to_csv(table) == mined
+    assert len(list(cache.glob("features-*.csv"))) == 1
 
 
 @pytest.mark.parametrize(
@@ -1130,6 +1172,39 @@ def test_malformed_language_config_is_an_error(cli_repo, tmp_path, capsys, text)
     error = json.loads(line)
     assert error["error"] == "errors.InvalidLanguageConfig"
     assert str(config) in error["message"]
+
+
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [
+        ("conditional_keywords", "if"),
+        ("conditional_keywords", ["if", 1]),
+        ("extensions", ".py"),
+        ("extensions", ["py"]),
+        ("line_comments", "#"),
+        ("string_quotes", ["", "'"]),
+        ("count_ternary", "false"),
+        ("count_ternary", 0),
+    ],
+    ids=["keywords-string", "keywords-number", "extensions-string", "extension-without-dot",
+         "comments-string", "empty-quote", "ternary-string", "ternary-number"],
+)
+def test_language_table_of_the_wrong_json_types_is_an_error(cli_repo, tmp_path, capsys, key,
+                                                             value):
+    """A string is not split into one-character markers and a string or a
+    number is not read as a boolean: each names the language and the key."""
+    raw = json.loads(resources.files("fileexperts").joinpath("data/languages.json").read_text())
+    raw["python"][key] = value
+    config = tmp_path / "languages.json"
+    config.write_text(json.dumps(raw))
+    code = main(["mine", "--repo", str(cli_repo), "--branch", "main", "--no-cache",
+                 "--language-config", str(config)])
+    assert code == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "errors.InvalidLanguageConfig"
+    assert error["message"].startswith(f"language table {config} is malformed: ")
+    assert f"language 'python' key '{key}'" in error["message"]
 
 
 def test_truth_csv_without_a_column_is_an_error(cli_repo, tmp_path, capsys):
@@ -1155,13 +1230,13 @@ def test_truth_csv_without_a_column_is_an_error(cli_repo, tmp_path, capsys):
     ids=lambda command: command[0],
 )
 def test_ground_truth_is_read_before_mining(cli_repo, tmp_path, capsys, monkeypatch, command):
-    import fileexperts.cli as cli
+    import fileexperts.features as features
 
     def mine(*args, **kwargs):
         raise AssertionError("the repository was read before the ground truth")
 
-    monkeypatch.setattr(cli, "branch_tip", mine)
-    monkeypatch.setattr(cli, "mine_history", mine)
+    monkeypatch.setattr(features, "branch_tip", mine)
+    monkeypatch.setattr(features, "mine_history", mine)
     truth = tmp_path / "empty.csv"
     truth.write_text("")
     cache = tmp_path / "cache"
@@ -1379,20 +1454,24 @@ def test_any_input_csv_exits_0_or_with_one_json_error(warm_demo, tmp_path, which
 
 def test_mine_history_out_mines_and_computes_once(cli_repo, tmp_path, capsys, monkeypatch):
     import fileexperts.cli as cli
+    import fileexperts.features as features
 
-    calls = {"mine_history": 0, "compute_all": 0}
-    for name in calls:
-        original = getattr(cli, name)
+    modules = {"cli": cli, "features": features}
+    calls = {"cli.mine_history": 0, "features.mine_history": 0, "features.compute_all": 0}
+    for qualified in calls:
+        module, name = qualified.split(".")
+        original = getattr(modules[module], name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
+        def counted(*args, _qualified=qualified, _original=original, **kwargs):
+            calls[_qualified] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(modules[module], name, counted)
     repo = ["--repo", str(cli_repo), "--branch", "main"]
     out = tmp_path / "history.ndjson"
     main(["mine", *repo, "--no-cache", "--history-out", str(out)])
-    assert calls == {"mine_history": 1, "compute_all": 1}
+    assert calls == {"cli.mine_history": 1, "features.mine_history": 0,
+                     "features.compute_all": 1}
     mined = capsys.readouterr().out
     assert len(mined.splitlines()) == 1 + 18
     assert len(out.read_text().splitlines()) == 1 + 18  # the meta line, then 18 commits
@@ -1400,10 +1479,11 @@ def test_mine_history_out_mines_and_computes_once(cli_repo, tmp_path, capsys, mo
     # on a warm cache the history written is still mined, the features are read
     cache = ["--cache-dir", str(tmp_path / "cache")]
     main(["mine", *repo, *cache])
-    calls.update(mine_history=0, compute_all=0)
+    calls.update(dict.fromkeys(calls, 0))
     warm = tmp_path / "warm.ndjson"
     main(["mine", *repo, *cache, "--history-out", str(warm)])
-    assert calls == {"mine_history": 1, "compute_all": 0}
+    assert calls == {"cli.mine_history": 1, "features.mine_history": 0,
+                     "features.compute_all": 0}
     assert warm.read_bytes() == out.read_bytes()
     assert capsys.readouterr().out == mined * 2
 
@@ -1498,8 +1578,8 @@ def test_rank_scores_each_file_as_the_whole_table_does(cli_repo, tmp_path, capsy
     table = read_feature_csv(mined)
     scores = expertise.technique_scores(table, technique)
     experts = expertise.classify(scores, 0.5)
-    assert len(table.files()) == 12
-    for file in table.files():
+    assert len(sorted({row.file for row in table.rows})) == 12
+    for file in sorted({row.file for row in table.rows}):
         assert main(["rank", "--technique", technique, "--file", file, "--k", "0.5", *repo]) == 0
         ranked = sorted((s for s in scores if s.file == file),
                         key=lambda s: (-s.normalized, s.developer))

@@ -106,7 +106,7 @@ def test_errors():
     have no row."""
     history = make_history([("d1@x.com", 0, [add("a.py", "x = 1\n")])])
     table = compute_all(history)
-    assert table.files() == ["a.py"]
+    assert sorted({row.file for row in table.rows}) == ["a.py"]
     assert set(table.pair_map()) == {("d1@x.com", "a.py")}
 
 
@@ -149,7 +149,7 @@ def test_single_file_lookups_agree_with_compute_all_on_random_repos(tmp_path):
         history = mine_history(random_repo(tmp_path / f"repo{seed}", seed=seed), "main")
         table = compute_all(history)
         assert table.rows, f"seed {seed} mined no rows"
-        for file in table.files():
+        for file in sorted({row.file for row in table.rows}):
             rows = [row for row in table.rows if row.file == file]
             blame = {row.developer.canonical_key: row.features.blame for row in rows}
             counts = Counter(blame_authors(history, file))

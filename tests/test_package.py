@@ -20,8 +20,9 @@ PUBLIC = [
     "ThresholdCurve", "calibrate", "canonicalize_history", "classify", "classify_changes",
     "compute_all", "correlation_matrix", "count_conditionals", "cross_validate",
     "detect_bulk_import", "developer_ids", "diffs", "doa", "errors", "expertise",
-    "extract_history", "feature_table_to_csv", "features", "fileio", "filter_source_files",
-    "generate_sample", "gitlog", "grid_search", "identities", "knowledge_correlations",
+    "extract_history", "feature_table", "feature_table_to_csv", "features", "fileio",
+    "filter_source_files", "generate_sample", "gitlog", "grid_search", "identities",
+    "knowledge_correlations",
     "languages", "levenshtein", "load_history", "mine_history", "ml", "process_answers",
     "quartile_filter", "read_feature_csv", "read_ground_truth_csv", "resolve_identities",
     "resolve_lineages", "save_history", "spearman", "spearman_permutation_p", "standardize",
@@ -40,7 +41,7 @@ def _fresh_python(code: str) -> str:
 
 
 def test_all_is_the_pinned_public_names():
-    assert len(PUBLIC) == 70
+    assert len(PUBLIC) == 71
     assert fileexperts.__all__ == PUBLIC
 
 

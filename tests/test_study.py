@@ -227,8 +227,21 @@ class TestGenerateSample:
 
 class TestGroundTruth:
     def test_label_boundary(self):
-        assert GroundTruthEntry("r", "d@x.com", "f.py", 4).label == "expert"
-        assert GroundTruthEntry("r", "d@x.com", "f.py", 3).label == "non_expert"
+        table = compute_all(
+            make_history(
+                [
+                    ("d1@x.com", 0, [add("a.py", "x = 1\n")]),
+                    ("d2@y.com", 1, [mod("a.py", "x = 1\n", "x = 2\n")]),
+                ]
+            )
+        )
+        entries = [
+            GroundTruthEntry("r", "d1@x.com", "a.py", 4),
+            GroundTruthEntry("r", "d2@y.com", "a.py", 3),
+        ]
+        oracle = process_answers(entries, table).oracle
+        assert oracle.declared_experts == {("d1@x.com", "a.py")}
+        assert oracle.declared_non_experts == {("d2@y.com", "a.py")}
 
     def test_out_of_range_knowledge(self):
         with pytest.raises(InvalidKnowledgeValue):
