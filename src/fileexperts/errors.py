@@ -55,8 +55,9 @@ class CorruptFeatureTable(FileExpertsError):
 
 
 class InvalidLanguageConfig(FileExpertsError):
-    """A language table cannot be read, is not JSON, lacks a required key or
-    holds a value of the wrong type."""
+    """A language table cannot be read, is not JSON, lacks a required key,
+    holds a value of the wrong type or lists one extension under two
+    languages."""
 
 
 # -- expertise scoring -------------------------------------------------------

@@ -14,13 +14,16 @@ lineage per file at the reference version, followed across renames.
 Only git plumbing commands are used (rev-parse, rev-list, diff-tree,
 ls-tree, cat-file). Extraction runs one process per command, so large
 histories do not pay per-commit process overhead, each through one runner,
-``_git``, which parses its output as it streams: rev-list line by line,
-diff-tree and ls-tree in blocks. No command's whole output is held at
-once, only the entries kept from it. ``extract_history(...,
-keep=source_predicate(...))`` keeps no diff-tree entry of a path the
-source filter drops, so no blob of it is ever read. What git writes to
-stderr while exiting 0 becomes a ``GitWarning``. A shallow repository,
-whose lineages are cut at its boundary, is refused (``ShallowRepository``).
+``_git``, which parses its output as it streams: rev-list's commit ids
+line by line, diff-tree and ls-tree in blocks. diff-tree heads each
+commit's changes with its author and time, in UTF-8 whatever the host's
+config, so each commit is built as soon as its changes end. No command's
+whole output is held at once, only the entries kept from it.
+``extract_history(..., keep=source_predicate(...))`` keeps no diff-tree
+entry of a path the source filter drops, so no blob of it is ever read.
+What git writes to stderr while exiting 0 becomes a ``GitWarning``. A
+shallow repository, whose lineages are cut at its boundary, is refused
+(``ShallowRepository``).
 
 File contents are read only where they are used, through a
 ``BlobReader``: an event's version is its inline text, or else its blob,
@@ -226,50 +229,42 @@ def _nul_fields(blocks: Iterable[bytes]) -> Iterator[bytes]:
         raise CorruptHistory("the output ends inside a record")
 
 
-def _read_rev_list(out: IO[bytes]) -> list[tuple[str, RawIdentity, int]]:
-    """Parse ``rev-list --format=%H%x01%an%x01%ae%x01%at`` line by line into
-    (sha, author, time) tuples. Commits with an empty e-mail get a per-name
-    sentinel, so each stays distinguishable; names and e-mails are interned,
-    one string per distinct value."""
-    commits = []
-    for line in out:
-        if line.startswith(b"commit ") or not line.strip():
-            continue
-        try:
-            sha, name, email, at = _text(line).rstrip("\n").split("\x01")
-            name = name.strip()
-            email = email.strip() or f"no-email:{name.lower()}"
-            commits.append((sha, RawIdentity(sys.intern(name), sys.intern(email)), int(at)))
-        except ValueError:
-            raise CorruptHistory(f"malformed rev-list line {line!r}") from None
-    return commits
-
-
-def _parse_diff_tree(
+def _read_commits(
     blocks: Iterable[bytes], keep: Callable[[str], bool] | None = None
-) -> dict[str, list[tuple[str, str, str, str | None, str]]]:
-    """Parse ``diff-tree --stdin -r -M --raw -z --format=%H`` output as its
-    blocks arrive.
+) -> Iterator[CommitRecord]:
+    """Parse ``diff-tree --stdin --always -r -M --raw -z
+    --format=%H%x01%an%x01%ae%x01%at`` output as its blocks arrive, handing
+    on each commit as soon as its entries end.
 
-    Returns sha -> list of (status, old_blob, new_blob, old_path, path),
-    holding only the entries whose path ``keep`` accepts and no deletion,
-    since a deletion ends a file's life and carries no expertise signal; a
-    commit left with none, like one with no changes, is absent. The stream
-    is a sequence of NUL-terminated fields: a bare commit sha, or an entry
-    header '\\n:oldmode newmode oldsha newsha status' followed by one path
-    field (two for renames). Paths and blob ids are interned, one string per
-    distinct value, so a blob that is one change's after-version and the
-    next one's before-version is one string.
+    The stream is a sequence of NUL-terminated fields: a commit header
+    'sha\\x01name\\x01email\\x01time', or an entry header
+    '\\n:oldmode newmode oldsha newsha status' followed by one path field
+    (two for renames). A commit holds only the entries whose path ``keep``
+    accepts and no deletion, since a deletion ends a file's life and carries
+    no expertise signal; a commit left with none is still handed on. An
+    author with an empty e-mail gets a per-name sentinel, so each stays
+    distinguishable. Paths, blob ids, names and e-mails are interned, one
+    string per distinct value, so a blob that is one change's after-version
+    and the next one's before-version is one string.
     """
-    per_commit: dict[str, list] = {}
     tokens = _nul_fields(blocks)
-    sha = None
+    header = None
     for token in tokens:
         token = token.lstrip(b"\n")
         if not token:
             continue
         if not token.startswith(b":"):
-            sha = _text(token)
+            if header is not None:
+                yield CommitRecord(*header, changes=tuple(changes))
+            try:
+                sha, name, email, at = _text(token).split("\x01")
+                name = name.strip()
+                email = email.strip() or f"no-email:{name.lower()}"
+                at = int(at)
+            except ValueError:
+                raise CorruptHistory(f"malformed diff-tree header {token!r}") from None
+            author = RawIdentity(sys.intern(name), sys.intern(email))
+            header, changes = (sha, author, datetime.fromtimestamp(at, tz=timezone.utc)), []
             continue
         try:
             old_mode, new_mode, old_sha, new_sha, status = _text(token[1:]).split(" ")
@@ -283,13 +278,24 @@ def _parse_diff_tree(
         path = sys.intern(_text(paths[-1]))
         if keep is not None and not keep(path):
             continue
-        if sha is None:
+        if header is None:
             raise CorruptHistory("diff entry before any commit header")
-        old_path = sys.intern(_text(paths[0])) if len(paths) == 2 else None
-        per_commit.setdefault(sha, []).append(
-            (status, sys.intern(old_sha), sys.intern(new_sha), old_path, path)
-        )
-    return per_commit
+        old_sha, new_sha = sys.intern(old_sha), sys.intern(new_sha)
+        # diff-tree -M reports no copies, even under diff.renames=copies:
+        # a copied file is an addition
+        if status == "A":
+            changes.append(FileChangeEvent(path, ADDITION, after_blob=new_sha))
+        elif status.startswith("R"):
+            changes.append(FileChangeEvent(
+                path, RENAME, old_path=sys.intern(_text(paths[0])), before_blob=old_sha,
+                after_blob=new_sha,
+            ))
+        elif status in ("M", "T"):
+            changes.append(
+                FileChangeEvent(path, MODIFICATION, before_blob=old_sha, after_blob=new_sha)
+            )
+    if header is not None:
+        yield CommitRecord(*header, changes=tuple(changes))
 
 
 def _read_blob(out: IO[bytes], sha: str) -> str:
@@ -498,8 +504,9 @@ def extract_history(
     when no such branch exists.
 
     Each change names its blobs and holds no content; the history's
-    ``repository`` is where a ``BlobReader`` reads them. A shallow
-    repository raises ``ShallowRepository``.
+    ``repository`` is where a ``BlobReader`` reads them. Authors are read
+    in UTF-8 whatever the host's git config. A shallow repository raises
+    ``ShallowRepository``.
 
     ``keep``, a path predicate such as ``source_predicate(...)``, drops
     every change whose path it rejects, so none of its blobs is ever read,
@@ -511,47 +518,34 @@ def extract_history(
     repo = Path(repo_path)
     branch_name, tip = branch_tip(repo, branch)
 
-    meta = _git(
+    shas = _git(
         repo,
-        ["rev-list", "--topo-order", "--reverse", "--no-merges",
-         "--format=%H%x01%an%x01%ae%x01%at", tip],
-        _read_rev_list,
+        ["rev-list", "--topo-order", "--reverse", "--no-merges", tip],
+        lambda out: [_text(line).rstrip("\n") for line in out],
     )
-    logger.info("extracted %d non-merge commits from %s@%s", len(meta), repo, branch_name)
+    logger.info("extracted %d non-merge commits from %s@%s", len(shas), repo, branch_name)
 
-    raw_changes = _git(
+    def read(out: IO[bytes]) -> tuple[list[CommitRecord], datetime]:
+        # the reference time is the newest of every non-merge commit, kept
+        # or not; git prints no time before the epoch, which is the floor
+        # when the tip itself is a merge, absent from shas
+        newest = datetime.fromtimestamp(0, timezone.utc)
+        commits, answered = [], 0
+        for answered, commit in enumerate(_read_commits(_blocks(out), keep), 1):
+            newest = max(newest, commit.timestamp)
+            if keep is None or commit.changes:
+                commits.append(commit)
+        if answered != len(shas):
+            raise CorruptHistory(f"it answered {answered} of {len(shas)} commits")
+        return commits, newest
+
+    commits, newest = _git(
         repo,
-        ["diff-tree", "--stdin", "--root", "-r", "-M", "--raw", "-z", "--format=%H"],
-        lambda out: _parse_diff_tree(_blocks(out), keep),
-        requests=(sha for sha, _author, _at in meta),
+        ["diff-tree", "--stdin", "--always", "--root", "-r", "-M", "--raw", "-z",
+         "--encoding=UTF-8", "--format=%H%x01%an%x01%ae%x01%at"],
+        read,
+        requests=shas,
     )
-
-    commits = []
-    for sha, author, at in meta:
-        changes = []
-        for status, old_sha, new_sha, old_path, path in raw_changes.pop(sha, ()):
-            # diff-tree -M reports no copies, even under diff.renames=copies:
-            # a copied file is an addition
-            if status == "A":
-                changes.append(FileChangeEvent(path, ADDITION, after_blob=new_sha))
-            elif status.startswith("R"):
-                changes.append(FileChangeEvent(
-                    path, RENAME, old_path=old_path, before_blob=old_sha, after_blob=new_sha
-                ))
-            elif status in ("M", "T"):
-                changes.append(
-                    FileChangeEvent(path, MODIFICATION, before_blob=old_sha, after_blob=new_sha)
-                )
-        if keep is not None and not changes:
-            continue
-        commits.append(
-            CommitRecord(
-                id=sha,
-                author=author,
-                timestamp=datetime.fromtimestamp(at, tz=timezone.utc),
-                changes=tuple(changes),
-            )
-        )
 
     paths = _git(
         repo,
@@ -560,15 +554,10 @@ def extract_history(
     )
     present = frozenset(filter(keep, paths) if keep is not None else paths)
 
-    # over every non-merge commit, kept or not; the tip itself may be a
-    # merge commit, absent from the list, and then counts as the epoch
-    stamps = {sha: at for sha, _author, at in meta}
-    newest = max([stamps.get(tip, 0), *stamps.values()])
-
     return CommitHistory(
         commits=tuple(commits),
         branch=branch_name,
-        reference_time=datetime.fromtimestamp(newest, tz=timezone.utc),
+        reference_time=newest,
         present_paths=present,
         metadata={"tip": tip, "rename_threshold": RENAME_THRESHOLD},
         repository=repo,

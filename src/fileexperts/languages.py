@@ -42,7 +42,12 @@ class LanguageConfig:
     def __post_init__(self):
         for lang in self.languages.values():
             for ext in lang.extensions:
-                self.by_extension[ext.lower()] = lang.name
+                owner = self.by_extension.setdefault(ext.lower(), lang.name)
+                if owner != lang.name:
+                    raise InvalidLanguageConfig(
+                        f"language {lang.name!r} lists extension {ext!r}, which language "
+                        f"{owner!r} already lists"
+                    )
 
     def language_of(self, path: str) -> str | None:
         """Language name for a repository path, or None if unconfigured."""
@@ -64,7 +69,8 @@ def load_language_config(path: str | Path | None = None) -> LanguageConfig:
     ``string_quotes``; the first two are required. Raises InvalidLanguageConfig
     when the file is unreadable or not UTF-8 JSON of that shape: the four
     lists must hold non-empty strings, each extension starting with ".", and
-    ``count_ternary`` must be a JSON boolean.
+    ``count_ternary`` must be a JSON boolean. No two languages may list the
+    same extension, compared case-insensitively.
     """
     if path is None:
         raw = resources.files("fileexperts").joinpath("data/languages.json").read_bytes()
@@ -75,27 +81,29 @@ def load_language_config(path: str | Path | None = None) -> LanguageConfig:
             message = f"cannot read language table {path}: {exc.strerror}"
             raise InvalidLanguageConfig(message) from None
     try:
-        languages = {
+        return LanguageConfig(languages={
             name: _language_spec(name, entry)
             for name, entry in json.loads(raw.decode("utf-8")).items()
-        }
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        })
+    except (AttributeError, InvalidLanguageConfig, TypeError, ValueError) as exc:
         raise InvalidLanguageConfig(
-            f"language table {path or 'bundled'} is malformed: {reason}"
+            f"language table {path or 'bundled'} is malformed: {exc}"
         ) from exc
-    return LanguageConfig(languages=languages)
 
 
 def _language_spec(name: str, entry: dict) -> LanguageSpec:
-    """One language's entry; a value of the wrong JSON type is a ValueError
-    naming the language and the key, never coerced."""
+    """One language's entry; a missing required key, or a value of the
+    wrong JSON type, is a ValueError naming the language and the key, never
+    coerced."""
 
     def strings(key: str, value: object) -> tuple[str, ...]:
         if not isinstance(value, list) or not all(isinstance(v, str) and v for v in value):
             raise ValueError(f"language {name!r} key {key!r} is not a list of non-empty strings")
         return tuple(value)
 
+    for key in ("extensions", "conditional_keywords"):
+        if key not in entry:
+            raise ValueError(f"language {name!r} is missing key {key!r}")
     extensions = strings("extensions", entry["extensions"])
     for extension in extensions:
         if not extension.startswith("."):

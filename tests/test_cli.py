@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import fileexperts
 from fileexperts.cli import main
-from fileexperts.errors import CorruptHistory, InvalidReferenceTime
+from fileexperts.errors import CorruptHistory, InvalidLanguageConfig, InvalidReferenceTime
 from fileexperts.features import (
     MiningInputs,
     compute_all,
@@ -32,6 +32,7 @@ from fileexperts.features import (
 from fileexperts.fixtures import RepoBuilder
 from fileexperts.gitlog import history_to_ndjson, load_history
 from fileexperts.kinds import KINDS
+from fileexperts.languages import LanguageConfig, LanguageSpec
 
 pytestmark = pytest.mark.usefixtures("monkeypatch_cwd")
 
@@ -1157,12 +1158,25 @@ def test_an_entry_the_cli_fills_is_a_hit_for_the_library(cli_repo, tmp_path, cap
     assert len(list(cache.glob("features-*.csv"))) == 1
 
 
+_DUPLICATE_EXTENSION = json.dumps({
+    "python": {"extensions": [".py"], "conditional_keywords": ["if"]},
+    "other": {"extensions": [".PY"], "conditional_keywords": []},
+})
+
+
 @pytest.mark.parametrize(
-    "text",
-    ['{"python": {}}', "not json"],
-    ids=["missing-key", "not-json"],
+    ("text", "reason"),
+    [
+        ('{"python": {}}', "language 'python' is missing key 'extensions'"),
+        ('{"java": {"extensions": [".java"]}}',
+         "language 'java' is missing key 'conditional_keywords'"),
+        (_DUPLICATE_EXTENSION,
+         "language 'other' lists extension '.PY', which language 'python' already lists"),
+        ("not json", "Expecting value"),
+    ],
+    ids=["missing-key", "missing-keywords", "duplicate-extension", "not-json"],
 )
-def test_malformed_language_config_is_an_error(cli_repo, tmp_path, capsys, text):
+def test_malformed_language_config_is_an_error(cli_repo, tmp_path, capsys, text, reason):
     config = tmp_path / "languages.json"
     config.write_text(text)
     code = main(["mine", "--repo", str(cli_repo), "--branch", "main", "--no-cache",
@@ -1171,7 +1185,16 @@ def test_malformed_language_config_is_an_error(cli_repo, tmp_path, capsys, text)
     (line,) = capsys.readouterr().err.splitlines()
     error = json.loads(line)
     assert error["error"] == "errors.InvalidLanguageConfig"
-    assert str(config) in error["message"]
+    assert error["message"].startswith(f"language table {config} is malformed: {reason}")
+
+
+def test_language_config_refuses_an_extension_two_languages_list():
+    python = LanguageSpec(name="python", extensions=(".py",), conditional_keywords=("if",),
+                          count_ternary=False, line_comments=("#",), string_quotes=('"',))
+    other = replace(python, name="other", extensions=(".txt", ".PY"), conditional_keywords=())
+    with pytest.raises(InvalidLanguageConfig, match=r"'other' .* '\.PY', .* 'python'"):
+        LanguageConfig({"python": python, "other": other})
+    assert LanguageConfig({"python": replace(python, extensions=(".py", ".PY"))})
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from oracles import naive_filter_source_files
 
 from fileexperts import gitlog
 from fileexperts.errors import BranchNotFound, CorruptHistory, RepositoryNotFound
-from fileexperts.features import mine_history
+from fileexperts.features import developer_ids, mine_history
 from fileexperts.fixtures import RepoBuilder, random_repo
 from fileexperts.gitlog import (
     BlobReader,
@@ -229,6 +229,46 @@ def test_extraction_holds_no_file_contents(tmp_path):
     _retained_by_extraction(short)  # imports and first-call caches, outside the measure
     retained = [_retained_by_extraction(repo) for repo in (short, long)]
     assert abs(retained[1] - retained[0]) < 64 * 1024, retained
+
+
+def test_authors_are_read_as_utf_8_whatever_the_log_output_encoding(tmp_path, monkeypatch):
+    """A commit recorded in ISO-8859-1 is mined with its author in UTF-8,
+    also when git config asks for log output in ISO-8859-1."""
+    repo = tmp_path / "repo"
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    ident = "Jos\xe9 Mar\xeda <jose@x.com> 1600000000 +0000".encode("latin-1")
+    stream = b"".join([
+        b"commit refs/heads/main\n",
+        b"author " + ident + b"\ncommitter " + ident + b"\n",
+        b"encoding ISO-8859-1\n",
+        b"data 4\nhola\n",
+        b"M 100644 inline a.py\ndata 6\nx = 1\n\n",
+    ])
+    subprocess.run(["git", "-C", str(repo), "fast-import", "--quiet"], input=stream, check=True)
+    author = RawIdentity("Jos\xe9 Mar\xeda", "jose@x.com")
+    assert [c.author for c in extract_history(repo, "main").commits] == [author]
+    monkeypatch.setenv("GIT_CONFIG_COUNT", "1")
+    monkeypatch.setenv("GIT_CONFIG_KEY_0", "i18n.logOutputEncoding")
+    monkeypatch.setenv("GIT_CONFIG_VALUE_0", "ISO-8859-1")
+    assert [c.author for c in extract_history(repo, "main").commits] == [author]
+
+
+def test_authors_with_no_e_mail_are_told_apart_by_name(tmp_path):
+    """An empty e-mail becomes a sentinel of the lower-cased name, so two
+    developers without one stay apart and one name in two cases is one."""
+    repo = RepoBuilder(tmp_path / "repo")
+    repo.commit("Ann One", "", 1_600_000_000, writes={"a.py": "x = 1\n"})
+    repo.commit("Bob Two", "", 1_600_100_000, writes={"a.py": "x = 2\n"})
+    repo.commit("ann one", "", 1_600_200_000, writes={"b.py": "y = 1\n"})
+    repo = repo.finish()
+    assert [c.author for c in extract_history(repo, "main").commits] == [
+        RawIdentity("Ann One", "no-email:ann one"),
+        RawIdentity("Bob Two", "no-email:bob two"),
+        RawIdentity("ann one", "no-email:ann one"),
+    ]
+    assert sorted(developer_ids(mine_history(repo, "main"))) == [
+        "no-email:ann one", "no-email:bob two",
+    ]
 
 
 def test_extraction_is_deterministic(tmp_path):
@@ -497,32 +537,49 @@ def test_unreadable_blob_raises_and_waits_for_cat_file(tmp_path, case):
 
 _NULL = "0" * 40
 _COMMITS = [digit * 40 for digit in "1234"]
-# `diff-tree --stdin --root -r -M --raw -z --format=%H` output for four
-# commits: the first adds a file, a gitlink and a non-UTF-8 path; the second
-# renames the file and edits README.md, which keep drops; the third touches
-# README.md and deletes the non-UTF-8 path; the fourth deletes the renamed
-# file and adds one whose path starts with a newline. Deletions make no entry.
+_AUTHORS = ["Ana Lima\x01ana@x.com", " Bo Reis \x01", "Ana Lima\x01ana@x.com", "Cy\x01cy@z.org"]
+# `diff-tree --stdin --always --root -r -M --raw -z
+# --format=%H%x01%an%x01%ae%x01%at` output for four commits, each header
+# followed by its entries as git prints them, the first after a newline:
+# the first commit adds a file, a gitlink and a non-UTF-8 path; the second,
+# by an author with no e-mail, renames the file and edits README.md, which
+# keep drops; the third touches README.md and deletes the non-UTF-8 path;
+# the fourth deletes the renamed file and adds one whose path starts with a
+# newline. Deletions make no change.
 _DIFF_TREE = "".join([
-    f"{_COMMITS[0]}\0",
+    f"{_COMMITS[0]}\x01{_AUTHORS[0]}\x011600000000\0",
     f"\n:000000 100644 {_NULL} {'a' * 40} A\0src/a.py\0",
-    f"\n:000000 160000 {_NULL} {'b' * 40} A\0src/sub.py\0",
-    f"\n:000000 100644 {_NULL} {'c' * 40} A\0caf\xe9.py\0",
-    f"{_COMMITS[1]}\0",
+    f":000000 160000 {_NULL} {'b' * 40} A\0src/sub.py\0",
+    f":000000 100644 {_NULL} {'c' * 40} A\0caf\xe9.py\0",
+    f"{_COMMITS[1]}\x01{_AUTHORS[1]}\x011600000100\0",
     f"\n:100644 100644 {'a' * 40} {'b' * 40} R087\0src/a.py\0src/b.py\0",
-    f"\n:100644 100644 {'c' * 40} {'a' * 40} M\0README.md\0",
-    f"{_COMMITS[2]}\0",
+    f":100644 100644 {'c' * 40} {'a' * 40} M\0README.md\0",
+    f"{_COMMITS[2]}\x01{_AUTHORS[2]}\x011600000200\0",
     f"\n:100644 100644 {'a' * 40} {'c' * 40} M\0README.md\0",
-    f"\n:100644 000000 {'c' * 40} {_NULL} D\0caf\xe9.py\0",
-    f"{_COMMITS[3]}\0",
+    f":100644 000000 {'c' * 40} {_NULL} D\0caf\xe9.py\0",
+    f"{_COMMITS[3]}\x01{_AUTHORS[3]}\x011600000300\0",
     f"\n:100644 000000 {'b' * 40} {_NULL} D\0src/b.py\0",
-    f"\n:000000 100644 {_NULL} {'a' * 40} A\0\nlib.py\0",
+    f":000000 100644 {_NULL} {'a' * 40} A\0\nlib.py\0",
 ]).encode("latin-1")  # so caf\xe9.py is the one path that is not UTF-8
-_DIFF_TREE_ENTRIES = {
-    _COMMITS[0]: [("A", _NULL, "a" * 40, None, "src/a.py"),
-                  ("A", _NULL, "c" * 40, None, "caf\ufffd.py")],
-    _COMMITS[1]: [("R087", "a" * 40, "b" * 40, "src/a.py", "src/b.py")],
-    _COMMITS[3]: [("A", _NULL, "a" * 40, None, "\nlib.py")],
-}
+_ANA = RawIdentity("Ana Lima", "ana@x.com")
+_DIFF_TREE_COMMITS = [
+    CommitRecord(_COMMITS[0], _ANA, datetime(2020, 9, 13, 12, 26, 40, tzinfo=timezone.utc), (
+        FileChangeEvent("src/a.py", "addition", after_blob="a" * 40),
+        FileChangeEvent("caf\ufffd.py", "addition", after_blob="c" * 40),
+    )),
+    CommitRecord(
+        _COMMITS[1], RawIdentity("Bo Reis", "no-email:bo reis"),
+        datetime(2020, 9, 13, 12, 28, 20, tzinfo=timezone.utc),
+        (FileChangeEvent("src/b.py", "rename", old_path="src/a.py", before_blob="a" * 40,
+                         after_blob="b" * 40),),
+    ),
+    CommitRecord(_COMMITS[2], _ANA, datetime(2020, 9, 13, 12, 30, tzinfo=timezone.utc), ()),
+    CommitRecord(
+        _COMMITS[3], RawIdentity("Cy", "cy@z.org"),
+        datetime(2020, 9, 13, 12, 31, 40, tzinfo=timezone.utc),
+        (FileChangeEvent("\nlib.py", "addition", after_blob="a" * 40),),
+    ),
+]
 
 
 def _is_python(path):
@@ -530,16 +587,21 @@ def _is_python(path):
 
 
 def test_streamed_diff_tree_parses_alike_in_blocks_of_every_size():
-    """Every split of the stream into blocks parses to the same entries:
-    the gitlink, the deletions, the README.md edits and the commit left
-    with none are dropped, and each distinct path is one string."""
+    """Every split of the stream into blocks parses to the same commits:
+    the gitlink, the deletions and the README.md edits are dropped, the
+    commit left with none is handed on with none, and each distinct path,
+    blob id, author name and e-mail is one string."""
     for size in range(1, len(_DIFF_TREE) + 1):
         blocks = [_DIFF_TREE[i:i + size] for i in range(0, len(_DIFF_TREE), size)]
-        assert gitlog._parse_diff_tree(blocks, _is_python) == _DIFF_TREE_ENTRIES, size
-    parsed = gitlog._parse_diff_tree([_DIFF_TREE], _is_python)
-    assert parsed[_COMMITS[0]][0][4] is parsed[_COMMITS[1]][0][3]  # both "src/a.py"
-    unfiltered = gitlog._parse_diff_tree([_DIFF_TREE])
-    assert [entry[4] for entry in unfiltered[_COMMITS[2]]] == ["README.md"]
+        assert list(gitlog._read_commits(blocks, _is_python)) == _DIFF_TREE_COMMITS, size
+    parsed = list(gitlog._read_commits([_DIFF_TREE], _is_python))
+    added, renamed = parsed[0].changes[0], parsed[1].changes[0]
+    assert added.path is renamed.old_path  # both "src/a.py"
+    assert added.after_blob is renamed.before_blob
+    assert parsed[0].author.name is parsed[2].author.name
+    assert parsed[0].author.email is parsed[2].author.email
+    unfiltered = list(gitlog._read_commits([_DIFF_TREE]))
+    assert [change.path for change in unfiltered[2].changes] == ["README.md"]
 
 
 @contextlib.contextmanager
@@ -574,22 +636,27 @@ def _fake_diff_tree(tmp_path, monkeypatch, stdout, code):
 
 
 @pytest.mark.parametrize(
-    "stdout, code",
+    "stdout, code, failure",
     [
-        (_DIFF_TREE[:10], 0),  # inside a commit sha
-        (_DIFF_TREE[:60], 0),  # inside an entry header
-        (_DIFF_TREE[:_DIFF_TREE.index(b"src/a.py")], 0),  # before the entry's path
-        (_DIFF_TREE[:_DIFF_TREE.index(b"src/b.py")], 0),  # between a rename's two paths
-        (_DIFF_TREE[:-3], 0),  # inside the last path
-        (_DIFF_TREE, 128),
+        (_DIFF_TREE[:10], 0, "the output ends inside a record"),
+        (_DIFF_TREE[:_DIFF_TREE.index(b"Ana Lima") + 3], 0, "the output ends inside a record"),
+        (_DIFF_TREE[:_DIFF_TREE.index(b":000000") + 10], 0, "the output ends inside a record"),
+        (_DIFF_TREE[:_DIFF_TREE.index(b"src/a.py")], 0, "the output ends inside a record"),
+        (_DIFF_TREE[:_DIFF_TREE.index(b"src/b.py")], 0, "the output ends inside a record"),
+        (_DIFF_TREE[:-3], 0, "the output ends inside a record"),
+        (_DIFF_TREE[:_DIFF_TREE.index(_COMMITS[2].encode())], 0, "it answered 2 of 3 commits"),
+        (_DIFF_TREE.replace(b"\x01ana@x.com", b"", 1), 0, "malformed diff-tree header"),
+        (_DIFF_TREE[:_DIFF_TREE.index(_COMMITS[3].encode())], 128, "exit status 128"),
     ],
-    ids=["in-commit-sha", "in-entry-header", "before-path", "between-rename-paths",
-         "in-last-path", "exit-128"],
+    ids=["in-commit-sha", "in-commit-header", "in-entry-header", "before-path",
+         "between-rename-paths", "in-last-path", "between-commits", "header-missing-field",
+         "exit-128"],
 )
-def test_cut_or_failed_diff_tree_raises_with_git_stderr(tmp_path, monkeypatch, stdout, code):
+def test_cut_or_failed_diff_tree_raises_with_git_stderr(tmp_path, monkeypatch, stdout, code,
+                                                        failure):
     repo = _linear_repo(tmp_path / "repo")
     with _fake_diff_tree(tmp_path, monkeypatch, stdout, code) as started, pytest.raises(
-        CorruptHistory, match="git diff-tree failed: .*fatal: simulated"
+        CorruptHistory, match=f"git diff-tree failed: {failure}.*; fatal: simulated"
     ):
         extract_history(repo, "main")
     assert started and all(proc.returncode is not None for proc in started)
