@@ -45,12 +45,14 @@ with tempfile.TemporaryDirectory() as scratch:
         print(f"  {key:26} {entry['display_name']:16} emails={entry['emails']}")
 
     table = compute_all(history)
+    # each row names its developer by canonical key; the table holds the
+    # record of each such developer once
     print(f"\nfeature table: {len(table.rows)} (developer, file) pairs")
-    print(f"{'developer':26} {'file':16} adds dels mods conds fa blame size num_days")
+    print(f"{'developer':16} {'file':16} adds dels mods conds fa blame size num_days")
     for row in table.rows:
         f = row.features
         print(
-            f"{row.developer.canonical_key:26} {row.file:16} "
+            f"{table.developers[row.developer].display_name:16} {row.file:16} "
             f"{f.adds:4} {f.dels:4} {f.mods:4} {f.conds:5} {f.fa:2} {f.blame:5} "
             f"{f.size:4} {f.num_days:8}"
         )

@@ -12,7 +12,6 @@ Run:  python demos/05_correlation_analysis.py
 import numpy as np
 
 from fileexperts.features import FeatureRow, FeatureTable, FeatureVector
-from fileexperts.identities import DeveloperId
 from fileexperts.stats import (
     correlation_matrix,
     knowledge_correlations,
@@ -42,9 +41,7 @@ for i in range(60):
         avg_days_commits=float(rng.uniform(0, 40)),
     )
     dev, file = f"dev{i}@example.com", f"src/mod_{i}.py"
-    rows.append(
-        FeatureRow(DeveloperId(dev, dev, frozenset([dev]), frozenset()), file, vector)
-    )
+    rows.append(FeatureRow(dev, file, vector))
     knowledge[(dev, file)] = k
 
 table = FeatureTable(rows=tuple(rows), reference_time=datetime(2021, 6, 1, tzinfo=timezone.utc))

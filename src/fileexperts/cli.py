@@ -33,6 +33,7 @@ from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 from . import expertise
+from .diffs import MOD_THRESHOLD
 from .errors import (
     FileExpertsError,
     FileExpertsWarning,
@@ -74,7 +75,7 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=".fileexperts-cache")
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--alias-threshold", type=float, default=DEFAULT_ALIAS_THRESHOLD)
-    parser.add_argument("--mod-threshold", type=float, default=0.40)
+    parser.add_argument("--mod-threshold", type=float, default=MOD_THRESHOLD)
     parser.add_argument("--reference-time", help="ISO timestamp overriding the branch tip time")
     parser.add_argument("--alias-map", help="CSV of manual email aliases: email_a,email_b")
     parser.add_argument("--language-config", help="JSON language table overriding the bundled one")
@@ -279,13 +280,13 @@ def _cmd_rank(args) -> int:
     if not scores:
         raise NoScores(f"no developers for {args.file!r}")
     experts = expertise.classify(scores, args.k) if args.k is not None else set()
-    developers = table.developers()
+    names = {key: dev.display_name for key, dev in table.developers.items()}
     header = ["rank", "developer", "display_name", "raw", "normalized"]
     if args.k is not None:
         header.append("expert")
     rows = []
     for i, s in enumerate(sorted(scores, key=lambda s: (-s.normalized, s.developer))):
-        row = [i + 1, s.developer, developers[s.developer].display_name, s.raw, s.normalized]
+        row = [i + 1, s.developer, names.get(s.developer, s.developer), s.raw, s.normalized]
         if args.k is not None:
             row.append((s.developer, s.file) in experts)
         rows.append(row)

@@ -116,7 +116,7 @@ def technique_scores(table: FeatureTable, technique: str) -> list[ExpertiseScore
             raw = float(row.features.blame)
         else:
             raw = float(row.features.num_commits)
-        by_file.setdefault(row.file, []).append((row.developer.canonical_key, raw))
+        by_file.setdefault(row.file, []).append((row.developer, raw))
 
     scores: list[ExpertiseScore] = []
     for file in sorted(by_file):

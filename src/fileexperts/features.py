@@ -37,6 +37,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Mapping
 
 from . import diffs, workers
 from .diffs import MOD_THRESHOLD, check_mod_threshold, classify_changes, split_lines
@@ -94,46 +95,39 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class FeatureRow:
-    developer: DeveloperId
+    developer: str  # the developer's canonical key
     file: str
     features: FeatureVector
 
 
 @dataclass(frozen=True)
 class FeatureTable:
+    """The rows, and the record of each developer they name, once by key;
+    a table of a raw history holds no record, only its rows' keys."""
+
     rows: tuple[FeatureRow, ...]
     reference_time: datetime
+    developers: Mapping[str, DeveloperId] = field(default_factory=dict)
 
     def pair_map(self) -> dict[tuple[str, str], FeatureVector]:
-        return {(row.developer.canonical_key, row.file): row.features for row in self.rows}
-
-    def developers(self) -> dict[str, DeveloperId]:
-        return {row.developer.canonical_key: row.developer for row in self.rows}
+        return {(row.developer, row.file): row.features for row in self.rows}
 
 
 def developer_ids(history: CommitHistory) -> dict[str, DeveloperId]:
-    """Developer objects per canonical key, from metadata when the history
-    was canonicalized, otherwise synthesized from the raw authors."""
+    """The developer record of each canonical key that a canonicalized
+    history's ``identities`` metadata holds; a raw history has none."""
     meta = history.metadata.get("identities") if history.metadata else None
-    ids: dict[str, DeveloperId] = {}
-    if isinstance(meta, dict):
-        for key, entry in meta.items():
-            ids[key] = DeveloperId(
-                canonical_key=key,
-                display_name=entry.get("display_name", key),
-                emails=frozenset(entry.get("emails", [key])),
-                names=frozenset(entry.get("names", [])),
-            )
-    for commit in history.commits:
-        key = commit.author.key()
-        if key not in ids:
-            ids[key] = DeveloperId(
-                canonical_key=key,
-                display_name=commit.author.name or key,
-                emails=frozenset([key]),
-                names=frozenset([commit.author.name] if commit.author.name else []),
-            )
-    return ids
+    return {
+        key: DeveloperId(key, entry.get("display_name", key),
+                         frozenset(entry.get("emails", [key])), frozenset(entry.get("names", [])))
+        for key, entry in (meta.items() if isinstance(meta, dict) else ())
+    }
+
+
+def _row_developers(developers: Mapping[str, DeveloperId], rows) -> dict[str, DeveloperId]:
+    """The records of the developers ``rows`` name, by key."""
+    named = {row.developer for row in rows}
+    return {key: dev for key, dev in developers.items() if key in named}
 
 
 def blame_from_events(events, lines_per_event, hunks_per_event) -> list[str]:
@@ -273,7 +267,6 @@ def compute_all(
     """
     check_mod_threshold(mod_threshold)
     config = config or default_language_config()
-    ids = developer_ids(history)
     lineages = resolve_lineages(history)
     paths = sorted(lineages, key=lambda path: (-len(lineages[path].events), path))
     # started by the first read in each process, so a forked worker reads
@@ -285,12 +278,13 @@ def compute_all(
                               blobs)
 
     rows = [
-        FeatureRow(developer=ids[key], file=path, features=vector)
+        FeatureRow(developer=key, file=path, features=vector)
         for path, vectors in zip(paths, workers.map(lineage_features, paths, jobs, blobs))
         for key, vector in vectors.items()
     ]
-    rows.sort(key=lambda row: (row.file, row.developer.canonical_key))
-    return FeatureTable(rows=tuple(rows), reference_time=history.reference_time)
+    rows.sort(key=lambda row: (row.file, row.developer))
+    return FeatureTable(rows=tuple(rows), reference_time=history.reference_time,
+                        developers=_row_developers(developer_ids(history), rows))
 
 
 # -- mining -------------------------------------------------------------------
@@ -340,7 +334,7 @@ def mine_history(
 def feature_table_to_csv(table: FeatureTable) -> str:
     return csv_text(
         CSV_HEADER,
-        ([row.developer.canonical_key, row.file, *row.features.as_tuple()] for row in table.rows),
+        ([row.developer, row.file, *row.features.as_tuple()] for row in table.rows),
     )
 
 
@@ -351,32 +345,26 @@ def write_feature_csv(table: FeatureTable, path: str | Path) -> None:
 def read_feature_csv(
     path: str | Path,
     reference_time: datetime | None = None,
-    developers: dict[str, DeveloperId] | None = None,
+    developers: Mapping[str, DeveloperId] | None = None,
 ) -> FeatureTable:
     """Load a feature CSV written by this library.
 
-    The CSV holds only canonical keys; each row's developer is taken from
+    The CSV holds only canonical keys; the table keeps the records of
     ``developers`` (as built by ``developer_ids`` from the history the table
-    was computed from), else it carries only its key. Raises
-    CorruptFeatureTable, naming the file and, for a row, its 1-based line,
-    when the file is not what ``write_feature_csv`` writes.
+    was computed from) that its rows name. Raises CorruptFeatureTable,
+    naming the file and, for a row, its 1-based line, when the file is not
+    what ``write_feature_csv`` writes.
     """
-    developers = developers or {}
 
     def row(key: str, file: str, *counts: str) -> FeatureRow:
         vector = FeatureVector(*map(int, counts[:-1]), avg_days_commits=float(counts[-1]))
-        developer = developers.get(key) or DeveloperId(
-            canonical_key=key,
-            display_name=key,
-            emails=frozenset([key]),
-            names=frozenset(),
-        )
-        return FeatureRow(developer=developer, file=file, features=vector)
+        return FeatureRow(developer=key, file=file, features=vector)
 
     rows = read_csv(path, "feature CSV", CorruptFeatureTable, CSV_HEADER, row)
     return FeatureTable(
         rows=tuple(rows),
         reference_time=reference_time or datetime.fromtimestamp(0, tz=timezone.utc),
+        developers=_row_developers(developers or {}, rows),
     )
 
 

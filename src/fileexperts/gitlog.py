@@ -73,6 +73,9 @@ RENAME = "rename"
 
 # git's default similarity threshold for --find-renames
 RENAME_THRESHOLD = 0.5
+# git's default cap on the files compared for inexact renames, passed as -l
+# so the host's diff.renameLimit cannot change what is mined
+RENAME_LIMIT = 1000
 
 _GITLINK_MODE = "160000"
 _BLOCK = 1 << 16  # the most bytes of git's stdout parsed at a time
@@ -233,19 +236,21 @@ def _read_commits(
     blocks: Iterable[bytes], keep: Callable[[str], bool] | None = None
 ) -> Iterator[CommitRecord]:
     """Parse ``diff-tree --stdin --always -r -M --raw -z
-    --format=%H%x01%an%x01%ae%x01%at`` output as its blocks arrive, handing
+    --format=%H%x00%an%x00%ae%x00%at`` output as its blocks arrive, handing
     on each commit as soon as its entries end.
 
-    The stream is a sequence of NUL-terminated fields: a commit header
-    'sha\\x01name\\x01email\\x01time', or an entry header
-    '\\n:oldmode newmode oldsha newsha status' followed by one path field
-    (two for renames). A commit holds only the entries whose path ``keep``
-    accepts and no deletion, since a deletion ends a file's life and carries
-    no expertise signal; a commit left with none is still handed on. An
-    author with an empty e-mail gets a per-name sentinel, so each stays
-    distinguishable. Paths, blob ids, names and e-mails are interned, one
-    string per distinct value, so a blob that is one change's after-version
-    and the next one's before-version is one string.
+    The stream is a sequence of NUL-terminated fields: a commit's sha
+    followed by its author's name, e-mail and time fields, any of which may
+    be empty, or an entry header '\\n:oldmode newmode oldsha newsha status'
+    followed by one path field (two for renames). A commit holds only the
+    entries whose path ``keep`` accepts and no deletion, since a deletion
+    ends a file's life and carries no expertise signal; a commit left with
+    none is still handed on. An author with an empty e-mail gets a per-name
+    sentinel, so each stays distinguishable, and an empty time, which git
+    prints for one before 1970, reads as the epoch. Paths, blob ids, names
+    and e-mails are interned, one string per distinct value, so a blob that
+    is one change's after-version and the next one's before-version is one
+    string.
     """
     tokens = _nul_fields(blocks)
     header = None
@@ -256,15 +261,17 @@ def _read_commits(
         if not token.startswith(b":"):
             if header is not None:
                 yield CommitRecord(*header, changes=tuple(changes))
+            fields = [next(tokens, None) for _ in range(3)]
+            if None in fields:
+                raise CorruptHistory("the output ends inside a record")
+            name, email, at = (_text(value).strip() for value in fields)
             try:
-                sha, name, email, at = _text(token).split("\x01")
-                name = name.strip()
-                email = email.strip() or f"no-email:{name.lower()}"
-                at = int(at)
+                at = int(at or 0)
             except ValueError:
-                raise CorruptHistory(f"malformed diff-tree header {token!r}") from None
+                raise CorruptHistory(f"malformed diff-tree header: time {at!r}") from None
+            email = email or f"no-email:{name.lower()}"
             author = RawIdentity(sys.intern(name), sys.intern(email))
-            header, changes = (sha, author, datetime.fromtimestamp(at, tz=timezone.utc)), []
+            header, changes = (_text(token), author, datetime.fromtimestamp(at, timezone.utc)), []
             continue
         try:
             old_mode, new_mode, old_sha, new_sha, status = _text(token[1:]).split(" ")
@@ -499,7 +506,8 @@ def extract_history(
     """Extract the non-merge history reachable from a branch tip.
 
     Commits come back in parent-before-child (topological) order with
-    renames detected at git's default 50% similarity. ``branch=None`` uses
+    renames detected at git's default 50% similarity and rename limit,
+    whatever the host's ``diff.renameLimit``. ``branch=None`` uses
     the repository's current HEAD; the default "master" falls back to HEAD
     when no such branch exists.
 
@@ -541,8 +549,8 @@ def extract_history(
 
     commits, newest = _git(
         repo,
-        ["diff-tree", "--stdin", "--always", "--root", "-r", "-M", "--raw", "-z",
-         "--encoding=UTF-8", "--format=%H%x01%an%x01%ae%x01%at"],
+        ["diff-tree", "--stdin", "--always", "--root", "-r", "-M", f"-l{RENAME_LIMIT}", "--raw",
+         "-z", "--encoding=UTF-8", "--format=%H%x00%an%x00%ae%x00%at"],
         read,
         requests=shas,
     )

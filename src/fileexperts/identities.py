@@ -66,10 +66,9 @@ class _UnionFind:
 def _names_similar(a: str, b: str, threshold: float) -> bool:
     if not a or not b:
         return False  # empty normalized names carry no signal
-    longer = max(len(a), len(b))
-    if abs(len(a) - len(b)) > threshold * longer:
-        return False  # edit distance is at least the length difference
-    budget = math.floor(threshold * longer)  # integer d <= x exactly when d <= floor(x)
+    # integer d <= x exactly when d <= floor(x); levenshtein answers past
+    # the budget at once when the lengths differ by more than it
+    budget = math.floor(threshold * max(len(a), len(b)))
     return levenshtein(a, b, budget) <= budget
 
 
@@ -152,7 +151,9 @@ def canonicalize_history(
     threshold: float = DEFAULT_ALIAS_THRESHOLD,
     manual_aliases: list[tuple[str, str]] | None = None,
 ) -> CommitHistory:
-    """Rewrite every commit author to its canonical identity.
+    """Rewrite every commit author to its canonical identity, one
+    ``RawIdentity`` (display name, canonical key) per developer, which all
+    of that developer's commits share.
 
     Commit order and change events are untouched. The mapping from
     canonical key to display name and member emails is recorded in the
@@ -161,14 +162,12 @@ def canonicalize_history(
     mapping = resolve_identities(
         [c.author for c in history.commits], threshold=threshold, manual_aliases=manual_aliases
     )
+    authors = {
+        dev.canonical_key: RawIdentity(dev.display_name, dev.canonical_key)
+        for dev in mapping.values()
+    }
     commits = tuple(
-        replace(
-            commit,
-            author=RawIdentity(
-                name=mapping[commit.author].display_name,
-                email=mapping[commit.author].canonical_key,
-            ),
-        )
+        replace(commit, author=authors[mapping[commit.author].canonical_key])
         for commit in history.commits
     )
     identity_meta = {

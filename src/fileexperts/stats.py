@@ -158,11 +158,11 @@ def _columns(
     last column, ``knowledge``."""
     rows = [
         row for row in table.rows
-        if knowledge is None or (row.developer.canonical_key, row.file) in knowledge
+        if knowledge is None or (row.developer, row.file) in knowledge
     ]
     columns = {name: [getattr(row.features, name) for row in rows] for name in FEATURE_NAMES}
     if knowledge is not None:
-        columns[KNOWLEDGE] = [knowledge[(row.developer.canonical_key, row.file)] for row in rows]
+        columns[KNOWLEDGE] = [knowledge[(row.developer, row.file)] for row in rows]
     return columns
 
 

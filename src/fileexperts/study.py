@@ -121,7 +121,7 @@ def generate_sample(
     check_file_limit(file_limit)
     developers_of: dict[str, set[str]] = {}
     for row in table.rows:
-        developers_of.setdefault(row.file, set()).add(row.developer.canonical_key)
+        developers_of.setdefault(row.file, set()).add(row.developer)
     files = sorted(developers_of)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(files))
@@ -178,11 +178,10 @@ def read_ground_truth_csv(
 
 
 def _email_resolver(table: FeatureTable) -> dict[str, str]:
-    email_to_key: dict[str, str] = {}
-    for dev in table.developers().values():
-        email_to_key[dev.canonical_key] = dev.canonical_key
-        for email in dev.emails:
-            email_to_key[email.lower()] = dev.canonical_key
+    """Each row developer's key, and each e-mail its record holds, to the key."""
+    email_to_key = {row.developer: row.developer for row in table.rows}
+    for key, dev in table.developers.items():
+        email_to_key.update((email.lower(), key) for email in dev.emails)
     return email_to_key
 
 

@@ -79,13 +79,12 @@ def test_criterion_2_normalization_worked_example():
         from datetime import datetime, timezone
 
         from fileexperts.features import FeatureRow, FeatureTable, FeatureVector
-        from fileexperts.identities import DeveloperId
 
         rows = []
         for dev, blame in (("d1", 10), ("d2", 15), ("d3", 20)):
             rows.append(
                 FeatureRow(
-                    developer=DeveloperId(dev, dev, frozenset([dev]), frozenset()),
+                    developer=dev,
                     file="f.py",
                     features=FeatureVector(
                         adds=blame, dels=0, mods=0, conds=0, amount=blame,
@@ -137,7 +136,7 @@ def test_criterion_4_feature_brute_force_equivalence(fixture_pipelines):
         for history, table in pipelines:
             expected = naive_feature_table(history)
             actual = {
-                (row.developer.canonical_key, row.file): dict(
+                (row.developer, row.file): dict(
                     zip(CSV_HEADER[2:], row.features.as_tuple())
                 )
                 for row in table.rows
@@ -283,13 +282,16 @@ def reference_reproduction(root: str, folds: int = 10, cache_dir: str | None = N
 
     entries = read_ground_truth_csv(os.path.join(root, "truth.csv"))
     all_rows = []
+    developers = {}
     reference_time = None
     for name in sorted({e.repo for e in entries}):
         table = feature_table(os.path.join(root, "repos", name), None, cache_dir=cache_dir)
         all_rows.extend(dc_replace(row, file=f"{name}:{row.file}") for row in table.rows)
+        developers.update(table.developers)
         if reference_time is None or table.reference_time > reference_time:
             reference_time = table.reference_time
-    pooled = FeatureTable(rows=tuple(all_rows), reference_time=reference_time)
+    pooled = FeatureTable(rows=tuple(all_rows), reference_time=reference_time,
+                          developers=developers)
     qualified = [dc_replace(e, file=f"{e.repo}:{e.file}") for e in entries]
 
     processed = process_answers(qualified, pooled)

@@ -30,7 +30,7 @@ from fileexperts.features import (
     read_feature_csv,
 )
 from fileexperts.fixtures import RepoBuilder
-from fileexperts.gitlog import history_to_ndjson, load_history
+from fileexperts.gitlog import RENAME_LIMIT, history_to_ndjson, load_history
 from fileexperts.kinds import KINDS
 from fileexperts.languages import LanguageConfig, LanguageSpec
 
@@ -736,30 +736,56 @@ def test_cache_key_covers_every_package_file(cli_repo, tmp_path, changed):
     assert len(list(cache.glob("features-*.csv"))) == 2
 
 
-def test_git_stderr_on_success_is_one_warning(tmp_path, capsys, monkeypatch):
-    """Under a rename limit of 1, git reports four renamed and edited files
-    as deletions plus additions and says so on stderr while exiting 0; the
-    run reports that text as one warning line."""
-    repo = RepoBuilder(tmp_path / "repo")
-    bodies = {f"f{i}.py": "".join(f"line_{i}_{n} = {n}\n" for n in range(20)) for i in range(4)}
+def _renamed_and_edited_repo(path, files):
+    """Ana adds ``files`` files; Bo renames each and appends a line, so no
+    rename is exact."""
+    repo = RepoBuilder(path)
+    bodies = {f"f{i}.py": "".join(f"line_{i}_{n} = {n}\n" for n in range(20))
+              for i in range(files)}
     repo.commit("Ana Lima", "ana@x.com", 1_600_000_000, writes=bodies)
     repo.commit("Bo Chen", "bo@y.com", 1_600_100_000, deletes=tuple(bodies),
                 writes={f"g{path}": body + "edited = 1\n" for path, body in bodies.items()})
-    repo = repo.finish()
-    mine = ["mine", "--repo", str(repo), "--branch", "main", "--no-cache"]
-    assert main(mine) == 0
-    renamed = capsys.readouterr()
-    assert renamed.err == ""
-    for name, value in [("COUNT", "1"), ("KEY_0", "diff.renameLimit"), ("VALUE_0", "1")]:
-        monkeypatch.setenv(f"GIT_CONFIG_{name}", value)
-    assert main(mine) == 0
+    return repo.finish()
+
+
+def test_git_stderr_on_success_is_one_warning(tmp_path, capsys):
+    """Past git's rename limit, which mining passes on the command line,
+    git reports the renamed and edited files as deletions plus additions
+    and says so on stderr while exiting 0; the run reports that text as one
+    warning line."""
+    repo = _renamed_and_edited_repo(tmp_path / "repo", RENAME_LIMIT + 1)
+    assert main(["mine", "--repo", str(repo), "--branch", "main", "--no-cache"]) == 0
     limited = capsys.readouterr()
-    assert limited.out != renamed.out  # Bo's files are additions now
+    rows = list(csv.DictReader(io.StringIO(limited.out)))
+    # Bo's files are additions, so Bo alone has rows for them, each the creator
+    assert {(row["developer"], row["fa"]) for row in rows if row["file"].startswith("g")} == {
+        ("bo@y.com", "1")
+    }
     (line,) = limited.err.splitlines()
     warning = json.loads(line)
     assert warning["category"] == "errors.GitWarning"
     assert warning["warning"].startswith("git diff-tree: ")
     assert "exhaustive rename detection was skipped due to too many files" in warning["warning"]
+
+
+def test_host_rename_limit_changes_nothing(tmp_path, capsys, monkeypatch):
+    """Mining passes git's own rename limit, so a host's diff.renameLimit of
+    1 finds the same four renames with no warning, and the entry it caches
+    is the one a run without that setting computes."""
+    repo = _renamed_and_edited_repo(tmp_path / "repo", 4)
+    mine = ["mine", "--repo", str(repo), "--branch", "main"]
+    assert main([*mine, "--no-cache"]) == 0
+    renamed = capsys.readouterr()
+    assert renamed.err == ""
+    assert "ana@x.com,gf0.py" in renamed.out  # Ana created the file Bo renamed
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    with monkeypatch.context() as host:
+        for name, value in [("COUNT", "1"), ("KEY_0", "diff.renameLimit"), ("VALUE_0", "1")]:
+            host.setenv(f"GIT_CONFIG_{name}", value)
+        assert main([*mine, *cache]) == 0
+        assert capsys.readouterr() == renamed
+    assert main([*mine, *cache]) == 0
+    assert capsys.readouterr() == renamed
 
 
 def test_correlate_warning_carries_repo(cli_repo, tmp_path, capsys):

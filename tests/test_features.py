@@ -16,6 +16,7 @@ from fileexperts.features import (
     CSV_HEADER,
     compute_all,
     developer_ids,
+    feature_table,
     mine_history,
     read_feature_csv,
     write_feature_csv,
@@ -82,7 +83,7 @@ def test_compute_all_row_universe():
         ]
     )
     table = compute_all(history)
-    pairs = [(r.developer.canonical_key, r.file) for r in table.rows]
+    pairs = [(r.developer, r.file) for r in table.rows]
     # d2 never touched b.py, so only 3 rows; order is file then developer
     assert pairs == [("d1@x.com", "a.py"), ("d2@x.com", "a.py"), ("d1@x.com", "b.py")]
 
@@ -134,7 +135,7 @@ def test_matches_naive_oracle_on_random_repos(tmp_path):
         table = compute_all(history)
         expected = naive_feature_table(history)
         actual = {
-            (row.developer.canonical_key, row.file): dict(
+            (row.developer, row.file): dict(
                 zip(CSV_HEADER[2:], row.features.as_tuple())
             )
             for row in table.rows
@@ -151,7 +152,7 @@ def test_single_file_lookups_agree_with_compute_all_on_random_repos(tmp_path):
         assert table.rows, f"seed {seed} mined no rows"
         for file in sorted({row.file for row in table.rows}):
             rows = [row for row in table.rows if row.file == file]
-            blame = {row.developer.canonical_key: row.features.blame for row in rows}
+            blame = {row.developer: row.features.blame for row in rows}
             counts = Counter(blame_authors(history, file))
             assert counts == {dev: n for dev, n in blame.items() if n}, f"seed {seed}, {file}"
 
@@ -171,6 +172,32 @@ def test_feature_csv_roundtrip(demo_history, tmp_path):
         head = history_from_ndjson(history_to_ndjson(history).split("\n", 1)[0])
         assert developer_ids(head) == ids
         assert head.reference_time == table.reference_time
+
+
+def test_table_holds_each_row_developer_s_record_once(tmp_path, monkeypatch):
+    """Ana commits under two e-mails, merged by name; Cy's only file is
+    deleted, so Cy has a record in the history but no row. The table holds
+    Ana's record alone, and a cache hit gives the same table, records
+    included."""
+    repo = RepoBuilder(tmp_path / "repo")
+    repo.commit("Ana Lima", "ana@x.com", 1_600_000_000, writes={"a.py": "x = 1\n"})
+    repo.commit("Cy", "cy@z.org", 1_600_100_000, writes={"c.py": "y = 1\n"})
+    repo.commit("Ana Lima", "lima@y.com", 1_600_200_000, writes={"a.py": "x = 2\n"},
+                deletes=("c.py",))
+    repo = repo.finish()
+    cold = feature_table(repo, "main", cache_dir=tmp_path / "cache")
+    assert sorted(developer_ids(mine_history(repo, "main"))) == ["ana@x.com", "cy@z.org"]
+    assert {row.developer for row in cold.rows} == set(cold.developers) == {"ana@x.com"}
+    assert cold.developers["ana@x.com"].emails == {"ana@x.com", "lima@y.com"}
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a cached table was computed again")
+
+    monkeypatch.setattr(fileexperts.features, "mine_history", refuse)
+    monkeypatch.setattr(fileexperts.features, "compute_all", refuse)
+    warm = feature_table(repo, "main", cache_dir=tmp_path / "cache")
+    assert warm == cold
+    assert warm.developers == cold.developers
 
 
 def _corrupt(lines, number, replacement):
@@ -259,7 +286,7 @@ def test_invariants_hold_for_arbitrary_event_streams(commit_spec):
         assert sum(v.fa for v in vectors) == 1, file
         assert sum(v.blame for v in vectors) == vectors[0].size, file
     actual = {
-        (row.developer.canonical_key, row.file): dict(zip(CSV_HEADER[2:], row.features.as_tuple()))
+        (row.developer, row.file): dict(zip(CSV_HEADER[2:], row.features.as_tuple()))
         for row in table.rows
     }
     assert actual == naive_feature_table(history)
@@ -348,13 +375,13 @@ def test_cross_extension_rename_starts_lineage_at_rename(tmp_path):
     kinds = [e.change_kind for c in history.commits for e in c.changes]
     assert kinds == ["rename", "modification"]
     table = compute_all(history)
-    rows = {r.developer.canonical_key: r.features for r in table.rows}
+    rows = {r.developer: r.features for r in table.rows}
     assert rows["bo@y.com"].fa == 1
     assert rows["cy@z.com"].fa == 0
     assert rows["bo@y.com"].blame + rows["cy@z.com"].blame == rows["bo@y.com"].size == 3
     expected = naive_feature_table(history)
     for row in table.rows:
-        pair = (row.developer.canonical_key, row.file)
+        pair = (row.developer, row.file)
         assert dict(zip(CSV_HEADER[2:], row.features.as_tuple())) == expected[pair]
 
 
@@ -373,7 +400,7 @@ def test_long_line_edit_and_rewrite(tmp_path):
         repo.commit(name, f"{name}@x.com", 1_600_000_000 + day * 86400, writes={"data.py": text})
     table = compute_all(extract_history(repo.finish(), "main"))
 
-    rows = {r.developer.canonical_key: r.features.as_tuple() for r in table.rows}
+    rows = {r.developer: r.features.as_tuple() for r in table.rows}
     # adds, dels, mods, conds, amount, fa, blame, num_commits, num_days,
     # num_mod_devs, size, avg_days_commits
     assert rows == {
@@ -436,5 +463,5 @@ def test_fa_follows_rename_lineage():
         ]
     )
     table = compute_all(history)
-    fa = {r.developer.canonical_key: r.features.fa for r in table.rows if r.file == "new.py"}
+    fa = {r.developer: r.features.fa for r in table.rows if r.file == "new.py"}
     assert fa == {"creator@x.com": 1, "renamer@y.com": 0, "editor@z.com": 0}

@@ -271,6 +271,26 @@ def test_authors_with_no_e_mail_are_told_apart_by_name(tmp_path):
     ]
 
 
+def test_author_fields_may_hold_any_byte_but_nul(tmp_path):
+    """The author's name, e-mail and time are NUL-separated fields, so a
+    name holding \\x01 is mined as it is written."""
+    repo = RepoBuilder(tmp_path / "repo")
+    repo.commit("An\x01na", "a@x.com", 1_600_000_000, writes={"a.py": "x = 1\n"})
+    (commit,) = extract_history(repo.finish(), "main").commits
+    assert commit.author == RawIdentity("An\x01na", "a@x.com")
+
+
+def test_a_commit_before_1970_reads_as_the_epoch(tmp_path):
+    """git prints an empty author time for a commit dated before 1970, which
+    reads as the epoch, the floor of the reference time."""
+    repo = RepoBuilder(tmp_path / "repo")
+    repo.commit("Ana", "a@x.com", -100, writes={"a.py": "x = 1\n"})
+    history = extract_history(repo.finish(), "main")
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    assert [c.timestamp for c in history.commits] == [epoch]
+    assert history.reference_time == epoch
+
+
 def test_extraction_is_deterministic(tmp_path):
     repo = _linear_repo(tmp_path / "repo")
     assert extract_history(repo, "main") == extract_history(repo, "main")
@@ -537,9 +557,9 @@ def test_unreadable_blob_raises_and_waits_for_cat_file(tmp_path, case):
 
 _NULL = "0" * 40
 _COMMITS = [digit * 40 for digit in "1234"]
-_AUTHORS = ["Ana Lima\x01ana@x.com", " Bo Reis \x01", "Ana Lima\x01ana@x.com", "Cy\x01cy@z.org"]
+_AUTHORS = ["Ana Lima\0ana@x.com", " Bo Reis \0", "Ana Lima\0ana@x.com", "Cy\0cy@z.org"]
 # `diff-tree --stdin --always --root -r -M --raw -z
-# --format=%H%x01%an%x01%ae%x01%at` output for four commits, each header
+# --format=%H%x00%an%x00%ae%x00%at` output for four commits, each header
 # followed by its entries as git prints them, the first after a newline:
 # the first commit adds a file, a gitlink and a non-UTF-8 path; the second,
 # by an author with no e-mail, renames the file and edits README.md, which
@@ -547,17 +567,17 @@ _AUTHORS = ["Ana Lima\x01ana@x.com", " Bo Reis \x01", "Ana Lima\x01ana@x.com", "
 # the fourth deletes the renamed file and adds one whose path starts with a
 # newline. Deletions make no change.
 _DIFF_TREE = "".join([
-    f"{_COMMITS[0]}\x01{_AUTHORS[0]}\x011600000000\0",
+    f"{_COMMITS[0]}\x00{_AUTHORS[0]}\x001600000000\0",
     f"\n:000000 100644 {_NULL} {'a' * 40} A\0src/a.py\0",
     f":000000 160000 {_NULL} {'b' * 40} A\0src/sub.py\0",
     f":000000 100644 {_NULL} {'c' * 40} A\0caf\xe9.py\0",
-    f"{_COMMITS[1]}\x01{_AUTHORS[1]}\x011600000100\0",
+    f"{_COMMITS[1]}\x00{_AUTHORS[1]}\x001600000100\0",
     f"\n:100644 100644 {'a' * 40} {'b' * 40} R087\0src/a.py\0src/b.py\0",
     f":100644 100644 {'c' * 40} {'a' * 40} M\0README.md\0",
-    f"{_COMMITS[2]}\x01{_AUTHORS[2]}\x011600000200\0",
+    f"{_COMMITS[2]}\x00{_AUTHORS[2]}\x001600000200\0",
     f"\n:100644 100644 {'a' * 40} {'c' * 40} M\0README.md\0",
     f":100644 000000 {'c' * 40} {_NULL} D\0caf\xe9.py\0",
-    f"{_COMMITS[3]}\x01{_AUTHORS[3]}\x011600000300\0",
+    f"{_COMMITS[3]}\x00{_AUTHORS[3]}\x001600000300\0",
     f"\n:100644 000000 {'b' * 40} {_NULL} D\0src/b.py\0",
     f":000000 100644 {_NULL} {'a' * 40} A\0\nlib.py\0",
 ]).encode("latin-1")  # so caf\xe9.py is the one path that is not UTF-8
@@ -645,7 +665,7 @@ def _fake_diff_tree(tmp_path, monkeypatch, stdout, code):
         (_DIFF_TREE[:_DIFF_TREE.index(b"src/b.py")], 0, "the output ends inside a record"),
         (_DIFF_TREE[:-3], 0, "the output ends inside a record"),
         (_DIFF_TREE[:_DIFF_TREE.index(_COMMITS[2].encode())], 0, "it answered 2 of 3 commits"),
-        (_DIFF_TREE.replace(b"\x01ana@x.com", b"", 1), 0, "malformed diff-tree header"),
+        (_DIFF_TREE.replace(b"\0ana@x.com", b"", 1), 0, "malformed diff-tree header"),
         (_DIFF_TREE[:_DIFF_TREE.index(_COMMITS[3].encode())], 128, "exit status 128"),
     ],
     ids=["in-commit-sha", "in-commit-header", "in-entry-header", "before-path",

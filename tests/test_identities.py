@@ -184,6 +184,21 @@ class TestCanonicalizeHistory:
         assert authors == {"ana@x.com", "bo@y.com"}
         assert [c.changes for c in canonical.commits] == [c.changes for c in history.commits]
 
+    def test_one_developer_s_commits_share_one_author(self):
+        history = make_history(
+            [
+                ("ana@x.com", 0, [add("a.py", "x = 1\n")]),
+                ("ANA@x.com", 1, [mod("a.py", "x = 1\n", "x = 2\n")]),
+                ("bo@y.com", 2, [add("b.py", "y = 1\n")]),
+                ("ana@x.com", 3, [mod("a.py", "x = 2\n", "x = 3\n")]),
+                ("bo@y.com", 4, [mod("b.py", "y = 1\n", "y = 2\n")]),
+            ]
+        )
+        ana, ana_upper, bo, ana_again, bo_again = canonicalize_history(history).commits
+        assert ana.author is ana_upper.author is ana_again.author
+        assert bo.author is bo_again.author
+        assert ana.author != bo.author
+
     def test_no_aliases_is_fixed_point(self):
         history = make_history(
             [

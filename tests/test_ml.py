@@ -317,7 +317,7 @@ def survey_dataset(path, seed: int = 0, count: int = 400) -> MLDataset:
     for row in rng.sample(compute_all(history).rows, count):
         share = row.features.blame / max(1, row.features.size)
         knowledge = min(5, max(1, round(1 + 4 * share + rng.gauss(0.0, 1.0))))
-        labeled[(row.developer.canonical_key, row.file)] = (
+        labeled[(row.developer, row.file)] = (
             [getattr(row.features, name) for name in ML_FEATURE_NAMES],
             knowledge >= EXPERT_KNOWLEDGE_FLOOR,
         )

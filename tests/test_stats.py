@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import fileexperts
 from fileexperts.errors import ConstantInput, LengthMismatch, TooFewSamples
 from fileexperts.features import FeatureRow, FeatureTable, FeatureVector
-from fileexperts.identities import DeveloperId
 from fileexperts.stats import (
     average_ranks,
     correlation_matrix,
@@ -191,7 +190,7 @@ def _table(rows_spec):
         fields.update(overrides)
         rows.append(
             FeatureRow(
-                developer=DeveloperId(dev, dev, frozenset([dev]), frozenset()),
+                developer=dev,
                 file=file,
                 features=FeatureVector(**fields),
             )
@@ -253,7 +252,7 @@ class TestCorrelationMatrix:
     def test_knowledge_column_joins(self):
         table = self._synthetic()
         knowledge = {
-            (row.developer.canonical_key, row.file): (i % 5) + 1
+            (row.developer, row.file): (i % 5) + 1
             for i, row in enumerate(table.rows)
         }
         matrix = correlation_matrix(table, knowledge)
@@ -316,7 +315,7 @@ def test_knowledge_correlations_permutation_p_equals_loop_oracle():
     results, errors = knowledge_correlations(table, knowledge, permutation_p=True, seed=4)
     assert errors == plain_errors and "amount" in errors
     assert [(r.variable, r.rho, r.n) for r in results] == [(r.variable, r.rho, r.n) for r in plain]
-    know = [knowledge[(row.developer.canonical_key, row.file)] for row in table.rows]
+    know = [knowledge[(row.developer, row.file)] for row in table.rows]
     for result in results:
         values = [getattr(row.features, result.variable) for row in table.rows]
         assert result.p_value == permutation_p_loop(values, know, seed=4)

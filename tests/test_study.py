@@ -243,6 +243,26 @@ class TestGroundTruth:
         assert oracle.declared_experts == {("d1@x.com", "a.py")}
         assert oracle.declared_non_experts == {("d2@y.com", "a.py")}
 
+    def test_a_raw_history_table_resolves_its_keys(self):
+        """A history that was not canonicalized records no developer, so its
+        table holds none; each row's key still resolves, in any case."""
+        table = compute_all(
+            make_history(
+                [
+                    ("d1@x.com", 0, [add("a.py", "x = 1\n")]),
+                    ("d2@y.com", 1, [mod("a.py", "x = 1\n", "x = 2\n")]),
+                ]
+            )
+        )
+        assert table.developers == {}
+        entries = [
+            GroundTruthEntry("r", " D1@X.com", "a.py", 5),
+            GroundTruthEntry("r", "d2@y.com", "a.py", 2),
+        ]
+        processed = process_answers(entries, table)
+        assert processed.knowledge == {("d1@x.com", "a.py"): 5, ("d2@y.com", "a.py"): 2}
+        assert processed.unresolved == ()
+
     def test_out_of_range_knowledge(self):
         with pytest.raises(InvalidKnowledgeValue):
             GroundTruthEntry("r", "d@x.com", "f.py", 6)
