@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 import warnings
@@ -446,7 +445,6 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "correlate" and args.seed is not None and not args.exact_p:

@@ -190,7 +190,7 @@ def calibrate(
     for k in THRESHOLD_GRID:
         _per_fold, means = fold_prf(_is_expert(normalized, k), actual, fold_indices)
         points.append(ThresholdPoint(k, *means))
-    best = max(points, key=lambda p: (p.f_measure, -p.k))
+    best = max(points, key=lambda p: p.f_measure)  # the first, so the smallest k
     return ThresholdCurve(technique=technique, points=tuple(points), best_k=best.k)
 
 

@@ -34,7 +34,7 @@ import functools
 import json
 import zlib
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping
@@ -51,27 +51,6 @@ from .identities import (
     DEFAULT_ALIAS_THRESHOLD, DeveloperId, canonicalize_history, check_alias_threshold,
 )
 from .languages import DEFAULT_VENDOR_GLOBS, LanguageConfig, default_language_config
-
-FEATURE_NAMES = (
-    "adds",
-    "dels",
-    "mods",
-    "conds",
-    "amount",
-    "fa",
-    "blame",
-    "num_commits",
-    "num_days",
-    "num_mod_devs",
-    "size",
-    "avg_days_commits",
-)
-
-CSV_HEADER = ("developer", "file") + FEATURE_NAMES
-
-_SECONDS_PER_DAY = 86400.0
-_FEATURE_ROWS = "feature_rows"
-_PACKAGE = Path(__file__).parent
 
 
 @dataclass(frozen=True)
@@ -91,6 +70,15 @@ class FeatureVector:
 
     def as_tuple(self) -> tuple:
         return tuple(getattr(self, name) for name in FEATURE_NAMES)
+
+
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
+
+CSV_HEADER = ("developer", "file") + FEATURE_NAMES
+
+_SECONDS_PER_DAY = 86400.0
+_FEATURE_ROWS = "feature_rows"
+_PACKAGE = Path(__file__).parent
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ from __future__ import annotations
 import fnmatch
 import functools
 import json
-import logging
 import os
 import select
 import subprocess
@@ -64,8 +63,6 @@ from .errors import (
 )
 from .fileio import atomic_write_text, decode_utf8
 from .languages import DEFAULT_VENDOR_GLOBS, LanguageConfig, default_language_config
-
-logger = logging.getLogger(__name__)
 
 ADDITION = "addition"
 MODIFICATION = "modification"
@@ -178,6 +175,13 @@ def _git_failure(command: str, failure: object, message: str) -> CorruptHistory:
     return CorruptHistory(f"{error}; {message}" if message else error)
 
 
+def _git_command(repo: Path, *args: str) -> list[str]:
+    """The command line of ``git args`` run in ``repo``. Replace refs
+    (``git replace``) are ignored, so they cannot change what is mined;
+    ``.git/info/grafts`` still applies."""
+    return ["git", "--no-replace-objects", "-C", str(repo), *args]
+
+
 def _git(
     repo: Path,
     args: Sequence[str],
@@ -201,7 +205,7 @@ def _git(
         # leaving the block closes stdout, which stops a git still writing,
         # and waits for it
         with subprocess.Popen(
-            ["git", "-C", str(repo), *args], stdin=stdin, stdout=subprocess.PIPE, stderr=stderr
+            _git_command(repo, *args), stdin=stdin, stdout=subprocess.PIPE, stderr=stderr
         ) as proc:
             try:
                 result = read(proc.stdout)
@@ -403,7 +407,7 @@ class BlobReader:
             self._reported = 0
             try:
                 self._proc = subprocess.Popen(
-                    ["git", "-C", str(self.repository), "cat-file", "--batch"],
+                    _git_command(self.repository, "cat-file", "--batch"),
                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=self._stderr,
                 )
             except BaseException:
@@ -456,7 +460,7 @@ def _rev_parse(repo: Path, *args: str) -> list[str] | None:
     resolves, so one call also tells a repository from anything else, and
     refuses a shallow one."""
     proc = subprocess.run(
-        ["git", "-C", str(repo), "rev-parse", "--git-dir", "--is-shallow-repository", *args],
+        _git_command(repo, "rev-parse", "--git-dir", "--is-shallow-repository", *args),
         capture_output=True,
     )
     lines = proc.stdout.decode().splitlines()
@@ -531,7 +535,6 @@ def extract_history(
         ["rev-list", "--topo-order", "--reverse", "--no-merges", tip],
         lambda out: [_text(line).rstrip("\n") for line in out],
     )
-    logger.info("extracted %d non-merge commits from %s@%s", len(shas), repo, branch_name)
 
     def read(out: IO[bytes]) -> tuple[list[CommitRecord], datetime]:
         # the reference time is the newest of every non-merge commit, kept

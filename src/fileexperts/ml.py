@@ -492,8 +492,4 @@ def grid_search(
     reports = workers.map(
         lambda spec: cross_validate(spec, dataset, folds=folds, seed=seed), specs, jobs
     )
-    best: tuple[ClassifierSpec, CVReport] | None = None
-    for spec, report in zip(specs, reports):
-        if best is None or report.mean_f > best[1].mean_f:
-            best = (spec, report)
-    return best
+    return max(zip(specs, reports), key=lambda pair: pair[1].mean_f)

@@ -7,15 +7,16 @@ caller's output does not depend on ``jobs``. ``ml`` maps cross-validation
 folds and grid combinations over it, and ``features`` maps one unit per
 file lineage, heaviest first.
 
-The pool is ``os.fork`` and pipes. Each worker inherits ``fn`` and
-``units``, takes the next unit position from one task pipe that all the
-workers share, and writes each unit's outcome, pickled, to a result pipe of
-its own; the caller reads the result pipes through ``selectors``. A
-``context`` is entered once around the units of each process that runs
-some, so a resource a unit opens, such as ``features``' blob reader, is
-closed by the process that opened it. The module
-needs only the standard library and never loads ``multiprocessing`` or
-``concurrent.futures``, whose imports and executor start-up cost a fresh
+The pool is ``os.fork`` and temporary files. Before forking, the caller
+writes every unit position to one task file and makes one results file per
+worker. Each worker inherits ``fn`` and ``units``, reads the next position
+from the shared task file until it is used up, and appends each unit's
+outcome, pickled, to its own results file; the caller reaps the workers,
+then reads their files. A ``context`` is entered once around the units of
+each process that runs some, so a resource a unit opens, such as
+``features``' blob reader, is closed by the process that opened it. The
+module needs only the standard library and never loads ``multiprocessing``
+or ``concurrent.futures``, whose imports and executor start-up cost a fresh
 process about 40 ms before the first unit ran.
 """
 
@@ -25,22 +26,16 @@ import contextlib
 import os
 import pickle
 import re
-import select
-import selectors
 import struct
 import sys
+import tempfile
 import warnings
 from typing import Callable, NoReturn, Sequence
 
 from .errors import InvalidCount, WorkerDied
 
-_POSITION = struct.Struct("<I")  # one unit position on the task pipe
-# Positions go out in blocks of whole positions no longer than PIPE_BUF: such
-# a write is atomic, so the pipe always holds whole positions and a worker's
-# read of one position never gets part of it.
-_TASK_BLOCK = select.PIPE_BUF // _POSITION.size * _POSITION.size
+_POSITION = struct.Struct("<I")  # one unit position in the task file
 _HEADER = struct.Struct("<IQ")  # a result frame: the unit position, the payload length
-_READ_SIZE = 1 << 16  # a pipe's default capacity
 
 
 def _run_unit(fn: Callable, unit):
@@ -56,16 +51,25 @@ def _run_unit(fn: Callable, unit):
 
 
 def _serve(fn: Callable, units: Sequence, tasks: int, results: int) -> None:
-    """A worker's loop: take the next unit position until the task pipe is
-    empty and closed, run that unit, and write one frame to ``results``: the
-    position, the payload's length and the pickled outcome and warnings."""
+    """A worker's loop: read the next unit position until the task file is
+    used up, run that unit, and append one frame to ``results``: the
+    position, the payload's length and the pickled outcome and warnings.
+
+    Every worker reads ``tasks`` through one shared open file description,
+    whose offset Linux 3.14 and later moves atomically on each ``read(2)``
+    (see its BUGS section); workers fork on Linux only. So each read takes
+    a distinct, whole position, or nothing once the file is used up. A
+    failed unit truncates the file, so no worker starts a later unit."""
     while taken := os.read(tasks, _POSITION.size):
         (position,) = _POSITION.unpack(taken)
         report = _run_unit(fn, units[position])
         try:
             payload = pickle.dumps(report, pickle.HIGHEST_PROTOCOL)
         except Exception as exc:  # an unpicklable result: the parent raises why
-            payload = pickle.dumps(((None, exc), report[1]), pickle.HIGHEST_PROTOCOL)
+            report = (None, exc), report[1]
+            payload = pickle.dumps(report, pickle.HIGHEST_PROTOCOL)
+        if report[0][1] is not None:
+            os.ftruncate(tasks, 0)
         frame = memoryview(_HEADER.pack(position, len(payload)) + payload)
         while frame:
             frame = frame[os.write(results, frame) :]
@@ -76,18 +80,14 @@ def _work(
     units: Sequence,
     tasks: int,
     results: int,
-    inherited: set[int],
     context: contextlib.AbstractContextManager,
 ) -> NoReturn:
-    """Everything a worker runs after the fork: close the ``inherited`` pipe
-    ends it does not use, then serve inside ``context``. It always ends in
-    ``os._exit``, so it never unwinds into the caller's code: status 0 once
-    the task pipe is drained, 1 on anything else, ``KeyboardInterrupt`` and
-    a result pipe the caller has closed included."""
+    """Everything a worker runs after the fork: serve inside ``context``. It
+    always ends in ``os._exit``, so it never unwinds into the caller's code:
+    status 0 once the task file is used up, 1 on anything else,
+    ``KeyboardInterrupt`` included."""
     status = 1
     try:
-        for fd in inherited:
-            os.close(fd)
         with context:
             _serve(fn, units, tasks, results)
         _flush_std_streams()
@@ -96,16 +96,17 @@ def _work(
         os._exit(status)
 
 
-def _whole_frames(buffer: bytearray):
-    """Take each whole frame off the front of ``buffer``, a result pipe's
-    bytes so far: its unit position, and its outcome and warnings."""
-    while len(buffer) >= _HEADER.size:
-        position, size = _HEADER.unpack_from(buffer)
-        end = _HEADER.size + size
-        if len(buffer) < end:
+def _frames(results):
+    """Each whole frame of a worker's results file, from the start: its
+    unit position, and its outcome and warnings. A frame cut short, by a
+    worker that died writing it, ends the file."""
+    results.seek(0)
+    while len(header := results.read(_HEADER.size)) == _HEADER.size:
+        position, size = _HEADER.unpack(header)
+        payload = results.read(size)
+        if len(payload) < size:
             return
-        yield position, pickle.loads(buffer[_HEADER.size : end])
-        del buffer[:end]
+        yield position, pickle.loads(payload)
 
 
 def _flush_std_streams() -> None:
@@ -164,16 +165,17 @@ def map(
     """``[fn(unit) for unit in units]``, on up to ``jobs`` forked workers.
 
     Workers are forked once per call, so they inherit ``fn`` and the data it
-    closes over; only unit positions and results cross a pipe. A free
+    closes over; only unit positions and results cross a file. A free
     worker takes the next unit, so units of uneven cost spread evenly.
     Results come back in unit order. Each unit's warnings are issued again
     here, in unit order, and the first failing unit's exception is raised
     after them, as a serial run would raise it; a unit that cannot come
     back, because its worker died or its result will not pickle, fails
-    with WorkerDied or the pickling error. A call that raises hands out no
-    further unit, and each worker still running ends the unit it has,
-    fails to write its result and exits. However the call ends, every
-    worker has left its context and been reaped when it returns.
+    with WorkerDied or the pickling error. Once a unit fails, no worker
+    starts a later one; each ends the unit it has and exits. An interrupted
+    call, by an alarm or ``KeyboardInterrupt``, stops the units the same
+    way. However the call ends, every worker has left its context and been
+    reaped when it returns.
     Workers are forked on Linux only: on macOS ``fork`` is unsafe with the
     system frameworks. There, as with one job or one unit, the units run in
     this process.
@@ -189,84 +191,51 @@ def map(
     if count < 2 or not sys.platform.startswith("linux"):
         with context:
             return [fn(unit) for unit in units]
-    fds: set[int] = set()  # every pipe end this call holds open
-    pids: dict[int, int] = {}  # each running worker's pid, by its result pipe
-    codes: list[int] = []  # the exit code of each worker reaped
-    selector = None
+    tasks = tempfile.TemporaryFile()
+    result_files = []  # one per worker
+    pids = []  # each forked worker not yet reaped
     try:
-        tasks, task_writer = os.pipe()
-        fds |= {tasks, task_writer}
+        tasks.write(struct.pack(f"<{len(units)}I", *range(len(units))))
+        tasks.seek(0)
+        for _ in range(count):
+            result_files.append(tempfile.TemporaryFile())
         _flush_std_streams()
         warnings.filters.insert(0, _FORK_WITH_THREADS)
         try:
-            for _ in range(count):
-                reader, writer = os.pipe()
-                fds |= {reader, writer}
+            for results in result_files:
                 pid = os.fork()
                 if pid == 0:
-                    _work(fn, units, tasks, writer, fds - {tasks, writer}, context)
-                pids[reader] = pid
-                os.close(writer)
-                fds.remove(writer)
+                    _work(fn, units, tasks.fileno(), results.fileno(), context)
+                pids.append(pid)
         finally:
             warnings.filters.remove(_FORK_WITH_THREADS)
-        # made after the forks, so no worker holds it
-        selector = selectors.DefaultSelector()
-        os.set_blocking(task_writer, False)
-        selector.register(task_writer, selectors.EVENT_WRITE)
-        for reader in pids:
-            selector.register(reader, selectors.EVENT_READ)
-        positions = memoryview(struct.pack(f"<{len(units)}I", *range(len(units))))
-        frames = {reader: bytearray() for reader in pids}
-        outcomes = {}  # position: (outcome, warnings), until its turn
-        results = []
-        # once every result is in, the task pipe is drained and closed, so
-        # each worker leaves its context and exits; it is reaped here
-        while len(results) < len(units) or pids:
-            if not pids:
+        codes = []  # the exit code of each worker
+        while pids:
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pids[-1], 0)[1]))
+            pids.pop()
+        outcomes = {}  # position: (outcome, warnings)
+        for results in result_files:
+            outcomes.update(_frames(results))
+        returned = []
+        for position in range(len(units)):
+            if position not in outcomes:
                 raise WorkerDied(
-                    f"no worker returned unit {len(results)}; "
+                    f"no worker returned unit {position}; "
                     f"the workers exited with codes {sorted(codes)}"
                 )
-            for key, _events in selector.select():
-                fd = key.fd
-                if fd == task_writer:
-                    try:
-                        positions = positions[os.write(fd, positions[:_TASK_BLOCK]) :]
-                    except BlockingIOError:  # no room for a whole block yet
-                        continue
-                    if not positions:  # closed, so a worker reading past the end stops
-                        selector.unregister(fd)
-                        os.close(fd)
-                        fds.remove(fd)
-                    continue
-                chunk = os.read(fd, _READ_SIZE)
-                if not chunk:  # the worker has exited
-                    selector.unregister(fd)
-                    os.close(fd)
-                    fds.remove(fd)
-                    codes.append(os.waitstatus_to_exitcode(os.waitpid(pids.pop(fd), 0)[1]))
-                    continue
-                frames[fd] += chunk
-                outcomes.update(_whole_frames(frames[fd]))
-            while len(results) in outcomes:
-                (result, error), caught = outcomes.pop(len(results))
-                for warning in caught:
-                    _warn_again(*warning)
-                if error is not None:
-                    raise error
-                results.append(result)
-        return results
+            (result, error), caught = outcomes.pop(position)
+            for warning in caught:
+                _warn_again(*warning)
+            if error is not None:
+                raise error
+            returned.append(result)
+        return returned
     finally:
-        if selector is not None:
-            selector.close()
-        if pids:  # the call failed: take back the positions not yet taken
-            os.set_blocking(tasks, False)
-            with contextlib.suppress(BlockingIOError):
-                while os.read(tasks, _READ_SIZE):
-                    pass
-        # with its result pipe closed, a worker's next write fails
-        for fd in fds:
-            os.close(fd)
-        for pid in pids.values():
-            os.waitpid(pid, 0)
+        if pids:  # interrupted: no worker starts another unit
+            os.ftruncate(tasks.fileno(), 0)
+            for pid in pids:
+                # the interruption may have come just after the last reap
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+        for file in (tasks, *result_files):
+            file.close()

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -382,6 +383,30 @@ for command in (["calibrate"], *(["evaluate", "--classifier", kind] for kind in 
     assert out.stdout.splitlines() == [
         "calibrate 0 False", *(f"{kind} 0 False" for kind in KINDS)
     ]
+
+
+def test_truth_row_order_changes_no_output(cli_repo, tmp_path, capsys):
+    """A metamorphic relation: shuffling the ground-truth rows, each pair
+    answered once, leaves calibrate, evaluate and correlate byte-identical."""
+    truth = _write_truth(tmp_path / "truth.csv", cli_repo, capsys)
+    header, *rows = truth.read_text().splitlines(keepends=True)
+    assert len({tuple(row.split(",")[:3]) for row in rows}) == len(rows)
+    shuffled = rows.copy()
+    random.Random(0).shuffle(shuffled)
+    assert shuffled != rows
+    (tmp_path / "shuffled.csv").write_text(header + "".join(shuffled))
+    repo = ["--repo", str(cli_repo), "--branch", "main"]
+    commands = [
+        ["calibrate", *repo, "--technique", "doa", "--folds", "3"],
+        ["evaluate", *repo, "--classifier", "random_forest", "--folds", "3"],
+        ["correlate", *repo],
+    ]
+    for command in commands:
+        outputs = []
+        for name in ("truth.csv", "shuffled.csv"):
+            assert main([*command, "--truth", str(tmp_path / name)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] and outputs[0] == outputs[1], command[0]
 
 
 def test_correlate_matrix(cli_repo, tmp_path, capsys):
@@ -786,6 +811,29 @@ def test_host_rename_limit_changes_nothing(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr() == renamed
     assert main([*mine, *cache]) == 0
     assert capsys.readouterr() == renamed
+
+
+def test_a_replace_ref_changes_nothing(tmp_path, capsys):
+    """Mining ignores replace refs: with Ana's second commit replaced by
+    her first, the table is still that of the three commits made."""
+    builder = RepoBuilder(tmp_path / "repo")
+    for step, (name, email) in enumerate([("Ana", "ana@x.com"), ("Ana", "ana@x.com"),
+                                          ("Bo", "bo@y.com")]):
+        builder.commit(name, email, 1_600_000_000 + step * 86_400,
+                       writes={"a.py": "".join(f"x{n} = {n}\n" for n in range(step + 2))})
+    repo = builder.finish()
+    mine = ["mine", "--repo", str(repo), "--branch", "main", "--no-cache"]
+    assert main(mine) == 0
+    real = capsys.readouterr()
+    ana = next(row for row in csv.DictReader(io.StringIO(real.out))
+               if row["developer"] == "ana@x.com")
+    assert (ana["adds"], ana["num_commits"]) == ("3", "2")
+    _third, second, first = subprocess.run(["git", "-C", str(repo), "rev-list", "main"],
+                                           capture_output=True, text=True,
+                                           check=True).stdout.split()
+    subprocess.run(["git", "-C", str(repo), "replace", second, first], check=True)
+    assert main(mine) == 0
+    assert capsys.readouterr() == real
 
 
 def test_correlate_warning_carries_repo(cli_repo, tmp_path, capsys):

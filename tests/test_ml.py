@@ -575,6 +575,22 @@ class TestGridSearch:
         )
         assert spec.hyperparameters["k"] == 5
 
+    @pytest.mark.parametrize("metrics", [["euclidean", "manhattan"], ["manhattan", "euclidean"]])
+    def test_a_tie_keeps_the_first_cell(self, metrics):
+        # on one column both distances are |d|, since sqrt(d*d) == abs(d) in
+        # binary64, so the two cells' reports tie and the first cell wins
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0, 1, 60)
+        data = MLDataset(np.column_stack([x]), (x > 0.5) ^ (rng.uniform(0, 1, 60) < 0.2), ("a",))
+        first, second = (
+            cross_validate(ClassifierSpec(KNN, {"k": 3, "metric": metric}), data, folds=5)
+            for metric in metrics
+        )
+        assert (first.per_fold, first.scores) == (second.per_fold, second.scores)
+        spec, report = grid_search(KNN, data, grids={"k": [3], "metric": metrics}, folds=5)
+        assert spec.hyperparameters["metric"] == metrics[0]
+        assert report == first
+
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             grid_search(KNN, separable_dataset(40), grids={})

@@ -110,8 +110,8 @@ def test_results_larger_than_a_pipe_come_back_whole():
 
 @linux_only
 def test_more_positions_than_the_task_pipe_holds():
-    # 20,000 four-byte positions overfill a 64 KiB pipe, so they go out in
-    # several blocks as the workers drain it
+    # a large queue: the task file holds 20,000 four-byte positions, and the
+    # two workers read them one at a time through its shared offset
     with _bounded_and_clean():
         assert workers.map(lambda unit: -unit, range(20_000), 2) == [-u for u in range(20_000)]
 
@@ -269,6 +269,49 @@ def test_a_failed_call_runs_no_further_unit_and_each_worker_exits_its_context(tm
     assert all(logged == ["enter", "exit"] for logged in entries.values())
     # the running units end, and those not yet taken never start
     assert len(ran.read_text().split() if ran.exists() else []) < 100
+
+
+@linux_only
+def test_a_failed_unit_stops_the_later_units_at_once(tmp_path):
+    """Unit 1 fails while the other worker is still in unit 0: no later unit
+    starts, though unit 0 has not yet returned."""
+    import time
+
+    ran = tmp_path / "ran"
+
+    def unit(number):
+        if number == 0:
+            time.sleep(1)
+        elif number == 1:
+            raise SingleClassData("unit 1 failed")
+        with open(ran, "a", encoding="utf-8") as handle:
+            handle.write(f"{number}\n")
+        return number
+
+    with _bounded_and_clean(), pytest.raises(SingleClassData, match="unit 1 failed"):
+        workers.map(unit, range(200), 2)
+    assert ran.read_text().split() == ["0"]
+
+
+@linux_only
+def test_an_interrupted_call_stops_the_units_and_reaps_its_workers(tmp_path):
+    """An alarm raises in this process while both workers are busy: each
+    ends the unit it has and starts no other, and none is left behind."""
+    import time
+
+    ran = tmp_path / "ran"
+
+    def unit(number):
+        time.sleep(0.2)
+        with open(ran, "a", encoding="utf-8") as handle:
+            handle.write(f"{number}\n")
+        return number
+
+    log = tmp_path / "log"
+    with _bounded_and_clean(seconds=1), pytest.raises(TimeoutError):
+        workers.map(unit, range(100), 2, _Logged(log))
+    assert all(logged == ["enter", "exit"] for logged in _entries_by_process(log).values())
+    assert len(ran.read_text().split()) < 30
 
 
 def _cat_files_of(repo):
