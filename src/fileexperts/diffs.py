@@ -38,7 +38,9 @@ each line after one regex per language table has blanked its line comment
 and its string literals.
 
 This is a text layer: it works on strings and line lists alone and imports
-no pipeline module. ``features`` replays each lineage with these diffs.
+no pipeline module. ``features`` replays each lineage with these diffs and
+hands ``classify_changes`` the lineage's ``LanguageSpec``, looked up once per
+lineage, so this module loads no language table.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import InvalidThreshold, UnknownLanguage
-from .languages import LanguageConfig, LanguageSpec, default_language_config
+from .errors import InvalidThreshold
+from .languages import LanguageSpec
 
 MOD_THRESHOLD = 0.40
 
@@ -243,8 +245,7 @@ def check_mod_threshold(mod_threshold: float) -> None:
 def classify_changes(
     hunks: Iterable[DiffHunk],
     mod_threshold: float = MOD_THRESHOLD,
-    language: str | None = None,
-    config: LanguageConfig | None = None,
+    language: LanguageSpec | None = None,
 ) -> ChangeStats:
     """Classify hunk lines into adds, dels and mods, and count conditionals.
 
@@ -252,7 +253,8 @@ def classify_changes(
     of each hunk; a pair under the edit-distance threshold counts as one
     modification, otherwise as one delete plus one add. Leftover lines are
     pure adds or dels. Conditionals are counted over the lines classified
-    as adds, when a language is given.
+    as adds, when a language is given: a path with none, which only an
+    unfiltered history holds, has no conditionals.
     """
     check_mod_threshold(mod_threshold)
     adds = dels = mods = 0
@@ -269,7 +271,7 @@ def classify_changes(
         dels += len(hunk.removed) - paired
         adds += len(hunk.added) - paired
         added_lines.extend(hunk.added[paired:])
-    conds = count_conditionals(added_lines, language, config) if language else 0
+    conds = count_conditionals(added_lines, language) if language else 0
     return ChangeStats(adds=adds, dels=dels, mods=mods, conds=conds)
 
 
@@ -296,27 +298,19 @@ def _patterns(spec: LanguageSpec) -> tuple[re.Pattern, re.Pattern]:
     )
 
 
-def count_conditionals(
-    lines: Iterable[str],
-    language: str | None,
-    config: LanguageConfig | None = None,
-) -> int:
+def count_conditionals(lines: Iterable[str], language: LanguageSpec) -> int:
     """Count conditional-statement occurrences across lines.
 
-    Keywords come from the per-language table; occurrences inside line
+    Keywords come from the language's table; occurrences inside line
     comments and string literals are excluded, each line being blanked by
     one lexeme pattern per language table first. Languages with a ternary
     operator also count ``?`` occurrences.
     """
-    if language is None:
-        raise UnknownLanguage("count_conditionals requires a language tag")
-    config = config or default_language_config()
-    spec = config.spec(language)
-    keywords, lexemes = _patterns(spec)
+    keywords, lexemes = _patterns(language)
     total = 0
     for line in lines:
         code = lexemes.sub(" ", line)
         total += len(keywords.findall(code))
-        if spec.count_ternary:
+        if language.count_ternary:
             total += code.count("?")
     return total

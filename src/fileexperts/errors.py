@@ -46,10 +46,6 @@ class InvalidThreshold(FileExpertsError):
     """A threshold parameter is outside [0, 1]."""
 
 
-class UnknownLanguage(FileExpertsError):
-    """No conditional-keyword table is configured for the language."""
-
-
 class CorruptFeatureTable(FileExpertsError):
     """A feature CSV is not in the format this library writes."""
 

@@ -190,7 +190,7 @@ def _file_features(
     hunks_per_event, authors = _replay(lineage, blobs)
     for index, ((commit, _event), hunks) in enumerate(zip(lineage.events, hunks_per_event)):
         author = commit.author.key()
-        changed = classify_changes(hunks, mod_threshold, language=language, config=config)
+        changed = classify_changes(hunks, mod_threshold, language)
         acc = stats.setdefault(author, [0, 0, 0, 0])
         acc[0] += changed.adds
         acc[1] += changed.dels

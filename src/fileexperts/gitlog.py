@@ -23,7 +23,10 @@ whole output is held at once, only the entries kept from it.
 entry of a path the source filter drops, so no blob of it is ever read.
 What git writes to stderr while exiting 0 becomes a ``GitWarning``. A
 shallow repository, whose lineages are cut at its boundary, is refused
-(``ShallowRepository``).
+(``ShallowRepository``). Every git process runs in one environment,
+``_git_environment``: the caller's repository variables (``GIT_DIR`` and
+its kind) are dropped, so the repository path alone names the repository,
+and no graft file is read, so the real parents are mined.
 
 File contents are read only where they are used, through a
 ``BlobReader``: an event's version is its inline text, or else its blob,
@@ -178,8 +181,32 @@ def _git_failure(command: str, failure: object, message: str) -> CorruptHistory:
 def _git_command(repo: Path, *args: str) -> list[str]:
     """The command line of ``git args`` run in ``repo``. Replace refs
     (``git replace``) are ignored, so they cannot change what is mined;
-    ``.git/info/grafts`` still applies."""
+    ``_git_environment`` keeps grafts out too."""
     return ["git", "--no-replace-objects", "-C", str(repo), *args]
+
+
+# Variables that point git at another repository, object store, index,
+# shallow list or graft file than the one ``-C`` finds: what ``git rev-parse
+# --local-env-vars`` prints (git 2.39), plus GIT_NAMESPACE, less the
+# GIT_CONFIG* variables, which carry the host's config.
+_REPOSITORY_VARIABLES = frozenset({
+    "GIT_ALTERNATE_OBJECT_DIRECTORIES", "GIT_COMMON_DIR", "GIT_DIR", "GIT_GRAFT_FILE",
+    "GIT_IMPLICIT_WORK_TREE", "GIT_INDEX_FILE", "GIT_INTERNAL_SUPER_PREFIX", "GIT_NAMESPACE",
+    "GIT_NO_REPLACE_OBJECTS", "GIT_OBJECT_DIRECTORY", "GIT_PREFIX", "GIT_REPLACE_REF_BASE",
+    "GIT_SHALLOW_FILE", "GIT_WORK_TREE",
+})
+
+
+def _git_environment() -> dict[str, str]:
+    """The environment of every git process: this process's, less the
+    repository variables, so the repository path alone names the repository,
+    and with a graft file that cannot exist, so git reads none and mines the
+    real parents, as a clone of the repository would. Built at each launch,
+    since the environment may change between launches."""
+    env = {name: value for name, value in os.environ.items()
+           if name not in _REPOSITORY_VARIABLES}
+    env["GIT_GRAFT_FILE"] = os.devnull + "/grafts"
+    return env
 
 
 def _git(
@@ -205,7 +232,8 @@ def _git(
         # leaving the block closes stdout, which stops a git still writing,
         # and waits for it
         with subprocess.Popen(
-            _git_command(repo, *args), stdin=stdin, stdout=subprocess.PIPE, stderr=stderr
+            _git_command(repo, *args), stdin=stdin, stdout=subprocess.PIPE, stderr=stderr,
+            env=_git_environment(),
         ) as proc:
             try:
                 result = read(proc.stdout)
@@ -409,6 +437,7 @@ class BlobReader:
                 self._proc = subprocess.Popen(
                     _git_command(self.repository, "cat-file", "--batch"),
                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=self._stderr,
+                    env=_git_environment(),
                 )
             except BaseException:
                 self._stderr.close()
@@ -454,19 +483,19 @@ class BlobReader:
 
 
 def _rev_parse(repo: Path, *args: str) -> list[str] | None:
-    """The lines ``git rev-parse --git-dir --is-shallow-repository *args``
-    prints for ``args``, or None when an argument does not resolve. The git
-    directory and the shallow flag come first whether or not the rest
-    resolves, so one call also tells a repository from anything else, and
-    refuses a shallow one."""
+    """The lines ``git rev-parse --is-shallow-repository *args`` prints for
+    ``args``, or None when an argument does not resolve. The shallow flag
+    comes first whether or not the rest resolves, and only in a repository,
+    so one call also tells a repository from anything else, and refuses a
+    shallow one."""
     proc = subprocess.run(
-        _git_command(repo, "rev-parse", "--git-dir", "--is-shallow-repository", *args),
-        capture_output=True,
+        _git_command(repo, "rev-parse", "--is-shallow-repository", *args),
+        capture_output=True, env=_git_environment(),
     )
-    lines = proc.stdout.decode().splitlines()
+    lines = [_text(line) for line in proc.stdout.splitlines()]
     if not lines:
         raise RepositoryNotFound(f"{repo} is not a git repository")
-    if lines[1:2] == ["true"]:
+    if lines[0] == "true":
         raise ShallowRepository(
             f"{repo} is a shallow clone, so every lineage is cut at its boundary; "
             "fetch its full history (git fetch --unshallow) to mine it"
@@ -474,7 +503,7 @@ def _rev_parse(repo: Path, *args: str) -> list[str] | None:
     if proc.returncode != 0:
         return None
     _warn_stderr("rev-parse", _text(proc.stderr).strip())
-    return lines[2:]
+    return lines[1:]
 
 
 def branch_tip(repo_path: str | Path, branch: str | None = "master") -> tuple[str, str]:
@@ -558,9 +587,11 @@ def extract_history(
         requests=shas,
     )
 
+    # --full-tree lists every path even when repo is a subdirectory of the
+    # work tree, as rev-list and diff-tree do
     paths = _git(
         repo,
-        ["ls-tree", "-r", "-z", "--name-only", tip],
+        ["ls-tree", "-r", "--full-tree", "-z", "--name-only", tip],
         lambda out: [sys.intern(_text(path)) for path in _nul_fields(_blocks(out))],
     )
     present = frozenset(filter(keep, paths) if keep is not None else paths)

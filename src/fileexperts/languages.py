@@ -4,6 +4,11 @@ A static table replaces external language-classification tools. The bundled
 ``data/languages.json`` covers the six languages the default pipeline
 targets; callers may load their own table with :func:`load_language_config`
 and pass it anywhere a ``LanguageConfig`` is accepted.
+
+``LanguageConfig.language_of`` maps a path to its ``LanguageSpec`` by
+extension. The source filter asks it whether a path has a language at all;
+``features`` asks it once per lineage and hands the spec to ``diffs``, which
+never sees a table.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import InvalidLanguageConfig, UnknownLanguage
+from .errors import InvalidLanguageConfig
 
 # Paths matching any of these globs are treated as vendored third-party code
 # and dropped by the default source filter. '**' matches across separators.
@@ -49,16 +54,11 @@ class LanguageConfig:
                         f"{owner!r} already lists"
                     )
 
-    def language_of(self, path: str) -> str | None:
-        """Language name for a repository path, or None if unconfigured."""
-        suffix = Path(path).suffix.lower()
-        return self.by_extension.get(suffix)
-
-    def spec(self, language: str) -> LanguageSpec:
-        try:
-            return self.languages[language]
-        except KeyError:
-            raise UnknownLanguage(f"no configuration for language {language!r}")
+    def language_of(self, path: str) -> LanguageSpec | None:
+        """The language of a repository path, by its extension, or None if
+        no configured language lists that extension."""
+        name = self.by_extension.get(Path(path).suffix.lower())
+        return None if name is None else self.languages[name]
 
 
 def load_language_config(path: str | Path | None = None) -> LanguageConfig:

@@ -813,27 +813,84 @@ def test_host_rename_limit_changes_nothing(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr() == renamed
 
 
-def test_a_replace_ref_changes_nothing(tmp_path, capsys):
-    """Mining ignores replace refs: with Ana's second commit replaced by
-    her first, the table is still that of the three commits made."""
-    builder = RepoBuilder(tmp_path / "repo")
+def _three_commit_repo(path, capsys):
+    """Ana's two commits and then Bo's, each growing ``a.py`` by a line, the
+    plain table ``mine`` prints for them, and their ids, newest first."""
+    builder = RepoBuilder(path)
     for step, (name, email) in enumerate([("Ana", "ana@x.com"), ("Ana", "ana@x.com"),
                                           ("Bo", "bo@y.com")]):
         builder.commit(name, email, 1_600_000_000 + step * 86_400,
                        writes={"a.py": "".join(f"x{n} = {n}\n" for n in range(step + 2))})
     repo = builder.finish()
-    mine = ["mine", "--repo", str(repo), "--branch", "main", "--no-cache"]
-    assert main(mine) == 0
+    assert main(["mine", "--repo", str(repo), "--branch", "main", "--no-cache"]) == 0
     real = capsys.readouterr()
+    assert real.err == ""
     ana = next(row for row in csv.DictReader(io.StringIO(real.out))
                if row["developer"] == "ana@x.com")
     assert (ana["adds"], ana["num_commits"]) == ("3", "2")
-    _third, second, first = subprocess.run(["git", "-C", str(repo), "rev-list", "main"],
-                                           capture_output=True, text=True,
-                                           check=True).stdout.split()
+    shas = subprocess.run(["git", "-C", str(repo), "rev-list", "main"], capture_output=True,
+                          text=True, check=True).stdout.split()
+    return repo, real, shas
+
+
+def test_a_replace_ref_changes_nothing(tmp_path, capsys):
+    """Mining ignores replace refs: with Ana's second commit replaced by
+    her first, the table is still that of the three commits made."""
+    repo, real, (_third, second, first) = _three_commit_repo(tmp_path / "repo", capsys)
     subprocess.run(["git", "-C", str(repo), "replace", second, first], check=True)
+    assert main(["mine", "--repo", str(repo), "--branch", "main", "--no-cache"]) == 0
+    assert capsys.readouterr() == real
+
+
+@pytest.mark.parametrize("state", ["GIT_DIR", "GIT_SHALLOW_FILE", "info/grafts",
+                                   "GIT_GRAFT_FILE"])
+def test_inherited_git_state_changes_nothing(tmp_path, capsys, monkeypatch, state):
+    """``--repo`` alone names the repository, and mining follows its real
+    parents: an inherited GIT_DIR naming another repository, an inherited
+    shallow list holding the tip, and a graft of Bo's commit onto Ana's
+    first, in the repository or named by GIT_GRAFT_FILE, each leave the
+    table as it is, with no warning. The entry that run caches is the one a
+    later plain run reads."""
+    repo, real, (third, _second, first) = _three_commit_repo(tmp_path / "repo", capsys)
+    graft = tmp_path / "grafts"
+    graft.write_text(f"{third} {first}\n")
+    mine = ["mine", "--repo", str(repo), "--branch", "main",
+            "--cache-dir", str(tmp_path / "cache")]
+    with monkeypatch.context() as host:
+        if state == "GIT_DIR":
+            other = RepoBuilder(tmp_path / "other")
+            other.commit("Cy", "cy@z.com", 1_600_000_000, writes={"b.py": "y = 1\n"})
+            host.setenv("GIT_DIR", str(other.finish() / ".git"))
+        elif state == "GIT_SHALLOW_FILE":
+            shallow = tmp_path / "shallow"
+            shallow.write_text(f"{third}\n")
+            host.setenv("GIT_SHALLOW_FILE", str(shallow))
+        elif state == "GIT_GRAFT_FILE":
+            host.setenv("GIT_GRAFT_FILE", str(graft))
+        else:
+            (repo / ".git" / "info").mkdir(exist_ok=True)
+            shutil.copy(graft, repo / ".git" / "info" / "grafts")
+        assert main(mine) == 0
+        assert capsys.readouterr() == real
+    (repo / ".git" / "info" / "grafts").unlink(missing_ok=True)
     assert main(mine) == 0
     assert capsys.readouterr() == real
+
+
+def test_a_repository_path_that_is_not_utf_8_mines_from_any_directory(tmp_path, capsys):
+    """git prints the repository's own path when ``--repo`` names one of its
+    subdirectories; a path holding a byte that is not UTF-8 is read as any
+    other git output, and the table is the whole repository's."""
+    builder = RepoBuilder(tmp_path / os.fsdecode(b"caf\xe9") / "r")
+    builder.commit("Ana", "ana@x.com", 1_600_000_000,
+                   writes={"a.py": "x = 1\n", "sub/b.py": "if y:\n    z = 1\n"})
+    repo = builder.finish()
+    assert main(["mine", "--repo", str(repo), "--branch", "main", "--no-cache"]) == 0
+    whole = capsys.readouterr()
+    assert whole.err == "" and "ana@x.com,sub/b.py" in whole.out
+    (repo / "sub").mkdir()  # the builder checks nothing out
+    assert main(["mine", "--repo", str(repo / "sub"), "--branch", "main", "--no-cache"]) == 0
+    assert capsys.readouterr() == whole
 
 
 def test_correlate_warning_carries_repo(cli_repo, tmp_path, capsys):

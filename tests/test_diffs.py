@@ -18,11 +18,11 @@ from fileexperts.diffs import (
     is_modification_pair,
     split_lines,
 )
-from fileexperts.errors import InvalidThreshold, UnknownLanguage
+from fileexperts.errors import InvalidThreshold
 from fileexperts.features import compute_all
 from fileexperts.fixtures import RepoBuilder
 from fileexperts.gitlog import extract_history
-from fileexperts.languages import LanguageConfig, LanguageSpec
+from fileexperts.languages import LanguageSpec, default_language_config
 from conftest import add, blame_authors, make_history, mod
 from oracles import (
     _oracle_count_conditionals,
@@ -31,6 +31,8 @@ from oracles import (
     lev_matrix,
     naive_diff,
 )
+
+LANGUAGES = default_language_config().languages
 
 # small alphabets force collisions, which is where alignments get interesting
 line_strategy = st.lists(
@@ -237,48 +239,48 @@ def language_tables(draw):
 
 class TestCountConditionals:
     def test_c_family_if(self):
-        assert count_conditionals(["if (x > 0) {"], "java") == 1
+        assert count_conditionals(["if (x > 0) {"], LANGUAGES["java"]) == 1
 
     def test_comment_excluded(self):
-        assert count_conditionals(["// if disabled"], "java") == 0
+        assert count_conditionals(["// if disabled"], LANGUAGES["java"]) == 0
 
     def test_python_elif_counts_else_does_not(self):
-        assert count_conditionals(["elif x:", "else:"], "python") == 1
+        assert count_conditionals(["elif x:", "else:"], LANGUAGES["python"]) == 1
 
     def test_string_literal_excluded(self):
-        assert count_conditionals(['print("if x")'], "python") == 0
-        assert count_conditionals(["msg = 'case one'"], "java") == 0
+        assert count_conditionals(['print("if x")'], LANGUAGES["python"]) == 0
+        assert count_conditionals(["msg = 'case one'"], LANGUAGES["java"]) == 0
 
     def test_ternary_counts_where_configured(self):
-        assert count_conditionals(["return x > 0 ? a : b;"], "javascript") == 1
-        assert count_conditionals(["maybe = '?'"], "python") == 0
+        assert count_conditionals(["return x > 0 ? a : b;"], LANGUAGES["javascript"]) == 1
+        assert count_conditionals(["maybe = '?'"], LANGUAGES["python"]) == 0
 
     def test_ruby_keywords(self):
-        assert count_conditionals(["return 1 unless ready", "when :x then 2"], "ruby") == 2
+        lines = ["return 1 unless ready", "when :x then 2"]
+        assert count_conditionals(lines, LANGUAGES["ruby"]) == 2
 
     def test_keyword_inside_identifier_ignored(self):
-        assert count_conditionals(["verify(x)", "lowercase = 1"], "java") == 0
+        assert count_conditionals(["verify(x)", "lowercase = 1"], LANGUAGES["java"]) == 0
 
     def test_comment_marker_mid_line_without_quote(self):
-        assert count_conditionals(["x = 1  # if y"], "python") == 0
-        assert count_conditionals(["if x:  # if y"], "python") == 1
+        assert count_conditionals(["x = 1  # if y"], LANGUAGES["python"]) == 0
+        assert count_conditionals(["if x:  # if y"], LANGUAGES["python"]) == 1
 
     def test_ternary_after_line_comment(self):
-        assert count_conditionals(["x = 1; // a ? b : c"], "javascript") == 0
-        assert count_conditionals(["x = a ? b : c; // d ? e"], "javascript") == 1
+        assert count_conditionals(["x = 1; // a ? b : c"], LANGUAGES["javascript"]) == 0
+        assert count_conditionals(["x = a ? b : c; // d ? e"], LANGUAGES["javascript"]) == 1
 
     def test_quote_without_keyword(self):
-        assert count_conditionals(["name = 'value'"], "python") == 0
-        assert count_conditionals(['if name == "x":'], "python") == 1
+        assert count_conditionals(["name = 'value'"], LANGUAGES["python"]) == 0
+        assert count_conditionals(['if name == "x":'], LANGUAGES["python"]) == 1
 
     def test_no_keywords_count_only_ternaries(self):
         plain = LanguageSpec(name="plain", extensions=(".pl",), conditional_keywords=(),
                              count_ternary=False, line_comments=("#",), string_quotes=('"',))
         ternary = replace(plain, name="ternary", extensions=(".tn",), count_ternary=True)
-        config = LanguageConfig({"plain": plain, "ternary": ternary})
         lines = ["total = price * qty", "x = 1", 'if y: z = "?"']
-        assert count_conditionals(lines, "plain", config) == 0
-        assert count_conditionals(lines + ["w = a ? b : c  # ?"], "ternary", config) == 1
+        assert count_conditionals(lines, plain) == 0
+        assert count_conditionals(lines + ["w = a ? b : c  # ?"], ternary) == 1
 
     @given(
         st.lists(
@@ -293,7 +295,7 @@ class TestCountConditionals:
     )
     def test_matches_oracle(self, lines, language):
         ext, name = language
-        assert count_conditionals(lines, name) == _oracle_file_conditionals(lines, ext)
+        assert count_conditionals(lines, LANGUAGES[name]) == _oracle_file_conditionals(lines, ext)
 
     @given(language_tables(), st.data())
     def test_matches_oracle_on_any_table(self, spec, data):
@@ -306,7 +308,7 @@ class TestCountConditionals:
             lines, spec.conditional_keywords, spec.count_ternary, spec.line_comments,
             spec.string_quotes,
         )
-        assert count_conditionals(lines, "odd", LanguageConfig({"odd": spec})) == expected
+        assert count_conditionals(lines, spec) == expected
 
     @pytest.mark.parametrize("language, ext", [("python", ".py"), ("javascript", ".js")])
     def test_long_line_of_quotes_and_backslashes_costs_linear_time(self, language, ext):
@@ -314,15 +316,9 @@ class TestCountConditionals:
         line = "'\\\"`\\" * 6_000
         assert len(line) == 30_000
         started = time.perf_counter()
-        counted = count_conditionals([line], language)
+        counted = count_conditionals([line], LANGUAGES[language])
         assert time.perf_counter() - started < 1.0
         assert counted == _oracle_file_conditionals([line], ext)
-
-    def test_unknown_language(self):
-        with pytest.raises(UnknownLanguage):
-            count_conditionals(["if x:"], "cobol")
-        with pytest.raises(UnknownLanguage):
-            count_conditionals(["if x:"], None)
 
 
 class TestReplayBlame:

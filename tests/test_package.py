@@ -117,9 +117,11 @@ def test_mining_loads_no_openssl(demo_repo_path, tmp_path):
 
 
 def test_diffs_is_a_text_layer():
-    """diffs imports no pipeline module; features owns the lineage replay and
-    identities takes its edit distance from diffs. The benchmark tracer wraps
-    these functions through each owner's ``__dict__``."""
+    """diffs imports no pipeline module and loads no language table, since
+    features hands it each lineage's ``LanguageSpec``; features owns the
+    lineage replay and identities takes its edit distance from diffs. The
+    benchmark tracer wraps these functions through each owner's
+    ``__dict__``."""
     loaded = _fresh_python(
         "import sys, fileexperts.diffs; "
         "print(sorted(m for m in sys.modules if m.startswith('fileexperts.')))"
@@ -128,6 +130,8 @@ def test_diffs_is_a_text_layer():
     assert "fileexperts.identities" not in loaded
     from fileexperts import diffs, features, identities
 
+    assert "LanguageConfig" not in diffs.__dict__
+    assert "default_language_config" not in diffs.__dict__
     assert "blame_from_events" in features.__dict__
     assert "blame_from_events" not in diffs.__dict__
     assert "BlameState" not in features.__dict__
