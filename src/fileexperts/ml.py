@@ -3,22 +3,31 @@
 Classifiers are implemented on numpy and plain Python: k-nearest
 neighbors, L2-regularized logistic regression fitted by damped Newton
 steps, and a random forest of Gini-split trees with bootstrap sampling and
-per-split feature subsampling. Each tree is grown on the distinct rows of
-its bootstrap sample, weighted by their counts, sorts every feature once
-and scores its nodes in plain float arithmetic, which is exact and, at the
-dozen rows of a typical node, cheaper than per-node numpy calls.
+per-split feature subsampling. A forest sorts every feature once per fit;
+each tree is grown on the distinct rows of its bootstrap sample, weighted
+by their counts, from that presort filtered to those rows, and scores its
+nodes in plain float arithmetic, which is exact and, at the dozen rows of a
+typical node, cheaper than per-node numpy calls. A node's candidate
+features are the draws of ``rng.choice(d, size, False)``, taken from a
+chunk of the generator's 32-bit words as numpy takes them (``_NodeDraws``).
+kNN scores query rows in fixed blocks, so its memory stays bounded.
 Evaluation runs seeded, stratified 10-fold cross-validation with the
 expert class as positive; standardization is fit on each training split
 only. Models only score; ``cross_validate`` gathers the held-out scores of
 all folds, calls a score of at least 0.5 an expert, in that one place, and
 scores the folds by ``validation.fold_prf``, as ``expertise.calibrate`` does.
 
-Folds and grid combinations are independent, and each fold draws from its
-own seed ``[seed, fold]``, so ``cross_validate`` and ``grid_search`` map
+Each fold draws from its own seed ``[seed, fold]``, so a forest's first t
+trees are the t-tree forest of that fold, and a kNN model's first k
+neighbours in its stable order are the k-NN model's. ``grid_search`` fits
+each such prefix family once per fold, with its largest ``trees`` or
+``k``, and scores every combination of the family from that fit; its
+reports equal ``cross_validate``'s, and the default forest grid grows 43%
+fewer trees than one fit per combination. Folds, and a grid's (family,
+fold) pairs, are independent, so ``cross_validate`` and ``grid_search`` map
 them over ``jobs`` forked workers with ``workers.map``; a free worker takes
-the next fold or combination, so cells of uneven cost spread evenly.
-Results and warnings come back in unit order, so a report does not depend
-on ``jobs``.
+the next unit, so units of uneven cost spread evenly. Results and warnings
+come back in unit order, so a report does not depend on ``jobs``.
 
 The feature layout follows the study design, ML_FEATURE_NAMES:
 [adds, fa, size, num_days], where fa is binary and left unscaled.
@@ -177,6 +186,13 @@ def standardize(dataset: MLDataset) -> tuple[MLDataset, Scaler]:
 
 # -- k-nearest neighbors -------------------------------------------------------
 
+# kNN scores its query rows this many at a time, so the (rows, training rows,
+# features) difference array stays bounded: 64 queries against 9,000
+# training rows of 4 features take 18 MB. Each row is scored alone, so the
+# block size never changes a score.
+_KNN_QUERY_BLOCK = 64
+
+
 class KNNModel:
     def __init__(self, X: np.ndarray, y: np.ndarray, k: int, metric: str):
         if metric not in ("euclidean", "manhattan"):
@@ -187,15 +203,25 @@ class KNNModel:
         self.metric = metric
 
     def predict_score(self, X: np.ndarray) -> np.ndarray:
+        return self.prefix_scores(X, [self.k])[0]
+
+    def prefix_scores(self, X: np.ndarray, ks: list[int]) -> list[np.ndarray]:
+        """``predict_score`` of this model with each k in ``ks``: the mean
+        label of the first k neighbours in one stable order, ties in
+        distance resolved by training index."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        diff = X[:, None, :] - self.X[None, :, :]
-        if self.metric == "euclidean":
-            dists = np.sqrt((diff**2).sum(axis=2))
-        else:
-            dists = np.abs(diff).sum(axis=2)
-        # stable order: ties in distance resolved by training index
-        nearest = np.argsort(dists, axis=1, kind="stable")[:, : self.k]
-        return self.y[nearest].mean(axis=1)
+        scores = [np.empty(len(X)) for _ in ks]
+        for start in range(0, len(X), _KNN_QUERY_BLOCK):
+            block = slice(start, start + _KNN_QUERY_BLOCK)
+            diff = X[block, None, :] - self.X[None, :, :]
+            if self.metric == "euclidean":
+                dists = np.sqrt((diff**2).sum(axis=2))
+            else:
+                dists = np.abs(diff).sum(axis=2)
+            order = np.argsort(dists, axis=1, kind="stable")
+            for out, k in zip(scores, ks):
+                out[block] = self.y[order[:, : min(k, len(self.X))]].mean(axis=1)
+        return scores
 
 
 # -- logistic regression -------------------------------------------------------
@@ -287,48 +313,118 @@ class _TreeNode:
         self.probability = probability
 
 
+# Words a tree's node draws take from its generator at a time; a tree of
+# the survey's 360 training rows takes a few hundred.
+_WORD_CHUNK = 256
+
+
+class _NodeDraws:
+    """``rng.choice(d, size, False)``, drawn as numpy draws it, from 32-bit
+    words of ``rng`` taken a chunk at a time.
+
+    numpy's ``Generator.choice`` without replacement is Floyd's sampling
+    algorithm (Bentley & Floyd 1987) followed by a Fisher-Yates shuffle of
+    the sample, or for ``d`` above 10,000 and ``size`` above ``d // 50`` a
+    partial shuffle of ``range(d)``. Each of their bounded integers is
+    Lemire's (2019) multiply-and-reject draw on the generator's next 32-bit
+    word, as ``below`` draws it. ``close`` rewinds ``rng`` to where the
+    first chunk began and draws exactly the words used, so ``rng`` ends
+    where the ``choice`` calls would have left it.
+    """
+
+    __slots__ = ("rng", "state", "words", "used")
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.state = None
+        self.words: list[int] = []
+        self.used = 0
+
+    def below(self, n: int) -> int:
+        """A uniform integer in ``range(n)``; ``n == 1`` takes no word."""
+        if n == 1:
+            return 0
+        m = self._word() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (1 << 32) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._word() * n
+        return m >> 32
+
+    def choice(self, d: int, size: int) -> list[int]:
+        if d > 10000 and size > d // 50:
+            pool = list(range(d))
+            for i in range(d - 1, max(d - size, 1) - 1, -1):
+                j = self.below(i + 1)
+                pool[i], pool[j] = pool[j], pool[i]
+            return pool[d - size :]
+        sample: list[int] = []
+        for j in range(d - size, d):
+            value = self.below(j + 1)
+            sample.append(j if value in sample else value)
+        for i in range(size - 1, 0, -1):
+            j = self.below(i + 1)
+            sample[i], sample[j] = sample[j], sample[i]
+        return sample
+
+    def close(self) -> None:
+        if self.state is not None:
+            self.rng.bit_generator.state = self.state
+            self.rng.integers(0, 2**32, self.used, np.uint32)
+
+    def _word(self) -> int:
+        if self.used == len(self.words):
+            if self.state is None:
+                self.state = self.rng.bit_generator.state
+            # positional: keyword parsing is a good part of a small draw's cost
+            self.words += self.rng.integers(0, 2**32, _WORD_CHUNK, np.uint32).tolist()
+        self.used += 1
+        return self.words[self.used - 1]
+
+
 def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
+    columns: list[list[float]],
+    orders: list[list[int]],
+    weights: list[int],
+    positives: list[int],
     max_depth: int | None,
     max_features: int,
     rng: np.random.Generator,
-    counts: np.ndarray | None = None,
 ) -> _TreeNode:
     """Grow one Gini tree, depth first, right child first, drawing the
-    candidate features of each node from ``rng``. Row ``i`` stands for
-    ``counts[i]`` copies of itself (one by default), so a bootstrap sample
-    can be passed as its distinct rows and their counts.
+    candidate features of each node as ``rng.choice(d, size, False)`` would
+    (``_NodeDraws``), and leaving ``rng`` where those calls would.
 
-    Each feature is sorted once (SLIQ; Mehta, Agrawal & Rissanen 1996). A
-    node carries, per feature, its rows in that order; a split partitions
-    every list by ``col[i] <= threshold``, which keeps each list a stable
-    argsort of the node's rows. Split scores are plain float arithmetic in
-    the order a vectorized scan uses, so the tree is exact, not approximate.
-    A split is scored only where the value changes, and copies of a row
-    share its value, so the counts enter only as sums over whole runs of
-    equal values: the tree is the one grown on the rows repeated.
+    ``columns[f][i]`` is feature ``f`` of row ``i``, which stands for
+    ``weights[i]`` copies of itself, ``positives[i]`` of them experts; so a
+    bootstrap sample can be passed as its distinct rows and their counts.
+    ``orders[f]`` is a stable argsort of feature ``f`` over the rows in the
+    tree (SLIQ; Mehta, Agrawal & Rissanen 1996): rows left out of it, such
+    as those of weight 0, take no part. A node carries, per feature, its
+    rows in that order; a split partitions every list by
+    ``col[i] <= threshold``, which keeps each list a stable argsort of the
+    node's rows. Split scores are plain float arithmetic in the order a
+    vectorized scan uses, so the tree is exact, not approximate. A split is
+    scored only where the value changes, and copies of a row share its
+    value, so the weights enter only as sums over whole runs of equal
+    values: the tree is the one grown on the rows repeated.
     """
-    n, d = X.shape
-    columns = X.T.tolist()
-    weights = [1] * n if counts is None else counts.tolist()
-    positives = [c if label else 0 for c, label in zip(weights, y.tolist())]
+    d = len(columns)
     size = min(max_features, d)
+    draws = _NodeDraws(rng)
 
     def splittable(rows: int, pos: int, depth: int) -> bool:
         return 0 < pos < rows and (max_depth is None or depth < max_depth)
 
     rows, total = sum(weights), sum(positives)
     root = _TreeNode(probability=total / rows)
-    orders = [np.argsort(X[:, f], kind="stable").tolist() for f in range(d)]
     stack = [(root, orders, rows, total, 0)] if splittable(rows, total, 0) else []
     while stack:
         node, orders, m, pos, depth = stack.pop()
         # first minimum within a feature, strict improvement across features
         best_gini = math.inf
         best = None
-        # positional: keyword parsing is about a third of this call's cost
-        for feature in rng.choice(d, size, False).tolist():
+        for feature in draws.choice(d, size):
             col = columns[feature]
             left = left_pos = 0
             prev = None
@@ -363,6 +459,7 @@ def _grow_tree(
         if splittable(m - left, pos - left_pos, depth + 1):
             lists = [[i for i in order if col[i] > threshold] for order in orders]
             stack.append((node.right, lists, m - left, pos - left_pos, depth + 1))
+    draws.close()
     return root
 
 
@@ -386,21 +483,40 @@ class RandomForestModel:
         max_features: int,
         seed,
     ):
+        if max_features < 0:
+            raise ValueError(f"max_features must be >= 0, got {max_features}")
         rng = np.random.default_rng(seed)
         self.trees: list[_TreeNode] = []
         n = len(y)
+        # one presort per fit: a tree's rows, filtered from it, stay in the
+        # order of a stable argsort of those rows alone
+        columns = X.T.tolist()
+        orders = [np.argsort(column, kind="stable") for column in X.T]
         for _ in range(trees):
             # a tree grown on the distinct rows, weighted by their counts,
             # is the tree grown on the sample; about 63% of its rows are distinct
             counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            rows = np.flatnonzero(counts)
-            self.trees.append(
-                _grow_tree(X[rows], y[rows], max_depth, max_features, rng, counts[rows])
-            )
+            drawn = counts > 0
+            self.trees.append(_grow_tree(
+                columns,
+                [order[drawn[order]].tolist() for order in orders],
+                counts.tolist(),
+                (counts * y).tolist(),
+                max_depth,
+                max_features,
+                rng,
+            ))
 
     def predict_score(self, X: np.ndarray) -> np.ndarray:
+        return self.prefix_scores(X, [len(self.trees)])[0]
+
+    def prefix_scores(self, X: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+        """``predict_score`` of the forest of this one's first t trees, for
+        each t in ``sizes``: a reduction over axis 0 adds the tree rows in
+        order, so a prefix's mean is that of the smaller forest."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.mean([_tree_scores(tree, X) for tree in self.trees], axis=0)
+        rows = np.array([_tree_scores(tree, X) for tree in self.trees])
+        return [np.mean(rows[:t], axis=0) for t in sizes]
 
 
 # -- training and evaluation -----------------------------------------------------
@@ -434,6 +550,47 @@ def train(spec: ClassifierSpec, data: MLDataset, seed=0):
     )
 
 
+def _folds(dataset: MLDataset, folds: int, seed: int) -> list[np.ndarray]:
+    fold_indices = stratified_folds(dataset.labels, folds, seed)
+    if dataset.labels.all() or not dataset.labels.any():
+        raise SingleClassData("cross-validation needs both classes")
+    return fold_indices
+
+
+def _held_out(
+    spec: ClassifierSpec,
+    sizes: list[int] | None,
+    dataset: MLDataset,
+    fold_indices: list[np.ndarray],
+    seed: int,
+    fold_number: int,
+) -> list[np.ndarray]:
+    """The held-out scores of one fold, from the spec's model fitted on the
+    other folds with the fold's seed ``[seed, fold_number]``: its
+    ``prefix_scores`` for each of ``sizes``, or its one ``predict_score``."""
+    test_idx = fold_indices[fold_number]
+    all_indices = np.arange(len(dataset))
+    train_set = dataset.subset(all_indices[~np.isin(all_indices, test_idx)])
+    scaled_train, scaler = standardize(train_set)
+    model = train(spec, scaled_train, seed=[seed, fold_number])
+    X = scaler.transform(dataset.features[test_idx])
+    return [model.predict_score(X)] if sizes is None else model.prefix_scores(X, sizes)
+
+
+def _report(
+    spec: ClassifierSpec,
+    dataset: MLDataset,
+    fold_indices: list[np.ndarray],
+    held_out: list[np.ndarray],
+) -> CVReport:
+    """The report of the folds' held-out scores, written into one vector in
+    dataset order; a score of at least 0.5 is an expert."""
+    scores = np.empty(len(dataset))
+    scores[np.concatenate(fold_indices)] = np.concatenate(held_out)
+    per_fold, means = fold_prf(scores >= 0.5, dataset.labels, fold_indices)
+    return CVReport(spec, per_fold, *means, scores=tuple(scores.tolist()))
+
+
 def cross_validate(
     spec: ClassifierSpec, dataset: MLDataset, folds: int = 10, seed: int = 0, jobs: int = 1
 ) -> CVReport:
@@ -447,24 +604,19 @@ def cross_validate(
     as it scores ``expertise.calibrate``'s thresholds. The folds run on up
     to ``jobs`` forked workers (see ``workers.map``).
     """
-    fold_indices = stratified_folds(dataset.labels, folds, seed)
-    if dataset.labels.all() or not dataset.labels.any():
-        raise SingleClassData("cross-validation needs both classes")
-    all_indices = np.arange(len(dataset))
+    fold_indices = _folds(dataset, folds, seed)
+    held_out = workers.map(
+        lambda fold: _held_out(spec, None, dataset, fold_indices, seed, fold)[0],
+        range(len(fold_indices)),
+        jobs,
+    )
+    return _report(spec, dataset, fold_indices, held_out)
 
-    def score_fold(fold_number: int) -> np.ndarray:
-        test_idx = fold_indices[fold_number]
-        train_mask = ~np.isin(all_indices, test_idx)
-        train_set = dataset.subset(all_indices[train_mask])
-        scaled_train, scaler = standardize(train_set)
-        model = train(spec, scaled_train, seed=[seed, fold_number])
-        return model.predict_score(scaler.transform(dataset.features[test_idx]))
 
-    held_out = workers.map(score_fold, range(len(fold_indices)), jobs)
-    scores = np.empty(len(dataset))
-    scores[np.concatenate(fold_indices)] = np.concatenate(held_out)
-    per_fold, means = fold_prf(scores >= 0.5, dataset.labels, fold_indices)
-    return CVReport(spec, per_fold, *means, scores=tuple(scores.tolist()))
+# The hyperparameter along which one fit holds the fits of all its smaller
+# values with the same seed: a forest's first t trees are the t-tree forest,
+# and a kNN model's first k neighbours in its stable order are the k-NN model's.
+_PREFIX_PARAMETER = {KNN: "k", RANDOM_FOREST: "trees"}
 
 
 def grid_search(
@@ -478,18 +630,56 @@ def grid_search(
     """Exhaustive hyperparameter search maximizing mean F-measure.
 
     Combinations are evaluated in deterministic grid order and ties keep
-    the first maximum. Each combination is one serial ``cross_validate``,
-    run on up to ``jobs`` forked workers (see ``workers.map``).
+    the first maximum; each one's report is the one ``cross_validate``
+    gives it (see ``_grid_reports``).
     """
     grid = DEFAULT_GRIDS[kind] if grids is None else grids
     if not grid or not all(grid.values()):
         raise ValueError("hyperparameter grid is empty")
+    cells = _grid_reports(kind, dataset, grid, folds, seed, jobs)
+    return max(cells, key=lambda pair: pair[1].mean_f)
+
+
+def _grid_reports(
+    kind: str, dataset: MLDataset, grid: dict[str, list], folds: int, seed: int, jobs: int
+) -> list[tuple[ClassifierSpec, CVReport]]:
+    """Every combination of the grid, in grid order, with its CV report.
+
+    The combinations that differ only in kNN's ``k`` or the forest's
+    ``trees`` form one prefix family, fitted once per fold with the
+    family's largest value; each combination is scored from that fit's
+    ``prefix_scores``. Every (family, fold) pair is one unit, run on up to
+    ``jobs`` forked workers (see ``workers.map``).
+    """
     names = list(grid)
     specs = [
         ClassifierSpec(kind=kind, hyperparameters=dict(zip(names, combo)))
         for combo in itertools.product(*(grid[name] for name in names))
     ]
-    reports = workers.map(
-        lambda spec: cross_validate(spec, dataset, folds=folds, seed=seed), specs, jobs
+    fold_indices = _folds(dataset, folds, seed)
+    prefix = _PREFIX_PARAMETER.get(kind)
+    families: dict[tuple, list[int]] = {}  # the other hyperparameters: cell positions
+    for position, spec in enumerate(specs):
+        params = spec.merged()
+        params.pop(prefix, None)
+        families.setdefault(tuple(sorted(params.items())), []).append(position)
+    runs = []  # per family: the spec fitted on each fold, the sizes it scores
+    for params, members in families.items():
+        if prefix is None:
+            runs.append((specs[members[0]], None))
+        else:
+            sizes = [int(specs[position].merged()[prefix]) for position in members]
+            runs.append((ClassifierSpec(kind, {**dict(params), prefix: max(sizes)}), sizes))
+    held_out = workers.map(
+        lambda unit: _held_out(*runs[unit[0]], dataset, fold_indices, seed, unit[1]),
+        list(itertools.product(range(len(runs)), range(len(fold_indices)))),
+        jobs,
     )
-    return max(zip(specs, reports), key=lambda pair: pair[1].mean_f)
+    reports = [None] * len(specs)
+    for run, members in enumerate(families.values()):
+        fold_scores = held_out[run * len(fold_indices) : (run + 1) * len(fold_indices)]
+        for member, position in enumerate(members):
+            reports[position] = _report(
+                specs[position], dataset, fold_indices, [scores[member] for scores in fold_scores]
+            )
+    return list(zip(specs, reports))

@@ -245,9 +245,13 @@ def test_correlate_exact_p(cli_repo, tmp_path, capsys):
          "6916dfc1edebc43f9a501f6b7c2e0d9cd3c6b9b252992fa7dcf9737112e74025"),
         (("evaluate", "--classifier", "logistic_regression", "--format", "json"),
          "e260f66bc649bf271a4ec9a40921c310b295ddbf0ae8f5783edcae88e401904b"),
+        (("evaluate", "--classifier", "knn", "--grid", "default"),
+         "6687c36a06f65d2f280fd557b8f5fd0f92426218942f0a6abc0a03536da39c77"),
+        (("evaluate", "--classifier", "random_forest", "--grid", "default"),
+         "b8981fe19f514334767a4853dd27afaaf34d587c345887e25c99b5a55d95fac4"),
     ],
     ids=["calibrate-doa", "evaluate-knn", "evaluate-random-forest",
-         "evaluate-logistic-regression-json"],
+         "evaluate-logistic-regression-json", "evaluate-knn-grid", "evaluate-random-forest-grid"],
 )
 def test_seed_0_analysis_bytes_are_pinned(cli_repo, tmp_path, capsys, command, digest):
     """Seed-0 threshold curve and CV report, down to the byte: a different

@@ -1,5 +1,6 @@
 """Classifier training, cross-validation and grid search."""
 
+import itertools
 import random
 import warnings
 
@@ -199,6 +200,10 @@ class TestModels:
         scores = model.predict_score(data.features)
         assert ((scores >= 0) & (scores <= 1)).all()
 
+    def test_negative_max_features_is_refused(self):
+        with pytest.raises(ValueError):
+            train(ClassifierSpec(RANDOM_FOREST, {"max_features": -1}), separable_dataset(40))
+
     def test_single_class_rejected(self):
         data = separable_dataset(40)
         onesided = MLDataset(features=data.features, labels=np.ones(40, dtype=bool))
@@ -233,6 +238,21 @@ def mixed_columns(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return np.column_stack([kinds[rng.integers(len(kinds))]() for _ in range(d)])
 
 
+def grow(X, y, max_depth, max_features, rng, counts=None):
+    """``_grow_tree`` on the rows of X, row i standing for ``counts[i]``
+    copies of itself (one by default), each feature sorted on its own."""
+    weights = np.ones(len(y), dtype=int) if counts is None else counts
+    return _grow_tree(
+        X.T.tolist(),
+        [np.argsort(column, kind="stable").tolist() for column in X.T],
+        weights.tolist(),
+        (weights * y).tolist(),
+        max_depth,
+        max_features,
+        rng,
+    )
+
+
 class TestForestTrees:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -248,7 +268,7 @@ class TestForestTrees:
         y = data_rng.random(n) < data_rng.random()
         sample = data_rng.integers(0, n, size=n)  # a bootstrap, duplicates included
         grown, expected = np.random.default_rng(seed), np.random.default_rng(seed)
-        tree = _grow_tree(X[sample], y[sample], max_depth, max_features, grown)
+        tree = grow(X[sample], y[sample], max_depth, max_features, grown)
         oracle = numpy_grow_tree(X[sample], y[sample], max_depth, max_features, expected)
         assert preorder(tree) == preorder(oracle)
         assert grown.bit_generator.state == expected.bit_generator.state
@@ -271,12 +291,37 @@ class TestForestTrees:
         counts = np.bincount(sample, minlength=n)
         rows = np.flatnonzero(counts)
         rngs = [np.random.default_rng(seed) for _ in range(3)]
-        weighted = _grow_tree(X[rows], y[rows], max_depth, max_features, rngs[0], counts[rows])
-        repeated = _grow_tree(X[sample], y[sample], max_depth, max_features, rngs[1])
+        weighted = grow(X[rows], y[rows], max_depth, max_features, rngs[0], counts[rows])
+        repeated = grow(X[sample], y[sample], max_depth, max_features, rngs[1])
         oracle = numpy_grow_tree(X[sample], y[sample], max_depth, max_features, rngs[2])
         assert preorder(weighted) == preorder(repeated) == preorder(oracle)
         states = [rng.bit_generator.state for rng in rngs]
         assert states[0] == states[1] == states[2]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 120),
+        d=st.integers(1, 5),
+        max_depth=st.sampled_from([None, 0, 1, 3]),
+        max_features=st.sampled_from([1, 2, 4]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_presort_per_fit_grows_the_trees_of_each_bootstrap(
+        self, seed, n, d, max_depth, max_features
+    ):
+        """The forest filters one presort of all rows to each tree's
+        bootstrap rows; sorting those distinct rows alone grows the same
+        trees from the same draws."""
+        data_rng = np.random.default_rng(seed)
+        X = mixed_columns(data_rng, n, d)
+        y = data_rng.random(n) < data_rng.random()
+        model = ml.RandomForestModel(X, y, 4, max_depth, max_features, seed)
+        rng = np.random.default_rng(seed)
+        for tree in model.trees:
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            rows = np.flatnonzero(counts)
+            expected = grow(X[rows], y[rows], max_depth, max_features, rng, counts[rows])
+            assert preorder(tree) == preorder(expected)
 
     @pytest.mark.parametrize(
         "lo, hi",
@@ -417,6 +462,157 @@ def per_row_lexsort_scores(model, X: np.ndarray) -> np.ndarray:
         nearest = np.lexsort((np.arange(len(dists)), dists))[: model.k]
         scores[i] = model.y[nearest].mean()
     return scores
+
+
+class TestNodeDraws:
+    """``_NodeDraws`` against numpy's ``Generator.choice`` and ``integers``,
+    on generators that also draw words between the trees."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_choice_equals_numpy_choice(self, seed):
+        expected, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+        for d in range(1, 13):
+            draws = ml._NodeDraws(drawn)
+            for size in range(d + 1):
+                for _ in range(3):
+                    assert draws.choice(d, size) == expected.choice(d, size, False).tolist()
+            draws.close()
+            assert (drawn.integers(0, 17, size=d).tolist()
+                    == expected.integers(0, 17, size=d).tolist())
+        assert drawn.bit_generator.state == expected.bit_generator.state
+
+    def test_a_source_spanning_several_chunks_ends_where_numpy_ends(self):
+        expected, drawn = np.random.default_rng(7), np.random.default_rng(7)
+        expected.integers(0, 2**32, 1, np.uint32)  # start on the second half of a 64-bit word
+        drawn.integers(0, 2**32, 1, np.uint32)
+        draws = ml._NodeDraws(drawn)
+        for _ in range(60):
+            assert draws.choice(12, 12) == expected.choice(12, 12, False).tolist()
+        assert draws.used > 2 * ml._WORD_CHUNK
+        draws.close()
+        assert drawn.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "d, size", [(10001, 200), (10001, 201), (12000, 5000), (10001, 10001)],
+        ids=["floyd-at-the-bound", "tail-shuffle", "tail-shuffle-half", "tail-shuffle-all"],
+    )
+    def test_large_populations_draw_as_numpy_draws(self, d, size):
+        # above 10,000 candidates and d // 50 draws numpy shuffles a tail
+        expected, drawn = np.random.default_rng(d), np.random.default_rng(d)
+        draws = ml._NodeDraws(drawn)
+        assert draws.choice(d, size) == expected.choice(d, size, False).tolist()
+        draws.close()
+        assert drawn.bit_generator.state == expected.bit_generator.state
+
+    def test_bounded_draws_reject_as_numpy_rejects(self):
+        """Over d <= 12 a word is rejected with odds near 2**-32; below
+        3 * 2**30 + 1 about a quarter of the words are."""
+        expected, drawn = np.random.default_rng(1), np.random.default_rng(1)
+        draws = ml._NodeDraws(drawn)
+        bound = 3 * 2**30 + 1
+        assert [draws.below(bound) for _ in range(1000)] == expected.integers(
+            0, bound, size=1000
+        ).tolist()
+        assert draws.used > 1200  # about 1,333 words for 1,000 draws
+        draws.close()
+        assert drawn.bit_generator.state == expected.bit_generator.state
+
+
+class TestPrefixFamilies:
+    """A t-tree forest and a k-NN model score exactly like the prefixes of
+    larger ones with the same seed, so a grid scores them from one fit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 60),
+        d=st.integers(1, 4),
+        max_depth=st.sampled_from([None, 1, 3]),
+        max_features=st.sampled_from([1, 2, 4]),
+        trees=st.integers(1, 6),
+        extra=st.integers(0, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_forest_scores_like_the_prefix_of_a_larger_one(
+        self, seed, n, d, max_depth, max_features, trees, extra
+    ):
+        data_rng = np.random.default_rng(seed)
+        X = mixed_columns(data_rng, n, d)
+        y = data_rng.random(n) < data_rng.random()
+        queries = mixed_columns(data_rng, 9, d)
+        small = ml.RandomForestModel(X, y, trees, max_depth, max_features, [seed, 1])
+        large = ml.RandomForestModel(X, y, trees + extra, max_depth, max_features, [seed, 1])
+        assert [preorder(t) for t in small.trees] == [preorder(t) for t in large.trees[:trees]]
+        assert (small.predict_score(queries).tolist()
+                == large.prefix_scores(queries, [trees])[0].tolist())
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        k=st.integers(1, 45),
+        extra=st.integers(0, 10),
+        metric=st.sampled_from(["euclidean", "manhattan"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_knn_model_scores_like_the_prefix_of_a_larger_one(self, seed, n, k, extra, metric):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 3, size=(n, 3)).astype(float)  # many equal distances
+        y = rng.random(n) < 0.5
+        queries = rng.integers(0, 3, size=(11, 3)).astype(float)
+        small = ml.KNNModel(X, y, k, metric)
+        large = ml.KNNModel(X, y, k + extra, metric)
+        assert (small.predict_score(queries).tolist()
+                == large.prefix_scores(queries, [k])[0].tolist())
+
+    @pytest.mark.parametrize(
+        "kind, grid",
+        [
+            (KNN, {"k": [5, 1, 3, 60], "metric": ["euclidean", "manhattan"]}),
+            (RANDOM_FOREST, {"trees": [3, 1, 5], "max_depth": [2, None], "max_features": [1, 2]}),
+            (RANDOM_FOREST, {"max_depth": [None, 2]}),
+            (LOGISTIC_REGRESSION, {"l2": [0.01, 1.0]}),
+        ],
+        ids=["knn", "random-forest", "random-forest-default-trees", "logistic-regression"],
+    )
+    def test_every_cell_reports_what_cross_validate_reports(self, kind, grid):
+        data = separable_dataset(60, seed=3)
+        data = MLDataset(data.features, np.random.default_rng(2).permutation(data.labels))
+        cells = ml._grid_reports(kind, data, grid, folds=5, seed=2, jobs=1)
+        assert [spec.hyperparameters for spec, _report in cells] == [
+            dict(zip(grid, combo)) for combo in itertools.product(*grid.values())
+        ]
+        for spec, report in cells:
+            assert report == cross_validate(spec, data, folds=5, seed=2)
+
+    def test_a_forest_grid_grows_each_family_once_per_fold(self, monkeypatch):
+        grown = []
+        original = ml._grow_tree
+        monkeypatch.setattr(ml, "_grow_tree", lambda *args: grown.append(1) or original(*args))
+        grid = {"trees": [1, 2, 4], "max_depth": [1, None]}
+        grid_search(RANDOM_FOREST, separable_dataset(40), grid, folds=4)
+        # two families, four folds, four trees; cell by cell it would be seven
+        assert len(grown) == 2 * 4 * 4
+
+    def test_forest_grid_search_does_not_depend_on_jobs(self):
+        data = separable_dataset(60, seed=3)
+        grid = {"trees": [2, 5], "max_depth": [1, None], "max_features": [1, 2]}
+        serial = ml._grid_reports(RANDOM_FOREST, data, grid, folds=5, seed=1, jobs=1)
+        assert ml._grid_reports(RANDOM_FOREST, data, grid, folds=5, seed=1, jobs=3) == serial
+
+
+@pytest.mark.parametrize("d", [4, 9])
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_knn_scores_do_not_depend_on_the_query_block(monkeypatch, metric, d):
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(70, d))
+    y = rng.random(70) < 0.4
+    queries = rng.normal(size=(50, d))
+    model = ml.KNNModel(X, y, 7, metric)
+    assert len(queries) <= ml._KNN_QUERY_BLOCK
+    one_block = model.prefix_scores(queries, [1, 7, 70])
+    monkeypatch.setattr(ml, "_KNN_QUERY_BLOCK", 8)  # seven blocks, the last one short
+    assert [s.tolist() for s in model.prefix_scores(queries, [1, 7, 70])] == [
+        s.tolist() for s in one_block
+    ]
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
