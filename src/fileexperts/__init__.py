@@ -35,8 +35,7 @@ _EXPORTS = {
     ),
     "identities": ("DeveloperId", "canonicalize_history", "resolve_identities"),
     "ml": (
-        "CVReport", "ClassifierSpec", "MLDataset", "cross_validate", "grid_search",
-        "standardize", "train",
+        "CVReport", "ClassifierSpec", "MLDataset", "cross_validate", "grid_search", "train",
     ),
     "stats": (
         "CorrelationResult", "correlation_matrix", "knowledge_correlations", "spearman",

@@ -13,21 +13,24 @@ chunk of the generator's 32-bit words as numpy takes them (``_NodeDraws``).
 kNN scores query rows in fixed blocks, so its memory stays bounded.
 Evaluation runs seeded, stratified 10-fold cross-validation with the
 expert class as positive; standardization is fit on each training split
-only. Models only score; ``cross_validate`` gathers the held-out scores of
-all folds, calls a score of at least 0.5 an expert, in that one place, and
-scores the folds by ``validation.fold_prf``, as ``expertise.calibrate`` does.
+only. Models only score; one driver, ``_reports``, gathers the held-out
+scores of all folds, calls a score of at least 0.5 an expert, in that one
+place, and scores the folds by ``validation.fold_prf``, as
+``expertise.calibrate`` does. ``cross_validate`` is its one-spec case and
+``grid_search`` its grid case.
 
 Each fold draws from its own seed ``[seed, fold]``, so a forest's first t
 trees are the t-tree forest of that fold, and a kNN model's first k
-neighbours in its stable order are the k-NN model's. ``grid_search`` fits
-each such prefix family once per fold, with its largest ``trees`` or
-``k``, and scores every combination of the family from that fit; its
-reports equal ``cross_validate``'s, and the default forest grid grows 43%
-fewer trees than one fit per combination. Folds, and a grid's (family,
-fold) pairs, are independent, so ``cross_validate`` and ``grid_search`` map
-them over ``jobs`` forked workers with ``workers.map``; a free worker takes
-the next unit, so units of uneven cost spread evenly. Results and warnings
-come back in unit order, so a report does not depend on ``jobs``.
+neighbours in its stable order are the k-NN model's. The driver fits each
+such prefix family of two or more specs once per fold, with its largest
+``trees`` or ``k``, and scores every member from that fit; a spec alone in
+its family is fitted as itself. So a grid's reports equal
+``cross_validate``'s, and the default forest grid grows 43% fewer trees
+than one fit per combination. The (family, fold) pairs are independent,
+so the driver maps them over ``jobs`` forked workers with ``workers.map``;
+a free worker takes the next unit, so units of uneven cost spread evenly.
+Results and warnings come back in unit order, so a report does not depend
+on ``jobs``.
 
 The feature layout follows the study design, ML_FEATURE_NAMES:
 [adds, fa, size, num_days], where fa is binary and left unscaled.
@@ -169,19 +172,6 @@ def fit_scaler(dataset: MLDataset) -> Scaler:
             warnings.warn(f"feature {name!r} is constant; left unscaled", ZeroVarianceWarning)
             mean[col], scale[col] = 0.0, 1.0
     return Scaler(mean=mean, scale=scale)
-
-
-def standardize(dataset: MLDataset) -> tuple[MLDataset, Scaler]:
-    """Standardized copy of the dataset plus the fitted parameters."""
-    scaler = fit_scaler(dataset)
-    return (
-        MLDataset(
-            features=scaler.transform(dataset.features),
-            labels=dataset.labels,
-            feature_names=dataset.feature_names,
-        ),
-        scaler,
-    )
 
 
 # -- k-nearest neighbors -------------------------------------------------------
@@ -550,11 +540,10 @@ def train(spec: ClassifierSpec, data: MLDataset, seed=0):
     )
 
 
-def _folds(dataset: MLDataset, folds: int, seed: int) -> list[np.ndarray]:
-    fold_indices = stratified_folds(dataset.labels, folds, seed)
-    if dataset.labels.all() or not dataset.labels.any():
-        raise SingleClassData("cross-validation needs both classes")
-    return fold_indices
+# The hyperparameter along which one fit holds the fits of all its smaller
+# values with the same seed: a forest's first t trees are the t-tree forest,
+# and a kNN model's first k neighbours in its stable order are the k-NN model's.
+_PREFIX_PARAMETER = {KNN: "k", RANDOM_FOREST: "trees"}
 
 
 def _held_out(
@@ -567,28 +556,70 @@ def _held_out(
 ) -> list[np.ndarray]:
     """The held-out scores of one fold, from the spec's model fitted on the
     other folds with the fold's seed ``[seed, fold_number]``: its
-    ``prefix_scores`` for each of ``sizes``, or its one ``predict_score``."""
+    ``prefix_scores`` for each of ``sizes``, or its one ``predict_score``.
+    A scaler fitted on the training split alone standardizes both splits."""
     test_idx = fold_indices[fold_number]
     all_indices = np.arange(len(dataset))
     train_set = dataset.subset(all_indices[~np.isin(all_indices, test_idx)])
-    scaled_train, scaler = standardize(train_set)
+    scaler = fit_scaler(train_set)
+    scaled_train = MLDataset(
+        scaler.transform(train_set.features), train_set.labels, train_set.feature_names
+    )
     model = train(spec, scaled_train, seed=[seed, fold_number])
     X = scaler.transform(dataset.features[test_idx])
     return [model.predict_score(X)] if sizes is None else model.prefix_scores(X, sizes)
 
 
-def _report(
-    spec: ClassifierSpec,
-    dataset: MLDataset,
-    fold_indices: list[np.ndarray],
-    held_out: list[np.ndarray],
-) -> CVReport:
-    """The report of the folds' held-out scores, written into one vector in
-    dataset order; a score of at least 0.5 is an expert."""
-    scores = np.empty(len(dataset))
-    scores[np.concatenate(fold_indices)] = np.concatenate(held_out)
-    per_fold, means = fold_prf(scores >= 0.5, dataset.labels, fold_indices)
-    return CVReport(spec, per_fold, *means, scores=tuple(scores.tolist()))
+def _reports(
+    specs: list[ClassifierSpec], dataset: MLDataset, folds: int, seed: int, jobs: int
+) -> list[CVReport]:
+    """The CV report of each spec, in order: the one classifier CV.
+
+    The specs that differ only in their prefix parameter (kNN's ``k``, the
+    forest's ``trees``) form one family. A family of one is fitted with its
+    own spec and scored by ``predict_score``. A larger family is fitted
+    with its largest value and each member is scored by that fit's
+    ``prefix_scores``, unless its kind has no prefix parameter: then its
+    members are one spec repeated, and share the one ``predict_score``.
+    Every (family, fold) pair is one unit, run on up to ``jobs`` forked
+    workers (see ``workers.map``). The folds' held-out scores are written
+    into one vector in dataset order; a score of at least 0.5 is an expert.
+    """
+    fold_indices = stratified_folds(dataset.labels, folds, seed)
+    if dataset.labels.all() or not dataset.labels.any():
+        raise SingleClassData("cross-validation needs both classes")
+    families: dict[tuple, list[int]] = {}  # kind and the other hyperparameters: positions
+    for position, spec in enumerate(specs):
+        params = spec.merged()
+        params.pop(_PREFIX_PARAMETER.get(spec.kind), None)
+        families.setdefault((spec.kind, *sorted(params.items())), []).append(position)
+    runs = []  # per family: the spec fitted on each fold, the sizes it scores
+    for members in families.values():
+        spec = specs[members[0]]
+        prefix = _PREFIX_PARAMETER.get(spec.kind)
+        if len(members) == 1 or prefix is None:
+            runs.append((spec, None))
+        else:
+            sizes = [int(specs[position].merged()[prefix]) for position in members]
+            runs.append((ClassifierSpec(spec.kind, {**spec.merged(), prefix: max(sizes)}), sizes))
+    held_out = workers.map(
+        lambda unit: _held_out(*runs[unit[0]], dataset, fold_indices, seed, unit[1]),
+        list(itertools.product(range(len(runs)), range(len(fold_indices)))),
+        jobs,
+    )
+    order = np.concatenate(fold_indices)
+    reports = [None] * len(specs)
+    for run, members in enumerate(families.values()):
+        fold_scores = held_out[run * len(fold_indices) : (run + 1) * len(fold_indices)]
+        for member, position in enumerate(members):
+            pick = 0 if runs[run][1] is None else member
+            scores = np.empty(len(dataset))
+            scores[order] = np.concatenate([fold[pick] for fold in fold_scores])
+            per_fold, means = fold_prf(scores >= 0.5, dataset.labels, fold_indices)
+            reports[position] = CVReport(
+                specs[position], per_fold, *means, scores=tuple(scores.tolist())
+            )
+    return reports
 
 
 def cross_validate(
@@ -601,22 +632,11 @@ def cross_validate(
     held-out ``predict_score`` values form ``scores``, one vector in dataset
     order (``oracle.pairs`` order from ``study.process_answers``); a score of
     at least 0.5 is an expert, and ``validation.fold_prf`` scores the folds
-    as it scores ``expertise.calibrate``'s thresholds. The folds run on up
-    to ``jobs`` forked workers (see ``workers.map``).
+    as it scores ``expertise.calibrate``'s thresholds. This is the one-spec
+    case of ``_reports``; the folds run on up to ``jobs`` forked workers
+    (see ``workers.map``).
     """
-    fold_indices = _folds(dataset, folds, seed)
-    held_out = workers.map(
-        lambda fold: _held_out(spec, None, dataset, fold_indices, seed, fold)[0],
-        range(len(fold_indices)),
-        jobs,
-    )
-    return _report(spec, dataset, fold_indices, held_out)
-
-
-# The hyperparameter along which one fit holds the fits of all its smaller
-# values with the same seed: a forest's first t trees are the t-tree forest,
-# and a kNN model's first k neighbours in its stable order are the k-NN model's.
-_PREFIX_PARAMETER = {KNN: "k", RANDOM_FOREST: "trees"}
+    return _reports([spec], dataset, folds, seed, jobs)[0]
 
 
 def grid_search(
@@ -629,57 +649,17 @@ def grid_search(
 ) -> tuple[ClassifierSpec, CVReport]:
     """Exhaustive hyperparameter search maximizing mean F-measure.
 
-    Combinations are evaluated in deterministic grid order and ties keep
-    the first maximum; each one's report is the one ``cross_validate``
-    gives it (see ``_grid_reports``).
+    Combinations are evaluated in ``itertools.product`` order of the grid
+    and ties keep the first maximum. Each one's report is the one
+    ``cross_validate`` gives it, though ``_reports`` fits each prefix family
+    once per fold and scores every combination of it from that fit.
     """
     grid = DEFAULT_GRIDS[kind] if grids is None else grids
     if not grid or not all(grid.values()):
         raise ValueError("hyperparameter grid is empty")
-    cells = _grid_reports(kind, dataset, grid, folds, seed, jobs)
-    return max(cells, key=lambda pair: pair[1].mean_f)
-
-
-def _grid_reports(
-    kind: str, dataset: MLDataset, grid: dict[str, list], folds: int, seed: int, jobs: int
-) -> list[tuple[ClassifierSpec, CVReport]]:
-    """Every combination of the grid, in grid order, with its CV report.
-
-    The combinations that differ only in kNN's ``k`` or the forest's
-    ``trees`` form one prefix family, fitted once per fold with the
-    family's largest value; each combination is scored from that fit's
-    ``prefix_scores``. Every (family, fold) pair is one unit, run on up to
-    ``jobs`` forked workers (see ``workers.map``).
-    """
-    names = list(grid)
     specs = [
-        ClassifierSpec(kind=kind, hyperparameters=dict(zip(names, combo)))
-        for combo in itertools.product(*(grid[name] for name in names))
+        ClassifierSpec(kind=kind, hyperparameters=dict(zip(grid, combo)))
+        for combo in itertools.product(*grid.values())
     ]
-    fold_indices = _folds(dataset, folds, seed)
-    prefix = _PREFIX_PARAMETER.get(kind)
-    families: dict[tuple, list[int]] = {}  # the other hyperparameters: cell positions
-    for position, spec in enumerate(specs):
-        params = spec.merged()
-        params.pop(prefix, None)
-        families.setdefault(tuple(sorted(params.items())), []).append(position)
-    runs = []  # per family: the spec fitted on each fold, the sizes it scores
-    for params, members in families.items():
-        if prefix is None:
-            runs.append((specs[members[0]], None))
-        else:
-            sizes = [int(specs[position].merged()[prefix]) for position in members]
-            runs.append((ClassifierSpec(kind, {**dict(params), prefix: max(sizes)}), sizes))
-    held_out = workers.map(
-        lambda unit: _held_out(*runs[unit[0]], dataset, fold_indices, seed, unit[1]),
-        list(itertools.product(range(len(runs)), range(len(fold_indices)))),
-        jobs,
-    )
-    reports = [None] * len(specs)
-    for run, members in enumerate(families.values()):
-        fold_scores = held_out[run * len(fold_indices) : (run + 1) * len(fold_indices)]
-        for member, position in enumerate(members):
-            reports[position] = _report(
-                specs[position], dataset, fold_indices, [scores[member] for scores in fold_scores]
-            )
-    return list(zip(specs, reports))
+    best = max(_reports(specs, dataset, folds, seed, jobs), key=lambda report: report.mean_f)
+    return best.spec, best

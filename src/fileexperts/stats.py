@@ -29,6 +29,9 @@ from .features import FEATURE_NAMES, FeatureTable
 
 KNOWLEDGE = "knowledge"
 _UNDEFINED = "rho is undefined for a constant input"
+# The permutation test enumerates every ordering up to this many pairs
+# (8! = 40,320) and samples orderings beyond it.
+_EXACT_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,6 @@ def _count_extreme(rows, cxs: np.ndarray, cy: np.ndarray, observed: np.ndarray):
 def spearman_permutation_p(
     x: Sequence[float] | Sequence[Sequence[float]],
     y: Sequence[float],
-    exact_limit: int = 8,
     samples: int = 20000,
     seed: int = 0,
 ) -> float | list[float]:
@@ -127,8 +129,8 @@ def spearman_permutation_p(
 
     ``x`` is one column of n values, giving one float, or a stack of k
     columns of shape (k, n), giving a list of k floats; every column is
-    tested against the same permutations of ``y``. Exact enumeration for
-    n <= exact_limit, otherwise a seeded Monte Carlo estimate with the
+    tested against the same permutations of ``y``. Exact enumeration of
+    all n! orderings for n <= _EXACT_LIMIT, otherwise a seeded Monte Carlo estimate with the
     add-one correction.
     """
     columns = np.asarray(x, dtype=float)
@@ -140,7 +142,7 @@ def spearman_permutation_p(
     cy = ranks[-1] - ranks[-1].mean()
     observed = np.array([abs(_rank_correlation(cx, cy)) for cx in cxs])
     n = len(cy)
-    if n <= exact_limit:
+    if n <= _EXACT_LIMIT:
         counts = _count_extreme(itertools.permutations(cy.tolist()), cxs, cy, observed)
         p_values = counts / math.factorial(n)
     else:

@@ -31,7 +31,6 @@ from fileexperts.ml import (
     logistic_gradient,
     logistic_hessian,
     logistic_loss,
-    standardize,
     train,
 )
 from fileexperts.study import EXPERT_KNOWLEDGE_FLOOR
@@ -64,19 +63,19 @@ class TestStandardize:
             labels=np.array([True, False]),
         )
         with pytest.warns(ZeroVarianceWarning):
-            scaled, scaler = standardize(data)
-        assert scaled.features[:, 0].tolist() == [-1.0, 1.0]
+            scaled = fit_scaler(data).transform(data.features)
+        assert scaled[:, 0].tolist() == [-1.0, 1.0]
         # fa untouched
-        assert scaled.features[:, 1].tolist() == [0.0, 1.0]
+        assert scaled[:, 1].tolist() == [0.0, 1.0]
         # constant column passed through unscaled
-        assert scaled.features[:, 2].tolist() == [5.0, 5.0]
+        assert scaled[:, 2].tolist() == [5.0, 5.0]
 
     def test_standardized_columns_have_zero_mean_unit_std(self):
         data = separable_dataset()
-        scaled, _ = standardize(data)
+        scaled = fit_scaler(data).transform(data.features)
         for col in (0, 2, 3):
-            assert abs(scaled.features[:, col].mean()) < 1e-9
-            assert scaled.features[:, col].std() == pytest.approx(1.0, abs=1e-9)
+            assert abs(scaled[:, col].mean()) < 1e-9
+            assert scaled[:, col].std() == pytest.approx(1.0, abs=1e-9)
 
     def test_the_binary_column_is_found_by_name(self):
         """Only the column named fa passes through; a dataset whose second
@@ -102,7 +101,7 @@ class TestStandardize:
     def test_empty_dataset(self):
         empty = MLDataset(features=np.empty((0, 4)), labels=np.array([], dtype=bool))
         with pytest.raises(TooFewSamples):
-            standardize(empty)
+            fit_scaler(empty)
 
 
 class TestModels:
@@ -393,8 +392,8 @@ class TestNewtonFit:
         assert 0 < survey.labels.sum() < len(survey)
         for test_idx in stratified_folds(survey.labels, 10, seed=0):
             train_idx = np.setdiff1d(np.arange(len(survey)), test_idx)
-            scaled, scaler = standardize(survey.subset(train_idx))
-            X, y = scaled.features, scaled.labels
+            scaler = fit_scaler(survey.subset(train_idx))
+            X, y = scaler.transform(survey.features[train_idx]), survey.labels[train_idx]
             held_out = scaler.transform(survey.features[test_idx])
             model = LogisticModel(X, y, l2, self.TOL, self.MAX_ITER)
             oracle = gradient_descent_logistic(X, y, l2, self.TOL, self.MAX_ITER)
@@ -570,18 +569,60 @@ class TestPrefixFamilies:
             (RANDOM_FOREST, {"trees": [3, 1, 5], "max_depth": [2, None], "max_features": [1, 2]}),
             (RANDOM_FOREST, {"max_depth": [None, 2]}),
             (LOGISTIC_REGRESSION, {"l2": [0.01, 1.0]}),
+            (LOGISTIC_REGRESSION, {"l2": [0.1, 0.1]}),
         ],
-        ids=["knn", "random-forest", "random-forest-default-trees", "logistic-regression"],
+        ids=["knn", "random-forest", "random-forest-default-trees", "logistic-regression",
+             "logistic-regression-repeated-value"],
     )
     def test_every_cell_reports_what_cross_validate_reports(self, kind, grid):
+        """A grid's cells in ``itertools.product`` order, each with the
+        report ``cross_validate`` gives it alone; a repeated value makes
+        two equal cells, which a kind without a prefix parameter fits once."""
         data = separable_dataset(60, seed=3)
         data = MLDataset(data.features, np.random.default_rng(2).permutation(data.labels))
-        cells = ml._grid_reports(kind, data, grid, folds=5, seed=2, jobs=1)
-        assert [spec.hyperparameters for spec, _report in cells] == [
-            dict(zip(grid, combo)) for combo in itertools.product(*grid.values())
+        specs = [
+            ClassifierSpec(kind, dict(zip(grid, combo)))
+            for combo in itertools.product(*grid.values())
         ]
-        for spec, report in cells:
+        reports = ml._reports(specs, data, folds=5, seed=2, jobs=1)
+        assert [report.spec for report in reports] == specs
+        for spec, report in zip(specs, reports):
             assert report == cross_validate(spec, data, folds=5, seed=2)
+        best = max(reports, key=lambda report: report.mean_f)
+        assert grid_search(kind, data, grid, folds=5, seed=2) == (best.spec, best)
+
+    @staticmethod
+    def count_predict_score(monkeypatch) -> list:
+        """The models whose ``predict_score`` is called, one entry a call."""
+        calls = []
+        for model in (ml.KNNModel, ml.LogisticModel, ml.RandomForestModel):
+            original = model.predict_score
+            monkeypatch.setattr(
+                model, "predict_score",
+                lambda self, X, original=original: calls.append(self) or original(self, X),
+            )
+        return calls
+
+    @pytest.mark.parametrize("kind", [KNN, LOGISTIC_REGRESSION, RANDOM_FOREST])
+    def test_cross_validate_calls_predict_score_once_per_fold(self, monkeypatch, kind):
+        """A family of one is fitted with its own spec and scored by
+        ``predict_score``, so the traced ``ml.predict_score`` spans keep
+        timing the fits ``cross_validate`` makes."""
+        calls = self.count_predict_score(monkeypatch)
+        spec = ClassifierSpec(kind, {"trees": 3} if kind == RANDOM_FOREST else {})
+        cross_validate(spec, separable_dataset(40), folds=4)
+        model = {KNN: ml.KNNModel, LOGISTIC_REGRESSION: LogisticModel,
+                 RANDOM_FOREST: ml.RandomForestModel}[kind]
+        assert [type(called) for called in calls] == [model] * 4
+
+    def test_a_grid_of_prefix_families_calls_no_predict_score(self, monkeypatch):
+        """Families of two or more members are scored by ``prefix_scores``
+        of their largest member's fit only."""
+        calls = self.count_predict_score(monkeypatch)
+        data = separable_dataset(40)
+        grid_search(KNN, data, {"k": [1, 3], "metric": ["euclidean", "manhattan"]}, folds=4)
+        grid_search(RANDOM_FOREST, data, {"trees": [1, 2], "max_depth": [1, None]}, folds=4)
+        assert calls == []
 
     def test_a_forest_grid_grows_each_family_once_per_fold(self, monkeypatch):
         grown = []
@@ -595,8 +636,12 @@ class TestPrefixFamilies:
     def test_forest_grid_search_does_not_depend_on_jobs(self):
         data = separable_dataset(60, seed=3)
         grid = {"trees": [2, 5], "max_depth": [1, None], "max_features": [1, 2]}
-        serial = ml._grid_reports(RANDOM_FOREST, data, grid, folds=5, seed=1, jobs=1)
-        assert ml._grid_reports(RANDOM_FOREST, data, grid, folds=5, seed=1, jobs=3) == serial
+        specs = [
+            ClassifierSpec(RANDOM_FOREST, dict(zip(grid, combo)))
+            for combo in itertools.product(*grid.values())
+        ]
+        serial = ml._reports(specs, data, folds=5, seed=1, jobs=1)
+        assert ml._reports(specs, data, folds=5, seed=1, jobs=3) == serial
 
 
 @pytest.mark.parametrize("d", [4, 9])
@@ -702,7 +747,8 @@ class TestCrossValidate:
         fold_indices = stratified_folds(data.labels, 5, seed)
         for fold, test_idx in enumerate(fold_indices):
             train_idx = np.setdiff1d(np.arange(len(data)), test_idx)
-            scaled, scaler = standardize(data.subset(train_idx))
+            scaler = fit_scaler(data.subset(train_idx))
+            scaled = MLDataset(scaler.transform(data.features[train_idx]), data.labels[train_idx])
             model = train(spec, scaled, seed=[seed, fold])
             held_out = model.predict_score(scaler.transform(data.features[test_idx]))
             assert scores[test_idx].tolist() == held_out.tolist()

@@ -25,7 +25,7 @@ PUBLIC = [
     "knowledge_correlations",
     "languages", "levenshtein", "load_history", "mine_history", "ml", "process_answers",
     "quartile_filter", "read_feature_csv", "read_ground_truth_csv", "resolve_identities",
-    "resolve_lineages", "save_history", "spearman", "spearman_permutation_p", "standardize",
+    "resolve_lineages", "save_history", "spearman", "spearman_permutation_p",
     "stats", "study", "technique_scores", "train", "validation", "write_feature_csv",
 ]
 
@@ -41,7 +41,7 @@ def _fresh_python(code: str) -> str:
 
 
 def test_all_is_the_pinned_public_names():
-    assert len(PUBLIC) == 71
+    assert len(PUBLIC) == 70
     assert fileexperts.__all__ == PUBLIC
 
 

@@ -112,8 +112,8 @@ class TestPermutationP:
         rng = np.random.default_rng(3)
         x = rng.normal(size=12)
         y = rng.normal(size=12)
-        a = spearman_permutation_p(x, y, exact_limit=8, samples=2000, seed=5)
-        b = spearman_permutation_p(x, y, exact_limit=8, samples=2000, seed=5)
+        a = spearman_permutation_p(x, y, samples=2000, seed=5)
+        b = spearman_permutation_p(x, y, samples=2000, seed=5)
         assert a == b
 
     @staticmethod
