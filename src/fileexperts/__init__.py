@@ -24,16 +24,15 @@ _EXPORTS = {
         "ThresholdCurve", "calibrate", "classify", "doa", "technique_scores",
     ),
     "features": (
-        "FeatureTable", "FeatureVector", "MiningInputs", "compute_all", "developer_ids",
-        "feature_table", "feature_table_to_csv", "mine_history", "read_feature_csv",
-        "write_feature_csv",
+        "FeatureTable", "FeatureVector", "MiningInputs", "compute_all", "feature_table",
+        "feature_table_to_csv", "mine_history", "read_feature_csv", "write_feature_csv",
     ),
     "gitlog": (
         "BlobReader", "CommitHistory", "CommitRecord", "FileChangeEvent", "RawIdentity",
         "extract_history", "filter_source_files", "load_history", "resolve_lineages",
         "save_history",
     ),
-    "identities": ("DeveloperId", "canonicalize_history", "resolve_identities"),
+    "identities": ("DeveloperId", "canonicalize_history", "developer_ids", "resolve_identities"),
     "ml": (
         "CVReport", "ClassifierSpec", "MLDataset", "cross_validate", "grid_search", "train",
     ),

@@ -50,6 +50,11 @@ class CorruptFeatureTable(FileExpertsError):
     """A feature CSV is not in the format this library writes."""
 
 
+class CorruptCacheWarning(FileExpertsWarning):
+    """A cache entry could not be read, so it was mined again and
+    overwritten; the message names the fault found."""
+
+
 class InvalidLanguageConfig(FileExpertsError):
     """A language table cannot be read, is not JSON, lacks a required key,
     holds a value of the wrong type or lists one extension under two
@@ -141,3 +146,8 @@ class InvalidColumnMap(FileExpertsError):
 
 class NoScores(FileExpertsError):
     """No developer has a score for the file asked about."""
+
+
+class UnwritableOutput(FileExpertsError):
+    """An output or cache file, or its directory, cannot be written; the
+    message names the path and the system's reason."""

@@ -25,13 +25,16 @@ afterwards, so the table does not depend on the worker count.
 ``feature_table`` alone reads and writes the cache, for the CLI and library
 callers alike: per branch tip, inputs and package code, the feature CSV and
 a history NDJSON whose commits carry no file contents, which
-``gitlog.load_history`` refuses.
+``gitlog.load_history`` refuses. An entry that cannot be read is a miss: one
+``errors.CorruptCacheWarning``, then a fresh mine that overwrites it. A
+table's developer records come from ``identities.developer_ids``.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import warnings
 import zlib
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -41,7 +44,9 @@ from typing import Mapping
 
 from . import diffs, workers
 from .diffs import MOD_THRESHOLD, check_mod_threshold, classify_changes, split_lines
-from .errors import CorruptFeatureTable, InvalidReferenceTime
+from .errors import (
+    CorruptCacheWarning, CorruptFeatureTable, CorruptHistory, InvalidReferenceTime,
+)
 from .fileio import atomic_write_text, csv_text, read_csv
 from .gitlog import (
     ADDITION, BlobReader, CommitHistory, Lineage, branch_tip, extract_history,
@@ -49,6 +54,7 @@ from .gitlog import (
 )
 from .identities import (
     DEFAULT_ALIAS_THRESHOLD, DeveloperId, canonicalize_history, check_alias_threshold,
+    developer_ids,
 )
 from .languages import DEFAULT_VENDOR_GLOBS, LanguageConfig, default_language_config
 
@@ -99,17 +105,6 @@ class FeatureTable:
 
     def pair_map(self) -> dict[tuple[str, str], FeatureVector]:
         return {(row.developer, row.file): row.features for row in self.rows}
-
-
-def developer_ids(history: CommitHistory) -> dict[str, DeveloperId]:
-    """The developer record of each canonical key that a canonicalized
-    history's ``identities`` metadata holds; a raw history has none."""
-    meta = history.metadata.get("identities") if history.metadata else None
-    return {
-        key: DeveloperId(key, entry.get("display_name", key),
-                         frozenset(entry.get("emails", [key])), frozenset(entry.get("names", [])))
-        for key, entry in (meta.items() if isinstance(meta, dict) else ())
-    }
 
 
 def _row_developers(developers: Mapping[str, DeveloperId], rows) -> dict[str, DeveloperId]:
@@ -338,10 +333,10 @@ def read_feature_csv(
     """Load a feature CSV written by this library.
 
     The CSV holds only canonical keys; the table keeps the records of
-    ``developers`` (as built by ``developer_ids`` from the history the table
-    was computed from) that its rows name. Raises CorruptFeatureTable,
-    naming the file and, for a row, its 1-based line, when the file is not
-    what ``write_feature_csv`` writes.
+    ``developers`` (as ``identities.developer_ids`` builds them from the
+    history the table was computed from) that its rows name. Raises
+    CorruptFeatureTable, naming the file and, for a row, its 1-based line,
+    when the file is not what ``write_feature_csv`` writes.
     """
 
     def row(key: str, file: str, *counts: str) -> FeatureRow:
@@ -369,22 +364,28 @@ def feature_table(
 
     A hit reads the feature CSV and the cached history's meta line, whose
     reference time, developers and row count make it equal a fresh run's
-    table (a CSV cut at a line boundary is CorruptFeatureTable). A miss
-    files the meta line, the commits without contents and the CSV under the
-    tip it mined."""
+    table. A miss files the meta line, the commits without contents and the
+    CSV under the tip it mined. An entry that cannot be read (a meta line
+    or CSV that is malformed or not UTF-8, or a CSV whose row count is not
+    the recorded one) is a miss that issues one CorruptCacheWarning naming
+    the fault, and is then overwritten."""
     inputs = inputs or MiningInputs()
     if cache_dir is not None:
         tip = history.metadata["tip"] if history else branch_tip(repo, branch)[1]
         history_path, features_path = _cache_files(inputs, cache_dir, tip)
         if history_path.exists() and features_path.exists():
-            head = load_history_meta(history_path)
-            table = read_feature_csv(features_path, head.reference_time, developer_ids(head))
-            recorded = head.metadata.get(_FEATURE_ROWS)
-            if len(table.rows) != recorded:
-                raise CorruptFeatureTable(
-                    f"{features_path} holds {len(table.rows)} rows; the cache recorded {recorded}"
-                )
-            return table
+            try:
+                head = load_history_meta(history_path)
+                table = read_feature_csv(features_path, head.reference_time, developer_ids(head))
+                recorded = head.metadata.get(_FEATURE_ROWS)
+                if len(table.rows) != recorded:
+                    raise CorruptFeatureTable(
+                        f"{features_path} holds {len(table.rows)} rows; "
+                        f"the cache recorded {recorded}"
+                    )
+                return table
+            except (CorruptHistory, CorruptFeatureTable) as exc:
+                warnings.warn(f"unreadable cache entry, mined again: {exc}", CorruptCacheWarning)
     history = history or mine_history(repo, branch, inputs)
     table = compute_all(history, inputs.language_config, inputs.mod_threshold, jobs)
     if cache_dir is not None:

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
-import tempfile
+import stat
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .errors import FileExpertsError
+from .errors import FileExpertsError, UnwritableOutput
 
 
 def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
@@ -83,19 +84,39 @@ def read_csv(
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
     """Write text, or an iterable of strings piece by piece, to path via a
-    temp file and rename, so readers never see a partially written file."""
+    temp file and rename, so readers never see a partially written file.
+
+    A new file gets the mode a plain ``open()`` gives it, 0o666 less the
+    umask; a file that exists keeps its permission bits. An OSError on the
+    way, in making the directory or in creating, writing or renaming the
+    file, raises UnwritableOutput naming the path and the reason."""
     if isinstance(text, str):
         text = (text,)
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(text)
-        os.replace(tmp, path)
-    except BaseException:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp, fd = _create_beside(path)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                with contextlib.suppress(FileNotFoundError):
+                    os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
+                handle.writelines(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path}: {exc}") from None
+
+
+def _create_beside(path: Path) -> tuple[Path, int]:
+    """A new, empty file in ``path``'s directory, open for writing, and its
+    path. It is created with mode 0o666, which the kernel narrows by the
+    umask, as it does for ``open()``."""
+    while True:
+        tmp = path.parent / f"{path.name}.{os.urandom(4).hex()}.tmp"
+        try:
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue

@@ -1,15 +1,17 @@
 """Merge developer aliases into canonical identities.
 
-A developer often commits under several (name, email) pairs. Unification
-runs in two stages: identities sharing an email (case-insensitive) are
-merged first, then groups whose normalized names are within an edit-distance
-budget of 30% of the longer name are merged transitively through a
-union-find structure. The edit distance is ``diffs.levenshtein``, the one
-the modification rule uses.
+A developer often commits under several (name, email) pairs. The
+developers are the connected components, kept in a union-find structure,
+of three relations: the same e-mail (case-insensitive), a manual alias
+pair, and normalized names within an edit distance of 30% of the longer
+name, by ``diffs.levenshtein``, the one the modification rule uses. Each
+pair of distinct normalized names is compared once. This module alone
+builds ``DeveloperId`` records.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import unicodedata
 from dataclasses import dataclass, replace
@@ -64,8 +66,6 @@ class _UnionFind:
 
 
 def _names_similar(a: str, b: str, threshold: float) -> bool:
-    if not a or not b:
-        return False  # empty normalized names carry no signal
     # integer d <= x exactly when d <= floor(x); levenshtein answers past
     # the budget at once when the lengths differ by more than it
     budget = math.floor(threshold * max(len(a), len(b)))
@@ -86,45 +86,32 @@ def resolve_identities(
 ) -> dict[RawIdentity, DeveloperId]:
     """Partition raw identities into developers.
 
-    Stage 1 merges identities with equal emails (plus any manual email
-    pairs). Stage 2 merges groups whose normalized names are within
-    ``threshold`` of the longer name's length, transitively. Every input
-    identity maps to exactly one DeveloperId; the partition is independent
-    of input order. A ``threshold`` outside [0, 1] raises InvalidThreshold.
+    Identities merge, transitively, when their emails are equal, when a
+    manual pair names their emails, or when their normalized names, if not
+    empty, are within ``threshold`` of the longer name's length; each pair
+    of distinct normalized names is compared once. Every input identity
+    maps to exactly one DeveloperId; the partition is independent of input
+    order. A ``threshold`` outside [0, 1] raises InvalidThreshold.
     """
     check_alias_threshold(threshold)
     unique = sorted(set(identities), key=lambda ident: (ident.key(), ident.name))
-    if not unique:
-        return {}
     uf = _UnionFind(len(unique))
 
-    email_index: dict[str, int] = {}
+    # each e-mail key, and each normalized name, to the first identity that holds it
+    by_email: dict[str, int] = {}
+    by_name: dict[str, int] = {}
     for i, ident in enumerate(unique):
-        email_index.setdefault(ident.key(), i)
-        uf.union(email_index[ident.key()], i)
+        uf.union(by_email.setdefault(ident.key(), i), i)
+        name = normalize_name(ident.name)
+        if name:  # an empty normalized name carries no signal
+            uf.union(by_name.setdefault(name, i), i)
     for email_a, email_b in manual_aliases or []:
         ka, kb = email_a.strip().lower(), email_b.strip().lower()
-        if ka in email_index and kb in email_index:
-            uf.union(email_index[ka], email_index[kb])
-
-    # normalized names per current group
-    groups: dict[int, set[str]] = {}
-    for i, ident in enumerate(unique):
-        name = normalize_name(ident.name)
-        if name:
-            groups.setdefault(uf.find(i), set()).add(name)
-    roots = sorted(groups)
-    for gi in range(len(roots)):
-        for gj in range(gi + 1, len(roots)):
-            a_root, b_root = roots[gi], roots[gj]
-            if uf.find(a_root) == uf.find(b_root):
-                continue
-            if any(
-                _names_similar(na, nb, threshold)
-                for na in groups[a_root]
-                for nb in groups[b_root]
-            ):
-                uf.union(a_root, b_root)
+        if ka in by_email and kb in by_email:
+            uf.union(by_email[ka], by_email[kb])
+    for a, b in itertools.combinations(sorted(by_name), 2):
+        if _names_similar(a, b, threshold):
+            uf.union(by_name[a], by_name[b])
 
     members: dict[int, list[RawIdentity]] = {}
     for i, ident in enumerate(unique):
@@ -157,7 +144,7 @@ def canonicalize_history(
 
     Commit order and change events are untouched. The mapping from
     canonical key to display name and member emails is recorded in the
-    history metadata under ``"identities"``.
+    history metadata under ``"identities"``, which ``developer_ids`` reads.
     """
     mapping = resolve_identities(
         [c.author for c in history.commits], threshold=threshold, manual_aliases=manual_aliases
@@ -181,3 +168,14 @@ def canonicalize_history(
     return replace(
         history, commits=commits, metadata={**history.metadata, "identities": identity_meta}
     )
+
+
+def developer_ids(history: CommitHistory) -> dict[str, DeveloperId]:
+    """The developer record of each canonical key that a canonicalized
+    history's ``identities`` metadata holds; a raw history has none."""
+    meta = history.metadata.get("identities") if history.metadata else None
+    return {
+        key: DeveloperId(key, entry.get("display_name", key),
+                         frozenset(entry.get("emails", [key])), frozenset(entry.get("names", [])))
+        for key, entry in (meta.items() if isinstance(meta, dict) else ())
+    }

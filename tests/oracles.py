@@ -6,8 +6,9 @@ and high-precision arithmetic. These oracles follow the same documented
 rules (canonical diff alignment, 40% modification budget, lineage
 resolution, expert-set scoring) but share no code with the implementations
 they check, apart from the fold split that the scoring oracles take as
-given and the logistic objective and gradient that the optimizer oracle
-minimizes (the gradient is itself checked against finite differences).
+given, the name normalization that the alias oracle takes as given, and
+the logistic objective and gradient that the optimizer oracle minimizes
+(the gradient is itself checked against finite differences).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import fnmatch
 import functools
 import itertools
+import math
 import re
 import subprocess
 from dataclasses import replace
@@ -26,6 +28,7 @@ import numpy as np
 from fileexperts.errors import EmptyOracle, TooFewSamples, UnscoredOraclePair
 from fileexperts.expertise import THRESHOLD_GRID, ThresholdCurve, ThresholdPoint
 from fileexperts.gitlog import resolve_lineages
+from fileexperts.identities import normalize_name
 from fileexperts.ml import logistic_gradient, logistic_loss
 from fileexperts.validation import stratified_folds
 
@@ -45,6 +48,68 @@ def lev_matrix(a: str, b: str) -> int:
             cost = 0 if a[i - 1] == b[j - 1] else 1
             d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1, d[i - 1][j - 1] + cost)
     return d[-1][-1]
+
+
+def group_pair_identities(identities, threshold: float, manual_aliases=None) -> dict:
+    """Each identity's developer, as (canonical key, display name, emails,
+    names), by alias unification over pairs of e-mail groups, each pair
+    compared name set against name set. Identities merge first
+    by e-mail key and by manual pairs, then whole groups merge when any of
+    their non-empty normalized names lie within ``threshold`` of the longer
+    one's length, by a full-matrix distance."""
+    unique = sorted(set(identities), key=lambda ident: (ident.key(), ident.name))
+    if not unique:
+        return {}
+    parent = list(range(len(unique)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+
+    def similar(a, b):
+        if not a or not b:
+            return False
+        return lev_matrix(a, b) <= math.floor(threshold * max(len(a), len(b)))
+
+    email_index = {}
+    for i, ident in enumerate(unique):
+        email_index.setdefault(ident.key(), i)
+        union(email_index[ident.key()], i)
+    for email_a, email_b in manual_aliases or []:
+        ka, kb = email_a.strip().lower(), email_b.strip().lower()
+        if ka in email_index and kb in email_index:
+            union(email_index[ka], email_index[kb])
+
+    groups = {}
+    for i, ident in enumerate(unique):
+        name = normalize_name(ident.name)
+        if name:
+            groups.setdefault(find(i), set()).add(name)
+    roots = sorted(groups)
+    for gi in range(len(roots)):
+        for gj in range(gi + 1, len(roots)):
+            a_root, b_root = roots[gi], roots[gj]
+            if find(a_root) == find(b_root):
+                continue
+            if any(similar(na, nb) for na in groups[a_root] for nb in groups[b_root]):
+                union(a_root, b_root)
+
+    members = {}
+    for i, ident in enumerate(unique):
+        members.setdefault(find(i), []).append(ident)
+    result = {}
+    for group in members.values():
+        emails = frozenset(ident.key() for ident in group)
+        names = frozenset(ident.name for ident in group if ident.name)
+        display = max(names, key=lambda n: (len(n), n)) if names else min(emails)
+        for ident in group:
+            result[ident] = (min(emails), display, emails, names)
+    return result
 
 
 def precise_doa(fa: int, dl: int, ac: int) -> float:

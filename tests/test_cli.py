@@ -9,6 +9,7 @@ import os
 import random
 import re
 import shutil
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -552,6 +553,62 @@ def test_filter_corpus_reads_past_a_byte_order_mark(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["repo", "mid", "big", "huge"]
 
 
+_METRICS = (
+    "repo,commits,files,developers\n"
+    "tiny,10,100,50\nmid,20,100,50\nbig,30,100,50\nhuge,40,100,50\n"
+)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_out_file_gets_the_mode_a_plain_open_gives(tmp_path, capsys, umask):
+    """A new --out file gets 0o666 less the umask; one that exists keeps
+    its permission bits, whatever the umask."""
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(_METRICS)
+    new, existing = tmp_path / "new.csv", tmp_path / "existing.csv"
+    existing.write_text("old\n")
+    existing.chmod(0o640)
+    previous = os.umask(umask)
+    try:
+        for out in (new, existing):
+            assert main(["filter-corpus", str(metrics), "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert capsys.readouterr() == ("", "")
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+    assert existing.read_text() == new.read_text() == "repo\nmid\nbig\nhuge\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "existing.csv", "metrics.csv", "new.csv"]
+
+
+def test_an_unwritable_out_is_one_json_error(tmp_path, capsys):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(_METRICS)
+    out = metrics / "out.csv"  # below a regular file
+    assert main(["filter-corpus", str(metrics), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "errors.UnwritableOutput"
+    assert error["message"].startswith(f"cannot write {out}: [Errno 17] File exists: ")
+
+
+def test_an_unwritable_cache_dir_is_one_json_error(cli_repo, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cache = blocker / "cache"
+    argv = ["mine", "--repo", str(cli_repo), "--branch", "main", "--cache-dir", str(cache)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "errors.UnwritableOutput"
+    assert error["message"].startswith(f"cannot write {cache}/history-")
+
+
 def test_ingest_truth_reads_past_a_byte_order_mark(cli_repo, tmp_path, capsys):
     rows = "repo,developer_email,file,knowledge\nfixture,ana@x.com,src/f0.py,5\n"
     plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
@@ -738,8 +795,8 @@ def test_cache_reused_across_runs(cli_repo, tmp_path, capsys):
 def test_cache_key_covers_every_package_file(cli_repo, tmp_path, changed):
     """One byte changed in a copy of the package, the bundled language table
     included, changes the cache key, so the entry the unchanged copy wrote
-    is not served: here that entry is cut short, and serving it is an
-    error."""
+    is not served: here that entry is cut short, and the unchanged copy
+    finds it so, warns, mines it again, and then serves it silently."""
     copy = tmp_path / "copy"
     shutil.copytree(Path(fileexperts.__file__).parent, copy / "fileexperts",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -755,7 +812,15 @@ def test_cache_key_covers_every_package_file(cli_repo, tmp_path, changed):
     assert cold.returncode == 0
     (entry,) = cache.glob("features-*.csv")
     entry.write_text(cold.stdout.splitlines(keepends=True)[0])  # the header alone
-    assert "errors.CorruptFeatureTable" in mine().stderr  # the same code reads it
+    served = mine()  # the same code reads it
+    assert (served.returncode, served.stdout) == (0, cold.stdout)
+    (warning,) = map(json.loads, served.stderr.splitlines())
+    assert warning["category"] == "errors.CorruptCacheWarning"
+    assert f"{entry} holds 0 rows; the cache recorded" in warning["warning"]
+    mined_again = _cache_inodes(cache)
+    hit = mine()
+    assert (hit.returncode, hit.stdout, hit.stderr) == (0, cold.stdout, "")
+    assert _cache_inodes(cache) == mined_again
     edited = copy / "fileexperts" / changed
     data = edited.read_bytes()
     assert data.endswith(b"\n")
@@ -1099,34 +1164,50 @@ def test_warm_commands_read_no_cached_commits(cli_repo, tmp_path, capsys):
     assert [[main(argv) for argv in commands], capsys.readouterr()] == cold
 
 
-def _warm_rank_after(
-    corrupt, cli_repo, tmp_path, capsys, cached="history-*.ndjson"
-) -> tuple[int, list[str]]:
-    """Exit code and stderr lines of a warm rank whose cached file matching
-    ``cached`` had its text passed through ``corrupt``; a surrogate such as
-    ``\\udcff`` in the corrupted text is written as that one raw byte."""
+def _cache_inodes(cache) -> dict:
+    return {path.name: path.stat().st_ino for path in cache.iterdir()}
+
+
+def _warm_rank_after(corrupt, cli_repo, tmp_path, capsys, cached="history-*.ndjson") -> dict:
+    """The one warning of a warm rank whose cached file matching ``cached``
+    had its text passed through ``corrupt``; a surrogate such as ``\\udcff``
+    in the corrupted text is written as that one raw byte. That rank must
+    succeed with the cold rank's output, and the rank after it must be a
+    hit, which rewrites no cache file, with the same output and no
+    warning."""
     cache = tmp_path / "cache"
     argv = ["rank", "--technique", "doa", "--file", "src/f0.py",
             "--repo", str(cli_repo), "--branch", "main", "--cache-dir", str(cache)]
     assert main(argv) == 0
+    cold = capsys.readouterr().out
     (path,) = cache.glob(cached)
     path.write_bytes(corrupt(path.read_text()).encode("utf-8", "surrogateescape"))
-    capsys.readouterr()
-    code = main(argv)
-    return code, capsys.readouterr().err.splitlines()
+    assert main(argv) == 0
+    warm = capsys.readouterr()
+    assert warm.out == cold
+    mined_again = _cache_inodes(cache)
+    assert main(argv) == 0
+    assert capsys.readouterr() == (cold, "")
+    assert _cache_inodes(cache) == mined_again
+    (line,) = warm.err.splitlines()
+    warning = json.loads(line)
+    assert warning["category"] == "errors.CorruptCacheWarning"
+    return warning
+
+
+_MINED_AGAIN = "unreadable cache entry, mined again: "
 
 
 def test_corrupt_cached_meta_line_is_an_error(cli_repo, tmp_path, capsys):
+    """An unreadable entry is a miss: one warning naming the fault, then a
+    fresh mine that overwrites it; so is each case below."""
     def drop_meta(text):
         return text.split("\n", 1)[1]
 
-    code, (line,) = _warm_rank_after(drop_meta, cli_repo, tmp_path, capsys)
-    assert code == 1
-    error = json.loads(line)
-    assert error["error"] == "errors.CorruptHistory"
+    warning = _warm_rank_after(drop_meta, cli_repo, tmp_path, capsys)
     (path,) = (tmp_path / "cache").glob("history-*.ndjson")
-    assert error["message"] == (
-        f"history {path} line 1 is malformed: a commit before the meta line"
+    assert warning["warning"] == (
+        f"{_MINED_AGAIN}history {path} line 1 is malformed: a commit before the meta line"
     )
 
 
@@ -1135,57 +1216,40 @@ def test_cut_short_cached_meta_line_is_an_error(cli_repo, tmp_path, capsys):
         meta, rest = text.split("\n", 1)
         return meta[: len(meta) // 2] + "\n" + rest
 
-    code, (line,) = _warm_rank_after(cut_meta, cli_repo, tmp_path, capsys)
-    assert code == 1
-    error = json.loads(line)
-    assert error["error"] == "errors.CorruptHistory"
+    warning = _warm_rank_after(cut_meta, cli_repo, tmp_path, capsys)
     (path,) = (tmp_path / "cache").glob("history-*.ndjson")
-    assert error["message"].startswith(f"history {path} line 1 is malformed: ")
+    assert warning["warning"].startswith(f"{_MINED_AGAIN}history {path} line 1 is malformed: ")
 
 
-@pytest.mark.parametrize(
-    "cached, error, line",
-    [("history-*.ndjson", "errors.CorruptHistory", 1),
-     ("features-*.csv", "errors.CorruptFeatureTable", 3)],
-    ids=["meta-line", "feature-csv"],
-)
-def test_cached_file_that_is_not_utf_8_is_an_error(cli_repo, tmp_path, capsys, cached, error,
-                                                   line):
+@pytest.mark.parametrize("cached, line", [("history-*.ndjson", 1), ("features-*.csv", 3)],
+                         ids=["meta-line", "feature-csv"])
+def test_cached_file_that_is_not_utf_8_is_an_error(cli_repo, tmp_path, capsys, cached, line):
     def break_line(text):
         lines = text.splitlines(keepends=True)
         lines[line - 1] = "\udcff" + lines[line - 1]
         return "".join(lines)
 
-    code, (reported,) = _warm_rank_after(break_line, cli_repo, tmp_path, capsys, cached=cached)
-    assert code == 1
-    reported = json.loads(reported)
-    assert reported["error"] == error
+    warning = _warm_rank_after(break_line, cli_repo, tmp_path, capsys, cached=cached)
     (path,) = (tmp_path / "cache").glob(cached)
-    assert f"{path} line {line}: 'utf-8' codec can't decode byte 0xff" in reported["message"]
+    assert f"{path} line {line}: 'utf-8' codec can't decode byte 0xff" in warning["warning"]
 
 
 def test_cut_short_cached_feature_csv_is_an_error(cli_repo, tmp_path, capsys):
-    code, (line,) = _warm_rank_after(
+    warning = _warm_rank_after(
         lambda text: text[:300], cli_repo, tmp_path, capsys, cached="features-*.csv"
     )
-    assert code == 1
-    error = json.loads(line)
-    assert error["error"] == "errors.CorruptFeatureTable"
-    assert "features-" in error["message"]
-    assert " line " in error["message"]
+    assert warning["warning"].startswith(_MINED_AGAIN)
+    assert "features-" in warning["warning"]
+    assert " line " in warning["warning"]
 
 
 def test_cached_feature_csv_cut_at_a_line_boundary_is_an_error(cli_repo, tmp_path, capsys):
     def drop_rows(text):
         return "".join(text.splitlines(keepends=True)[:3])
 
-    code, (line,) = _warm_rank_after(drop_rows, cli_repo, tmp_path, capsys,
-                                     cached="features-*.csv")
-    assert code == 1
-    error = json.loads(line)
-    assert error["error"] == "errors.CorruptFeatureTable"
-    assert "features-" in error["message"]
-    assert "holds 2 rows; the cache recorded 18" in error["message"]
+    warning = _warm_rank_after(drop_rows, cli_repo, tmp_path, capsys, cached="features-*.csv")
+    assert "features-" in warning["warning"]
+    assert "holds 2 rows; the cache recorded 18" in warning["warning"]
 
 
 def test_only_the_cached_history_records_the_feature_rows(cli_repo, tmp_path, capsys):

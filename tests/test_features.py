@@ -15,7 +15,6 @@ from fileexperts.errors import CorruptFeatureTable
 from fileexperts.features import (
     CSV_HEADER,
     compute_all,
-    developer_ids,
     feature_table,
     mine_history,
     read_feature_csv,
@@ -23,6 +22,7 @@ from fileexperts.features import (
 )
 from fileexperts.fixtures import RepoBuilder, random_repo
 from fileexperts.gitlog import extract_history, history_from_ndjson, history_to_ndjson
+from fileexperts.identities import developer_ids
 from conftest import add, blame_authors, make_history, mod
 from oracles import naive_feature_table
 

@@ -22,7 +22,7 @@ from oracles import naive_filter_source_files
 
 from fileexperts import gitlog
 from fileexperts.errors import BranchNotFound, CorruptHistory, RepositoryNotFound
-from fileexperts.features import developer_ids, mine_history
+from fileexperts.features import mine_history
 from fileexperts.fixtures import RepoBuilder, random_repo
 from fileexperts.gitlog import (
     BlobReader,
@@ -41,6 +41,7 @@ from fileexperts.gitlog import (
     save_history,
     source_predicate,
 )
+from fileexperts.identities import developer_ids
 from fileexperts.languages import DEFAULT_VENDOR_GLOBS, default_language_config
 
 from conftest import inline_contents

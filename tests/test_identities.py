@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fileexperts import identities
 from fileexperts.errors import InvalidThreshold
 from fileexperts.gitlog import RawIdentity
 from fileexperts.identities import (
     canonicalize_history,
+    developer_ids,
     levenshtein,
     normalize_name,
     resolve_identities,
 )
 from conftest import add, make_history, mod
-from oracles import lev_matrix
+from oracles import group_pair_identities, lev_matrix
 
 short_text = st.text(alphabet="abcdef ", max_size=12)
 
@@ -168,6 +170,60 @@ class TestResolveIdentities:
         assert len(set(resolved.values())) == 1
 
 
+_EMAILS = ("a@x.org", "A@x.org ", "b@y.org", "c@z.org", "d@w.org", "", " ")
+
+
+@st.composite
+def alias_cases(draw):
+    """Identities whose names come from a small alphabet with accents,
+    punctuation and spaces, so equal, near and empty normalized names are
+    common, under e-mails that are often shared or empty; manual pairs that
+    may name e-mails no identity has; and a threshold that may be 0 or 1."""
+    names = st.text(alphabet="abé É.- ", max_size=7)
+    ids = draw(st.lists(st.builds(RawIdentity, names, st.sampled_from(_EMAILS)), max_size=12))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(_EMAILS), st.sampled_from(_EMAILS)),
+                          max_size=3))
+    threshold = draw(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0))
+    return ids, threshold, pairs
+
+
+def _developers(mapping):
+    return {ident: (dev.canonical_key, dev.display_name, dev.emails, dev.names)
+            for ident, dev in mapping.items()}
+
+
+@given(alias_cases())
+@settings(max_examples=400, deadline=None)
+def test_resolution_matches_the_group_pair_oracle(case):
+    ids, threshold, pairs = case
+    assert _developers(resolve_identities(ids, threshold, pairs)) == group_pair_identities(
+        ids, threshold, pairs
+    )
+
+
+def test_each_pair_of_distinct_names_is_compared_once(monkeypatch):
+    """D distinct normalized names cost at most D(D-1)/2 distances, however
+    many e-mails hold them, and identical names under different e-mails
+    merge with none."""
+    calls = []
+
+    def counted(a, b, limit=None):
+        calls.append((a, b))
+        return levenshtein(a, b, limit)
+
+    monkeypatch.setattr(identities, "levenshtein", counted)
+    same = [RawIdentity("Ana Silva", "ana@x.org"), RawIdentity("ana  silvá", "silva@y.org")]
+    assert len(set(resolve_identities(same).values())) == 1
+    assert calls == []
+
+    names = ["Ana Silva", "Bo Berg", "Cy Chen", "Dee Dunn", "Ed Eyre", "Flo Ford"]
+    ids = [RawIdentity(name, f"{name[:2]}{copy}@x.org") for name in names for copy in range(5)]
+    resolved = resolve_identities(ids)
+    assert len(set(resolved.values())) == len(names)
+    assert len(calls) <= len(names) * (len(names) - 1) // 2
+    assert len(set(map(frozenset, calls))) == len(calls)
+
+
 class TestCanonicalizeHistory:
     def test_planted_aliases_collapse(self):
         history = make_history(
@@ -213,6 +269,20 @@ class TestCanonicalizeHistory:
         history = make_history([])
         canonical = canonicalize_history(history)
         assert canonical.commits == ()
+
+    def test_developer_ids_read_back_the_resolved_records(self):
+        history = make_history(
+            [
+                ("ana@x.com", 0, [add("a.py", "x = 1\n")]),
+                ("ANA@x.com", 1, [mod("a.py", "x = 1\n", "x = 2\n")]),
+                ("bo@y.com", 2, [add("b.py", "y = 1\n")]),
+            ]
+        )
+        resolved = resolve_identities([c.author for c in history.commits])
+        assert developer_ids(canonicalize_history(history)) == {
+            dev.canonical_key: dev for dev in resolved.values()
+        }
+        assert developer_ids(history) == {}
 
 
 def test_resolve_requires_no_crash_on_single(demo_history):
