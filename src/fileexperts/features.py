@@ -366,9 +366,10 @@ def feature_table(
     reference time, developers and row count make it equal a fresh run's
     table. A miss files the meta line, the commits without contents and the
     CSV under the tip it mined. An entry that cannot be read (a meta line
-    or CSV that is malformed or not UTF-8, or a CSV whose row count is not
-    the recorded one) is a miss that issues one CorruptCacheWarning naming
-    the fault, and is then overwritten."""
+    or CSV that is malformed or not UTF-8, identities metadata that
+    ``developer_ids`` refuses, or a CSV whose row count is not the recorded
+    one) is a miss that issues one CorruptCacheWarning naming the fault,
+    and is then overwritten."""
     inputs = inputs or MiningInputs()
     if cache_dir is not None:
         tip = history.metadata["tip"] if history else branch_tip(repo, branch)[1]

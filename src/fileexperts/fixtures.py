@@ -1,8 +1,11 @@
 """Deterministic git repository builders for demos and tests.
 
 Repositories are written through ``git fast-import`` in a single process,
-so even thousand-commit fixtures build in well under a second. Paths must
-not contain spaces or quotes; generated fixtures keep to safe names.
+so even thousand-commit fixtures build in well under a second. Every git
+process runs as ``gitlog`` runs its own, so an inherited ``GIT_DIR`` or
+``GIT_WORK_TREE`` (a git hook's, say) cannot point the build at another
+repository. Paths must not contain spaces or quotes; generated fixtures
+keep to safe names.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import subprocess
 from datetime import datetime, timezone
 from io import BytesIO
 from pathlib import Path
+
+from .gitlog import _git_command, _git_environment
 
 
 class RepoBuilder:
@@ -28,7 +33,8 @@ class RepoBuilder:
 
     def _run(self, *args: str, stdin: bytes | None = None) -> None:
         proc = subprocess.run(
-            ["git", "-C", str(self.path), *args], input=stdin, capture_output=True
+            _git_command(self.path, *args), input=stdin, capture_output=True,
+            env=_git_environment(),
         )
         if proc.returncode != 0:
             raise RuntimeError(f"git {args[0]} failed: {proc.stderr.decode(errors='replace')}")

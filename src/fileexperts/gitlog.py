@@ -36,10 +36,12 @@ from. ``features`` holds one reader per process that replays lineages,
 and each lineage's versions only while it replays them.
 
 This module alone reads and writes the history NDJSON, in which each record
-is its own fields: ``save_history`` writes it line by line, each commit
-with its file contents read as it is written, ``load_history`` reads it
-back with the contents inline, and ``load_history_meta`` reads only its
-first line, the meta record a warm CLI run needs. ``save_history(...,
+is its own fields and the meta record always holds the reference version's
+file list. ``history_ndjson_lines`` is its one writer: ``save_history``
+streams it line by line, each commit with its file contents read as it is
+written. ``_parse_history`` is its one reader: ``load_history`` reads the
+file back with the contents inline, and ``load_history_meta`` reads only
+its first line, the meta record a warm CLI run needs. ``save_history(...,
 contents=False)`` writes the change records without their file contents,
 as the CLI's cache does, and reads no blob; ``load_history`` refuses such a
 file, naming the first missing field.
@@ -133,8 +135,7 @@ class CommitHistory:
     ``reference_time`` is the branch tip's commit timestamp (raised to the
     maximum commit timestamp when the repository has clock skew) so that
     recency features are reproducible across runs. ``present_paths`` holds
-    the files in the tip tree; None means the tree was not captured (a
-    synthetic history), in which case every lineage counts as present.
+    the files in the tip tree, the ones that have a lineage.
     ``repository`` is where the blobs its events name are read; it is None
     for a synthetic or loaded history, whose events hold their text, and
     takes no part in equality, since a blob id names its content.
@@ -144,7 +145,7 @@ class CommitHistory:
     commits: tuple[CommitRecord, ...]
     branch: str
     reference_time: datetime
-    present_paths: frozenset[str] | None = None
+    present_paths: frozenset[str]
     metadata: Mapping[str, object] = field(default_factory=dict)
     repository: Path | None = field(default=None, compare=False)
 
@@ -643,15 +644,13 @@ def filter_source_files(
         kept = tuple(ev for ev in commit.changes if keep(ev.path))
         if kept:
             commits.append(replace(commit, changes=kept))
-    present = history.present_paths
-    if present is not None:
-        present = frozenset(p for p in present if keep(p))
+    present = frozenset(filter(keep, history.present_paths))
     return replace(history, commits=tuple(commits), present_paths=present)
 
 
 def resolve_lineages(history: CommitHistory) -> dict[str, Lineage]:
-    """The lineages of the files in ``present_paths`` (of all files when it
-    is None), keyed by their path at the reference version.
+    """The lineages of the files in ``present_paths``, keyed by their path
+    at the reference version.
 
     Replaying the commit stream, a rename moves the lineage to its new path
     and an addition on a path with no live lineage starts one. A file
@@ -666,11 +665,10 @@ def resolve_lineages(history: CommitHistory) -> dict[str, Lineage]:
                 events = live.get(event.path, [])
             events.append((commit, event))
             live[event.path] = events
-    present = history.present_paths
     return {
         path: Lineage(path, tuple(events))
         for path, events in live.items()
-        if present is None or path in present
+        if path in history.present_paths
     }
 
 
@@ -727,11 +725,6 @@ def history_ndjson_lines(history: CommitHistory, contents: bool = True) -> Itera
             yield _encode({"v": 1, **vars(commit), "changes": changes}) + "\n"
 
 
-def history_to_ndjson(history: CommitHistory) -> str:
-    """Serialize a history as NDJSON (see ``history_ndjson_lines``)."""
-    return "".join(history_ndjson_lines(history))
-
-
 def _change_event(record: dict) -> FileChangeEvent:
     """A change record read back. The writer writes every field, so each is
     required here, even those the dataclass defaults: a modification that
@@ -745,20 +738,16 @@ def _change_event(record: dict) -> FileChangeEvent:
     return FileChangeEvent(**record)
 
 
-def history_from_ndjson(text: str) -> CommitHistory:
-    """Parse a history written by ``history_to_ndjson``.
-
-    Raises ``CorruptHistory`` naming the 1-based line of the first line
-    that is not a well-formed meta or commit record, the meta line coming
-    first and once; a record that lacks a field its type requires, a change
-    record that lacks any of its five fields, and a record that holds a
-    field its type does not have are not. A text with no record raises too.
-    """
-    return _parse_history(text, "history")
-
-
 def _parse_history(text: str, source: str) -> CommitHistory:
-    """``history_from_ndjson``, its errors naming the history ``source``."""
+    """The history whose NDJSON ``history_ndjson_lines`` wrote as ``text``.
+
+    Raises ``CorruptHistory``, naming the history ``source`` and the 1-based
+    line of the first line that is not a well-formed meta or commit record,
+    the meta line coming first and once; a record that lacks a field its
+    type requires (a meta record its file list), a change record that lacks
+    any of its five fields, and a record that holds a field its type does
+    not have are not. A text with no record raises too.
+    """
     commits = []
     head: CommitHistory | None = None
     for number, line in enumerate(text.splitlines(), start=1):
@@ -776,8 +765,7 @@ def _parse_history(text: str, source: str) -> CommitHistory:
             if head is None:
                 meta = obj["meta"]
                 meta["reference_time"] = datetime.fromisoformat(meta["reference_time"])
-                if meta.get("present_paths") is not None:
-                    meta["present_paths"] = frozenset(meta["present_paths"])
+                meta["present_paths"] = frozenset(meta["present_paths"])
                 head = CommitHistory(commits=(), **meta)
                 continue
             obj["author"] = RawIdentity(**obj["author"])

@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 import unicodedata
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 from .diffs import levenshtein
-from .errors import InvalidThreshold
+from .errors import CorruptHistory, InvalidThreshold
 from .gitlog import CommitHistory, RawIdentity
 
 DEFAULT_ALIAS_THRESHOLD = 0.30
@@ -170,12 +171,42 @@ def canonicalize_history(
     )
 
 
+def _identity_fault(entry: object) -> str | None:
+    """What keeps an ``identities`` entry from being one that
+    ``canonicalize_history`` writes, or None when nothing does."""
+    if not isinstance(entry, Mapping):
+        return f"a {type(entry).__name__}, not an object"
+    if not isinstance(entry.get("display_name"), str):
+        return "its display_name is not a string"
+    for name in ("emails", "names"):
+        value = entry.get(name)
+        if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+            return f"its {name} are not a list of strings"
+    return None
+
+
 def developer_ids(history: CommitHistory) -> dict[str, DeveloperId]:
     """The developer record of each canonical key that a canonicalized
-    history's ``identities`` metadata holds; a raw history has none."""
-    meta = history.metadata.get("identities") if history.metadata else None
+    history's ``identities`` metadata holds; a raw history has none.
+
+    Metadata read back from a file may hold anything, so CorruptHistory is
+    raised unless it is an object whose ``identities``, when present, is an
+    object of entries as ``canonicalize_history`` writes them: each a string
+    ``display_name`` and lists of strings ``emails`` and ``names``.
+    """
+    metadata = history.metadata
+    if not isinstance(metadata, Mapping):
+        raise CorruptHistory(f"the history metadata is a {type(metadata).__name__}, not an object")
+    records = metadata.get("identities", {})
+    if not isinstance(records, Mapping):
+        raise CorruptHistory(f"the history's identities are a {type(records).__name__}, "
+                             "not an object")
+    for key, entry in records.items():
+        fault = _identity_fault(entry)
+        if fault:
+            raise CorruptHistory(f"the history's identity {key!r} is malformed: {fault}")
     return {
-        key: DeveloperId(key, entry.get("display_name", key),
-                         frozenset(entry.get("emails", [key])), frozenset(entry.get("names", [])))
-        for key, entry in (meta.items() if isinstance(meta, dict) else ())
+        key: DeveloperId(key, entry["display_name"], frozenset(entry["emails"]),
+                         frozenset(entry["names"]))
+        for key, entry in records.items()
     }

@@ -13,6 +13,7 @@ never sees a table.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -124,12 +125,7 @@ def _language_spec(name: str, entry: dict) -> LanguageSpec:
     )
 
 
-_DEFAULT: LanguageConfig | None = None
-
-
+@functools.cache
 def default_language_config() -> LanguageConfig:
     """The bundled configuration, loaded once per process."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = load_language_config()
-    return _DEFAULT
+    return load_language_config()

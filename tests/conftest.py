@@ -83,6 +83,28 @@ def inline_contents(history: CommitHistory) -> CommitHistory:
     return replace(history, commits=commits, repository=None)
 
 
+def _first_identity(metadata, change):
+    """``metadata`` with its first identity entry passed through ``change``."""
+    identities = metadata["identities"]
+    key = min(identities)
+    return {**metadata, "identities": {**identities, key: change(identities[key])}}
+
+
+# Changes that leave a canonicalized history's metadata valid JSON but not
+# what canonicalize_history writes, as a cache entry's meta line may be.
+MALFORMED_IDENTITIES = {
+    "entry-not-an-object": lambda metadata: _first_identity(metadata, lambda entry: ["x"]),
+    "metadata-not-an-object": lambda metadata: "x",
+    "identities-not-an-object": lambda metadata: {**metadata, "identities": "x"},
+    "emails-not-a-list": lambda metadata: _first_identity(
+        metadata, lambda entry: {**entry, "emails": "a@x"}),
+    "names-not-strings": lambda metadata: _first_identity(
+        metadata, lambda entry: {**entry, "names": [1]}),
+    "display-name-missing": lambda metadata: _first_identity(
+        metadata, lambda entry: {k: v for k, v in entry.items() if k != "display_name"}),
+}
+
+
 def add(path: str, content: str) -> tuple:
     return ("addition", path, None, None, content)
 

@@ -331,11 +331,10 @@ def naive_filter_source_files(history, extensions, vendor_globs):
         kept = tuple(event for event in commit.changes if keep(event.path))
         if kept:
             commits.append(replace(commit, changes=kept))
-    present = history.present_paths
     return replace(
         history,
         commits=tuple(commits),
-        present_paths=None if present is None else frozenset(p for p in present if keep(p)),
+        present_paths=frozenset(p for p in history.present_paths if keep(p)),
         metadata=dict(history.metadata),
     )
 
@@ -384,7 +383,7 @@ def naive_feature_table(history) -> dict[tuple[str, str], dict]:
     table: dict[tuple[str, str], dict] = {}
     reference = history.reference_time
     for path, events in live.items():
-        if history.present_paths is not None and path not in history.present_paths:
+        if path not in history.present_paths:
             continue
         ext = Path(path).suffix.lower()
 
@@ -470,11 +469,7 @@ def lineage_sample(history, file_limit: int = 5, seed: int = 0) -> list[tuple[st
     if file_limit < 1:
         raise ValueError(f"file_limit must be >= 1, got {file_limit}")
     lineages = resolve_lineages(history)
-    files = sorted(
-        path
-        for path in lineages
-        if history.present_paths is None or path in history.present_paths
-    )
+    files = sorted(path for path in lineages if path in history.present_paths)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(files))
     assigned: dict[str, int] = {}

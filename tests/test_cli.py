@@ -32,9 +32,10 @@ from fileexperts.features import (
     read_feature_csv,
 )
 from fileexperts.fixtures import RepoBuilder
-from fileexperts.gitlog import RENAME_LIMIT, history_to_ndjson, load_history
+from fileexperts.gitlog import RENAME_LIMIT, history_ndjson_lines, load_history
 from fileexperts.kinds import KINDS
 from fileexperts.languages import LanguageConfig, LanguageSpec
+from conftest import MALFORMED_IDENTITIES
 
 pytestmark = pytest.mark.usefixtures("monkeypatch_cwd")
 
@@ -1168,16 +1169,16 @@ def _cache_inodes(cache) -> dict:
     return {path.name: path.stat().st_ino for path in cache.iterdir()}
 
 
-def _warm_rank_after(corrupt, cli_repo, tmp_path, capsys, cached="history-*.ndjson") -> dict:
-    """The one warning of a warm rank whose cached file matching ``cached``
-    had its text passed through ``corrupt``; a surrogate such as ``\\udcff``
-    in the corrupted text is written as that one raw byte. That rank must
-    succeed with the cold rank's output, and the rank after it must be a
-    hit, which rewrites no cache file, with the same output and no
-    warning."""
+def _warm_run_after(corrupt, cli_repo, tmp_path, capsys, cached="history-*.ndjson",
+                    command=("rank", "--technique", "doa", "--file", "src/f0.py")) -> dict:
+    """The one warning of a warm run of ``command`` (a rank, by default)
+    whose cached file matching ``cached`` had its text passed through
+    ``corrupt``; a surrogate such as ``\\udcff`` in the corrupted text is
+    written as that one raw byte. That run must succeed with the cold run's
+    output, and the run after it must be a hit, which rewrites no cache
+    file, with the same output and no warning."""
     cache = tmp_path / "cache"
-    argv = ["rank", "--technique", "doa", "--file", "src/f0.py",
-            "--repo", str(cli_repo), "--branch", "main", "--cache-dir", str(cache)]
+    argv = [*command, "--repo", str(cli_repo), "--branch", "main", "--cache-dir", str(cache)]
     assert main(argv) == 0
     cold = capsys.readouterr().out
     (path,) = cache.glob(cached)
@@ -1204,11 +1205,23 @@ def test_corrupt_cached_meta_line_is_an_error(cli_repo, tmp_path, capsys):
     def drop_meta(text):
         return text.split("\n", 1)[1]
 
-    warning = _warm_rank_after(drop_meta, cli_repo, tmp_path, capsys)
+    warning = _warm_run_after(drop_meta, cli_repo, tmp_path, capsys)
     (path,) = (tmp_path / "cache").glob("history-*.ndjson")
     assert warning["warning"] == (
         f"{_MINED_AGAIN}history {path} line 1 is malformed: a commit before the meta line"
     )
+
+
+@pytest.mark.parametrize("malform", MALFORMED_IDENTITIES.values(), ids=MALFORMED_IDENTITIES.keys())
+def test_malformed_cached_identities_are_a_miss(cli_repo, tmp_path, capsys, malform):
+    def corrupt(text):
+        meta, rest = text.split("\n", 1)
+        record = json.loads(meta)
+        record["meta"]["metadata"] = malform(record["meta"]["metadata"])
+        return json.dumps(record) + "\n" + rest
+
+    warning = _warm_run_after(corrupt, cli_repo, tmp_path, capsys, command=("mine",))
+    assert warning["warning"].startswith(f"{_MINED_AGAIN}the history")
 
 
 def test_cut_short_cached_meta_line_is_an_error(cli_repo, tmp_path, capsys):
@@ -1216,7 +1229,7 @@ def test_cut_short_cached_meta_line_is_an_error(cli_repo, tmp_path, capsys):
         meta, rest = text.split("\n", 1)
         return meta[: len(meta) // 2] + "\n" + rest
 
-    warning = _warm_rank_after(cut_meta, cli_repo, tmp_path, capsys)
+    warning = _warm_run_after(cut_meta, cli_repo, tmp_path, capsys)
     (path,) = (tmp_path / "cache").glob("history-*.ndjson")
     assert warning["warning"].startswith(f"{_MINED_AGAIN}history {path} line 1 is malformed: ")
 
@@ -1229,13 +1242,13 @@ def test_cached_file_that_is_not_utf_8_is_an_error(cli_repo, tmp_path, capsys, c
         lines[line - 1] = "\udcff" + lines[line - 1]
         return "".join(lines)
 
-    warning = _warm_rank_after(break_line, cli_repo, tmp_path, capsys, cached=cached)
+    warning = _warm_run_after(break_line, cli_repo, tmp_path, capsys, cached=cached)
     (path,) = (tmp_path / "cache").glob(cached)
     assert f"{path} line {line}: 'utf-8' codec can't decode byte 0xff" in warning["warning"]
 
 
 def test_cut_short_cached_feature_csv_is_an_error(cli_repo, tmp_path, capsys):
-    warning = _warm_rank_after(
+    warning = _warm_run_after(
         lambda text: text[:300], cli_repo, tmp_path, capsys, cached="features-*.csv"
     )
     assert warning["warning"].startswith(_MINED_AGAIN)
@@ -1247,7 +1260,7 @@ def test_cached_feature_csv_cut_at_a_line_boundary_is_an_error(cli_repo, tmp_pat
     def drop_rows(text):
         return "".join(text.splitlines(keepends=True)[:3])
 
-    warning = _warm_rank_after(drop_rows, cli_repo, tmp_path, capsys, cached="features-*.csv")
+    warning = _warm_run_after(drop_rows, cli_repo, tmp_path, capsys, cached="features-*.csv")
     assert "features-" in warning["warning"]
     assert "holds 2 rows; the cache recorded 18" in warning["warning"]
 
@@ -1292,7 +1305,7 @@ def test_history_out_does_not_depend_on_the_cache(cli_repo, tmp_path, capsys):
                      "--history-out", str(out), *cache]) == 0
         written.append(out.read_bytes())
     capsys.readouterr()
-    assert written == [history_to_ndjson(mine_history(cli_repo, "main")).encode()] * 4
+    assert written == ["".join(history_ndjson_lines(mine_history(cli_repo, "main"))).encode()] * 4
 
 
 def _refuse_mining(monkeypatch):

@@ -21,7 +21,7 @@ from fileexperts.features import (
     write_feature_csv,
 )
 from fileexperts.fixtures import RepoBuilder, random_repo
-from fileexperts.gitlog import extract_history, history_from_ndjson, history_to_ndjson
+from fileexperts.gitlog import _parse_history, extract_history, history_ndjson_lines
 from fileexperts.identities import developer_ids
 from conftest import add, blame_authors, make_history, mod
 from oracles import naive_feature_table
@@ -125,7 +125,7 @@ def test_monotonicity_under_appended_commit():
 
 def test_features_identical_after_ndjson_roundtrip(demo_history):
     direct = compute_all(demo_history)
-    reloaded = compute_all(history_from_ndjson(history_to_ndjson(demo_history)))
+    reloaded = compute_all(_parse_history("".join(history_ndjson_lines(demo_history)), "history"))
     assert direct == reloaded
 
 
@@ -169,7 +169,7 @@ def test_feature_csv_roundtrip(demo_history, tmp_path):
         ids = developer_ids(history)
         assert read_feature_csv(path, history.reference_time, ids) == table
         # the meta line alone carries every developer of a canonicalized history
-        head = history_from_ndjson(history_to_ndjson(history).split("\n", 1)[0])
+        head = _parse_history("".join(history_ndjson_lines(history)).split("\n", 1)[0], "history")
         assert developer_ids(head) == ids
         assert head.reference_time == table.reference_time
 

@@ -32,9 +32,7 @@ from fileexperts.gitlog import (
     RawIdentity,
     extract_history,
     filter_source_files,
-    history_from_ndjson,
     history_ndjson_lines,
-    history_to_ndjson,
     load_history,
     load_history_meta,
     resolve_lineages,
@@ -158,9 +156,6 @@ def test_lineages_are_the_files_at_the_reference_version():
     assert lineages["b.py"].path == "b.py"
     assert [c.id for c, _e in lineages["b.py"].events] == ["c0", "c1"]
     assert [c.id for c, _e in lineages["c.py"].events] == ["c0", "c2"]
-    assert set(resolve_lineages(replace(history, present_paths=None))) == {
-        "b.py", "c.py", "gone.py"
-    }
 
     lineage = lineages["b.py"]
     with pytest.raises(FrozenInstanceError):
@@ -686,10 +681,10 @@ def test_cut_or_failed_diff_tree_raises_with_git_stderr(tmp_path, monkeypatch, s
 def test_ndjson_roundtrip(demo_history):
     import json
 
-    text = history_to_ndjson(demo_history)
+    text = "".join(history_ndjson_lines(demo_history))
     for line in text.splitlines():
         assert json.loads(line)["v"] == 1
-    assert history_from_ndjson(text) == inline_contents(demo_history)
+    assert gitlog._parse_history(text, "history") == inline_contents(demo_history)
 
 
 def test_history_ndjson_bytes_are_pinned(demo_repo_path):
@@ -697,7 +692,8 @@ def test_history_ndjson_bytes_are_pinned(demo_repo_path):
     mines it, down to the byte."""
     raw = extract_history(demo_repo_path, "main")
     mined = mine_history(demo_repo_path, "main")
-    assert [hashlib.sha256(history_to_ndjson(h).encode()).hexdigest() for h in (raw, mined)] == [
+    assert [hashlib.sha256("".join(history_ndjson_lines(h)).encode()).hexdigest()
+            for h in (raw, mined)] == [
         "ba2e30e6c706dad002a3fd08179b3dc0cc952b22cf5136857315fcbe1b658bd6",
         "ed6a5f9e8e7bd413248eb47c78fea9743fb42e15b7f8b672e0a435a263195f8e",
     ]
@@ -723,6 +719,7 @@ def test_save_history_streams_its_lines(tmp_path):
         ),
         branch="main",
         reference_time=datetime.fromtimestamp(1_600_001_000, tz=timezone.utc),
+        present_paths=frozenset(f"f{i}.py" for i in range(1000)),
     )
     path = tmp_path / "history.ndjson"
     tracemalloc.start()
@@ -734,7 +731,7 @@ def test_save_history_streams_its_lines(tmp_path):
     size = path.stat().st_size
     assert size > 4_000_000
     assert peak < size / 4
-    assert path.read_text() == history_to_ndjson(history)
+    assert path.read_text() == "".join(history_ndjson_lines(history))
 
 
 def test_lines_without_contents_are_the_full_lines_less_two_keys(random_histories, tmp_path):
@@ -756,7 +753,8 @@ def test_lines_without_contents_are_the_full_lines_less_two_keys(random_historie
         assert load_history_meta(path) == replace(history, commits=())
 
 
-_META = '{"v": 1, "meta": {"branch": "main", "reference_time": "2020-09-13T12:26:40+00:00"}}'
+_META = ('{"v": 1, "meta": {"branch": "main", "present_paths": [], '
+         '"reference_time": "2020-09-13T12:26:40+00:00"}}')
 _COMMIT = {"v": 1, "id": "c1", "author": {"name": "Ana", "email": "ana@x.com"},
            "timestamp": "2020-09-13T12:26:40+00:00",
            "changes": [{"path": "a.py", "change_kind": "addition", "old_path": None,
@@ -793,9 +791,21 @@ _MALFORMED = {
 
 @pytest.mark.parametrize("bad", _MALFORMED.values(), ids=_MALFORMED.keys())
 def test_malformed_ndjson_line_names_its_line(bad):
-    assert history_from_ndjson(f"{_META}\n{json.dumps(_COMMIT)}\n").commits[0].id == "c1"
+    good = gitlog._parse_history(f"{_META}\n{json.dumps(_COMMIT)}\n", "history")
+    assert good.commits[0].id == "c1"
     with pytest.raises(CorruptHistory, match="history line 3 is malformed"):
-        history_from_ndjson(f"{_META}\n\n{bad}\n{json.dumps(_COMMIT)}\n")
+        gitlog._parse_history(f"{_META}\n\n{bad}\n{json.dumps(_COMMIT)}\n", "history")
+
+
+def test_meta_line_without_its_file_list_is_malformed():
+    """The reference version's file set decides which lineages exist, so a
+    meta line must hold it."""
+    meta = {k: v for k, v in json.loads(_META)["meta"].items() if k != "present_paths"}
+    text = f"{json.dumps({'v': 1, 'meta': meta})}\n{json.dumps(_COMMIT)}\n"
+    with pytest.raises(CorruptHistory, match=re.escape(
+        "history line 1 is malformed: missing key 'present_paths'"
+    )):
+        gitlog._parse_history(text, "history")
 
 
 def _meta(present_paths, reference_time):
@@ -818,7 +828,7 @@ def _meta(present_paths, reference_time):
 )
 def test_history_starts_with_its_only_meta_line(text, named):
     with pytest.raises(CorruptHistory, match=named):
-        history_from_ndjson(text)
+        gitlog._parse_history(text, "history")
 
 
 def test_history_that_is_not_utf_8_names_its_file_and_line(tmp_path):
@@ -878,6 +888,31 @@ def test_rename_with_edit_still_one_lineage(tmp_path):
 def _rev_parse(repo, *args):
     return subprocess.run(["git", "-C", str(repo), "rev-parse", *args], capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def test_fixtures_ignore_inherited_repository_variables(tmp_path, monkeypatch):
+    """Under a GIT_DIR, GIT_WORK_TREE and GIT_INDEX_FILE naming another
+    repository, as a git hook inherits them, a fixture is built in its own
+    path and leaves the other repository's refs and HEAD as they were."""
+    decoy = RepoBuilder(tmp_path / "decoy", branch="trunk")
+    decoy.commit("Ana", "ana@x.com", 1_600_000_000, writes={"a.py": "x = 1\n"})
+    decoy = decoy.finish()
+
+    def state(repo, *args):
+        return subprocess.run(["git", "-C", str(repo), *args], capture_output=True, text=True,
+                              check=True).stdout
+
+    before = [state(decoy, "for-each-ref"), state(decoy, "symbolic-ref", "HEAD")]
+    with monkeypatch.context() as host:
+        host.setenv("GIT_DIR", str(decoy / ".git"))
+        host.setenv("GIT_WORK_TREE", str(decoy))
+        host.setenv("GIT_INDEX_FILE", str(decoy / ".git" / "index"))
+        fixture = RepoBuilder(tmp_path / "fixture")
+        fixture.commit("Bo", "bo@y.com", 1_600_100_000, writes={"b.py": "y = 1\n"})
+        fixture = fixture.finish()
+    assert [state(decoy, "for-each-ref"), state(decoy, "symbolic-ref", "HEAD")] == before
+    assert state(fixture, "log", "--format=%an %s", "main") == "Bo change\n"
+    assert state(fixture, "symbolic-ref", "HEAD") == "refs/heads/main\n"
 
 
 def test_branch_tip_git_calls(tmp_path, monkeypatch):

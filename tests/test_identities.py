@@ -1,13 +1,14 @@
 """Alias unification: edit distance, merging rules, canonicalization."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fileexperts import identities
-from fileexperts.errors import InvalidThreshold
+from fileexperts.errors import CorruptHistory, InvalidThreshold
 from fileexperts.gitlog import RawIdentity
 from fileexperts.identities import (
     canonicalize_history,
@@ -16,7 +17,7 @@ from fileexperts.identities import (
     normalize_name,
     resolve_identities,
 )
-from conftest import add, make_history, mod
+from conftest import MALFORMED_IDENTITIES, add, make_history, mod
 from oracles import group_pair_identities, lev_matrix
 
 short_text = st.text(alphabet="abcdef ", max_size=12)
@@ -283,6 +284,14 @@ class TestCanonicalizeHistory:
             dev.canonical_key: dev for dev in resolved.values()
         }
         assert developer_ids(history) == {}
+
+
+@pytest.mark.parametrize("malform", MALFORMED_IDENTITIES.values(), ids=MALFORMED_IDENTITIES.keys())
+def test_malformed_identity_metadata_is_corrupt(malform):
+    history = canonicalize_history(make_history([("ana@x.com", 0, [add("a.py", "x = 1\n")])]))
+    assert set(developer_ids(history)) == {"ana@x.com"}
+    with pytest.raises(CorruptHistory, match="^the history"):
+        developer_ids(replace(history, metadata=malform(dict(history.metadata))))
 
 
 def test_resolve_requires_no_crash_on_single(demo_history):
