@@ -15,10 +15,10 @@ raises becomes one JSON line there, written by ``_warn``.
 Each command imports only the modules it runs: ``ml``, ``stats`` and
 ``study`` are imported inside the commands that use them, so ``mine``,
 ``features`` and ``rank``, which compute nothing with numpy, never load
-numpy or scipy. Computing the feature table and ``evaluate``'s
-cross-validation run on one forked worker per usable CPU (``workers.map``,
-which forks with ``os.fork`` and loads no pool module); a warm command,
-which only reads the cache, forks none.
+numpy, and no command loads scipy. Computing the feature table and
+``evaluate``'s cross-validation run on one forked worker per usable CPU
+(``workers.map``, which forks with ``os.fork`` and loads no pool module); a
+warm command, which only reads the cache, forks none.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ keep to safe names.
 
 from __future__ import annotations
 
+import bisect
 import random
 import subprocess
 from datetime import datetime, timezone
@@ -291,6 +292,7 @@ def perf_repo(
     pool = _ContentPool(rng)
     repo = RepoBuilder(path, branch=branch)
     state: dict[str, list[str]] = {}
+    paths: list[str] = []  # the keys of state, kept sorted for the draws
     when = _ts(0)
     for index in range(commits):
         when += rng.randint(600, 7200)
@@ -301,8 +303,9 @@ def perf_repo(
             if len(state) < files and (not state or rng.random() < 0.4):
                 file = f"src/pkg_{len(state) % 20}/mod_{len(state)}.py"
                 state[file] = pool.file(rng.randint(20, 60))
+                bisect.insort(paths, file)
             else:
-                file = rng.choice(sorted(state))
+                file = rng.choice(paths)
                 lines = list(state[file])
                 for _ in range(rng.randint(1, 4)):
                     i = rng.randrange(len(lines))

@@ -764,8 +764,13 @@ def _parse_history(text: str, source: str) -> CommitHistory:
                 raise ValueError("a second meta line" if head else "a commit before the meta line")
             if head is None:
                 meta = obj["meta"]
+                paths = meta["present_paths"]
+                if not isinstance(meta["branch"], str):
+                    raise TypeError(f"branch {meta['branch']!r} is not a string")
+                if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
+                    raise TypeError(f"present_paths {paths!r} is not a list of strings")
                 meta["reference_time"] = datetime.fromisoformat(meta["reference_time"])
-                meta["present_paths"] = frozenset(meta["present_paths"])
+                meta["present_paths"] = frozenset(paths)
                 head = CommitHistory(commits=(), **meta)
                 continue
             obj["author"] = RawIdentity(**obj["author"])

@@ -2,24 +2,27 @@
 
 Spearman's rho is the Pearson correlation of average ranks. P-values use
 the t-statistic approximation t = rho * sqrt((n-2) / (1-rho^2)) against a
-t-distribution with n-2 degrees of freedom, two-sided, through
-``scipy.special.stdtr`` alone; scipy is imported only on that path, so
-permutation p-values load no scipy. A permutation test serves as an
-independent check: exact enumeration for small samples, seeded Monte Carlo
-beyond. It permutes the centred ranks of y once for any number of x columns
-and scores each block of permutations with one matrix product. Average
-ranks are multiples of 0.5 with mean (n+1)/2, so every centred product and
-sum is exact in float64 (for n below about 10^5) and the result does not
-depend on the order of summation. Every statistic ranks each column once,
-through ``_ranked``, which also checks the columns' lengths and marks the
-constant ones, for which rho is undefined.
+t-distribution with n-2 degrees of freedom, two-sided: the tail
+I_{1-rho^2}((n-2)/2, 1/2), evaluated for the float rho in stdlib ``decimal``
+at 40 digits and rounded to float once, so the p-values are the same bits
+on every host. A permutation test serves as an independent check: exact
+enumeration for small samples, seeded Monte Carlo beyond. It permutes the
+centred ranks of y once for any number of x columns and scores each block
+of permutations with one matrix product. Average ranks are multiples of
+0.5 with mean (n+1)/2, so every centred product and sum is exact in float64
+(for n below about 10^5) and the result does not depend on the order of
+summation. Every statistic ranks each column once, through ``_ranked``,
+which also checks the columns' lengths and marks the constant ones, for
+which rho is undefined.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -81,16 +84,71 @@ def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
     return float(np.clip((cx @ cy) / denom, -1.0, 1.0))
 
 
-def _t_approximation_p(rho: float, n: int) -> float:
-    """Two-sided p-value of rho over n pairs by the t approximation."""
-    # scipy.special imports in a third of the time scipy.stats takes;
-    # stdtr(df, -t) is what scipy.stats.t.sf(t, df) evaluates
-    from scipy.special import stdtr
+# The working precision of the Student-t tail, in decimal digits; the
+# continued fraction stops once a step changes it by less than 10**-35.
+_DIGITS = 40
+_CONVERGED = Decimal("1e-35")
+_TINY = Decimal("1e-80")  # stands in for a zero denominator (modified Lentz)
+_HALF = Decimal("0.5")
+_PI = Decimal("3.14159265358979323846264338327950288419716939937511")
+# B(2k) / (2k (2k - 1)) for k = 1..8, the Stirling series of ln Gamma
+_STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360), (1, 156),
+             (-3617, 122400))
 
+
+def _stirling(z: Decimal) -> Decimal:
+    """ln Gamma(z) - ln(2 pi) / 2 by the Stirling series to z**-15; for
+    z >= 100 the first term left out is below 2e-35."""
+    series = sum(Decimal(p) / q / z ** (2 * k + 1) for k, (p, q) in enumerate(_STIRLING))
+    return (z - _HALF) * z.ln() - z + series
+
+
+@functools.lru_cache(maxsize=32)
+def _beta_half(df: int) -> Decimal:
+    """B(df/2, 1/2) = sqrt(pi) Gamma(df/2) / Gamma((df+1)/2), once per df:
+    from B(1/2, 1/2) = pi or B(1, 1/2) = 2 by the exact factors
+    B(k/2, 1/2) = B(k/2 - 1, 1/2) (k-2)/(k-1) below df 200, by the Stirling
+    series beyond."""
+    if df < 200:
+        beta = _PI if df % 2 else Decimal(2)
+        for k in range(4 - df % 2, df + 1, 2):
+            beta = beta * (k - 2) / (k - 1)
+        return beta
+    a = Decimal(df) / 2
+    return _PI.sqrt() * (_stirling(a) - _stirling(a + _HALF)).exp()
+
+
+def _beta_fraction(a: Decimal, b: Decimal, x: Decimal) -> Decimal:
+    """The continued fraction of I_x(a, b) by the modified Lentz method
+    (Press et al., *Numerical Recipes*, 3rd ed., section 6.4), which
+    converges for x < (a+1)/(a+b+2)."""
+    c = Decimal(1)
+    d = 1 / ((1 - (a + b) * x / (a + 1)) or _TINY)
+    fraction = d
+    for m in itertools.count(1):
+        for term in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1 / ((1 + term * d) or _TINY)
+            c = (1 + term / c) or _TINY
+            fraction *= d * c
+        if abs(d * c - 1) < _CONVERGED:
+            return fraction
+
+
+def _t_approximation_p(rho: float, n: int) -> float:
+    """Two-sided p-value of rho over n pairs by the t approximation: the
+    Student-t tail I_x(df/2, 1/2), with df = n-2 and x = df/(df+t^2) =
+    1-rho^2, through its continued fraction on whichever side of
+    (a+1)/(a+b+2) it converges."""
     if 1.0 - rho * rho < 1e-15:
         return 0.0
-    t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    return min(float(2.0 * stdtr(n - 2, -abs(t))), 1.0)
+    with localcontext(Context(prec=_DIGITS)):
+        x = 1 - Decimal(rho) ** 2
+        a, b = Decimal(n - 2) / 2, _HALF
+        front = x ** a * (1 - x).sqrt() / _beta_half(n - 2)
+        if x < (a + 1) / (a + b + 2):
+            return float(front * _beta_fraction(a, b, x) / a)
+        return float(1 - front * _beta_fraction(b, a, 1 - x) / b)
 
 
 def spearman(x: Sequence[float], y: Sequence[float], name: str = "") -> CorrelationResult:
@@ -180,7 +238,7 @@ def knowledge_correlations(
     Returns results sorted by rho ascending plus a map of variables whose
     correlation was undefined. ``permutation_p`` takes permutation-test
     p-values (exact at small n, seeded Monte Carlo beyond) instead of the
-    t-approximation ones, and then scipy is not loaded.
+    t-approximation ones.
     """
     columns = _columns(table, knowledge)
     know = columns.pop(KNOWLEDGE)

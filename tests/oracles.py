@@ -20,7 +20,7 @@ import math
 import re
 import subprocess
 from dataclasses import replace
-from decimal import Decimal, getcontext
+from decimal import Context, Decimal, getcontext, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +121,60 @@ def precise_doa(fa: int, dl: int, ac: int) -> float:
         - Decimal("0.321") * Decimal(1 + ac).ln()
     )
     return float(value)
+
+
+def _arctan(z: Decimal) -> Decimal:
+    """arctan(z) for z >= 0 by its Taylor series, after halving the angle
+    until z < 0.01 (arctan z = 2 arctan(z / (1 + sqrt(1 + z^2))))."""
+    doublings = 0
+    while z >= Decimal("0.01"):
+        z /= 1 + (1 + z * z).sqrt()
+        doublings += 1
+    total = Decimal(0)
+    for k in itertools.count():
+        term = (-1) ** k * z ** (2 * k + 1) / (2 * k + 1)
+        if total + term == total:
+            return total * 2**doublings
+        total += term
+
+
+def _student_t_tail_at(rho: float, df: int) -> Decimal:
+    """1 - A(t|df) by the finite sums of Abramowitz & Stegun 26.7.3 (odd df)
+    and 26.7.4 (even df), at the current decimal precision. With
+    t = rho sqrt(df/(1-rho^2)), theta = arctan(t/sqrt(df)) has sin theta =
+    |rho| and cos^2 theta = 1 - rho^2."""
+    sin = abs(Decimal(rho))
+    cos2 = 1 - sin * sin
+    total, coefficient = Decimal(0), Decimal(1)
+    if df % 2 == 0:
+        for k in range(df // 2):  # (1*3*...*(2k-1)) / (2*4*...*2k) cos^2k
+            if k:
+                coefficient *= Decimal(2 * k - 1) / (2 * k)
+            total += coefficient * cos2**k
+        return 1 - sin * total
+    for k in range((df - 1) // 2):  # (2*4*...*2k) / (3*5*...*(2k+1)) cos^2k
+        if k:
+            coefficient *= Decimal(2 * k) / (2 * k + 1)
+        total += coefficient * cos2**k
+    pi = 4 * (4 * _arctan(Decimal(1) / 5) - _arctan(Decimal(1) / 239))  # Machin
+    theta = _arctan(sin / cos2.sqrt())
+    return 1 - 2 / pi * (theta + sin * cos2.sqrt() * total)
+
+
+def student_t_tail(rho: float, df: int) -> Decimal:
+    """The two-sided Student-t tail at t = rho sqrt(df/(1-rho^2)) with df
+    degrees of freedom, for the float rho exactly, in decimal at 50 digits
+    plus the decimal exponent of the tail: the sums subtract from 1, so a
+    tail near 10**-e needs e more digits. The precision grows until the
+    tail's own exponent asks for no more."""
+    digits = 50
+    while True:
+        with localcontext(Context(prec=digits)):
+            tail = _student_t_tail_at(rho, df)
+        needed = 50 + max(0, -tail.adjusted()) if tail > 0 else 2 * digits
+        if needed <= digits:
+            return tail
+        digits = needed
 
 
 def spearman_no_ties(x, y) -> float:

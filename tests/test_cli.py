@@ -346,26 +346,6 @@ def test_single_class_training_fold_fails_alike_whatever_the_workers(
     ]
 
 
-def test_correlate_exact_p_leaves_scipy_unloaded(cli_repo, tmp_path, capsys):
-    """Permutation p-values need no t distribution, so only the plain
-    correlate loads scipy."""
-    truth = _write_truth(tmp_path / "truth.csv", cli_repo, capsys)
-    probe = """
-import sys
-from fileexperts.cli import main
-
-repo, truth, tmp = sys.argv[1:]
-for flags in (["--exact-p"], []):
-    code = main(["correlate", *flags, "--truth", truth, "--repo", repo, "--branch", "main",
-                 "--cache-dir", f"{tmp}/cache", "--out", f"{tmp}/out"])
-    print(flags, code, "scipy" in sys.modules)
-"""
-    env = dict(os.environ, PYTHONPATH=str(Path(fileexperts.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", probe, str(cli_repo), str(truth), str(tmp_path)],
-                         capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.splitlines() == ["['--exact-p'] 0 False", "[] 0 True"]
-
-
 def test_calibrate_and_evaluate_leave_numpy_ma_unloaded(cli_repo, tmp_path, capsys):
     """The folds take their classes in sorted order without np.unique, which
     imports numpy.ma in numpy 2.4; nothing else calibrate or evaluate runs
@@ -1222,6 +1202,21 @@ def test_malformed_cached_identities_are_a_miss(cli_repo, tmp_path, capsys, malf
 
     warning = _warm_run_after(corrupt, cli_repo, tmp_path, capsys, command=("mine",))
     assert warning["warning"].startswith(f"{_MINED_AGAIN}the history")
+
+
+def test_cached_file_set_that_is_a_string_is_a_miss(cli_repo, tmp_path, capsys):
+    def corrupt(text):
+        meta, rest = text.split("\n", 1)
+        record = json.loads(meta)
+        record["meta"]["present_paths"] = "src/f0.py"
+        return json.dumps(record) + "\n" + rest
+
+    warning = _warm_run_after(corrupt, cli_repo, tmp_path, capsys, command=("mine",))
+    (path,) = (tmp_path / "cache").glob("history-*.ndjson")
+    assert warning["warning"] == (
+        f"{_MINED_AGAIN}history {path} line 1 is malformed: "
+        "present_paths 'src/f0.py' is not a list of strings"
+    )
 
 
 def test_cut_short_cached_meta_line_is_an_error(cli_repo, tmp_path, capsys):

@@ -3,7 +3,9 @@
 import random
 import re
 import subprocess
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import fileexperts.diffs
 import fileexperts.features
+from fileexperts import cli
 from fileexperts.errors import CorruptFeatureTable
 from fileexperts.features import (
     CSV_HEADER,
@@ -290,6 +293,43 @@ def test_invariants_hold_for_arbitrary_event_streams(commit_spec):
         for row in table.rows
     }
     assert actual == naive_feature_table(history)
+
+
+_timed_commits = st.lists(
+    st.tuples(
+        st.sampled_from([("Ana", "ana@x.com"), ("Bo", "bo@y.com"), ("Ana", "ANA@x.com")]),
+        # seconds since the previous commit; a negative gap is clock skew
+        st.integers(-3 * 86400, 10 * 86400),
+        st.dictionaries(st.sampled_from(["a.py", "b.py", "c.js"]), _texts, min_size=1,
+                        max_size=2),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _mine_csv(path, commits, offset: int) -> bytes:
+    repo = RepoBuilder(path / "repo")
+    when = 1_600_000_000 + offset
+    for (name, email), gap, writes in commits:
+        when += gap
+        repo.commit(name, email, when, writes=writes)
+    repo = repo.finish()
+    out = path / "features.csv"
+    assert cli.main(["mine", "--repo", str(repo), "--branch", "main", "--no-cache",
+                     "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(_timed_commits, st.integers(1, 2**31))
+def test_a_time_shift_leaves_the_mined_csv_byte_identical(commits, offset):
+    """A metamorphic relation: adding one positive offset to every commit
+    time moves the reference time with it, and every variable is a count or
+    a difference of times, so the feature CSV ``mine`` prints is the same."""
+    with tempfile.TemporaryDirectory() as tmp:
+        base, shifted = Path(tmp, "base"), Path(tmp, "shifted")
+        assert _mine_csv(base, commits, 0) == _mine_csv(shifted, commits, offset)
 
 
 def test_compute_all_diffs_each_event_once(monkeypatch):

@@ -23,7 +23,7 @@ from oracles import naive_filter_source_files
 from fileexperts import gitlog
 from fileexperts.errors import BranchNotFound, CorruptHistory, RepositoryNotFound
 from fileexperts.features import mine_history
-from fileexperts.fixtures import RepoBuilder, random_repo
+from fileexperts.fixtures import RepoBuilder, perf_repo, random_repo
 from fileexperts.gitlog import (
     BlobReader,
     CommitHistory,
@@ -808,6 +808,26 @@ def test_meta_line_without_its_file_list_is_malformed():
         gitlog._parse_history(text, "history")
 
 
+_MISTYPED_META = {
+    # a string would load as the set of its characters
+    "paths-a-string": ("present_paths", "a.py", "present_paths 'a.py' is not a list of strings"),
+    "path-a-number": ("present_paths", [1], "present_paths [1] is not a list of strings"),
+    "branch-a-number": ("branch", 7, "branch 7 is not a string"),
+}
+
+
+@pytest.mark.parametrize("field, value, reason", _MISTYPED_META.values(), ids=_MISTYPED_META.keys())
+def test_meta_field_of_the_wrong_type_is_malformed(tmp_path, field, value, reason):
+    path = tmp_path / "history.ndjson"
+    meta = json.loads(_META)
+    path.write_text(f"{json.dumps(meta)}\n{json.dumps(_COMMIT)}\n")
+    assert load_history_meta(path).branch == "main"
+    meta["meta"][field] = value
+    path.write_text(f"{json.dumps(meta)}\n{json.dumps(_COMMIT)}\n")
+    with pytest.raises(CorruptHistory, match=re.escape(f"line 1 is malformed: {reason}")):
+        load_history_meta(path)
+
+
 def _meta(present_paths, reference_time):
     return json.dumps({"v": 1, "meta": {"branch": "main", "present_paths": present_paths,
                                         "reference_time": reference_time}})
@@ -888,6 +908,13 @@ def test_rename_with_edit_still_one_lineage(tmp_path):
 def _rev_parse(repo, *args):
     return subprocess.run(["git", "-C", str(repo), "rev-parse", *args], capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def test_perf_repo_head_is_pinned(tmp_path):
+    """A seeded perf_repo is the same repository, commit for commit, so the
+    benchmark's fixtures do not drift with changes to the generator."""
+    repo = perf_repo(tmp_path / "perf", commits=200, files=30, devs=4, seed=0)
+    assert _rev_parse(repo, "HEAD") == "7a4da2c789088af7ca5bc0e47864603a846ccf7b"
 
 
 def test_fixtures_ignore_inherited_repository_variables(tmp_path, monkeypatch):

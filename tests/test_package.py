@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import fileexperts
+from fileexperts.features import compute_all, mine_history
+from fileexperts.fixtures import RepoBuilder
 
 PUBLIC = [
     "BLAME", "BlobReader", "CVReport", "ChangeStats", "ClassifierSpec", "CommitHistory", "CommitRecord",
@@ -114,6 +116,46 @@ def test_mining_loads_no_openssl(demo_repo_path, tmp_path):
     )
     assert loaded == "[]"
     assert len(list((tmp_path / "cache").glob("features-*.csv"))) == 1
+
+
+def test_no_command_imports_scipy(tmp_path):
+    """The t-approximation p-values are computed in the package, so no
+    command loads scipy, whether run cold or on a warm cache: each runs in
+    its own fresh interpreter."""
+    repo = RepoBuilder(tmp_path / "repo")
+    for i in range(12):
+        name = ("Ana", "Bo", "Cy")[i % 3]
+        repo.commit(name, f"{name.lower()}@x.com", 1_600_000_000 + i * 86_400,
+                    writes={f"src/f{i}.py": f"start_{i} = {i}\nif start_{i} > 2:\n    w = 1\n"})
+    for i in range(6):
+        name = ("Bo", "Cy", "Ana")[i % 3]
+        repo.commit(name, f"{name.lower()}@x.com", 1_601_000_000 + i * 86_400,
+                    writes={f"src/f{i}.py": f"start_{i} = {i}\nextra_{i} = 1\n"})
+    repo = repo.finish()
+    truth = tmp_path / "truth.csv"
+    rows = ["repo,developer_email,file,knowledge"] + [
+        f"fixture,{row.developer},{row.file},{5 if i % 2 else 2}"
+        for i, row in enumerate(compute_all(mine_history(repo, "main")).rows)
+    ]
+    truth.write_text("\n".join(rows) + "\n")
+    common = ["--repo", str(repo), "--branch", "main", "--cache-dir", str(tmp_path / "cache"),
+              "--out", str(tmp_path / "out")]
+    labeled = ["--truth", str(truth), "--folds", "3"]
+    commands = [
+        ["mine"],
+        ["rank", "--technique", "doa", "--file", "src/f0.py"],
+        ["correlate", "--truth", str(truth)],
+        ["correlate", "--matrix", "--truth", str(truth)],
+        ["correlate", "--exact-p", "--truth", str(truth)],
+        ["calibrate", "--technique", "doa", *labeled],
+        ["evaluate", "--classifier", "logistic_regression", *labeled],
+    ]
+    for command in commands:
+        loaded = _fresh_python(
+            "import sys; from fileexperts.cli import main; "
+            f"print(main({[*command, *common]!r}), 'scipy' in sys.modules)"
+        )
+        assert (command, loaded) == (command, "0 False")
 
 
 def test_diffs_is_a_text_layer():

@@ -1,20 +1,20 @@
 """Spearman correlation: coefficients, p-values, ties, and the matrix."""
 
-import os
-import subprocess
-import sys
+import math
+import time
 import tracemalloc
-from pathlib import Path
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fileexperts
 from fileexperts.errors import ConstantInput, LengthMismatch, TooFewSamples
 from fileexperts.features import FeatureRow, FeatureTable, FeatureVector
 from fileexperts.stats import (
+    _beta_half,
+    _t_approximation_p,
     average_ranks,
     correlation_matrix,
     knowledge_correlations,
@@ -22,7 +22,7 @@ from fileexperts.stats import (
     spearman_permutation_p,
 )
 from conftest import BASE_TIME
-from oracles import brute_force_ranks, permutation_p_loop, spearman_no_ties
+from oracles import brute_force_ranks, permutation_p_loop, spearman_no_ties, student_t_tail
 
 
 class TestSpearman:
@@ -321,44 +321,65 @@ def test_knowledge_correlations_permutation_p_equals_loop_oracle():
         assert result.p_value == permutation_p_loop(values, know, seed=4)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """Only spearman needs scipy, so mine, rank, calibrate and evaluate
-    never pay for importing it; and the commands that compute with numpy
-    import it themselves, so the CLI module loads neither."""
-    env = dict(os.environ, PYTHONPATH=str(Path(fileexperts.__file__).parents[1]))
-    probe = "import sys, fileexperts.cli; print('scipy' in sys.modules, 'numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False False"
+# df and |t| of the t-approximation accuracy grid, fixed before it was run
+_TAIL_DFS = (*range(1, 13), 31, 100, 398, 999, 4998)
+_TAIL_TS = (1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.8, 1.0, 1.3, 1.7, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0,
+            10.0, 14.0, 20.0, 28.0, 40.0)
 
 
-def test_spearman_leaves_scipy_stats_unloaded():
-    """spearman's p-value needs scipy.special alone."""
-    env = dict(os.environ, PYTHONPATH=str(Path(fileexperts.__file__).parents[1]))
-    probe = (
-        "import sys; from fileexperts.stats import spearman; "
-        "spearman([1, 2, 3, 4], [2, 1, 4, 3]); "
-        "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)"
-    )
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "True False"
+def _tail_grid():
+    """(rho, df, exact p) at each grid point whose exact p is at least
+    1e-300, for both signs of t, with rho = t / sqrt(df + t^2) in float."""
+    for df in _TAIL_DFS:
+        for t in _TAIL_TS:
+            rho = t / math.sqrt(df + t * t)
+            exact = student_t_tail(rho, df)
+            if exact >= Decimal("1e-300"):
+                yield rho, df, exact
+                yield -rho, df, exact
 
 
-def test_p_value_equals_scipy_stats_t_sf():
-    from scipy.stats import t as t_distribution
+def test_t_approximation_p_is_within_2e_13_of_the_finite_sums():
+    points = list(_tail_grid())
+    assert len(points) > 600
+    worst = max(abs(Decimal(_t_approximation_p(rho, df + 2)) - exact) / exact
+                for rho, df, exact in points)
+    assert worst <= Decimal("2e-13")
 
-    rng = np.random.default_rng(5)
-    checked = 0
-    for n in (3, 4, 5, 7, 10, 31, 100, 999, 5000):
-        x = np.arange(n, dtype=float)
-        for slope in np.linspace(-1.0, 1.0, 21):
-            y = slope * x + rng.normal(scale=n / 4, size=n)
-            result = spearman(x, y)
-            rho = result.rho
-            if 1.0 - rho * rho < 1e-15:
-                continue
-            t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-            assert result.p_value == min(float(2.0 * t_distribution.sf(abs(t), n - 2)), 1.0)
-            checked += 1
-    assert checked > 150
+
+def test_t_approximation_p_agrees_with_scipy_stdtr():
+    """A cross-check against ``scipy.special.stdtr`` on the accuracy grid,
+    where scipy is installed: within 1e-12 relative, unless stdtr is itself
+    more than 1e-12 off the finite sums there (scipy 1.17.1 is, at df 1 and
+    |t| = 1e-6) while the package's tail is within 2e-13 of them."""
+    special = pytest.importorskip("scipy.special")
+    for rho, df, exact in _tail_grid():
+        t = rho * math.sqrt(df / (1.0 - rho * rho))
+        scipy_p = Decimal(float(2.0 * special.stdtr(df, -abs(t))))
+        p = Decimal(_t_approximation_p(rho, df + 2))
+        if abs(p - scipy_p) > Decimal("1e-12") * p:
+            assert abs(scipy_p - exact) > Decimal("1e-12") * exact, (rho, df)
+            assert abs(p - exact) <= Decimal("2e-13") * exact, (rho, df)
+
+
+def test_t_approximation_p_edge_values():
+    assert _t_approximation_p(0.0, 3) == _t_approximation_p(-0.0, 1000) == 1.0
+    assert _t_approximation_p(1.0 - 1e-16, 10) == _t_approximation_p(-1.0, 10) == 0.0
+    assert _t_approximation_p(0.5, 4) == 1.0 - 0.5  # df 2: the tail is 1 - |rho|
+
+
+def test_one_p_value_at_df_99998_takes_under_0_2_s():
+    _beta_half.cache_clear()
+    start = time.perf_counter()
+    p = _t_approximation_p(0.01, 100_000)
+    assert time.perf_counter() - start < 0.2
+    assert abs(Decimal(p) - student_t_tail(0.01, 99_998)) <= Decimal("2e-13") * Decimal(p)
+
+
+def test_the_beta_function_is_computed_once_per_df():
+    table, knowledge = _knowledge_table()
+    _beta_half.cache_clear()
+    matrix = correlation_matrix(table, knowledge)
+    results, _ = knowledge_correlations(table, knowledge)
+    assert len(matrix.cells) > len(results) > 1
+    assert _beta_half.cache_info().misses == 1
