@@ -346,6 +346,26 @@ def test_single_class_training_fold_fails_alike_whatever_the_workers(
     ]
 
 
+def test_correlate_exact_p_leaves_scipy_unloaded(cli_repo, tmp_path, capsys):
+    """Neither the permutation p-values nor the t-approximation load scipy:
+    the Student-t tail is computed in the package."""
+    truth = _write_truth(tmp_path / "truth.csv", cli_repo, capsys)
+    probe = """
+import sys
+from fileexperts.cli import main
+
+repo, truth, tmp = sys.argv[1:]
+for flags in (["--exact-p"], []):
+    code = main(["correlate", *flags, "--truth", truth, "--repo", repo, "--branch", "main",
+                 "--cache-dir", f"{tmp}/cache", "--out", f"{tmp}/out"])
+    print(flags, code, "scipy" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(fileexperts.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe, str(cli_repo), str(truth), str(tmp_path)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines() == ["['--exact-p'] 0 False", "[] 0 False"]
+
+
 def test_calibrate_and_evaluate_leave_numpy_ma_unloaded(cli_repo, tmp_path, capsys):
     """The folds take their classes in sorted order without np.unique, which
     imports numpy.ma in numpy 2.4; nothing else calibrate or evaluate runs

@@ -1,15 +1,20 @@
 """Spearman correlation: coefficients, p-values, ties, and the matrix."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fileexperts
 from fileexperts.errors import ConstantInput, LengthMismatch, TooFewSamples
 from fileexperts.features import FeatureRow, FeatureTable, FeatureVector
 from fileexperts.stats import (
@@ -322,6 +327,30 @@ def test_knowledge_correlations_permutation_p_equals_loop_oracle():
 
 
 # df and |t| of the t-approximation accuracy grid, fixed before it was run
+def test_cli_import_leaves_scipy_unloaded():
+    """No command needs scipy, and the commands that compute with numpy
+    import it themselves, so the CLI module loads neither."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fileexperts.__file__).parents[1]))
+    probe = "import sys, fileexperts.cli; print('scipy' in sys.modules, 'numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False False"
+
+
+def test_spearman_leaves_scipy_stats_unloaded():
+    """spearman's p-value is evaluated in decimal, so it loads no part of
+    scipy, scipy.stats included."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fileexperts.__file__).parents[1]))
+    probe = (
+        "import sys; from fileexperts.stats import spearman; "
+        "spearman([1, 2, 3, 4], [2, 1, 4, 3]); "
+        "print('scipy' in sys.modules, 'scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False False"
+
+
 _TAIL_DFS = (*range(1, 13), 31, 100, 398, 999, 4998)
 _TAIL_TS = (1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.8, 1.0, 1.3, 1.7, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0,
             10.0, 14.0, 20.0, 28.0, 40.0)
