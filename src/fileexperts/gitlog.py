@@ -728,13 +728,26 @@ def history_ndjson_lines(history: CommitHistory, contents: bool = True) -> Itera
 def _change_event(record: dict) -> FileChangeEvent:
     """A change record read back. The writer writes every field, so each is
     required here, even those the dataclass defaults: a modification that
-    lost its ``before_content`` would otherwise replay as an addition."""
+    lost its ``before_content`` would otherwise replay as an addition. Each
+    must also be a value extraction writes: one of the three kinds, a
+    string path, an old path that is a string for a rename and null
+    otherwise, and contents that are strings or null."""
     for name in _CHANGE_FIELDS:
         if name not in record:
             raise KeyError(name)
     for name in record:
         if name not in _CHANGE_FIELDS:
             raise TypeError(f"a change record has no field {name!r}")
+    kind, old_path = record["change_kind"], record["old_path"]
+    if kind not in (ADDITION, MODIFICATION, RENAME):
+        raise ValueError(f"change_kind {kind!r} is not one of the three kinds")
+    if not isinstance(record["path"], str):
+        raise TypeError(f"path {record['path']!r} is not a string")
+    if not (isinstance(old_path, str) if kind == RENAME else old_path is None):
+        raise TypeError(f"old_path {old_path!r} does not fit change_kind {kind!r}")
+    for name in ("before_content", "after_content"):
+        if not isinstance(record[name], (str, type(None))):
+            raise TypeError(f"{name} {record[name]!r} is neither a string nor null")
     return FileChangeEvent(**record)
 
 

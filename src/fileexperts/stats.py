@@ -91,31 +91,17 @@ _CONVERGED = Decimal("1e-35")
 _TINY = Decimal("1e-80")  # stands in for a zero denominator (modified Lentz)
 _HALF = Decimal("0.5")
 _PI = Decimal("3.14159265358979323846264338327950288419716939937511")
-# B(2k) / (2k (2k - 1)) for k = 1..8, the Stirling series of ln Gamma
-_STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360), (1, 156),
-             (-3617, 122400))
-
-
-def _stirling(z: Decimal) -> Decimal:
-    """ln Gamma(z) - ln(2 pi) / 2 by the Stirling series to z**-15; for
-    z >= 100 the first term left out is below 2e-35."""
-    series = sum(Decimal(p) / q / z ** (2 * k + 1) for k, (p, q) in enumerate(_STIRLING))
-    return (z - _HALF) * z.ln() - z + series
 
 
 @functools.lru_cache(maxsize=32)
 def _beta_half(df: int) -> Decimal:
-    """B(df/2, 1/2) = sqrt(pi) Gamma(df/2) / Gamma((df+1)/2), once per df:
-    from B(1/2, 1/2) = pi or B(1, 1/2) = 2 by the exact factors
-    B(k/2, 1/2) = B(k/2 - 1, 1/2) (k-2)/(k-1) below df 200, by the Stirling
-    series beyond."""
-    if df < 200:
-        beta = _PI if df % 2 else Decimal(2)
-        for k in range(4 - df % 2, df + 1, 2):
-            beta = beta * (k - 2) / (k - 1)
-        return beta
-    a = Decimal(df) / 2
-    return _PI.sqrt() * (_stirling(a) - _stirling(a + _HALF)).exp()
+    """B(df/2, 1/2) = sqrt(pi) Gamma(df/2) / Gamma((df+1)/2), once per df,
+    as one exact product: from B(1/2, 1/2) = pi or B(1, 1/2) = 2 by the
+    factors B(k/2, 1/2) = B(k/2 - 1, 1/2) (k-2)/(k-1)."""
+    beta = _PI if df % 2 else Decimal(2)
+    for k in range(4 - df % 2, df + 1, 2):
+        beta = beta * (k - 2) / (k - 1)
+    return beta
 
 
 def _beta_fraction(a: Decimal, b: Decimal, x: Decimal) -> Decimal:

@@ -5,7 +5,9 @@ import re
 import subprocess
 import tempfile
 from collections import Counter
+from datetime import datetime
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,14 +19,16 @@ from fileexperts import cli
 from fileexperts.errors import CorruptFeatureTable
 from fileexperts.features import (
     CSV_HEADER,
+    MiningInputs,
     compute_all,
     feature_table,
+    feature_table_to_csv,
     mine_history,
     read_feature_csv,
     write_feature_csv,
 )
 from fileexperts.fixtures import RepoBuilder, random_repo
-from fileexperts.gitlog import _parse_history, extract_history, history_ndjson_lines
+from fileexperts.gitlog import BlobReader, _parse_history, extract_history, history_ndjson_lines
 from fileexperts.identities import developer_ids
 from conftest import add, blame_authors, make_history, mod
 from oracles import naive_feature_table
@@ -295,29 +299,57 @@ def test_invariants_hold_for_arbitrary_event_streams(commit_spec):
     assert actual == naive_feature_table(history)
 
 
+_AUTHORS = st.sampled_from([("Ana", "ana@x.com"), ("Bo", "bo@y.com"), ("Ana", "ANA@x.com")])
+# seconds since the previous commit; a negative gap is clock skew
+_GAPS = st.integers(-3 * 86400, 10 * 86400)
 _timed_commits = st.lists(
     st.tuples(
-        st.sampled_from([("Ana", "ana@x.com"), ("Bo", "bo@y.com"), ("Ana", "ANA@x.com")]),
-        # seconds since the previous commit; a negative gap is clock skew
-        st.integers(-3 * 86400, 10 * 86400),
+        _AUTHORS,
+        _GAPS,
         st.dictionaries(st.sampled_from(["a.py", "b.py", "c.js"]), _texts, min_size=1,
                         max_size=2),
     ),
     min_size=1,
     max_size=6,
 )
+# after every commit _build_repo dates: 2020-09-13 plus at most 6 base gaps
+# of 10 days, then an extra commit's 10 more
+_REFERENCE_TIME = "2021-01-01T00:00:00+00:00"
 
 
-def _mine_csv(path, commits, offset: int) -> bytes:
+def _extra_commits(paths, texts):
+    """Commits to slot into a ``_timed_commits`` history, each before the
+    base commit its index names (at the end past the last), by the same
+    authors, writing only ``paths``."""
+    return st.lists(
+        st.tuples(st.integers(0, 6), _AUTHORS, _GAPS,
+                  st.dictionaries(st.sampled_from(paths), texts, min_size=1, max_size=2)),
+        min_size=1,
+        max_size=4,
+    )
+
+
+def _build_repo(path, commits, offset: int = 0, extra=()) -> Path:
+    """The repository of ``commits``, which start at 1,600,000,000 +
+    ``offset`` seconds. Each ``extra`` commit is dated by its gap from the
+    base commit before it and moves no base commit's time."""
     repo = RepoBuilder(path / "repo")
     when = 1_600_000_000 + offset
-    for (name, email), gap, writes in commits:
-        when += gap
-        repo.commit(name, email, when, writes=writes)
-    repo = repo.finish()
-    out = path / "features.csv"
+    for index in range(len(commits) + 1):
+        for slot, (name, email), gap, writes in extra:
+            if min(slot, len(commits)) == index:
+                repo.commit(name, email, when + gap, writes=writes)
+        if index < len(commits):
+            (name, email), gap, writes = commits[index]
+            when += gap
+            repo.commit(name, email, when, writes=writes)
+    return repo.finish()
+
+
+def _mine_csv(repo: Path, *options: str) -> bytes:
+    out = repo.parent / "features.csv"
     assert cli.main(["mine", "--repo", str(repo), "--branch", "main", "--no-cache",
-                     "--out", str(out)]) == 0
+                     "--out", str(out), *options]) == 0
     return out.read_bytes()
 
 
@@ -329,7 +361,66 @@ def test_a_time_shift_leaves_the_mined_csv_byte_identical(commits, offset):
     a difference of times, so the feature CSV ``mine`` prints is the same."""
     with tempfile.TemporaryDirectory() as tmp:
         base, shifted = Path(tmp, "base"), Path(tmp, "shifted")
-        assert _mine_csv(base, commits, 0) == _mine_csv(shifted, commits, offset)
+        assert _mine_csv(_build_repo(base, commits)) == _mine_csv(
+            _build_repo(shifted, commits, offset)
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(_timed_commits, _extra_commits(["d.py"], _texts))
+def test_commits_to_another_file_leave_a_files_rows_byte_identical(commits, extra):
+    """A metamorphic relation, locality: every variable of a pair counts
+    within the file's lineage, so commits that touch only ``d.py``, by
+    authors the history already has or whose aliases resolve alike, leave
+    every other file's CSV rows as they were at a fixed reference time."""
+
+    def other_rows(csv: bytes) -> list[bytes]:
+        return [line for line in csv.splitlines() if line.split(b",")[1] != b"d.py"]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        base = _build_repo(Path(tmp, "base"), commits)
+        grown = _build_repo(Path(tmp, "grown"), commits, extra=extra)
+        options = ("--reference-time", _REFERENCE_TIME)
+        assert other_rows(_mine_csv(base, *options)) == other_rows(_mine_csv(grown, *options))
+
+
+# no source text starts with this line, so no kept file shares a dropped blob
+_dropped_texts = _texts.map(lambda text: "# not mined\n" + text)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_timed_commits, _extra_commits(["vendor/v.py", "notes.txt"], _dropped_texts))
+def test_commits_to_dropped_paths_leave_the_mined_csv_byte_identical(commits, extra):
+    """A metamorphic relation, dropped paths: a vendored file and a
+    non-source file are left out before any blob is read, so commits that
+    touch only those change no byte of the CSV at a fixed reference time,
+    and the pipeline never asks for one of their blobs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        base = _build_repo(Path(tmp, "base"), commits)
+        grown = _build_repo(Path(tmp, "grown"), commits, extra=extra)
+        expected = _mine_csv(base, "--reference-time", _REFERENCE_TIME)
+
+        def git(*args) -> str:
+            return subprocess.run(["git", "-C", str(grown), *args], capture_output=True,
+                                  check=True, text=True).stdout
+
+        dropped = {
+            entry.split()[2]
+            for commit in git("rev-list", "main").split()
+            for entry in git("ls-tree", "-r", commit, "--", "vendor", "notes.txt").splitlines()
+        }
+        asked = []
+        read = BlobReader._read
+
+        def recording(self, blobs):
+            asked.extend(blobs)
+            return read(self, blobs)
+
+        inputs = MiningInputs(reference_time=datetime.fromisoformat(_REFERENCE_TIME))
+        with mock.patch.object(BlobReader, "_read", recording):
+            table = compute_all(mine_history(grown, "main", inputs), jobs=1)
+        assert feature_table_to_csv(table).encode() == expected
+        assert dropped and asked and not dropped.intersection(asked)
 
 
 def test_compute_all_diffs_each_event_once(monkeypatch):

@@ -786,6 +786,22 @@ _MALFORMED = {
     "author-with-extra-key": json.dumps(
         {**_COMMIT, "author": {**_COMMIT["author"], "login": "ana"}}
     ),
+    # extraction writes only these values, so no other may load and replay
+    **{
+        name: json.dumps({**_COMMIT, "changes": [{**_COMMIT["changes"][0], **fields}]})
+        for name, fields in {
+            "deletion-kind": {"change_kind": "deletion"},
+            "rename-without-old-path": {"change_kind": "rename"},
+            "rename-with-numeric-old-path": {"change_kind": "rename", "old_path": 3},
+            "addition-with-old-path": {"old_path": "b.py"},
+            "modification-with-old-path": {"change_kind": "modification", "old_path": "b.py",
+                                           "before_content": "x = 0\n"},
+            "numeric-path": {"path": 7},
+            "null-path": {"path": None},
+            "numeric-content": {"after_content": 1},
+            "list-content": {"before_content": ["x = 0\n"]},
+        }.items()
+    },
 }
 
 

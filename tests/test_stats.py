@@ -397,6 +397,42 @@ def test_t_approximation_p_edge_values():
     assert _t_approximation_p(0.5, 4) == 1.0 - 0.5  # df 2: the tail is 1 - |rho|
 
 
+_PINNED_RHOS = (-0.3, 0.01, 0.05, 0.2, 0.5, 0.9)
+# float.hex of the tail at each rho above, recorded when B(df/2, 1/2) came
+# from the Stirling series of ln Gamma at df 200 and beyond
+_PINNED_TAILS = {
+    1: ("0x1.9caf85cfef4f5p-1", "0x1.fcbd8e4a7e149p-1", "0x1.efb21bb9dd2c4p-1",
+        "0x1.be5e15eb156c3p-1", "0x1.5555555555555p-1", "0x1.260615ae5dae7p-2"),
+    2: ("0x1.6666666666666p-1", "0x1.fae147ae147aep-1", "0x1.e666666666666p-1",
+        "0x1.999999999999ap-1", "0x1.0000000000000p-1", "0x1.9999999999998p-4"),
+    16: ("0x1.cfcb72391f539p-3", "0x1.efea8f8fbd6e4p-1", "0x1.b00794c0b7834p-1",
+         "0x1.b46f70ffe1f02p-2", "0x1.1b70c80000000p-5", "0x1.88e5dc354be2ep-22"),
+    198: ("0x1.0ab579ea11b65p-16", "0x1.c6c6af17db28bp-1", "0x1.ed8d4f6f5056bp-2",
+          "0x1.282c1a22e80afp-8", "0x1.adfc9aef8a17cp-45", "0x1.c12c6a994b396p-242"),
+    199: ("0x1.fbacdf3c8ad64p-17", "0x1.c6a1e36677edep-1", "0x1.ec6b15e1d2ab2p-2",
+          "0x1.219349e3cd403p-8", "0x1.73788ad021c82p-45", "0x1.86999a99c462cp-243"),
+    200: ("0x1.e32e26645e2fap-17", "0x1.c67d2fdfc8f2cp-1", "0x1.eb49f3ef506f0p-2",
+          "0x1.1b20c23afbc14p-8", "0x1.40ec0ebc260f5p-45", "0x1.53ab3e9696a0bp-244"),
+    201: ("0x1.cbdf3c170d3d6p-17", "0x1.c6589455a4b09p-1", "0x1.ea29e79c13ba7p-2",
+          "0x1.14d39fc6a332dp-8", "0x1.154150d10bb15p-45", "0x1.2761eb0f4b3e2p-245"),
+    398: ("0x1.f96ae5d44f85bp-31", "0x1.af163245561e8p-1", "0x1.462b4ba69033fp-2",
+          "0x1.d7610e3ecb949p-15", "0x1.af1eb4a5ce017p-87", "0x1.a49f93a4addbbp-482"),
+    999: ("0x1.5e1f93e939dbfp-72", "0x1.8106a116d3e78p-1", "0x1.d27fcc58b1c4ep-4",
+          "0x1.7a55b87694516p-33", "0x1.4c4442ea746a4p-212", "0x0.0p+0"),
+    4998: ("0x1.2fc6927fd3207p-345", "0x1.eb1c006d6e451p-2", "0x1.a89478921e487p-12",
+           "0x1.976b2068f529fp-152", "0x0.00000a342d699p-1022", "0x0.0p+0"),
+    99998: ("0x0.0p+0", "0x1.9a4e1b126fe2cp-10", "0x1.177b071898ae9p-185", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0"),
+}
+
+
+def test_t_approximation_p_bits_are_pinned_across_df_200():
+    """Bit-identical tails on both sides of df 200, where B(df/2, 1/2) once
+    switched from the exact product to the Stirling series of ln Gamma."""
+    for df, tails in _PINNED_TAILS.items():
+        assert tuple(_t_approximation_p(rho, df + 2).hex() for rho in _PINNED_RHOS) == tails, df
+
+
 def test_one_p_value_at_df_99998_takes_under_0_2_s():
     _beta_half.cache_clear()
     start = time.perf_counter()
